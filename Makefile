@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: tier1 race vet fmt-check fuzz check bench-json loadtest
+.PHONY: tier1 race vet fmt-check fuzz check bench-json bench-test loadtest
 
 tier1:
 	$(GO) build ./...
@@ -47,9 +47,12 @@ fmt-check:
 # at 1 vs 2 replicas, reporting client-side p50_ms/p99_ms/rps) rides along
 # so the multi-replica throughput claim is part of the same artifact, as
 # does the serving-tier observability overhead proof (paired off/on stacks
-# serving alternating real-pipeline requests; overhead-pct budget ≤3).
-# CI uploads the file as a non-gating artifact.
-BENCH_JSON ?= BENCH_PR10.json
+# serving alternating real-pipeline requests; overhead-pct budget ≤3). The
+# nightly pipeline closes the list: the backfill executor alone at 2k/8k/32k
+# tasks (ns/task near-flat, allocs/op constant) and the six-night
+# `night-batch` mix (ms/night, MB/night allocated).
+# CI uploads the file, under this one name, as a non-gating artifact.
+BENCH_JSON ?= BENCH.json
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig7TopRuntimeVsSize$$' -benchmem . > bench_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkWhatIfFanout$$' -benchmem . >> bench_raw.txt
@@ -61,6 +64,8 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkShardScaling' -benchmem ./internal/epihiper >> bench_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkReplicaLoadgen' -benchmem . >> bench_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkServingObsOverhead$$' -benchmem ./internal/scenario >> bench_raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkBackfillScaling$$' -benchmem . >> bench_raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkNightMix$$' -benchmem ./internal/core >> bench_raw.txt
 	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) < bench_raw.txt
 	@rm -f bench_raw.txt
 
@@ -70,12 +75,18 @@ bench-json:
 loadtest:
 	$(GO) test -race -run 'TestLoadProof|TestChaosKillReplicaMidRun' -v -count=1 ./internal/replica
 
-# Short exploratory fuzz pass over the scheduler and snapshot-codec
-# targets (the seed corpus always runs as part of tier1).
+# Short exploratory fuzz pass over the scheduler, executor and
+# snapshot-codec targets (the seed corpus always runs as part of tier1).
 fuzz:
 	$(GO) test ./internal/sched -fuzz FuzzRelaxedColoring -fuzztime 10s
 	$(GO) test ./internal/sched -fuzz FuzzScheduleRoundTrip -fuzztime 10s
+	$(GO) test ./internal/cluster -fuzz FuzzBackfillMatchesReference -fuzztime 10s
 	$(GO) test ./internal/epihiper -fuzz FuzzSnapshotRoundTrip -fuzztime 10s
 	$(GO) test ./internal/fidelity -fuzz FuzzFidelityRoute -fuzztime 10s
 
-check: fmt-check vet tier1 race
+# The benchmark is its own module (bench/go.mod), so its unit tests do not
+# ride the root `go test ./...`.
+bench-test:
+	cd bench && $(GO) test ./...
+
+check: fmt-check vet tier1 race bench-test

@@ -18,7 +18,7 @@ import (
 // scales with the cluster's total worker count — the acceptance bar is
 // ≥1.5× requests/second at replicas=2 over replicas=1 (each replica runs
 // two workers). Client-side p50/p99 latency and throughput are reported as
-// benchmark metrics and land in BENCH_PR9.json via `make bench-json`.
+// benchmark metrics and land in BENCH.json via `make bench-json`.
 func BenchmarkReplicaLoadgen(b *testing.B) {
 	const (
 		clients     = 64

@@ -294,6 +294,38 @@ func BenchmarkFig9Utilization(b *testing.B) {
 	})
 }
 
+// BenchmarkBackfillScaling times the backfill executor alone on FFDT-DC
+// queues of ≈2k, 8k and 32k tasks (51 regions × 40/160/640 cells, DB bound
+// 16, all of Bridges). The executor is event-driven, so ns/task should stay
+// near-flat across the 16× size range — the naive in-order rescan it
+// replaced grew linearly in it. allocs/op is the other recorded number: the
+// executor allocates a handful of slices per call, whatever the size.
+func BenchmarkBackfillScaling(b *testing.B) {
+	c := sched.Constraints{TotalNodes: cluster.Bridges().Nodes, DBBound: sched.DefaultDBBounds(16)}
+	for _, cells := range []int{40, 160, 640} {
+		w := sched.Workload{Cells: cells, Replicates: 1,
+			Time: sched.DefaultTimeModel(), MaxInterventionFactor: 4}
+		s, err := sched.FFDTDC(w.Tasks(stats.NewRNG(9)), c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queue := cluster.FlattenSchedule(s)
+		b.Run(fmt.Sprintf("tasks=%d", len(queue)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := cluster.ExecuteBackfill(queue, c, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Records) != len(queue) {
+					b.Fatalf("%d of %d tasks ran", len(res.Records), len(queue))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(queue)), "ns/task")
+		})
+	}
+}
+
 // BenchmarkFig10Memory regenerates Figure 10: modeled memory over
 // simulation steps — growth at intervention trigger points, scaling with
 // compliance (left panel) and with network size (right panel).

@@ -10,9 +10,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -223,7 +225,7 @@ func ExecuteLevelSync(s *sched.Schedule, deadline float64) ExecResult {
 func ExecuteLevelSyncOpts(s *sched.Schedule, opt ExecOptions) ExecResult {
 	var res ExecResult
 	_, sp := obs.StartSpan(opt.execCtx(), "cluster.levelsync")
-	defer func() { endExecSpan(sp, len(FlattenSchedule(s)), &res) }()
+	defer func() { endExecSpan(sp, s.NumTasks(), &res) }()
 	start := opt.StartAt
 	busy := 0.0
 	for _, l := range s.Levels {
@@ -280,6 +282,12 @@ func ExecuteBackfill(tasks []sched.Task, c sched.Constraints, deadline float64) 
 // resumable start clock. A refused task fails instantly and holds nothing;
 // a crashed task holds its nodes and DB connection until the crash instant,
 // then frees them for backfilling — its partial node-time counts as wasted.
+//
+// The in-order queue scan is realized event by event (DESIGN.md §19):
+// pending tasks sit in per-(region, nodes) FIFO buckets, whose members pass
+// or fail the node and DB checks together, so the next task the scan would
+// start is the lowest queue index among the heads of the buckets that fit;
+// running tasks sit in a min-heap on end time. tasks is read, not copied.
 func ExecuteBackfillOpts(tasks []sched.Task, c sched.Constraints, opt ExecOptions) (ExecResult, error) {
 	if c.TotalNodes <= 0 {
 		return ExecResult{}, fmt.Errorf("cluster: non-positive node count")
@@ -289,98 +297,75 @@ func ExecuteBackfillOpts(tasks []sched.Task, c sched.Constraints, opt ExecOption
 			return ExecResult{}, fmt.Errorf("cluster: task %+v cannot fit on %d nodes", t, c.TotalNodes)
 		}
 	}
-	type running struct {
-		end  float64
-		task sched.Task
-	}
 	var res ExecResult
 	_, sp := obs.StartSpan(opt.execCtx(), "cluster.backfill")
 	defer func() { endExecSpan(sp, len(tasks), &res) }()
-	queue := append([]sched.Task(nil), tasks...)
-	pending := make([]bool, len(queue))
-	for i := range pending {
-		pending[i] = true
-	}
-	remaining := len(queue)
+	res.Records = make([]TaskRecord, 0, len(tasks))
+	q := newBackfillQueue(tasks, c)
 	free := c.TotalNodes
-	regionRunning := map[string]int{}
-	var active []running
+	var active endHeap
 	now := opt.StartAt
 	busy := 0.0
 
-	for remaining > 0 || len(active) > 0 {
-		// Start everything that fits, scanning the queue in order.
-		startedAny := false
-		for i := range queue {
-			if !pending[i] {
-				continue
+	for {
+		// Start everything that fits, in queue order.
+		for {
+			i, region := q.pop(free)
+			if i < 0 {
+				break
 			}
-			t := queue[i]
-			if t.Nodes > free {
-				continue
-			}
-			if bound, ok := c.DBBound[t.Region]; ok && regionRunning[t.Region] >= bound {
-				continue
-			}
+			t := tasks[i]
 			if opt.Deadline > 0 && now+t.Time > opt.Deadline {
-				pending[i] = false
-				remaining--
 				res.Unstarted = append(res.Unstarted, t)
 				continue
 			}
+			end, crashed := now+t.Time, false
 			if opt.Injector != nil {
-				if f := opt.Injector(t); f.Kind != FaultNone {
-					pending[i] = false
-					remaining--
-					if f.Kind == FaultDBRefused {
-						res.Failed = append(res.Failed, FaultRecord{Task: t, Kind: f.Kind, Start: now, At: now})
-						continue
-					}
-					end := now + clampFrac(f.Frac)*t.Time
-					res.Failed = append(res.Failed, FaultRecord{Task: t, Kind: f.Kind, Start: now, At: end})
-					res.WastedNodeSeconds += (end - now) * float64(t.Nodes)
-					free -= t.Nodes
-					regionRunning[t.Region]++
-					active = append(active, running{end: end, task: t})
-					startedAny = true
+				f := opt.Injector(t)
+				if f.Kind == FaultDBRefused {
+					res.Failed = append(res.Failed, FaultRecord{Task: t, Kind: f.Kind, Start: now, At: now})
 					continue
 				}
+				if f.Kind != FaultNone {
+					end, crashed = now+clampFrac(f.Frac)*t.Time, true
+					res.Failed = append(res.Failed, FaultRecord{Task: t, Kind: f.Kind, Start: now, At: end})
+					res.WastedNodeSeconds += (end - now) * float64(t.Nodes)
+				}
 			}
-			pending[i] = false
-			remaining--
 			free -= t.Nodes
-			regionRunning[t.Region]++
-			active = append(active, running{end: now + t.Time, task: t})
-			res.Records = append(res.Records, TaskRecord{Task: t, Start: now, End: now + t.Time})
-			busy += t.Time * float64(t.Nodes)
-			startedAny = true
+			q.running[region]++
+			active.push(running{end: end, nodes: t.Nodes, region: region})
+			if !crashed {
+				res.Records = append(res.Records, TaskRecord{Task: t, Start: now, End: end})
+				busy += t.Time * float64(t.Nodes)
+			}
 		}
 		if len(active) == 0 {
-			if !startedAny && remaining > 0 {
-				// Nothing runnable and nothing running: all remaining
-				// tasks are blocked by the deadline (handled above) —
-				// defensive break against malformed bounds.
-				for i := range queue {
-					if pending[i] {
-						res.Unstarted = append(res.Unstarted, queue[i])
-					}
-				}
-				break
+			// Nothing runnable and nothing running: the queue is drained,
+			// or what is left sits behind a non-positive DB bound —
+			// defensive exit against malformed bounds: lift every bound,
+			// so pop yields the leftovers in queue order.
+			for r := range q.bound {
+				q.bound[r] = math.MaxInt
 			}
-			continue
+			for i, _ := q.pop(free); i >= 0; i, _ = q.pop(free) {
+				res.Unstarted = append(res.Unstarted, tasks[i])
+			}
+			break
 		}
-		// Advance to the earliest completion.
-		sort.Slice(active, func(a, b int) bool { return active[a].end < active[b].end })
+		// Advance to the earliest completion and free everything ending then.
 		now = active[0].end
 		for len(active) > 0 && active[0].end <= now {
-			done := active[0]
-			active = active[1:]
-			free += done.task.Nodes
-			regionRunning[done.task.Region]--
+			done := active.pop()
+			free += done.nodes
+			q.running[done.region]--
 		}
 		if now > res.Makespan {
 			res.Makespan = now
 		}
+	}
+	if len(res.Records) == 0 {
+		res.Records = nil // as when nothing was ever appended
 	}
 	res.BusyNodeSeconds = busy
 	if res.Makespan > 0 {
@@ -389,15 +374,120 @@ func ExecuteBackfillOpts(tasks []sched.Task, c sched.Constraints, opt ExecOption
 	return res, nil
 }
 
-// FlattenSchedule returns the packing's tasks in (level, position) order —
-// the submission order handed to the executor.
-func FlattenSchedule(s *sched.Schedule) []sched.Task {
-	var out []sched.Task
-	for _, l := range s.Levels {
-		out = append(out, l.Tasks...)
-	}
-	return out
+// backfillQueue indexes one call's pending tasks for the in-order scan.
+// Region codes are interned to dense ints; each (region, nodes) pair owns a
+// FIFO of queue indices threaded through next.
+type backfillQueue struct {
+	buckets []bucket
+	next    []int // next[i]: the queue index after i in its bucket, or drained
+	drained int   // sentinel index: len(tasks), above every real one
+	running []int // running[r]: tasks of region r holding a DB connection
+	bound   []int // bound[r]: B(T[r]), math.MaxInt when the region is unbounded
 }
+
+type bucket struct {
+	head, tail int // queue indices; head == drained when empty
+	nodes      int
+	region     int
+	sibling    int // next bucket of the same region, -1 at the end
+}
+
+func newBackfillQueue(tasks []sched.Task, c sched.Constraints) *backfillQueue {
+	q := &backfillQueue{next: make([]int, len(tasks)), drained: len(tasks)}
+	x := sched.NewRegionIndex(c.DBBound)
+	var first []int // first[r]: head of region r's sibling chain
+	for i, t := range tasks {
+		r := x.ID(t.Region)
+		if r == len(first) {
+			first = append(first, -1)
+		}
+		b := first[r]
+		for b >= 0 && q.buckets[b].nodes != t.Nodes {
+			b = q.buckets[b].sibling
+		}
+		if b < 0 {
+			q.buckets = append(q.buckets, bucket{head: i, tail: i, nodes: t.Nodes, region: r, sibling: first[r]})
+			first[r] = len(q.buckets) - 1
+		} else {
+			q.next[q.buckets[b].tail] = i
+			q.buckets[b].tail = i
+		}
+		q.next[i] = q.drained
+	}
+	q.running, q.bound = make([]int, len(first)), x.Bound
+	return q
+}
+
+// pop removes and returns the lowest queue index whose task fits in free
+// nodes with its region under its DB bound, together with the interned
+// region; i is -1 when no pending task fits.
+func (q *backfillQueue) pop(free int) (i, region int) {
+	best, at := q.drained, -1
+	for j := range q.buckets {
+		b := &q.buckets[j]
+		if b.head < best && b.nodes <= free && q.running[b.region] < q.bound[b.region] {
+			best, at = b.head, j
+		}
+	}
+	if at < 0 {
+		return -1, -1
+	}
+	q.buckets[at].head = q.next[best]
+	return best, q.buckets[at].region
+}
+
+// running is a started task's hold on its nodes and DB connection.
+type running struct {
+	end    float64
+	nodes  int
+	region int
+}
+
+// endHeap is a min-heap of running tasks on end time.
+type endHeap []running
+
+func (h *endHeap) push(r running) {
+	s := append(*h, r)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if s[parent].end <= s[i].end {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+	*h = s
+}
+
+func (h *endHeap) pop() running {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && s[l].end < s[least].end {
+			least = l
+		}
+		if r := 2*i + 2; r < n && s[r].end < s[least].end {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	*h = s
+	return top
+}
+
+// FlattenSchedule returns the packing's tasks in (level, position) order —
+// the submission order handed to the executor. The slice may be the
+// schedule's own storage (sched.Schedule.Flatten): read-only.
+func FlattenSchedule(s *sched.Schedule) []sched.Task { return s.Flatten() }
 
 // ValidateExecution checks an ExecResult against the constraints: at no
 // instant do running tasks exceed the node count or any region's DB bound,
@@ -411,7 +501,7 @@ func ValidateExecution(res ExecResult, c sched.Constraints, deadline float64) er
 		reg   string
 		d     int
 	}
-	var events []event
+	events := make([]event, 0, 2*(len(res.Records)+len(res.Failed)))
 	for _, r := range res.Records {
 		if deadline > 0 && r.End > deadline+1e-9 {
 			return fmt.Errorf("cluster: task %+v ends at %g past deadline %g", r.Task, r.End, deadline)
@@ -429,11 +519,11 @@ func ValidateExecution(res ExecResult, c sched.Constraints, deadline float64) er
 		events = append(events, event{t: f.Start, nodes: f.Task.Nodes, reg: f.Task.Region, d: 1})
 		events = append(events, event{t: f.At, nodes: -f.Task.Nodes, reg: f.Task.Region, d: -1})
 	}
-	sort.Slice(events, func(a, b int) bool {
-		if events[a].t != events[b].t {
-			return events[a].t < events[b].t
+	slices.SortFunc(events, func(a, b event) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
 		}
-		return events[a].d < events[b].d // process ends before starts at ties
+		return a.d - b.d // process ends before starts at ties
 	})
 	nodes := 0
 	perRegion := map[string]int{}

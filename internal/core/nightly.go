@@ -173,38 +173,13 @@ func (p *Pipeline) ExecuteNightCtx(ctx context.Context, cfg NightConfig) (*Night
 		obs.String("heuristic", cfg.Heuristic),
 		obs.Int("day", int64(cfg.Day)))
 	defer night.End()
-	// Counter-factual and prediction designs sweep intervention
-	// complexity (up to the ≈4× D2CT factor of Figure 7); calibration
-	// cells sweep disease parameters on a fixed mitigation schedule, so
-	// their run times spread far less.
-	ivSpread := 4.0
-	if cfg.Spec.Kind == Calibration {
-		ivSpread = 1.4
-	}
-	w := sched.Workload{
-		Cells:                 cfg.Spec.Cells,
-		Replicates:            cfg.Spec.Replicates,
-		Time:                  sched.DefaultTimeModel(),
-		MaxInterventionFactor: ivSpread,
-	}
 	_, part := obs.StartSpan(ctx, "partition")
-	tasks := w.Tasks(stats.NewRNG(cfg.Seed))
+	tasks := nightWorkload(cfg.Spec).Tasks(stats.NewRNG(cfg.Seed))
 	part.SetAttr(obs.Int("tasks", int64(len(tasks))))
 	part.End()
-	constraints := sched.Constraints{
-		TotalNodes: p.Remote.Nodes,
-		DBBound:    sched.DefaultDBBounds(p.DBConnBound),
-	}
-	deadline := p.Window.Seconds()
+	constraints, deadline := p.nightConstraints()
 	report := &NightReport{Config: cfg, Tasks: len(tasks)}
-	report.MakespanLB = sched.MakespanLowerBound(tasks, constraints.TotalNodes)
-	if report.MakespanLB > 0 && constraints.TotalNodes > 0 {
-		area := 0.0
-		for _, t := range tasks {
-			area += t.Time * float64(t.Nodes)
-		}
-		report.UtilizationBound = area / (report.MakespanLB * float64(constraints.TotalNodes))
-	}
+	report.MakespanLB, report.UtilizationBound = nightBounds(tasks, constraints.TotalNodes)
 
 	fm := faults.New(cfg.Faults)
 	fm.SetCounters(p.FaultCounters)
@@ -245,6 +220,48 @@ func (p *Pipeline) ExecuteNightCtx(ctx context.Context, cfg NightConfig) (*Night
 	return report, exec, nil
 }
 
+// nightWorkload is a Table I row's ⟨cell, region⟩ workload under the
+// empirical time model. Counter-factual and prediction designs sweep
+// intervention complexity (up to the ≈4× D2CT factor of Figure 7);
+// calibration cells sweep disease parameters on a fixed mitigation
+// schedule, so their run times spread far less.
+func nightWorkload(spec WorkflowSpec) sched.Workload {
+	ivSpread := 4.0
+	if spec.Kind == Calibration {
+		ivSpread = 1.4
+	}
+	return sched.Workload{
+		Cells:                 spec.Cells,
+		Replicates:            spec.Replicates,
+		Time:                  sched.DefaultTimeModel(),
+		MaxInterventionFactor: ivSpread,
+	}
+}
+
+// nightConstraints returns the remote cluster's packing constraints and the
+// window deadline in seconds.
+func (p *Pipeline) nightConstraints() (sched.Constraints, float64) {
+	return sched.Constraints{
+		TotalNodes: p.Remote.Nodes,
+		DBBound:    sched.DefaultDBBounds(p.DBConnBound),
+	}, p.Window.Seconds()
+}
+
+// nightBounds returns NightReport.MakespanLB and UtilizationBound for a
+// task set: the packing lower bound, and the busy-work area over
+// (bound × nodes).
+func nightBounds(tasks []sched.Task, totalNodes int) (makespanLB, utilizationBound float64) {
+	makespanLB = sched.MakespanLowerBound(tasks, totalNodes)
+	if makespanLB > 0 && totalNodes > 0 {
+		area := 0.0
+		for _, t := range tasks {
+			area += t.Time * float64(t.Nodes)
+		}
+		utilizationBound = area / (makespanLB * float64(totalNodes))
+	}
+	return makespanLB, utilizationBound
+}
+
 // moveWithRecovery ships bytes over the ledger; under a fault model the
 // transfer retries stalled attempts with jittered backoff and the retry
 // count lands in the report. A transfer that stalls through the whole
@@ -279,20 +296,8 @@ func (p *Pipeline) RunNightsCtx(ctx context.Context, spec WorkflowSpec, heuristi
 	if maxNights <= 0 {
 		maxNights = 1
 	}
-	ivSpread := 4.0
-	if spec.Kind == Calibration {
-		ivSpread = 1.4
-	}
-	w := sched.Workload{
-		Cells: spec.Cells, Replicates: spec.Replicates,
-		Time: sched.DefaultTimeModel(), MaxInterventionFactor: ivSpread,
-	}
-	remaining := w.Tasks(stats.NewRNG(seed))
-	constraints := sched.Constraints{
-		TotalNodes: p.Remote.Nodes,
-		DBBound:    sched.DefaultDBBounds(p.DBConnBound),
-	}
-	deadline := p.Window.Seconds()
+	remaining := nightWorkload(spec).Tasks(stats.NewRNG(seed))
+	constraints, deadline := p.nightConstraints()
 	var reports []*NightReport
 	for night := 0; night < maxNights && len(remaining) > 0; night++ {
 		if err := ctx.Err(); err != nil {
@@ -339,14 +344,7 @@ func (p *Pipeline) RunNightsCtx(ctx context.Context, spec WorkflowSpec, heuristi
 			SummaryBytes: completed * spec.SummaryBytesPerSim,
 			RawBytes:     completed * spec.RawBytesPerSim,
 		}
-		rep.MakespanLB = sched.MakespanLowerBound(remaining, constraints.TotalNodes)
-		if rep.MakespanLB > 0 && constraints.TotalNodes > 0 {
-			area := 0.0
-			for _, t := range remaining {
-				area += t.Time * float64(t.Nodes)
-			}
-			rep.UtilizationBound = area / (rep.MakespanLB * float64(constraints.TotalNodes))
-		}
+		rep.MakespanLB, rep.UtilizationBound = nightBounds(remaining, constraints.TotalNodes)
 		if _, err := p.Ledger.MoveCtx(nctx, night, transfer.HomeToRemote, "night-configs", rep.ConfigBytes); err != nil {
 			nsp.End()
 			return nil, err

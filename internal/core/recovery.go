@@ -11,10 +11,12 @@ package core
 // priority first, reporting exactly what was dropped.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -81,21 +83,21 @@ type taskID struct {
 
 func tid(t sched.Task) taskID { return taskID{t.Region, t.Cell, t.Replicate} }
 
-// moreImportant orders tasks for shedding decisions: replicate 0 of a cell
-// carries the ensemble's signal, so low replicate indices outrank high
-// ones; among equals a longer task outranks a shorter one (more sunk work
-// to redo); region/cell break ties for determinism.
-func moreImportant(a, b sched.Task) bool {
-	if a.Replicate != b.Replicate {
-		return a.Replicate < b.Replicate
+// byImportance orders tasks for shedding decisions, most important first:
+// replicate 0 of a cell carries the ensemble's signal, so low replicate
+// indices outrank high ones; among equals a longer task outranks a shorter
+// one (more sunk work to redo); region/cell break ties for determinism.
+func byImportance(a, b sched.Task) int {
+	if c := cmp.Compare(a.Replicate, b.Replicate); c != 0 {
+		return c
 	}
-	if a.Time != b.Time {
-		return a.Time > b.Time
+	if c := cmp.Compare(b.Time, a.Time); c != 0 {
+		return c
 	}
-	if a.Region != b.Region {
-		return a.Region < b.Region
+	if c := cmp.Compare(a.Region, b.Region); c != 0 {
+		return c
 	}
-	return a.Cell < b.Cell
+	return cmp.Compare(a.Cell, b.Cell)
 }
 
 // retryItem is a requeued task waiting out its backoff.
@@ -143,19 +145,31 @@ func (p *Pipeline) runNightRounds(ctx context.Context, cfg NightConfig, fm *faul
 			obs.Int("replicate", int64(t.Replicate)))
 	}
 
+	// backfillRound packs with FFDT-DC and executes with backfill from
+	// startAt. It yields the processor before each phase: a night is a few
+	// milliseconds of allocation-heavy work on one goroutine with no
+	// blocking call, and a concurrent GC mark phase that finds no idle P
+	// otherwise waits for the 10 ms forced preemption while a night or two
+	// of allocation piles onto the next heap goal (measured on night-batch:
+	// peak RSS 21–30 MB without the yields, 17.5 MB with them).
+	backfillRound := func(rctx context.Context, tasks []sched.Task, startAt float64) (cluster.ExecResult, error) {
+		runtime.Gosched()
+		s, err := sched.FFDTDC(tasks, constraints)
+		if err != nil {
+			return cluster.ExecResult{}, err
+		}
+		runtime.Gosched()
+		return cluster.ExecuteBackfillOpts(cluster.FlattenSchedule(s), constraints,
+			cluster.ExecOptions{Deadline: deadline, StartAt: startAt, Injector: inj, Ctx: rctx})
+	}
+
 	// Round 1: the full workload under the configured heuristic.
 	var merged cluster.ExecResult
 	rctx, rsp := obs.StartSpan(ctx, "sim", obs.Int("round", 1))
 	switch cfg.Heuristic {
 	case "", "FFDT-DC":
-		s, err := sched.FFDTDC(tasks, constraints)
-		if err != nil {
-			rsp.End()
-			return cluster.ExecResult{}, err
-		}
-		merged, err = cluster.ExecuteBackfillOpts(cluster.FlattenSchedule(s), constraints,
-			cluster.ExecOptions{Deadline: deadline, Injector: inj, Ctx: rctx})
-		if err != nil {
+		var err error
+		if merged, err = backfillRound(rctx, tasks, 0); err != nil {
 			rsp.End()
 			return cluster.ExecResult{}, err
 		}
@@ -174,6 +188,9 @@ func (p *Pipeline) runNightRounds(ctx context.Context, cfg NightConfig, fm *faul
 	rsp.SetAttr(obs.Int("placed", int64(len(merged.Records))), obs.Int("failed", int64(len(merged.Failed))))
 	rsp.End()
 	report.Rounds = 1
+	// A task completes at most once across rounds, so the merged records
+	// are sized for the whole workload here and never regrow.
+	merged.Records = slices.Grow(merged.Records, len(tasks)-len(merged.Records))
 
 	// processFailures books each failure and either requeues the task with
 	// jittered exponential backoff or sheds it (retry budget spent, or the
@@ -259,7 +276,7 @@ func (p *Pipeline) runNightRounds(ctx context.Context, cfg NightConfig, fm *faul
 		// (deadline − now) × nodes node-seconds. While the admitted work
 		// exceeds that budget, shed the least important task — this is
 		// the "degrade gracefully, lowest-priority replicates first" rule.
-		sort.SliceStable(admitted, func(i, j int) bool { return moreImportant(admitted[i], admitted[j]) })
+		slices.SortStableFunc(admitted, byImportance)
 		budget := (deadline - now) * float64(constraints.TotalNodes)
 		total := 0.0
 		for _, t := range admitted {
@@ -280,13 +297,7 @@ func (p *Pipeline) runNightRounds(ctx context.Context, cfg NightConfig, fm *faul
 		// round 1.
 		rctx, rsp := obs.StartSpan(ctx, "sim",
 			obs.Int("round", int64(report.Rounds+1)), obs.Float("start_at", now))
-		s, err := sched.FFDTDC(admitted, constraints)
-		if err != nil {
-			rsp.End()
-			return cluster.ExecResult{}, err
-		}
-		exec, err := cluster.ExecuteBackfillOpts(cluster.FlattenSchedule(s), constraints,
-			cluster.ExecOptions{Deadline: deadline, StartAt: now, Injector: inj, Ctx: rctx})
+		exec, err := backfillRound(rctx, admitted, now)
 		if err != nil {
 			rsp.End()
 			return cluster.ExecResult{}, err
@@ -314,7 +325,7 @@ func (p *Pipeline) runNightRounds(ctx context.Context, cfg NightConfig, fm *faul
 	}
 
 	// Report shed work lowest-priority first, deterministically.
-	sort.SliceStable(report.Shed, func(i, j int) bool { return moreImportant(report.Shed[j], report.Shed[i]) })
+	slices.SortStableFunc(report.Shed, func(a, b sched.Task) int { return byImportance(b, a) })
 	if merged.Makespan > 0 && constraints.TotalNodes > 0 {
 		merged.Utilization = merged.BusyNodeSeconds / (merged.Makespan * float64(constraints.TotalNodes))
 	}

@@ -19,13 +19,6 @@ func smallSpec() WorkflowSpec {
 		RawBytesPerSim: 100 * transfer.MB, SummaryBytesPerSim: 300 * transfer.KB}
 }
 
-func nightConstraints(p *Pipeline) (sched.Constraints, float64) {
-	return sched.Constraints{
-		TotalNodes: p.Remote.Nodes,
-		DBBound:    sched.DefaultDBBounds(p.DBConnBound),
-	}, p.Window.Seconds()
-}
-
 // A zero fault spec must reproduce the failure-free baseline bit for bit:
 // the same floats as packing and executing directly, and nothing in the new
 // accounting fields.
@@ -41,7 +34,7 @@ func TestZeroFaultSpecIsBitForBitBaseline(t *testing.T) {
 	w := sched.Workload{Cells: cfg.Spec.Cells, Replicates: cfg.Spec.Replicates,
 		Time: sched.DefaultTimeModel(), MaxInterventionFactor: 4}
 	tasks := w.Tasks(stats.NewRNG(cfg.Seed))
-	c, deadline := nightConstraints(p)
+	c, deadline := p.nightConstraints()
 	s, err := sched.FFDTDC(tasks, c)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +93,7 @@ func TestFaultNightAccountingAndValidation(t *testing.T) {
 	}
 	// The merged trace across all recovery rounds must still respect the
 	// machine: node capacity, DB bounds and the window deadline.
-	c, deadline := nightConstraints(p)
+	c, deadline := p.nightConstraints()
 	if err := cluster.ValidateExecution(exec, c, deadline); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +150,7 @@ func TestShedOrderedLowestPriorityFirst(t *testing.T) {
 		t.Fatalf("crash prob 0.6 with 1 retry shed only %d tasks", len(rep.Shed))
 	}
 	for i := 0; i+1 < len(rep.Shed); i++ {
-		if moreImportant(rep.Shed[i], rep.Shed[i+1]) {
+		if byImportance(rep.Shed[i], rep.Shed[i+1]) < 0 {
 			t.Fatalf("shed list not lowest-priority-first at %d: %+v before %+v",
 				i, rep.Shed[i], rep.Shed[i+1])
 		}
@@ -236,7 +229,7 @@ func TestLevelSyncNightRecovers(t *testing.T) {
 	if rep.Completed+rep.Unstarted+len(rep.Shed) != rep.Tasks {
 		t.Fatalf("task accounting broken: %+v", rep)
 	}
-	c, deadline := nightConstraints(p)
+	c, deadline := p.nightConstraints()
 	if err := cluster.ValidateExecution(exec, c, deadline); err != nil {
 		t.Fatal(err)
 	}

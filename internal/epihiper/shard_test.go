@@ -17,7 +17,7 @@ import (
 // shard-count-independent in both directions (taken at A, restored at B),
 // the shard layout must respect the bitset-word alignment its no-atomics
 // design depends on, replicate fan-outs must honor context cancellation,
-// and BenchmarkShardScaling records the scaling curve for BENCH_PR8.json.
+// and BenchmarkShardScaling records the scaling curve for BENCH.json.
 
 // TestSnapshotShardCrossing is the shard × snapshot cross product: a
 // checkpoint taken at shard count A must restore and continue bit-
@@ -219,7 +219,7 @@ func TestShardMetricsPublished(t *testing.T) {
 
 // BenchmarkShardScaling drives the full kernel (transmission + mutation +
 // exchange + merge) over the golden mid-scale network at shard counts
-// {1, 2, 4, 8}: the scaling curve published to BENCH_PR8.json. On
+// {1, 2, 4, 8}: the scaling curve published to BENCH.json. On
 // multi-core hardware the curve tracks core count; on a single-CPU host
 // it records the engine's overhead at higher shard counts instead.
 func BenchmarkShardScaling(b *testing.B) {

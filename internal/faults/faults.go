@@ -159,18 +159,20 @@ func (m *Model) Task(region string, cell, replicate, attempt int) TaskFault {
 	if m == nil {
 		return TaskFault{}
 	}
-	id := []uint64{hashString(region), uint64(uint32(cell)), uint64(uint32(replicate)), uint64(uint32(attempt))}
-	if m.spec.DBRefusalProb > 0 && m.uniform(append([]uint64{tagDB}, id...)...) < m.spec.DBRefusalProb {
+	// The identity words are passed straight to the variadic draw so they
+	// stay on the stack: a decision allocates nothing.
+	r, c, p, a := hashString(region), uint64(uint32(cell)), uint64(uint32(replicate)), uint64(uint32(attempt))
+	if m.spec.DBRefusalProb > 0 && m.uniform(tagDB, r, c, p, a) < m.spec.DBRefusalProb {
 		if m.ctrs != nil {
 			m.ctrs.DBRefusals.Add(1)
 		}
 		return TaskFault{Kind: DBRefusal}
 	}
-	if m.spec.TaskCrashProb > 0 && m.uniform(append([]uint64{tagCrash}, id...)...) < m.spec.TaskCrashProb {
+	if m.spec.TaskCrashProb > 0 && m.uniform(tagCrash, r, c, p, a) < m.spec.TaskCrashProb {
 		// Crash somewhere in (0, 1) of the runtime, bounded away from the
 		// endpoints so a crashed attempt always wastes some node-time but
 		// never masquerades as a completion.
-		u := m.uniform(append([]uint64{tagFrac}, id...)...)
+		u := m.uniform(tagFrac, r, c, p, a)
 		if m.ctrs != nil {
 			m.ctrs.Crashes.Add(1)
 		}

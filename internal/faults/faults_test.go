@@ -144,3 +144,55 @@ func TestAttemptsIndependent(t *testing.T) {
 		t.Fatal("attempt number does not affect the decision — retries could never succeed")
 	}
 }
+
+// Known draws, captured before Task stopped building its hash input on the
+// heap: the fixed-size mixing must reproduce every decision bit for bit, and
+// a decision must not allocate.
+func TestTaskDrawsPinnedAndAllocationFree(t *testing.T) {
+	specs := []Spec{
+		{Seed: 1, TaskCrashProb: 0.3, DBRefusalProb: 0.2},
+		{Seed: 0xDEADBEEF, TaskCrashProb: 0.9},
+		{Seed: 7, DBRefusalProb: 0.5, TaskCrashProb: 0.5},
+	}
+	for _, tc := range []struct {
+		spec                     int
+		region                   string
+		cell, replicate, attempt int
+		want                     TaskFault
+	}{
+		{0, "VA", 0, 0, 0, TaskFault{}},
+		{0, "CA", 11, 14, 1, TaskFault{Kind: Crash, Frac: math.Float64frombits(0x3fef0cb13ff712df)}},
+		{0, "", 0, -1, 0, TaskFault{Kind: Crash, Frac: math.Float64frombits(0x3fe7447780db3c10)}},
+		{0, "WY", 299, 0, 3, TaskFault{}},
+		{0, "TX", -1, 7, 2, TaskFault{}},
+		{1, "VA", 0, 0, 0, TaskFault{Kind: Crash, Frac: math.Float64frombits(0x3fd10d686ffc1616)}},
+		{1, "CA", 11, 14, 1, TaskFault{Kind: Crash, Frac: math.Float64frombits(0x3fe06c8029cd3bf7)}},
+		{1, "", 0, -1, 0, TaskFault{Kind: Crash, Frac: math.Float64frombits(0x3fdc025429fa0a5d)}},
+		{1, "WY", 299, 0, 3, TaskFault{Kind: Crash, Frac: math.Float64frombits(0x3fc7ad3887cd9b6e)}},
+		{1, "TX", -1, 7, 2, TaskFault{Kind: Crash, Frac: math.Float64frombits(0x3feea12e29c0a362)}},
+		{2, "VA", 0, 0, 0, TaskFault{Kind: Crash, Frac: math.Float64frombits(0x3fe0b596b5497291)}},
+		{2, "CA", 11, 14, 1, TaskFault{Kind: DBRefusal}},
+		{2, "", 0, -1, 0, TaskFault{Kind: DBRefusal}},
+		{2, "WY", 299, 0, 3, TaskFault{}},
+		{2, "TX", -1, 7, 2, TaskFault{}},
+	} {
+		m := New(specs[tc.spec])
+		if got := m.Task(tc.region, tc.cell, tc.replicate, tc.attempt); got != tc.want {
+			t.Errorf("spec %d Task(%q, %d, %d, %d) = %+v, want %+v",
+				tc.spec, tc.region, tc.cell, tc.replicate, tc.attempt, got, tc.want)
+		}
+	}
+	if got := math.Float64bits(New(specs[0]).Jitter("VA", 1, 2, 3)); got != 0x3fd4d2e0922c10ac {
+		t.Errorf("Jitter drifted: %#x", got)
+	}
+	m := New(specs[2]) // refusal, crash and pass all occur under this spec
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.Task("VA", 0, 0, 0)
+		m.Task("CA", 11, 14, 1)
+		m.Task("WY", 299, 0, 3)
+		m.Jitter("VA", 1, 2, 3)
+		m.TransferStall("night-configs", 1)
+	}); allocs != 0 {
+		t.Errorf("fault decisions allocate: %v allocs per run", allocs)
+	}
+}

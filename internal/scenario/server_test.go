@@ -61,7 +61,7 @@ func getJSON(t *testing.T, url string, v any) int {
 // executions (single-flight verified), a resubmission is served from the
 // cache without a third execution, and /metrics reflects all of it.
 func TestServerEndToEnd(t *testing.T) {
-	ts, _, r := testServer(t, 2, 8)
+	ts, svc, r := testServer(t, 2, 8)
 
 	specA := Spec{Workflow: "prediction", State: "VA", Days: 42}
 	specB := Spec{Workflow: "prediction", State: "RI", Days: 42}
@@ -90,6 +90,14 @@ func TestServerEndToEnd(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("runs did not start")
 		}
+	}
+	// The duplicate must attach while its twin is still in flight; released
+	// earlier, it would find the finished result in the cache instead.
+	for deadline := time.Now().Add(5 * time.Second); svc.MetricsSnapshot().Deduped < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("duplicate submission did not attach")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	r.releaseAll(2)
 	wg.Wait()

@@ -14,8 +14,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Task is one atomic ⟨cell, region⟩ job: all replicates of one cell of one
@@ -40,42 +42,104 @@ type Constraints struct {
 	DBBound map[string]int
 }
 
+// RegionIndex interns region codes to dense ints in first-seen order and
+// resolves each region's DB bound once, so the packers and the cluster
+// executor count per-region concurrency in slices rather than string-keyed
+// maps.
+type RegionIndex struct {
+	ids     map[string]int
+	dbBound map[string]int
+	// Bound[r] is B(T[r]) for interned region r; math.MaxInt when the
+	// region is absent from the constraints (unbounded).
+	Bound []int
+}
+
+// NewRegionIndex returns an empty index over the given DB bounds.
+func NewRegionIndex(dbBound map[string]int) *RegionIndex {
+	return &RegionIndex{ids: make(map[string]int, len(dbBound)), dbBound: dbBound}
+}
+
+// ID returns the dense id of a region code, interning it on first sight.
+func (x *RegionIndex) ID(region string) int {
+	if r, ok := x.ids[region]; ok {
+		return r
+	}
+	r := len(x.Bound)
+	x.ids[region] = r
+	bound, bounded := x.dbBound[region]
+	if !bounded {
+		bound = math.MaxInt
+	}
+	x.Bound = append(x.Bound, bound)
+	return r
+}
+
 // Level is one row of the strip: its tasks run concurrently, and the level
 // completes when its slowest task does.
 type Level struct {
 	Tasks     []Task
 	UsedNodes int
 	Height    float64
-	perRegion map[string]int
+	perRegion []int // tasks per interned region; grown on demand
 }
 
-// fits reports whether t can join the level under the constraints.
-func (l *Level) fits(t Task, c Constraints) bool {
-	if l.UsedNodes+t.Nodes > c.TotalNodes {
+// fits reports whether t, of interned region r, can join the level.
+func (l *Level) fits(t Task, r int, totalNodes int, x *RegionIndex) bool {
+	if l.UsedNodes+t.Nodes > totalNodes {
 		return false
 	}
-	if bound, ok := c.DBBound[t.Region]; ok && l.perRegion[t.Region] >= bound {
-		return false
-	}
-	return true
+	return r >= len(l.perRegion) || l.perRegion[r] < x.Bound[r]
 }
 
-func (l *Level) add(t Task) {
-	l.Tasks = append(l.Tasks, t)
+// admit books t, of interned region r, on the level. The packers assign
+// Tasks afterwards, carved at exact size from one array per schedule.
+func (l *Level) admit(t Task, r int) {
 	l.UsedNodes += t.Nodes
 	if t.Time > l.Height {
 		l.Height = t.Time
 	}
-	if l.perRegion == nil {
-		l.perRegion = map[string]int{}
+	if r >= len(l.perRegion) {
+		l.perRegion = append(l.perRegion, make([]int, r+1-len(l.perRegion))...)
 	}
-	l.perRegion[t.Region]++
+	l.perRegion[r]++
 }
 
 // Schedule is a packed strip.
 type Schedule struct {
 	Levels     []Level
 	TotalNodes int
+	// packed is the packer's array the levels' Tasks were carved from, in
+	// (level, position) order.
+	packed []Task
+}
+
+// Flatten returns the tasks in (level, position) order — the submission
+// order handed to an executor. While the levels still tile the packer's own
+// array, that array is returned as is, shared with the levels: read it, do
+// not write it. A schedule built or edited by hand is copied out instead.
+func (s *Schedule) Flatten() []Task {
+	if s.tilesPacked() {
+		return s.packed
+	}
+	out := make([]Task, 0, s.NumTasks())
+	for _, l := range s.Levels {
+		out = append(out, l.Tasks...)
+	}
+	return out
+}
+
+// tilesPacked reports whether the levels' Tasks are exactly the consecutive
+// windows of packed the packer carved.
+func (s *Schedule) tilesPacked() bool {
+	at := 0
+	for _, l := range s.Levels {
+		n := len(l.Tasks)
+		if n == 0 || at+n > len(s.packed) || &l.Tasks[0] != &s.packed[at] {
+			return false
+		}
+		at += n
+	}
+	return at == len(s.packed) && at > 0
 }
 
 // Makespan returns the completion time of the last level.
@@ -177,24 +241,42 @@ func (s *Schedule) Validate(tasks []Task, c Constraints) error {
 	return nil
 }
 
-// sortDecreasing returns the tasks in non-increasing time order (ties by
-// region then cell then replicate, for determinism). The time of a task is
+// decreasingOrder returns the permutation that puts the tasks in
+// non-increasing time order (ties by region then cell then replicate, then
+// input position, so the order is the stable one). The time of a task is
 // directly correlated with the size of its region's network, so this orders
-// big states first — Step 2 of the paper's heuristic.
-func sortDecreasing(tasks []Task) []Task {
-	out := append([]Task(nil), tasks...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time > out[j].Time
+// big states first — Step 2 of the paper's heuristic. Sorting positions
+// rather than the 48-byte tasks keeps the moves cheap.
+func decreasingOrder(tasks []Task) []int {
+	order := make([]int, len(tasks))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int {
+		a, b := &tasks[i], &tasks[j]
+		if c := cmp.Compare(b.Time, a.Time); c != 0 {
+			return c
 		}
-		if out[i].Region != out[j].Region {
-			return out[i].Region < out[j].Region
+		if c := cmp.Compare(a.Region, b.Region); c != 0 {
+			return c
 		}
-		if out[i].Cell != out[j].Cell {
-			return out[i].Cell < out[j].Cell
+		if c := cmp.Compare(a.Cell, b.Cell); c != 0 {
+			return c
 		}
-		return out[i].Replicate < out[j].Replicate
+		if c := cmp.Compare(a.Replicate, b.Replicate); c != 0 {
+			return c
+		}
+		return i - j
 	})
+	return order
+}
+
+// sortDecreasing returns a copy of the tasks in decreasingOrder.
+func sortDecreasing(tasks []Task) []Task {
+	out := make([]Task, len(tasks))
+	for i, j := range decreasingOrder(tasks) {
+		out[i] = tasks[j]
+	}
 	return out
 }
 
@@ -230,19 +312,31 @@ func NFDTDC(tasks []Task, c Constraints) (*Schedule, error) {
 	if len(tasks) == 0 {
 		return s, nil
 	}
-	ordered := sortDecreasing(tasks)
-	cur := &Level{}
-	for _, t := range ordered {
-		if !cur.fits(t, c) && len(cur.Tasks) > 0 {
-			s.Levels = append(s.Levels, *cur)
-			cur = &Level{}
-		}
-		cur.add(t)
-	}
-	if len(cur.Tasks) > 0 {
-		s.Levels = append(s.Levels, *cur)
-	}
+	s.packed = sortDecreasing(tasks)
+	s.Levels = nextFit(s.packed, c)
 	return s, nil
+}
+
+// nextFit packs tasks in the given order: a task that does not fit the
+// current level closes it and opens the next. Levels are consecutive runs
+// of ordered, so each Level.Tasks is a capacity-capped window onto it;
+// ordered must be the packer's own array.
+func nextFit(ordered []Task, c Constraints) []Level {
+	var levels []Level
+	x := NewRegionIndex(c.DBBound)
+	var cur Level
+	start := 0
+	for i, t := range ordered {
+		r := x.ID(t.Region)
+		if !cur.fits(t, r, c.TotalNodes, x) && i > start {
+			cur.Tasks = ordered[start:i:i]
+			levels = append(levels, cur)
+			cur, start = Level{}, i
+		}
+		cur.admit(t, r)
+	}
+	cur.Tasks = ordered[start:len(ordered):len(ordered)]
+	return append(levels, cur)
 }
 
 // FFDTDC packs with First-Fit Decreasing Time under database constraints:
@@ -255,21 +349,37 @@ func FFDTDC(tasks []Task, c Constraints) (*Schedule, error) {
 		return nil, err
 	}
 	s := &Schedule{TotalNodes: c.TotalNodes}
-	ordered := sortDecreasing(tasks)
-	for _, t := range ordered {
-		placed := false
-		for li := range s.Levels {
-			if s.Levels[li].fits(t, c) {
-				s.Levels[li].add(t)
-				placed = true
-				break
-			}
+	// Pass 1 places every task on counters alone, recording its level;
+	// pass 2 carves each level's Tasks, at its exact size, out of one
+	// array and fills them in placement order.
+	order := decreasingOrder(tasks)
+	x := NewRegionIndex(c.DBBound)
+	levelOf := make([]int, len(order))
+	var sizes []int
+	for i, j := range order {
+		t := tasks[j]
+		r := x.ID(t.Region)
+		li := 0
+		for li < len(s.Levels) && !s.Levels[li].fits(t, r, c.TotalNodes, x) {
+			li++
 		}
-		if !placed {
-			var l Level
-			l.add(t)
-			s.Levels = append(s.Levels, l)
+		if li == len(s.Levels) {
+			s.Levels = append(s.Levels, Level{})
+			sizes = append(sizes, 0)
 		}
+		s.Levels[li].admit(t, r)
+		sizes[li]++
+		levelOf[i] = li
+	}
+	s.packed = make([]Task, len(order))
+	start := 0
+	for li, size := range sizes {
+		s.Levels[li].Tasks = s.packed[start : start : start+size]
+		start += size
+	}
+	for i, j := range order {
+		l := &s.Levels[levelOf[i]]
+		l.Tasks = append(l.Tasks, tasks[j])
 	}
 	return s, nil
 }
@@ -284,16 +394,7 @@ func FIFO(tasks []Task, c Constraints) (*Schedule, error) {
 	if len(tasks) == 0 {
 		return s, nil
 	}
-	cur := &Level{}
-	for _, t := range tasks {
-		if !cur.fits(t, c) && len(cur.Tasks) > 0 {
-			s.Levels = append(s.Levels, *cur)
-			cur = &Level{}
-		}
-		cur.add(t)
-	}
-	if len(cur.Tasks) > 0 {
-		s.Levels = append(s.Levels, *cur)
-	}
+	s.packed = slices.Clone(tasks)
+	s.Levels = nextFit(s.packed, c)
 	return s, nil
 }

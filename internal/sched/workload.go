@@ -116,7 +116,11 @@ func (w Workload) Tasks(r *stats.RNG) []Task {
 	if reps <= 0 {
 		reps = 1
 	}
-	var out []Task
+	perCell := reps
+	if w.GroupReplicates {
+		perCell = 1
+	}
+	out := make([]Task, 0, len(regions)*cells*perCell)
 	for _, st := range regions {
 		nodes := NodesForRegion(st.Population)
 		for c := 0; c < cells; c++ {
