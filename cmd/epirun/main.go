@@ -37,8 +37,7 @@ func main() {
 	shStart := flag.Int("sh-start", 15, "stay-at-home start day")
 	scale := flag.Int("scale", 5000, "population scale (1:N)")
 	seed := flag.Uint64("seed", 42, "random seed")
-	par := flag.Int("par", 4, "processing units (partitions); superseded by -shards when set")
-	shards := flag.Int("shards", 0, "shard processing units, each owning a disjoint node range (0 = -par, or GOMAXPROCS when -par is 0)")
+	shards := flag.Int("shards", 4, "shard processing units, each owning a disjoint node range (0 = GOMAXPROCS)")
 	outDir := flag.String("out", "", "output directory (omit to skip files)")
 	configPath := flag.String("config", "", "JSON simulation configuration (overrides the individual flags; see internal/epihiper JSONConfig)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
@@ -86,21 +85,22 @@ func main() {
 		if jsonCfg.Seed != 0 {
 			*seed = jsonCfg.Seed
 		}
-		if jsonCfg.Parallelism > 0 {
-			*par = jsonCfg.Parallelism
-		}
-		if jsonCfg.Shards > 0 && *shards == 0 {
+		// An explicit -shards beats the file; otherwise the file's "shards"
+		// (or its legacy spelling "parallelism") beats the flag's default.
+		shardsSet := false
+		flag.Visit(func(f *flag.Flag) { shardsSet = shardsSet || f.Name == "shards" })
+		switch {
+		case shardsSet:
+		case jsonCfg.Shards > 0:
 			*shards = jsonCfg.Shards
+		case jsonCfg.Parallelism > 0:
+			*shards = jsonCfg.Parallelism
 		}
 	}
 
 	// The shard count is the parallelism: each shard owns its node range
-	// and runs every phase of the tick. -shards (or the config's "shards")
-	// wins; -par is the legacy spelling; with neither, use every core.
+	// and runs every phase of the tick. Zero means every core.
 	effShards := *shards
-	if effShards <= 0 {
-		effShards = *par
-	}
 	if effShards <= 0 {
 		effShards = runtime.GOMAXPROCS(0)
 	}
@@ -150,7 +150,7 @@ func main() {
 	} else {
 		simCfg = epihiper.Config{
 			Model: model, Network: net, Days: *days,
-			Parallelism: *par, Seed: *seed,
+			Seed:  *seed,
 			Seeds: []epihiper.Seeding{{CountyFIPS: seedCounty, Day: 0, Count: 5}},
 			Interventions: []epihiper.Intervention{
 				&epihiper.VoluntaryHomeIsolation{Compliance: *vhi, IsolationDays: 14},

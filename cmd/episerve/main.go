@@ -1,12 +1,14 @@
 // Command episerve is the scenario service: an HTTP front end over the
 // three production workflows (prediction, what-if, nightly). Policy-makers
-// submit scenario specs, the service content-addresses each spec, runs it
-// through a bounded job queue over a shared core.Pipeline, and serves
-// results from an LRU cache with single-flight deduplication.
+// submit scenario specs; the service content-addresses each spec, serves it
+// from an LRU result store or attaches it to an identical run in flight
+// (single-flight), and otherwise admits it by priority class and runs it on
+// one of -replicas worker pools over a shared core.Pipeline. Every -replicas
+// value builds the same scenario.Service.
 //
 // Usage:
 //
-//	episerve -addr :8080 -workers 2 -queue 16 -cache 64 -scale 20000 -seed 2020
+//	episerve -addr :8080 -replicas 1 -workers 2 -queue 16 -cache 64 -scale 20000 -seed 2020
 //
 // Submit, poll and fetch:
 //
@@ -15,7 +17,7 @@
 //	curl -s localhost:8080/scenarios/<id>/result
 //	curl -s localhost:8080/readyz           # readiness incl. fidelity tier warm state
 //	curl -s localhost:8080/metrics          # Prometheus text (unified registry)
-//	curl -s localhost:8080/metrics.json     # legacy JSON snapshot
+//	curl -s localhost:8080/replicas         # per-pool queues, steals, requeues
 //
 // With -fidelity (default on), specs may carry "fidelity": "auto" and a
 // "max_uncertainty" budget: the service then answers from a GP emulator or
@@ -24,12 +26,12 @@
 // emulator's training set). "fidelity": "abm" forces the exact path;
 // omitting the field keeps the legacy behavior byte-for-byte.
 //
-// /metrics serves the unified registry: service counters (submissions,
-// queue, cache, per-workflow latency histograms) plus the shared pipeline's
-// transfer-ledger and fault counters and the what-if snapshot store
-// (epi_snapshot_* hit/miss/eviction/occupancy series; budget set by
-// -snap-cache). -pprof additionally mounts net/http/pprof under
-// /debug/pprof/.
+// /metrics serves the unified registry: serving counters (submissions,
+// queue, result store, per-workflow latency histograms, per-pool
+// epi_replica_* gauges) plus the shared pipeline's transfer-ledger and fault
+// counters and the what-if snapshot store (epi_snapshot_*
+// hit/miss/eviction/occupancy series; budget set by -snap-cache). -pprof
+// additionally mounts net/http/pprof under /debug/pprof/.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes, queued
 // and in-flight jobs drain (bounded by -drain-timeout), then the process
@@ -51,21 +53,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/fidelity"
 	"repro/internal/obs"
-	"repro/internal/replica"
 	"repro/internal/scenario"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 2, "worker pool size")
-	queueCap := flag.Int("queue", 16, "job queue capacity (full queue returns 429)")
+	workers := flag.Int("workers", 2, "workers per replica")
+	queueCap := flag.Int("queue", 16, "job queue capacity per replica (a full aggregate queue returns 429)")
 	cacheCap := flag.Int("cache", 64, "result cache capacity (LRU entries)")
 	snapCacheMB := flag.Int64("snap-cache", core.DefaultSnapshotCacheBytes>>20,
 		"what-if snapshot cache budget in MB (0 disables cross-request prefix reuse)")
 	scale := flag.Int("scale", 20000, "population scale (1:N)")
 	seed := flag.Uint64("seed", 2020, "pipeline random seed")
-	parallelism := flag.Int("parallelism", 2, "per-simulation processing units; superseded by -shards when set")
-	shards := flag.Int("shards", 0, "per-simulation shard count, each shard owning a disjoint node range (0 = -parallelism); results are bit-identical at any value")
+	shards := flag.Int("shards", 2, "per-simulation shard count, each shard owning a disjoint node range; results are bit-identical at any value")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful shutdown budget")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	enableFidelity := flag.Bool("fidelity", true,
@@ -73,9 +73,9 @@ func main() {
 	fidelityMinFit := flag.Int("fidelity-min-fit", 8, "ABM design points before a family's emulator fits")
 	fidelityCacheMB := flag.Int64("fidelity-cache", 64, "fidelity training-set cache budget in MB")
 	replicas := flag.Int("replicas", 1,
-		"scenario service replicas behind one front door (>1 enables the shared result store, work-stealing and /replicas)")
+		"worker pools behind the one front door, each with -workers workers and a -queue FIFO (>1 adds work-stealing between them)")
 	batchWindow := flag.Duration("batch-window", 0,
-		"what-if ensemble batching window under -replicas > 1 (0 disables; e.g. 25ms folds near-identical specs into one run)")
+		"what-if ensemble batching window (0 disables; e.g. 25ms folds near-identical specs into one run)")
 	recorderCap := flag.Int("recorder", 256,
 		"flight-recorder capacity: last N request traces kept at /debug/requests (0 disables request tracing, RED series and /slo)")
 	sloP99 := flag.Duration("slo-p99", 0,
@@ -88,11 +88,7 @@ func main() {
 		"JSONL file receiving every request-trace span/event (flushed and closed on drain); empty disables")
 	flag.Parse()
 
-	effShards := *shards
-	if effShards <= 0 {
-		effShards = *parallelism
-	}
-	p := core.NewPipeline(*seed, core.WithScale(*scale), core.WithParallelism(effShards),
+	p := core.NewPipeline(*seed, core.WithScale(*scale), core.WithParallelism(*shards),
 		core.WithSnapshotCacheBytes(*snapCacheMB<<20))
 	reg := obs.NewRegistry()
 	p.RegisterMetrics(reg)
@@ -105,10 +101,10 @@ func main() {
 		router.RegisterMetrics(reg)
 		defer router.Close()
 	}
-	svcCfg := scenario.Config{
-		Pipeline: p, Workers: *workers, QueueCap: *queueCap, CacheCap: *cacheCap,
-		Registry: reg, Fidelity: router,
-	}
+	svc := scenario.NewService(scenario.Config{
+		Pipeline: p, Replicas: *replicas, Workers: *workers, QueueCap: *queueCap, CacheCap: *cacheCap,
+		Registry: reg, Fidelity: router, BatchWindow: *batchWindow,
+	})
 	// Request-scoped serving observability: trace every scenario request
 	// into the flight recorder, optionally teeing the span/event stream to
 	// a JSONL journal that MUST be flushed+closed after drain (the tail of
@@ -132,23 +128,7 @@ func main() {
 		}
 		servingObs = scenario.NewServingObs(reg, obsCfg)
 	}
-	var handler http.Handler
-	var drain func(context.Context) error
-	if *replicas > 1 {
-		coord, err := replica.NewCoordinator(replica.Config{
-			Replicas: *replicas, Base: svcCfg,
-			BatchWindow: *batchWindow, Registry: reg,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		handler = scenario.NewBackendServer(coord, servingObs)
-		drain = coord.Drain
-	} else {
-		svc := scenario.NewService(svcCfg)
-		handler = scenario.NewServer(svc, servingObs)
-		drain = svc.Drain
-	}
+	var handler http.Handler = scenario.NewServer(svc, servingObs)
 	if *enablePprof {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -182,7 +162,7 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
-	if err := drain(ctx); err != nil {
+	if err := svc.Drain(ctx); err != nil {
 		log.Printf("drain interrupted, in-flight jobs canceled: %v", err)
 	} else {
 		log.Printf("drained cleanly")

@@ -1,6 +1,6 @@
 // Command loadgen drives sustained concurrent traffic against a running
-// episerve (single service or replica cluster) and reports client-side
-// p50/p99 latency and throughput.
+// episerve (at any -replicas) and reports client-side p50/p99 latency and
+// throughput.
 //
 // Usage:
 //

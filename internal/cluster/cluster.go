@@ -283,7 +283,7 @@ func ExecuteBackfill(tasks []sched.Task, c sched.Constraints, deadline float64) 
 // a crashed task holds its nodes and DB connection until the crash instant,
 // then frees them for backfilling — its partial node-time counts as wasted.
 //
-// The in-order queue scan is realized event by event (DESIGN.md §19):
+// The in-order queue scan is realized event by event (DESIGN.md §18):
 // pending tasks sit in per-(region, nodes) FIFO buckets, whose members pass
 // or fail the node and DB checks together, so the next task the scan would
 // start is the lowest queue index among the heads of the buckets that fit;

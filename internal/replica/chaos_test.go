@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/scenario"
+	"repro/internal/scenario/servetest"
 )
 
 // TestChaosKillReplicaMidRun is the PR 9 chaos gate: with a fault model
@@ -68,22 +70,20 @@ func TestChaosKillReplicaMidRun(t *testing.T) {
 		}
 	}
 
-	c, err := NewCoordinator(Config{
-		Replicas: replicas,
-		Base: scenario.Config{
-			Workers: 2, QueueCap: 16, Fingerprint: "chaos",
-			DrainGrace: 2 * time.Second,
-		},
+	goroutinesBefore := runtime.NumGoroutine()
+	c := scenario.NewService(scenario.Config{
+		Replicas: replicas, Workers: 2, QueueCap: 16, Fingerprint: "chaos",
+		DrainGrace:     2 * time.Second,
 		RunnerFor:      runnerFor,
 		RebalanceEvery: 5 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_ = c.Drain(ctx)
+		if err := c.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		servetest.AssertQuiesced(t, c, goroutinesBefore)
 	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -91,12 +91,12 @@ func TestChaosKillReplicaMidRun(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, jobs)
 	for i := 0; i < jobs; i++ {
-		h, err := c.Submit(context.Background(), predSpec("VA", 10+i), scenario.PriorityNormal)
+		h, err := c.SubmitCtx(context.Background(), predSpec("VA", 10+i), scenario.PriorityNormal)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		wg.Add(1)
-		go func(i int, h scenario.Handle) {
+		go func(i int, h *scenario.Job) {
 			defer wg.Done()
 			defer h.Release()
 			_, errs[i] = h.Wait(ctx)
@@ -107,7 +107,7 @@ func TestChaosKillReplicaMidRun(t *testing.T) {
 	// idle boundary.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		st := c.ReplicaStatus().(ClusterStatus)
+		st := c.ReplicaStatus()
 		if st.Replicas[victim].Running > 0 && st.Replicas[victim].Queued > 0 {
 			break
 		}
@@ -138,7 +138,7 @@ func TestChaosKillReplicaMidRun(t *testing.T) {
 	if singles != jobs {
 		t.Errorf("%d specs completed exactly once, want %d", singles, jobs)
 	}
-	st := c.ReplicaStatus().(ClusterStatus)
+	st := c.ReplicaStatus()
 	if st.Requeues == 0 && st.Steals == 0 {
 		t.Error("the kill moved no work: expected requeues (running) or steals (queued) onto peers")
 	}

@@ -1,3 +1,8 @@
+// Package replica holds the load generator for the scenario front door: a
+// closed-loop HTTP client (RunLoadgen) behind cmd/loadgen, and the tests that
+// drive scenario.Service at several replicas with it — load proof, chaos
+// kill, steal and requeue traces. The replica pools themselves live in
+// internal/scenario.
 package replica
 
 import (

@@ -2,12 +2,15 @@ package replica
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/scenario/servetest"
 )
 
 // latencyRunner models a fixed service time that honors cancellation — the
@@ -33,28 +36,28 @@ func latencyRunner(d time.Duration) func(int) scenario.Runner {
 // the loadgen metrics published into a registry.
 func TestLoadProof(t *testing.T) {
 	const clients, requests = 64, 192
-	c, err := NewCoordinator(Config{
-		Replicas: 2,
-		Base: scenario.Config{
-			Workers: 2, QueueCap: 128, Fingerprint: "loadproof",
-		},
+	goroutinesBefore := runtime.NumGoroutine()
+	c := scenario.NewService(scenario.Config{
+		Replicas: 2, Workers: 2, QueueCap: 128, Fingerprint: "loadproof",
 		RunnerFor: latencyRunner(time.Millisecond),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := httptest.NewServer(scenario.NewServer(c))
+	client := &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
 	defer func() {
+		client.CloseIdleConnections()
+		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_ = c.Drain(ctx)
+		if err := c.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		servetest.AssertQuiesced(t, c, goroutinesBefore)
 	}()
-	ts := httptest.NewServer(scenario.NewBackendServer(c))
-	defer ts.Close()
 
 	reg := obs.NewRegistry()
 	rep, err := RunLoadgen(LoadgenConfig{
 		BaseURL: ts.URL, Clients: clients, Requests: requests,
-		Priority: "interactive", Registry: reg,
+		Priority: "interactive", Registry: reg, Client: client,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,31 +76,70 @@ func TestLoadProof(t *testing.T) {
 	// re-submission of the same spec), so Submitted can legitimately exceed
 	// the request count; fewer would mean specs accidentally shared a cache
 	// entry.
-	snap := c.MetricsSnapshot()
-	if snap.Submitted < requests {
-		t.Fatalf("cluster submitted %d, want ≥ %d cache misses", snap.Submitted, requests)
+	if got := c.Registry().Counter("epi_scenario_submitted_total").Value(); got < requests {
+		t.Fatalf("cluster submitted %d, want ≥ %d cache misses", got, requests)
 	}
 	t.Logf("load proof: p50=%s p99=%s throughput=%.1f req/s", rep.P50, rep.P99, rep.Throughput)
+}
+
+// TestTwoClientClosedLoopNeverRefused is the regression test for the
+// steal ping-pong: two closed-loop clients of unique, fast specs against two
+// replicas with the background rebalancer at its default period. At most two
+// jobs are ever in the system, so nothing may be refused — every reply is a
+// 200, none a 429 or a queue-full 500 — and two equally busy pools have no
+// reason to steal from each other.
+func TestTwoClientClosedLoopNeverRefused(t *testing.T) {
+	const clients, perClient = 2, 3000
+	c := scenario.NewService(scenario.Config{
+		Replicas: 2, Workers: 2, QueueCap: 64, Fingerprint: "closedloop",
+		RunnerFor: latencyRunner(100 * time.Microsecond),
+	})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = c.Drain(ctx)
+	}()
+	ts := httptest.NewServer(scenario.NewServer(c))
+	defer ts.Close()
+
+	rep, err := RunLoadgen(LoadgenConfig{
+		BaseURL: ts.URL, Clients: clients, Requests: clients * perClient,
+		SpecFor: func(client, seq int) scenario.Spec {
+			s := DefaultSpecFor(client, seq)
+			s.Configs[0].TAU = 0.16 + float64(client*perClient+seq)*1e-7 // unique across clients
+			return s
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK != clients*perClient {
+		t.Fatalf("ok=%d of %d, status dist %v: a closed loop of %d clients was refused",
+			rep.OK, clients*perClient, rep.StatusDist, clients)
+	}
+	st := c.ReplicaStatus()
+	if st.Dispatched < clients*perClient {
+		t.Fatalf("dispatched %d, want ≥ %d unique specs", st.Dispatched, clients*perClient)
+	}
+	if ratio := float64(st.Steals) / float64(st.Dispatched); ratio >= 0.05 {
+		t.Fatalf("steals/dispatched = %d/%d = %.3f, want < 0.05", st.Steals, st.Dispatched, ratio)
+	}
 }
 
 // TestRunLoadgenFixedSpecHitsCache pins the -fixed profile: one identical
 // spec from every client rides the single-flight/cache path, so the
 // cluster runs it at most a handful of times, not once per request.
 func TestRunLoadgenFixedSpecHitsCache(t *testing.T) {
-	c, err := NewCoordinator(Config{
-		Replicas:  2,
-		Base:      scenario.Config{Workers: 1, QueueCap: 32, Fingerprint: "loadfixed"},
+	c := scenario.NewService(scenario.Config{
+		Replicas: 2, Workers: 1, QueueCap: 32, Fingerprint: "loadfixed",
 		RunnerFor: latencyRunner(time.Millisecond),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = c.Drain(ctx)
 	}()
-	ts := httptest.NewServer(scenario.NewBackendServer(c))
+	ts := httptest.NewServer(scenario.NewServer(c))
 	defer ts.Close()
 
 	fixed := predSpec("VA", 30)
@@ -111,10 +153,10 @@ func TestRunLoadgenFixedSpecHitsCache(t *testing.T) {
 	if rep.OK != 64 {
 		t.Fatalf("ok=%d dist=%v, want 64", rep.OK, rep.StatusDist)
 	}
-	snap := c.MetricsSnapshot()
-	st := c.ReplicaStatus().(ClusterStatus)
-	if snap.Submitted > 2 || st.Dispatched > 2 {
+	submitted := c.Registry().Counter("epi_scenario_submitted_total").Value()
+	st := c.ReplicaStatus()
+	if submitted > 2 || st.Dispatched > 2 {
 		t.Fatalf("fixed spec executed %d times (dispatched %d), want ≤2 (dedup + shared store)",
-			snap.Submitted, st.Dispatched)
+			submitted, st.Dispatched)
 	}
 }

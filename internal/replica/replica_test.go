@@ -82,24 +82,18 @@ func (cr *clusterRunner) release(rep, n int) {
 	}
 }
 
-func testCoordinator(t *testing.T, replicas, workers, queueCap int, opts func(*Config)) (*Coordinator, *clusterRunner) {
+func testCoordinator(t *testing.T, replicas, workers, queueCap int, opts func(*scenario.Config)) (*scenario.Service, *clusterRunner) {
 	t.Helper()
 	cr := newClusterRunner(replicas)
-	cfg := Config{
-		Replicas: replicas,
-		Base: scenario.Config{
-			Workers: workers, QueueCap: queueCap, Fingerprint: "test",
-		},
+	cfg := scenario.Config{
+		Replicas: replicas, Workers: workers, QueueCap: queueCap, Fingerprint: "test",
 		RunnerFor:      cr.runnerFor,
 		RebalanceEvery: -1, // tests drive RebalanceOnce explicitly
 	}
 	if opts != nil {
 		opts(&cfg)
 	}
-	c, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := scenario.NewService(cfg)
 	t.Cleanup(func() {
 		for i := range cr.gates {
 			cr.release(i, 64)
@@ -109,6 +103,11 @@ func testCoordinator(t *testing.T, replicas, workers, queueCap int, opts func(*C
 		_ = c.Drain(ctx)
 	})
 	return c, cr
+}
+
+// isCancel classifies context-style cancellation errors.
+func isCancel(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 func predSpec(state string, days int) scenario.Spec {
@@ -129,16 +128,16 @@ func waitFor(t *testing.T, what string, ok func() bool) {
 
 func TestCoordinatorSingleFlightAcrossFrontDoor(t *testing.T) {
 	c, cr := testCoordinator(t, 2, 1, 8, nil)
-	h1, err := c.Submit(context.Background(), predSpec("VA", 30), scenario.PriorityNormal)
+	h1, err := c.SubmitCtx(context.Background(), predSpec("VA", 30), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := c.Submit(context.Background(), predSpec("va", 30), scenario.PriorityNormal)
+	h2, err := c.SubmitCtx(context.Background(), predSpec("va", 30), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h1.ID() != h2.ID() {
-		t.Fatalf("same spec got different IDs: %s vs %s", h1.ID(), h2.ID())
+	if h1.Hash != h2.Hash {
+		t.Fatalf("same spec got different IDs: %s vs %s", h1.Hash, h2.Hash)
 	}
 	if got := h2.Status().Shared; got != 1 {
 		t.Fatalf("want Shared=1 on the attached handle, got %d", got)
@@ -168,7 +167,7 @@ func TestCoordinatorSingleFlightAcrossFrontDoor(t *testing.T) {
 
 func TestSharedStoreServesPeerResults(t *testing.T) {
 	c, cr := testCoordinator(t, 2, 1, 8, nil)
-	h, err := c.Submit(context.Background(), predSpec("VA", 40), scenario.PriorityNormal)
+	h, err := c.SubmitCtx(context.Background(), predSpec("VA", 40), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func TestSharedStoreServesPeerResults(t *testing.T) {
 
 	// The same spec resubmitted is a shared-store hit: served terminal,
 	// no new execution anywhere in the cluster.
-	h2, err := c.Submit(context.Background(), predSpec("VA", 40), scenario.PriorityNormal)
+	h2, err := c.SubmitCtx(context.Background(), predSpec("VA", 40), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +196,29 @@ func TestSharedStoreServesPeerResults(t *testing.T) {
 	if started != 1 {
 		t.Fatalf("peer-cached result recomputed: %d executions", started)
 	}
-	// And each replica's own Submit path consults the shared store too:
-	// the hit is visible in the aggregate snapshot once a replica forwards
-	// a peer result (exercised via the cluster snapshot fields existing).
-	snap := c.MetricsSnapshot()
-	if snap.Workers != 2 {
-		t.Fatalf("aggregate workers = %d, want 2", snap.Workers)
+	// One store behind the front door: the result outlives the pool that
+	// computed it.
+	cr.mu.Lock()
+	computedOn := 0
+	if cr.byRep[1] > 0 {
+		computedOn = 1
+	}
+	cr.mu.Unlock()
+	if !c.KillReplica(computedOn) {
+		t.Fatalf("KillReplica(%d) refused", computedOn)
+	}
+	h3, err := c.SubmitCtx(context.Background(), predSpec("VA", 40), scenario.PriorityNormal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := h3.Status(); st.State != "done" || !st.Cached {
+		t.Fatalf("want cached done handle after the kill, got %+v", st)
+	}
+	cr.mu.Lock()
+	started = cr.started[specIdent(mustNormalize(t, predSpec("VA", 40)))]
+	cr.mu.Unlock()
+	if started != 1 {
+		t.Fatalf("result recomputed after the kill: %d executions", started)
 	}
 }
 
@@ -218,9 +234,9 @@ func mustNormalize(t *testing.T, s scenario.Spec) scenario.Spec {
 func TestWorkStealingMovesQueuedJobToIdlePeer(t *testing.T) {
 	c, cr := testCoordinator(t, 2, 1, 8, nil)
 	// Occupy both workers, then queue one more job on each replica.
-	handles := map[string]scenario.Handle{}
+	handles := map[string]*scenario.Job{}
 	for i, st := range []string{"VA", "NC", "MD", "GA"} {
-		h, err := c.Submit(context.Background(), predSpec(st, 20), scenario.PriorityNormal)
+		h, err := c.SubmitCtx(context.Background(), predSpec(st, 20), scenario.PriorityNormal)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -240,7 +256,7 @@ func TestWorkStealingMovesQueuedJobToIdlePeer(t *testing.T) {
 	// holds a blocked run plus a queued job.
 	cr.release(1, 2)
 	waitFor(t, "replica 1 idle", func() bool {
-		st := c.ReplicaStatus().(ClusterStatus)
+		st := c.ReplicaStatus()
 		r1 := st.Replicas[1]
 		return r1.Queued == 0 && r1.Running == 0
 	})
@@ -248,7 +264,7 @@ func TestWorkStealingMovesQueuedJobToIdlePeer(t *testing.T) {
 	if moved != 1 {
 		t.Fatalf("RebalanceOnce moved %d jobs, want 1", moved)
 	}
-	if got := c.ReplicaStatus().(ClusterStatus).Steals; got != 1 {
+	if got := c.ReplicaStatus().Steals; got != 1 {
 		t.Fatalf("steals counter = %d, want 1", got)
 	}
 	// The stolen job now runs on replica 1; release it and its waiter
@@ -294,14 +310,14 @@ func whatIfSpec(name string) scenario.Spec {
 }
 
 func TestBatchingMergesNearIdenticalWhatIfs(t *testing.T) {
-	c, cr := testCoordinator(t, 2, 2, 8, func(cfg *Config) {
+	c, cr := testCoordinator(t, 2, 2, 8, func(cfg *scenario.Config) {
 		cfg.BatchWindow = 30 * time.Millisecond
 	})
-	h1, err := c.Submit(context.Background(), whatIfSpec("alpha"), scenario.PriorityNormal)
+	h1, err := c.SubmitCtx(context.Background(), whatIfSpec("alpha"), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := c.Submit(context.Background(), whatIfSpec("beta"), scenario.PriorityNormal)
+	h2, err := c.SubmitCtx(context.Background(), whatIfSpec("beta"), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,13 +354,13 @@ func TestBatchingMergesNearIdenticalWhatIfs(t *testing.T) {
 	if execs != 1 {
 		t.Fatalf("want one ensemble execution, got %d", execs)
 	}
-	st := c.ReplicaStatus().(ClusterStatus)
+	st := c.ReplicaStatus()
 	if st.BatchExecs != 1 || st.BatchMembs != 2 {
 		t.Fatalf("batch counters = %d execs / %d members, want 1 / 2", st.BatchExecs, st.BatchMembs)
 	}
 	// Member results were published per-member: resubmitting a member spec
 	// is a cluster-wide cache hit.
-	h3, err := c.Submit(context.Background(), whatIfSpec("alpha"), scenario.PriorityNormal)
+	h3, err := c.SubmitCtx(context.Background(), whatIfSpec("alpha"), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,31 +374,31 @@ func TestBatchingMergesNearIdenticalWhatIfs(t *testing.T) {
 func TestCoordinatorAdmissionControl(t *testing.T) {
 	c, cr := testCoordinator(t, 2, 1, 2, nil)
 	// Fill both workers, then both queues (aggregate queue capacity 4).
-	var handles []scenario.Handle
+	var handles []*scenario.Job
 	for i := 0; i < 2; i++ {
-		h, err := c.Submit(context.Background(), predSpec("VA", 10+i), scenario.PriorityInteractive)
+		h, err := c.SubmitCtx(context.Background(), predSpec("VA", 10+i), scenario.PriorityInteractive)
 		if err != nil {
 			t.Fatalf("interactive submit %d: %v", i, err)
 		}
 		handles = append(handles, h)
 	}
 	waitFor(t, "both workers busy", func() bool {
-		st := c.ReplicaStatus().(ClusterStatus)
+		st := c.ReplicaStatus()
 		return st.Replicas[0].Running == 1 && st.Replicas[1].Running == 1
 	})
 	for i := 2; i < 6; i++ {
-		h, err := c.Submit(context.Background(), predSpec("VA", 10+i), scenario.PriorityInteractive)
+		h, err := c.SubmitCtx(context.Background(), predSpec("VA", 10+i), scenario.PriorityInteractive)
 		if err != nil {
 			t.Fatalf("interactive submit %d: %v", i, err)
 		}
 		handles = append(handles, h)
 	}
-	if _, err := c.Submit(context.Background(), predSpec("VA", 90), scenario.PriorityInteractive); !errors.Is(err, scenario.ErrQueueFull) {
+	if _, err := c.SubmitCtx(context.Background(), predSpec("VA", 90), scenario.PriorityInteractive); !errors.Is(err, scenario.ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull at aggregate capacity, got %v", err)
 	}
 	// At hard-full the saturation signal wins for every class — batch gets
 	// queue-full, not a class shed (class sheds require spare capacity).
-	if _, err := c.Submit(context.Background(), predSpec("VA", 91), scenario.PriorityBatch); !errors.Is(err, scenario.ErrQueueFull) {
+	if _, err := c.SubmitCtx(context.Background(), predSpec("VA", 91), scenario.PriorityBatch); !errors.Is(err, scenario.ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull for batch at hard-full, got %v", err)
 	}
 	cr.release(0, 8)
@@ -394,31 +410,31 @@ func TestCoordinatorAdmissionControl(t *testing.T) {
 
 func TestBatchClassShedsBeforeQueueFull(t *testing.T) {
 	c, cr := testCoordinator(t, 2, 1, 8, nil)
-	var handles []scenario.Handle
+	var handles []*scenario.Job
 	// Occupy workers, then push queued depth to half of aggregate capacity.
 	for i := 0; i < 2; i++ {
-		h, err := c.Submit(context.Background(), predSpec("VA", 10+i), scenario.PriorityInteractive)
+		h, err := c.SubmitCtx(context.Background(), predSpec("VA", 10+i), scenario.PriorityInteractive)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		handles = append(handles, h)
 	}
 	waitFor(t, "both workers busy", func() bool {
-		st := c.ReplicaStatus().(ClusterStatus)
+		st := c.ReplicaStatus()
 		return st.Replicas[0].Running == 1 && st.Replicas[1].Running == 1
 	})
 	for i := 2; i < 10; i++ {
-		h, err := c.Submit(context.Background(), predSpec("VA", 10+i), scenario.PriorityInteractive)
+		h, err := c.SubmitCtx(context.Background(), predSpec("VA", 10+i), scenario.PriorityInteractive)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		handles = append(handles, h)
 	}
 	var shed *scenario.ShedError
-	if _, err := c.Submit(context.Background(), predSpec("VA", 80), scenario.PriorityBatch); !errors.As(err, &shed) {
+	if _, err := c.SubmitCtx(context.Background(), predSpec("VA", 80), scenario.PriorityBatch); !errors.As(err, &shed) {
 		t.Fatalf("want batch shed at half queue, got %v", err)
 	}
-	if _, err := c.Submit(context.Background(), predSpec("VA", 81), scenario.PriorityNormal); err != nil {
+	if _, err := c.SubmitCtx(context.Background(), predSpec("VA", 81), scenario.PriorityNormal); err != nil {
 		t.Fatalf("normal class should still admit: %v", err)
 	}
 	cr.release(0, 16)
@@ -430,16 +446,16 @@ func TestBatchClassShedsBeforeQueueFull(t *testing.T) {
 
 func TestKillReplicaRequeuesOnPeer(t *testing.T) {
 	c, cr := testCoordinator(t, 2, 1, 8, nil)
-	h1, err := c.Submit(context.Background(), predSpec("VA", 30), scenario.PriorityNormal)
+	h1, err := c.SubmitCtx(context.Background(), predSpec("VA", 30), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := c.Submit(context.Background(), predSpec("NC", 30), scenario.PriorityNormal)
+	h2, err := c.SubmitCtx(context.Background(), predSpec("NC", 30), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "both replicas running", func() bool {
-		st := c.ReplicaStatus().(ClusterStatus)
+		st := c.ReplicaStatus()
 		return st.Replicas[0].Running == 1 && st.Replicas[1].Running == 1
 	})
 	if !c.KillReplica(0) {
@@ -451,7 +467,7 @@ func TestKillReplicaRequeuesOnPeer(t *testing.T) {
 	// Replica 0's job is cancelled by the crash and must reappear on
 	// replica 1 — not fail its waiter.
 	waitFor(t, "requeue on peer", func() bool {
-		return c.ReplicaStatus().(ClusterStatus).Requeues >= 1
+		return c.ReplicaStatus().Requeues >= 1
 	})
 	cr.release(1, 4)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -471,7 +487,7 @@ func TestKillReplicaRequeuesOnPeer(t *testing.T) {
 
 func TestCoordinatorCancelAndAbandon(t *testing.T) {
 	c, cr := testCoordinator(t, 2, 1, 8, nil)
-	h, err := c.Submit(context.Background(), predSpec("VA", 30), scenario.PriorityNormal)
+	h, err := c.SubmitCtx(context.Background(), predSpec("VA", 30), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +496,7 @@ func TestCoordinatorCancelAndAbandon(t *testing.T) {
 		defer cr.mu.Unlock()
 		return len(cr.started) > 0
 	})
-	if !c.Cancel(h.ID()) {
+	if !c.Cancel(h.Hash) {
 		t.Fatal("Cancel refused a running ticket")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -489,12 +505,12 @@ func TestCoordinatorCancelAndAbandon(t *testing.T) {
 		t.Fatalf("want cancellation, got %v", err)
 	}
 	// Abandonment: a waiter that releases its only interest cancels the run.
-	h2, err := c.Submit(context.Background(), predSpec("NC", 30), scenario.PriorityNormal)
+	h2, err := c.SubmitCtx(context.Background(), predSpec("NC", 30), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "second run started", func() bool {
-		st := c.ReplicaStatus().(ClusterStatus)
+		st := c.ReplicaStatus()
 		running := 0
 		for _, r := range st.Replicas {
 			running += r.Running
@@ -503,7 +519,7 @@ func TestCoordinatorCancelAndAbandon(t *testing.T) {
 	})
 	h2.Release()
 	waitFor(t, "abandoned ticket finalized", func() bool {
-		st, ok := c.Lookup(h2.ID())
+		st, ok := c.Lookup(h2.Hash)
 		return ok && st.Status().State == "canceled"
 	})
 }
@@ -512,7 +528,7 @@ func TestBackendServerOverCoordinator(t *testing.T) {
 	c, cr := testCoordinator(t, 2, 1, 8, nil)
 	cr.release(0, 16)
 	cr.release(1, 16)
-	srv := httptest.NewServer(scenario.NewBackendServer(c))
+	srv := httptest.NewServer(scenario.NewServer(c))
 	defer srv.Close()
 
 	rep, err := RunLoadgen(LoadgenConfig{

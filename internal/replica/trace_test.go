@@ -120,7 +120,7 @@ func postTraced(t *testing.T, base string, spec scenario.Spec, reqID string) (*h
 // execution sees the full dispatch/engine path.
 func TestClusterTraceEndToEnd(t *testing.T) {
 	cr := newClusterRunner(3)
-	c, _ := testCoordinator(t, 3, 2, 8, func(cfg *Config) {
+	c, _ := testCoordinator(t, 3, 2, 8, func(cfg *scenario.Config) {
 		cfg.BatchWindow = 250 * time.Millisecond
 		cfg.RunnerFor = func(rep int) scenario.Runner {
 			base := cr.runnerFor(rep)
@@ -141,7 +141,7 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 		cr.release(i, 8)
 	}
 	so := scenario.NewServingObs(c.Registry(), scenario.ServingObsConfig{RecorderCapacity: 64})
-	ts := httptest.NewServer(scenario.NewBackendServer(c, so))
+	ts := httptest.NewServer(scenario.NewServer(c, so))
 	t.Cleanup(ts.Close)
 
 	ids := map[string]string{"alpha": "aaaaaaaaaaaaaaaa", "beta": "bbbbbbbbbbbbbbbb"}
@@ -244,11 +244,11 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 func TestStealHopTraced(t *testing.T) {
 	c, cr := testCoordinator(t, 2, 1, 8, nil)
 	traces := map[string]*obs.RequestTrace{}
-	handles := map[string]scenario.Handle{}
+	handles := map[string]*scenario.Job{}
 	for _, st := range []string{"VA", "NC", "MD", "GA"} {
 		rt := obs.NewRequestTrace("steal-" + st)
 		ctx := rt.Attach(context.Background())
-		h, err := c.Submit(ctx, predSpec(st, 20), scenario.PriorityNormal)
+		h, err := c.SubmitCtx(ctx, predSpec(st, 20), scenario.PriorityNormal)
 		if err != nil {
 			t.Fatalf("submit %s: %v", st, err)
 		}
@@ -265,7 +265,7 @@ func TestStealHopTraced(t *testing.T) {
 	})
 	cr.release(1, 2)
 	waitFor(t, "replica 1 idle", func() bool {
-		st := c.ReplicaStatus().(ClusterStatus)
+		st := c.ReplicaStatus()
 		return st.Replicas[1].Queued == 0 && st.Replicas[1].Running == 0
 	})
 	if moved := c.RebalanceOnce(); moved != 1 {
@@ -331,7 +331,7 @@ func TestStealHopTraced(t *testing.T) {
 func TestDeathRequeueTraced(t *testing.T) {
 	c, cr := testCoordinator(t, 2, 1, 8, nil)
 	rt := obs.NewRequestTrace("requeue-victim")
-	h, err := c.Submit(rt.Attach(context.Background()), predSpec("VA", 20), scenario.PriorityNormal)
+	h, err := c.SubmitCtx(rt.Attach(context.Background()), predSpec("VA", 20), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,13 +410,9 @@ func TestTracedClusterBitIdentity(t *testing.T) {
 	}
 	run := func(traced bool) []string {
 		p := core.NewPipeline(77, core.WithScale(40000), core.WithParallelism(2))
-		c, err := NewCoordinator(Config{
-			Replicas: 2,
-			Base:     scenario.Config{Pipeline: p, Workers: 1, QueueCap: 8, CacheCap: 8},
+		c := scenario.NewService(scenario.Config{
+			Replicas: 2, Pipeline: p, Workers: 1, QueueCap: 8, CacheCap: 8,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
@@ -429,7 +425,7 @@ func TestTracedClusterBitIdentity(t *testing.T) {
 				RecorderCapacity: 16, Journal: col,
 			})
 		}
-		ts := httptest.NewServer(scenario.NewBackendServer(c, so))
+		ts := httptest.NewServer(scenario.NewServer(c, so))
 		defer ts.Close()
 		var out []string
 		for i, spec := range specs {

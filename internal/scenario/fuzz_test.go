@@ -1,0 +1,70 @@
+package scenario
+
+import (
+	"encoding/json"
+	"reflect"
+	"testing"
+)
+
+// FuzzSpecNormalize fuzzes the one decoder of the front door that faces the
+// network: arbitrary bytes JSON-decoded into a Spec. Whenever Normalize
+// accepts, it must be idempotent — the front door normalizes once at Submit
+// and trusts that spec for the whole life of the job — Hash must agree
+// across the two passes, the shards execution hint must never move the
+// hash, and nothing may panic. The corpus is seeded from the specs of
+// spec_test.go and fidelity_test.go.
+func FuzzSpecNormalize(f *testing.F) {
+	for _, seed := range []string{
+		`{"workflow":"Prediction","state":"va"}`,
+		`{"workflow":"whatif","state":"VA"}`,
+		`{"workflow":"night"}`,
+		`{"workflow":"night","night":{"family":"Calibration","cells":4,"replicates":3,"heuristic":"NFDT-DC","seed":9}}`,
+		`{"workflow":"prediction","state":"VA","days":120,"replicates":15,"sh_start":15,"sh_end":120,` +
+			`"configs":[{"tau":0.16,"symp":0.65,"sh_compliance":0.6,"vhi_compliance":0.5}]}`,
+		`{"workflow":"whatif","state":"RI","days":25,"replicates":1,` +
+			`"whatifs":[{"name":"sh-lifted-1w-early","sh_end_shift":-7},{"name":"tracing","pivot_day":20,"add_tracing":2,"trace_detect_prob":0.5}]}`,
+		`{"workflow":"prediction","state":"VA","fidelity":"  Auto "}`,
+		`{"workflow":"prediction","state":"VA","fidelity":"abm","max_uncertainty":0.2}`,
+		`{"max_uncertainty":0.25,"state":"VA","fidelity":"auto","workflow":"whatif"}`,
+		`{"workflow":"prediction","state":"VA","days":60,"shards":8}`,
+		`{"workflow":"prediction","state":"ZZ"}`,
+		`{"workflow":"prediction","state":"VA","days":367}`,
+		`{"workflow":"bogus"}`,
+		`{not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec Spec
+		if err := json.Unmarshal(data, &spec); err != nil {
+			return
+		}
+		once, err := spec.Normalize()
+		if err != nil {
+			return
+		}
+		twice, err := once.Normalize()
+		if err != nil {
+			t.Fatalf("Normalize rejected its own output: %v\nspec %+v", err, once)
+		}
+		if !reflect.DeepEqual(once, twice) {
+			t.Fatalf("Normalize is not idempotent:\nonce  %+v\ntwice %+v", once, twice)
+		}
+		h1, err := once.Hash("fp")
+		if err != nil {
+			t.Fatalf("Hash of a normalized spec: %v", err)
+		}
+		if h2, err := twice.Hash("fp"); err != nil || h2 != h1 {
+			t.Fatalf("Hash differs across Normalize passes: %s vs %s (%v)", h1, h2, err)
+		}
+		hinted := spec
+		hinted.Shards = 7
+		hn, err := hinted.Normalize()
+		if err != nil {
+			t.Fatalf("a valid shards hint made the spec invalid: %v", err)
+		}
+		if h3, err := hn.Hash("fp"); err != nil || h3 != h1 {
+			t.Fatalf("the shards hint changed the hash: %s vs %s (%v)", h1, h3, err)
+		}
+	})
+}

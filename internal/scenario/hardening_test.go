@@ -8,10 +8,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/scenario/servetest"
 )
 
 // TestTimedOutWaiterReleaseCancelsRun is the regression test for the
@@ -68,8 +71,8 @@ func TestSharedCountsExact(t *testing.T) {
 	if got := j.Status().Shared; got != k {
 		t.Fatalf("Shared = %d, want %d", got, k)
 	}
-	if snap := s.MetricsSnapshot(); snap.Deduped != k {
-		t.Fatalf("deduped counter = %d, want %d", snap.Deduped, k)
+	if got := series(t, s, "epi_scenario_deduped_total"); got != k {
+		t.Fatalf("deduped counter = %v, want %d", got, k)
 	}
 	r.releaseAll(1)
 	if _, err := j.Wait(context.Background()); err != nil {
@@ -121,9 +124,10 @@ func TestDrainGraceReportsStuckRunners(t *testing.T) {
 // while an auditor repeatedly asserts the core invariant: the inflight table
 // never holds a job in a terminal state. Run under -race it doubles as the
 // memory-model check for the queue hardening. Accounting must balance
-// exactly: every successful Submit is a cache hit, a shared-store hit, a
-// fresh submission, or a dedup attach.
+// exactly: every successful Submit is a cache hit, a fresh submission, or a
+// dedup attach.
 func TestSubmitReleaseCancelChurnRace(t *testing.T) {
+	goroutinesBefore := runtime.NumGoroutine()
 	s := NewService(Config{
 		Workers: 2, QueueCap: 4, Fingerprint: "test", CacheCap: 2,
 		Runner: func(ctx context.Context, spec Spec) (*Result, error) {
@@ -199,14 +203,14 @@ func TestSubmitReleaseCancelChurnRace(t *testing.T) {
 		t.Fatal(msg)
 	}
 
-	snap := s.MetricsSnapshot()
-	accounted := snap.Submitted + snap.Deduped + snap.SharedHits + snap.Cache.Hits
-	if accounted != ok.Load() {
-		t.Fatalf("accounting drift: submitted %d + deduped %d + shared %d + cache hits %d = %d, want %d successful submits",
-			snap.Submitted, snap.Deduped, snap.SharedHits, snap.Cache.Hits, accounted, ok.Load())
+	submitted, deduped := series(t, s, "epi_scenario_submitted_total"), series(t, s, "epi_scenario_deduped_total")
+	hits := series(t, s, "epi_scenario_cache_hits_total")
+	if accounted := submitted + deduped + hits; accounted != float64(ok.Load()) {
+		t.Fatalf("accounting drift: submitted %v + deduped %v + cache hits %v = %v, want %d successful submits",
+			submitted, deduped, hits, accounted, ok.Load())
 	}
-	if snap.Rejected != rejected.Load() {
-		t.Fatalf("rejected counter %d, want %d", snap.Rejected, rejected.Load())
+	if got := series(t, s, "epi_scenario_rejected_total"); got != float64(rejected.Load()) {
+		t.Fatalf("rejected counter %v, want %d", got, rejected.Load())
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -220,6 +224,7 @@ func TestSubmitReleaseCancelChurnRace(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("%d jobs left in the single-flight table after drain", n)
 	}
+	servetest.AssertQuiesced(t, s, goroutinesBefore)
 }
 
 // TestServerBackpressureStatusContract pins the HTTP backpressure semantics
@@ -308,19 +313,17 @@ func TestServerBackpressureStatusContract(t *testing.T) {
 	}
 }
 
-// TestServerReplicasEndpointSingleService pins that /replicas is absent on a
-// plain single-service server (404), present only when the backend exposes
-// cluster status.
+// TestServerReplicasEndpointSingleService pins that /replicas is always
+// mounted: a single-pool service reports one row.
 func TestServerReplicasEndpointSingleService(t *testing.T) {
 	svc, _ := stubService(t, 1, 4)
 	ts := httptest.NewServer(NewServer(svc))
 	t.Cleanup(ts.Close)
-	resp, err := http.Get(ts.URL + "/replicas")
-	if err != nil {
-		t.Fatal(err)
+	var st ClusterStatus
+	if code := getJSON(t, ts.URL+"/replicas", &st); code != http.StatusOK {
+		t.Fatalf("/replicas on single service: status %d want 200", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/replicas on single service: status %d want 404", resp.StatusCode)
+	if len(st.Replicas) != 1 || !st.Replicas[0].Up || st.Replicas[0].Workers != 1 || st.Replicas[0].QueueCap != 4 {
+		t.Fatalf("/replicas on single service: %+v, want one up row (1 worker, queue 4)", st.Replicas)
 	}
 }

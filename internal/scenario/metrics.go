@@ -1,8 +1,7 @@
 package scenario
 
 import (
-	"math"
-	"sync"
+	"strconv"
 
 	"repro/internal/obs"
 )
@@ -14,133 +13,99 @@ var latencyBounds = []float64{
 	0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120, 300, 600,
 }
 
-// HistogramBucket is one cumulative histogram bucket.
-type HistogramBucket struct {
-	// LE is the bucket's inclusive upper bound in seconds; the last bucket
-	// reports +Inf as 0 with Inf set.
-	LE    float64 `json:"le"`
-	Inf   bool    `json:"inf,omitempty"`
-	Count int64   `json:"count"`
-}
-
-// HistogramSnapshot is a point-in-time cumulative view.
-type HistogramSnapshot struct {
-	Count      int64             `json:"count"`
-	SumSeconds float64           `json:"sum_seconds"`
-	Buckets    []HistogramBucket `json:"buckets"`
-}
-
-// fromObs converts an obs histogram snapshot to the JSON shape this
-// package's /metrics.json payload has always served.
-func fromObs(s obs.HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{Count: s.Count, SumSeconds: s.Sum}
-	for i, cum := range s.CumCounts {
-		b := HistogramBucket{Count: cum}
-		if i < len(s.Bounds) && !math.IsInf(s.Bounds[i], 1) {
-			b.LE = s.Bounds[i]
-		} else {
-			b.Inf = true
+// registerMetrics puts every series of the serving tier on the one registry:
+// the front door's counters, live queue/job/store state as exposition-time
+// callbacks, and the per-pool epi_replica_* gauges. Callbacks run outside the
+// registry lock, so taking s.mu or the store's lock in them is deadlock-free.
+// The per-workflow latency histograms register on first use (run).
+func (s *Service) registerMetrics() {
+	reg := s.reg
+	counter := func(name, help string) *obs.Counter {
+		reg.Help(name, help)
+		return reg.Counter(name)
+	}
+	// locked registers a gauge read under s.mu.
+	locked := func(name, help string, read func() int) {
+		reg.Help(name, help) // by family: labelled series share one text
+		reg.GaugeFunc(name, func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(read())
+		})
+	}
+	// upPools sums a per-pool quantity over the pools that are up.
+	upPools := func(per func(*pool) int) func() int {
+		return func() (n int) {
+			for _, p := range s.pools {
+				if !p.down {
+					n += per(p)
+				}
+			}
+			return n
 		}
-		out.Buckets = append(out.Buckets, b)
 	}
-	return out
-}
 
-// Metrics aggregates the service counters on a shared obs.Registry — the
-// histogram machinery this package used to carry privately now lives in
-// internal/obs, so the same series surface both on the legacy JSON snapshot
-// and on the unified Prometheus /metrics endpoint.
-type Metrics struct {
-	reg        *obs.Registry
-	submitted  *obs.Counter
-	rejected   *obs.Counter
-	deduped    *obs.Counter
-	shed       *obs.Counter
-	sharedHits *obs.Counter
-
-	mu      sync.Mutex
-	latency map[string]*obs.Histogram // by workflow, for snapshot enumeration
-}
-
-// NewMetrics builds the service metrics over a registry; nil allocates a
-// private one.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	reg.Help("epi_scenario_submitted_total", "scenario jobs admitted to the queue")
-	reg.Help("epi_scenario_rejected_total", "scenario submissions shed by backpressure")
-	reg.Help("epi_scenario_deduped_total", "submissions attached to an identical in-flight job")
-	reg.Help("epi_scenario_shed_total", "submissions shed by priority-class admission control")
-	reg.Help("epi_scenario_shared_hits_total", "results forwarded from the peer-shared store")
+	s.submitted = counter("epi_scenario_submitted_total", "scenario jobs admitted to the queue")
+	s.rejected = counter("epi_scenario_rejected_total", "scenario submissions shed by backpressure")
+	s.deduped = counter("epi_scenario_deduped_total", "submissions attached to an identical in-flight job")
+	s.shed = counter("epi_scenario_shed_total", "submissions shed by priority-class admission control")
 	reg.Help("epi_scenario_latency_seconds", "scenario run latency by workflow")
-	return &Metrics{
-		reg:        reg,
-		submitted:  reg.Counter("epi_scenario_submitted_total"),
-		rejected:   reg.Counter("epi_scenario_rejected_total"),
-		deduped:    reg.Counter("epi_scenario_deduped_total"),
-		shed:       reg.Counter("epi_scenario_shed_total"),
-		sharedHits: reg.Counter("epi_scenario_shared_hits_total"),
-		latency:    map[string]*obs.Histogram{},
+	reg.Help("epi_scenario_jobs_total", "terminal jobs by state")
+	s.jobsDone = reg.Counter(`epi_scenario_jobs_total{state="done"}`)
+	s.jobsFailed = reg.Counter(`epi_scenario_jobs_total{state="failed"}`)
+	s.jobsCanceled = reg.Counter(`epi_scenario_jobs_total{state="canceled"}`)
+
+	locked("epi_scenario_queue_depth", "jobs waiting for a worker",
+		upPools(func(p *pool) int { return len(p.queue) }))
+	for _, pri := range []Priority{PriorityInteractive, PriorityNormal, PriorityBatch} {
+		locked(`epi_scenario_queue_depth_class{class="`+pri.String()+`"}`,
+			"jobs waiting for a worker, by priority class",
+			upPools(func(p *pool) int { return p.queuedBy[pri] }))
 	}
-}
+	locked("epi_scenario_queue_capacity", "bounded queue capacity",
+		upPools(func(*pool) int { return s.queueCap }))
+	locked("epi_scenario_workers", "worker-pool size",
+		upPools(func(*pool) int { return s.workers }))
+	locked("epi_scenario_inflight_jobs", "jobs currently running on a worker", func() (n int) {
+		for _, p := range s.pools {
+			n += p.running
+		}
+		return n
+	})
+	locked("epi_scenario_draining", "1 while the service is shutting down", func() int {
+		if s.draining {
+			return 1
+		}
+		return 0
+	})
 
-// Registry returns the backing registry (for exposition and for wiring
-// further gauges onto the same endpoint).
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
+	// epi_scenario_cache_{hits,misses,evictions}_total, _entries, _cost_bytes
+	// and _hit_ratio come from the store itself.
+	s.store.RegisterMetrics(reg, "epi_scenario_cache")
+	reg.Help("epi_scenario_cache_entries", "cached results")
+	reg.Help("epi_scenario_cache_hits_total", "result-cache hits")
+	reg.Help("epi_scenario_cache_misses_total", "specs that had to be computed")
+	reg.Help("epi_scenario_cache_evictions_total", "results evicted by the LRU")
+	reg.Help("epi_scenario_cache_hit_ratio", "hits over lookups, 0 when idle")
+	reg.Help("epi_scenario_cache_capacity", "result-cache capacity")
+	reg.GaugeFunc("epi_scenario_cache_capacity", func() float64 { return float64(s.store.Stats().Capacity) })
+	reg.Help("epi_result_cache_hit_ratio", "result-cache hits over lookups (alias of epi_scenario_cache_hit_ratio)")
+	reg.GaugeFunc("epi_result_cache_hit_ratio", func() float64 { return s.store.Stats().HitRatio })
 
-func (m *Metrics) incSubmitted() { m.submitted.Inc() }
-func (m *Metrics) incRejected()  { m.rejected.Inc() }
-func (m *Metrics) incDeduped()   { m.deduped.Inc() }
-func (m *Metrics) incShed()      { m.shed.Inc() }
-func (m *Metrics) incSharedHit() { m.sharedHits.Inc() }
-
-// observeLatency books one completed run of the given workflow.
-func (m *Metrics) observeLatency(workflow string, seconds float64) {
-	m.mu.Lock()
-	h, ok := m.latency[workflow]
-	if !ok {
-		h = m.reg.Histogram(`epi_scenario_latency_seconds{workflow="`+workflow+`"}`, latencyBounds)
-		m.latency[workflow] = h
+	for _, p := range s.pools {
+		label := `{replica="` + strconv.Itoa(p.id) + `"}`
+		locked("epi_replica_queue_depth"+label, "queued jobs per replica", func() int { return len(p.queue) })
+		locked("epi_replica_running"+label, "running jobs per replica", func() int { return p.running })
+		locked("epi_replica_up"+label, "1 while the replica accepts work", func() int {
+			if p.down {
+				return 0
+			}
+			return 1
+		})
 	}
-	m.mu.Unlock()
-	h.Observe(seconds)
-}
-
-// Snapshot is the /metrics.json payload.
-type Snapshot struct {
-	QueueDepth    int   `json:"queue_depth"`
-	QueueCapacity int   `json:"queue_capacity"`
-	Workers       int   `json:"workers"`
-	Draining      bool  `json:"draining"`
-	Submitted     int64 `json:"submitted"`
-	// Rejected counts 429 backpressure shed at admission.
-	Rejected int64 `json:"rejected"`
-	// Deduped counts submissions that attached to an identical in-flight
-	// job (single-flight sharing).
-	Deduped int64 `json:"deduped"`
-	// Shed counts submissions refused by priority-class admission control
-	// while spare queue capacity remained (distinct from Rejected).
-	Shed int64 `json:"shed"`
-	// SharedHits counts results served from the peer-shared store rather
-	// than recomputed locally.
-	SharedHits int64 `json:"shared_hits"`
-	// Jobs by state: queued and running are live gauges; done, failed and
-	// canceled are lifetime totals.
-	Jobs  map[string]int64 `json:"jobs"`
-	Cache CacheStats       `json:"cache"`
-	// Latency holds one cumulative histogram per workflow.
-	Latency map[string]HistogramSnapshot `json:"latency"`
-}
-
-// counters returns the scalar counters and per-workflow histograms.
-func (m *Metrics) counters() (submitted, rejected, deduped, shed, sharedHits int64, latency map[string]HistogramSnapshot) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	latency = make(map[string]HistogramSnapshot, len(m.latency))
-	for k, h := range m.latency {
-		latency[k] = fromObs(h.Snapshot())
-	}
-	return m.submitted.Value(), m.rejected.Value(), m.deduped.Value(),
-		m.shed.Value(), m.sharedHits.Value(), latency
+	s.dispatched = counter("epi_replica_dispatched_total", "jobs dispatched to replicas")
+	s.steals = counter("epi_replica_steals_total", "queued jobs stolen onto idle peers")
+	s.requeues = counter("epi_replica_requeues_total", "jobs requeued after a replica death")
+	s.batchExecs = counter("epi_replica_batch_execs_total", "ensemble executions flushed by the batcher")
+	s.batchMembs = counter("epi_replica_batch_members_total", "member specs folded into ensembles")
 }

@@ -69,7 +69,7 @@ func (bb *benchBackend) submit(b *testing.B, i int) {
 // timed loop so that machine drift lands on both arms equally; the reported
 // ns/req-off, ns/req-on and overhead-pct metrics are the paired comparison.
 // Budget: overhead-pct ≤ 3 — the layer's fixed per-request cost is tens of
-// microseconds against a milliseconds-scale engine run (see DESIGN.md §18).
+// microseconds against a milliseconds-scale engine run (see DESIGN.md §17).
 func BenchmarkServingObsOverhead(b *testing.B) {
 	off := newBenchBackend(false)
 	on := newBenchBackend(true)

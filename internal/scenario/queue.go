@@ -6,11 +6,10 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
-	"sync/atomic"
-	"time"
-
 	"sync"
+	"time"
 
 	"repro/internal/castore"
 	"repro/internal/core"
@@ -26,11 +25,6 @@ var (
 	ErrQueueFull = errors.New("scenario: queue full")
 	// ErrDraining rejects submissions during graceful shutdown.
 	ErrDraining = errors.New("scenario: service draining")
-	// ErrStolen finalizes a queued job claimed by a peer replica through
-	// StealQueued. A coordinator watcher that observes it must NOT surface
-	// it to waiters: the steal path owns the redispatch, so no client ever
-	// sees this error through a ticket.
-	ErrStolen = errors.New("scenario: job stolen by a peer replica")
 )
 
 // Priority classifies a submission for admission control. Interactive
@@ -144,46 +138,59 @@ func (s JobState) String() string {
 // core.Pipeline workflows; tests substitute stubs.
 type Runner func(ctx context.Context, spec Spec) (*Result, error)
 
-// Job is one admitted scenario run. Identical in-flight specs share one Job
-// (single-flight): every submitter holds an interest reference, and when
-// the last interested party walks away the run is cancelled so abandoned
-// requests stop burning CPU.
+// Job is one admitted scenario run and the handle every submitter of its
+// spec shares (single-flight): each holds an interest reference, and when the
+// last interested party walks away the work is cancelled so abandoned
+// requests stop burning CPU. The same *Job is what sits in a pool's FIFO, so
+// a steal or a requeue moves the pointer and the waiters never notice.
 type Job struct {
 	// Hash is the spec's content address and the job's public ID.
 	Hash string
 	// Spec is the normalized spec.
 	Spec Spec
 
-	svc    *Service
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{}
-	// runCtx carries the submitter's tracing identity (tracer, current span,
-	// request trace) on top of the job's own lifecycle context (obs.AdoptTrace)
-	// so engine spans report into the submitting request's trace while
-	// cancellation stays bound to j.ctx. Equal to j.ctx for untraced
-	// submissions. Set before the job is published; read-only afterwards.
-	runCtx context.Context
-	// pri is the admission class the job entered the queue under (for the
-	// per-class queue accounting).
+	svc  *Service
+	done chan struct{}
+	// tctx carries the submitter's tracing identity (obs.AdoptTrace over
+	// context.Background(): values only, no cancellation), so queue waits,
+	// the run and every steal, requeue and batch hop report into that
+	// request's trace from whichever goroutine performs them. Read-only.
+	tctx context.Context
+	// pri is the admission class the job was admitted under.
 	pri Priority
-	// qspan is the open queue.wait span, ended exactly once when the job
-	// leaves the queue (run, steal, or cancel). Span methods are internally
-	// synchronized and nil-safe.
-	qspan *obs.Span
 
-	mu       sync.Mutex
-	state    JobState
-	err      error
-	result   *Result
+	// mu guards what Status and Wait read. Writers also hold Service.mu, so
+	// code under Service.mu reads these fields without taking mu.
+	mu     sync.Mutex
+	state  JobState
+	err    error
+	result *Result
+	shared int64
+	cached bool
+	// ensemble links a batched member to the job executing the merged spec;
+	// the member holds one interest reference on it.
+	ensemble *Job
+
+	// The fields below are guarded by Service.mu alone.
 	interest int
 	pinned   bool
-	shared   int64
-	cached   bool
-	started  time.Time
+	// clientCanceled marks an explicit Cancel or an abandonment, so a run
+	// cancelled on a dead pool settles as canceled instead of being requeued.
+	clientCanceled bool
+	// pool is where the job is queued or running; nil while it waits in a
+	// batch window or on an ensemble.
+	pool *pool
+	// cancel stops the current run; non-nil exactly while a worker runs it.
+	cancel context.CancelFunc
+	// qspan is the open queue.wait span of the job's current FIFO.
+	qspan *obs.Span
+	// batch is the pending batch the job waits in before its flush.
+	batch *pendingBatch
+	// members are the batched jobs awaiting a slice of this job's result.
+	members []*Job
 }
 
-// completedJob wraps a cache hit as an already-done job.
+// completedJob wraps a result-store hit as an already-done job.
 func completedJob(hash string, spec Spec, res *Result) *Job {
 	j := &Job{Hash: hash, Spec: spec, done: make(chan struct{}),
 		state: StateDone, result: res, cached: true}
@@ -191,10 +198,14 @@ func completedJob(hash string, spec Spec, res *Result) *Job {
 	return j
 }
 
+// live reports whether the job has not settled. Caller holds Service.mu.
+func (j *Job) live() bool { return j.state == StateQueued || j.state == StateRunning }
+
 // Done is closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Wait blocks until the job finishes or ctx is done.
+// Wait blocks until the job finishes or ctx is done. A ctx expiry does NOT
+// release the caller's interest — pair every submission with Release.
 func (j *Job) Wait(ctx context.Context) (*Result, error) {
 	select {
 	case <-j.done:
@@ -210,35 +221,31 @@ func (j *Job) Wait(ctx context.Context) (*Result, error) {
 // asynchronously submitted job must survive its submitter's disconnect
 // until polled or explicitly cancelled.
 func (j *Job) Pin() {
-	j.mu.Lock()
+	if j.svc == nil {
+		return // result-store hit
+	}
+	j.svc.mu.Lock()
 	j.pinned = true
-	j.mu.Unlock()
+	j.svc.mu.Unlock()
 }
 
 // Release drops one interest reference (a waiting client that completed or
-// disconnected). When the count reaches zero on an unpinned, unfinished
-// job, the run is cancelled.
+// disconnected). When the count reaches zero on an unpinned, unfinished job,
+// the work is cancelled wherever it is: taken out of its FIFO or batch
+// window, or its run context cancelled.
 func (j *Job) Release() {
-	if j.svc == nil {
-		return // cache-hit pseudo job
-	}
 	s := j.svc
+	if s == nil {
+		return // result-store hit
+	}
+	var d deferred
 	s.mu.Lock()
-	j.mu.Lock()
 	j.interest--
-	abandon := j.interest <= 0 && !j.pinned && (j.state == StateQueued || j.state == StateRunning)
-	if abandon && j.state == StateQueued {
-		s.cancelQueuedLocked(j)
-		j.mu.Unlock()
-		s.mu.Unlock()
-		j.cancel()
-		return
+	if j.interest <= 0 && !j.pinned && j.live() {
+		s.abandonLocked(j, &d)
 	}
-	j.mu.Unlock()
 	s.mu.Unlock()
-	if abandon {
-		j.cancel() // running: the runner observes ctx and unwinds
-	}
+	d.run()
 }
 
 // JobStatus is the poll payload.
@@ -248,15 +255,15 @@ type JobStatus struct {
 	State    string `json:"state"`
 	// Shared counts submitters deduplicated onto this run.
 	Shared int64 `json:"shared"`
-	// Cached marks a result served straight from the cache.
+	// Cached marks a result served straight from the result store.
 	Cached bool   `json:"cached"`
 	Error  string `json:"error,omitempty"`
 }
 
-// Status snapshots the job.
+// Status snapshots the job. A batched member reports queued through its
+// window and then mirrors the ensemble running it.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	st := JobStatus{
 		ID: j.Hash, Workflow: j.Spec.Workflow, State: j.state.String(),
 		Shared: j.shared, Cached: j.cached,
@@ -264,31 +271,39 @@ func (j *Job) Status() JobStatus {
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
+	ens := j.ensemble
+	queued := j.state == StateQueued
+	j.mu.Unlock()
+	if queued && ens != nil && ens.Status().State == StateRunning.String() {
+		st.State = StateRunning.String()
+	}
 	return st
 }
 
 // Config parameterizes a Service.
 type Config struct {
-	// Name identifies the service in traces and pprof labels — the replica
-	// coordinator names its members "r0", "r1", ...; a single service
-	// defaults to "r0".
-	Name string
 	// Pipeline is the shared workflow substrate.
 	Pipeline *core.Pipeline
-	// Workers is the fixed worker-pool size (default 2).
+	// Replicas is the number of worker pools behind the front door
+	// (default 1). Workers and QueueCap are per pool.
+	Replicas int
+	// Workers is each pool's fixed worker count (default 2).
 	Workers int
-	// QueueCap bounds queued jobs; a full queue rejects with ErrQueueFull
+	// QueueCap bounds each pool's FIFO; admission runs against the aggregate
+	// of the up pools and rejects with ErrQueueFull when it is full
 	// (default 16).
 	QueueCap int
-	// CacheCap bounds the LRU result cache (default 64).
+	// CacheCap bounds the LRU result store (default 64).
 	CacheCap int
 	// Runner overrides the pipeline runner (tests).
 	Runner Runner
+	// RunnerFor overrides Runner per pool (chaos tests give each pool a
+	// distinguishable runner).
+	RunnerFor func(i int) Runner
 	// Fingerprint overrides the pipeline fingerprint (tests without a
 	// pipeline).
 	Fingerprint string
-	// Registry receives the service's metric series (queue depth, in-flight
-	// jobs, cache size/hit-ratio, per-workflow latency histograms). Nil
+	// Registry receives every metric series of the serving tier. Nil
 	// allocates a private registry, reachable via Service.Registry().
 	Registry *obs.Registry
 	// Fidelity enables the fidelity ladder: specs carrying a fidelity field
@@ -296,189 +311,182 @@ type Config struct {
 	// the ladder (fidelity specs then fall through to the legacy runner,
 	// which ignores the field).
 	Fidelity *fidelity.Router
-	// Shared is an optional peer-visible content-addressed result store.
-	// Completed results are published into it, and submissions consult it
-	// after the local cache — so in a multi-replica deployment any replica
-	// serves any peer's cached result instead of recomputing it. All
-	// services sharing a store must share a pipeline fingerprint.
-	Shared *castore.Store[*Result]
 	// DrainGrace bounds how long Drain waits for cancelled runners to
 	// unwind after its context expires (default 5s). A runner that ignores
 	// cancellation past the grace is abandoned and reported via DrainError.
 	DrainGrace time.Duration
+	// BatchWindow is how long a batchable what-if spec waits for
+	// near-identical peers before it is placed; 0 disables batching.
+	BatchWindow time.Duration
+	// RebalanceEvery is the work-stealing scan period between pools
+	// (default 25ms; <0 disables the background loop — tests drive
+	// RebalanceOnce directly). A single pool never starts the loop.
+	RebalanceEvery time.Duration
 }
 
-// Service is the scenario engine: admission control, content-addressed
-// cache, single-flight queue, worker pool, metrics, graceful drain.
+// Service is the scenario engine and its one front door: content-addressed
+// result store, single-flight table, aggregate priority admission, what-if
+// batching, N worker pools with stealing and death requeue, metrics and
+// graceful drain.
+//
+// Lock order: Service.mu → Job.mu. Service.mu is never held across a runner
+// call or a trace write (a sink may be a journal file): code that decides a
+// span end or an event under the lock queues it on a deferred list and runs
+// the list after unlocking.
 type Service struct {
-	name        string
-	runner      Runner
 	fingerprint string
-	cache       *Cache
-	shared      *castore.Store[*Result]
-	metrics     *Metrics
-	workers     int
-	queueCap    int
-	drainGrace  time.Duration
+	store       *castore.Store[*Result]
+	reg         *obs.Registry
 	fidelity    *fidelity.Router
-	workersUp   atomic.Int64
+	workers     int // per pool
+	queueCap    int // per pool
+	drainGrace  time.Duration
+	batchWindow time.Duration
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-	wg         sync.WaitGroup
+	submitted, rejected, deduped, shed *obs.Counter
+	jobsDone, jobsFailed, jobsCanceled *obs.Counter
+	dispatched, steals, requeues       *obs.Counter
+	batchExecs, batchMembs             *obs.Counter
 
-	mu       sync.Mutex // guards the fields below; lock order: Service.mu before Job.mu
-	queue    chan *Job
-	inflight map[string]*Job // queued or running, by hash (the single-flight table)
-	recent   []*Job          // terminal jobs kept for status polls, oldest first
-	registry map[string]*Job // every known job, for status lookup
+	baseCtx       context.Context
+	baseCancel    context.CancelFunc
+	wg            sync.WaitGroup // workers and the rebalance loop
+	stopRebalance chan struct{}  // closed by the first Drain
+
+	mu       sync.Mutex // guards the fields below and every pool's state
+	pools    []*pool
+	inflight map[string]*Job // unsettled jobs by hash: the single-flight table
+	recent   []*Job          // settled jobs kept for status polls, oldest first
+	registry map[string]*Job // inflight + recent, for Lookup
+	batches  map[string]*pendingBatch
+	latency  map[string]*obs.Histogram // by workflow
 	draining bool
-	counts   struct {
-		queued, running                int
-		queuedBy                       [3]int // per Priority class
-		done, failed, canceled, stolen int64
+}
+
+// recentCap bounds how many settled jobs stay pollable (results live on in
+// the result store beyond this).
+const recentCap = 256
+
+// deferred collects trace writes decided under Service.mu; run it after
+// unlocking.
+type deferred []func()
+
+func (d *deferred) add(f func()) { *d = append(*d, f) }
+
+func (d deferred) run() {
+	for _, f := range d {
+		f()
 	}
 }
 
-// recentCap bounds how many terminal jobs stay pollable (results live on in
-// the LRU cache beyond this).
-const recentCap = 256
+// endQueueSpan closes a queue.wait span with its outcome.
+func endQueueSpan(sp *obs.Span, outcome string) {
+	sp.SetAttr(obs.String("outcome", outcome))
+	sp.End()
+}
+
+// isCancel classifies context-style cancellation errors.
+func isCancel(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
 
 // NewService builds and starts a service; callers must Drain it.
 func NewService(cfg Config) *Service {
+	if cfg.Replicas <= 0 {
+		cfg.Replicas = 1
+	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 16
 	}
+	if cfg.CacheCap <= 0 {
+		cfg.CacheCap = 64
+	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 5 * time.Second
 	}
-	if cfg.Name == "" {
-		cfg.Name = "r0"
+	if cfg.RebalanceEvery == 0 {
+		cfg.RebalanceEvery = 25 * time.Millisecond
+	}
+	if cfg.Registry == nil {
+		cfg.Registry = obs.NewRegistry()
 	}
 	s := &Service{
-		name:       cfg.Name,
-		workers:    cfg.Workers,
-		queueCap:   cfg.QueueCap,
-		drainGrace: cfg.DrainGrace,
-		cache:      NewCache(cfg.CacheCap),
-		shared:     cfg.Shared,
-		metrics:    NewMetrics(cfg.Registry),
-		queue:      make(chan *Job, cfg.QueueCap),
-		inflight:   map[string]*Job{},
-		registry:   map[string]*Job{},
+		fingerprint:   cfg.Fingerprint,
+		store:         castore.New(castore.WithMaxEntries[*Result](cfg.CacheCap)),
+		reg:           cfg.Registry,
+		fidelity:      cfg.Fidelity,
+		workers:       cfg.Workers,
+		queueCap:      cfg.QueueCap,
+		drainGrace:    cfg.DrainGrace,
+		batchWindow:   cfg.BatchWindow,
+		stopRebalance: make(chan struct{}),
+		inflight:      map[string]*Job{},
+		registry:      map[string]*Job{},
+		batches:       map[string]*pendingBatch{},
+		latency:       map[string]*obs.Histogram{},
 	}
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.fidelity = cfg.Fidelity
-	s.runner = cfg.Runner
-	if s.runner == nil {
-		if cfg.Fidelity != nil {
-			s.runner = FidelityPipelineRunner(cfg.Pipeline, cfg.Fidelity)
-		} else {
-			s.runner = PipelineRunner(cfg.Pipeline)
-		}
-	}
-	s.fingerprint = cfg.Fingerprint
 	if s.fingerprint == "" && cfg.Pipeline != nil {
 		s.fingerprint = Fingerprint(cfg.Pipeline)
 	}
-	s.registerGauges()
-	for i := 0; i < cfg.Workers; i++ {
+	runner := cfg.Runner
+	if runner == nil {
+		if cfg.Fidelity != nil {
+			runner = FidelityPipelineRunner(cfg.Pipeline, cfg.Fidelity)
+		} else {
+			runner = PipelineRunner(cfg.Pipeline)
+		}
+	}
+	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
+	for i := 0; i < cfg.Replicas; i++ {
+		p := &pool{id: i, name: "r" + strconv.Itoa(i), runner: runner, cond: sync.NewCond(&s.mu)}
+		if cfg.RunnerFor != nil {
+			p.runner = cfg.RunnerFor(i)
+		}
+		p.ctx, p.cancel = context.WithCancel(s.baseCtx)
+		s.pools = append(s.pools, p)
+	}
+	s.registerMetrics()
+	for _, p := range s.pools {
+		for i := 0; i < s.workers; i++ {
+			s.wg.Add(1)
+			go s.worker(p)
+		}
+	}
+	if len(s.pools) > 1 && cfg.RebalanceEvery > 0 {
 		s.wg.Add(1)
-		go s.worker()
+		go s.rebalanceLoop(cfg.RebalanceEvery)
 	}
 	return s
 }
 
 // Registry returns the obs registry carrying the service's metric series —
 // the source the HTTP layer's Prometheus /metrics endpoint renders.
-func (s *Service) Registry() *obs.Registry { return s.metrics.Registry() }
+func (s *Service) Registry() *obs.Registry { return s.reg }
 
-// registerGauges wires the live queue/job/cache state onto the registry as
-// exposition-time callbacks. Callbacks run outside the registry lock, so
-// taking s.mu / the cache lock here is deadlock-free.
-func (s *Service) registerGauges() {
-	reg := s.Registry()
-	jobCount := func(pick func() int64) func() float64 {
-		return func() float64 { return float64(pick()) }
-	}
-	counts := func() (queued, running int, done, failed, canceled int64, draining bool) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.counts.queued, s.counts.running, s.counts.done, s.counts.failed, s.counts.canceled, s.draining
-	}
-	reg.Help("epi_scenario_queue_depth", "jobs waiting for a worker")
-	reg.GaugeFunc("epi_scenario_queue_depth", jobCount(func() int64 { q, _, _, _, _, _ := counts(); return int64(q) }))
-	reg.Help("epi_scenario_queue_depth_class", "jobs waiting for a worker, by priority class")
-	for _, pri := range []Priority{PriorityInteractive, PriorityNormal, PriorityBatch} {
-		pri := pri
-		reg.GaugeFunc(`epi_scenario_queue_depth_class{class="`+pri.String()+`"}`, func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.counts.queuedBy[pri])
-		})
-	}
-	reg.Help("epi_scenario_queue_capacity", "bounded queue capacity")
-	reg.GaugeFunc("epi_scenario_queue_capacity", func() float64 { return float64(s.queueCap) })
-	reg.Help("epi_scenario_workers", "worker-pool size")
-	reg.GaugeFunc("epi_scenario_workers", func() float64 { return float64(s.workers) })
-	reg.Help("epi_scenario_inflight_jobs", "jobs currently running on a worker")
-	reg.GaugeFunc("epi_scenario_inflight_jobs", jobCount(func() int64 { _, r, _, _, _, _ := counts(); return int64(r) }))
-	reg.Help("epi_scenario_draining", "1 while the service is shutting down")
-	reg.GaugeFunc("epi_scenario_draining", func() float64 {
-		if _, _, _, _, _, d := counts(); d {
-			return 1
-		}
-		return 0
-	})
-	reg.Help("epi_scenario_jobs_total", "terminal jobs by state")
-	reg.CounterFunc(`epi_scenario_jobs_total{state="done"}`, jobCount(func() int64 { _, _, d, _, _, _ := counts(); return d }))
-	reg.CounterFunc(`epi_scenario_jobs_total{state="failed"}`, jobCount(func() int64 { _, _, _, f, _, _ := counts(); return f }))
-	reg.CounterFunc(`epi_scenario_jobs_total{state="canceled"}`, jobCount(func() int64 { _, _, _, _, c, _ := counts(); return c }))
-	reg.Help("epi_scenario_cache_entries", "cached results")
-	reg.GaugeFunc("epi_scenario_cache_entries", func() float64 { return float64(s.cache.Stats().Entries) })
-	reg.Help("epi_scenario_cache_capacity", "result-cache capacity")
-	reg.GaugeFunc("epi_scenario_cache_capacity", func() float64 { return float64(s.cache.Stats().Capacity) })
-	reg.Help("epi_scenario_cache_hits_total", "result-cache hits")
-	reg.CounterFunc("epi_scenario_cache_hits_total", func() float64 { return float64(s.cache.Stats().Hits) })
-	reg.Help("epi_scenario_cache_misses_total", "specs that had to be computed")
-	reg.CounterFunc("epi_scenario_cache_misses_total", func() float64 { return float64(s.cache.Stats().Misses) })
-	reg.Help("epi_scenario_cache_evictions_total", "results evicted by the LRU")
-	reg.CounterFunc("epi_scenario_cache_evictions_total", func() float64 { return float64(s.cache.Stats().Evictions) })
-	reg.Help("epi_scenario_cache_hit_ratio", "hits over lookups, 0 when idle")
-	reg.GaugeFunc("epi_scenario_cache_hit_ratio", func() float64 { return s.cache.Stats().HitRatio })
-	reg.Help("epi_result_cache_hit_ratio", "result-cache hits over lookups (alias of epi_scenario_cache_hit_ratio)")
-	reg.GaugeFunc("epi_result_cache_hit_ratio", func() float64 { return s.cache.Stats().HitRatio })
-}
-
-// Submit normalizes, hashes and admits a spec at normal priority. The
-// caller holds one interest reference on the returned job and must Release
-// it (cache hits return an already-done job where Release is a no-op).
-// Identical in-flight specs share one job; a full queue returns
-// ErrQueueFull.
+// Submit is SubmitCtx at normal priority with no request trace.
 func (s *Service) Submit(spec Spec) (*Job, error) {
-	return s.SubmitPri(spec, PriorityNormal)
+	return s.SubmitCtx(context.Background(), spec, PriorityNormal)
 }
 
-// SubmitPri is Submit with an explicit priority class. Admission control is
-// layered on the bounded queue: batch submissions are shed once half the
-// queue is occupied, normal submissions keep a small headroom reserved for
-// interactive ones on queues of eight or more slots, and interactive
-// submissions may fill the queue. Cache and single-flight attachment are
-// class-blind — a result that already exists (or is being computed) is
-// served to any class.
-func (s *Service) SubmitPri(spec Spec, pri Priority) (*Job, error) {
-	return s.SubmitCtx(context.Background(), spec, pri)
-}
-
-// SubmitCtx is SubmitPri with the submitter's context: when ctx carries a
-// request trace (obs), the admission decision, queue wait, and the job's
-// whole execution report spans and events into it. ctx contributes ONLY
-// tracing identity — job lifecycle and cancellation are governed by
-// interest references and the service's own context tree, exactly as for
-// an untraced submission, so traced runs stay bit-identical to untraced.
+// SubmitCtx is the front door: normalize and hash once, look the result
+// store up once, then — under one acquisition of Service.mu — attach to an
+// identical unsettled job (single-flight), or admit by priority class
+// against the aggregate queue of the up pools and either enrol the job in a
+// what-if batch window or place it on the least-loaded pool. An admitted job
+// is therefore never refused later. The caller holds one interest reference
+// on the returned job and must Release it (a result-store hit returns an
+// already-done job where Release is a no-op).
+//
+// ctx contributes ONLY tracing identity: when it carries a request trace
+// (obs), the admission decision, queue waits and the job's whole execution
+// report into it. Lifecycle and cancellation are governed by interest
+// references and the service's own context tree, exactly as for an untraced
+// submission, so traced runs stay bit-identical to untraced.
+//
+// Errors: *BadSpecError, ErrQueueFull, *ShedError, ErrDraining.
 func (s *Service) SubmitCtx(ctx context.Context, spec Spec, pri Priority) (*Job, error) {
 	ns, err := spec.Normalize()
 	if err != nil {
@@ -488,18 +496,14 @@ func (s *Service) SubmitCtx(ctx context.Context, spec Spec, pri Priority) (*Job,
 	if err != nil {
 		return nil, &BadSpecError{Err: err}
 	}
-	if res, ok := s.cache.Get(hash); ok {
-		obs.Event(ctx, "cache.hit", obs.String("hash", hash), obs.String("replica", s.name))
+	if res, ok := s.store.Get(hash); ok {
+		obs.Event(ctx, "cache.hit", obs.String("hash", hash))
 		return completedJob(hash, ns, res), nil
 	}
-	if s.shared != nil {
-		if res, ok := s.shared.Get(hash); ok {
-			// A peer already computed this spec: forward its result and
-			// keep a local copy so repeats stay local.
-			s.cache.Put(hash, res)
-			s.metrics.incSharedHit()
-			obs.Event(ctx, "castore.hit", obs.String("hash", hash), obs.String("replica", s.name))
-			return completedJob(hash, ns, res), nil
+	family := "" // the batch window the spec would wait in, if any
+	if s.batchWindow > 0 && batchable(ns) {
+		if family, err = s.batchKey(ns); err != nil {
+			return nil, &BadSpecError{Err: err}
 		}
 	}
 	s.mu.Lock()
@@ -510,117 +514,84 @@ func (s *Service) SubmitCtx(ctx context.Context, spec Spec, pri Priority) (*Job,
 	if j, ok := s.inflight[hash]; ok {
 		j.mu.Lock()
 		j.shared++
+		j.mu.Unlock()
 		j.interest++
 		state := j.state
-		j.mu.Unlock()
 		s.mu.Unlock()
-		s.metrics.incDeduped()
+		s.deduped.Inc()
 		obs.Event(ctx, "singleflight.attach",
-			obs.String("hash", hash), obs.String("owner_state", state.String()),
-			obs.String("replica", s.name))
+			obs.String("hash", hash), obs.String("owner_state", state.String()))
 		return j, nil
 	}
-	if !s.admitLocked(pri) {
-		depth := s.counts.queued
+	if err := s.admitLocked(pri); err != nil {
 		s.mu.Unlock()
-		if depth >= s.queueCap {
-			// Not a class decision: the queue is genuinely full.
-			s.metrics.incRejected()
+		var shed *ShedError
+		switch {
+		case errors.Is(err, ErrQueueFull):
+			s.rejected.Inc()
 			obs.Event(ctx, "admission.reject", obs.String("reason", "queue_full"),
-				obs.Int("depth", int64(depth)), obs.String("replica", s.name))
-			return nil, ErrQueueFull
+				obs.String("class", pri.String()))
+		case errors.As(err, &shed):
+			s.shed.Inc()
+			obs.Event(ctx, "admission.reject", obs.String("reason", "shed"),
+				obs.String("class", pri.String()), obs.Int("depth", int64(shed.Depth)))
 		}
-		s.metrics.incShed()
-		obs.Event(ctx, "admission.reject", obs.String("reason", "shed"),
-			obs.String("class", pri.String()), obs.Int("depth", int64(depth)),
-			obs.String("replica", s.name))
-		return nil, &ShedError{Class: pri, Depth: depth, Capacity: s.queueCap}
+		return nil, err
 	}
-	j := &Job{Hash: hash, Spec: ns, svc: s, pri: pri, done: make(chan struct{}), interest: 1}
-	j.ctx, j.cancel = context.WithCancel(s.baseCtx)
-	j.runCtx = obs.AdoptTrace(j.ctx, ctx)
-	_, j.qspan = obs.StartSpan(ctx, "queue.wait",
-		obs.String("hash", hash), obs.String("priority", pri.String()),
-		obs.String("replica", s.name))
-	select {
-	case s.queue <- j:
-		s.inflight[hash] = j
-		s.registry[hash] = j
-		s.counts.queued++
-		s.counts.queuedBy[pri]++
+	j := &Job{Hash: hash, Spec: ns, svc: s, pri: pri, done: make(chan struct{}),
+		interest: 1, tctx: obs.AdoptTrace(context.Background(), ctx)}
+	s.inflight[hash] = j
+	s.registry[hash] = j
+	if family != "" {
+		var d deferred
+		s.enrollLocked(j, family, &d)
 		s.mu.Unlock()
-		s.metrics.incSubmitted()
-		s.cache.RecordMiss()
+		d.run()
 		return j, nil
-	default:
-		s.mu.Unlock()
-		// The job never entered the queue: cancel its context immediately
-		// so the rejected submission does not leak a child context (and its
-		// goroutine bookkeeping) on baseCtx until shutdown.
-		j.cancel()
-		j.qspan.SetAttr(obs.String("outcome", "queue_full"))
-		j.qspan.End()
-		s.metrics.incRejected()
-		return nil, ErrQueueFull
 	}
+	p := s.dispatchLocked(j)
+	s.mu.Unlock()
+	s.submitted.Inc()
+	s.store.RecordMiss()
+	obs.Event(ctx, "replica.dispatch", obs.Int("replica", int64(p.id)), obs.String("hash", hash))
+	return j, nil
 }
 
-// admitLocked applies the per-class queue budget; caller holds s.mu. Batch
-// may use the first half of the queue, normal everything except a reserved
-// eighth (zero on small queues, so single-replica defaults are unchanged),
-// interactive the whole queue.
-func (s *Service) admitLocked(pri Priority) bool {
+// admitLocked applies the per-class budget over the aggregate queue of the
+// up pools: batch may use the first half, normal everything except a
+// reserved eighth (zero below eight slots), interactive all of it. A full
+// queue is ErrQueueFull for every class — the saturation signal beats a
+// class shed — and no up pool at all is ErrDraining. Caller holds s.mu.
+func (s *Service) admitLocked(pri Priority) error {
+	queued, capacity := 0, 0
+	for _, p := range s.pools {
+		if !p.down {
+			queued += len(p.queue)
+			capacity += s.queueCap
+		}
+	}
+	if capacity == 0 {
+		return ErrDraining
+	}
+	if queued >= capacity {
+		return ErrQueueFull
+	}
+	budget := capacity
 	switch pri {
 	case PriorityBatch:
-		return s.counts.queued < (s.queueCap+1)/2
+		budget = (capacity + 1) / 2
 	case PriorityNormal:
-		return s.counts.queued < s.queueCap-s.queueCap/8
-	default:
-		return true
+		budget = capacity - capacity/8
 	}
+	if queued >= budget {
+		return &ShedError{Class: pri, Depth: queued, Capacity: capacity}
+	}
+	return nil
 }
 
-// StealQueued atomically claims a still-queued job for execution elsewhere:
-// the job is removed from the queue bookkeeping and the single-flight
-// table, finalized locally, and its normalized spec returned so a replica
-// coordinator can redispatch it onto an idle peer while keeping one
-// canonical owner per hash. Running or terminal jobs cannot be stolen (a
-// false return means the job must finish where it is). The worker that
-// later pops the stolen job from the channel skips it.
-func (s *Service) StealQueued(id string) (Spec, bool) {
-	s.mu.Lock()
-	j, ok := s.registry[id]
-	if !ok {
-		s.mu.Unlock()
-		return Spec{}, false
-	}
-	j.mu.Lock()
-	if j.state != StateQueued {
-		j.mu.Unlock()
-		s.mu.Unlock()
-		return Spec{}, false
-	}
-	j.state = StateCanceled
-	j.err = ErrStolen
-	close(j.done)
-	delete(s.inflight, j.Hash)
-	if s.registry[j.Hash] == j {
-		delete(s.registry, j.Hash)
-	}
-	s.counts.queued--
-	s.counts.queuedBy[j.pri]--
-	s.counts.stolen++
-	spec := j.Spec
-	j.mu.Unlock()
-	s.mu.Unlock()
-	j.cancel()
-	j.qspan.SetAttr(obs.String("outcome", "stolen"))
-	j.qspan.End()
-	return spec, true
-}
-
-// Lookup returns the job for an ID, falling back to the result cache for
-// jobs whose bookkeeping has been evicted.
+// Lookup returns the job for an ID with no interest reference: unsettled and
+// recently settled jobs first, then the result store (Peek: a status poll
+// neither counts as a hit nor refreshes the LRU).
 func (s *Service) Lookup(id string) (*Job, bool) {
 	s.mu.Lock()
 	j, ok := s.registry[id]
@@ -628,59 +599,87 @@ func (s *Service) Lookup(id string) (*Job, bool) {
 	if ok {
 		return j, true
 	}
-	if res, ok := s.cache.Get(id); ok {
+	if res, ok := s.store.Peek(id); ok {
 		return completedJob(id, res.Spec, res), true
 	}
 	return nil, false
 }
 
-// Cancel cancels a queued or running job by ID. It reports whether a
-// cancellation was initiated.
+// Cancel cancels an unsettled job by ID. It reports whether a cancellation
+// was initiated.
 func (s *Service) Cancel(id string) bool {
+	var d deferred
 	s.mu.Lock()
-	j, ok := s.registry[id]
-	if !ok {
-		s.mu.Unlock()
-		return false
+	j := s.registry[id]
+	live := j != nil && j.live()
+	if live {
+		s.abandonLocked(j, &d)
 	}
-	j.mu.Lock()
-	switch j.state {
-	case StateQueued:
-		s.cancelQueuedLocked(j)
-		j.mu.Unlock()
-		s.mu.Unlock()
+	s.mu.Unlock()
+	d.run()
+	return live
+}
+
+// abandonLocked cancels a live job's work wherever it is. A running job has
+// its run context cancelled and the worker settles it when the runner
+// unwinds; anything still waiting — in a FIFO, in a batch window, on an
+// ensemble — is taken out and settled as canceled at once, so nothing dead
+// occupies a bounded slot. Caller holds s.mu.
+func (s *Service) abandonLocked(j *Job, d *deferred) {
+	j.clientCanceled = true
+	switch {
+	case j.cancel != nil:
 		j.cancel()
-		return true
-	case StateRunning:
-		j.mu.Unlock()
-		s.mu.Unlock()
-		j.cancel()
-		return true
+	case j.batch != nil:
+		j.batch.remove(j)
+		j.batch = nil
+		s.finishLocked(j, nil, context.Canceled)
+	case j.ensemble != nil:
+		ens := j.ensemble
+		s.finishLocked(j, nil, context.Canceled)
+		// Last member out cancels the ensemble execution.
+		if ens.interest--; ens.interest <= 0 && !ens.pinned && ens.live() {
+			s.abandonLocked(ens, d)
+		}
 	default:
-		j.mu.Unlock()
-		s.mu.Unlock()
-		return false
+		s.cancelQueuedLocked(j, d)
 	}
 }
 
-// cancelQueuedLocked finalizes a still-queued job as canceled. Caller holds
-// s.mu and j.mu. The worker that later pops the job skips it.
-func (s *Service) cancelQueuedLocked(j *Job) {
-	j.state = StateCanceled
-	j.err = context.Canceled
-	close(j.done)
-	delete(s.inflight, j.Hash)
-	s.counts.queued--
-	s.counts.queuedBy[j.pri]--
-	s.counts.canceled++
-	s.retainLocked(j)
-	j.qspan.SetAttr(obs.String("outcome", "canceled"))
-	j.qspan.End()
+// cancelQueuedLocked takes a queued job out of its FIFO and settles it as
+// canceled. Caller holds s.mu.
+func (s *Service) cancelQueuedLocked(j *Job, d *deferred) {
+	j.pool.remove(j)
+	qs := j.qspan
+	d.add(func() { endQueueSpan(qs, "canceled") })
+	s.finishLocked(j, nil, context.Canceled)
 }
 
-// retainLocked records a terminal job for later status polls, evicting the
-// oldest retained job beyond recentCap. Caller holds s.mu.
-func (s *Service) retainLocked(j *Job) {
+// finishLocked settles a live job exactly once: terminal state, waiters
+// released, out of the single-flight table, kept pollable for recentCap more
+// settlements. An ensemble settles its members with it — each receives the
+// slice of the result carrying exactly its what-ifs, published under its own
+// hash so a later identical submission is a hit — and the members that got
+// a slice are returned for the caller's batch.slice events. Caller holds
+// s.mu.
+func (s *Service) finishLocked(j *Job, res *Result, err error) (sliced []*Job) {
+	j.mu.Lock()
+	switch {
+	case err == nil:
+		j.state = StateDone
+		s.jobsDone.Inc()
+	case isCancel(err):
+		j.state = StateCanceled
+		s.jobsCanceled.Inc()
+	default:
+		j.state = StateFailed
+		s.jobsFailed.Inc()
+	}
+	j.result, j.err = res, err
+	close(j.done)
+	j.mu.Unlock()
+	j.pool, j.qspan = nil, nil
+	delete(s.inflight, j.Hash)
 	s.recent = append(s.recent, j)
 	for len(s.recent) > recentCap {
 		old := s.recent[0]
@@ -689,13 +688,124 @@ func (s *Service) retainLocked(j *Job) {
 			delete(s.registry, old.Hash)
 		}
 	}
+	for _, m := range j.members {
+		switch {
+		case !m.live(): // abandoned before the ensemble settled
+		case err != nil:
+			s.finishLocked(m, nil, err)
+		default:
+			mres := sliceResult(res, m.Hash, m.Spec)
+			s.store.Put(m.Hash, mres)
+			s.finishLocked(m, mres, nil)
+			sliced = append(sliced, m)
+		}
+	}
+	j.members = nil
+	return sliced
 }
 
-func (s *Service) worker() {
+// worker serves one pool until the pool dies or a drain empties its FIFO.
+func (s *Service) worker(p *pool) {
 	defer s.wg.Done()
-	s.workersUp.Add(1)
-	for j := range s.queue {
-		s.runJob(j)
+	s.mu.Lock()
+	p.started++
+	for {
+		for len(p.queue) == 0 && !p.down && !s.draining {
+			p.cond.Wait()
+		}
+		if p.down || len(p.queue) == 0 {
+			s.mu.Unlock()
+			return
+		}
+		j := p.queue[0]
+		p.remove(j)
+		p.running++
+		j.mu.Lock()
+		j.state = StateRunning
+		j.mu.Unlock()
+		// The run context belongs to the pool the job runs on, not to where
+		// it was first queued: killing that pool is what cancels it.
+		ctx, cancel := context.WithCancel(p.ctx)
+		j.cancel = cancel
+		qs := j.qspan
+		j.qspan = nil
+		s.mu.Unlock()
+		endQueueSpan(qs, "run")
+		s.run(ctx, p, j)
+		cancel() // release the context's resources
+		s.mu.Lock()
+	}
+}
+
+// run executes one job on a worker of p and settles or requeues it.
+func (s *Service) run(ctx context.Context, p *pool, j *Job) {
+	started := time.Now()
+	// tier is the requested fidelity ("auto" when unset) — the decided tier
+	// lands on the job.run span after the runner returns.
+	tier := j.Spec.Fidelity
+	if tier == "" {
+		tier = "auto"
+	}
+	runCtx, rspan := obs.StartSpan(obs.AdoptTrace(ctx, j.tctx), "job.run",
+		obs.String("hash", j.Hash), obs.String("workflow", j.Spec.Workflow),
+		obs.String("replica", p.name))
+	var res *Result
+	var err error
+	// pprof labels attribute CPU samples in the -pprof profiles to the
+	// request being served; they are invisible to the runner itself.
+	pprof.Do(runCtx, pprof.Labels(
+		"hash", j.Hash, "workflow", j.Spec.Workflow,
+		"tier", tier, "replica", p.name,
+	), func(ctx context.Context) {
+		res, err = p.runner(ctx, j.Spec)
+	})
+	elapsed := time.Since(started)
+	if err != nil {
+		rspan.SetAttr(obs.String("error", err.Error()))
+	} else if res != nil && res.Tier != "" {
+		rspan.SetAttr(obs.String("tier", res.Tier))
+	}
+	rspan.End()
+	if err == nil {
+		res.Hash = j.Hash
+		res.Workflow = j.Spec.Workflow
+		res.Spec = j.Spec
+		res.ElapsedSeconds = elapsed.Seconds()
+	}
+
+	s.mu.Lock()
+	p.running--
+	j.cancel = nil
+	if isCancel(err) && p.down && !j.clientCanceled && !s.draining {
+		// The pool died under the job, not the client under the request:
+		// move the work to an up peer with its waiters intact. The runner
+		// has returned, so the spec is running nowhere during the hop. (A
+		// drain moves nothing: the peers' idle workers may already be gone.)
+		if to := s.dispatchLocked(j); to != nil {
+			j.mu.Lock()
+			j.state = StateQueued
+			j.mu.Unlock()
+			s.mu.Unlock()
+			s.requeues.Inc()
+			obs.Event(j.tctx, "replica.requeue", obs.Int("from", int64(p.id)), obs.String("hash", j.Hash))
+			obs.Event(j.tctx, "replica.dispatch", obs.Int("replica", int64(to.id)), obs.String("hash", j.Hash))
+			return
+		}
+	}
+	if err == nil {
+		s.store.Put(j.Hash, res)
+		lat := s.latency[j.Spec.Workflow]
+		if lat == nil {
+			lat = s.reg.Histogram(`epi_scenario_latency_seconds{workflow="`+j.Spec.Workflow+`"}`, latencyBounds)
+			s.latency[j.Spec.Workflow] = lat
+		}
+		lat.Observe(elapsed.Seconds()) // before the waiters wake: a served reply is a counted one
+	}
+	sliced := s.finishLocked(j, res, err)
+	s.mu.Unlock()
+	for _, m := range sliced {
+		obs.Event(m.tctx, "batch.slice", obs.String("batch", j.Hash), obs.String("hash", m.Hash),
+			obs.Int("scenarios", int64(len(m.Spec.WhatIfs))))
 	}
 }
 
@@ -712,18 +822,23 @@ type Readiness struct {
 	Fidelity map[string]fidelity.TierState `json:"fidelity,omitempty"`
 }
 
-// Readiness reports whether the service can usefully serve: the worker pool
-// is up, the service is not draining, and — when the fidelity ladder is
-// enabled — at least one emulator is fitted (before that, every auto-routed
-// query escalates to a full simulation, which is availability but not the
-// latency contract /readyz guards).
+// Readiness reports whether the service can usefully serve: some pool is up
+// and all workers of the up pools have started, the service is not draining,
+// and — when the fidelity ladder is enabled — at least one emulator is
+// fitted (before that, every auto-routed query escalates to a full
+// simulation, which is availability but not the latency contract /readyz
+// guards). Worker counts are summed over the up pools.
 func (s *Service) Readiness() Readiness {
-	r := Readiness{
-		WorkersUp:  int(s.workersUp.Load()),
-		WorkersSet: s.workers,
-		Draining:   s.Draining(),
+	s.mu.Lock()
+	r := Readiness{Draining: s.draining}
+	for _, p := range s.pools {
+		if !p.down {
+			r.WorkersUp += p.started
+			r.WorkersSet += s.workers
+		}
 	}
-	r.Ready = r.WorkersUp >= r.WorkersSet && !r.Draining
+	s.mu.Unlock()
+	r.Ready = r.WorkersSet > 0 && r.WorkersUp >= r.WorkersSet && !r.Draining
 	if s.fidelity != nil {
 		r.Fidelity = s.fidelity.Status()
 		if !r.Fidelity[string(fidelity.TierEmulator)].Ready {
@@ -733,99 +848,6 @@ func (s *Service) Readiness() Readiness {
 	return r
 }
 
-func (s *Service) runJob(j *Job) {
-	s.mu.Lock()
-	j.mu.Lock()
-	if j.state != StateQueued { // cancelled while queued
-		j.mu.Unlock()
-		s.mu.Unlock()
-		return
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	s.counts.queued--
-	s.counts.queuedBy[j.pri]--
-	s.counts.running++
-	j.mu.Unlock()
-	s.mu.Unlock()
-
-	j.qspan.SetAttr(obs.String("outcome", "run"))
-	j.qspan.End()
-
-	// tier is the requested fidelity ("auto" when unset) — the decided tier
-	// lands on the job.run span after the runner returns.
-	tier := j.Spec.Fidelity
-	if tier == "" {
-		tier = "auto"
-	}
-	runCtx := j.runCtx
-	if runCtx == nil { // jobs constructed outside SubmitCtx (tests)
-		runCtx = j.ctx
-	}
-	runCtx, rspan := obs.StartSpan(runCtx, "job.run",
-		obs.String("hash", j.Hash), obs.String("workflow", j.Spec.Workflow),
-		obs.String("replica", s.name))
-
-	var res *Result
-	var err error
-	// pprof labels attribute CPU samples in the -pprof profiles to the
-	// request being served; they are invisible to the runner itself.
-	pprof.Do(runCtx, pprof.Labels(
-		"hash", j.Hash, "workflow", j.Spec.Workflow,
-		"tier", tier, "replica", s.name,
-	), func(ctx context.Context) {
-		res, err = s.runner(ctx, j.Spec)
-	})
-	elapsed := time.Since(j.started)
-
-	if err != nil {
-		rspan.SetAttr(obs.String("error", err.Error()))
-	} else if res != nil && res.Tier != "" {
-		rspan.SetAttr(obs.String("tier", res.Tier))
-	}
-	rspan.End()
-
-	s.mu.Lock()
-	j.mu.Lock()
-	delete(s.inflight, j.Hash)
-	s.counts.running--
-	switch {
-	case err == nil:
-		j.state = StateDone
-		s.counts.done++
-		res.Hash = j.Hash
-		res.Workflow = j.Spec.Workflow
-		res.Spec = j.Spec
-		res.ElapsedSeconds = elapsed.Seconds()
-		j.result = res
-		s.cache.Put(j.Hash, res)
-		if s.shared != nil {
-			s.shared.Put(j.Hash, res)
-		}
-		s.metrics.observeLatency(j.Spec.Workflow, elapsed.Seconds())
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.state = StateCanceled
-		j.err = err
-		s.counts.canceled++
-	default:
-		j.state = StateFailed
-		j.err = err
-		s.counts.failed++
-	}
-	close(j.done)
-	s.retainLocked(j)
-	j.mu.Unlock()
-	s.mu.Unlock()
-	j.cancel() // release the context's resources
-}
-
-// QueueDepth returns the number of jobs waiting for a worker.
-func (s *Service) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts.queued
-}
-
 // Draining reports whether the service has begun shutting down.
 func (s *Service) Draining() bool {
 	s.mu.Lock()
@@ -833,49 +855,40 @@ func (s *Service) Draining() bool {
 	return s.draining
 }
 
-// MetricsSnapshot assembles the /metrics payload.
-func (s *Service) MetricsSnapshot() Snapshot {
-	submitted, rejected, deduped, shed, sharedHits, latency := s.metrics.counters()
+// Loads returns the live queued and running job counts over all pools.
+func (s *Service) Loads() (queued, running int) {
 	s.mu.Lock()
-	snap := Snapshot{
-		QueueDepth:    s.counts.queued,
-		QueueCapacity: s.queueCap,
-		Workers:       s.workers,
-		Draining:      s.draining,
-		Submitted:     submitted,
-		Rejected:      rejected,
-		Deduped:       deduped,
-		Shed:          shed,
-		SharedHits:    sharedHits,
-		Jobs: map[string]int64{
-			"queued":   int64(s.counts.queued),
-			"running":  int64(s.counts.running),
-			"done":     s.counts.done,
-			"failed":   s.counts.failed,
-			"canceled": s.counts.canceled,
-			"stolen":   s.counts.stolen,
-		},
-		Latency: latency,
+	defer s.mu.Unlock()
+	for _, p := range s.pools {
+		queued += len(p.queue)
+		running += p.running
 	}
-	s.mu.Unlock()
-	snap.Cache = s.cache.Stats()
-	return snap
+	return queued, running
 }
 
-// Drain gracefully shuts the service down: new submissions are rejected,
-// queued and in-flight jobs run to completion, workers exit. If ctx
-// expires first, the remaining jobs are cancelled and Drain waits up to
-// the configured DrainGrace for the workers to unwind, then returns
-// ctx.Err() — or, when a runner ignores cancellation past the grace, a
-// *DrainError listing the hashes still occupying workers (it unwraps to
-// ctx.Err(), so deadline checks via errors.Is keep working).
+// Drain gracefully shuts the service down: pending batch windows close, new
+// submissions are rejected, the rebalance loop stops, queued and in-flight
+// jobs run to completion where they are, workers exit. If ctx expires first,
+// the remaining jobs are cancelled and Drain waits up to the configured
+// DrainGrace for the workers to unwind, then returns ctx.Err() — or, when a
+// runner ignores cancellation past the grace, a *DrainError listing the
+// hashes still occupying workers (it unwraps to ctx.Err(), so deadline
+// checks via errors.Is keep working).
 func (s *Service) Drain(ctx context.Context) error {
+	var d deferred
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
-		close(s.queue) // Submit checks draining under s.mu before sending
+		close(s.stopRebalance)
+		for _, b := range s.batches {
+			s.flushLocked(b, &d)
+		}
+		for _, p := range s.pools {
+			p.cond.Broadcast()
+		}
 	}
 	s.mu.Unlock()
+	d.run()
 	finished := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -904,46 +917,38 @@ func (s *Service) runningHashes() []string {
 	defer s.mu.Unlock()
 	var out []string
 	for h, j := range s.inflight {
-		j.mu.Lock()
 		if j.state == StateRunning {
 			out = append(out, h)
 		}
-		j.mu.Unlock()
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Fingerprint returns the pipeline fingerprint the service hashes specs
-// under — replicas behind one front door must agree on it for the shared
-// result store to be sound.
-func (s *Service) Fingerprint() string { return s.fingerprint }
-
-// QueueCap returns the bounded queue's capacity.
-func (s *Service) QueueCap() int { return s.queueCap }
-
-// Workers returns the configured worker-pool size.
-func (s *Service) Workers() int { return s.workers }
-
-// Loads returns the live queued and running job counts — the cheap view a
-// replica coordinator polls for dispatch and steal decisions.
-func (s *Service) Loads() (queued, running int) {
+// Quiesced reports what the service still holds, nil when nothing: an empty
+// single-flight table, no open batch window, every pool's FIFO and running
+// count at zero, and at most recentCap settled jobs kept pollable. Anything
+// else after Drain returned nil is a leak.
+func (s *Service) Quiesced() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.counts.queued, s.counts.running
-}
-
-// Name returns the service's trace/pprof identity.
-func (s *Service) Name() string { return s.name }
-
-// QueuedByClass returns the live queued counts per priority class, keyed by
-// Priority.String() — the /replicas per-class queue view.
-func (s *Service) QueuedByClass() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return map[string]int{
-		PriorityInteractive.String(): s.counts.queuedBy[PriorityInteractive],
-		PriorityNormal.String():      s.counts.queuedBy[PriorityNormal],
-		PriorityBatch.String():       s.counts.queuedBy[PriorityBatch],
+	var held []string
+	if n := len(s.inflight); n > 0 {
+		held = append(held, fmt.Sprintf("%d jobs in the single-flight table", n))
 	}
+	if n := len(s.batches); n > 0 {
+		held = append(held, fmt.Sprintf("%d batch windows open", n))
+	}
+	if n := len(s.registry); n > recentCap {
+		held = append(held, fmt.Sprintf("%d pollable jobs (cap %d)", n, recentCap))
+	}
+	for _, p := range s.pools {
+		if len(p.queue) > 0 || p.running > 0 {
+			held = append(held, fmt.Sprintf("pool %s: %d queued, %d running", p.name, len(p.queue), p.running))
+		}
+	}
+	if held == nil {
+		return nil
+	}
+	return fmt.Errorf("scenario: not quiesced: %s", strings.Join(held, "; "))
 }

@@ -3,6 +3,8 @@ package scenario
 import (
 	"context"
 	"errors"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,6 +50,27 @@ func stubService(t *testing.T, workers, queueCap int) (*Service, *stubRunner) {
 		_ = s.Drain(ctx)
 	})
 	return s, r
+}
+
+// series reads one series' value from the service's Prometheus exposition —
+// the same text GET /metrics serves.
+func series(t *testing.T, s *Service, name string) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := s.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", name, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("series %s not exposed", name)
+	return 0
 }
 
 func predSpec(state string, days int) Spec {
@@ -149,8 +172,8 @@ func TestQueueFullRejects(t *testing.T) {
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
-	if got := s.MetricsSnapshot().Rejected; got != 1 {
-		t.Fatalf("rejected %d want 1", got)
+	if got := series(t, s, "epi_scenario_rejected_total"); got != 1 {
+		t.Fatalf("rejected %v want 1", got)
 	}
 	// Deduplication onto the running job still succeeds under a full queue.
 	if _, err := s.Submit(predSpec("VA", 10)); err != nil {
@@ -182,9 +205,8 @@ func TestReleaseCancelsAbandonedJobs(t *testing.T) {
 	if got := r.runs.Load(); got != 1 {
 		t.Fatalf("%d executions want 1 (queued job never ran)", got)
 	}
-	snap := s.MetricsSnapshot()
-	if snap.Jobs["canceled"] != 2 {
-		t.Fatalf("canceled count %d want 2", snap.Jobs["canceled"])
+	if got := series(t, s, `epi_scenario_jobs_total{state="canceled"}`); got != 2 {
+		t.Fatalf("canceled count %v want 2", got)
 	}
 }
 
@@ -294,38 +316,6 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	}
 	if st := j.Status().State; st != "canceled" {
 		t.Fatalf("straggler state %s want canceled", st)
-	}
-}
-
-func TestMetricsSnapshotShape(t *testing.T) {
-	s, r := stubService(t, 2, 4)
-	for i := 0; i < 3; i++ {
-		if _, err := s.Submit(predSpec("VA", 20+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r.releaseAll(3)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && s.MetricsSnapshot().Jobs["done"] < 3 {
-		time.Sleep(time.Millisecond)
-	}
-	snap := s.MetricsSnapshot()
-	if snap.Submitted != 3 || snap.Jobs["done"] != 3 {
-		t.Fatalf("snapshot %+v want 3 submitted/done", snap)
-	}
-	if snap.QueueCapacity != 4 || snap.Workers != 2 {
-		t.Fatalf("capacity/workers %d/%d want 4/2", snap.QueueCapacity, snap.Workers)
-	}
-	h, ok := snap.Latency[WorkflowPrediction]
-	if !ok || h.Count != 3 {
-		t.Fatalf("latency histogram missing or wrong count: %+v", snap.Latency)
-	}
-	last := h.Buckets[len(h.Buckets)-1]
-	if !last.Inf || last.Count != 3 {
-		t.Fatalf("+Inf bucket %+v want cumulative 3", last)
-	}
-	if snap.Cache.Misses != 3 {
-		t.Fatalf("cache misses %d want 3", snap.Cache.Misses)
 	}
 }
 

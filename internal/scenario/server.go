@@ -10,7 +10,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Server exposes a Backend over HTTP:
+// Server exposes a Service over HTTP:
 //
 //	POST   /scenarios             submit a spec (JSON body); ?wait=1 blocks,
 //	                              ?priority=interactive|normal|batch classifies
@@ -19,8 +19,8 @@ import (
 //	DELETE /scenarios/{id}        cancel a queued or running job
 //	GET    /healthz               liveness
 //	GET    /readyz                readiness (workers up; fidelity tiers warm)
-//	GET    /metrics               queue / cache / latency snapshot
-//	GET    /replicas              cluster view (replica-coordinator backends)
+//	GET    /metrics               the registry in Prometheus text exposition
+//	GET    /replicas              per-pool view (one row per replica)
 //
 // Submit responses carry the spec's content address as the job ID, so
 // clients can re-derive, share and re-poll result URLs.
@@ -31,28 +31,17 @@ import (
 //	*ShedError   → 429, Retry-After: 5, body reason "shed" (class included)
 //	ErrDraining  → 503, body reason "draining"
 type Server struct {
-	backend Backend
-	mux     *http.ServeMux
-	obs     *ServingObs
+	svc *Service
+	mux *http.ServeMux
+	obs *ServingObs
 }
 
-// replicaStatuser is the optional Backend extension that enables the
-// /replicas route (implemented by the replica coordinator).
-type replicaStatuser interface{ ReplicaStatus() any }
-
-// NewServer wires the routes over a single service. An optional ServingObs
-// enables request tracing, the flight recorder, RED series and SLO routes.
+// NewServer wires the routes over a service. An optional ServingObs traces
+// the scenario routes (submit/status/result/cancel), records every request
+// into the flight recorder at /debug/requests, and serves SLO burn at /slo;
+// without it the server behaves exactly as before the layer existed.
 func NewServer(svc *Service, so ...*ServingObs) *Server {
-	return NewBackendServer(AsBackend(svc), so...)
-}
-
-// NewBackendServer wires the routes over any Backend — one service or a
-// replica coordinator fronting several. An optional ServingObs traces the
-// scenario routes (submit/status/result/cancel), records every request
-// into the flight recorder at /debug/requests, and serves SLO burn at
-// /slo; without it the server behaves exactly as before.
-func NewBackendServer(b Backend, so ...*ServingObs) *Server {
-	s := &Server{backend: b, mux: http.NewServeMux()}
+	s := &Server{svc: svc, mux: http.NewServeMux()}
 	if len(so) > 0 {
 		s.obs = so[0]
 	}
@@ -63,16 +52,13 @@ func NewBackendServer(b Backend, so ...*ServingObs) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
+	s.mux.HandleFunc("GET /replicas", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, s.svc.ReplicaStatus())
+	})
 	if s.obs != nil {
 		s.mux.HandleFunc("GET /debug/requests", s.obs.handleDebugList)
 		s.mux.HandleFunc("GET /debug/requests/{id}", s.obs.handleDebugGet)
 		s.mux.HandleFunc("GET /slo", s.obs.handleSLO)
-	}
-	if rs, ok := b.(replicaStatuser); ok {
-		s.mux.HandleFunc("GET /replicas", func(w http.ResponseWriter, _ *http.Request) {
-			writeJSON(w, http.StatusOK, rs.ReplicaStatus())
-		})
 	}
 	return s
 }
@@ -127,7 +113,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		rt.SetRequest(strings.ToLower(spec.Workflow), pri.String())
 	}
-	job, err := s.backend.Submit(r.Context(), spec, pri)
+	job, err := s.svc.SubmitCtx(r.Context(), spec, pri)
 	var shedErr *ShedError
 	switch {
 	case err == nil:
@@ -154,7 +140,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if rt != nil {
-		rt.Annotate("hash", job.ID())
+		rt.Annotate("hash", job.Hash)
 	}
 
 	wait := r.URL.Query().Get("wait")
@@ -201,7 +187,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 var errCanceledResult = errors.New("scenario: job canceled")
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.backend.Lookup(r.PathValue("id"))
+	job, ok := s.svc.Lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown scenario")
 		return
@@ -210,7 +196,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.backend.Lookup(r.PathValue("id"))
+	job, ok := s.svc.Lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown scenario")
 		return
@@ -238,11 +224,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.backend.Cancel(id) {
+	if s.svc.Cancel(id) {
 		writeJSON(w, http.StatusOK, map[string]string{"id": id, "state": "canceling"})
 		return
 	}
-	if _, ok := s.backend.Lookup(id); ok {
+	if _, ok := s.svc.Lookup(id); ok {
 		writeError(w, http.StatusConflict, "scenario already finished")
 		return
 	}
@@ -250,7 +236,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.backend.Draining() {
+	if s.svc.Draining() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
@@ -262,7 +248,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // yet under fidelity serving). The body always carries the per-layer state
 // so operators can see which gate is holding readiness back.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	r := s.backend.Readiness()
+	r := s.svc.Readiness()
 	code := http.StatusOK
 	if !r.Ready {
 		code = http.StatusServiceUnavailable
@@ -270,13 +256,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, code, r)
 }
 
-// handleMetrics serves the unified registry in Prometheus text exposition;
-// the pre-existing JSON shape moved to /metrics.json.
+// handleMetrics serves the unified registry in Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.backend.Registry().WritePrometheus(w)
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.backend.MetricsSnapshot())
+	s.svc.Registry().WritePrometheus(w)
 }

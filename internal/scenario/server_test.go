@@ -93,7 +93,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	// The duplicate must attach while its twin is still in flight; released
 	// earlier, it would find the finished result in the cache instead.
-	for deadline := time.Now().Add(5 * time.Second); svc.MetricsSnapshot().Deduped < 1; {
+	for deadline := time.Now().Add(5 * time.Second); series(t, svc, "epi_scenario_deduped_total") < 1; {
 		if time.Now().After(deadline) {
 			t.Fatal("duplicate submission did not attach")
 		}
@@ -133,24 +133,21 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// /metrics reflects the whole story.
-	var snap Snapshot
-	if code := getJSON(t, ts.URL+"/metrics.json", &snap); code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
+	if got := series(t, svc, "epi_scenario_submitted_total"); got != 2 {
+		t.Fatalf("submitted %v want 2", got)
 	}
-	if snap.Submitted != 2 {
-		t.Fatalf("submitted %d want 2", snap.Submitted)
+	if got := series(t, svc, "epi_scenario_deduped_total"); got != 1 {
+		t.Fatalf("deduped %v want 1 (second identical submission attached)", got)
 	}
-	if snap.Deduped != 1 {
-		t.Fatalf("deduped %d want 1 (second identical submission attached)", snap.Deduped)
+	if got := series(t, svc, `epi_scenario_jobs_total{state="done"}`); got != 2 {
+		t.Fatalf("done %v want 2", got)
 	}
-	if snap.Jobs["done"] != 2 {
-		t.Fatalf("done %d want 2", snap.Jobs["done"])
+	hits, misses := series(t, svc, "epi_scenario_cache_hits_total"), series(t, svc, "epi_scenario_cache_misses_total")
+	if hits < 1 || misses != 2 {
+		t.Fatalf("cache hits/misses %v/%v want ≥1/2", hits, misses)
 	}
-	if snap.Cache.Hits < 1 || snap.Cache.Misses != 2 {
-		t.Fatalf("cache hits/misses %d/%d want ≥1/2", snap.Cache.Hits, snap.Cache.Misses)
-	}
-	if h := snap.Latency[WorkflowPrediction]; h.Count != 2 {
-		t.Fatalf("latency count %d want 2", h.Count)
+	if got := series(t, svc, `epi_scenario_latency_seconds_count{workflow="prediction"}`); got != 2 {
+		t.Fatalf("latency count %v want 2", got)
 	}
 }
 
@@ -158,7 +155,7 @@ func TestServerEndToEnd(t *testing.T) {
 // and the bounded queue are saturated, a further distinct submission sheds
 // with 429 and the rejection lands in /metrics.
 func TestServerQueueFull429(t *testing.T) {
-	ts, _, r := testServer(t, 1, 1)
+	ts, svc, r := testServer(t, 1, 1)
 	// Saturate: one running (blocked in the runner) + one queued.
 	if resp, payload := postSpec(t, ts, Spec{Workflow: "prediction", State: "VA", Days: 10}, ""); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit 1 status %d: %s", resp.StatusCode, payload)
@@ -174,13 +171,11 @@ func TestServerQueueFull429(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	var snap Snapshot
-	getJSON(t, ts.URL+"/metrics.json", &snap)
-	if snap.Rejected != 1 {
-		t.Fatalf("rejected %d want 1", snap.Rejected)
+	if got := series(t, svc, "epi_scenario_rejected_total"); got != 1 {
+		t.Fatalf("rejected %v want 1", got)
 	}
-	if snap.QueueDepth != 1 || snap.Jobs["running"] != 1 {
-		t.Fatalf("queue depth %d / running %d want 1/1", snap.QueueDepth, snap.Jobs["running"])
+	if depth, running := series(t, svc, "epi_scenario_queue_depth"), series(t, svc, "epi_scenario_inflight_jobs"); depth != 1 || running != 1 {
+		t.Fatalf("queue depth %v / running %v want 1/1", depth, running)
 	}
 	r.releaseAll(2)
 }
@@ -231,10 +226,8 @@ func TestServerDisconnectCancelsJob(t *testing.T) {
 	if !ok || j.Status().State != "canceled" {
 		t.Fatalf("job after disconnect: ok=%v status=%+v", ok, j.Status())
 	}
-	var snap Snapshot
-	getJSON(t, ts.URL+"/metrics.json", &snap)
-	if snap.Jobs["canceled"] != 1 {
-		t.Fatalf("canceled %d want 1", snap.Jobs["canceled"])
+	if got := series(t, svc, `epi_scenario_jobs_total{state="canceled"}`); got != 1 {
+		t.Fatalf("canceled %v want 1", got)
 	}
 	// The job never completed: no result, and polling reports canceled.
 	code := getJSON(t, ts.URL+"/scenarios/"+hash+"/result", nil)
@@ -405,39 +398,55 @@ func TestServerRealPipeline(t *testing.T) {
 		t.Fatalf("night result malformed: %+v", nres.Night)
 	}
 
-	var snap Snapshot
-	getJSON(t, ts.URL+"/metrics.json", &snap)
-	if snap.Jobs["done"] != 3 {
-		t.Fatalf("done %d want 3", snap.Jobs["done"])
+	if got := series(t, svc, `epi_scenario_jobs_total{state="done"}`); got != 3 {
+		t.Fatalf("done %v want 3", got)
 	}
 	for _, wf := range []string{WorkflowPrediction, WorkflowWhatIf, WorkflowNight} {
-		if snap.Latency[wf].Count != 1 {
-			t.Fatalf("latency[%s] count %d want 1", wf, snap.Latency[wf].Count)
+		if got := series(t, svc, `epi_scenario_latency_seconds_count{workflow="`+wf+`"}`); got != 1 {
+			t.Fatalf("latency[%s] count %v want 1", wf, got)
 		}
 	}
 }
 
-// TestServerMetricsPrometheus verifies /metrics serves the unified registry
-// in Prometheus text exposition while the pre-existing JSON shape stays
-// reachable at /metrics.json.
+// TestServerMetricsPrometheus verifies /metrics serves the one registry in
+// Prometheus text exposition at every replica count: N=1 and N=2 expose the
+// same set of epi_scenario_* series, and every pool has its labelled
+// epi_replica_* gauges beside them.
 func TestServerMetricsPrometheus(t *testing.T) {
-	ts, _, _ := testServer(t, 1, 4)
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	scrape := func(replicas int) string {
+		svc := NewService(Config{Replicas: replicas, Workers: 1, QueueCap: 4,
+			Runner: newStubRunner().run, Fingerprint: "test"})
+		t.Cleanup(func() { _ = svc.Drain(context.Background()) })
+		ts := httptest.NewServer(NewServer(svc))
+		t.Cleanup(ts.Close)
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+			t.Fatalf("content type %q", ct)
+		}
+		return string(body)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	// seriesNames lists the exposed series (labels included) under a prefix.
+	seriesNames := func(text, prefix string) string {
+		var names []string
+		for _, line := range strings.Split(text, "\n") {
+			if name, _, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, prefix) {
+				names = append(names, name)
+			}
+		}
+		return strings.Join(names, "\n")
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("content type %q", ct)
-	}
-	text := string(body)
+	one, two := scrape(1), scrape(2)
 	for _, want := range []string{
 		"# TYPE epi_scenario_queue_capacity gauge",
 		"epi_scenario_queue_capacity 4",
@@ -445,15 +454,21 @@ func TestServerMetricsPrometheus(t *testing.T) {
 		"# TYPE epi_scenario_submitted_total counter",
 		"epi_scenario_cache_capacity",
 	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("missing %q in exposition:\n%s", want, text)
+		if !strings.Contains(one, want) {
+			t.Fatalf("missing %q in exposition:\n%s", want, one)
 		}
 	}
-	var snap Snapshot
-	if code := getJSON(t, ts.URL+"/metrics.json", &snap); code != http.StatusOK {
-		t.Fatalf("json metrics status %d", code)
+	if a, b := seriesNames(one, "epi_scenario_"), seriesNames(two, "epi_scenario_"); a != b || a == "" {
+		t.Fatalf("epi_scenario_* series differ between one replica and two:\n--- N=1\n%s\n--- N=2\n%s", a, b)
 	}
-	if snap.QueueCapacity != 4 {
-		t.Fatalf("legacy snapshot queue capacity = %d, want 4", snap.QueueCapacity)
+	for _, want := range []string{
+		`epi_replica_queue_depth{replica="0"} 0`, `epi_replica_queue_depth{replica="1"} 0`,
+		`epi_replica_running{replica="0"} 0`, `epi_replica_running{replica="1"} 0`,
+		`epi_replica_up{replica="0"} 1`, `epi_replica_up{replica="1"} 1`,
+		"epi_scenario_queue_capacity 8",
+	} {
+		if !strings.Contains(two, want) {
+			t.Fatalf("missing %q in the two-replica exposition:\n%s", want, two)
+		}
 	}
 }
