@@ -16,7 +16,7 @@ tier1:
 	$(GO) test -race ./internal/castore
 	$(GO) test -race ./internal/fidelity
 	$(GO) test -race ./internal/scenario ./internal/replica
-	$(GO) test -race -run 'Snapshot|WhatIf|Shard|Determinism' ./internal/epihiper ./internal/core
+	$(GO) test -race -run 'Reference|Snapshot|WhatIf|Shard|Determinism' ./internal/epihiper ./internal/core
 
 race:
 	$(GO) test -race ./...
@@ -76,13 +76,14 @@ loadtest:
 	$(GO) test -race -run 'TestLoadProof|TestTwoClientClosedLoopNeverRefused|TestChaosKillReplicaMidRun' -v -count=1 ./internal/replica
 
 # Short exploratory fuzz pass over the scheduler, executor, snapshot-codec,
-# fidelity-router and scenario-spec targets (the seed corpus always runs as
-# part of tier1).
+# kernel-vs-reference, fidelity-router and scenario-spec targets (the seed
+# corpus always runs as part of tier1).
 fuzz:
 	$(GO) test ./internal/sched -fuzz FuzzRelaxedColoring -fuzztime 10s
 	$(GO) test ./internal/sched -fuzz FuzzScheduleRoundTrip -fuzztime 10s
 	$(GO) test ./internal/cluster -fuzz FuzzBackfillMatchesReference -fuzztime 10s
 	$(GO) test ./internal/epihiper -fuzz FuzzSnapshotRoundTrip -fuzztime 10s
+	$(GO) test ./internal/epihiper -fuzz FuzzKernelMatchesReference -fuzztime 10s
 	$(GO) test ./internal/fidelity -fuzz FuzzFidelityRoute -fuzztime 10s
 	$(GO) test ./internal/scenario -fuzz FuzzSpecNormalize -fuzztime 10s
 

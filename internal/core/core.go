@@ -58,6 +58,10 @@ type Pipeline struct {
 	// tick); values are serialized simulator checkpoints shared by every
 	// scenario branching from the same history.
 	snapshots *castore.Store[*whatIfCheckpoint]
+
+	// metrics is the registry RegisterMetrics was given; every simulation
+	// the pipeline builds publishes the simulator's series into it.
+	metrics *obs.Registry
 }
 
 // Option mutates a Pipeline during construction.
@@ -118,8 +122,12 @@ func NewPipeline(seed uint64, opts ...Option) *Pipeline {
 
 // RegisterMetrics exposes the pipeline's transfer ledger and fault counters
 // on a registry — the one call a binary needs to put the epi_transfer_* and
-// epi_faults_* series on its /metrics endpoint or end-of-run dump.
+// epi_faults_* series on its /metrics endpoint or end-of-run dump — and
+// remembers the registry, so that the simulations run afterwards add the
+// simulator's own series (epi_shards, the epihiper.shard.* phase histograms,
+// the epi_kernel_* work counters). Call it before running workflows.
 func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
+	p.metrics = reg
 	transfer.RegisterMetrics(reg, p.Ledger)
 	p.FaultCounters.Register(reg)
 	if p.snapshots != nil {

@@ -1,10 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/disease"
+	"repro/internal/epihiper"
+	"repro/internal/obs"
+	"repro/internal/output"
 	"repro/internal/transfer"
 )
 
@@ -142,6 +150,114 @@ func TestRunSim(t *testing.T) {
 	conf := out.Agg.StateConfirmedCumulative()
 	if conf[len(conf)-1] <= 0 {
 		t.Fatal("no confirmed cases aggregated")
+	}
+}
+
+// TestRunSimRawBytesMatchesLog: RunSim sizes the raw output from the
+// result's transition count instead of retaining the transitions; the figure
+// must be exactly what a TransitionLog attached to the same simulation
+// reports.
+func TestRunSimRawBytesMatchesLog(t *testing.T) {
+	p := testPipeline(4)
+	job := SimJob{State: "VA", Params: Params{TAU: 0.25, SYMP: 0.65, SHCompliance: 0.3, VHICompliance: 0.3}, Days: 40}
+	out, err := p.RunSim(job, 15, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, _ := p.Network(job.State)
+	db, _ := p.DB(job.State)
+	model, _ := job.Params.ApplyToModel(disease.COVID19())
+	log := &output.TransitionLog{}
+	sim, err := epihiper.New(epihiper.Config{
+		Model: model, Network: net, Days: job.Days, Parallelism: p.Parallelism,
+		Seed:          p.Seed ^ jobSeed(job),
+		Seeds:         []epihiper.Seeding{{CountyFIPS: topCounties(net, 1)[0], Day: 0, Count: 5}},
+		Interventions: interventionsFor(job.Params, 15, 40),
+		DB:            db, Recorder: log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, out.Result) {
+		t.Fatal("the logged simulation is not the one RunSim ran")
+	}
+	if len(log.Entries) < 100 {
+		t.Fatalf("only %d transitions; the run is too quiet to test anything", len(log.Entries))
+	}
+	if want := 24 * int64(len(log.Entries)) * int64(p.Scale); out.RawBytes != want || out.RawBytes != log.RawBytes()*int64(p.Scale) {
+		t.Errorf("RawBytes %d, want 24 × %d transitions × scale %d = %d", out.RawBytes, len(log.Entries), p.Scale, want)
+	}
+}
+
+// TestTopCounties pins the seeding-county choice against a plain recount:
+// most populous first, ties by ascending FIPS.
+func TestTopCounties(t *testing.T) {
+	p := testPipeline(9)
+	net, err := p.Network("VA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[int32]int{}
+	for i := range net.Persons {
+		counts[net.Persons[i].CountyFIPS]++
+	}
+	var want []int32
+	for c := range counts {
+		want = append(want, c)
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if counts[want[i]] != counts[want[j]] {
+			return counts[want[i]] > counts[want[j]]
+		}
+		return want[i] < want[j]
+	})
+	if got := topCounties(net, len(want)+5); !slices.Equal(got, want) {
+		t.Errorf("all counties: got %v, want %v", got, want)
+	}
+	if got := topCounties(net, 3); !slices.Equal(got, want[:3]) {
+		t.Errorf("top 3: got %v, want %v", got, want[:3])
+	}
+}
+
+// TestPipelineRegistryCarriesKernelSeries: after RegisterMetrics, the
+// simulations a workflow runs publish the simulator's series — what puts
+// epi_shards, the shard phase histograms and the kernel work counters on
+// episerve's /metrics — and publishing changes no result.
+func TestPipelineRegistryCarriesKernelSeries(t *testing.T) {
+	job := SimJob{State: "VA", Params: Params{TAU: 0.25, SYMP: 0.65, SHCompliance: 0.3, VHICompliance: 0.3}, Days: 40}
+	plain, err := testPipeline(4).RunSim(job, 15, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := testPipeline(4)
+	reg := obs.NewRegistry()
+	p.RegisterMetrics(reg)
+	out, err := p.RunSim(job, 15, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain.Result, out.Result) || plain.RawBytes != out.RawBytes {
+		t.Error("a pipeline with a metrics registry computes a different result")
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"epi_shards ", `epi_span_seconds_count{span="epihiper.shard.transmit"}`, `epi_span_seconds_count{span="epihiper.shard.mutate"}`,
+		"epi_kernel_at_risk_visits_total ", "epi_kernel_row_scans_total ", "epi_kernel_edge_visits_total ",
+		"epi_kernel_exposures_total ", "epi_kernel_cross_shard_updates_total ",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("series %q missing from the pipeline's registry", want)
+		}
+	}
+	if got := reg.Counter("epi_kernel_exposures_total").Value(); got < out.Result.TotalInfections || got == 0 {
+		t.Errorf("epi_kernel_exposures_total %d, infections %d", got, out.Result.TotalInfections)
 	}
 }
 

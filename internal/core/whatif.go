@@ -338,7 +338,7 @@ func (p *Pipeline) runWhatIf(ctx context.Context, cfg PredictionConfig, scenario
 			Parallelism: p.Parallelism,
 			Seed:        p.Seed ^ jobSeed(job),
 			Seeds:       seeds, Interventions: ivs,
-			DB: db, Recorder: agg,
+			DB: db, Recorder: agg, Metrics: p.metrics,
 		}
 		var res *epihiper.Result
 		if share {
@@ -451,7 +451,7 @@ func (p *Pipeline) ensureCheckpoints(ctx context.Context, cfg PredictionConfig,
 		Seed:          p.Seed ^ jobSeed(job),
 		Seeds:         seeds,
 		Interventions: interventionsFor(pr, cfg.SHStart, cfg.SHEnd),
-		DB:            db, Recorder: log,
+		DB:            db, Recorder: log, Metrics: p.metrics,
 	}
 	var sim *epihiper.Sim
 	var res *epihiper.Result

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/calib"
@@ -52,29 +54,23 @@ func interventionsFor(pr Params, shStart, shEnd int) []epihiper.Intervention {
 	}
 }
 
-// topCounties returns the region's most populous counties.
+// topCounties returns the region's n most populous counties, largest first
+// (ties by ascending FIPS).
 func topCounties(net *synthpop.Network, n int) []int32 {
-	counts := map[int32]int{}
-	for i := range net.Persons {
-		counts[net.Persons[i].CountyFIPS]++
+	ix := net.Counties()
+	order := make([]int, len(ix.FIPS))
+	for i := range order {
+		order[i] = i
 	}
-	out := make([]int32, 0, len(counts))
-	for c := range counts {
-		out = append(out, c)
+	// FIPS ascends with the ordinal, so a stable sort by size keeps the tie
+	// order.
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ix.Size[b], ix.Size[a]) })
+	if n < len(order) {
+		order = order[:n]
 	}
-	// Selection sort by descending count (county lists are small).
-	for i := 0; i < len(out); i++ {
-		best := i
-		for j := i + 1; j < len(out); j++ {
-			if counts[out[j]] > counts[out[best]] ||
-				(counts[out[j]] == counts[out[best]] && out[j] < out[best]) {
-				best = j
-			}
-		}
-		out[i], out[best] = out[best], out[i]
-	}
-	if n < len(out) {
-		out = out[:n]
+	out := make([]int32, len(order))
+	for i, ord := range order {
+		out[i] = ix.FIPS[ord]
 	}
 	return out
 }
@@ -109,7 +105,6 @@ func (p *Pipeline) RunSim(job SimJob, shStart, shEnd int) (*SimOutput, error) {
 		seeds = append(seeds, epihiper.Seeding{CountyFIPS: c, Day: 0, Count: seedCases})
 	}
 	agg := output.NewCountyAggregator(net, job.Days)
-	log := &output.TransitionLog{}
 	sim, err := epihiper.New(epihiper.Config{
 		Model:         model,
 		Network:       net,
@@ -119,7 +114,8 @@ func (p *Pipeline) RunSim(job SimJob, shStart, shEnd int) (*SimOutput, error) {
 		Seeds:         seeds,
 		Interventions: interventionsFor(job.Params, shStart, shEnd),
 		DB:            db,
-		Recorder:      epihiper.MultiRecorder{agg, log},
+		Recorder:      agg,
+		Metrics:       p.metrics,
 	})
 	if err != nil {
 		return nil, err
@@ -130,7 +126,7 @@ func (p *Pipeline) RunSim(job SimJob, shStart, shEnd int) (*SimOutput, error) {
 	}
 	return &SimOutput{
 		Job: job, Result: res, Agg: agg,
-		RawBytes: log.RawBytes() * int64(p.Scale),
+		RawBytes: res.Transitions() * output.RawBytesPerTransition * int64(p.Scale),
 	}, nil
 }
 

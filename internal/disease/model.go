@@ -163,6 +163,11 @@ func (m *Model) IsSusceptible(s State) bool { return m.Attrs[s].Susceptibility >
 // Next samples the next state and a dwell time (ticks to remain in the
 // current state before switching) for an individual of age band ag in state
 // s. ok is false when s is terminal.
+//
+// The simulator calls Next once per transition with a generator on its
+// stack, so r must not escape: the Table III dwell types are sampled through
+// their concrete methods, and only a foreign stats.Dist — whose Sample the
+// compiler cannot see into — draws from a copy that is written back.
 func (m *Model) Next(s State, ag AgeGroup, r *stats.RNG) (next State, dwell int, ok bool) {
 	ts := m.transitions[s]
 	if len(ts) == 0 {
@@ -171,15 +176,27 @@ func (m *Model) Next(s State, ag AgeGroup, r *stats.RNG) (next State, dwell int,
 	u := r.Float64()
 	acc := 0.0
 	pick := len(ts) - 1
-	for i, t := range ts {
-		acc += t.Prob[ag]
+	for i := range ts {
+		acc += ts[i].Prob[ag]
 		if u < acc {
 			pick = i
 			break
 		}
 	}
-	t := ts[pick]
-	d := t.Dwell[ag].Sample(r)
+	t := &ts[pick]
+	var d float64
+	switch dist := t.Dwell[ag].(type) {
+	case stats.Fixed:
+		d = dist.Sample(r)
+	case stats.TruncNormal:
+		d = dist.Sample(r)
+	case stats.Discrete:
+		d = dist.Sample(r)
+	default:
+		c := *r
+		d = dist.Sample(&c)
+		*r = c
+	}
 	ticks := int(math.Round(d))
 	if ticks < 1 {
 		ticks = 1

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/disease"
+	"repro/internal/stats"
 )
 
 // This file pins the transmission kernel's allocation contract: once the
@@ -77,5 +78,92 @@ func BenchmarkTransmissionPhase(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf, scratch = sim.transmissionPhase(part, 0, buf[:0], scratch[:0])
+	}
+}
+
+// dwellTypesModel is a four-state chain whose three dwell times are the
+// three Table III distribution types, with infectious middle states so every
+// transition also walks the neighbor-update path.
+func dwellTypesModel(tb testing.TB) *disease.Model {
+	disc, err := stats.NewDiscrete([]float64{1, 2, 3}, []float64{0.2, 0.5, 0.3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := &disease.Model{Name: "dwell-types", Transmissibility: 0.2, ExposedState: disease.Exposed}
+	m.Attrs[disease.Susceptible] = disease.StateAttr{Susceptibility: 1}
+	m.Attrs[disease.Presymptomatic] = disease.StateAttr{Infectivity: 0.8}
+	m.Attrs[disease.Symptomatic] = disease.StateAttr{Infectivity: 1}
+	for _, tr := range []struct {
+		from, to disease.State
+		dwell    stats.Dist
+	}{
+		{disease.Exposed, disease.Presymptomatic, stats.Fixed{V: 2}},
+		{disease.Presymptomatic, disease.Symptomatic, disc},
+		{disease.Symptomatic, disease.Recovered, stats.TruncNormal{Mean: 5, SD: 1, Lo: 0.5, Hi: 60}},
+	} {
+		m.AddTransition(disease.Transition{
+			From: tr.from, To: tr.to,
+			Prob:  [disease.NumAgeGroups]float64{1, 1, 1, 1, 1},
+			Dwell: [disease.NumAgeGroups]stats.Dist{tr.dwell, tr.dwell, tr.dwell, tr.dwell, tr.dwell},
+		})
+	}
+	return m
+}
+
+// TestMutatePhaseZeroAlloc pins the mutate phase's allocation contract, the
+// twin of the transmission phase's: a transition allocates nothing whichever
+// of the Table III dwell types it samples — the generator stays on the
+// stack, the event, outbox and calendar buffers are the shard's — and a
+// whole warmed tick (transmit, mutate, merge) allocates nothing either.
+func TestMutatePhaseZeroAlloc(t *testing.T) {
+	net := goldenNetwork(t)
+	for _, shards := range []int{1, 2} {
+		sim, err := New(Config{Model: dwellTypesModel(t), Network: net, Days: 30, Parallelism: shards, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := &sim.shards[0]
+		pid := sh.first + 100
+		// Entering a state samples the dwell of the state's out-transition.
+		for _, to := range []disease.State{disease.Exposed, disease.Presymptomatic, disease.Symptomatic} {
+			allocs := testing.AllocsPerRun(50, func() {
+				sh.events = sh.events[:0]
+				for d := range sh.outbox {
+					sh.outbox[d] = sh.outbox[d][:0]
+				}
+				sim.applyTransition(sh, pid, disease.Susceptible, to, NoInfector, 3)
+			})
+			if allocs != 0 {
+				t.Errorf("shards=%d: a transition into %v allocates %.1f times; want 0", shards, to, allocs)
+			}
+		}
+	}
+
+	sim := steadyStateSim(t)
+	sh := &sim.shards[0]
+	res := sim.newResult()
+	day := 0
+	tick := func() {
+		sim.day = day
+		sim.todayEvents = sim.todayEvents[:0]
+		sim.runPhase(phTransmit, sh)
+		sim.runPhase(phMutate, sh)
+		sim.mergeTick(res, day)
+		day++
+	}
+	// Warm-up: ride the epidemic over its peak, so the event and exposure
+	// buffers are at capacity and the calendar's free list is stocked.
+	for day < 14 {
+		tick()
+	}
+	if res.TotalInfections == 0 {
+		t.Fatal("warm-up produced no infections; the fixture is not exercising the kernel")
+	}
+	before := res.TotalInfections
+	if allocs := testing.AllocsPerRun(10, tick); allocs != 0 {
+		t.Errorf("a warmed tick allocates %.1f times; want 0", allocs)
+	}
+	if res.TotalInfections == before {
+		t.Fatal("measured ticks infected nobody; the fixture is not exercising the kernel")
 	}
 }

@@ -1,10 +1,39 @@
 package epihiper
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/disease"
+	"repro/internal/synthpop"
 )
+
+// requireCountersExact recounts every node's infectious-contact word from
+// the adjacency lists: the neighbor count and the fixed-point ΣT·w (taken
+// from the node's OWN half-edges, the side the scan reads) must both match
+// what the kernel maintained incrementally from the neighbors' side.
+func requireCountersExact(t *testing.T, label string, sim *Sim) {
+	t.Helper()
+	for pid := int32(0); int(pid) < sim.net.NumNodes(); pid++ {
+		var count int32
+		var sum int64
+		for _, e := range sim.net.Adj[pid] {
+			if sim.model.IsInfectious(sim.health[e.Neighbor]) {
+				count++
+				sum += synthpop.QuantTW(float64(e.DurationMin) / 1440.0 * float64(e.Weight))
+			}
+		}
+		if got := sim.infNbrCount(pid); got != count {
+			t.Fatalf("%s: counter of %d is %d, recount %d", label, pid, got, count)
+		}
+		if got, want := sim.infContactTW(pid), float64(sum)*quantTWUnit; got != want {
+			t.Fatalf("%s: infectious-contact T·w of %d is %g, recount %g", label, pid, got, want)
+		}
+		if atRisk := sim.riskBits[pid>>6]>>(uint(pid)&63)&1 == 1; atRisk != (count > 0) {
+			t.Fatalf("%s: at-risk bit of %d is %v with %d infectious neighbors", label, pid, atRisk, count)
+		}
+	}
+}
 
 // The incremental infectious-neighbor counters must exactly match a
 // from-scratch recount after any run — the invariant the transmission
@@ -25,18 +54,7 @@ func TestInfectiousNeighborCountersConsistent(t *testing.T) {
 		if _, err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		for pid := int32(0); int(pid) < net.NumNodes(); pid++ {
-			var want int32
-			for _, e := range net.Adj[pid] {
-				if sim.model.IsInfectious(sim.health[e.Neighbor]) {
-					want++
-				}
-			}
-			if sim.infNbrCount[pid] != want {
-				t.Fatalf("days=%d: counter of %d is %d, recount %d",
-					days, pid, sim.infNbrCount[pid], want)
-			}
-		}
+		requireCountersExact(t, fmt.Sprintf("days=%d", days), sim)
 	}
 }
 
@@ -53,15 +71,5 @@ func TestInfectiousCountersUnderWaning(t *testing.T) {
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for pid := int32(0); int(pid) < net.NumNodes(); pid++ {
-		var want int32
-		for _, e := range net.Adj[pid] {
-			if sim.model.IsInfectious(sim.health[e.Neighbor]) {
-				want++
-			}
-		}
-		if sim.infNbrCount[pid] != want {
-			t.Fatalf("counter of %d is %d, recount %d", pid, sim.infNbrCount[pid], want)
-		}
-	}
+	requireCountersExact(t, "waning", sim)
 }

@@ -42,6 +42,19 @@ func (r *Result) CumulativeInto(st disease.State) []float64 {
 	return out
 }
 
+// Transitions returns the number of state transitions of the run so far —
+// the number of lines a Recorder received, for callers that need the size of
+// the raw output but not the output.
+func (r *Result) Transitions() int64 {
+	var n int64
+	for d := range r.Daily {
+		for _, c := range r.Daily[d] {
+			n += int64(c)
+		}
+	}
+	return n
+}
+
 // exposure is a pending infection computed during the transmission phase.
 type exposure struct {
 	pid      int32
@@ -134,6 +147,7 @@ func (r *Result) clone() *Result {
 func (s *Sim) runSpan(res *Result, stop int) {
 	nShards := len(s.shards)
 	phaseStart := s.phaseSecs
+	s.work = kernelWork{}
 	if s.memTrace == nil {
 		s.memTrace = make([]int64, 0, s.cfg.Days)
 	}
@@ -254,9 +268,9 @@ func (s *Sim) runSpan(res *Result, stop int) {
 // prepareTick refreshes the serial per-tick inputs of the parallel phases:
 // the transmissibility-change flag (whose O(n) effInf rebuild the upkeep
 // phase splits across shards) and the propensity rejection bound.
-// propBound · σ(v) · TWSum(v) bounds v's total propensity (every factor is
-// bounded termwise), letting the kernel reject nodes whose uniform draw
-// cannot produce an infection without visiting a single edge.
+// σ(v) · propBound · infContactTW(v) bounds v's total propensity (every
+// factor is bounded termwise), letting the kernel reject nodes whose uniform
+// draw cannot produce an infection without visiting a single edge.
 func (s *Sim) prepareTick() {
 	if s.model.Transmissibility != s.lastOmega {
 		s.lastOmega = s.model.Transmissibility
@@ -273,9 +287,9 @@ func (s *Sim) prepareTick() {
 
 // publishMetrics pushes the simulator's observability series into the
 // configured registry, once per run segment (never from the hot loop): the
-// shard-count gauge and the segment's per-phase wall-clock (the delta over
-// the accumulated totals at segment start, so segmented runs observe each
-// span once).
+// shard-count gauge, the segment's per-phase wall-clock (the delta over the
+// accumulated totals at segment start, so segmented runs observe each span
+// once) and the segment's work counts.
 func (s *Sim) publishMetrics(phaseStart [numPhases]float64) {
 	reg := s.cfg.Metrics
 	if reg == nil {
@@ -287,6 +301,19 @@ func (s *Sim) publishMetrics(phaseStart [numPhases]float64) {
 		if d := s.phaseSecs[ph] - phaseStart[ph]; d > 0 {
 			reg.Histogram(`epi_span_seconds{span="epihiper.shard.`+name+`"}`, nil).Observe(d)
 		}
+	}
+	for _, c := range []struct {
+		name, help string
+		n          int64
+	}{
+		{"epi_kernel_at_risk_visits_total", "Frontier nodes (susceptible with an infectious neighbor) the transmit phase visited.", s.work.atRiskVisits},
+		{"epi_kernel_row_scans_total", "Frontier nodes whose contact row was scanned because the thinning bound did not decide.", s.work.rowScans},
+		{"epi_kernel_edge_visits_total", "Contacts read by the kernel: row-scan steps plus neighbor updates of the mutate phase.", s.work.edgeVisits},
+		{"epi_kernel_exposures_total", "Infections decided by the transmit phase.", s.work.exposures},
+		{"epi_kernel_cross_shard_updates_total", "Infectious-contact updates sent to a neighbor's owner on another shard.", s.work.crossShardUpdates},
+	} {
+		reg.Help(c.name, c.help)
+		reg.Counter(c.name).Add(c.n)
 	}
 }
 
@@ -325,24 +352,25 @@ func (s *Sim) runScheduled(day int) {
 // each contributing contact's propensity is pushed to the caller's
 // scratch buffer so infector selection replays the buffer instead of
 // rescanning the edges. The phase performs no heap allocation once the
-// buffers have reached steady-state capacity.
+// buffers have reached steady-state capacity. Its work counts go to the
+// partition's shard in one write at the end.
 func (s *Sim) transmissionPhase(p synthpop.Partition, day int, buf []exposure, scratch []propEntry) ([]exposure, []propEntry) {
 	offsets := s.csr.Offsets
 	csrNbr, csrCtx, csrTW := s.csr.Nbr, s.csr.Ctx, s.csr.TW
-	twSum, twMax := s.csr.TWSum, s.csr.TWMax
 	infBits := s.effInfBits
 	attrs := &s.model.Attrs
 	propBound := s.propBound
-	// Iterate the at-risk bitset word by word instead of testing every
-	// node's neighbor counter: a whole zero word — 64 risk-free nodes, the
-	// usual case outside the epidemic frontier — costs one load, and set
-	// bits enumerate in ascending node order so the exposure buffer keeps
-	// the canonical order the serial kernel produced.
-	risk := s.riskBits
+	var work kernelWork
+	// Iterate the frontier — at risk AND susceptible — word by word instead
+	// of testing every node: a whole zero word, 64 nodes nobody can infect
+	// today, costs two loads, and set bits enumerate in ascending node
+	// order so the exposure buffer keeps the canonical order the serial
+	// kernel produced.
+	risk, susc := s.riskBits, s.susBits
 	loWord := int(uint32(p.FirstNode) >> 6)
 	hiWord := int(uint32(p.LastNode) >> 6)
 	for wi := loWord; wi <= hiWord; wi++ {
-		w := risk[wi]
+		w := risk[wi] & susc[wi]
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &= w - 1
@@ -353,37 +381,28 @@ func (s *Sim) transmissionPhase(p synthpop.Partition, day int, buf []exposure, s
 			if pid > p.LastNode {
 				break // partial last word; only reachable when wi == hiWord
 			}
-			need := s.infNbrCount[pid]
-			st := s.health[pid]
-			sus := attrs[st].Susceptibility
-			if sus <= 0 {
-				continue
-			}
+			work.atRiskVisits++
 			maskV := s.effMaskT[pid]
 			if maskV == 0 {
 				continue
 			}
-			sigma := float64(s.susceptibilityScale[pid]) * sus
+			sigma := float64(s.susceptibilityScale[pid]) * attrs[s.health[pid]].Susceptibility
 			if sigma <= 0 {
 				continue
 			}
-			// Thinning: σ·propBound·min(ΣT·w, need·maxT·w) bounds the node's
-			// total propensity (at most `need` contacts contribute, each at
-			// most the row maximum), so a draw above the corresponding
-			// infection probability decides "no infection" without visiting a
-			// single edge. The per-(node, tick) RNG stream is consumed
-			// identically on both paths.
-			bound := twSum[pid]
-			if b := float64(need) * twMax[pid]; b < bound {
-				bound = b
-			}
+			// Thinning: σ·propBound·(ΣT·w over the infectious contacts)
+			// bounds the node's total propensity, so a draw above the
+			// corresponding infection probability decides "no infection"
+			// without visiting a single edge. The per-(node, tick) RNG
+			// stream is consumed identically on both paths, so the bound
+			// changes which rows are scanned, never a decision.
 			seed := s.nodeSeed(pid, day, phaseTransmission)
 			u := stats.FirstFloat64(seed)
-			if notInfectedBound(u, sigma*propBound*bound) {
+			if notInfectedBound(u, sigma*propBound*s.infContactTW(pid)) {
 				continue
 			}
-			r := stats.Seeded(seed)
-			r.Uint64() // the draw u above is this stream's first output
+			work.rowScans++
+			need := s.infNbrCount(pid)
 			off, end := offsets[pid], offsets[pid+1]
 			total := 0.0
 			scratch = scratch[:0]
@@ -391,6 +410,7 @@ func (s *Sim) transmissionPhase(p synthpop.Partition, day int, buf []exposure, s
 			ctxs := csrCtx[off:end]
 			tws := csrTW[off:end]
 			found := int32(0)
+			visited := len(nbrs)
 			for i, nb := range nbrs {
 				// The bitset check is the common exit (most neighbors are
 				// not infectious) and stays in L1 at any network scale; the
@@ -411,17 +431,19 @@ func (s *Sim) transmissionPhase(p synthpop.Partition, day int, buf []exposure, s
 				// most `need` of those in the row: once all are seen, no
 				// later edge can contribute.
 				if found == need {
+					visited = i + 1
 					break
 				}
 			}
-			if total <= 0 {
-				continue
-			}
-			if !infected(u, total) {
+			work.edgeVisits += int64(visited)
+			if total <= 0 || !infected(u, total) {
 				continue
 			}
 			// Pick the causing contact proportionally to propensity by
-			// replaying the recorded propensities.
+			// replaying the recorded propensities. The draw is the second
+			// output of the node's stream (u above was the first).
+			r := stats.Seeded(seed)
+			r.Uint64()
 			target := r.Float64() * total
 			acc := 0.0
 			infector := NoInfector
@@ -433,8 +455,10 @@ func (s *Sim) transmissionPhase(p synthpop.Partition, day int, buf []exposure, s
 				}
 			}
 			buf = append(buf, exposure{pid: pid, infector: infector})
+			work.exposures++
 		}
 	}
+	s.ownerOf(p.FirstNode).work.add(work)
 	return buf, scratch
 }
 
@@ -486,6 +510,10 @@ func infected(u, x float64) bool {
 // bound and the kernel's actual sum. False is always safe — the caller
 // then computes the exact total and decides with infected().
 func notInfectedBound(u, xmax float64) bool {
+	// 1 − e^{−x} ≤ x: most draws are decided here, before the table.
+	if u >= xmax+2e-4 {
+		return true
+	}
 	if xmax >= 37.0 {
 		return false
 	}

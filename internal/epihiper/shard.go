@@ -1,6 +1,7 @@
 package epihiper
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/disease"
@@ -16,8 +17,8 @@ import (
 // Ownership. The network's nodes are split into contiguous, 64-aligned
 // ranges by the edge-balanced partitioner; shard i privately owns range
 // [first_i, last_i] of every per-person slab (health, nextState,
-// switchTick, scales, effInf, effMaskT, the effInfBits/riskBits bitset
-// words, infNbrCount) plus its own progression buckets. During the
+// switchTick, scales, effInf, effMaskT, the effInfBits/riskBits/susBits
+// bitset words, infNbr) plus its own progression calendar. During the
 // parallel phases of a tick, a shard writes ONLY owned state; everything it
 // reads about other shards' nodes (their effInf, effMaskT, effInfBits) is
 // frozen for the duration of the phase by the barrier protocol below. The
@@ -36,11 +37,11 @@ import (
 //	-------- barrier 1 of the tick: reads done, writes may begin --------
 //	mutate : per-shard progression drain + exposure application — writes
 //	         owned state; infectiousness changes touching a REMOTE
-//	         neighbor's counter become typed nbrUpdate messages sent over
-//	         the owner's channel
+//	         neighbor's infectious-contact word become typed nbrUpdate
+//	         messages sent over the owner's channel
 //	-------- barrier 2 of the tick: all messages sent -------------------
-//	exchange: per-shard inbox drain — each shard applies the neighbor-
-//	         count deltas addressed to it, in sender order
+//	exchange: per-shard inbox drain — each shard applies the contact
+//	         gains and losses addressed to it, in sender order
 //	serial : canonical merge (events, counters), recorder, interventions,
 //	         daily accounting
 //
@@ -50,8 +51,9 @@ import (
 // applies exposures in ascending node order, and the serial merge
 // concatenates per-shard buffers in shard order — reproducing exactly the
 // global ascending-node order of the single-threaded kernel; (c) inbox
-// batches are applied in sender order (and integer neighbor-count addition
-// commutes regardless); (d) counter deltas fold in shard order.
+// batches are applied in sender order (and the infectious-contact words
+// are integers — count and fixed-point weight sum — so their additions
+// commute regardless); (d) counter deltas fold in shard order.
 const shardAlign = 64
 
 // Parallel phase identifiers, in per-tick execution order.
@@ -67,13 +69,14 @@ const (
 // epi_span_seconds{span="epihiper.shard.<name>"}.
 var phaseNames = [numPhases]string{"upkeep", "transmit", "mutate", "exchange"}
 
-// nbrUpdate is the typed cross-shard message: "node pid (yours) gained or
-// lost one infectious neighbor (mine)". It is the only state any shard
-// ever communicates to another — everything else a shard learns about
+// nbrUpdate is the typed cross-shard message: "node pid (yours) gained
+// (q > 0) or lost (q < 0) an infectious neighbor (mine) over a contact of
+// fixed-point weight |q| = synthpop.QuantTW(T·w)". It is the only state any
+// shard ever communicates to another — everything else a shard learns about
 // remote nodes it reads from the phase-frozen tables.
 type nbrUpdate struct {
-	pid   int32
-	delta int32
+	pid int32
+	q   int32
 }
 
 // shardBatch carries one tick's updates from one sender shard. Batches are
@@ -93,11 +96,17 @@ type shard struct {
 	first, last int32 // inclusive owned node range; first is 64-aligned
 	part        synthpop.Partition
 
-	// progBuckets[d] lists owned persons whose pending progression was
-	// scheduled to fire on day d (see the field of the same name the
-	// pre-shard Sim had; switchTick remains the source of truth and stale
-	// entries are filtered at drain time).
-	progBuckets [][]int32
+	// calendar[d] is the set of owned persons whose pending progression was
+	// scheduled to fire on day d, as a bitset over the shard's own words
+	// (bit i of word w is node first+64w+i): enumerating set bits IS
+	// ascending node order and a person cannot be entered twice, so the
+	// drain neither sorts nor dedups. switchTick remains the source of
+	// truth — a person rescheduled since leaves a stale bit, filtered at
+	// drain time. A day's bitset is taken from freeDays (or allocated) on
+	// the day's first entry and returned, zeroed, when drained, so live
+	// memory follows the longest outstanding dwell, not the horizon.
+	calendar [][]uint64
+	freeDays [][]uint64
 
 	// exposures is the transmit phase's output, mutate's input.
 	exposures []exposure
@@ -118,11 +127,33 @@ type shard struct {
 	batches []shardBatch
 	sent    int
 
-	// Counter deltas of the mutate phase, folded into the Sim's global
-	// counters (in shard order) at the merge.
+	// Counter deltas of the mutate phase and the work counts of the tick's
+	// phases, folded into the Sim's totals (in shard order) at the merge.
 	curDelta   [disease.NumStates]int
 	cumDelta   [disease.NumStates]int64
 	infections int64
+	work       kernelWork
+}
+
+// kernelWork counts what the kernel did, as opposed to how long it took: the
+// series that say whether a tick's cost followed the live frontier. Phases
+// accumulate into locals or their shard's copy; mergeTick folds the shards
+// into the Sim's count for the run segment, which publishMetrics exports.
+// Every count but crossShardUpdates is independent of the shard count.
+type kernelWork struct {
+	atRiskVisits      int64 // frontier nodes the transmit phase looked at
+	rowScans          int64 // of those, rows scanned (the thinning bound did not decide)
+	edgeVisits        int64 // contacts read: scan steps plus neighbor updates in mutate
+	exposures         int64 // infections the transmit phase decided
+	crossShardUpdates int64 // nbrUpdates sent to another shard
+}
+
+func (w *kernelWork) add(o kernelWork) {
+	w.atRiskVisits += o.atRiskVisits
+	w.rowScans += o.rowScans
+	w.edgeVisits += o.edgeVisits
+	w.exposures += o.exposures
+	w.crossShardUpdates += o.crossShardUpdates
 }
 
 // buildShards materializes one shard per (aligned) partition and the
@@ -138,7 +169,7 @@ func (s *Sim) buildShards() {
 		sh.id = i
 		sh.first, sh.last = p.FirstNode, p.LastNode
 		sh.part = p
-		sh.progBuckets = make([][]int32, s.cfg.Days)
+		sh.calendar = make([][]uint64, s.cfg.Days)
 		sh.outbox = make([][]nbrUpdate, ns)
 		sh.inbox = make(chan shardBatch, ns)
 		s.shardStarts[i] = p.FirstNode
@@ -159,6 +190,21 @@ func (s *Sim) ownerOf(v int32) *shard {
 
 // owns reports whether the shard owns node v.
 func (sh *shard) owns(v int32) bool { return v >= sh.first && v <= sh.last }
+
+// schedule enters owned person pid into the calendar of day fire.
+func (sh *shard) schedule(pid int32, fire int) {
+	set := sh.calendar[fire]
+	if set == nil {
+		if k := len(sh.freeDays); k > 0 {
+			set, sh.freeDays = sh.freeDays[k-1], sh.freeDays[:k-1]
+		} else {
+			set = make([]uint64, (sh.last-sh.first)>>6+1)
+		}
+		sh.calendar[fire] = set
+	}
+	off := uint32(pid - sh.first)
+	set[off>>6] |= 1 << (off & 63)
+}
 
 // runPhase executes one parallel phase for one shard. It is called either
 // inline (single shard) or from a worker goroutine; in both cases the
@@ -203,12 +249,12 @@ func (s *Sim) upkeepPhase(sh *shard, day int) {
 }
 
 // mutatePhase applies the tick's state changes to the shard's owned nodes:
-// first the progressions whose dwell expires today (ascending node order,
-// stale bucket entries arbitrated by switchTick), then the exposures the
-// transmit phase found (ascending node order; a node that progressed out
-// of susceptibility this tick can no longer be exposed). Infectiousness
-// changes update owned neighbors' counters directly and emit nbrUpdate
-// messages to the owners of remote neighbors.
+// first the progressions whose dwell expires today (the day's calendar
+// bitset, so ascending node order; stale entries arbitrated by switchTick),
+// then the exposures the transmit phase found (ascending node order; a node
+// that progressed out of susceptibility this tick can no longer be
+// exposed). Infectiousness changes update owned neighbors' words directly
+// and emit nbrUpdate messages to the owners of remote neighbors.
 func (s *Sim) mutatePhase(sh *shard, day int) {
 	sh.events = sh.events[:0]
 	sh.progCount = 0
@@ -216,21 +262,22 @@ func (s *Sim) mutatePhase(sh *shard, day int) {
 	for d := range sh.outbox {
 		sh.outbox[d] = sh.outbox[d][:0]
 	}
-	if day < len(sh.progBuckets) {
-		bucket := sh.progBuckets[day]
-		sh.progBuckets[day] = nil
-		slices.Sort(bucket)
-		prev := int32(-1)
-		for _, pid := range bucket {
-			if pid == prev {
+	if set := sh.calendar[day]; set != nil {
+		sh.calendar[day] = nil
+		for wi, w := range set {
+			if w == 0 {
 				continue
 			}
-			prev = pid
-			if s.switchTick[pid] != int32(day) {
-				continue
+			set[wi] = 0
+			base := sh.first + int32(wi<<6)
+			for ; w != 0; w &= w - 1 {
+				pid := base + int32(bits.TrailingZeros64(w))
+				if s.switchTick[pid] == int32(day) {
+					s.applyTransition(sh, pid, s.health[pid], s.nextState[pid], NoInfector, day)
+				}
 			}
-			s.applyTransition(sh, pid, s.health[pid], s.nextState[pid], NoInfector, day)
 		}
+		sh.freeDays = append(sh.freeDays, set)
 	}
 	sh.progCount = len(sh.events)
 	for _, e := range sh.exposures {
@@ -243,12 +290,13 @@ func (s *Sim) mutatePhase(sh *shard, day int) {
 		if d != sh.id && len(sh.outbox[d]) > 0 {
 			s.shards[d].inbox <- shardBatch{from: sh.id, updates: sh.outbox[d]}
 			sh.sent++
+			sh.work.crossShardUpdates += int64(len(sh.outbox[d]))
 		}
 	}
 }
 
-// exchangePhase drains the shard's inbox and applies the neighbor-count
-// deltas addressed to it. All sends completed before the phase's barrier,
+// exchangePhase drains the shard's inbox and applies the infectious-contact
+// gains and losses addressed to it. All sends completed before the phase's barrier,
 // so a non-blocking drain sees every batch; batches are applied in sender
 // order for a deterministic (if already commutative) update sequence. The
 // received slices are owned by their senders and stay valid until the
@@ -261,13 +309,13 @@ func (s *Sim) exchangePhase(sh *shard) {
 	slices.SortFunc(sh.batches, func(a, b shardBatch) int { return a.from - b.from })
 	for _, b := range sh.batches {
 		for _, u := range b.updates {
-			s.bumpInfNbr(u.pid, u.delta)
+			s.bumpInfNbr(u.pid, u.q)
 		}
 	}
 }
 
 // mergeTick folds the shards' phase outputs into the global state, in
-// shard order: counter deltas, the infection total, and the buffered
+// shard order: counter deltas, the infection total, work counts, and the buffered
 // transition events — all progressions (ascending node order across
 // shards), then all exposures, exactly the order the single-threaded
 // kernel emits. The recorder sees the merged stream here, on the
@@ -285,6 +333,8 @@ func (s *Sim) mergeTick(res *Result, day int) {
 		}
 		res.TotalInfections += sh.infections
 		sh.infections = 0
+		s.work.add(sh.work)
+		sh.work = kernelWork{}
 	}
 	rec := s.cfg.Recorder
 	for si := range s.shards {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -215,6 +216,75 @@ func TestShardMetricsPublished(t *testing.T) {
 	if sim.PhaseSeconds("transmit") <= 0 {
 		t.Error("transmit phase accumulated no wall-clock")
 	}
+}
+
+// kernelCounterNames are the work series of publishMetrics, in kernelWork's
+// field order; the last one is the only count that depends on sharding.
+var kernelCounterNames = []string{
+	"epi_kernel_at_risk_visits_total", "epi_kernel_row_scans_total", "epi_kernel_edge_visits_total",
+	"epi_kernel_exposures_total", "epi_kernel_cross_shard_updates_total",
+}
+
+// TestKernelCountersPublished checks the kernel's work counters on the
+// registry: present and ordered as the funnel they describe (visits ≥ scans ≥
+// exposures ≥ infections), exactly repeatable per seed, independent of the
+// shard count except for the cross-shard volume, additive over run segments,
+// and invisible to the result — a run with a registry equals one without.
+func TestKernelCountersPublished(t *testing.T) {
+	net := goldenNetwork(t)
+	run := func(shards, pivot int, reg *obs.Registry) (*Result, []int64) {
+		cfg := Config{Model: disease.COVID19(), Network: net, Days: 50, Parallelism: shards,
+			Seed: 77, Seeds: seedAll(net, 8), Metrics: reg}
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pre *Result
+		if pivot > 0 {
+			if pre, err = sim.RunPrefix(pivot); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := sim.RunSegment(pre, cfg.Days)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var counts []int64
+		if reg != nil {
+			for _, name := range kernelCounterNames {
+				counts = append(counts, reg.Counter(name).Value())
+			}
+		}
+		return res, counts
+	}
+	plain, _ := run(1, 0, nil)
+	res1, one := run(1, 0, obs.NewRegistry())
+	if !reflect.DeepEqual(plain, res1) {
+		t.Error("a run with a metrics registry differs from one without")
+	}
+	visits, scans, edges, exposures, cross := one[0], one[1], one[2], one[3], one[4]
+	if !(visits >= scans && scans >= exposures && exposures >= res1.TotalInfections && res1.TotalInfections > 500) {
+		t.Errorf("counters are not a funnel: visits %d, scans %d, exposures %d, infections %d",
+			visits, scans, exposures, res1.TotalInfections)
+	}
+	if edges < scans || cross != 0 {
+		t.Errorf("one shard: edge visits %d (scans %d), cross-shard updates %d", edges, scans, cross)
+	}
+	if _, again := run(1, 0, obs.NewRegistry()); !reflect.DeepEqual(one, again) {
+		t.Errorf("counts do not repeat for one seed: %v then %v", one, again)
+	}
+	if _, split := run(1, 23, obs.NewRegistry()); !reflect.DeepEqual(one, split) {
+		t.Errorf("two segments publish %v, one segment %v", split, one)
+	}
+	res4, four := run(4, 0, obs.NewRegistry())
+	if !reflect.DeepEqual(plain, res4) {
+		t.Error("the four-shard run differs from the one-shard run")
+	}
+	if !reflect.DeepEqual(one[:4], four[:4]) || four[4] == 0 {
+		t.Errorf("four shards count %v, one shard %v (only the last may differ, and must be positive)", four, one)
+	}
+	t.Logf("visits %d, scans %d, edge visits %d, exposures %d; scans per exposure %.2f; cross-shard updates at 4 shards %d",
+		visits, scans, edges, exposures, float64(scans)/float64(exposures), four[4])
 }
 
 // BenchmarkShardScaling drives the full kernel (transmission + mutation +

@@ -92,9 +92,9 @@ type Config struct {
 	// Recorder receives the transition stream; may be nil.
 	Recorder Recorder
 	// Metrics optionally receives the simulator's observability series:
-	// the epi_shards gauge and the per-phase wall-clock histograms
-	// epi_span_seconds{span="epihiper.shard.<phase>"}, published once per
-	// run segment. Nil disables publication (the kernel never touches the
+	// the epi_shards gauge, the per-phase wall-clock histograms
+	// epi_span_seconds{span="epihiper.shard.<phase>"} and the
+	// epi_kernel_*_total work counters, published once per run segment. Nil disables publication (the kernel never touches the
 	// registry from its hot loop either way).
 	Metrics *obs.Registry
 }
@@ -141,20 +141,22 @@ type Sim struct {
 	// shards are the processing units of the shard-owned engine (see
 	// shard.go): one per partition, each privately owning its contiguous
 	// 64-aligned node range of every per-person slab plus its own
-	// progression buckets. shardStarts[i] = shards[i].first; ownerWord
+	// progression calendar. shardStarts[i] = shards[i].first; ownerWord
 	// maps each 64-node bitset word to its owning shard (alignment makes
 	// ownership word-constant), backing the O(1) ownerOf on the
 	// per-neighbor path. curPhase is written by the coordinator
 	// between barriers and read by the workers (ordered by the jobs
 	// channel); omegaDirty/maskDirtyAll flag the pending O(n) table
 	// rebuilds the upkeep phase splits across shards; phaseSecs
-	// accumulates per-phase wall-clock for the obs registry.
+	// accumulates per-phase wall-clock, and work the current run segment's
+	// work counts, for the obs registry.
 	shards      []shard
 	shardStarts []int32
 	ownerWord   []uint16
 	curPhase    int
 	omegaDirty  bool
 	phaseSecs   [numPhases]float64
+	work        kernelWork
 
 	// ranTo is the number of completed days: RunPrefix/RunSuffix segment the
 	// run at day boundaries and resume from here; Run is the single segment
@@ -176,11 +178,18 @@ type Sim struct {
 	// Table V (nodeTrait[traitName]); allocated lazily per trait.
 	nodeTraits map[string][]float64
 
-	// infNbrCount[v] counts v's currently-infectious neighbors. It is
-	// maintained incrementally on every state transition (O(degree) per
-	// transition) so the daily transmission scan can skip the — usually
-	// vast — majority of nodes with no exposure risk.
-	infNbrCount []int32
+	// infNbr[v] packs node v's infectious-contact state into one word, so a
+	// neighbor's change of infectiousness costs v one read-modify-write:
+	// the low nbrCountBits bits count v's currently infectious neighbors,
+	// the bits above hold Σ synthpop.QuantTW(T·w) over the contacts with
+	// them — the fixed-point, never-too-small image of the ΣT·w the
+	// transmission scan would find. Both are maintained incrementally on
+	// every such transition (O(degree)), by v's owner shard only. The
+	// count gates the at-risk frontier and ends a row scan early; the sum
+	// is the thinning bound. It is built from the T·w of half-edge u→v and
+	// consumed against the T·w of v→u, so it rests on the network's
+	// mirrored-contact invariant (synthpop.Network.Validate).
+	infNbr []uint64
 
 	// Cached tables the transmission kernel reads (read-only while the
 	// workers run; all writers execute in the serial phases):
@@ -199,12 +208,17 @@ type Sim struct {
 	effMaskT     []uint8
 	effInfBits   []uint64
 	maskDirtyAll bool
-	// riskBits[v/64] has bit v%64 set iff infNbrCount[v] > 0. The
-	// transmission scan iterates set bits word-by-word instead of testing
-	// every node's counter, so a tick's cost tracks the at-risk frontier
-	// rather than the population. Maintained by bumpInfNbr alongside the
-	// counter; 64-aligned shard boundaries keep each word single-owner.
+	// riskBits[v/64] has bit v%64 set iff v has an infectious neighbor, and
+	// susBits[v/64] iff v's health state is susceptible. The transmission
+	// scan iterates the set bits of riskBits&susBits word by word, so a
+	// tick's cost tracks the live frontier — people who can be infected
+	// today — rather than the population or the set of everyone an epidemic
+	// has passed through. bumpInfNbr flips a risk bit when the count crosses
+	// 0↔1; updateEffInf maintains the susceptible bit after every health
+	// write (waning sets it again). 64-aligned shard boundaries keep each
+	// word single-owner.
 	riskBits []uint64
+	susBits  []uint64
 	// isolExpiry[d] lists the persons whose isolation window ends on day
 	// d, whose cached masks must be refreshed that morning.
 	isolExpiry [][]int32
@@ -212,8 +226,9 @@ type Sim struct {
 	// iotaMax is the largest per-state infectivity of the model and
 	// scaleHW a high-watermark of |infectivityScale| ever set; together
 	// with the per-tick max context weight they give propBound, which
-	// bounds any node's per-edge propensity factor so the kernel can
-	// reject most nodes against σ·propBound·ΣT·w (the CSR's TWSum)
+	// bounds any contact's propensity per unit of σ·T·w. A node's total
+	// propensity is then at most σ·propBound·(its infectious-contact sum in
+	// infNbr), and the kernel rejects most frontier nodes against that
 	// without visiting a single edge.
 	iotaMax   float64
 	scaleHW   float64
@@ -301,6 +316,10 @@ func newSim(cfg Config) (*Sim, error) {
 	if cfg.Days <= 0 {
 		return nil, fmt.Errorf("epihiper: non-positive horizon %d", cfg.Days)
 	}
+	csr := cfg.Network.CSR()
+	if err := csr.RangeErr(); err != nil {
+		return nil, fmt.Errorf("epihiper: network outside the kernel's counter range: %w", err)
+	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = 1
 	}
@@ -315,7 +334,7 @@ func newSim(cfg Config) (*Sim, error) {
 		cfg:                 cfg,
 		model:               cfg.Model,
 		net:                 cfg.Network,
-		csr:                 cfg.Network.CSR(),
+		csr:                 csr,
 		health:              make([]disease.State, n),
 		nextState:           make([]disease.State, n),
 		switchTick:          make([]int32, n),
@@ -328,6 +347,8 @@ func newSim(cfg Config) (*Sim, error) {
 		effMaskT:            make([]uint8, n),
 		effInfBits:          make([]uint64, (n+63)/64),
 		riskBits:            make([]uint64, (n+63)/64),
+		susBits:             make([]uint64, (n+63)/64),
+		infNbr:              make([]uint64, n),
 		isolExpiry:          make([][]int32, cfg.Days),
 		scaleHW:             1,
 		lastOmega:           cfg.Model.Transmissibility,
@@ -342,7 +363,6 @@ func newSim(cfg Config) (*Sim, error) {
 			s.iotaMax = v
 		}
 	}
-	s.infNbrCount = make([]int32, n)
 	for i := 0; i < n; i++ {
 		s.switchTick[i] = -1
 		s.infectivityScale[i] = 1
@@ -352,9 +372,9 @@ func newSim(cfg Config) (*Sim, error) {
 		s.updateEffInf(int32(i))
 	}
 	s.currentByState[disease.Susceptible] = n
-	// Shard boundaries are rounded to 64-node multiples so no
-	// effInfBits/riskBits word spans two owners — the mutate phase can
-	// then maintain the bitsets without atomics.
+	// Shard boundaries are rounded to 64-node multiples so no word of
+	// effInfBits, riskBits or susBits spans two owners — the mutate phase
+	// can then maintain the bitsets without atomics.
 	s.parts = cfg.Network.PartitionNodesAligned(cfg.Parallelism, cfg.PartitionTolerance, shardAlign)
 	s.buildShards()
 	// The network-proportional memory term never changes after
@@ -455,10 +475,10 @@ func (s *Sim) transitionTo(pid int32, from, to disease.State, infector int32, ti
 // every side effect lands directly in global state. With sh != nil the
 // caller is sh's mutate phase: pid is owned by sh, counter changes
 // accumulate in the shard's deltas, the event is buffered for the
-// canonical merge, and risk-counter updates for neighbors owned by OTHER
-// shards become outbox messages instead of direct writes. Both paths
+// canonical merge, and infectious-contact updates for neighbors owned by
+// OTHER shards become outbox messages instead of direct writes. Both paths
 // perform the identical RNG draw — determinism never depends on which one
-// ran.
+// ran. The mutate-phase path allocates nothing once its buffers are warm.
 func (s *Sim) applyTransition(sh *shard, pid int32, from, to disease.State, infector int32, tick int) {
 	s.health[pid] = to
 	if sh == nil {
@@ -471,28 +491,33 @@ func (s *Sim) applyTransition(sh *shard, pid int32, from, to disease.State, infe
 		sh.cumDelta[to]++
 	}
 	s.updateEffInf(pid)
-	// Maintain the infectious-neighbor counters.
+	// A change of infectiousness adds this node's contacts to, or removes
+	// them from, every neighbor's infectious-contact word. neg is 0 for a
+	// gain and -1 for a loss: (q^neg)-neg negates q without a branch.
 	wasInf := s.model.IsInfectious(from)
-	isInf := s.model.IsInfectious(to)
-	if wasInf != isInf {
-		var delta int32 = 1
+	if isInf := s.model.IsInfectious(to); wasInf != isInf {
+		var neg int32
 		if wasInf {
-			delta = -1
+			neg = -1
 		}
 		if sh == nil || len(s.shards) == 1 {
-			for _, v := range s.csr.Neighbors(pid) {
-				s.bumpInfNbr(v, delta)
-			}
+			s.bumpNeighbors(pid, neg)
 		} else {
+			off, end := s.csr.Offsets[pid], s.csr.Offsets[pid+1]
+			tws := s.csr.TW[off:end]
 			ownerWord := s.ownerWord
 			me := uint16(sh.id)
-			for _, v := range s.csr.Neighbors(pid) {
+			for i, v := range s.csr.Nbr[off:end] {
+				q := (int32(synthpop.QuantTW(tws[i])) ^ neg) - neg
 				if d := ownerWord[uint32(v)>>6]; d == me {
-					s.bumpInfNbr(v, delta)
+					s.bumpInfNbr(v, q)
 				} else {
-					sh.outbox[d] = append(sh.outbox[d], nbrUpdate{pid: v, delta: delta})
+					sh.outbox[d] = append(sh.outbox[d], nbrUpdate{pid: v, q: q})
 				}
 			}
+		}
+		if sh != nil {
+			sh.work.edgeVisits += int64(s.csr.Degree(pid))
 		}
 	}
 	ev := TransitionEvent{PID: pid, From: from, To: to, Infector: infector}
@@ -514,32 +539,66 @@ func (s *Sim) applyTransition(sh *shard, pid int32, from, to disease.State, infe
 	s.nextState[pid] = next
 	fire := tick + dwell
 	s.switchTick[pid] = int32(fire)
-	// Progressions scheduled past the horizon can never fire; buckets
-	// within the current day are intentionally left undrained (matching
-	// the reference kernel, whose next scan only matched the next tick).
-	// The bucket entry always goes to pid's OWNER — for serial-phase
-	// transitions that may not be the calling context's shard.
-	if fire < s.cfg.Days {
+	// A progression enters the calendar of pid's OWNER — for serial-phase
+	// transitions that may not be the calling context's shard — unless it
+	// can never fire: past the horizon, or before the current day (a
+	// serial-phase transition stamped with an earlier tick).
+	if fire < s.cfg.Days && fire >= s.day {
 		owner := sh
 		if owner == nil {
 			owner = s.ownerOf(pid)
 		}
-		owner.progBuckets[fire] = append(owner.progBuckets[fire], pid)
+		owner.schedule(pid, fire)
 	}
 }
 
-// bumpInfNbr adjusts one node's infectious-neighbor counter and its bit in
-// the at-risk bitset. During the mutate/exchange phases it is only ever
-// called by v's owner shard; 64-aligned shard boundaries make the word
-// write exclusive.
-func (s *Sim) bumpInfNbr(v, delta int32) {
-	c := s.infNbrCount[v] + delta
-	s.infNbrCount[v] = c
-	bit := uint64(1) << (uint32(v) & 63)
-	if c > 0 {
-		s.riskBits[uint32(v)>>6] |= bit
-	} else {
-		s.riskBits[uint32(v)>>6] &^= bit
+// Layout of a node's infectious-contact word: the neighbor count in the low
+// nbrCountBits bits, the fixed-point ΣT·w above. quantTWUnit is one
+// fixed-point step of T·w.
+const (
+	nbrCountBits = 24
+	nbrCountMask = 1<<nbrCountBits - 1
+	quantTWUnit  = 1.0 / (1 << synthpop.TWQuantBits)
+)
+
+// synthpop's limits are these field widths; each line fails to compile if
+// its limit outgrows the field: the count holds any degree, the sum any row
+// sum, and an nbrUpdate's int32 any single contact.
+const (
+	_ = uint64(nbrCountMask - synthpop.MaxDegree)
+	_ = uint64(synthpop.MaxRowQuantTW) << nbrCountBits
+	_ = uint64(math.MaxInt32 - synthpop.MaxQuantTW)
+)
+
+// infNbrCount returns the number of v's currently infectious neighbors.
+func (s *Sim) infNbrCount(v int32) int32 { return int32(s.infNbr[v] & nbrCountMask) }
+
+// infContactTW returns the upper bound on ΣT·w over v's contacts with
+// currently infectious neighbors: exact up to the rounding-up of QuantTW.
+func (s *Sim) infContactTW(v int32) float64 { return float64(s.infNbr[v]>>nbrCountBits) * quantTWUnit }
+
+// bumpNeighbors adds pid's contacts to every neighbor's infectious-contact
+// word (neg = 0) or removes them (neg = -1), writing the words directly: the
+// caller is a serial phase or the only shard.
+func (s *Sim) bumpNeighbors(pid, neg int32) {
+	off, end := s.csr.Offsets[pid], s.csr.Offsets[pid+1]
+	tws := s.csr.TW[off:end]
+	for i, v := range s.csr.Nbr[off:end] {
+		s.bumpInfNbr(v, (int32(synthpop.QuantTW(tws[i]))^neg)-neg)
+	}
+}
+
+// bumpInfNbr adds a contact of fixed-point weight q to node v's
+// infectious-contact word (q > 0: the far end turned infectious) or removes
+// it (q < 0), and flips v's at-risk bit when the count crosses 0↔1. During
+// the mutate/exchange phases it is only ever called by v's owner shard;
+// 64-aligned shard boundaries make the word write exclusive.
+func (s *Sim) bumpInfNbr(v, q int32) {
+	old := s.infNbr[v]
+	c := old + uint64(int64(q)<<nbrCountBits+int64(q>>31|1))
+	s.infNbr[v] = c
+	if (old&nbrCountMask == 0) != (c&nbrCountMask == 0) {
+		s.riskBits[uint32(v)>>6] ^= 1 << (uint32(v) & 63)
 	}
 }
 
@@ -562,18 +621,25 @@ func (s *Sim) nodeSeed(pid int32, tick int, phase uint64) uint64 {
 	return h
 }
 
-// updateEffInf refreshes one person's cached effective infectivity and
-// their bit in the infectious bitset. It must be called after every write
+// updateEffInf refreshes what the kernel caches about one person's health
+// state: the effective infectivity with its bit in the infectious bitset,
+// and the bit in the susceptible bitset. It must be called after every write
 // to the person's health state or infectivity scale, and only from the
-// serial phases (the parallel transmission phase reads the tables).
+// phases that may write (the parallel transmission phase reads the tables).
 func (s *Sim) updateEffInf(pid int32) {
-	inf := s.model.Attrs[s.health[pid]].Infectivity * float64(s.infectivityScale[pid]) * s.model.Transmissibility
+	attr := &s.model.Attrs[s.health[pid]]
+	inf := attr.Infectivity * float64(s.infectivityScale[pid]) * s.model.Transmissibility
 	s.effInf[pid] = inf
-	bit := uint64(1) << (uint(pid) & 63)
+	wi, bit := uint32(pid)>>6, uint64(1)<<(uint(pid)&63)
 	if inf != 0 {
-		s.effInfBits[uint32(pid)>>6] |= bit
+		s.effInfBits[wi] |= bit
 	} else {
-		s.effInfBits[uint32(pid)>>6] &^= bit
+		s.effInfBits[wi] &^= bit
+	}
+	if attr.Susceptibility > 0 {
+		s.susBits[wi] |= bit
+	} else {
+		s.susBits[wi] &^= bit
 	}
 }
 

@@ -28,11 +28,11 @@ import (
 //   - pending typed scheduled actions, and the named state of every
 //     intervention implementing InterventionState.
 //
-// Derived tables (effInf, effInfBits, effMaskT, infNbrCount, progBuckets,
-// isolExpiry, propBound) are rebuilt at restore: each is a pure function of
-// the serialized state, stale progression-bucket entries are filtered by
-// switchTick at drain time, and mask refreshes are idempotent — so the
-// rebuilt sim is behavior-identical to the original.
+// Derived tables (effInf, effInfBits, susBits, effMaskT, infNbr, riskBits,
+// the progression calendars, isolExpiry, propBound) are rebuilt at restore:
+// each is a pure function of the serialized state, stale calendar entries
+// are filtered by switchTick at drain time, and mask refreshes are
+// idempotent — so the rebuilt sim is behavior-identical to the original.
 const (
 	snapMagic   = "EPSNAP"
 	snapVersion = uint16(1)
@@ -468,12 +468,12 @@ func (s *Sim) applyInterventionState(name string, data []byte) {
 }
 
 // rebuildDerived recomputes every table that is a pure function of the
-// serialized state: effective-infectivity caches, context masks, infectious
-// neighbor counters, progression buckets and isolation-expiry lists.
+// serialized state: effective-infectivity caches and the susceptible bitset,
+// context masks, infectious-contact words with the at-risk bitset,
+// progression calendars and isolation-expiry lists.
 func (s *Sim) rebuildDerived() {
 	n := s.net.NumNodes()
-	clear(s.effInfBits)
-	clear(s.infNbrCount)
+	clear(s.infNbr)
 	clear(s.riskBits)
 	for i := 0; i < n; i++ {
 		s.updateEffInf(int32(i))
@@ -481,22 +481,19 @@ func (s *Sim) rebuildDerived() {
 	}
 	for pid := int32(0); int(pid) < n; pid++ {
 		if s.model.IsInfectious(s.health[pid]) {
-			for _, v := range s.csr.Neighbors(pid) {
-				s.bumpInfNbr(v, 1)
-			}
+			s.bumpNeighbors(pid, 0)
 		}
 	}
-	// Progression buckets live on their owner shards: the snapshot knows
+	// Progression calendars live on their owner shards: the snapshot knows
 	// nothing about shard counts (it serializes canonical node order), so
 	// restore redistributes switchTick into whatever sharding THIS sim
 	// runs — a snapshot taken at shard count A restores at any count B.
 	for si := range s.shards {
-		s.shards[si].progBuckets = make([][]int32, s.cfg.Days)
+		s.shards[si].calendar = make([][]uint64, s.cfg.Days)
 	}
 	for pid := int32(0); int(pid) < n; pid++ {
 		if fire := s.switchTick[pid]; fire >= int32(s.ranTo) && int(fire) < s.cfg.Days {
-			sh := s.ownerOf(pid)
-			sh.progBuckets[fire] = append(sh.progBuckets[fire], pid)
+			s.ownerOf(pid).schedule(pid, int(fire))
 		}
 	}
 	s.isolExpiry = make([][]int32, s.cfg.Days)

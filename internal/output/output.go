@@ -52,9 +52,12 @@ func (l *TransitionLog) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// RawBytes estimates the serialized size of the log, feeding the Table I
-// raw-output accounting (~24 bytes per line).
-func (l *TransitionLog) RawBytes() int64 { return int64(len(l.Entries)) * 24 }
+// RawBytesPerTransition is the estimated serialized size of one line of the
+// raw output, feeding the Table I raw-output accounting.
+const RawBytesPerTransition = 24
+
+// RawBytes estimates the serialized size of the log.
+func (l *TransitionLog) RawBytes() int64 { return int64(len(l.Entries)) * RawBytesPerTransition }
 
 // Dendogram is the forest of transmission trees rooted at initial
 // infections (Appendix A's disease outcome).
@@ -147,31 +150,31 @@ type CountKey struct {
 // simulation data" (days × health states × 3 counts) of Figures 3–5.
 type CountyAggregator struct {
 	days     int
-	countyOf []int32
 	counties []int32
+	// countyOf[pid] is the ordinal of the person's county in counties, and
+	// dense[ordinal·NumStates + state] that pair's series: Record indexes
+	// both without hashing. Both are nil on an aggregator read from a
+	// summary file, which only serves the read paths.
+	countyOf []int32
+	dense    [][]int32
 	// series[key][day] = new entries into key.State in key.CountyFIPS.
+	// Every reader goes through it; a series is registered here when it is
+	// first allocated.
 	series map[CountKey][]int32
 }
 
 // NewCountyAggregator builds an aggregator for the given network and
-// horizon.
+// horizon. The person→county numbering is the network's shared index, so
+// an aggregator costs no pass over the population.
 func NewCountyAggregator(net *synthpop.Network, days int) *CountyAggregator {
-	a := &CountyAggregator{
+	ix := net.Counties()
+	return &CountyAggregator{
 		days:     days,
-		countyOf: make([]int32, net.NumNodes()),
+		counties: ix.FIPS,
+		countyOf: ix.OfPerson,
+		dense:    make([][]int32, len(ix.FIPS)*int(disease.NumStates)),
 		series:   map[CountKey][]int32{},
 	}
-	seen := map[int32]bool{}
-	for i := range net.Persons {
-		f := net.Persons[i].CountyFIPS
-		a.countyOf[i] = f
-		if !seen[f] {
-			seen[f] = true
-			a.counties = append(a.counties, f)
-		}
-	}
-	sort.Slice(a.counties, func(i, j int) bool { return a.counties[i] < a.counties[j] })
-	return a
 }
 
 // Record implements epihiper.Recorder.
@@ -179,13 +182,13 @@ func (a *CountyAggregator) Record(tick int, pid int32, from, to disease.State, i
 	if tick < 0 || tick >= a.days {
 		return
 	}
-	key := CountKey{CountyFIPS: a.countyOf[pid], State: to}
-	s := a.series[key]
-	if s == nil {
-		s = make([]int32, a.days)
-		a.series[key] = s
+	county := a.countyOf[pid]
+	s := &a.dense[int(county)*int(disease.NumStates)+int(to)]
+	if *s == nil {
+		*s = make([]int32, a.days)
+		a.series[CountKey{CountyFIPS: a.counties[county], State: to}] = *s
 	}
-	s[tick]++
+	(*s)[tick]++
 }
 
 // Counties returns the county FIPS codes in ascending order.

@@ -2,6 +2,8 @@ package output
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -180,6 +182,42 @@ func TestCountyAggregatorConsistency(t *testing.T) {
 				t.Fatalf("state %v day %d: agg %d vs result %d", st, d, stateDaily[d], res.Daily[d][st])
 			}
 		}
+	}
+}
+
+// TestCountyAggregatorMatchesLogRecount recounts the aggregate from the raw
+// transition log of the same run, the plain way — a map keyed by the person's
+// county and the entered state — and requires the aggregator's series (dense
+// table, registered on first use) and its county list to be exactly that.
+func TestCountyAggregatorMatchesLogRecount(t *testing.T) {
+	net := testNet(t)
+	const days = 60
+	log, agg, _ := runLogged(t, net, days)
+	want := map[CountKey][]int32{}
+	for _, tr := range log.Entries {
+		key := CountKey{CountyFIPS: net.Persons[tr.PID].CountyFIPS, State: tr.To}
+		if want[key] == nil {
+			want[key] = make([]int32, days)
+		}
+		want[key][tr.Tick]++
+	}
+	if len(want) < 20 {
+		t.Fatalf("only %d series; the run is too quiet to test anything", len(want))
+	}
+	if !reflect.DeepEqual(agg.series, want) {
+		t.Errorf("aggregator holds %d series, the log recount %d, or their contents differ", len(agg.series), len(want))
+	}
+	seen := map[int32]bool{}
+	var counties []int32
+	for _, p := range net.Persons {
+		if !seen[p.CountyFIPS] {
+			seen[p.CountyFIPS] = true
+			counties = append(counties, p.CountyFIPS)
+		}
+	}
+	slices.Sort(counties)
+	if !slices.Equal(agg.Counties(), counties) {
+		t.Errorf("counties %v, want %v", agg.Counties(), counties)
 	}
 }
 

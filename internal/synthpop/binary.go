@@ -91,7 +91,7 @@ func WriteNetworkBinary(w io.Writer, net *Network) error {
 
 // ReadNetworkBinary reads a network written by WriteNetworkBinary. Both
 // the CSR-ordered version-2 format and the interleaved version-1 format
-// are accepted.
+// are accepted; a file whose network fails Validate is refused.
 func ReadNetworkBinary(r io.Reader) (*Network, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic, version, n uint32
@@ -132,9 +132,19 @@ func ReadNetworkBinary(r io.Reader) (*Network, error) {
 		}
 	}
 	if version == networkVersionV1 {
-		return net, readAdjV1(br, net, n)
+		err = readAdjV1(br, net, n)
+	} else {
+		err = readAdjV2(br, net, n)
 	}
-	return net, readAdjV2(br, net, n)
+	if err != nil {
+		return nil, err
+	}
+	// Half-edges arrive one by one, so nothing yet says the two directions
+	// of a contact agree — the invariant the simulator's counters rest on.
+	if err := net.Validate(); err != nil {
+		return nil, err
+	}
+	return net, nil
 }
 
 // readAdjV1 reads the interleaved degree/edge rows of the version-1

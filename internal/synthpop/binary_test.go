@@ -2,6 +2,9 @@ package synthpop
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -91,6 +94,93 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	bad2[4] = 99
 	if _, err := ReadNetworkBinary(bytes.NewReader(bad2)); err == nil {
 		t.Error("bad version accepted")
+	}
+}
+
+// TestReadNetworkBinaryRejectsAsymmetricWeight flips the weight of ONE
+// half-edge in a written file: the two directions of that contact no longer
+// agree, which would let the simulator's infectious-contact sum (built from
+// one direction) fall below the propensity the scan finds (read from the
+// other). The loader must refuse the file.
+func TestReadNetworkBinaryRejectsAsymmetricWeight(t *testing.T) {
+	va, _ := StateByCode("VA")
+	net, _ := Generate(va, smallConfig(81))
+	var buf bytes.Buffer
+	if err := WriteNetworkBinary(&buf, net); err != nil {
+		t.Fatal(err)
+	}
+	// The edge array is the file's tail: 16-byte records, weight last.
+	total := 0
+	for _, adj := range net.Adj {
+		total += len(adj)
+	}
+	data := buf.Bytes()
+	rec := data[len(data)-16*total+16*(total/2):]
+	for _, w := range []float32{0.25, float32(math.NaN()), -1, 1e30} {
+		binary.LittleEndian.PutUint32(rec[12:], math.Float32bits(w))
+		if _, err := ReadNetworkBinary(bytes.NewReader(data)); err == nil {
+			t.Errorf("half-edge weight rewritten to %g: file accepted", w)
+		}
+	}
+	binary.LittleEndian.PutUint32(rec[12:], math.Float32bits(1))
+	if _, err := ReadNetworkBinary(bytes.NewReader(data)); err != nil {
+		t.Fatalf("restored file refused: %v", err)
+	}
+	// An unknown context would index past the simulator's per-context tables.
+	rec[4] = uint8(NumContexts)
+	if _, err := ReadNetworkBinary(bytes.NewReader(data)); err == nil {
+		t.Error("unknown context accepted")
+	}
+}
+
+// TestReadNetworkCSVRejectsBadWeight: the CSV reader mirrors contacts by
+// construction, so what a line can still get wrong is the weight itself.
+func TestReadNetworkCSVRejectsBadWeight(t *testing.T) {
+	persons := make([]Person, 3)
+	for i := range persons {
+		persons[i].ID = int32(i)
+	}
+	const header = "source_pid,target_pid,source_activity,target_activity,start_min,duration_min,weight\n"
+	for _, w := range []string{"NaN", "-0.5", "+Inf", "1e9"} {
+		if _, err := ReadNetworkCSV(strings.NewReader(header+"0,1,home,work,60,30,"+w+"\n"), persons, "XX"); err == nil {
+			t.Errorf("weight %s accepted", w)
+		}
+	}
+	net, err := ReadNetworkCSV(strings.NewReader(header+"0,1,home,work,60,30,0.5\n1,2,other,other,0,1440,2\n"), persons, "XX")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.NumEdges() != 2 {
+		t.Fatalf("read %d edges, want 2", net.NumEdges())
+	}
+}
+
+// TestValidateFixedPointLimits states the limits of the simulator's
+// fixed-point contact sums: a single contact's T·w below 2048, a node's
+// contacts summing below 2²⁰.
+func TestValidateFixedPointLimits(t *testing.T) {
+	pair := func(dur uint16, w float32, copies int) *Network {
+		net := &Network{Persons: make([]Person, 2), Adj: make([][]HalfEdge, 2)}
+		for i := 0; i < copies; i++ {
+			net.addEdge(0, 1, CtxHome, CtxHome, 0, dur, w)
+		}
+		return net
+	}
+	if err := pair(1440, 2047, 1).Validate(); err != nil {
+		t.Errorf("T·w 2047 refused: %v", err)
+	}
+	if err := pair(1440, 2048, 1).Validate(); err == nil {
+		t.Error("T·w 2048 accepted")
+	}
+	if err := pair(1440, 2000, 524).Validate(); err != nil {
+		t.Errorf("row sum 1 048 000 refused: %v", err)
+	}
+	big := pair(1440, 2000, 525)
+	if err := big.Validate(); err == nil {
+		t.Error("row sum 1 050 000 accepted")
+	}
+	if err := big.CSR().RangeErr(); err == nil {
+		t.Error("CSR reports no range error for a row Validate refuses")
 	}
 }
 

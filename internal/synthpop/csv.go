@@ -105,7 +105,8 @@ func WriteNetworkCSV(w io.Writer, net *Network) error {
 }
 
 // ReadNetworkCSV parses a network written by WriteNetworkCSV into the given
-// set of persons, rebuilding the dual half-edge representation.
+// set of persons, rebuilding the dual half-edge representation. A file whose
+// network fails Validate is refused.
 func ReadNetworkCSV(r io.Reader, persons []Person, region string) (*Network, error) {
 	net := &Network{Region: region, Persons: persons, Adj: make([][]HalfEdge, len(persons))}
 	sc := bufio.NewScanner(r)
@@ -138,6 +139,11 @@ func ReadNetworkCSV(r io.Reader, persons []Person, region string) (*Network, err
 		net.addEdge(int32(u), int32(v), cs, cd, uint16(start), uint16(dur), float32(wt))
 	}
 	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	// addEdge mirrors every contact; Validate adds the weight checks (NaN,
+	// negative, out of range) and refuses self-loops.
+	if err := net.Validate(); err != nil {
 		return nil, err
 	}
 	return net, nil

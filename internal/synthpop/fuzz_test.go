@@ -40,6 +40,9 @@ func FuzzReadNetworkBinary(f *testing.F) {
 				}
 			}
 		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("accepted network fails Validate: %v", err)
+		}
 	})
 }
 

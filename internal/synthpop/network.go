@@ -2,6 +2,7 @@ package synthpop
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -72,6 +73,42 @@ type Network struct {
 
 	byCountyOnce sync.Once
 	byCounty     map[int32][]int32
+
+	countiesOnce sync.Once
+	counties     *CountyIndex
+}
+
+// CountyIndex numbers a network's counties densely: a county's ordinal is its
+// position in FIPS. Per-simulation consumers (the county aggregator, the
+// seeding-county choice) index flat tables by ordinal where they used to
+// walk every person through a map.
+type CountyIndex struct {
+	FIPS     []int32 // county codes, ascending
+	Size     []int32 // persons per county, by ordinal
+	OfPerson []int32 // ordinal of each person's county
+}
+
+// Counties returns the network's county index, built once and shared — do
+// not mutate.
+func (n *Network) Counties() *CountyIndex {
+	n.countiesOnce.Do(func() {
+		byCounty := n.PersonsByCounty()
+		ix := &CountyIndex{OfPerson: make([]int32, len(n.Persons))}
+		for fips := range byCounty {
+			ix.FIPS = append(ix.FIPS, fips)
+		}
+		slices.Sort(ix.FIPS)
+		ordinal := make(map[int32]int32, len(ix.FIPS))
+		for ord, fips := range ix.FIPS {
+			ordinal[fips] = int32(ord)
+			ix.Size = append(ix.Size, int32(len(byCounty[fips])))
+		}
+		for i := range n.Persons {
+			ix.OfPerson[i] = ordinal[n.Persons[i].CountyFIPS]
+		}
+		n.counties = ix
+	})
+	return n.counties
 }
 
 // PersonsByCounty returns the person IDs of every county, each list in
@@ -113,13 +150,64 @@ type CSR struct {
 	Nbr []int32
 	Ctx []uint8
 	TW  []float64
-	// TWSum[i] and TWMax[i] are the sum and maximum of TW over node i's
-	// row — upper-bound ingredients the simulator uses to reject nodes
-	// without scanning their edges (TWMax sharpens the bound when only a
-	// few of the node's contacts are infectious).
-	TWSum []float64
-	TWMax []float64
+
+	// rangeErr is set when some row leaves the range QuantTW sums can hold.
+	rangeErr error
 }
+
+// The simulator bounds a susceptible node's total propensity by the sum of
+// T·w over its currently infectious contacts. It keeps that sum in integer
+// fixed point, so that additions and removals commute across shards and
+// never drift: a contact contributes QuantTW(T·w) = ⌊T·w·2²⁰⌋+1, rounded up
+// so the integer sum never falls below the real one. Beside each sum sits a
+// contact count; together they fill one 64-bit word per node, which sets the
+// limits below. They are far beyond any real contact network (a T·w of 1 is
+// a full day at unit weight) and exist so that a corrupt or adversarial file
+// is refused instead of silently wrapping a counter.
+const (
+	// TWQuantBits is the number of fractional bits of QuantTW.
+	TWQuantBits = 20
+	// MaxQuantTW bounds one contact's QuantTW: T·w < 2048.
+	MaxQuantTW = 1<<31 - 1
+	// MaxRowQuantTW bounds the sum of QuantTW over one node's contacts:
+	// ΣT·w < 2²⁰.
+	MaxRowQuantTW = 1<<40 - 1
+	// MaxDegree bounds a node's number of contacts.
+	MaxDegree = 1<<24 - 1
+)
+
+// QuantTW returns the fixed-point image of a contact's T·w. The argument
+// must be finite, non-negative and below 2048 (checkRow).
+func QuantTW(tw float64) int64 { return int64(tw*(1<<TWQuantBits)) + 1 }
+
+// contactTW is T·w_e of eq. (1): the contact duration as a fraction of a
+// day times the contact weight.
+func contactTW(e *HalfEdge) float64 { return float64(e.DurationMin) / 1440.0 * float64(e.Weight) }
+
+// checkRow verifies that node i's contacts have a finite, non-negative T·w
+// and fit the fixed-point limits above.
+func checkRow(i int, adj []HalfEdge) error {
+	if len(adj) > MaxDegree {
+		return fmt.Errorf("synthpop: node %d has %d contacts, limit %d", i, len(adj), MaxDegree)
+	}
+	sum := int64(0)
+	for j := range adj {
+		tw := contactTW(&adj[j])
+		// The negated comparison also refuses NaN.
+		if !(tw >= 0 && tw*(1<<TWQuantBits) < MaxQuantTW) {
+			return fmt.Errorf("synthpop: contact %d→%d has T·w %g outside [0, %d)", i, adj[j].Neighbor, tw, (MaxQuantTW+1)>>TWQuantBits)
+		}
+		sum += QuantTW(tw)
+	}
+	if sum > MaxRowQuantTW {
+		return fmt.Errorf("synthpop: node %d's contacts sum to T·w %g, limit %d", i, float64(sum)/(1<<TWQuantBits), (MaxRowQuantTW+1)>>TWQuantBits)
+	}
+	return nil
+}
+
+// RangeErr reports whether every row fits the fixed-point limits of QuantTW
+// (nil when it does). The check runs once, when the view is built.
+func (c *CSR) RangeErr() error { return c.rangeErr }
 
 // CtxBits packs a (source, destination) context pair the way CSR.Ctx
 // stores it.
@@ -148,24 +236,18 @@ func (n *Network) CSR() *CSR {
 			Nbr:     make([]int32, 0, total),
 			Ctx:     make([]uint8, 0, total),
 			TW:      make([]float64, 0, total),
-			TWSum:   make([]float64, len(n.Adj)),
-			TWMax:   make([]float64, len(n.Adj)),
 		}
 		for i, adj := range n.Adj {
-			sum, max := 0.0, 0.0
-			for _, e := range adj {
-				tw := float64(e.DurationMin) / 1440.0 * float64(e.Weight)
+			for j := range adj {
+				e := &adj[j]
 				c.Nbr = append(c.Nbr, e.Neighbor)
 				c.Ctx = append(c.Ctx, CtxBits(e.SrcContext, e.DstContext))
-				c.TW = append(c.TW, tw)
-				sum += tw
-				if tw > max {
-					max = tw
-				}
+				c.TW = append(c.TW, contactTW(e))
 			}
 			c.Offsets[i+1] = int64(len(c.Nbr))
-			c.TWSum[i] = sum
-			c.TWMax[i] = max
+			if c.rangeErr == nil {
+				c.rangeErr = checkRow(i, adj)
+			}
 		}
 		n.csr = c
 	})
@@ -204,19 +286,21 @@ func (n *Network) addEdge(u, v int32, cu, cv Context, start, dur uint16, w float
 	n.Adj[v] = append(n.Adj[v], HalfEdge{Neighbor: u, SrcContext: cv, DstContext: cu, StartMin: start, DurationMin: dur, Weight: w})
 }
 
-// Validate checks network invariants: symmetric adjacency, no self-loops,
-// neighbor IDs in range, household membership consistent.
+// Validate checks network invariants: no self-loops, neighbor IDs and
+// contexts in range, every contact's T·w finite, non-negative and inside the
+// fixed-point limits of QuantTW, and every undirected contact present as two
+// half-edges that mirror each other — same start, duration and weight,
+// contexts swapped. The simulator relies on the mirror twice: a node's
+// infectious-contact count is maintained from its neighbors' rows, and its
+// thinning bound sums the T·w of half-edge u→v while the scan it stands in
+// for reads the T·w of v→u. addEdge guarantees all of this for generated
+// networks; the file loaders call Validate because they take half-edges one
+// at a time.
 func (n *Network) Validate() error {
 	nn := len(n.Persons)
 	if len(n.Adj) != nn {
 		return fmt.Errorf("synthpop: %d persons but %d adjacency rows", nn, len(n.Adj))
 	}
-	type key struct {
-		a, b int32
-		ca   Context
-	}
-	// Count half-edges per (src, dst) and verify the mirror exists.
-	seen := make(map[key]int, 64)
 	for i, adj := range n.Adj {
 		for _, e := range adj {
 			if e.Neighbor == int32(i) {
@@ -225,22 +309,39 @@ func (n *Network) Validate() error {
 			if e.Neighbor < 0 || int(e.Neighbor) >= nn {
 				return fmt.Errorf("synthpop: neighbor %d out of range at node %d", e.Neighbor, i)
 			}
-			seen[key{int32(i), e.Neighbor, e.SrcContext}]++
+			if e.SrcContext >= NumContexts || e.DstContext >= NumContexts {
+				return fmt.Errorf("synthpop: contact %d→%d has an unknown context (%d, %d)", i, e.Neighbor, e.SrcContext, e.DstContext)
+			}
+		}
+		if err := checkRow(i, adj); err != nil {
+			return err
 		}
 	}
-	for k, c := range seen {
-		mirror := seen[key{k.b, k.a, 0}] + seen[key{k.b, k.a, 1}] + seen[key{k.b, k.a, 2}] +
-			seen[key{k.b, k.a, 3}] + seen[key{k.b, k.a, 4}] + seen[key{k.b, k.a, 5}] + seen[key{k.b, k.a, 6}]
-		forward := 0
-		for c := Context(0); c < NumContexts; c++ {
-			forward += seen[key{k.a, k.b, c}]
+	// A contact may repeat (two people can meet twice a day), so compare
+	// multiplicities: e must occur in i's row as often as its mirror does in
+	// the neighbor's. Rows are short, so the quadratic count needs no index.
+	for i, adj := range n.Adj {
+		for _, e := range adj {
+			mirror := e
+			mirror.Neighbor = int32(i)
+			mirror.SrcContext, mirror.DstContext = e.DstContext, e.SrcContext
+			if fwd, back := countHalfEdge(adj, e), countHalfEdge(n.Adj[e.Neighbor], mirror); fwd != back {
+				return fmt.Errorf("synthpop: asymmetric contact between %d and %d: %+v occurs %d times, its mirror %d times",
+					i, e.Neighbor, e, fwd, back)
+			}
 		}
-		if mirror != forward {
-			return fmt.Errorf("synthpop: asymmetric adjacency between %d and %d (%d vs %d)", k.a, k.b, forward, mirror)
-		}
-		_ = c
 	}
 	return nil
+}
+
+func countHalfEdge(adj []HalfEdge, e HalfEdge) int {
+	c := 0
+	for _, f := range adj {
+		if f == e {
+			c++
+		}
+	}
+	return c
 }
 
 // Partition is a contiguous block of nodes assigned to one processing unit.
