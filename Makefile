@@ -17,6 +17,7 @@ tier1:
 	$(GO) test -race ./internal/fidelity
 	$(GO) test -race ./internal/scenario ./internal/replica
 	$(GO) test -race -run 'Reference|Snapshot|WhatIf|Shard|Determinism' ./internal/epihiper ./internal/core
+	$(GO) test -race -run 'Builder|Golden' ./internal/synthpop
 
 race:
 	$(GO) test -race ./...
@@ -76,8 +77,8 @@ loadtest:
 	$(GO) test -race -run 'TestLoadProof|TestTwoClientClosedLoopNeverRefused|TestChaosKillReplicaMidRun' -v -count=1 ./internal/replica
 
 # Short exploratory fuzz pass over the scheduler, executor, snapshot-codec,
-# kernel-vs-reference, fidelity-router and scenario-spec targets (the seed
-# corpus always runs as part of tier1).
+# kernel-vs-reference, fidelity-router, scenario-spec and network/partition
+# file-loader targets (the seed corpus always runs as part of tier1).
 fuzz:
 	$(GO) test ./internal/sched -fuzz FuzzRelaxedColoring -fuzztime 10s
 	$(GO) test ./internal/sched -fuzz FuzzScheduleRoundTrip -fuzztime 10s
@@ -86,6 +87,9 @@ fuzz:
 	$(GO) test ./internal/epihiper -fuzz FuzzKernelMatchesReference -fuzztime 10s
 	$(GO) test ./internal/fidelity -fuzz FuzzFidelityRoute -fuzztime 10s
 	$(GO) test ./internal/scenario -fuzz FuzzSpecNormalize -fuzztime 10s
+	$(GO) test ./internal/synthpop -fuzz FuzzReadNetworkBinary -fuzztime 10s
+	$(GO) test ./internal/synthpop -fuzz FuzzReadNetworkCSV -fuzztime 10s
+	$(GO) test ./internal/synthpop -fuzz FuzzReadPartitions -fuzztime 10s
 
 # The benchmark is its own module (bench/go.mod), so its unit tests do not
 # ride the root `go test ./...`.

@@ -116,8 +116,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  %d persons, %d contact edges (mean degree %.1f)\n",
-		net.NumNodes(), net.NumEdges(), net.MeanDegree())
+	fmt.Printf("  %d persons, %d contact edges (mean degree %.1f), %s in memory, %.1f bytes per edge\n",
+		net.NumNodes(), net.NumEdges(), net.MeanDegree(),
+		transfer.HumanBytes(net.Bytes()), float64(net.Bytes())/float64(net.NumEdges()))
 
 	pr := core.Params{TAU: *tau, SYMP: *symp, SHCompliance: *sh, VHICompliance: *vhi}
 	model, err := pr.ApplyToModel(disease.COVID19())

@@ -48,7 +48,7 @@ func main() {
 	cfg.Scale = *scale
 
 	fmt.Printf("%-6s %10s %12s %8s %10s %10s\n", "state", "persons", "edges", "degree", "person-file", "edge-file")
-	var totalNodes, totalEdges int64
+	var totalNodes, totalEdges, totalBytes int64
 	for _, st := range states {
 		net, err := synthpop.Generate(st, cfg)
 		if err != nil {
@@ -56,6 +56,7 @@ func main() {
 		}
 		totalNodes += int64(net.NumNodes())
 		totalEdges += int64(net.NumEdges())
+		totalBytes += net.Bytes()
 		fmt.Printf("%-6s %10d %12d %8.1f %10s %10s\n",
 			st.Code, net.NumNodes(), net.NumEdges(), net.MeanDegree(),
 			transfer.HumanBytes(net.PersonBytes()), transfer.HumanBytes(net.EdgeBytes()))
@@ -100,8 +101,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("\ntotal: %d persons, %d edges (scale 1:%d → %d persons, %d edges at 1:1)\n",
-		totalNodes, totalEdges, *scale,
+	fmt.Printf("\ntotal: %d persons, %d edges, %s in memory, %.1f bytes per edge (scale 1:%d → %d persons, %d edges at 1:1)\n",
+		totalNodes, totalEdges, transfer.HumanBytes(totalBytes), float64(totalBytes)/float64(totalEdges), *scale,
 		totalNodes*int64(*scale), totalEdges*int64(*scale))
 	if *outDir != "" {
 		fmt.Printf("wrote artifacts under %s\n", *outDir)

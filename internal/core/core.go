@@ -125,7 +125,9 @@ func NewPipeline(seed uint64, opts ...Option) *Pipeline {
 // epi_faults_* series on its /metrics endpoint or end-of-run dump — and
 // remembers the registry, so that the simulations run afterwards add the
 // simulator's own series (epi_shards, the epihiper.shard.* phase histograms,
-// the epi_kernel_* work counters). Call it before running workflows.
+// the epi_kernel_* work counters) and each region materialised afterwards
+// reports its size (epi_network_bytes, epi_network_half_edges). Call it
+// before running workflows.
 func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 	p.metrics = reg
 	transfer.RegisterMetrics(reg, p.Ledger)
@@ -173,6 +175,10 @@ func (p *Pipeline) Network(state string) (*synthpop.Network, error) {
 		return nil, err
 	}
 	p.networks[state] = net
+	if p.metrics != nil {
+		p.metrics.Gauge(`epi_network_bytes{state="` + state + `"}`).Set(float64(net.Bytes()))
+		p.metrics.Gauge(`epi_network_half_edges{state="` + state + `"}`).Set(float64(2 * net.NumEdges()))
+	}
 	// One-time staging of traits + network to the remote site (Table II).
 	if _, err := p.Ledger.Move(0, transfer.HomeToRemote, "network-staging",
 		net.PersonBytes()+net.EdgeBytes()); err != nil {

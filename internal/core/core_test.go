@@ -225,8 +225,9 @@ func TestTopCounties(t *testing.T) {
 
 // TestPipelineRegistryCarriesKernelSeries: after RegisterMetrics, the
 // simulations a workflow runs publish the simulator's series — what puts
-// epi_shards, the shard phase histograms and the kernel work counters on
-// episerve's /metrics — and publishing changes no result.
+// epi_shards, the shard phase histograms, the kernel work counters and the
+// materialised network's size on episerve's /metrics — and publishing changes
+// no result.
 func TestPipelineRegistryCarriesKernelSeries(t *testing.T) {
 	job := SimJob{State: "VA", Params: Params{TAU: 0.25, SYMP: 0.65, SHCompliance: 0.3, VHICompliance: 0.3}, Days: 40}
 	plain, err := testPipeline(4).RunSim(job, 15, 40)
@@ -251,6 +252,7 @@ func TestPipelineRegistryCarriesKernelSeries(t *testing.T) {
 		"epi_shards ", `epi_span_seconds_count{span="epihiper.shard.transmit"}`, `epi_span_seconds_count{span="epihiper.shard.mutate"}`,
 		"epi_kernel_at_risk_visits_total ", "epi_kernel_row_scans_total ", "epi_kernel_edge_visits_total ",
 		"epi_kernel_exposures_total ", "epi_kernel_cross_shard_updates_total ",
+		`epi_network_bytes{state="VA"}`, `epi_network_half_edges{state="VA"}`,
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("series %q missing from the pipeline's registry", want)
@@ -258,6 +260,13 @@ func TestPipelineRegistryCarriesKernelSeries(t *testing.T) {
 	}
 	if got := reg.Counter("epi_kernel_exposures_total").Value(); got < out.Result.TotalInfections || got == 0 {
 		t.Errorf("epi_kernel_exposures_total %d, infections %d", got, out.Result.TotalInfections)
+	}
+	net, err := p.Network("VA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Gauge(`epi_network_bytes{state="VA"}`).Value(); got != float64(net.Bytes()) || got == 0 {
+		t.Errorf("epi_network_bytes %g, the network holds %d", got, net.Bytes())
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // requireCountersExact recounts every node's infectious-contact word from
-// the adjacency lists: the neighbor count and the fixed-point ΣT·w (taken
+// its row's half-edge records: the neighbor count and the fixed-point ΣT·w (taken
 // from the node's OWN half-edges, the side the scan reads) must both match
 // what the kernel maintained incrementally from the neighbors' side.
 func requireCountersExact(t *testing.T, label string, sim *Sim) {
@@ -17,7 +17,8 @@ func requireCountersExact(t *testing.T, label string, sim *Sim) {
 	for pid := int32(0); int(pid) < sim.net.NumNodes(); pid++ {
 		var count int32
 		var sum int64
-		for _, e := range sim.net.Adj[pid] {
+		for k := sim.csr.Offsets[pid]; k < sim.csr.Offsets[pid+1]; k++ {
+			e := sim.csr.At(k)
 			if sim.model.IsInfectious(sim.health[e.Neighbor]) {
 				count++
 				sum += synthpop.QuantTW(float64(e.DurationMin) / 1440.0 * float64(e.Weight))

@@ -11,23 +11,20 @@ import (
 // fivePersonNetwork builds the illustrative workplace network of Figure 11:
 // five people (A=0 … E=4) with daily contacts A–B, A–E, B–D, B–E, D–C.
 func fivePersonNetwork() *synthpop.Network {
-	net := &synthpop.Network{Region: "XX"}
+	var persons []synthpop.Person
 	for i := int32(0); i < 5; i++ {
-		net.Persons = append(net.Persons, synthpop.Person{
+		persons = append(persons, synthpop.Person{
 			ID: i, HouseholdID: i, Age: 30, CountyFIPS: 99001,
 		})
 	}
-	net.Adj = make([][]synthpop.HalfEdge, 5)
+	b := synthpop.NewBuilder("XX", persons)
 	edges := [][2]int32{{0, 1}, {0, 4}, {1, 3}, {1, 4}, {3, 2}}
 	for _, e := range edges {
-		net.Adj[e[0]] = append(net.Adj[e[0]], synthpop.HalfEdge{
-			Neighbor: e[1], SrcContext: synthpop.CtxWork, DstContext: synthpop.CtxWork,
-			StartMin: 9 * 60, DurationMin: 480, Weight: 1,
-		})
-		net.Adj[e[1]] = append(net.Adj[e[1]], synthpop.HalfEdge{
-			Neighbor: e[0], SrcContext: synthpop.CtxWork, DstContext: synthpop.CtxWork,
-			StartMin: 9 * 60, DurationMin: 480, Weight: 1,
-		})
+		b.AddContact(e[0], e[1], synthpop.CtxWork, synthpop.CtxWork, 9*60, 480, 1)
+	}
+	net, err := b.Build()
+	if err != nil {
+		panic(err)
 	}
 	return net
 }

@@ -344,8 +344,7 @@ func (ct *ContactTracing) Step(s *Sim, day int, r *stats.RNG) {
 		for hop := 0; hop < dist; hop++ {
 			var next []int32
 			for _, u := range frontier {
-				for _, e := range s.Neighbors(u) {
-					v := e.Neighbor
+				for _, v := range s.Neighbors(u) {
 					if seen[v] {
 						continue
 					}

@@ -116,7 +116,8 @@ func (k *refKernel) step(day int) {
 		maskV := s.effMask(v)
 		total := 0.0
 		var props []propEntry
-		for _, e := range s.net.Adj[v] {
+		for k := s.csr.Offsets[v]; k < s.csr.Offsets[v+1]; k++ {
+			e := s.csr.At(k)
 			u := e.Neighbor
 			inf := attrs[s.health[u]].Infectivity * float64(s.infectivityScale[u]) * omega
 			if inf == 0 {
@@ -196,27 +197,28 @@ func (r *streamRecorder) Record(tick int, pid int32, from, to disease.State, inf
 }
 
 // reweighted returns a copy of net in which every undirected contact has a
-// pseudo-random duration and a non-integral float weight. The value is a
-// hash of what both half-edges of a contact share, so the copy keeps the
-// mirrored-T·w invariant by construction.
+// pseudo-random duration and a non-integral float weight, a hash of the
+// contact's own fields. Rows come out in the order of the CSV file, not of
+// net; nothing pinned depends on them.
 func reweighted(net *synthpop.Network, seed uint64) *synthpop.Network {
-	out := &synthpop.Network{Region: net.Region, Persons: net.Persons, Adj: make([][]synthpop.HalfEdge, len(net.Adj))}
-	for i, adj := range net.Adj {
-		row := make([]synthpop.HalfEdge, len(adj))
-		for j, e := range adj {
-			lo, hi := int32(i), e.Neighbor
-			cl, ch := e.SrcContext, e.DstContext
-			if lo > hi {
-				lo, hi, cl, ch = hi, lo, ch, cl
+	b := synthpop.NewBuilder(net.Region, net.Persons)
+	c := net.CSR()
+	for i := range net.Persons {
+		for k := c.Offsets[i]; k < c.Offsets[i+1]; k++ {
+			e := c.At(k)
+			if e.Neighbor < int32(i) {
+				continue // each contact once, from its lower endpoint
 			}
-			h := seed ^ uint64(lo)*0x9E3779B97F4A7C15 ^ uint64(hi)*0xC2B2AE3D27D4EB4F ^
-				uint64(cl)<<8 ^ uint64(ch)<<16 ^ uint64(e.StartMin)<<24 ^ uint64(e.DurationMin)<<40
+			h := seed ^ uint64(i)*0x9E3779B97F4A7C15 ^ uint64(e.Neighbor)*0xC2B2AE3D27D4EB4F ^
+				uint64(e.SrcContext)<<8 ^ uint64(e.DstContext)<<16 ^ uint64(e.StartMin)<<24 ^ uint64(e.DurationMin)<<40
 			r := stats.Seeded(h)
-			e.DurationMin = uint16(5 + r.Intn(900))
-			e.Weight = float32(0.05 + 2.5*r.Float64())
-			row[j] = e
+			b.AddContact(int32(i), e.Neighbor, e.SrcContext, e.DstContext, e.StartMin,
+				uint16(5+r.Intn(900)), float32(0.05+2.5*r.Float64()))
 		}
-		out.Adj[i] = row
+	}
+	out, err := b.Build()
+	if err != nil {
+		panic(err)
 	}
 	return out
 }
@@ -438,10 +440,11 @@ func FuzzKernelMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, size uint16, shape uint8) {
 		n := 65 + int(size)%600
 		r := stats.NewRNG(seed)
-		net := &synthpop.Network{Region: "ZZ", Persons: make([]synthpop.Person, n), Adj: make([][]synthpop.HalfEdge, n)}
-		for i := range net.Persons {
-			net.Persons[i] = synthpop.Person{ID: int32(i), HouseholdID: int32(i / 3), Age: uint8(r.Intn(90)), CountyFIPS: 1}
+		persons := make([]synthpop.Person, n)
+		for i := range persons {
+			persons[i] = synthpop.Person{ID: int32(i), HouseholdID: int32(i / 3), Age: uint8(r.Intn(90)), CountyFIPS: 1}
 		}
+		b := synthpop.NewBuilder("ZZ", persons)
 		for e, edges := 0, n*(2+r.Intn(6)); e < edges; e++ {
 			u, v := int32(r.Intn(n)), int32(r.Intn(n))
 			if u == v {
@@ -449,8 +452,11 @@ func FuzzKernelMatchesReference(f *testing.F) {
 			}
 			cu, cv := synthpop.Context(r.Intn(int(synthpop.NumContexts))), synthpop.Context(r.Intn(int(synthpop.NumContexts)))
 			dur, wt := uint16(1+r.Intn(1200)), float32(3*r.Float64())
-			net.Adj[u] = append(net.Adj[u], synthpop.HalfEdge{Neighbor: v, SrcContext: cu, DstContext: cv, DurationMin: dur, Weight: wt})
-			net.Adj[v] = append(net.Adj[v], synthpop.HalfEdge{Neighbor: u, SrcContext: cv, DstContext: cu, DurationMin: dur, Weight: wt})
+			b.AddContact(u, v, cu, cv, 0, dur, wt)
+		}
+		net, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := net.Validate(); err != nil {
 			t.Fatalf("fuzz network invalid: %v", err)

@@ -768,8 +768,8 @@ func (s *Sim) scheduleOp(a scheduledAction) {
 	s.dynamicBytes += perScheduledChangeBytes
 }
 
-// Neighbors returns the adjacency of a person (shared; do not mutate).
-func (s *Sim) Neighbors(pid int32) []synthpop.HalfEdge { return s.net.Adj[pid] }
+// Neighbors returns the contacts of a person (shared; do not mutate).
+func (s *Sim) Neighbors(pid int32) []int32 { return s.csr.Neighbors(pid) }
 
 // TodayEvents returns the transitions recorded so far in the current tick
 // (shared; do not mutate). Interventions use it to react to, e.g., new

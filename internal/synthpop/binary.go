@@ -16,17 +16,14 @@ import (
 // than the CSV form.
 
 const (
-	networkMagic     = 0x45504948 // "EPIH"
-	networkVersionV1 = 1
-	networkVersion   = 2
-	partitionMagic   = 0x50415254 // "PART"
+	networkMagic   = 0x45504948 // "EPIH"
+	networkVersion = 2
+	partitionMagic = 0x50415254 // "PART"
 )
 
-// WriteNetworkBinary writes persons + adjacency in the binary format.
-// Version 2 stores the adjacency in CSR order — a degree table followed
-// by one flat edge array — mirroring the in-memory layout the simulation
-// kernel runs on, so a reader can materialize the whole adjacency as a
-// single contiguous allocation.
+// WriteNetworkBinary writes persons + contacts in the binary format: a
+// degree table followed by every half-edge in row order, as 16-byte HalfEdge
+// records — the in-memory columns, interleaved.
 func WriteNetworkBinary(w io.Writer, net *Network) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	hdr := []uint32{networkMagic, networkVersion, uint32(len(net.Persons))}
@@ -57,45 +54,45 @@ func WriteNetworkBinary(w io.Writer, net *Network) error {
 			return err
 		}
 	}
-	// CSR degree table, then every half-edge in row order.
-	totalHalf := uint64(0)
-	for i := range net.Adj {
-		totalHalf += uint64(len(net.Adj[i]))
-	}
-	le.PutUint64(rec[0:], totalHalf)
+	c := net.CSR()
+	le.PutUint64(rec[0:], uint64(len(c.Nbr)))
 	if _, err := bw.Write(rec[:8]); err != nil {
 		return err
 	}
-	for i := range net.Adj {
-		le.PutUint32(rec[0:], uint32(len(net.Adj[i])))
+	for i := range net.Persons {
+		le.PutUint32(rec[0:], uint32(c.Degree(int32(i))))
 		if _, err := bw.Write(rec[:4]); err != nil {
 			return err
 		}
 	}
-	for i := range net.Adj {
-		for _, e := range net.Adj[i] {
-			le.PutUint32(rec[0:], uint32(e.Neighbor))
-			rec[4] = uint8(e.SrcContext)
-			rec[5] = uint8(e.DstContext)
-			rec[6], rec[7] = 0, 0
-			le.PutUint16(rec[8:], e.StartMin)
-			le.PutUint16(rec[10:], e.DurationMin)
-			le.PutUint32(rec[12:], math.Float32bits(e.Weight))
-			if _, err := bw.Write(rec[:16]); err != nil {
-				return err
-			}
+	for k := range c.Nbr {
+		e := c.At(int64(k))
+		le.PutUint32(rec[0:], uint32(e.Neighbor))
+		rec[4] = uint8(e.SrcContext)
+		rec[5] = uint8(e.DstContext)
+		rec[6], rec[7] = 0, 0
+		le.PutUint16(rec[8:], e.StartMin)
+		le.PutUint16(rec[10:], e.DurationMin)
+		le.PutUint32(rec[12:], math.Float32bits(e.Weight))
+		if _, err := bw.Write(rec[:16]); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadNetworkBinary reads a network written by WriteNetworkBinary. Both
-// the CSR-ordered version-2 format and the interleaved version-1 format
-// are accepted; a file whose network fails Validate is refused.
+// readStep is how many records ReadNetworkBinary makes room for ahead of the
+// bytes it has consumed. A header can declare any count; memory is committed
+// only as records actually arrive.
+const readStep = 1 << 16
+
+// ReadNetworkBinary reads a network written by WriteNetworkBinary, filling
+// the columns directly: the format is already a degree table followed by
+// half-edges in row order. A file whose network fails Validate is refused.
 func ReadNetworkBinary(r io.Reader) (*Network, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	var magic, version, n uint32
-	for _, p := range []*uint32{&magic, &version, &n} {
+	var magic, version, n32 uint32
+	for _, p := range []*uint32{&magic, &version, &n32} {
 		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
 			return nil, fmt.Errorf("synthpop: reading binary header: %w", err)
 		}
@@ -103,7 +100,7 @@ func ReadNetworkBinary(r io.Reader) (*Network, error) {
 	if magic != networkMagic {
 		return nil, fmt.Errorf("synthpop: bad magic %#x", magic)
 	}
-	if version != networkVersionV1 && version != networkVersion {
+	if version != networkVersion {
 		return nil, fmt.Errorf("synthpop: unsupported network version %d", version)
 	}
 	region, err := readString(br)
@@ -111,13 +108,19 @@ func ReadNetworkBinary(r io.Reader) (*Network, error) {
 		return nil, err
 	}
 	const maxPersons = 1 << 28
-	if n > maxPersons {
-		return nil, fmt.Errorf("synthpop: implausible person count %d", n)
+	if n32 > maxPersons {
+		return nil, fmt.Errorf("synthpop: implausible person count %d", n32)
 	}
-	net := &Network{Region: region, Persons: make([]Person, n), Adj: make([][]HalfEdge, n)}
+	n := uint64(n32)
+	net := &Network{Region: region}
+	c := &net.csr
 	le := binary.LittleEndian
 	var rec [24]byte
-	for i := range net.Persons {
+
+	for i := uint64(0); i < n; i++ {
+		if i%readStep == 0 {
+			net.Persons = grown(net.Persons, min(i+readStep, n), n)
+		}
 		if _, err := io.ReadFull(br, rec[:24]); err != nil {
 			return nil, fmt.Errorf("synthpop: reading person %d: %w", i, err)
 		}
@@ -131,106 +134,61 @@ func ReadNetworkBinary(r io.Reader) (*Network, error) {
 			HomeLon:     math.Float32frombits(le.Uint32(rec[20:])),
 		}
 	}
-	if version == networkVersionV1 {
-		err = readAdjV1(br, net, n)
-	} else {
-		err = readAdjV2(br, net, n)
+
+	if _, err := io.ReadFull(br, rec[:8]); err != nil {
+		return nil, fmt.Errorf("synthpop: reading half-edge total: %w", err)
 	}
-	if err != nil {
-		return nil, err
+	total := le.Uint64(rec[0:])
+	if total > n*(1<<24) {
+		return nil, fmt.Errorf("synthpop: implausible half-edge total %d", total)
 	}
+	// The degree table becomes the offsets as it arrives.
+	c.Offsets = make([]int64, 1)
+	for i := uint64(0); i < n; i++ {
+		if i%readStep == 0 {
+			c.Offsets = grown(c.Offsets, 1+min(i+readStep, n), 1+n)
+		}
+		if _, err := io.ReadFull(br, rec[:4]); err != nil {
+			return nil, fmt.Errorf("synthpop: reading degree of %d: %w", i, err)
+		}
+		deg := le.Uint32(rec[0:])
+		if deg > 1<<24 {
+			return nil, fmt.Errorf("synthpop: implausible degree %d", deg)
+		}
+		c.Offsets[i+1] = c.Offsets[i] + int64(deg)
+	}
+	if sum := uint64(c.Offsets[n]); sum != total {
+		return nil, fmt.Errorf("synthpop: degree table sums to %d, header says %d", sum, total)
+	}
+
+	for k := uint64(0); k < total; k++ {
+		if k%readStep == 0 {
+			c.resize(min(k+readStep, total), total)
+		}
+		if _, err := io.ReadFull(br, rec[:16]); err != nil {
+			return nil, fmt.Errorf("synthpop: reading edge %d: %w", k, err)
+		}
+		e := HalfEdge{
+			Neighbor:    int32(le.Uint32(rec[0:])),
+			SrcContext:  Context(rec[4]),
+			DstContext:  Context(rec[5]),
+			StartMin:    le.Uint16(rec[8:]),
+			DurationMin: le.Uint16(rec[10:]),
+			Weight:      math.Float32frombits(le.Uint32(rec[12:])),
+		}
+		// Refused here because the columns could not show it later.
+		if e.Neighbor < 0 || uint64(e.Neighbor) >= n || e.SrcContext >= NumContexts || e.DstContext >= NumContexts {
+			return nil, fmt.Errorf("synthpop: reading edge %d: endpoint %d or context (%d, %d) out of range", k, e.Neighbor, e.SrcContext, e.DstContext)
+		}
+		c.set(int64(k), e)
+	}
+	c.seal()
 	// Half-edges arrive one by one, so nothing yet says the two directions
 	// of a contact agree — the invariant the simulator's counters rest on.
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
 	return net, nil
-}
-
-// readAdjV1 reads the interleaved degree/edge rows of the version-1
-// format, one allocation per row.
-func readAdjV1(br *bufio.Reader, net *Network, n uint32) error {
-	le := binary.LittleEndian
-	var rec [16]byte
-	for i := 0; i < int(n); i++ {
-		if _, err := io.ReadFull(br, rec[:4]); err != nil {
-			return fmt.Errorf("synthpop: reading degree of %d: %w", i, err)
-		}
-		deg := le.Uint32(rec[0:])
-		if deg > 1<<24 {
-			return fmt.Errorf("synthpop: implausible degree %d", deg)
-		}
-		adj := make([]HalfEdge, deg)
-		for j := range adj {
-			if err := readHalfEdge(br, rec[:], int32(n), &adj[j]); err != nil {
-				return fmt.Errorf("synthpop: reading edge %d/%d: %w", i, j, err)
-			}
-		}
-		net.Adj[i] = adj
-	}
-	return nil
-}
-
-// readAdjV2 reads the CSR-ordered version-2 adjacency: the degree table
-// sizes one contiguous backing array, and every Adj row becomes a
-// subslice of it — n rows, two allocations.
-func readAdjV2(br *bufio.Reader, net *Network, n uint32) error {
-	le := binary.LittleEndian
-	var rec [16]byte
-	if _, err := io.ReadFull(br, rec[:8]); err != nil {
-		return fmt.Errorf("synthpop: reading half-edge total: %w", err)
-	}
-	totalHalf := le.Uint64(rec[0:])
-	if totalHalf > uint64(n)*(1<<24) {
-		return fmt.Errorf("synthpop: implausible half-edge total %d", totalHalf)
-	}
-	degrees := make([]uint32, n)
-	sum := uint64(0)
-	for i := range degrees {
-		if _, err := io.ReadFull(br, rec[:4]); err != nil {
-			return fmt.Errorf("synthpop: reading degree of %d: %w", i, err)
-		}
-		degrees[i] = le.Uint32(rec[0:])
-		if degrees[i] > 1<<24 {
-			return fmt.Errorf("synthpop: implausible degree %d", degrees[i])
-		}
-		sum += uint64(degrees[i])
-	}
-	if sum != totalHalf {
-		return fmt.Errorf("synthpop: degree table sums to %d, header says %d", sum, totalHalf)
-	}
-	backing := make([]HalfEdge, totalHalf)
-	for i := range backing {
-		if err := readHalfEdge(br, rec[:], int32(n), &backing[i]); err != nil {
-			return fmt.Errorf("synthpop: reading edge %d: %w", i, err)
-		}
-	}
-	off := uint64(0)
-	for i, deg := range degrees {
-		net.Adj[i] = backing[off : off+uint64(deg) : off+uint64(deg)]
-		off += uint64(deg)
-	}
-	return nil
-}
-
-func readHalfEdge(br *bufio.Reader, rec []byte, n int32, e *HalfEdge) error {
-	if _, err := io.ReadFull(br, rec[:16]); err != nil {
-		return err
-	}
-	le := binary.LittleEndian
-	nbr := int32(le.Uint32(rec[0:]))
-	if nbr < 0 || nbr >= n {
-		return fmt.Errorf("edge endpoint %d out of range", nbr)
-	}
-	*e = HalfEdge{
-		Neighbor:    nbr,
-		SrcContext:  Context(rec[4]),
-		DstContext:  Context(rec[5]),
-		StartMin:    le.Uint16(rec[8:]),
-		DurationMin: le.Uint16(rec[10:]),
-		Weight:      math.Float32frombits(le.Uint32(rec[12:])),
-	}
-	return nil
 }
 
 // WritePartitions caches a partitioning to disk.
@@ -290,20 +248,19 @@ func ValidatePartitionsFor(parts []Partition, net *Network) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("synthpop: empty partitioning")
 	}
+	offsets := net.CSR().Offsets
 	next := int32(0)
-	total := 0
 	for i, p := range parts {
 		if p.FirstNode != next || p.LastNode < p.FirstNode {
 			return fmt.Errorf("synthpop: partition %d malformed or out of order", i)
 		}
-		count := 0
-		for node := p.FirstNode; node <= p.LastNode; node++ {
-			count += len(net.Adj[node])
+		if int(p.LastNode) >= net.NumNodes() {
+			return fmt.Errorf("synthpop: partition %d ends at node %d of %d", i, p.LastNode, net.NumNodes())
 		}
+		count := int(offsets[p.LastNode+1] - offsets[p.FirstNode])
 		if count != p.HalfEdges {
 			return fmt.Errorf("synthpop: partition %d half-edge count %d does not match network %d (stale cache?)", i, p.HalfEdges, count)
 		}
-		total += count
 		next = p.LastNode + 1
 	}
 	if int(next) != net.NumNodes() {

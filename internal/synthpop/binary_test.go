@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -36,16 +37,7 @@ func TestBinaryNetworkRoundTrip(t *testing.T) {
 	if back.NumEdges() != net.NumEdges() {
 		t.Fatalf("edges %d want %d", back.NumEdges(), net.NumEdges())
 	}
-	for i := range net.Adj {
-		if len(back.Adj[i]) != len(net.Adj[i]) {
-			t.Fatalf("degree of %d changed", i)
-		}
-		for j := range net.Adj[i] {
-			if back.Adj[i][j] != net.Adj[i][j] {
-				t.Fatalf("edge %d/%d changed: %+v vs %+v", i, j, back.Adj[i][j], net.Adj[i][j])
-			}
-		}
-	}
+	requireSameColumns(t, "round trip", back, net)
 	if err := back.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +81,65 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	if _, err := ReadNetworkBinary(bytes.NewReader(data[:len(data)/2])); err == nil {
 		t.Error("truncated file accepted")
 	}
-	// Bad version.
-	bad2 := append([]byte(nil), data...)
-	bad2[4] = 99
-	if _, err := ReadNetworkBinary(bytes.NewReader(bad2)); err == nil {
-		t.Error("bad version accepted")
+	// Versions other than the current one, the retired version 1 included.
+	for _, v := range []byte{1, 99} {
+		bad2 := append([]byte(nil), data...)
+		bad2[4] = v
+		if _, err := ReadNetworkBinary(bytes.NewReader(bad2)); err == nil || !strings.Contains(err.Error(), "unsupported network version") {
+			t.Errorf("version %d: got %v, want an unsupported-version error", v, err)
+		}
+	}
+}
+
+type namedFile struct {
+	name string
+	data []byte
+}
+
+// overpromisingFiles are three short files whose headers declare far more
+// than they deliver: 2²⁴ persons after a bare header, a degree table of
+// 4 × 2²² half-edges with none following, and 1000 degrees of 2²⁴ — a
+// 16-billion-entry edge array — in 28 KB.
+func overpromisingFiles() []namedFile {
+	le := binary.LittleEndian
+	file := func(n uint32, degree uint32, persons, degrees int) []byte {
+		b := le.AppendUint32(nil, networkMagic)
+		b = le.AppendUint32(b, networkVersion)
+		b = le.AppendUint32(b, n)
+		b = append(le.AppendUint16(b, 2), "XX"...)
+		b = append(b, make([]byte, 24*persons)...)
+		if degrees > 0 {
+			b = le.AppendUint64(b, uint64(degrees)*uint64(degree))
+			for i := 0; i < degrees; i++ {
+				b = le.AppendUint32(b, degree)
+			}
+		}
+		return b
+	}
+	return []namedFile{
+		{"persons", file(1<<24, 0, 0, 0)},
+		{"half-edges", file(4, 1<<22, 4, 4)},
+		{"degrees", file(1000, 1<<24, 1000, 1000)},
+	}
+}
+
+// TestReadNetworkBinaryBoundedAllocation: the reader commits memory as
+// records arrive, not as the header promises. Each file above must be
+// refused having allocated a few MB (the 1 MB read buffer plus one step of
+// each slice), where sizing from the declared counts took 0.8, 0.27 and
+// 268 GB.
+func TestReadNetworkBinaryBoundedAllocation(t *testing.T) {
+	for _, lie := range overpromisingFiles() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadNetworkBinary(bytes.NewReader(lie.data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: %d-byte file accepted", lie.name, len(lie.data))
+		}
+		if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 6 {
+			t.Errorf("%s: %d-byte file allocated %.1f MB before being refused (%v)", lie.name, len(lie.data), mb, err)
+		}
 	}
 }
 
@@ -110,10 +156,7 @@ func TestReadNetworkBinaryRejectsAsymmetricWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The edge array is the file's tail: 16-byte records, weight last.
-	total := 0
-	for _, adj := range net.Adj {
-		total += len(adj)
-	}
+	total := len(net.CSR().Nbr)
 	data := buf.Bytes()
 	rec := data[len(data)-16*total+16*(total/2):]
 	for _, w := range []float32{0.25, float32(math.NaN()), -1, 1e30} {
@@ -160,9 +203,13 @@ func TestReadNetworkCSVRejectsBadWeight(t *testing.T) {
 // contacts summing below 2²⁰.
 func TestValidateFixedPointLimits(t *testing.T) {
 	pair := func(dur uint16, w float32, copies int) *Network {
-		net := &Network{Persons: make([]Person, 2), Adj: make([][]HalfEdge, 2)}
+		b := NewBuilder("XX", make([]Person, 2))
 		for i := 0; i < copies; i++ {
-			net.addEdge(0, 1, CtxHome, CtxHome, 0, dur, w)
+			b.AddContact(0, 1, CtxHome, CtxHome, 0, dur, w)
+		}
+		net, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
 		}
 		return net
 	}

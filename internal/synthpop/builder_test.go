@@ -1,0 +1,200 @@
+package synthpop
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/stats"
+)
+
+// adjOracle is the representation Network held before the columns: one
+// appended-to row of half-edge records per person. It survives here only, as
+// the plain statement of the row order the Builder must reproduce.
+type adjOracle [][]HalfEdge
+
+func (a adjOracle) addEdge(u, v int32, cu, cv Context, start, dur uint16, w float32) {
+	a[u] = append(a[u], HalfEdge{Neighbor: v, SrcContext: cu, DstContext: cv, StartMin: start, DurationMin: dur, Weight: w})
+	a[v] = append(a[v], HalfEdge{Neighbor: u, SrcContext: cv, DstContext: cu, StartMin: start, DurationMin: dur, Weight: w})
+}
+
+// network flattens the rows into columns the way Network.CSR() used to, so
+// tests can compare the Builder's layout against it and can craft networks
+// no Builder would make (a one-sided half-edge).
+func (a adjOracle) network(region string, persons []Person) *Network {
+	net := &Network{Region: region, Persons: persons}
+	c := &net.csr
+	c.Offsets = make([]int64, len(a)+1)
+	for i, row := range a {
+		for _, e := range row {
+			c.Nbr = append(c.Nbr, e.Neighbor)
+			c.Ctx = append(c.Ctx, CtxBits(e.SrcContext, e.DstContext))
+			c.Start = append(c.Start, e.StartMin)
+			c.Dur = append(c.Dur, e.DurationMin)
+			c.Weight = append(c.Weight, e.Weight)
+		}
+		c.Offsets[i+1] = int64(len(c.Nbr))
+	}
+	c.seal()
+	return net
+}
+
+// rows reads a network's rows back as half-edge records.
+func rows(net *Network) adjOracle {
+	c := net.CSR()
+	out := make(adjOracle, net.NumNodes())
+	for i := range out {
+		for k := c.Offsets[i]; k < c.Offsets[i+1]; k++ {
+			out[i] = append(out[i], c.At(k))
+		}
+	}
+	return out
+}
+
+// requireSameColumns compares every column of two networks position by
+// position, floats by bit pattern.
+func requireSameColumns(t *testing.T, label string, got, want *Network) {
+	t.Helper()
+	g, w := got.CSR(), want.CSR()
+	if !slices.Equal(g.Offsets, w.Offsets) {
+		t.Fatalf("%s: Offsets differ", label)
+	}
+	if !slices.Equal(g.Nbr, w.Nbr) || !slices.Equal(g.Ctx, w.Ctx) {
+		t.Fatalf("%s: Nbr/Ctx differ", label)
+	}
+	if !slices.Equal(g.Start, w.Start) || !slices.Equal(g.Dur, w.Dur) {
+		t.Fatalf("%s: Start/Dur differ", label)
+	}
+	if !slices.EqualFunc(g.Weight, w.Weight, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+		t.Fatalf("%s: Weight differs", label)
+	}
+	if !slices.EqualFunc(g.TW, w.TW, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		t.Fatalf("%s: TW differs", label)
+	}
+	if (g.RangeErr() == nil) != (w.RangeErr() == nil) {
+		t.Fatalf("%s: range check disagrees: %v vs %v", label, g.RangeErr(), w.RangeErr())
+	}
+}
+
+// TestBuilderMatchesAdjacencyOracle: the Builder's counting sort must put
+// every half-edge where appending to per-person rows would have. Random
+// insertion sequences cover repeated contacts, both endpoint orders, isolated
+// nodes, unequal contexts, lists longer than one chunk and the empty network;
+// the generated networks cover real degree distributions.
+func TestBuilderMatchesAdjacencyOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := stats.NewRNG(seed)
+		n := r.Intn(60)
+		if seed%10 == 0 {
+			n = 3000 // ≥ 8 contacts each: the list spans chunks
+		}
+		contacts := 0
+		if n >= 2 {
+			contacts = r.Intn(8*n) + 8*n
+		}
+		persons := make([]Person, n)
+		b, oracle := NewBuilder("ZZ", persons), make(adjOracle, n)
+		// Half the nodes draw contacts; the rest stay isolated unless picked
+		// as a partner.
+		type args struct {
+			u, v       int32
+			cu, cv     Context
+			start, dur uint16
+			w          float32
+		}
+		var last args
+		for k := 0; k < contacts; k++ {
+			a := args{
+				u: int32(r.Intn(n/2 + 1)), v: int32(r.Intn(n)),
+				cu: Context(r.Intn(int(NumContexts))), cv: Context(r.Intn(int(NumContexts))),
+				start: uint16(r.Intn(1440)), dur: uint16(r.Intn(1440)), w: float32(3 * r.Float64()),
+			}
+			if a.u == a.v {
+				continue
+			}
+			switch r.Intn(4) {
+			case 0: // repeat the previous contact exactly
+				if last.u != last.v {
+					a = last
+				}
+			case 1: // the other endpoint order
+				a.u, a.v = a.v, a.u
+			}
+			last = a
+			b.AddContact(a.u, a.v, a.cu, a.cv, a.start, a.dur, a.w)
+			oracle.addEdge(a.u, a.v, a.cu, a.cv, a.start, a.dur, a.w)
+		}
+		if seed%10 == 0 && len(b.chunks) < 2 {
+			t.Fatalf("seed %d: %d contacts fit one chunk", seed, contacts)
+		}
+		got, err := b.Build()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		requireSameColumns(t, "random sequence", got, oracle.network("ZZ", persons))
+		if err := got.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+
+	// Generated networks, replayed as the contact list the CSV file holds.
+	for _, code := range []string{"VA", "WY"} {
+		st, _ := StateByCode(code)
+		net, err := Generate(st, smallConfig(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, oracle := NewBuilder(code, net.Persons), make(adjOracle, net.NumNodes())
+		for i, row := range rows(net) {
+			for _, e := range row {
+				if e.Neighbor > int32(i) {
+					b.AddContact(int32(i), e.Neighbor, e.SrcContext, e.DstContext, e.StartMin, e.DurationMin, e.Weight)
+					oracle.addEdge(int32(i), e.Neighbor, e.SrcContext, e.DstContext, e.StartMin, e.DurationMin, e.Weight)
+				}
+			}
+		}
+		got, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameColumns(t, code, got, oracle.network(code, net.Persons))
+		if got.NumEdges() != net.NumEdges() {
+			t.Fatalf("%s: replay has %d edges, generated %d", code, got.NumEdges(), net.NumEdges())
+		}
+	}
+}
+
+// TestBuilderRefusesWhatColumnsCannotHold: an endpoint that is not a person
+// and a context beyond the three bits Ctx gives it.
+func TestBuilderRefusesWhatColumnsCannotHold(t *testing.T) {
+	for _, bad := range []struct {
+		u, v   int32
+		cu, cv Context
+	}{
+		{0, 3, CtxHome, CtxHome},
+		{-1, 1, CtxHome, CtxHome},
+		{0, 1, NumContexts, CtxHome},
+		{0, 1, CtxHome, 9},
+	} {
+		b := NewBuilder("ZZ", make([]Person, 3))
+		b.AddContact(0, 1, CtxHome, CtxWork, 0, 60, 1)
+		b.AddContact(bad.u, bad.v, bad.cu, bad.cv, 0, 60, 1)
+		if net, err := b.Build(); err == nil {
+			t.Errorf("contact %+v built a network with %d edges", bad, net.NumEdges())
+		}
+	}
+}
+
+// TestNetworkBytes: Bytes is the columns plus the person table, 42 bytes per
+// contact, with nothing per person but its record and its offset.
+func TestNetworkBytes(t *testing.T) {
+	va, _ := StateByCode("VA")
+	net, err := Generate(va, smallConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(net.NumEdges())*42 + int64(net.NumNodes())*(24+8) + 8
+	if got := net.Bytes(); got != want {
+		t.Fatalf("Bytes() = %d, want %d", got, want)
+	}
+}

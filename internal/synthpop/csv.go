@@ -90,8 +90,10 @@ func WriteNetworkCSV(w io.Writer, net *Network) error {
 	if _, err := fmt.Fprintln(bw, "source_pid,target_pid,source_activity,target_activity,start_min,duration_min,weight"); err != nil {
 		return err
 	}
-	for i, adj := range net.Adj {
-		for _, e := range adj {
+	c := net.CSR()
+	for i := range net.Persons {
+		for k := c.Offsets[i]; k < c.Offsets[i+1]; k++ {
+			e := c.At(k)
 			if e.Neighbor < int32(i) {
 				continue // emit each undirected edge once
 			}
@@ -105,10 +107,10 @@ func WriteNetworkCSV(w io.Writer, net *Network) error {
 }
 
 // ReadNetworkCSV parses a network written by WriteNetworkCSV into the given
-// set of persons, rebuilding the dual half-edge representation. A file whose
-// network fails Validate is refused.
+// set of persons; the Builder restores both half-edges of every line. A file
+// whose network fails Validate is refused.
 func ReadNetworkCSV(r io.Reader, persons []Person, region string) (*Network, error) {
-	net := &Network{Region: region, Persons: persons, Adj: make([][]HalfEdge, len(persons))}
+	b := NewBuilder(region, persons)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	if !sc.Scan() {
@@ -136,13 +138,17 @@ func ReadNetworkCSV(r io.Reader, persons []Person, region string) (*Network, err
 		if u < 0 || u >= len(persons) || v < 0 || v >= len(persons) {
 			return nil, fmt.Errorf("synthpop: line %d: endpoint out of range", line)
 		}
-		net.addEdge(int32(u), int32(v), cs, cd, uint16(start), uint16(dur), float32(wt))
+		b.AddContact(int32(u), int32(v), cs, cd, uint16(start), uint16(dur), float32(wt))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	// addEdge mirrors every contact; Validate adds the weight checks (NaN,
-	// negative, out of range) and refuses self-loops.
+	net, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	// The Builder mirrors every contact; Validate adds the weight checks
+	// (NaN, negative, out of range) and refuses self-loops.
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}

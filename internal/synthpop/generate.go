@@ -89,17 +89,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Generate builds the synthetic population and contact network for one
-// region. The result is deterministic in (cfg.Seed, st.FIPS).
-func Generate(st StateInfo, cfg Config) (*Network, error) {
-	cfg = cfg.withDefaults()
+// basePopulation is stage (i) of both generators: it draws the region's
+// households and persons and records every household as a home-contact
+// clique. It returns the builder holding them and the RNG, positioned after
+// the last person's draws, for the generator that goes on to wire the other
+// contexts from the same stream. cfg must have its defaults filled.
+func basePopulation(st StateInfo, cfg Config) (*Builder, *stats.RNG) {
 	n := st.Population / cfg.Scale
 	if n < cfg.MinPersons {
 		n = cfg.MinPersons
 	}
 	r := stats.NewRNG(cfg.Seed*1000003 + uint64(st.FIPS))
-
-	net := &Network{Region: st.Code}
 
 	// County weights follow a Zipf-like profile so each state has a few
 	// populous counties and a long rural tail, mirroring real county
@@ -115,6 +115,8 @@ func Generate(st StateInfo, cfg Config) (*Network, error) {
 	stateLon := -120 + float32(st.FIPS%45)
 
 	// --- Households and persons ---
+	persons := make([]Person, 0, n)
+	var households []Household
 	var pid int32
 	for int(pid) < n {
 		size := sampleHouseholdSize(r)
@@ -125,39 +127,54 @@ func Generate(st StateInfo, cfg Config) (*Network, error) {
 		fips := int32(CountyFIPS(st.FIPS, county))
 		lat := stateLat + float32(county)/100 + float32(r.Norm())*0.05
 		lon := stateLon + float32(county)/80 + float32(r.Norm())*0.05
-		hh := Household{ID: int32(len(net.households)), CountyFIPS: fips, Lat: lat, Lon: lon}
+		hh := Household{ID: int32(len(households)), CountyFIPS: fips, Lat: lat, Lon: lon}
 		ages := sampleHouseholdAges(r, size)
 		for _, age := range ages {
 			g := Female
 			if r.Bool(0.492) {
 				g = Male
 			}
-			net.Persons = append(net.Persons, Person{
+			persons = append(persons, Person{
 				ID: pid, HouseholdID: hh.ID, Age: age, Gender: g,
 				CountyFIPS: fips, HomeLat: lat, HomeLon: lon,
 			})
 			hh.Members = append(hh.Members, pid)
 			pid++
 		}
-		net.households = append(net.households, hh)
+		households = append(households, hh)
 	}
-	net.Adj = make([][]HalfEdge, len(net.Persons))
 
 	// --- Home contacts: household cliques ---
-	for _, hh := range net.households {
-		for i := 0; i < len(hh.Members); i++ {
-			for j := i + 1; j < len(hh.Members); j++ {
-				net.addEdge(hh.Members[i], hh.Members[j], CtxHome, CtxHome, 18*60, 600, 1)
-			}
+	b := NewBuilder(st.Code, persons)
+	b.households = households
+	for _, hh := range households {
+		clique(b, hh.Members, CtxHome, CtxHome, 18*60, 600)
+	}
+	return b, r
+}
+
+// clique wires a contact between every pair of the group.
+func clique(b *Builder, group []int32, cSrc, cDst Context, start, dur uint16) {
+	for i := 0; i < len(group); i++ {
+		for j := i + 1; j < len(group); j++ {
+			b.AddContact(group[i], group[j], cSrc, cDst, start, dur, 1)
 		}
 	}
+}
+
+// Generate builds the synthetic population and contact network for one
+// region. The result is deterministic in (cfg.Seed, st.FIPS).
+func Generate(st StateInfo, cfg Config) (*Network, error) {
+	cfg = cfg.withDefaults()
+	b, r := basePopulation(st, cfg)
+	persons := b.persons
 
 	// --- Group-based contexts ---
 	countyOf := func(p int32) int {
-		return int(net.Persons[p].CountyFIPS) % 1000
+		return int(persons[p].CountyFIPS) % 1000
 	}
 	byCounty := make([][]int32, st.Counties+1)
-	for _, p := range net.Persons {
+	for _, p := range persons {
 		c := countyOf(p.ID)
 		if c > st.Counties {
 			c = st.Counties
@@ -169,35 +186,35 @@ func Generate(st StateInfo, cfg Config) (*Network, error) {
 	// draw 80% from the home county and 20% from a random county
 	// (commuting), grouped into workplaces of lognormal size.
 	var workers []int32
-	for _, p := range net.Persons {
+	for _, p := range persons {
 		if p.Age >= 18 && p.Age <= 64 && r.Bool(cfg.EmploymentRate) {
 			workers = append(workers, p.ID)
 		}
 	}
 	r.Shuffle(len(workers), func(i, j int) { workers[i], workers[j] = workers[j], workers[i] })
-	groupContacts(net, r, workers, 12, CtxWork, CtxWork, cfg.WorkContacts, 9*60, 480)
+	groupContacts(b, r, workers, 12, CtxWork, CtxWork, cfg.WorkContacts, 9*60, 480)
 
 	// School: ages 5–17 in classes of ≈20 within their county.
 	for _, members := range byCounty {
 		var students []int32
 		for _, id := range members {
-			a := net.Persons[id].Age
+			a := persons[id].Age
 			if a >= 5 && a <= 17 {
 				students = append(students, id)
 			}
 		}
-		groupContacts(net, r, students, 20, CtxSchool, CtxSchool, cfg.SchoolContacts, 8*60, 360)
+		groupContacts(b, r, students, 20, CtxSchool, CtxSchool, cfg.SchoolContacts, 8*60, 360)
 	}
 
 	// College: ages 18–22 statewide.
 	var collegians []int32
-	for _, p := range net.Persons {
+	for _, p := range persons {
 		if p.Age >= 18 && p.Age <= 22 && r.Bool(cfg.CollegeRate) {
 			collegians = append(collegians, p.ID)
 		}
 	}
 	r.Shuffle(len(collegians), func(i, j int) { collegians[i], collegians[j] = collegians[j], collegians[i] })
-	groupContacts(net, r, collegians, 30, CtxCollege, CtxCollege, cfg.CollegeContacts, 10*60, 240)
+	groupContacts(b, r, collegians, 30, CtxCollege, CtxCollege, cfg.CollegeContacts, 10*60, 240)
 
 	// Religion: congregations of ≈30 within county.
 	for _, members := range byCounty {
@@ -207,7 +224,7 @@ func Generate(st StateInfo, cfg Config) (*Network, error) {
 				attendees = append(attendees, id)
 			}
 		}
-		groupContacts(net, r, attendees, 30, CtxReligion, CtxReligion, cfg.ReligionContacts, 10*60, 120)
+		groupContacts(b, r, attendees, 30, CtxReligion, CtxReligion, cfg.ReligionContacts, 10*60, 120)
 	}
 
 	// Shopping and other: random intra-county contacts. Shopping pairs a
@@ -228,24 +245,24 @@ func Generate(st StateInfo, cfg Config) (*Network, error) {
 				if r.Bool(0.5) {
 					dst = CtxWork // store staff
 				}
-				net.addEdge(id, o, CtxShopping, dst, uint16(10*60+r.Intn(9*60)), 30, 1)
+				b.AddContact(id, o, CtxShopping, dst, uint16(10*60+r.Intn(9*60)), 30, 1)
 			}
 			for k := 0; k < cfg.OtherContacts; k++ {
 				o := members[r.Intn(m)]
 				if o == id {
 					continue
 				}
-				net.addEdge(id, o, CtxOther, CtxOther, uint16(8*60+r.Intn(12*60)), 60, 1)
+				b.AddContact(id, o, CtxOther, CtxOther, uint16(8*60+r.Intn(12*60)), 60, 1)
 			}
 		}
 	}
-	return net, nil
+	return b.Build()
 }
 
 // groupContacts partitions members into sequential groups of approximately
 // groupSize and wires contacts within each group: a clique for tiny groups,
 // otherwise k random partners per member.
-func groupContacts(net *Network, r *stats.RNG, members []int32, groupSize int, cSrc, cDst Context, k int, start, dur uint16) {
+func groupContacts(b *Builder, r *stats.RNG, members []int32, groupSize int, cSrc, cDst Context, k int, start, dur uint16) {
 	for lo := 0; lo < len(members); lo += groupSize {
 		hi := lo + groupSize
 		if hi > len(members) {
@@ -256,11 +273,7 @@ func groupContacts(net *Network, r *stats.RNG, members []int32, groupSize int, c
 			continue
 		}
 		if len(group) <= 6 {
-			for i := 0; i < len(group); i++ {
-				for j := i + 1; j < len(group); j++ {
-					net.addEdge(group[i], group[j], cSrc, cDst, start, dur, 1)
-				}
-			}
+			clique(b, group, cSrc, cDst, start, dur)
 			continue
 		}
 		for i, u := range group {
@@ -269,7 +282,7 @@ func groupContacts(net *Network, r *stats.RNG, members []int32, groupSize int, c
 				if j == i {
 					continue
 				}
-				net.addEdge(u, group[j], cSrc, cDst, start, dur, 1)
+				b.AddContact(u, group[j], cSrc, cDst, start, dur, 1)
 			}
 		}
 	}

@@ -101,29 +101,17 @@ func (lm *LocationModel) VisitorsOf() map[int32][]Visit {
 // exposes the intermediate artefacts.
 func GenerateWithLocations(st StateInfo, cfg Config) (*Network, *LocationModel, error) {
 	cfg = cfg.withDefaults()
-	// Stage (i): reuse the base generator for persons/households/home
-	// contacts, then strip its non-home edges and rebuild them through
-	// explicit locations.
-	base, err := Generate(st, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	net := &Network{Region: base.Region, Persons: base.Persons, households: base.households}
-	net.Adj = make([][]HalfEdge, len(net.Persons))
-	for _, hh := range net.households {
-		for i := 0; i < len(hh.Members); i++ {
-			for j := i + 1; j < len(hh.Members); j++ {
-				net.addEdge(hh.Members[i], hh.Members[j], CtxHome, CtxHome, 18*60, 600, 1)
-			}
-		}
-	}
+	// Stage (i): persons, households and home contacts, shared with Generate;
+	// every other contact is derived below through explicit locations.
+	b, _ := basePopulation(st, cfg)
+	persons, households := b.persons, b.households
 
 	r := stats.NewRNG(cfg.Seed*7778777 + uint64(st.FIPS))
 	lm := &LocationModel{}
 
 	// Residences: one location per household.
-	residenceOf := make(map[int32]int32, len(net.households))
-	for _, hh := range net.households {
+	residenceOf := make(map[int32]int32, len(households))
+	for _, hh := range households {
 		id := int32(len(lm.Locations))
 		lm.Locations = append(lm.Locations, Location{
 			ID: id, Type: LocResidence, CountyFIPS: hh.CountyFIPS, Lat: hh.Lat, Lon: hh.Lon,
@@ -134,8 +122,8 @@ func GenerateWithLocations(st StateInfo, cfg Config) (*Network, *LocationModel, 
 	// Activity locations per county, sized so assignment produces the
 	// same group sizes as the base generator.
 	byCounty := map[int32][]int32{}
-	for i := range net.Persons {
-		byCounty[net.Persons[i].CountyFIPS] = append(byCounty[net.Persons[i].CountyFIPS], net.Persons[i].ID)
+	for i := range persons {
+		byCounty[persons[i].CountyFIPS] = append(byCounty[persons[i].CountyFIPS], persons[i].ID)
 	}
 	newLoc := func(t LocationType, county int32) int32 {
 		id := int32(len(lm.Locations))
@@ -154,10 +142,10 @@ func GenerateWithLocations(st StateInfo, cfg Config) (*Network, *LocationModel, 
 		ctx      Context
 		contacts int
 	}
-	perPerson := make([][]assignment, len(net.Persons))
+	perPerson := make([][]assignment, len(persons))
 	// Home visits for everyone.
-	for i := range net.Persons {
-		p := &net.Persons[i]
+	for i := range persons {
+		p := &persons[i]
 		lm.Visits = append(lm.Visits, Visit{
 			Person: p.ID, Location: residenceOf[p.HouseholdID], StartMin: 18 * 60, DurMin: 600,
 		})
@@ -167,7 +155,7 @@ func GenerateWithLocations(st StateInfo, cfg Config) (*Network, *LocationModel, 
 		inLoc := 0
 		for _, pid := range members {
 			if loc < 0 || inLoc >= groupSize {
-				loc = newLoc(lt, net.Persons[pid].CountyFIPS)
+				loc = newLoc(lt, persons[pid].CountyFIPS)
 				inLoc = 0
 			}
 			inLoc++
@@ -180,8 +168,8 @@ func GenerateWithLocations(st StateInfo, cfg Config) (*Network, *LocationModel, 
 	// Work (statewide shuffle → commuting), school (per county), college
 	// (statewide), religion (per county), shopping & other (per county).
 	var workers []int32
-	for i := range net.Persons {
-		p := &net.Persons[i]
+	for i := range persons {
+		p := &persons[i]
 		if p.Age >= 18 && p.Age <= 64 && r.Bool(cfg.EmploymentRate) {
 			workers = append(workers, p.ID)
 		}
@@ -189,8 +177,8 @@ func GenerateWithLocations(st StateInfo, cfg Config) (*Network, *LocationModel, 
 	r.Shuffle(len(workers), func(i, j int) { workers[i], workers[j] = workers[j], workers[i] })
 	assignGroups(workers, LocWork, 12, cfg.WorkContacts, 9*60, 480)
 	var collegians []int32
-	for i := range net.Persons {
-		p := &net.Persons[i]
+	for i := range persons {
+		p := &persons[i]
 		if p.Age >= 18 && p.Age <= 22 && r.Bool(cfg.CollegeRate) {
 			collegians = append(collegians, p.ID)
 		}
@@ -199,7 +187,7 @@ func GenerateWithLocations(st StateInfo, cfg Config) (*Network, *LocationModel, 
 	for _, members := range byCounty {
 		var students, attendees, shoppers []int32
 		for _, pid := range members {
-			a := net.Persons[pid].Age
+			a := persons[pid].Age
 			if a >= 5 && a <= 17 {
 				students = append(students, pid)
 			}
@@ -233,7 +221,11 @@ func GenerateWithLocations(st StateInfo, cfg Config) (*Network, *LocationModel, 
 			continue
 		}
 		a := meta[locID]
-		groupContacts(net, r, group, len(group), a.ctx, a.ctx, a.contacts, a.start, a.dur)
+		groupContacts(b, r, group, len(group), a.ctx, a.ctx, a.contacts, a.start, a.dur)
+	}
+	net, err := b.Build()
+	if err != nil {
+		return nil, nil, err
 	}
 	return net, lm, nil
 }

@@ -68,7 +68,7 @@ func TestContactsImplyCoOccupancy(t *testing.T) {
 	for i := range net.Persons {
 		householdOf[net.Persons[i].ID] = net.Persons[i].HouseholdID
 	}
-	for pid, adj := range net.Adj {
+	for pid, adj := range rows(net) {
 		for _, e := range adj {
 			if e.SrcContext == CtxHome {
 				if householdOf[int32(pid)] != householdOf[e.Neighbor] {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 )
 
 // Context is the setting in which a contact happens. The paper annotates
@@ -45,9 +46,10 @@ func ParseContext(s string) (Context, error) {
 	return 0, fmt.Errorf("synthpop: unknown context %q", s)
 }
 
-// HalfEdge is one direction of an undirected contact edge, stored in the
-// adjacency list of its source node. Each undirected edge appears exactly
-// twice in a Network, once per endpoint, with the contexts swapped.
+// HalfEdge is one direction of an undirected contact edge as a record: the
+// 16-byte unit of the binary file format, and what CSR.At assembles from the
+// columns. Each undirected edge appears exactly twice in a Network, once in
+// each endpoint's row, with the contexts swapped.
 type HalfEdge struct {
 	Neighbor    int32   // the other endpoint's person ID
 	SrcContext  Context // context of the owning node
@@ -57,19 +59,16 @@ type HalfEdge struct {
 	Weight      float32 // contact weight w_e
 }
 
-// Network is the contact network of one region: person records plus
-// context-labelled adjacency.
+// Network is the contact network of one region: person records (IDs are
+// dense 0..n-1 within a region's network) plus the context-labelled contacts,
+// held once, in the column form the simulator runs on. A Network comes from
+// Builder.Build or ReadNetworkBinary, complete when it is handed out.
 type Network struct {
-	Region  string // postal code
-	Persons []Person
-	// Adj[i] lists the contacts of person i (IDs are dense 0..n-1 within
-	// a region's network).
-	Adj [][]HalfEdge
-	// CountyOfPerson caches the county FIPS per person for aggregation.
+	Region     string // postal code
+	Persons    []Person
 	households []Household
 
-	csrOnce sync.Once
-	csr     *CSR
+	csr CSR
 
 	byCountyOnce sync.Once
 	byCounty     map[int32][]int32
@@ -129,27 +128,34 @@ func (n *Network) PersonsByCounty() map[int32][]int32 {
 	return n.byCounty
 }
 
-// CSR is the compressed-sparse-row view of the adjacency: per-node
-// offsets into contiguous half-edge arrays, in the same order as the Adj
-// rows. The flat layout removes a pointer dereference per node and keeps
-// the edge scan sequential in memory — the property Kitson et al.
-// (arXiv:2401.08124) identify as what lets per-tick kernels scale to
-// realistic networks. The per-edge fields are split structure-of-arrays
-// style because the transmission kernel's common path (neighbor not
-// infectious) needs only the 4-byte neighbor ID: scanning Nbr alone
-// moves a quarter of the memory an array-of-structs row would.
+// CSR is the contact structure in compressed-sparse-row form: per-node
+// offsets into contiguous half-edge columns, each row in the order its
+// contacts were added (Builder). The flat layout removes a pointer
+// dereference per node and keeps the edge scan sequential in memory — the
+// property Kitson et al. (arXiv:2401.08124) identify as what lets per-tick
+// kernels scale to realistic networks. The per-edge fields are split
+// structure-of-arrays style because the transmission kernel's common path
+// (neighbor not infectious) needs only the 4-byte neighbor ID: scanning Nbr
+// alone moves a quarter of the memory an array-of-structs row would. The
+// columns are shared — do not mutate.
 type CSR struct {
 	Offsets []int64 // len NumNodes()+1
-	// Nbr, Ctx and TW are parallel arrays over all half-edges in row
-	// order. Ctx packs the source context in bits 0-2 and the destination
-	// context in bits 3-5 (NumContexts = 7 fits in 3 bits). TW is the
-	// static part of the per-contact propensity, contact duration as a
-	// fraction of a day times the contact weight — T·w_e of eq. (1) —
-	// kept in float64 so the product matches bit-for-bit what the
-	// reference kernel computed from DurationMin and Weight every tick.
+	// Nbr, Ctx and TW are the columns the simulator reads, parallel over all
+	// half-edges in row order. Ctx packs the source context in bits 0-2 and
+	// the destination context in bits 3-5 (NumContexts = 7 fits in 3 bits).
+	// TW is the static part of the per-contact propensity, contact duration
+	// as a fraction of a day times the contact weight — T·w_e of eq. (1) —
+	// kept in float64 so the product matches bit-for-bit what the reference
+	// kernel computes from Dur and Weight every tick.
 	Nbr []int32
 	Ctx []uint8
 	TW  []float64
+	// Start, Dur (minutes) and Weight are the cold columns: the rest of the
+	// file formats' half-edge record, read by the writers, Validate and the
+	// reference kernel, never by a tick.
+	Start  []uint16
+	Dur    []uint16
+	Weight []float32
 
 	// rangeErr is set when some row leaves the range QuantTW sums can hold.
 	rangeErr error
@@ -180,22 +186,34 @@ const (
 // must be finite, non-negative and below 2048 (checkRow).
 func QuantTW(tw float64) int64 { return int64(tw*(1<<TWQuantBits)) + 1 }
 
-// contactTW is T·w_e of eq. (1): the contact duration as a fraction of a
-// day times the contact weight.
-func contactTW(e *HalfEdge) float64 { return float64(e.DurationMin) / 1440.0 * float64(e.Weight) }
+// seal completes the columns once Offsets, Nbr, Ctx, Start, Dur and Weight
+// are filled: it derives TW — T·w_e of eq. (1), the contact duration as a
+// fraction of a day times the contact weight — and runs the range check.
+// Builder.Build and ReadNetworkBinary, the two places a Network is made,
+// both end here, so no network reaches the simulator unchecked.
+func (c *CSR) seal() {
+	c.TW = make([]float64, len(c.Nbr))
+	for k := range c.TW {
+		c.TW[k] = float64(c.Dur[k]) / 1440.0 * float64(c.Weight[k])
+	}
+	for i := 0; i+1 < len(c.Offsets) && c.rangeErr == nil; i++ {
+		c.rangeErr = c.checkRow(i)
+	}
+}
 
 // checkRow verifies that node i's contacts have a finite, non-negative T·w
 // and fit the fixed-point limits above.
-func checkRow(i int, adj []HalfEdge) error {
-	if len(adj) > MaxDegree {
-		return fmt.Errorf("synthpop: node %d has %d contacts, limit %d", i, len(adj), MaxDegree)
+func (c *CSR) checkRow(i int) error {
+	lo, hi := c.Offsets[i], c.Offsets[i+1]
+	if hi-lo > MaxDegree {
+		return fmt.Errorf("synthpop: node %d has %d contacts, limit %d", i, hi-lo, MaxDegree)
 	}
 	sum := int64(0)
-	for j := range adj {
-		tw := contactTW(&adj[j])
+	for k := lo; k < hi; k++ {
+		tw := c.TW[k]
 		// The negated comparison also refuses NaN.
 		if !(tw >= 0 && tw*(1<<TWQuantBits) < MaxQuantTW) {
-			return fmt.Errorf("synthpop: contact %d→%d has T·w %g outside [0, %d)", i, adj[j].Neighbor, tw, (MaxQuantTW+1)>>TWQuantBits)
+			return fmt.Errorf("synthpop: contact %d→%d has T·w %g outside [0, %d)", i, c.Nbr[k], tw, (MaxQuantTW+1)>>TWQuantBits)
 		}
 		sum += QuantTW(tw)
 	}
@@ -206,7 +224,7 @@ func checkRow(i int, adj []HalfEdge) error {
 }
 
 // RangeErr reports whether every row fits the fixed-point limits of QuantTW
-// (nil when it does). The check runs once, when the view is built.
+// (nil when it does). The check runs once, when the columns are completed.
 func (c *CSR) RangeErr() error { return c.rangeErr }
 
 // CtxBits packs a (source, destination) context pair the way CSR.Ctx
@@ -221,69 +239,72 @@ func (c *CSR) Neighbors(i int32) []int32 {
 // Degree returns the contact degree of node i.
 func (c *CSR) Degree(i int32) int { return int(c.Offsets[i+1] - c.Offsets[i]) }
 
-// CSR returns the flat compressed-sparse-row view of the network,
-// building it on first use (safe for concurrent callers). The view is a
-// snapshot: callers that mutate Adj afterwards — only tests do — must
-// not mix the two representations.
-func (n *Network) CSR() *CSR {
-	n.csrOnce.Do(func() {
-		total := 0
-		for _, a := range n.Adj {
-			total += len(a)
-		}
-		c := &CSR{
-			Offsets: make([]int64, len(n.Adj)+1),
-			Nbr:     make([]int32, 0, total),
-			Ctx:     make([]uint8, 0, total),
-			TW:      make([]float64, 0, total),
-		}
-		for i, adj := range n.Adj {
-			for j := range adj {
-				e := &adj[j]
-				c.Nbr = append(c.Nbr, e.Neighbor)
-				c.Ctx = append(c.Ctx, CtxBits(e.SrcContext, e.DstContext))
-				c.TW = append(c.TW, contactTW(e))
-			}
-			c.Offsets[i+1] = int64(len(c.Nbr))
-			if c.rangeErr == nil {
-				c.rangeErr = checkRow(i, adj)
-			}
-		}
-		n.csr = c
-	})
-	return n.csr
+// At returns half-edge k (an index into the columns) as a record.
+func (c *CSR) At(k int64) HalfEdge {
+	return HalfEdge{
+		Neighbor:   c.Nbr[k],
+		SrcContext: Context(c.Ctx[k] & 7), DstContext: Context(c.Ctx[k] >> 3),
+		StartMin: c.Start[k], DurationMin: c.Dur[k], Weight: c.Weight[k],
+	}
 }
+
+// set stores record e as half-edge k, the inverse of At. Contexts must be
+// below NumContexts: Ctx has three bits for each.
+func (c *CSR) set(k int64, e HalfEdge) {
+	c.Nbr[k], c.Ctx[k] = e.Neighbor, CtxBits(e.SrcContext, e.DstContext)
+	c.Start[k], c.Dur[k], c.Weight[k] = e.StartMin, e.DurationMin, e.Weight
+}
+
+// resize sets the length of the five stored half-edge columns to n, growing
+// them as grown does.
+func (c *CSR) resize(n, limit uint64) {
+	c.Nbr, c.Ctx = grown(c.Nbr, n, limit), grown(c.Ctx, n, limit)
+	c.Start, c.Dur, c.Weight = grown(c.Start, n, limit), grown(c.Dur, n, limit), grown(c.Weight, n, limit)
+}
+
+// grown returns s at length n. When it has to reallocate it at least doubles,
+// so a slice filled step by step is copied a constant number of times, and it
+// never allocates past limit, the final length — the slice ends exactly sized.
+func grown[T any](s []T, n, limit uint64) []T {
+	if n > uint64(cap(s)) {
+		s = append(make([]T, 0, min(max(n, 2*uint64(cap(s))), limit)), s...)
+	}
+	return s[:n]
+}
+
+// CSR returns the network's contact structure (shared; do not mutate).
+func (n *Network) CSR() *CSR { return &n.csr }
 
 // NumNodes returns the number of persons.
 func (n *Network) NumNodes() int { return len(n.Persons) }
 
 // NumEdges returns the number of undirected edges (half-edge count / 2).
-func (n *Network) NumEdges() int {
-	total := 0
-	for _, a := range n.Adj {
-		total += len(a)
-	}
-	return total / 2
-}
+func (n *Network) NumEdges() int { return len(n.csr.Nbr) / 2 }
 
 // Households returns the household records.
 func (n *Network) Households() []Household { return n.households }
 
 // Degree returns the contact degree of person i.
-func (n *Network) Degree(i int) int { return len(n.Adj[i]) }
+func (n *Network) Degree(i int) int { return n.csr.Degree(int32(i)) }
 
 // MeanDegree returns the average degree.
 func (n *Network) MeanDegree() float64 {
-	if len(n.Adj) == 0 {
+	if len(n.Persons) == 0 {
 		return 0
 	}
-	return float64(2*n.NumEdges()) / float64(len(n.Adj))
+	return float64(len(n.csr.Nbr)) / float64(len(n.Persons))
 }
 
-// addEdge inserts both half-edges of an undirected contact.
-func (n *Network) addEdge(u, v int32, cu, cv Context, start, dur uint16, w float32) {
-	n.Adj[u] = append(n.Adj[u], HalfEdge{Neighbor: v, SrcContext: cu, DstContext: cv, StartMin: start, DurationMin: dur, Weight: w})
-	n.Adj[v] = append(n.Adj[v], HalfEdge{Neighbor: u, SrcContext: cv, DstContext: cu, StartMin: start, DurationMin: dur, Weight: w})
+// Bytes returns the memory the network occupies: the contact columns (21
+// bytes per half-edge, 42 per contact), the row offsets and the person
+// table. Household records, a generator by-product the simulator never
+// reads, are not counted.
+func (n *Network) Bytes() int64 {
+	c := &n.csr
+	return int64(len(c.Offsets))*8 +
+		int64(len(c.Nbr))*4 + int64(len(c.Ctx)) + int64(len(c.TW))*8 +
+		int64(len(c.Start))*2 + int64(len(c.Dur))*2 + int64(len(c.Weight))*4 +
+		int64(len(n.Persons))*int64(unsafe.Sizeof(Person{}))
 }
 
 // Validate checks network invariants: no self-loops, neighbor IDs and
@@ -293,16 +314,19 @@ func (n *Network) addEdge(u, v int32, cu, cv Context, start, dur uint16, w float
 // contexts swapped. The simulator relies on the mirror twice: a node's
 // infectious-contact count is maintained from its neighbors' rows, and its
 // thinning bound sums the T·w of half-edge u→v while the scan it stands in
-// for reads the T·w of v→u. addEdge guarantees all of this for generated
-// networks; the file loaders call Validate because they take half-edges one
-// at a time.
+// for reads the T·w of v→u. Builder guarantees the mirror for the networks it
+// lays out; the file loaders call Validate because a CSV line can still hold
+// a self-loop or a bad weight and a binary file arrives one half-edge at a
+// time.
 func (n *Network) Validate() error {
+	c := &n.csr
 	nn := len(n.Persons)
-	if len(n.Adj) != nn {
-		return fmt.Errorf("synthpop: %d persons but %d adjacency rows", nn, len(n.Adj))
+	if len(c.Offsets) != nn+1 {
+		return fmt.Errorf("synthpop: %d persons but %d adjacency rows", nn, len(c.Offsets)-1)
 	}
-	for i, adj := range n.Adj {
-		for _, e := range adj {
+	for i := 0; i < nn; i++ {
+		for k := c.Offsets[i]; k < c.Offsets[i+1]; k++ {
+			e := c.At(k)
 			if e.Neighbor == int32(i) {
 				return fmt.Errorf("synthpop: self-loop at %d", i)
 			}
@@ -313,35 +337,38 @@ func (n *Network) Validate() error {
 				return fmt.Errorf("synthpop: contact %d→%d has an unknown context (%d, %d)", i, e.Neighbor, e.SrcContext, e.DstContext)
 			}
 		}
-		if err := checkRow(i, adj); err != nil {
+		if err := c.checkRow(i); err != nil {
 			return err
 		}
 	}
 	// A contact may repeat (two people can meet twice a day), so compare
-	// multiplicities: e must occur in i's row as often as its mirror does in
-	// the neighbor's. Rows are short, so the quadratic count needs no index.
-	for i, adj := range n.Adj {
-		for _, e := range adj {
-			mirror := e
-			mirror.Neighbor = int32(i)
-			mirror.SrcContext, mirror.DstContext = e.DstContext, e.SrcContext
-			if fwd, back := countHalfEdge(adj, e), countHalfEdge(n.Adj[e.Neighbor], mirror); fwd != back {
+	// multiplicities: half-edge k must occur in i's row as often as its
+	// mirror does in the neighbor's. Rows are short, so the quadratic count
+	// needs no index.
+	for i := int32(0); int(i) < nn; i++ {
+		for k := c.Offsets[i]; k < c.Offsets[i+1]; k++ {
+			nbr, ctx := c.Nbr[k], c.Ctx[k]
+			mirror := CtxBits(Context(ctx>>3), Context(ctx&7))
+			if fwd, back := c.countLike(k, i, nbr, ctx), c.countLike(k, nbr, i, mirror); fwd != back {
 				return fmt.Errorf("synthpop: asymmetric contact between %d and %d: %+v occurs %d times, its mirror %d times",
-					i, e.Neighbor, e, fwd, back)
+					i, nbr, c.At(k), fwd, back)
 			}
 		}
 	}
 	return nil
 }
 
-func countHalfEdge(adj []HalfEdge, e HalfEdge) int {
-	c := 0
-	for _, f := range adj {
-		if f == e {
-			c++
+// countLike counts the half-edges of node i's row that lead to nbr with the
+// packed contexts ctx and share half-edge k's start, duration and weight.
+func (c *CSR) countLike(k int64, i, nbr int32, ctx uint8) int {
+	lo, count := c.Offsets[i], 0
+	for d, x := range c.Nbr[lo:c.Offsets[i+1]] {
+		if j := lo + int64(d); x == nbr && c.Ctx[j] == ctx &&
+			c.Start[j] == c.Start[k] && c.Dur[j] == c.Dur[k] && c.Weight[j] == c.Weight[k] {
+			count++
 		}
 	}
-	return c
+	return count
 }
 
 // Partition is a contiguous block of nodes assigned to one processing unit.
@@ -364,7 +391,7 @@ func (n *Network) PartitionNodes(p int, epsilon float64) []Partition {
 	// Degrees come from the CSR offsets — the partitioner shares the flat
 	// layout the simulation kernel runs on.
 	csr := n.CSR()
-	nn := len(n.Adj)
+	nn := len(n.Persons)
 	totalHalf := int(csr.Offsets[nn])
 	target := float64(totalHalf)/float64(p) + epsilon*float64(totalHalf)/float64(p)
 	var parts []Partition
@@ -404,7 +431,7 @@ func (n *Network) PartitionNodesAligned(p int, epsilon float64, align int) []Par
 	if align <= 1 || len(parts) <= 1 {
 		return parts
 	}
-	nn := len(n.Adj)
+	nn := len(n.Persons)
 	a := int32(align)
 	cuts := make([]int32, 0, len(parts)-1)
 	prev := int32(0)
@@ -461,12 +488,9 @@ func PartitionImbalance(parts []Partition) float64 {
 // sanity metric used by tests and by intervention sizing.
 func (n *Network) ContextDegreeShare() [NumContexts]float64 {
 	var counts [NumContexts]int
-	total := 0
-	for _, adj := range n.Adj {
-		for _, e := range adj {
-			counts[e.SrcContext]++
-			total++
-		}
+	total := len(n.csr.Ctx)
+	for _, bits := range n.csr.Ctx {
+		counts[bits&7]++
 	}
 	var out [NumContexts]float64
 	if total == 0 {

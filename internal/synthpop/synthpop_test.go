@@ -143,10 +143,11 @@ func TestMeanDegreeNearPaper(t *testing.T) {
 func TestHouseholdsAreCliques(t *testing.T) {
 	va, _ := StateByCode("VA")
 	net, _ := Generate(va, smallConfig(13))
+	adj := rows(net)
 	for _, hh := range net.Households() {
 		for _, m := range hh.Members {
 			homeNbrs := map[int32]bool{}
-			for _, e := range net.Adj[m] {
+			for _, e := range adj[m] {
 				if e.SrcContext == CtxHome {
 					homeNbrs[e.Neighbor] = true
 				}
@@ -163,7 +164,7 @@ func TestHouseholdsAreCliques(t *testing.T) {
 func TestSchoolContactsOnlyForSchoolAges(t *testing.T) {
 	va, _ := StateByCode("VA")
 	net, _ := Generate(va, smallConfig(17))
-	for i, adj := range net.Adj {
+	for i, adj := range rows(net) {
 		for _, e := range adj {
 			if e.SrcContext == CtxSchool {
 				age := net.Persons[i].Age
@@ -337,7 +338,10 @@ func TestPartitionBalanced(t *testing.T) {
 }
 
 func TestPartitionDegenerate(t *testing.T) {
-	net := &Network{Region: "XX", Persons: make([]Person, 3), Adj: make([][]HalfEdge, 3)}
+	net, err := NewBuilder("XX", make([]Person, 3)).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	parts := net.PartitionNodes(0, 0.1)
 	if len(parts) != 1 {
 		t.Fatalf("p=0 should yield one partition, got %d", len(parts))
@@ -407,9 +411,9 @@ func TestCSVNetworkRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Degree sequence preserved.
-	for i := range net.Adj {
-		if len(back.Adj[i]) != len(net.Adj[i]) {
-			t.Fatalf("degree of %d changed: %d vs %d", i, len(back.Adj[i]), len(net.Adj[i]))
+	for i := range net.Persons {
+		if back.Degree(i) != net.Degree(i) {
+			t.Fatalf("degree of %d changed: %d vs %d", i, back.Degree(i), net.Degree(i))
 		}
 	}
 }
@@ -463,16 +467,25 @@ func TestContextDegreeShare(t *testing.T) {
 func TestValidateCatchesCorruption(t *testing.T) {
 	va, _ := StateByCode("VA")
 	net, _ := Generate(va, smallConfig(53))
+	// No Builder makes these, so the rows are crafted and flattened directly.
+	adj := rows(net)
+	if err := adj.network("VA", net.Persons).Validate(); err != nil {
+		t.Fatalf("uncorrupted rows refused: %v", err)
+	}
 	// Self-loop.
-	net.Adj[0] = append(net.Adj[0], HalfEdge{Neighbor: 0})
-	if err := net.Validate(); err == nil {
+	adj[0] = append(adj[0], HalfEdge{Neighbor: 0})
+	if err := adj.network("VA", net.Persons).Validate(); err == nil {
 		t.Fatal("self-loop not caught")
 	}
-	net.Adj[0] = net.Adj[0][:len(net.Adj[0])-1]
+	adj[0] = adj[0][:len(adj[0])-1]
 	// Asymmetric edge.
-	net.Adj[1] = append(net.Adj[1], HalfEdge{Neighbor: 2, SrcContext: CtxOther, DstContext: CtxOther})
-	if err := net.Validate(); err == nil {
+	adj[1] = append(adj[1], HalfEdge{Neighbor: 2, SrcContext: CtxOther, DstContext: CtxOther})
+	if err := adj.network("VA", net.Persons).Validate(); err == nil {
 		t.Fatal("asymmetric edge not caught")
+	}
+	// Rows that do not match the person table.
+	if err := adj[:len(adj)-1].network("VA", net.Persons).Validate(); err == nil {
+		t.Fatal("row count ≠ person count not caught")
 	}
 }
 
