@@ -86,15 +86,11 @@ func main() {
 			*seed = jsonCfg.Seed
 		}
 		// An explicit -shards beats the file; otherwise the file's "shards"
-		// (or its legacy spelling "parallelism") beats the flag's default.
+		// beats the flag's default.
 		shardsSet := false
 		flag.Visit(func(f *flag.Flag) { shardsSet = shardsSet || f.Name == "shards" })
-		switch {
-		case shardsSet:
-		case jsonCfg.Shards > 0:
+		if !shardsSet && jsonCfg.Shards > 0 {
 			*shards = jsonCfg.Shards
-		case jsonCfg.Parallelism > 0:
-			*shards = jsonCfg.Parallelism
 		}
 	}
 

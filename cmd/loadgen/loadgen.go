@@ -1,9 +1,4 @@
-// Package replica holds the load generator for the scenario front door: a
-// closed-loop HTTP client (RunLoadgen) behind cmd/loadgen, and the tests that
-// drive scenario.Service at several replicas with it — load proof, chaos
-// kill, steal and requeue traces. The replica pools themselves live in
-// internal/scenario.
-package replica
+package main
 
 import (
 	"bytes"
@@ -212,7 +207,7 @@ func RunLoadgen(cfg LoadgenConfig) (LoadgenReport, error) {
 		}
 	}
 	if rep.Requests == 0 {
-		return rep, fmt.Errorf("replica: loadgen issued no requests")
+		return rep, fmt.Errorf("loadgen: issued no requests")
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	rep.P50 = quantile(lats, 0.50)

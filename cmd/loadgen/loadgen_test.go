@@ -1,4 +1,4 @@
-package replica
+package main
 
 import (
 	"context"
@@ -142,7 +142,7 @@ func TestRunLoadgenFixedSpecHitsCache(t *testing.T) {
 	ts := httptest.NewServer(scenario.NewServer(c))
 	defer ts.Close()
 
-	fixed := predSpec("VA", 30)
+	fixed := scenario.Spec{Workflow: scenario.WorkflowPrediction, State: "VA", Days: 30}
 	rep, err := RunLoadgen(LoadgenConfig{
 		BaseURL: ts.URL, Clients: 16, Requests: 64,
 		SpecFor: func(int, int) scenario.Spec { return fixed },
@@ -158,5 +158,40 @@ func TestRunLoadgenFixedSpecHitsCache(t *testing.T) {
 	if submitted > 2 || st.Dispatched > 2 {
 		t.Fatalf("fixed spec executed %d times (dispatched %d), want ≤2 (dedup + shared store)",
 			submitted, st.Dispatched)
+	}
+}
+
+// TestBackendServerOverCoordinator: the default profile over the HTTP front
+// door of a two-replica service — every request a 200, and the per-replica
+// status route answers beside it.
+func TestBackendServerOverCoordinator(t *testing.T) {
+	c := scenario.NewService(scenario.Config{
+		Replicas: 2, Workers: 1, QueueCap: 8, Fingerprint: "test",
+		RunnerFor: latencyRunner(time.Millisecond),
+	})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = c.Drain(ctx)
+	}()
+	srv := httptest.NewServer(scenario.NewServer(c))
+	defer srv.Close()
+
+	rep, err := RunLoadgen(LoadgenConfig{
+		BaseURL: srv.URL, Clients: 8, Requests: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK != 16 || rep.Errors != 0 {
+		t.Fatalf("loadgen over coordinator: %+v", rep)
+	}
+	resp, err := srv.Client().Get(srv.URL + "/replicas")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("/replicas = %d, want 200", resp.StatusCode)
 	}
 }

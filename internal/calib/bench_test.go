@@ -35,11 +35,7 @@ func BenchmarkLogLikDense(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Em.PredictInto(theta, s.mean, s.variance, s.buf)
-		for j := range s.r {
-			s.r[j] = c.Obs[j] - s.mean[j]
-		}
-		sink = c.logLikDense(0.3*sd, 0.1*sd, s)
+		sink = c.denseLik(theta, 0.3*sd, 0.1*sd, s)
 	}
 }
 
@@ -63,8 +59,11 @@ var sink float64
 // total MCMC steps (half burn-in), 100 posterior draws. Multi-chain
 // configurations split the same budget across chains, the standard way a
 // fixed budget buys R̂/ESS diagnostics.
-func benchSample(b *testing.B, cfg Config, steps int) {
+func benchSample(b *testing.B, cfg Config, steps int, dense bool) {
 	c := benchCalibrator(b)
+	if dense {
+		c.lik = c.denseLik
+	}
 	cfg.Steps, cfg.BurnIn, cfg.Seed = steps, steps/2, 9
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,18 +78,18 @@ func benchSample(b *testing.B, cfg Config, steps int) {
 // BenchmarkSampleSerialDense is the stack as it stood before this change:
 // one 1200-step chain on the dense-Cholesky likelihood.
 func BenchmarkSampleSerialDense(b *testing.B) {
-	benchSample(b, Config{Chains: 1, Parallelism: 1, DenseLik: true}, 1200)
+	benchSample(b, Config{Chains: 1, Parallelism: 1}, 1200, true)
 }
 
 // BenchmarkSampleSerialWoodbury isolates the likelihood change: the same
 // single 1200-step chain, Woodbury likelihood.
 func BenchmarkSampleSerialWoodbury(b *testing.B) {
-	benchSample(b, Config{Chains: 1, Parallelism: 1}, 1200)
+	benchSample(b, Config{Chains: 1, Parallelism: 1}, 1200, false)
 }
 
 // BenchmarkSampleMultiWoodbury is the new default shape at the same total
 // budget: four over-dispersed 300-step chains run concurrently on the
 // Woodbury likelihood, pooled after burn-in.
 func BenchmarkSampleMultiWoodbury(b *testing.B) {
-	benchSample(b, Config{}, 300)
+	benchSample(b, Config{}, 300, false)
 }

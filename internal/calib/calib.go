@@ -82,6 +82,10 @@ type Calibrator struct {
 	Scaler *gp.Scaler
 	Obs    []float64
 	VBasis *linalg.Matrix // discrepancy kernels, T × pδ
+
+	// lik, when set, replaces logLik as the likelihood Sample draws against;
+	// in-package tests point it at the dense reference.
+	lik func(thetaUnit []float64, sdDelta, sdEps float64, s *likScratch) float64
 }
 
 // Config controls Fit and Posterior sampling.
@@ -106,10 +110,6 @@ type Config struct {
 	// sample size per coordinate.
 	RHatMax float64
 	MinESS  float64
-
-	// DenseLik forces the O(T³) dense-Cholesky likelihood instead of the
-	// Woodbury fast path — the verification/benchmark reference.
-	DenseLik bool
 
 	// Hyperparameter bounds: the discrepancy scale σδ and noise scale σε
 	// are sampled alongside θ with gamma(2, 2/scale₀) priors. Defaults
@@ -357,24 +357,18 @@ func (c *Calibrator) SampleCtx(ctx context.Context, cfg Config, count int) (*Pos
 		rate := 2.0 / scale
 		return math.Log(rate) + math.Log(rate*x) - rate*x // shape-2 gamma, up to constants
 	}
+	lik := c.logLik
+	if c.lik != nil {
+		lik = c.lik
+	}
 	// One likelihood scratch per chain: the Calibrator itself stays
 	// read-only, so chains share the fitted emulator without locks.
 	newTarget := func(int) mcmc.LogTarget {
 		s := c.newScratch()
 		return func(p []float64) float64 {
-			theta := p[:d]
 			sdDelta, sdEps := p[d], p[d+1]
-			var ll float64
-			if cfg.DenseLik {
-				c.Em.PredictInto(theta, s.mean, s.variance, s.buf)
-				for i := range s.r {
-					s.r[i] = c.Obs[i] - s.mean[i]
-				}
-				ll = c.logLikDense(sdDelta, sdEps, s)
-			} else {
-				ll = c.logLik(theta, sdDelta, sdEps, s)
-			}
-			return ll + gammaLogPrior(sdDelta, sdDeltaMax/4) + gammaLogPrior(sdEps, sdEpsMax/4)
+			return lik(p[:d], sdDelta, sdEps, s) +
+				gammaLogPrior(sdDelta, sdDeltaMax/4) + gammaLogPrior(sdEps, sdEpsMax/4)
 		}
 	}
 	res, runErr := mcmc.RunChainsCtx(ctx, newTarget, mcmc.MultiConfig{

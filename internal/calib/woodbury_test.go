@@ -44,11 +44,7 @@ func TestWoodburyMatchesDense(t *testing.T) {
 			sdDelta := math.Pow(10, -6+6.5*r.Float64()) * obsScale
 			sdEps := math.Pow(10, -1.5+2*r.Float64()) * obsScale
 			fast := c.logLik(theta, sdDelta, sdEps, sFast)
-			c.Em.PredictInto(theta, sDense.mean, sDense.variance, sDense.buf)
-			for i := range sDense.r {
-				sDense.r[i] = c.Obs[i] - sDense.mean[i]
-			}
-			dense := c.logLikDense(sdDelta, sdEps, sDense)
+			dense := c.denseLik(theta, sdDelta, sdEps, sDense)
 			rel := math.Abs(fast-dense) / math.Max(1, math.Abs(dense))
 			if math.IsNaN(rel) || rel > 1e-8 {
 				t.Fatalf("spec %v trial %d: woodbury %v vs dense %v (rel %g) at θ=%v σδ=%g σε=%g",
@@ -133,6 +129,16 @@ func TestSampleGoldenPinAndParallelismDeterminism(t *testing.T) {
 	}
 }
 
+// denseLik is logLik on the O(T³) dense-Cholesky reference path; assigned to
+// Calibrator.lik it makes Sample draw against the reference.
+func (c *Calibrator) denseLik(thetaUnit []float64, sdDelta, sdEps float64, s *likScratch) float64 {
+	c.Em.PredictInto(thetaUnit, s.mean, s.variance, s.buf)
+	for i := range s.r {
+		s.r[i] = c.Obs[i] - s.mean[i]
+	}
+	return c.logLikDense(sdDelta, sdEps, s)
+}
+
 // The dense and Woodbury likelihoods drive the sampler through identical
 // accept/reject decisions only when they agree to rounding; the posterior
 // means must therefore be statistically indistinguishable. (Bit equality
@@ -149,9 +155,8 @@ func TestSampleDenseAndWoodburyAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := base
-	dense.DenseLik = true
-	slow, err := c.Sample(dense, 100)
+	c.lik = c.denseLik
+	slow, err := c.Sample(base, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

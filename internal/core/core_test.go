@@ -166,15 +166,12 @@ func TestRunSimRawBytesMatchesLog(t *testing.T) {
 	}
 	net, _ := p.Network(job.State)
 	db, _ := p.DB(job.State)
-	model, _ := job.Params.ApplyToModel(disease.COVID19())
 	log := &output.TransitionLog{}
-	sim, err := epihiper.New(epihiper.Config{
-		Model: model, Network: net, Days: job.Days, Parallelism: p.Parallelism,
-		Seed:          p.Seed ^ jobSeed(job),
-		Seeds:         []epihiper.Seeding{{CountyFIPS: topCounties(net, 1)[0], Day: 0, Count: 5}},
-		Interventions: interventionsFor(job.Params, 15, 40),
-		DB:            db, Recorder: log,
-	})
+	cfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, 15, 40), log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := epihiper.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -89,26 +88,4 @@ func TestNightGolden(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("night reports drifted from %s\n--- got\n%s--- want\n%s", path, got.Bytes(), want)
 	}
-}
-
-// BenchmarkNightMix runs the second cycle of the `night-batch` mix — the six
-// nights the benchmark times — and records wall time and allocation per
-// night, the two numbers EXPERIMENTS.md tracks for the nightly pipeline.
-func BenchmarkNightMix(b *testing.B) {
-	p := NewPipeline(1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for n := 6; n < 12; n++ {
-			if _, err := p.RunNight(goldenNight(1, n)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	nights := float64(6 * b.N)
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/nights/(1<<20), "MB/night")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/nights/1e6, "ms/night")
 }

@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 
 	"repro/internal/disease"
 	"repro/internal/epihiper"
@@ -142,9 +140,10 @@ func checkpointCost(cp *whatIfCheckpoint) int64 {
 // snapshotKey content-addresses a shared prefix: SHA-256 over the pipeline
 // fingerprint, the normalized prefix spec (everything that shapes the
 // pre-pivot simulation), and the pivot tick.
-func (p *Pipeline) snapshotKey(cfg PredictionConfig, pr Params, cell, rep, tick int) string {
+func (p *Pipeline) snapshotKey(cfg PredictionConfig, job SimJob, tick int) string {
+	pr := job.Params
 	spec := fmt.Sprintf("state=%s;days=%d;shstart=%d;shend=%d;cell=%d;rep=%d;tau=%g;symp=%g;shc=%g;vhic=%g",
-		cfg.State, cfg.Days, cfg.SHStart, cfg.SHEnd, cell, rep,
+		cfg.State, cfg.Days, cfg.SHStart, cfg.SHEnd, job.Cell, job.Replicate,
 		pr.TAU, pr.SYMP, pr.SHCompliance, pr.VHICompliance)
 	h := sha256.New()
 	h.Write([]byte(p.Fingerprint()))
@@ -168,41 +167,13 @@ func (p *Pipeline) RunWhatIfScenarios(cfg PredictionConfig, scenarios []WhatIf) 
 // dispatched in simulation-sized units and the dispatcher checks ctx, so
 // cancellation costs at most the in-flight simulations.
 func (p *Pipeline) RunWhatIfScenariosCtx(ctx context.Context, cfg PredictionConfig, scenarios []WhatIf) ([]*ScenarioOutcome, error) {
-	return p.runWhatIf(ctx, cfg, scenarios, true)
-}
-
-// RunWhatIfScenariosUnshared runs the same analysis without prefix
-// sharing: every scenario re-simulates its pre-pivot history from scratch
-// (then swaps in the scenario stack at the pivot). Results are bit-identical
-// to the shared path — it exists as the equivalence oracle and the
-// before/after benchmark baseline.
-func (p *Pipeline) RunWhatIfScenariosUnshared(ctx context.Context, cfg PredictionConfig, scenarios []WhatIf) ([]*ScenarioOutcome, error) {
-	return p.runWhatIf(ctx, cfg, scenarios, false)
-}
-
-// whatIfWorkers bounds the branch fan-out (matching runJobs' job-level
-// parallelism; each simulation additionally uses p.Parallelism units).
-const whatIfWorkers = 4
-
-func (p *Pipeline) runWhatIf(ctx context.Context, cfg PredictionConfig, scenarios []WhatIf, share bool) ([]*ScenarioOutcome, error) {
 	if len(cfg.Configs) == 0 {
 		return nil, fmt.Errorf("core: what-if analysis needs calibrated configs")
 	}
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("core: no scenarios given")
 	}
-	if cfg.Replicates <= 0 {
-		cfg.Replicates = 5
-	}
-	if cfg.Days <= 0 {
-		cfg.Days = 120
-	}
-	if cfg.SHStart <= 0 {
-		cfg.SHStart = 15
-	}
-	if cfg.SHEnd <= 0 {
-		cfg.SHEnd = cfg.Days
-	}
+	cfg.fillDefaults(5)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -210,8 +181,7 @@ func (p *Pipeline) runWhatIf(ctx context.Context, cfg PredictionConfig, scenario
 		obs.String("state", cfg.State),
 		obs.Int("scenarios", int64(len(scenarios))),
 		obs.Int("configs", int64(len(cfg.Configs))),
-		obs.Int("replicates", int64(cfg.Replicates)),
-		obs.Bool("prefix_shared", share))
+		obs.Int("replicates", int64(cfg.Replicates)))
 	defer sp.End()
 	net, err := p.Network(cfg.State)
 	if err != nil {
@@ -221,162 +191,64 @@ func (p *Pipeline) runWhatIf(ctx context.Context, cfg PredictionConfig, scenario
 	if err != nil {
 		return nil, err
 	}
-	var seeds []epihiper.Seeding
-	for _, c := range topCounties(net, 1) {
-		seeds = append(seeds, epihiper.Seeding{CountyFIPS: c, Day: 0, Count: 5})
-	}
 
 	// The sorted unique pivot ticks every (cell, replicate) prefix walk
 	// must checkpoint.
-	pivotSet := map[int]bool{}
+	var pivots []int
 	for _, sc := range scenarios {
-		pivotSet[sc.pivot(cfg)] = true
+		pivots = append(pivots, sc.pivot(cfg))
 	}
-	pivots := make([]int, 0, len(pivotSet))
-	for d := range pivotSet {
-		pivots = append(pivots, d)
-	}
-	sort.Ints(pivots)
+	slices.Sort(pivots)
+	pivots = slices.Compact(pivots)
 
-	reps := cfg.Replicates
-	type repJob struct{ cell, rep int }
-	repJobs := make([]repJob, 0, len(cfg.Configs)*reps)
-	for ci := range cfg.Configs {
-		for rep := 0; rep < reps; rep++ {
-			repJobs = append(repJobs, repJob{cell: ci, rep: rep})
-		}
-	}
-
-	// checkpoints[(cell, rep)][tick], pinned locally for the duration of
-	// the call so LRU eviction cannot drop a checkpoint between the prefix
-	// walk and the branch fan-out.
-	checkpoints := make([]map[int]*whatIfCheckpoint, len(repJobs))
-
-	runParallel := func(n int, f func(i int) error) error {
-		workers := whatIfWorkers
-		if workers > n {
-			workers = n
-		}
-		jobs := make(chan int)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					errs[i] = f(i)
-				}
-			}()
-		}
-	dispatch:
-		for i := 0; i < n; i++ {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if share {
-		// Phase 1: walk each (cell, replicate)'s shared prefix once,
-		// checkpointing at every pivot tick not already cached.
-		err := runParallel(len(repJobs), func(i int) error {
-			j := repJobs[i]
-			cps, err := p.ensureCheckpoints(ctx, cfg, net, db, seeds, j.cell, j.rep, pivots)
-			if err != nil {
-				return err
-			}
-			checkpoints[i] = cps
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	// Phase 1: walk each (cell, replicate)'s as-is prefix once, checkpointing
+	// at every pivot tick not already cached. checkpoints[(cell, rep)][tick]
+	// stays pinned locally for the duration of the call so LRU eviction
+	// cannot drop a checkpoint between the prefix walk and the branches.
+	var prefixes []SimJob
+	for ci, pr := range cfg.Configs {
+		for rep := 0; rep < cfg.Replicates; rep++ {
+			prefixes = append(prefixes, SimJob{State: cfg.State, Cell: ci, Replicate: rep, Params: pr, Days: cfg.Days})
 		}
 	}
+	checkpoints := make([]map[int]*whatIfCheckpoint, len(prefixes))
+	err = fanOut(ctx, prefixes, func(ctx context.Context, i int) (err error) {
+		checkpoints[i], err = p.ensureCheckpoints(ctx, cfg, net, db, prefixes[i], pivots)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 
-	// Phase 2: fan the scenario branches out in parallel. Outputs land in
+	// Phase 2: branch every scenario from its checkpoint. Outputs land in
 	// (scenario, cell, replicate) order regardless of scheduling.
-	type branch struct{ si, ji int }
-	branches := make([]branch, 0, len(scenarios)*len(repJobs))
-	for si := range scenarios {
-		for ji := range repJobs {
-			branches = append(branches, branch{si: si, ji: ji})
-		}
+	branches := make([]SimJob, 0, len(scenarios)*len(prefixes))
+	for range scenarios {
+		branches = append(branches, prefixes...)
 	}
-	sims := make([][]*SimOutput, len(scenarios))
-	for si := range sims {
-		sims[si] = make([]*SimOutput, len(repJobs))
-	}
-	err = runParallel(len(branches), func(i int) error {
-		b := branches[i]
-		sc := scenarios[b.si]
-		j := repJobs[b.ji]
-		pr := cfg.Configs[j.cell]
-		pivot := sc.pivot(cfg)
-		scaled, ivs := sc.apply(pr, cfg.SHStart, cfg.SHEnd)
-		model, err := scaled.ApplyToModel(disease.COVID19())
+	sims := make([]*SimOutput, len(branches))
+	err = fanOut(ctx, branches, func(_ context.Context, i int) error {
+		sc, job := scenarios[i/len(prefixes)], branches[i]
+		cp := checkpoints[i%len(prefixes)][sc.pivot(cfg)]
+		var ivs []epihiper.Intervention
+		job.Params, ivs = sc.apply(job.Params, cfg.SHStart, cfg.SHEnd)
+		agg := output.NewCountyAggregator(net, cfg.Days)
+		simCfg, err := p.simConfig(job, net, db, ivs, agg)
 		if err != nil {
 			return err
 		}
-		job := SimJob{State: cfg.State, Cell: j.cell, Replicate: j.rep, Params: scaled, Days: cfg.Days}
-		agg := output.NewCountyAggregator(net, cfg.Days)
-		simCfg := epihiper.Config{
-			Model: model, Network: net, Days: cfg.Days,
-			Parallelism: p.Parallelism,
-			Seed:        p.Seed ^ jobSeed(job),
-			Seeds:       seeds, Interventions: ivs,
-			DB: db, Recorder: agg, Metrics: p.metrics,
+		for _, t := range cp.log {
+			agg.Record(int(t.Tick), t.PID, t.From, t.To, t.Infector)
 		}
-		var res *epihiper.Result
-		if share {
-			cp := checkpoints[b.ji][pivot]
-			if cp == nil {
-				return fmt.Errorf("core: missing checkpoint for cell %d rep %d tick %d", j.cell, j.rep, pivot)
-			}
-			for _, t := range cp.log {
-				agg.Record(int(t.Tick), t.PID, t.From, t.To, t.Infector)
-			}
-			sim, err := epihiper.NewFromSnapshot(simCfg, cp.snap)
-			if err != nil {
-				return err
-			}
-			res, err = sim.RunSuffix(cp.res)
-			if err != nil {
-				return err
-			}
-		} else {
-			// From-scratch oracle: baseline history to the pivot, then the
-			// scenario stack takes over with the state handed across — the
-			// exact computation the snapshot path shortcuts.
-			simCfg.Interventions = interventionsFor(pr, cfg.SHStart, cfg.SHEnd)
-			sim, err := epihiper.New(simCfg)
-			if err != nil {
-				return err
-			}
-			prefixRes, err := sim.RunPrefix(pivot)
-			if err != nil {
-				return err
-			}
-			sim.SwapInterventions(ivs)
-			res, err = sim.RunSuffix(prefixRes)
-			if err != nil {
-				return err
-			}
+		sim, err := epihiper.NewFromSnapshot(simCfg, cp.snap)
+		if err != nil {
+			return err
 		}
-		sims[b.si][b.ji] = &SimOutput{Job: job, Result: res, Agg: agg}
+		res, err := sim.RunSuffix(cp.res)
+		if err != nil {
+			return err
+		}
+		sims[i] = &SimOutput{Job: job, Result: res, Agg: agg}
 		return nil
 	})
 	if err != nil {
@@ -385,36 +257,34 @@ func (p *Pipeline) runWhatIf(ctx context.Context, cfg PredictionConfig, scenario
 
 	out := make([]*ScenarioOutcome, 0, len(scenarios))
 	for si, sc := range scenarios {
-		so := &ScenarioOutcome{Scenario: sc}
-		so.Confirmed = ensembleBand(sims[si], cfg.Days, func(s *SimOutput) []float64 {
+		so := &ScenarioOutcome{Scenario: sc, Sims: sims[si*len(prefixes) : (si+1)*len(prefixes) : (si+1)*len(prefixes)]}
+		so.Confirmed = ensembleBand(so.Sims, cfg.Days, func(s *SimOutput) []float64 {
 			return s.Agg.StateConfirmedCumulative()
 		})
-		so.Deaths = ensembleBand(sims[si], cfg.Days, func(s *SimOutput) []float64 {
+		so.Deaths = ensembleBand(so.Sims, cfg.Days, func(s *SimOutput) []float64 {
 			return s.Agg.StateCumulative(disease.Dead)
 		})
-		so.Sims = sims[si]
 		out = append(out, so)
 	}
 	return out, nil
 }
 
-// ensureCheckpoints returns the shared-prefix checkpoints of one
-// (cell, replicate) at every pivot tick, simulating only the ticks the
+// ensureCheckpoints returns the as-is prefix checkpoints of one
+// (cell, replicate) job at every pivot tick, simulating only the ticks the
 // content-addressed store does not already hold: the walk resumes from the
 // deepest cached checkpoint at or below the first missing tick and
 // checkpoints forward.
 func (p *Pipeline) ensureCheckpoints(ctx context.Context, cfg PredictionConfig,
-	net *synthpop.Network, db *popdb.Server, seeds []epihiper.Seeding, cell, rep int, pivots []int,
+	net *synthpop.Network, db *popdb.Server, job SimJob, pivots []int,
 ) (map[int]*whatIfCheckpoint, error) {
-	pr := cfg.Configs[cell]
 	out := make(map[int]*whatIfCheckpoint, len(pivots))
 	var missing []int
 	for _, tick := range pivots {
-		key := p.snapshotKey(cfg, pr, cell, rep, tick)
+		key := p.snapshotKey(cfg, job, tick)
 		if p.snapshots != nil {
 			if cp, ok := p.snapshots.Get(key); ok {
 				obs.Event(ctx, "snapshot.hit",
-					obs.Int("cell", int64(cell)), obs.Int("replicate", int64(rep)),
+					obs.Int("cell", int64(job.Cell)), obs.Int("replicate", int64(job.Replicate)),
 					obs.Int("tick", int64(tick)), obs.String("key", key[:16]))
 				out[tick] = cp
 				continue
@@ -422,7 +292,7 @@ func (p *Pipeline) ensureCheckpoints(ctx context.Context, cfg PredictionConfig,
 			p.snapshots.RecordMiss()
 		}
 		obs.Event(ctx, "snapshot.miss",
-			obs.Int("cell", int64(cell)), obs.Int("replicate", int64(rep)),
+			obs.Int("cell", int64(job.Cell)), obs.Int("replicate", int64(job.Replicate)),
 			obs.Int("tick", int64(tick)), obs.String("key", key[:16]))
 		missing = append(missing, tick)
 	}
@@ -439,19 +309,10 @@ func (p *Pipeline) ensureCheckpoints(ctx context.Context, cfg PredictionConfig,
 			base = cp
 		}
 	}
-	model, err := pr.ApplyToModel(disease.COVID19())
+	log := &output.TransitionLog{}
+	simCfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, cfg.SHStart, cfg.SHEnd), log)
 	if err != nil {
 		return nil, err
-	}
-	job := SimJob{State: cfg.State, Cell: cell, Replicate: rep, Params: pr, Days: cfg.Days}
-	log := &output.TransitionLog{}
-	simCfg := epihiper.Config{
-		Model: model, Network: net, Days: cfg.Days,
-		Parallelism:   p.Parallelism,
-		Seed:          p.Seed ^ jobSeed(job),
-		Seeds:         seeds,
-		Interventions: interventionsFor(pr, cfg.SHStart, cfg.SHEnd),
-		DB:            db, Recorder: log, Metrics: p.metrics,
 	}
 	var sim *epihiper.Sim
 	var res *epihiper.Result
@@ -480,7 +341,7 @@ func (p *Pipeline) ensureCheckpoints(ctx context.Context, cfg PredictionConfig,
 		cp := &whatIfCheckpoint{tick: tick, snap: snap, res: res, log: slices.Clone(log.Entries)}
 		out[tick] = cp
 		if p.snapshots != nil {
-			p.snapshots.Put(p.snapshotKey(cfg, pr, cell, rep, tick), cp)
+			p.snapshots.Put(p.snapshotKey(cfg, job, tick), cp)
 		}
 	}
 	return out, nil

@@ -6,6 +6,10 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/disease"
+	"repro/internal/epihiper"
+	"repro/internal/output"
 )
 
 func TestStandardWhatIfs(t *testing.T) {
@@ -116,6 +120,62 @@ func TestRunWhatIfValidation(t *testing.T) {
 	}
 }
 
+// runWhatIfUnshared is the from-scratch oracle of the what-if workflow: every
+// (scenario, cell, replicate) re-simulates the as-is history to its pivot,
+// swaps the scenario stack in and runs on — the computation the snapshot path
+// shortcuts. It builds each simulation with the stage's simConfig, so seeds
+// and seeding cannot drift from production, and shares nothing else with
+// RunWhatIfScenariosCtx: no checkpoint, no log replay, no fan-out.
+func runWhatIfUnshared(t *testing.T, p *Pipeline, cfg PredictionConfig, scenarios []WhatIf) []*ScenarioOutcome {
+	t.Helper()
+	cfg.fillDefaults(5)
+	net, err := p.Network(cfg.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := p.DB(cfg.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs []*ScenarioOutcome
+	for _, sc := range scenarios {
+		so := &ScenarioOutcome{Scenario: sc}
+		for ci, pr := range cfg.Configs {
+			for rep := 0; rep < cfg.Replicates; rep++ {
+				scaled, ivs := sc.apply(pr, cfg.SHStart, cfg.SHEnd)
+				job := SimJob{State: cfg.State, Cell: ci, Replicate: rep, Params: scaled, Days: cfg.Days}
+				agg := output.NewCountyAggregator(net, cfg.Days)
+				simCfg, err := p.simConfig(job, net, db, interventionsFor(pr, cfg.SHStart, cfg.SHEnd), agg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim, err := epihiper.New(simCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prefix, err := sim.RunPrefix(sc.pivot(cfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim.SwapInterventions(ivs)
+				res, err := sim.RunSuffix(prefix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				so.Sims = append(so.Sims, &SimOutput{Job: job, Result: res, Agg: agg})
+			}
+		}
+		so.Confirmed = ensembleBand(so.Sims, cfg.Days, func(s *SimOutput) []float64 {
+			return s.Agg.StateConfirmedCumulative()
+		})
+		so.Deaths = ensembleBand(so.Sims, cfg.Days, func(s *SimOutput) []float64 {
+			return s.Agg.StateCumulative(disease.Dead)
+		})
+		outs = append(outs, so)
+	}
+	return outs
+}
+
 // TestWhatIfSharedMatchesUnshared is the workflow-level equivalence gate:
 // branching every scenario from the shared-prefix snapshot must produce
 // bit-identical forecasts to re-simulating each scenario's history from
@@ -140,10 +200,7 @@ func TestWhatIfSharedMatchesUnshared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unshared, err := p.RunWhatIfScenariosUnshared(context.Background(), cfg, scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
+	unshared := runWhatIfUnshared(t, p, cfg, scenarios)
 	if len(shared) != len(unshared) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(shared), len(unshared))
 	}

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
-	"sync"
 
 	"repro/internal/calib"
 	"repro/internal/disease"
@@ -13,34 +10,11 @@ import (
 	"repro/internal/lhs"
 	"repro/internal/linalg"
 	"repro/internal/obs"
-	"repro/internal/output"
 	"repro/internal/stats"
 	"repro/internal/surveillance"
 	"repro/internal/synthpop"
 	"repro/internal/transfer"
 )
-
-// SimJob is one simulation instance (one replicate of one cell).
-type SimJob struct {
-	State     string
-	Cell      int
-	Replicate int
-	Params    Params
-	Days      int
-	// SeedCases places this many initial infections in each of the
-	// region's most populous SeedCounties counties.
-	SeedCases    int
-	SeedCounties int
-}
-
-// SimOutput couples a job with its aggregated result.
-type SimOutput struct {
-	Job    SimJob
-	Result *epihiper.Result
-	Agg    *output.CountyAggregator
-	// RawBytes estimates the individual-level output size at 1:1 scale.
-	RawBytes int64
-}
 
 // interventionsFor builds the VA-case-study intervention stack for a cell:
 // SC at 100% compliance, SH and VHI at the cell's compliance parameters.
@@ -54,98 +28,10 @@ func interventionsFor(pr Params, shStart, shEnd int) []epihiper.Intervention {
 	}
 }
 
-// topCounties returns the region's n most populous counties, largest first
-// (ties by ascending FIPS).
-func topCounties(net *synthpop.Network, n int) []int32 {
-	ix := net.Counties()
-	order := make([]int, len(ix.FIPS))
-	for i := range order {
-		order[i] = i
-	}
-	// FIPS ascends with the ordinal, so a stable sort by size keeps the tie
-	// order.
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ix.Size[b], ix.Size[a]) })
-	if n < len(order) {
-		order = order[:n]
-	}
-	out := make([]int32, len(order))
-	for i, ord := range order {
-		out[i] = ix.FIPS[ord]
-	}
-	return out
-}
-
-// RunSim executes one simulation job against the pipeline's substrates.
-func (p *Pipeline) RunSim(job SimJob, shStart, shEnd int) (*SimOutput, error) {
-	net, err := p.Network(job.State)
-	if err != nil {
-		return nil, err
-	}
-	db, err := p.DB(job.State)
-	if err != nil {
-		return nil, err
-	}
-	model, err := job.Params.ApplyToModel(disease.COVID19())
-	if err != nil {
-		return nil, err
-	}
-	if job.Days <= 0 {
-		return nil, fmt.Errorf("core: job %+v has no horizon", job)
-	}
-	seedCounties := job.SeedCounties
-	if seedCounties <= 0 {
-		seedCounties = 1
-	}
-	seedCases := job.SeedCases
-	if seedCases <= 0 {
-		seedCases = 5
-	}
-	var seeds []epihiper.Seeding
-	for _, c := range topCounties(net, seedCounties) {
-		seeds = append(seeds, epihiper.Seeding{CountyFIPS: c, Day: 0, Count: seedCases})
-	}
-	agg := output.NewCountyAggregator(net, job.Days)
-	sim, err := epihiper.New(epihiper.Config{
-		Model:         model,
-		Network:       net,
-		Days:          job.Days,
-		Parallelism:   p.Parallelism,
-		Seed:          p.Seed ^ jobSeed(job),
-		Seeds:         seeds,
-		Interventions: interventionsFor(job.Params, shStart, shEnd),
-		DB:            db,
-		Recorder:      agg,
-		Metrics:       p.metrics,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &SimOutput{
-		Job: job, Result: res, Agg: agg,
-		RawBytes: res.Transitions() * output.RawBytesPerTransition * int64(p.Scale),
-	}, nil
-}
-
-// jobSeed derives a deterministic per-job seed.
-func jobSeed(job SimJob) uint64 {
-	h := uint64(1469598103934665603)
-	for _, c := range job.State {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	h ^= uint64(uint32(job.Cell)) * 0x9E3779B97F4A7C15
-	h ^= uint64(uint32(job.Replicate)) * 0xC2B2AE3D27D4EB4F
-	return h
-}
-
-// runJobs executes jobs with bounded parallelism across jobs and records
-// the Table I transfer accounting (configs out on the given day, summaries
-// back). Cancelling ctx stops dispatching new jobs; in-flight simulations
-// finish (one sim is the cancellation granularity) and ctx.Err() is
-// returned, so abandoned requests stop burning CPU.
+// runJobs executes jobs on the simulation stage and records the Table I
+// transfer accounting (configs out on the given day, summaries back).
+// Cancelling ctx stops dispatching new jobs and returns ctx.Err(), so
+// abandoned requests stop burning CPU.
 func (p *Pipeline) runJobs(ctx context.Context, day int, label string, jobs []SimJob, shStart, shEnd int) ([]*SimOutput, error) {
 	ctx, sp := obs.StartSpan(ctx, "sim",
 		obs.String("label", label), obs.Int("jobs", int64(len(jobs))))
@@ -156,49 +42,16 @@ func (p *Pipeline) runJobs(ctx context.Context, day int, label string, jobs []Si
 		return nil, err
 	}
 	outs := make([]*SimOutput, len(jobs))
-	errs := make([]error, len(jobs))
-	// Bounded worker pool over jobs; per-sim parallelism stays at
-	// p.Parallelism, mirroring replicate-level × rank-level parallelism.
-	const workers = 4
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				_, jsp := obs.StartSpan(ctx, "sim.job",
-					obs.String("state", jobs[i].State),
-					obs.Int("cell", int64(jobs[i].Cell)),
-					obs.Int("replicate", int64(jobs[i].Replicate)))
-				outs[i], errs[i] = p.RunSim(jobs[i], shStart, shEnd)
-				jsp.End()
-			}
-		}()
-	}
-dispatch:
-	for i := range jobs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	err := fanOut(ctx, jobs, func(_ context.Context, i int) (err error) {
+		outs[i], err = p.RunSim(jobs[i], shStart, shEnd)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	var summaryBytes int64
-	for i := range outs {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("core: job %d: %w", i, errs[i])
-		}
-		summaryBytes += outs[i].Agg.SummaryBytes()
+	for _, o := range outs {
+		summaryBytes += o.Agg.SummaryBytes()
 	}
 	if _, err := p.Ledger.MoveCtx(ctx, day, transfer.RemoteToHome, label+"-summaries", summaryBytes); err != nil {
 		return nil, err
@@ -498,6 +351,23 @@ type PredictionConfig struct {
 	Day        int
 }
 
+// fillDefaults completes the horizon and mitigation schedule; replicates is
+// the calling workflow's default ensemble size.
+func (c *PredictionConfig) fillDefaults(replicates int) {
+	if c.Replicates <= 0 {
+		c.Replicates = replicates
+	}
+	if c.Days <= 0 {
+		c.Days = 120
+	}
+	if c.SHStart <= 0 {
+		c.SHStart = 15
+	}
+	if c.SHEnd <= 0 {
+		c.SHEnd = c.Days
+	}
+}
+
 // Forecast is a daily series with a 95% band.
 type Forecast struct {
 	Median, Lo, Hi []float64
@@ -532,18 +402,7 @@ func (p *Pipeline) RunPredictionWorkflowCtx(ctx context.Context, cfg PredictionC
 	ctx, sp := obs.StartSpan(ctx, "workflow.prediction",
 		obs.String("state", cfg.State), obs.Int("configs", int64(len(cfg.Configs))))
 	defer sp.End()
-	if cfg.Replicates <= 0 {
-		cfg.Replicates = 15
-	}
-	if cfg.Days <= 0 {
-		cfg.Days = 120
-	}
-	if cfg.SHStart <= 0 {
-		cfg.SHStart = 15
-	}
-	if cfg.SHEnd <= 0 {
-		cfg.SHEnd = cfg.Days
-	}
+	cfg.fillDefaults(15)
 	var jobs []SimJob
 	for c, pr := range cfg.Configs {
 		for rep := 0; rep < cfg.Replicates; rep++ {

@@ -11,7 +11,7 @@ import (
 // must produce an error or a valid, buildable configuration.
 func FuzzParseJSONConfig(f *testing.F) {
 	good := &JSONConfig{
-		Region: "VA", Days: 30, Seed: 1,
+		Region: "VA", Days: 30, Seed: 1, Shards: 2,
 		Interventions: []InterventionSpec{
 			{Type: "SH", StartDay: 5, EndDay: 20, Compliance: 0.5},
 		},

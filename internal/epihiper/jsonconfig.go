@@ -16,13 +16,13 @@ import (
 
 // JSONConfig is the serializable simulation configuration.
 type JSONConfig struct {
-	Region      string `json:"region"`
-	Days        int    `json:"days"`
-	Parallelism int    `json:"parallelism,omitempty"`
-	// Shards is the shard count of the shard-owned engine; it supersedes
-	// Parallelism (the legacy spelling of the same knob) when both are
-	// set. Results are bit-identical at any value — this is an execution
-	// hint, not part of the scenario's identity.
+	Region string `json:"region"`
+	Days   int    `json:"days"`
+	// Shards is the shard count of the shard-owned engine (Config.Parallelism).
+	// Results are bit-identical at any value — this is an execution hint, not
+	// part of the scenario's identity — so a file that still spells it
+	// "parallelism" is read like any file with an unknown key: the key is
+	// ignored and the run uses the caller's default.
 	Shards             int                `json:"shards,omitempty"`
 	PartitionTolerance float64            `json:"partitionTolerance,omitempty"`
 	Seed               uint64             `json:"seed"`
@@ -132,15 +132,11 @@ func (c *JSONConfig) Build(net *synthpop.Network) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	par := c.Parallelism
-	if c.Shards > 0 {
-		par = c.Shards
-	}
 	return Config{
 		Model:              model,
 		Network:            net,
 		Days:               c.Days,
-		Parallelism:        par,
+		Parallelism:        c.Shards,
 		PartitionTolerance: c.PartitionTolerance,
 		Seed:               c.Seed,
 		Seeds:              c.Seeds,

@@ -8,7 +8,7 @@ import (
 
 func TestJSONConfigRoundTrip(t *testing.T) {
 	cfg := &JSONConfig{
-		Region: "VA", Days: 90, Parallelism: 4, Seed: 42,
+		Region: "VA", Days: 90, Shards: 4, Seed: 42,
 		Model: disease.COVID19(),
 		Seeds: []Seeding{{CountyFIPS: 51001, Day: 0, Count: 5}},
 		Interventions: []InterventionSpec{
@@ -26,7 +26,7 @@ func TestJSONConfigRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Region != "VA" || back.Days != 90 || back.Seed != 42 {
+	if back.Region != "VA" || back.Days != 90 || back.Seed != 42 || back.Shards != 4 {
 		t.Fatal("header fields lost")
 	}
 	if len(back.Seeds) != 1 || back.Seeds[0].CountyFIPS != 51001 {
@@ -43,7 +43,7 @@ func TestJSONConfigRoundTrip(t *testing.T) {
 func TestJSONConfigBuildAndRun(t *testing.T) {
 	net := testNetwork(t, 60)
 	cfg := &JSONConfig{
-		Region: "VA", Days: 30, Parallelism: 2, Seed: 7,
+		Region: "VA", Days: 30, Shards: 2, Seed: 7,
 		Seeds: seedAll(net, 5),
 		Interventions: []InterventionSpec{
 			{Type: "VHI", Compliance: 0.4, IsolationDays: 14},
@@ -61,6 +61,9 @@ func TestJSONConfigBuildAndRun(t *testing.T) {
 	runCfg, err := parsed.Build(net)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if runCfg.Parallelism != 2 {
+		t.Fatalf("\"shards\": 2 built Parallelism %d", runCfg.Parallelism)
 	}
 	sim, err := New(runCfg)
 	if err != nil {
@@ -80,6 +83,10 @@ func TestJSONConfigBuildAndRun(t *testing.T) {
 }
 
 func TestJSONConfigValidation(t *testing.T) {
+	// The retired "parallelism" key is an unknown key: accepted and ignored.
+	if cfg, err := ParseJSONConfig([]byte(`{"region":"VA","days":10,"parallelism":4}`)); err != nil || cfg.Shards != 0 {
+		t.Errorf("legacy \"parallelism\" key: cfg %+v, err %v; want it ignored", cfg, err)
+	}
 	if _, err := ParseJSONConfig([]byte(`{`)); err == nil {
 		t.Error("garbage accepted")
 	}

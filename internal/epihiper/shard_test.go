@@ -286,33 +286,3 @@ func TestKernelCountersPublished(t *testing.T) {
 	t.Logf("visits %d, scans %d, edge visits %d, exposures %d; scans per exposure %.2f; cross-shard updates at 4 shards %d",
 		visits, scans, edges, exposures, float64(scans)/float64(exposures), four[4])
 }
-
-// BenchmarkShardScaling drives the full kernel (transmission + mutation +
-// exchange + merge) over the golden mid-scale network at shard counts
-// {1, 2, 4, 8}: the scaling curve published to BENCH.json. On
-// multi-core hardware the curve tracks core count; on a single-CPU host
-// it records the engine's overhead at higher shard counts instead.
-func BenchmarkShardScaling(b *testing.B) {
-	net := goldenNetwork(b)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sim, err := New(Config{
-					Model:       disease.COVID19(),
-					Network:     net,
-					Days:        60,
-					Parallelism: shards,
-					Seed:        12345,
-					Seeds:       seedAll(net, 8),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sim.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -1,4 +1,4 @@
-package replica
+package scenario_test
 
 import (
 	"context"

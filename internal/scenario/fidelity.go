@@ -47,28 +47,20 @@ func FidelityPipelineRunner(p *core.Pipeline, router *fidelity.Router) Runner {
 		var res *Result
 		switch d.Tier {
 		case fidelity.TierABM:
-			switch spec.Workflow {
-			case WorkflowPrediction:
-				out, err := p.RunPredictionWorkflowCtx(ctx, predictionConfig(spec))
-				if err != nil {
-					return nil, err
-				}
-				if err := router.ObservePrediction(ctx, req, out); err != nil {
-					return nil, fmt.Errorf("scenario: recording fidelity observation: %w", err)
-				}
-				res = predictionResult(out)
-			case WorkflowWhatIf:
-				outs, err := p.RunWhatIfScenariosCtx(ctx, predictionConfig(spec), req.WhatIfs)
-				if err != nil {
-					return nil, err
-				}
-				if err := router.ObserveWhatIf(ctx, req, outs); err != nil {
-					return nil, fmt.Errorf("scenario: recording fidelity observation: %w", err)
-				}
-				res = whatIfResult(outs)
-			default:
-				return nil, fmt.Errorf("scenario: workflow %q not servable by fidelity ladder", spec.Workflow)
+			out, err := runABM(ctx, p, spec)
+			if err != nil {
+				return nil, err
 			}
+			switch {
+			case out.prediction != nil:
+				err = router.ObservePrediction(ctx, req, out.prediction)
+			case out.whatIf != nil:
+				err = router.ObserveWhatIf(ctx, req, out.whatIf)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("scenario: recording fidelity observation: %w", err)
+			}
+			res = out.res
 		case fidelity.TierEmulator, fidelity.TierMetapop:
 			res, err = resultFromAnswer(spec, d)
 			if err != nil {

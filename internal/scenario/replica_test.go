@@ -1,10 +1,9 @@
-package replica
+package scenario_test
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -522,30 +521,4 @@ func TestCoordinatorCancelAndAbandon(t *testing.T) {
 		st, ok := c.Lookup(h2.Hash)
 		return ok && st.Status().State == "canceled"
 	})
-}
-
-func TestBackendServerOverCoordinator(t *testing.T) {
-	c, cr := testCoordinator(t, 2, 1, 8, nil)
-	cr.release(0, 16)
-	cr.release(1, 16)
-	srv := httptest.NewServer(scenario.NewServer(c))
-	defer srv.Close()
-
-	rep, err := RunLoadgen(LoadgenConfig{
-		BaseURL: srv.URL, Clients: 8, Requests: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK != 16 || rep.Errors != 0 {
-		t.Fatalf("loadgen over coordinator: %+v", rep)
-	}
-	resp, err := srv.Client().Get(srv.URL + "/replicas")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("/replicas = %d, want 200", resp.StatusCode)
-	}
 }

@@ -13,19 +13,42 @@ import (
 // region share substrates.
 func PipelineRunner(p *core.Pipeline) Runner {
 	return func(ctx context.Context, spec Spec) (*Result, error) {
-		if p == nil {
-			return nil, fmt.Errorf("scenario: no pipeline configured")
+		out, err := runABM(ctx, p, spec)
+		return out.res, err
+	}
+}
+
+// abmOutcome is one exact run's product: the served Result and, for the
+// workflows the fidelity router learns from, the outcome it was shaped from.
+type abmOutcome struct {
+	res        *Result
+	prediction *core.PredictionOutcome
+	whatIf     []*core.ScenarioOutcome
+}
+
+// runABM is the one dispatch from a normalized spec to a pipeline workflow.
+func runABM(ctx context.Context, p *core.Pipeline, spec Spec) (abmOutcome, error) {
+	if p == nil {
+		return abmOutcome{}, fmt.Errorf("scenario: no pipeline configured")
+	}
+	switch spec.Workflow {
+	case WorkflowPrediction:
+		out, err := p.RunPredictionWorkflowCtx(ctx, predictionConfig(spec))
+		if err != nil {
+			return abmOutcome{}, err
 		}
-		switch spec.Workflow {
-		case WorkflowPrediction:
-			return runPrediction(ctx, p, spec)
-		case WorkflowWhatIf:
-			return runWhatIf(ctx, p, spec)
-		case WorkflowNight:
-			return runNight(ctx, p, spec)
-		default:
-			return nil, fmt.Errorf("scenario: unknown workflow %q", spec.Workflow)
+		return abmOutcome{res: predictionResult(out), prediction: out}, nil
+	case WorkflowWhatIf:
+		outs, err := p.RunWhatIfScenariosCtx(ctx, predictionConfig(spec), whatIfScenarios(spec))
+		if err != nil {
+			return abmOutcome{}, err
 		}
+		return abmOutcome{res: whatIfResult(outs), whatIf: outs}, nil
+	case WorkflowNight:
+		res, err := runNight(ctx, p, spec)
+		return abmOutcome{res: res}, err
+	default:
+		return abmOutcome{}, fmt.Errorf("scenario: unknown workflow %q", spec.Workflow)
 	}
 }
 
@@ -38,14 +61,6 @@ func predictionConfig(spec Spec) core.PredictionConfig {
 		cfg.Configs = append(cfg.Configs, c.toCore())
 	}
 	return cfg
-}
-
-func runPrediction(ctx context.Context, p *core.Pipeline, spec Spec) (*Result, error) {
-	out, err := p.RunPredictionWorkflowCtx(ctx, predictionConfig(spec))
-	if err != nil {
-		return nil, err
-	}
-	return predictionResult(out), nil
 }
 
 func predictionResult(out *core.PredictionOutcome) *Result {
@@ -63,14 +78,6 @@ func whatIfScenarios(spec Spec) []core.WhatIf {
 		scenarios = append(scenarios, w.toCore())
 	}
 	return scenarios
-}
-
-func runWhatIf(ctx context.Context, p *core.Pipeline, spec Spec) (*Result, error) {
-	outs, err := p.RunWhatIfScenariosCtx(ctx, predictionConfig(spec), whatIfScenarios(spec))
-	if err != nil {
-		return nil, err
-	}
-	return whatIfResult(outs), nil
 }
 
 func whatIfResult(outs []*core.ScenarioOutcome) *Result {

@@ -16,8 +16,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata goldens from the
 // the binary and CSV network files of Generate for two states at seeds 1–2
 // and of GenerateWithLocations for one. The binary file holds every row in
 // order, so the pin covers the row order the simulator's infector choice
-// rests on. GenerateWithLocations is pinned on DC because it walks a
-// county-keyed map: only a one-county region is reproducible run to run.
+// rests on. GenerateWithLocations is pinned on DC, a one-county region, so
+// the pin predates and survives the FIPS-ordered county loop that
+// TestGenerateWithLocationsReproducible checks on a five-county one.
 // A change to how the network is stored or built must leave the file
 // untouched (`go test ./internal/synthpop -run TestPopulationGolden -update`
 // rewrites it).

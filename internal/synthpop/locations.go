@@ -3,6 +3,7 @@ package synthpop
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -184,9 +185,16 @@ func GenerateWithLocations(st StateInfo, cfg Config) (*Network, *LocationModel, 
 		}
 	}
 	assignGroups(collegians, LocCollege, 30, cfg.CollegeContacts, 10*60, 240)
-	for _, members := range byCounty {
+	// Ascending FIPS: the loop draws from r, so map order would make the
+	// network differ run to run on any region with more than one county.
+	counties := make([]int32, 0, len(byCounty))
+	for c := range byCounty {
+		counties = append(counties, c)
+	}
+	slices.Sort(counties)
+	for _, c := range counties {
 		var students, attendees, shoppers []int32
-		for _, pid := range members {
+		for _, pid := range byCounty[c] {
 			a := persons[pid].Age
 			if a >= 5 && a <= 17 {
 				students = append(students, pid)

@@ -1,6 +1,7 @@
 package synthpop
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -140,5 +141,30 @@ func TestDistance(t *testing.T) {
 	}
 	if Distance(a, a) != 0 {
 		t.Fatal("self distance nonzero")
+	}
+}
+
+// TestGenerateWithLocationsReproducible: one seed, one network, on a region
+// with several counties (RI has five) — the per-county activity assignment
+// draws from the generator's RNG, so it must visit counties in a fixed order.
+func TestGenerateWithLocationsReproducible(t *testing.T) {
+	ri, _ := StateByCode("RI")
+	cfg := smallConfig(91)
+	cfg.Scale = 2000
+	var want []byte
+	for run := 0; run < 2; run++ {
+		net, _, err := GenerateWithLocations(ri, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteNetworkBinary(&buf, net); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			want = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatal("two GenerateWithLocations calls with one seed wrote different network files")
+		}
 	}
 }
