@@ -43,6 +43,6 @@ func Example() {
 	fmt.Printf("attack rate: %.1f%%\n", 100*epihiper.Attack(res, net.NumNodes()))
 	// Output:
 	// population: 289
-	// infections: 100
-	// attack rate: 34.6%
+	// infections: 171
+	// attack rate: 59.2%
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/disease"
 	"repro/internal/obs"
+	"repro/internal/synthpop"
 )
 
 // This file gates the shard-owned engine (shard.go): snapshots must be
@@ -285,4 +286,60 @@ func TestKernelCountersPublished(t *testing.T) {
 	}
 	t.Logf("visits %d, scans %d, edge visits %d, exposures %d; scans per exposure %.2f; cross-shard updates at 4 shards %d",
 		visits, scans, edges, exposures, float64(scans)/float64(exposures), four[4])
+}
+
+// flipRecorder sums the degree of every node whose transition turns its
+// infectiousness on or off: the neighbor updates the mutate phase performs.
+type flipRecorder struct {
+	model   *disease.Model
+	net     *synthpop.Network
+	updates int64
+}
+
+func (r *flipRecorder) Record(_ int, pid int32, from, to disease.State, _ int32) {
+	if r.model.IsInfectious(from) != r.model.IsInfectious(to) {
+		r.updates += int64(r.net.Degree(int(pid)))
+	}
+}
+
+// TestShardCrossUpdatesStayLocal holds what the county-ordered population
+// layout buys the engine: at two shards, at most 15% of the mutate phase's
+// neighbor updates leave the shard that made them. With people numbered in
+// draw order 38% did.
+func TestShardCrossUpdatesStayLocal(t *testing.T) {
+	va, err := synthpop.StateByCode("VA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := synthpop.Generate(va, synthpop.DefaultConfig(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.NumNodes() < 8000 {
+		t.Fatalf("network of %d nodes is too small for the claim", net.NumNodes())
+	}
+	model := disease.COVID19()
+	rec := &flipRecorder{model: model, net: net}
+	reg := obs.NewRegistry()
+	sim, err := New(Config{Model: model, Network: net, Days: 60, Parallelism: 2,
+		Seed: 3, Seeds: seedAll(net, 10), Recorder: rec, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sim.shards) != 2 {
+		t.Fatalf("%d shards, want 2", len(sim.shards))
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross := reg.Counter("epi_kernel_cross_shard_updates_total").Value()
+	t.Logf("%d nodes, %d infections: %d of %d neighbor updates crossed the shard line (%.3f)",
+		net.NumNodes(), res.TotalInfections, cross, rec.updates, float64(cross)/float64(rec.updates))
+	if res.TotalInfections < 1000 {
+		t.Fatalf("only %d infections: the epidemic did not exercise the exchange", res.TotalInfections)
+	}
+	if cross == 0 || float64(cross) > 0.15*float64(rec.updates) {
+		t.Errorf("%d of %d neighbor updates crossed the shard line, want some and at most 15%%", cross, rec.updates)
+	}
 }

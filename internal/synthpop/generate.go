@@ -1,8 +1,10 @@
 package synthpop
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -114,41 +116,59 @@ func basePopulation(st StateInfo, cfg Config) (*Builder, *stats.RNG) {
 	stateLat := 30 + float32(st.FIPS%20)
 	stateLon := -120 + float32(st.FIPS%45)
 
-	// --- Households and persons ---
-	persons := make([]Person, 0, n)
+	// --- Households and persons, in the order the stream draws them ---
+	drawn := make([]Person, 0, n)
 	var households []Household
-	var pid int32
-	for int(pid) < n {
+	for len(drawn) < n {
 		size := sampleHouseholdSize(r)
-		if int(pid)+size > n {
-			size = n - int(pid)
+		if len(drawn)+size > n {
+			size = n - len(drawn)
 		}
 		county := r.Choice(countyWeights)
 		fips := int32(CountyFIPS(st.FIPS, county))
 		lat := stateLat + float32(county)/100 + float32(r.Norm())*0.05
 		lon := stateLon + float32(county)/80 + float32(r.Norm())*0.05
-		hh := Household{ID: int32(len(households)), CountyFIPS: fips, Lat: lat, Lon: lon}
-		ages := sampleHouseholdAges(r, size)
-		for _, age := range ages {
+		households = append(households, Household{
+			CountyFIPS: fips, Lat: lat, Lon: lon, First: int32(len(drawn)), Size: int32(size),
+		})
+		for _, age := range sampleHouseholdAges(r, size) {
 			g := Female
 			if r.Bool(0.492) {
 				g = Male
 			}
-			persons = append(persons, Person{
-				ID: pid, HouseholdID: hh.ID, Age: age, Gender: g,
-				CountyFIPS: fips, HomeLat: lat, HomeLon: lon,
+			drawn = append(drawn, Person{
+				Age: age, Gender: g, CountyFIPS: fips, HomeLat: lat, HomeLon: lon,
 			})
-			hh.Members = append(hh.Members, pid)
-			pid++
 		}
-		households = append(households, hh)
+	}
+
+	// --- County order ---
+	// The simulator shards a network by cutting the person-ID range, and a
+	// shard pays for every contact that leaves it. So households are numbered
+	// by ascending county (draw order inside a county) and persons household
+	// by household, before any contact is wired: an ID range is then a set of
+	// whole counties, and the per-county contexts stay inside it.
+	slices.SortStableFunc(households, func(a, b Household) int { return cmp.Compare(a.CountyFIPS, b.CountyFIPS) })
+	persons := make([]Person, 0, n)
+	for i := range households {
+		hh := &households[i]
+		members := drawn[hh.First : hh.First+hh.Size]
+		hh.ID, hh.First = int32(i), int32(len(persons))
+		for _, p := range members {
+			p.ID, p.HouseholdID = int32(len(persons)), hh.ID
+			persons = append(persons, p)
+		}
 	}
 
 	// --- Home contacts: household cliques ---
 	b := NewBuilder(st.Code, persons)
 	b.households = households
 	for _, hh := range households {
-		clique(b, hh.Members, CtxHome, CtxHome, 18*60, 600)
+		for u := hh.First; u < hh.First+hh.Size; u++ {
+			for v := u + 1; v < hh.First+hh.Size; v++ {
+				b.AddContact(u, v, CtxHome, CtxHome, 18*60, 600, 1)
+			}
+		}
 	}
 	return b, r
 }
@@ -182,9 +202,10 @@ func Generate(st StateInfo, cfg Config) (*Network, error) {
 		byCounty[c] = append(byCounty[c], p.ID)
 	}
 
-	// Workers: adults 18–64, employed at the configured rate. Workplaces
-	// draw 80% from the home county and 20% from a random county
-	// (commuting), grouped into workplaces of lognormal size.
+	// Workers: adults 18–64, employed at the configured rate, shuffled
+	// statewide and cut into workplaces of 12: a workplace draws from every
+	// county (commuting). With college below, these are the contacts that
+	// cross a shard line in the county-ordered layout.
 	var workers []int32
 	for _, p := range persons {
 		if p.Age >= 18 && p.Age <= 64 && r.Bool(cfg.EmploymentRate) {

@@ -21,7 +21,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata goldens from the
 // TestGenerateWithLocationsReproducible checks on a five-county one.
 // A change to how the network is stored or built must leave the file
 // untouched (`go test ./internal/synthpop -run TestPopulationGolden -update`
-// rewrites it).
+// rewrites it). It was re-recorded once, when the generator began numbering
+// people by county: the four multi-county lines moved (node and edge counts
+// did not), the DC line did not.
 func TestPopulationGolden(t *testing.T) {
 	var got bytes.Buffer
 	pin := func(label string, seed uint64, net *Network) {

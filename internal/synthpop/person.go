@@ -30,12 +30,13 @@ type Person struct {
 // AgeGroup returns the Table III age band for the person.
 func (p *Person) AgeGroup() disease.AgeGroup { return disease.AgeGroupOf(int(p.Age)) }
 
-// Household groups the persons residing at one dwelling unit.
+// Household groups the persons residing at one dwelling unit. Its members
+// are the Size consecutive person IDs starting at First.
 type Household struct {
-	ID         int32
-	CountyFIPS int32
-	Lat, Lon   float32
-	Members    []int32
+	ID          int32
+	CountyFIPS  int32
+	Lat, Lon    float32
+	First, Size int32
 }
 
 // householdSizeDist approximates the US household size distribution

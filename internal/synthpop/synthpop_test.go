@@ -145,14 +145,14 @@ func TestHouseholdsAreCliques(t *testing.T) {
 	net, _ := Generate(va, smallConfig(13))
 	adj := rows(net)
 	for _, hh := range net.Households() {
-		for _, m := range hh.Members {
+		for m := hh.First; m < hh.First+hh.Size; m++ {
 			homeNbrs := map[int32]bool{}
 			for _, e := range adj[m] {
 				if e.SrcContext == CtxHome {
 					homeNbrs[e.Neighbor] = true
 				}
 			}
-			for _, o := range hh.Members {
+			for o := hh.First; o < hh.First+hh.Size; o++ {
 				if o != m && !homeNbrs[o] {
 					t.Fatalf("household %d members %d,%d not connected at home", hh.ID, m, o)
 				}
