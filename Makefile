@@ -17,7 +17,7 @@ tier1:
 	$(GO) test -race ./internal/fidelity
 	$(GO) test -race ./internal/scenario ./cmd/loadgen
 	$(GO) test -race -run 'Reference|Snapshot|WhatIf|Shard|Determinism' ./internal/epihiper ./internal/core
-	$(GO) test -race -run 'Builder|Golden|Layout' ./internal/synthpop
+	$(GO) test -race -run 'Builder|Golden|Layout|DerivedColumns' ./internal/synthpop
 
 race:
 	$(GO) test -race ./...

@@ -37,7 +37,7 @@ func steadyStateSim(tb testing.TB) *Sim {
 		}
 	}
 	for pid := int32(0); pid < int32(net.NumNodes()); pid += 20 {
-		sim.transitionTo(pid, sim.health[pid], infState, NoInfector, 0)
+		sim.applyTransition(nil, pid, sim.health[pid], infState, NoInfector, 0)
 	}
 	sim.prepareTick()
 	return sim

@@ -10,8 +10,9 @@ import (
 
 // requireCountersExact recounts every node's infectious-contact word from
 // its row's half-edge records: the neighbor count and the fixed-point ΣT·w (taken
-// from the node's OWN half-edges, the side the scan reads) must both match
-// what the kernel maintained incrementally from the neighbors' side.
+// from the node's OWN half-edges, the side the scan reads, and quantised from
+// their Dur and Weight, never read from the Q column the kernel adds) must
+// both match what the kernel maintained incrementally from the neighbors' side.
 func requireCountersExact(t *testing.T, label string, sim *Sim) {
 	t.Helper()
 	for pid := int32(0); int(pid) < sim.net.NumNodes(); pid++ {

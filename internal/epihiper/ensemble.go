@@ -162,9 +162,9 @@ func TargetInState(st disease.State) TargetFunc {
 func TargetAgeBand(ag disease.AgeGroup) TargetFunc {
 	return func(s *Sim, _ int) []int32 {
 		var out []int32
-		for i := range s.net.Persons {
-			if s.net.Persons[i].AgeGroup() == ag {
-				out = append(out, s.net.Persons[i].ID)
+		for pid, b := range s.ageBand {
+			if b == ag {
+				out = append(out, int32(pid))
 			}
 		}
 		return out

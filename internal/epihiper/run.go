@@ -347,8 +347,9 @@ func (s *Sim) runScheduled(day int) {
 // Λ, infection occurs with probability 1 − e^{−Λ}, and the causing contact
 // is drawn proportionally to its propensity.
 //
-// The hot loop runs on the network's CSR view: T·w_e is precomputed per
-// edge, ω·ι·infectivityScale comes from the per-tick effInf table, and
+// The hot loop runs on the network's CSR view: T·w_e is computed from the
+// Dur and Weight columns only for the infectious contacts it prices,
+// ω·ι·infectivityScale comes from the per-tick effInf table, and
 // each contributing contact's propensity is pushed to the caller's
 // scratch buffer so infector selection replays the buffer instead of
 // rescanning the edges. The phase performs no heap allocation once the
@@ -356,7 +357,7 @@ func (s *Sim) runScheduled(day int) {
 // partition's shard in one write at the end.
 func (s *Sim) transmissionPhase(p synthpop.Partition, day int, buf []exposure, scratch []propEntry) ([]exposure, []propEntry) {
 	offsets := s.csr.Offsets
-	csrNbr, csrCtx, csrTW := s.csr.Nbr, s.csr.Ctx, s.csr.TW
+	csrNbr, csrCtx, csrDur, csrWeight := s.csr.Nbr, s.csr.Ctx, s.csr.Dur, s.csr.Weight
 	infBits := s.effInfBits
 	attrs := &s.model.Attrs
 	propBound := s.propBound
@@ -408,7 +409,7 @@ func (s *Sim) transmissionPhase(p synthpop.Partition, day int, buf []exposure, s
 			scratch = scratch[:0]
 			nbrs := csrNbr[off:end]
 			ctxs := csrCtx[off:end]
-			tws := csrTW[off:end]
+			durs, weights := csrDur[off:end], csrWeight[off:end]
 			found := int32(0)
 			visited := len(nbrs)
 			for i, nb := range nbrs {
@@ -423,7 +424,10 @@ func (s *Sim) transmissionPhase(p synthpop.Partition, day int, buf []exposure, s
 				ctx := ctxs[i]
 				src := ctx & 7
 				if maskV&(1<<src) != 0 && s.effMaskT[nb]&(1<<(ctx>>3)) != 0 {
-					prop := tws[i] * s.ctxWeight[src] * sigma * s.effInf[nb]
+					// T·w as synthpop's seal computes it, so the product
+					// matches the reference kernel's bit for bit.
+					tw := float64(durs[i]) / 1440 * float64(weights[i])
+					prop := tw * s.ctxWeight[src] * sigma * s.effInf[nb]
 					total += prop
 					scratch = append(scratch, propEntry{nbr: nb, p: prop})
 				}

@@ -181,9 +181,8 @@ func (s *Sim) buildShards() {
 
 // ownerOf returns the shard owning node v. Because shard boundaries are
 // 64-aligned, ownership is constant per bitset word, so the lookup is one
-// load into a table of n/64 entries — it sits on the per-neighbor path of
-// the mutate phase, where a binary search was a measurable slice of the
-// profile.
+// load into a table of n/64 entries. The mutate phase's neighbor loop reads
+// the same table directly, and only for neighbors outside its own range.
 func (s *Sim) ownerOf(v int32) *shard {
 	return &s.shards[s.ownerWord[uint32(v)>>6]]
 }

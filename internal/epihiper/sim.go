@@ -94,8 +94,9 @@ type Config struct {
 	// Metrics optionally receives the simulator's observability series:
 	// the epi_shards gauge, the per-phase wall-clock histograms
 	// epi_span_seconds{span="epihiper.shard.<phase>"} and the
-	// epi_kernel_*_total work counters, published once per run segment. Nil disables publication (the kernel never touches the
-	// registry from its hot loop either way).
+	// epi_kernel_*_total work counters, published once per run segment.
+	// Nil disables publication (the kernel never touches the registry from
+	// its hot loop either way).
 	Metrics *obs.Registry
 }
 
@@ -105,9 +106,12 @@ type Sim struct {
 	cfg   Config
 	model *disease.Model
 	net   *synthpop.Network
-	// csr is the flat adjacency the transmission kernel scans: offsets +
-	// one contiguous edge array with the static T·w_e factor precomputed.
+	// csr is the flat adjacency the kernel scans: offsets plus contiguous
+	// half-edge columns, the fixed-point T·w_e among them (synthpop.CSR).
 	csr *synthpop.CSR
+	// ageBand is the network's per-person Table III age band, the one
+	// person trait a transition reads.
+	ageBand []disease.AgeGroup
 
 	day int
 
@@ -191,12 +195,13 @@ type Sim struct {
 	// mirrored-contact invariant (synthpop.Network.Validate).
 	infNbr []uint64
 
-	// Cached tables the transmission kernel reads (read-only while the
-	// workers run; all writers execute in the serial phases):
+	// Cached tables the transmission kernel reads (read-only during the
+	// transmit phase; written by the serial phases and, for its own nodes,
+	// by each shard's upkeep and mutate phases):
 	// effInf[u] = ω · ι(health[u]) · infectivityScale[u] is the effective
 	// infectivity a contact of u sees, and effMaskT[u] caches effMask(u).
-	// With the CSR's precomputed T·w_e, the inner edge loop reduces to
-	// two table loads and a multiply per contact. effInfBits[u/64] has
+	// With them, the inner edge loop prices an infectious contact with a
+	// few table loads and multiplies. effInfBits[u/64] has
 	// bit u%64 set iff effInf[u] != 0: the bitset stays cache-resident at
 	// any network scale, so the common skip (neighbor not infectious)
 	// never touches the 8-byte effInf table. The tables are maintained
@@ -335,6 +340,7 @@ func newSim(cfg Config) (*Sim, error) {
 		model:               cfg.Model,
 		net:                 cfg.Network,
 		csr:                 csr,
+		ageBand:             cfg.Network.AgeBands(),
 		health:              make([]disease.State, n),
 		nextState:           make([]disease.State, n),
 		switchTick:          make([]int32, n),
@@ -464,12 +470,6 @@ func (s *Sim) infectIn(sh *shard, pid, infector int32, tick int) {
 	s.applyTransition(sh, pid, s.health[pid], s.model.ExposedState, infector, tick)
 }
 
-// transitionTo applies a state change from a serial phase: counters, the
-// event stream and every neighbor's risk counter are written directly.
-func (s *Sim) transitionTo(pid int32, from, to disease.State, infector int32, tick int) {
-	s.applyTransition(nil, pid, from, to, infector, tick)
-}
-
 // applyTransition applies a state change, records it, and samples the next
 // progression step. With sh == nil the caller runs in a serial phase and
 // every side effect lands directly in global state. With sh != nil the
@@ -492,33 +492,15 @@ func (s *Sim) applyTransition(sh *shard, pid int32, from, to disease.State, infe
 	}
 	s.updateEffInf(pid)
 	// A change of infectiousness adds this node's contacts to, or removes
-	// them from, every neighbor's infectious-contact word. neg is 0 for a
-	// gain and -1 for a loss: (q^neg)-neg negates q without a branch.
+	// them from, every neighbor's infectious-contact word: neg is 0 for a
+	// gain and -1 for a loss.
 	wasInf := s.model.IsInfectious(from)
 	if isInf := s.model.IsInfectious(to); wasInf != isInf {
 		var neg int32
 		if wasInf {
 			neg = -1
 		}
-		if sh == nil || len(s.shards) == 1 {
-			s.bumpNeighbors(pid, neg)
-		} else {
-			off, end := s.csr.Offsets[pid], s.csr.Offsets[pid+1]
-			tws := s.csr.TW[off:end]
-			ownerWord := s.ownerWord
-			me := uint16(sh.id)
-			for i, v := range s.csr.Nbr[off:end] {
-				q := (int32(synthpop.QuantTW(tws[i])) ^ neg) - neg
-				if d := ownerWord[uint32(v)>>6]; d == me {
-					s.bumpInfNbr(v, q)
-				} else {
-					sh.outbox[d] = append(sh.outbox[d], nbrUpdate{pid: v, q: q})
-				}
-			}
-		}
-		if sh != nil {
-			sh.work.edgeVisits += int64(s.csr.Degree(pid))
-		}
+		s.bumpNeighbors(sh, pid, neg)
 	}
 	ev := TransitionEvent{PID: pid, From: from, To: to, Infector: infector}
 	if sh == nil {
@@ -529,9 +511,8 @@ func (s *Sim) applyTransition(sh *shard, pid int32, from, to disease.State, infe
 	} else {
 		sh.events = append(sh.events, ev)
 	}
-	ag := s.net.Persons[pid].AgeGroup()
 	r := stats.Seeded(s.nodeSeed(pid, tick, phaseProgressionSample))
-	next, dwell, ok := s.model.Next(to, ag, &r)
+	next, dwell, ok := s.model.Next(to, s.ageBand[pid], &r)
 	if !ok {
 		s.switchTick[pid] = -1
 		return
@@ -578,13 +559,26 @@ func (s *Sim) infNbrCount(v int32) int32 { return int32(s.infNbr[v] & nbrCountMa
 func (s *Sim) infContactTW(v int32) float64 { return float64(s.infNbr[v]>>nbrCountBits) * quantTWUnit }
 
 // bumpNeighbors adds pid's contacts to every neighbor's infectious-contact
-// word (neg = 0) or removes them (neg = -1), writing the words directly: the
-// caller is a serial phase or the only shard.
-func (s *Sim) bumpNeighbors(pid, neg int32) {
+// word (neg = 0) or removes them (neg = -1): (q^neg)-neg negates q without a
+// branch. It is the one neighbor loop at every shard count. A serial phase
+// (sh == nil) writes every word; shard sh writes the words of its own range,
+// found by one unsigned compare, and sends the rest to their owners' outboxes.
+func (s *Sim) bumpNeighbors(sh *shard, pid, neg int32) {
 	off, end := s.csr.Offsets[pid], s.csr.Offsets[pid+1]
-	tws := s.csr.TW[off:end]
+	first, span := uint32(0), uint32(math.MaxUint32)
+	if sh != nil {
+		first, span = uint32(sh.first), uint32(sh.last-sh.first)
+		sh.work.edgeVisits += end - off
+	}
+	qs := s.csr.Q[off:end]
 	for i, v := range s.csr.Nbr[off:end] {
-		s.bumpInfNbr(v, (int32(synthpop.QuantTW(tws[i]))^neg)-neg)
+		q := (qs[i] ^ neg) - neg
+		if uint32(v)-first <= span {
+			s.bumpInfNbr(v, q)
+		} else {
+			d := s.ownerWord[uint32(v)>>6]
+			sh.outbox[d] = append(sh.outbox[d], nbrUpdate{pid: v, q: q})
+		}
 	}
 }
 

@@ -1,10 +1,12 @@
 package synthpop
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"testing"
 
+	"repro/internal/disease"
 	"repro/internal/stats"
 )
 
@@ -68,8 +70,8 @@ func requireSameColumns(t *testing.T, label string, got, want *Network) {
 	if !slices.EqualFunc(g.Weight, w.Weight, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
 		t.Fatalf("%s: Weight differs", label)
 	}
-	if !slices.EqualFunc(g.TW, w.TW, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-		t.Fatalf("%s: TW differs", label)
+	if !slices.Equal(g.Q, w.Q) {
+		t.Fatalf("%s: Q differs", label)
 	}
 	if (g.RangeErr() == nil) != (w.RangeErr() == nil) {
 		t.Fatalf("%s: range check disagrees: %v vs %v", label, g.RangeErr(), w.RangeErr())
@@ -185,16 +187,75 @@ func TestBuilderRefusesWhatColumnsCannotHold(t *testing.T) {
 	}
 }
 
-// TestNetworkBytes: Bytes is the columns plus the person table, 42 bytes per
-// contact, with nothing per person but its record and its offset.
+// TestNetworkBytes: Bytes is the columns plus the person table, 34 bytes per
+// contact (17 per half-edge), with nothing per person but its record and its
+// offset.
 func TestNetworkBytes(t *testing.T) {
 	va, _ := StateByCode("VA")
 	net, err := Generate(va, smallConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(net.NumEdges())*42 + int64(net.NumNodes())*(24+8) + 8
+	want := int64(net.NumEdges())*34 + int64(net.NumNodes())*(24+8) + 8
 	if got := net.Bytes(); got != want {
 		t.Fatalf("Bytes() = %d, want %d", got, want)
 	}
+}
+
+// requireDerivedColumns holds a network's derived per-edge and per-person
+// columns to their definitions, recomputed from the record columns: Q[k] is
+// QuantTW of half-edge k's T·w, and AgeBands()[i] is person i's Table III
+// band.
+func requireDerivedColumns(t *testing.T, label string, net *Network) {
+	t.Helper()
+	c := net.CSR()
+	if len(c.Q) != len(c.Nbr) {
+		t.Fatalf("%s: %d Q entries for %d half-edges", label, len(c.Q), len(c.Nbr))
+	}
+	for k := range c.Q {
+		if want := QuantTW(float64(c.Dur[k]) / 1440.0 * float64(c.Weight[k])); int64(c.Q[k]) != want {
+			t.Fatalf("%s: Q[%d] = %d, want QuantTW(%d/1440·%g) = %d", label, k, c.Q[k], c.Dur[k], c.Weight[k], want)
+		}
+	}
+	bands := net.AgeBands()
+	if len(bands) != net.NumNodes() {
+		t.Fatalf("%s: %d age bands for %d persons", label, len(bands), net.NumNodes())
+	}
+	for i := range net.Persons {
+		if want := disease.AgeGroupOf(int(net.Persons[i].Age)); bands[i] != want {
+			t.Fatalf("%s: person %d (age %d) has band %v, want %v", label, i, net.Persons[i].Age, bands[i], want)
+		}
+	}
+}
+
+// TestDerivedColumns: the columns a tick reads in place of the records —
+// quantised weights and age bands — agree with the records on every path a
+// network is made by: generated, read from CSV and read from binary.
+func TestDerivedColumns(t *testing.T) {
+	va, _ := StateByCode("VA")
+	net, err := Generate(va, smallConfig(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireDerivedColumns(t, "generated", net)
+
+	var csvBuf bytes.Buffer
+	if err := WriteNetworkCSV(&csvBuf, net); err != nil {
+		t.Fatal(err)
+	}
+	fromCSV, err := ReadNetworkCSV(&csvBuf, net.Persons, "VA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireDerivedColumns(t, "CSV-read", fromCSV)
+
+	var binBuf bytes.Buffer
+	if err := WriteNetworkBinary(&binBuf, net); err != nil {
+		t.Fatal(err)
+	}
+	fromBin, err := ReadNetworkBinary(&binBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireDerivedColumns(t, "binary-read", fromBin)
 }

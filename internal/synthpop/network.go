@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sync"
 	"unsafe"
+
+	"repro/internal/disease"
 )
 
 // Context is the setting in which a contact happens. The paper annotates
@@ -75,6 +77,9 @@ type Network struct {
 
 	countiesOnce sync.Once
 	counties     *CountyIndex
+
+	ageBandsOnce sync.Once
+	ageBands     []disease.AgeGroup
 }
 
 // CountyIndex numbers a network's counties densely: a county's ordinal is its
@@ -110,6 +115,20 @@ func (n *Network) Counties() *CountyIndex {
 	return n.counties
 }
 
+// AgeBands returns each person's Table III age band, one byte per person,
+// built once and shared — do not mutate. The simulator samples every
+// progression by age band; this column spares it a read of the whole person
+// record per transition.
+func (n *Network) AgeBands() []disease.AgeGroup {
+	n.ageBandsOnce.Do(func() {
+		n.ageBands = make([]disease.AgeGroup, len(n.Persons))
+		for i := range n.Persons {
+			n.ageBands[i] = n.Persons[i].AgeGroup()
+		}
+	})
+	return n.ageBands
+}
+
 // PersonsByCounty returns the person IDs of every county, each list in
 // ascending ID order (the order the seeding machinery draws from). The
 // index is built once and shared: replicate fan-outs construct thousands of
@@ -140,19 +159,20 @@ func (n *Network) PersonsByCounty() map[int32][]int32 {
 // columns are shared — do not mutate.
 type CSR struct {
 	Offsets []int64 // len NumNodes()+1
-	// Nbr, Ctx and TW are the columns the simulator reads, parallel over all
+	// Nbr, Ctx and Q are the columns every tick reads, parallel over all
 	// half-edges in row order. Ctx packs the source context in bits 0-2 and
 	// the destination context in bits 3-5 (NumContexts = 7 fits in 3 bits).
-	// TW is the static part of the per-contact propensity, contact duration
-	// as a fraction of a day times the contact weight — T·w_e of eq. (1) —
-	// kept in float64 so the product matches bit-for-bit what the reference
-	// kernel computes from Dur and Weight every tick.
+	// Q is the fixed-point image QuantTW(T·w_e) of the static part of the
+	// per-contact propensity — T·w_e of eq. (1), the contact duration as a
+	// fraction of a day times the contact weight — which is all the
+	// simulator's neighbor updates add and remove.
 	Nbr []int32
 	Ctx []uint8
-	TW  []float64
-	// Start, Dur (minutes) and Weight are the cold columns: the rest of the
-	// file formats' half-edge record, read by the writers, Validate and the
-	// reference kernel, never by a tick.
+	Q   []int32
+	// Start, Dur (minutes) and Weight complete the file formats' half-edge
+	// record. The writers, Validate and the reference kernel read them; a
+	// tick reads Dur and Weight only for the infectious contacts it prices,
+	// computing T·w with the expression seal quantises.
 	Start  []uint16
 	Dur    []uint16
 	Weight []float32
@@ -187,35 +207,38 @@ const (
 func QuantTW(tw float64) int64 { return int64(tw*(1<<TWQuantBits)) + 1 }
 
 // seal completes the columns once Offsets, Nbr, Ctx, Start, Dur and Weight
-// are filled: it derives TW — T·w_e of eq. (1), the contact duration as a
-// fraction of a day times the contact weight — and runs the range check.
+// are filled: one pass over the rows runs the range check and derives Q.
 // Builder.Build and ReadNetworkBinary, the two places a Network is made,
 // both end here, so no network reaches the simulator unchecked.
 func (c *CSR) seal() {
-	c.TW = make([]float64, len(c.Nbr))
-	for k := range c.TW {
-		c.TW[k] = float64(c.Dur[k]) / 1440.0 * float64(c.Weight[k])
-	}
+	c.Q = make([]int32, len(c.Nbr))
 	for i := 0; i+1 < len(c.Offsets) && c.rangeErr == nil; i++ {
-		c.rangeErr = c.checkRow(i)
+		c.rangeErr = c.checkRow(i, c.Q)
 	}
 }
 
 // checkRow verifies that node i's contacts have a finite, non-negative T·w
-// and fit the fixed-point limits above.
-func (c *CSR) checkRow(i int) error {
+// and fit the fixed-point limits above. When q is non-nil it receives each
+// checked contact's QuantTW.
+func (c *CSR) checkRow(i int, q []int32) error {
 	lo, hi := c.Offsets[i], c.Offsets[i+1]
 	if hi-lo > MaxDegree {
 		return fmt.Errorf("synthpop: node %d has %d contacts, limit %d", i, hi-lo, MaxDegree)
 	}
 	sum := int64(0)
 	for k := lo; k < hi; k++ {
-		tw := c.TW[k]
+		// T·w_e of eq. (1), computed as the transmission scan and the
+		// reference kernel compute it.
+		tw := float64(c.Dur[k]) / 1440 * float64(c.Weight[k])
 		// The negated comparison also refuses NaN.
 		if !(tw >= 0 && tw*(1<<TWQuantBits) < MaxQuantTW) {
 			return fmt.Errorf("synthpop: contact %d→%d has T·w %g outside [0, %d)", i, c.Nbr[k], tw, (MaxQuantTW+1)>>TWQuantBits)
 		}
-		sum += QuantTW(tw)
+		qk := QuantTW(tw)
+		if q != nil {
+			q[k] = int32(qk)
+		}
+		sum += qk
 	}
 	if sum > MaxRowQuantTW {
 		return fmt.Errorf("synthpop: node %d's contacts sum to T·w %g, limit %d", i, float64(sum)/(1<<TWQuantBits), (MaxRowQuantTW+1)>>TWQuantBits)
@@ -295,14 +318,15 @@ func (n *Network) MeanDegree() float64 {
 	return float64(len(n.csr.Nbr)) / float64(len(n.Persons))
 }
 
-// Bytes returns the memory the network occupies: the contact columns (21
-// bytes per half-edge, 42 per contact), the row offsets and the person
+// Bytes returns the memory the network occupies: the contact columns (17
+// bytes per half-edge, 34 per contact), the row offsets and the person
 // table. Household records, a generator by-product the simulator never
-// reads, are not counted.
+// reads, and the derived per-person indexes (Counties, AgeBands) are not
+// counted.
 func (n *Network) Bytes() int64 {
 	c := &n.csr
 	return int64(len(c.Offsets))*8 +
-		int64(len(c.Nbr))*4 + int64(len(c.Ctx)) + int64(len(c.TW))*8 +
+		int64(len(c.Nbr))*4 + int64(len(c.Ctx)) + int64(len(c.Q))*4 +
 		int64(len(c.Start))*2 + int64(len(c.Dur))*2 + int64(len(c.Weight))*4 +
 		int64(len(n.Persons))*int64(unsafe.Sizeof(Person{}))
 }
@@ -337,7 +361,7 @@ func (n *Network) Validate() error {
 				return fmt.Errorf("synthpop: contact %d→%d has an unknown context (%d, %d)", i, e.Neighbor, e.SrcContext, e.DstContext)
 			}
 		}
-		if err := c.checkRow(i); err != nil {
+		if err := c.checkRow(i, nil); err != nil {
 			return err
 		}
 	}
