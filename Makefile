@@ -1,7 +1,7 @@
 # Repeatable gates for the repo. `make tier1` is the seed gate (build +
 # tests); `make race` runs the full suite under the race detector — the
 # fault-injection layer, the popdb/workflow concurrency paths and the
-# scenario service's front door and pools must stay race-clean. `make vet`
+# scenario service's front door and queue must stay race-clean. `make vet`
 # and `make fmt-check` are static gates. `make check` runs all of them.
 
 GO ?= go
@@ -36,14 +36,14 @@ fmt-check:
 # benchmarks (root) and the zero-alloc / complexity ones (beside their code)
 # run with `go test -run '^$$' -bench <Name> -benchmem <package>`.
 
-# Deterministic short load profile over scenario.Service at several
-# replicas: the 64-client load proof and the two-client closed loop that must
-# never be refused (beside the load generator in cmd/loadgen), and the chaos
-# gate (kill one of three replicas mid-run; every job completes exactly once
-# on a peer; internal/scenario). Non-gating in CI, cheap enough to run locally
-# on demand.
+# Deterministic short load profile over scenario.Service: the 64-client load
+# proof and the two-client closed loop that must never be refused (beside the
+# load generator in cmd/loadgen), and the chaos gate (runner crashes, client
+# cancels and a drain deadline over one queue; every waiter settles exactly
+# once, no spec runs twice, nothing leaks; internal/scenario). Non-gating in
+# CI, cheap enough to run locally on demand.
 loadtest:
-	$(GO) test -race -run 'TestLoadProof|TestTwoClientClosedLoopNeverRefused|TestChaosKillReplicaMidRun' -v -count=1 ./cmd/loadgen ./internal/scenario
+	$(GO) test -race -run 'TestLoadProof|TestTwoClientClosedLoopNeverRefused|TestChaosOneQueue' -v -count=1 ./cmd/loadgen ./internal/scenario
 
 # Short exploratory fuzz pass over the scheduler, executor, snapshot-codec,
 # kernel-vs-reference, fidelity-router, scenario-spec and network/partition

@@ -2,13 +2,12 @@
 // three production workflows (prediction, what-if, nightly). Policy-makers
 // submit scenario specs; the service content-addresses each spec, serves it
 // from an LRU result store or attaches it to an identical run in flight
-// (single-flight), and otherwise admits it by priority class and runs it on
-// one of -replicas worker pools over a shared core.Pipeline. Every -replicas
-// value builds the same scenario.Service.
+// (single-flight), and otherwise admits it by priority class to one bounded
+// FIFO served by -workers workers over a shared core.Pipeline.
 //
 // Usage:
 //
-//	episerve -addr :8080 -replicas 1 -workers 2 -queue 16 -cache 64 -scale 20000 -seed 2020
+//	episerve -addr :8080 -workers 2 -queue 16 -cache 64 -scale 20000 -seed 2020
 //
 // Submit, poll and fetch:
 //
@@ -17,7 +16,6 @@
 //	curl -s localhost:8080/scenarios/<id>/result
 //	curl -s localhost:8080/readyz           # readiness incl. fidelity tier warm state
 //	curl -s localhost:8080/metrics          # Prometheus text (unified registry)
-//	curl -s localhost:8080/replicas         # per-pool queues, steals, requeues
 //
 // With -fidelity (default on), specs may carry "fidelity": "auto" and a
 // "max_uncertainty" budget: the service then answers from a GP emulator or
@@ -27,11 +25,11 @@
 // omitting the field keeps the legacy behavior byte-for-byte.
 //
 // /metrics serves the unified registry: serving counters (submissions,
-// queue, result store, per-workflow latency histograms, per-pool
-// epi_replica_* gauges) plus the shared pipeline's transfer-ledger and fault
-// counters and the what-if snapshot store (epi_snapshot_*
-// hit/miss/eviction/occupancy series; budget set by -snap-cache). -pprof
-// additionally mounts net/http/pprof under /debug/pprof/.
+// queue, result store, per-workflow latency histograms) plus the shared
+// pipeline's transfer-ledger and fault counters and the what-if snapshot
+// store (epi_snapshot_* hit/miss/eviction/occupancy series; budget set by
+// -snap-cache). -pprof additionally mounts net/http/pprof under
+// /debug/pprof/.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes, queued
 // and in-flight jobs drain (bounded by -drain-timeout), then the process
@@ -58,8 +56,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 2, "workers per replica")
-	queueCap := flag.Int("queue", 16, "job queue capacity per replica (a full aggregate queue returns 429)")
+	workers := flag.Int("workers", 2, "workers serving the job queue")
+	queueCap := flag.Int("queue", 16, "job queue capacity (a full queue returns 429)")
 	cacheCap := flag.Int("cache", 64, "result cache capacity (LRU entries)")
 	snapCacheMB := flag.Int64("snap-cache", core.DefaultSnapshotCacheBytes>>20,
 		"what-if snapshot cache budget in MB (0 disables cross-request prefix reuse)")
@@ -73,9 +71,7 @@ func main() {
 	fidelityMinFit := flag.Int("fidelity-min-fit", 8, "ABM design points before a family's emulator fits")
 	fidelityCacheMB := flag.Int64("fidelity-cache", 64, "fidelity training-set cache budget in MB")
 	replicas := flag.Int("replicas", 1,
-		"worker pools behind the one front door, each with -workers workers and a -queue FIFO (>1 adds work-stealing between them)")
-	batchWindow := flag.Duration("batch-window", 0,
-		"what-if ensemble batching window (0 disables; e.g. 25ms folds near-identical specs into one run)")
+		"multiplies -workers and -queue (kept because the benchmark in bench/ passes it)")
 	recorderCap := flag.Int("recorder", 256,
 		"flight-recorder capacity: last N request traces kept at /debug/requests (0 disables request tracing, RED series and /slo)")
 	sloP99 := flag.Duration("slo-p99", 0,
@@ -101,9 +97,13 @@ func main() {
 		router.RegisterMetrics(reg)
 		defer router.Close()
 	}
+	if *replicas > 1 {
+		*workers *= *replicas
+		*queueCap *= *replicas
+	}
 	svc := scenario.NewService(scenario.Config{
-		Pipeline: p, Replicas: *replicas, Workers: *workers, QueueCap: *queueCap, CacheCap: *cacheCap,
-		Registry: reg, Fidelity: router, BatchWindow: *batchWindow,
+		Pipeline: p, Workers: *workers, QueueCap: *queueCap, CacheCap: *cacheCap,
+		Registry: reg, Fidelity: router,
 	})
 	// Request-scoped serving observability: trace every scenario request
 	// into the flight recorder, optionally teeing the span/event stream to
@@ -143,8 +143,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("episerve listening on %s (replicas=%d workers=%d queue=%d cache=%d scale=1:%d seed=%d)",
-			*addr, *replicas, *workers, *queueCap, *cacheCap, *scale, *seed)
+		log.Printf("episerve listening on %s (workers=%d queue=%d cache=%d scale=1:%d seed=%d)",
+			*addr, *workers, *queueCap, *cacheCap, *scale, *seed)
 		errc <- srv.ListenAndServe()
 	}()
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -15,31 +16,29 @@ import (
 
 // latencyRunner models a fixed service time that honors cancellation — the
 // load-proof stand-in for a real workflow execution. Because the cost is
-// latency-bound rather than CPU-bound, adding replicas (and so workers)
-// must raise sustained throughput even on a single-core host.
-func latencyRunner(d time.Duration) func(int) scenario.Runner {
-	return func(int) scenario.Runner {
-		return func(ctx context.Context, spec scenario.Spec) (*scenario.Result, error) {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(d):
-				return &scenario.Result{}, nil
-			}
+// latency-bound rather than CPU-bound, adding workers must raise sustained
+// throughput even on a single-core host.
+func latencyRunner(d time.Duration) scenario.Runner {
+	return func(ctx context.Context, spec scenario.Spec) (*scenario.Result, error) {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(d):
+			return &scenario.Result{}, nil
 		}
 	}
 }
 
 // TestLoadProof is the deterministic short profile behind `make loadtest`:
-// 64 concurrent closed-loop clients against a two-replica front door on
+// 64 concurrent closed-loop clients against a four-worker front door on
 // cache-miss traffic, every request 200, latency percentiles ordered, and
 // the loadgen metrics published into a registry.
 func TestLoadProof(t *testing.T) {
 	const clients, requests = 64, 192
 	goroutinesBefore := runtime.NumGoroutine()
 	c := scenario.NewService(scenario.Config{
-		Replicas: 2, Workers: 2, QueueCap: 128, Fingerprint: "loadproof",
-		RunnerFor: latencyRunner(time.Millisecond),
+		Workers: 4, QueueCap: 256, Fingerprint: "loadproof",
+		Runner: latencyRunner(time.Millisecond),
 	})
 	ts := httptest.NewServer(scenario.NewServer(c))
 	client := &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
@@ -71,28 +70,26 @@ func TestLoadProof(t *testing.T) {
 	if rep.Throughput <= 0 {
 		t.Fatalf("throughput %.2f, want > 0", rep.Throughput)
 	}
-	// Every request was a distinct spec: the cluster computed all of them.
+	// Every request was a distinct spec: the service computed all of them.
 	// A loaded machine may shed some submissions (429 → client retry →
 	// re-submission of the same spec), so Submitted can legitimately exceed
 	// the request count; fewer would mean specs accidentally shared a cache
 	// entry.
 	if got := c.Registry().Counter("epi_scenario_submitted_total").Value(); got < requests {
-		t.Fatalf("cluster submitted %d, want ≥ %d cache misses", got, requests)
+		t.Fatalf("service submitted %d, want ≥ %d cache misses", got, requests)
 	}
 	t.Logf("load proof: p50=%s p99=%s throughput=%.1f req/s", rep.P50, rep.P99, rep.Throughput)
 }
 
-// TestTwoClientClosedLoopNeverRefused is the regression test for the
-// steal ping-pong: two closed-loop clients of unique, fast specs against two
-// replicas with the background rebalancer at its default period. At most two
-// jobs are ever in the system, so nothing may be refused — every reply is a
-// 200, none a 429 or a queue-full 500 — and two equally busy pools have no
-// reason to steal from each other.
+// TestTwoClientClosedLoopNeverRefused: two closed-loop clients of unique,
+// fast specs against a four-worker front door. At most two jobs are ever in
+// the system, so nothing may be refused — every reply is a 200, none a 429
+// or a queue-full 500 — and every spec is computed.
 func TestTwoClientClosedLoopNeverRefused(t *testing.T) {
 	const clients, perClient = 2, 3000
 	c := scenario.NewService(scenario.Config{
-		Replicas: 2, Workers: 2, QueueCap: 64, Fingerprint: "closedloop",
-		RunnerFor: latencyRunner(100 * time.Microsecond),
+		Workers: 4, QueueCap: 128, Fingerprint: "closedloop",
+		Runner: latencyRunner(100 * time.Microsecond),
 	})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -117,22 +114,18 @@ func TestTwoClientClosedLoopNeverRefused(t *testing.T) {
 		t.Fatalf("ok=%d of %d, status dist %v: a closed loop of %d clients was refused",
 			rep.OK, clients*perClient, rep.StatusDist, clients)
 	}
-	st := c.ReplicaStatus()
-	if st.Dispatched < clients*perClient {
-		t.Fatalf("dispatched %d, want ≥ %d unique specs", st.Dispatched, clients*perClient)
-	}
-	if ratio := float64(st.Steals) / float64(st.Dispatched); ratio >= 0.05 {
-		t.Fatalf("steals/dispatched = %d/%d = %.3f, want < 0.05", st.Steals, st.Dispatched, ratio)
+	if got := c.Registry().Counter("epi_scenario_submitted_total").Value(); got < clients*perClient {
+		t.Fatalf("submitted %d, want ≥ %d unique specs", got, clients*perClient)
 	}
 }
 
 // TestRunLoadgenFixedSpecHitsCache pins the -fixed profile: one identical
 // spec from every client rides the single-flight/cache path, so the
-// cluster runs it at most a handful of times, not once per request.
+// service runs it at most a handful of times, not once per request.
 func TestRunLoadgenFixedSpecHitsCache(t *testing.T) {
 	c := scenario.NewService(scenario.Config{
-		Replicas: 2, Workers: 1, QueueCap: 32, Fingerprint: "loadfixed",
-		RunnerFor: latencyRunner(time.Millisecond),
+		Workers: 2, QueueCap: 64, Fingerprint: "loadfixed",
+		Runner: latencyRunner(time.Millisecond),
 	})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -153,21 +146,18 @@ func TestRunLoadgenFixedSpecHitsCache(t *testing.T) {
 	if rep.OK != 64 {
 		t.Fatalf("ok=%d dist=%v, want 64", rep.OK, rep.StatusDist)
 	}
-	submitted := c.Registry().Counter("epi_scenario_submitted_total").Value()
-	st := c.ReplicaStatus()
-	if submitted > 2 || st.Dispatched > 2 {
-		t.Fatalf("fixed spec executed %d times (dispatched %d), want ≤2 (dedup + shared store)",
-			submitted, st.Dispatched)
+	if submitted := c.Registry().Counter("epi_scenario_submitted_total").Value(); submitted > 2 {
+		t.Fatalf("fixed spec executed %d times, want ≤2 (dedup + result store)", submitted)
 	}
 }
 
 // TestBackendServerOverCoordinator: the default profile over the HTTP front
-// door of a two-replica service — every request a 200, and the per-replica
-// status route answers beside it.
+// door of a two-worker service — every request a 200, and /readyz reports
+// both workers up beside it.
 func TestBackendServerOverCoordinator(t *testing.T) {
 	c := scenario.NewService(scenario.Config{
-		Replicas: 2, Workers: 1, QueueCap: 8, Fingerprint: "test",
-		RunnerFor: latencyRunner(time.Millisecond),
+		Workers: 2, QueueCap: 16, Fingerprint: "test",
+		Runner: latencyRunner(time.Millisecond),
 	})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -186,12 +176,16 @@ func TestBackendServerOverCoordinator(t *testing.T) {
 	if rep.OK != 16 || rep.Errors != 0 {
 		t.Fatalf("loadgen over coordinator: %+v", rep)
 	}
-	resp, err := srv.Client().Get(srv.URL + "/replicas")
+	resp, err := srv.Client().Get(srv.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("/replicas = %d, want 200", resp.StatusCode)
+	var ready scenario.Readiness
+	if err := json.NewDecoder(resp.Body).Decode(&ready); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || ready.WorkersUp != 2 || ready.WorkersSet != 2 {
+		t.Fatalf("/readyz = %d %+v, want 200 with 2 of 2 workers up", resp.StatusCode, ready)
 	}
 }

@@ -1,6 +1,5 @@
 // Command loadgen drives sustained concurrent traffic against a running
-// episerve (at any -replicas) and reports client-side p50/p99 latency and
-// throughput.
+// episerve and reports client-side p50/p99 latency and throughput.
 //
 // Usage:
 //

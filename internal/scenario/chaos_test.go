@@ -2,7 +2,10 @@ package scenario_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,78 +16,91 @@ import (
 	"repro/internal/scenario/servetest"
 )
 
-// TestChaosKillReplicaMidRun is the PR 9 chaos gate: with a fault model
-// choosing the victim and the kill moment, one of three replicas dies while
-// a full load of jobs is queued and running. The gate asserts the three
-// invariants of the ownership protocol:
+// chaosFate is what the fault model decides for one job.
+type chaosFate int
+
+const (
+	fateComplete chaosFate = iota
+	fateFail               // the runner crashes partway through its service time
+	fateCancel             // the client cancels once the run has started
+)
+
+// TestChaosOneQueue is the chaos gate of the one-queue service. A seeded
+// fault model decides, per job, whether its runner crashes partway, its
+// client cancels it mid-run (by Cancel or by dropping its only interest), or
+// it completes; then a Drain whose deadline expires with work still queued
+// and running cuts the run short. The gate asserts:
 //
-//  1. no lost waiter — every submitted job's Wait returns a result;
-//  2. no duplicate execution — no spec is ever running on two replicas at
-//     once, and each completes exactly once;
-//  3. requeue on a peer — the victim's in-flight work reappears on an up
-//     replica (requeues counter advances) rather than failing.
-func TestChaosKillReplicaMidRun(t *testing.T) {
+//  1. every waiter gets exactly one settlement, and it matches the job's
+//     fate (a drain cut may turn any fate into canceled): the service books
+//     one terminal state per job, the same ones the waiters saw;
+//  2. no spec ever runs twice at once, or more than once at all;
+//  3. the drained service holds nothing (servetest.AssertQuiesced).
+func TestChaosOneQueue(t *testing.T) {
 	const (
-		replicas = 3
-		jobs     = 36
+		workers = 3
+		jobs    = 48
 	)
-	fm := faults.New(faults.Spec{Seed: 2020, TaskCrashProb: 1})
-	// The fault model picks the victim and how deep into the run the crash
-	// strikes — deterministic per seed, like every fault decision in the
-	// repo.
-	victim := int(fm.Jitter("chaos-victim", 0, 0, 0) * replicas)
-	if victim >= replicas {
-		victim = replicas - 1
-	}
-
-	var completions sync.Map // ident -> *atomic.Int64
-	var liveMu sync.Mutex
-	live := map[string]int{}
-	var overlap atomic.Bool
-
-	runnerFor := func(rep int) scenario.Runner {
-		return func(ctx context.Context, spec scenario.Spec) (*scenario.Result, error) {
-			ident := specIdent(spec)
-			liveMu.Lock()
-			live[ident]++
-			if live[ident] > 1 {
-				overlap.Store(true)
-			}
-			liveMu.Unlock()
-			defer func() {
-				liveMu.Lock()
-				live[ident]--
-				liveMu.Unlock()
-			}()
-			// Modeled service time, jittered per spec so the victim is
-			// killed with a realistic mix of queued and mid-run work.
-			d := time.Duration(2+6*fm.Jitter("chaos-svc", spec.Days, rep, 0)) * time.Millisecond
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(d):
-			}
-			n, _ := completions.LoadOrStore(ident, &atomic.Int64{})
-			n.(*atomic.Int64).Add(1)
-			return &scenario.Result{}, nil
+	fm := faults.New(faults.Spec{Seed: 2020, TaskCrashProb: 0.25})
+	fates := make([]chaosFate, jobs)
+	crashAt := make([]float64, jobs)
+	for i := range fates {
+		if f := fm.Task("chaos", i, 0, 0); f.Kind == faults.Crash {
+			fates[i], crashAt[i] = fateFail, f.Frac
+		} else if fm.Jitter("chaos-cancel", i, 0, 0) < 0.25 {
+			fates[i] = fateCancel
 		}
+	}
+	// Each spec's Days is 10+i, so the runner recovers i from the spec.
+	started := make([]chan struct{}, jobs)
+	for i := range started {
+		started[i] = make(chan struct{})
+	}
+	var liveMu sync.Mutex
+	live, runs := map[int]int{}, map[int]int{}
+	var overlap atomic.Bool
+	errCrash := errors.New("chaos: runner crashed")
+	runner := func(ctx context.Context, spec scenario.Spec) (*scenario.Result, error) {
+		i := spec.Days - 10
+		liveMu.Lock()
+		live[i]++
+		runs[i]++
+		if live[i] > 1 {
+			overlap.Store(true)
+		}
+		liveMu.Unlock()
+		defer func() {
+			liveMu.Lock()
+			live[i]--
+			liveMu.Unlock()
+		}()
+		close(started[i])
+		// Modeled service time, jittered per spec so the drain deadline
+		// strikes a mix of queued and mid-run work.
+		d := time.Duration(2+6*fm.Jitter("chaos-svc", i, 0, 0)) * time.Millisecond
+		var wait <-chan time.Time // a cancel-fated run waits for its client
+		switch fates[i] {
+		case fateComplete:
+			wait = time.After(d)
+		case fateFail:
+			wait = time.After(time.Duration(crashAt[i] * float64(d)))
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-wait:
+		}
+		if fates[i] == fateFail {
+			return nil, errCrash
+		}
+		return &scenario.Result{}, nil
 	}
 
 	goroutinesBefore := runtime.NumGoroutine()
 	c := scenario.NewService(scenario.Config{
-		Replicas: replicas, Workers: 2, QueueCap: 16, Fingerprint: "chaos",
-		DrainGrace:     2 * time.Second,
-		RunnerFor:      runnerFor,
-		RebalanceEvery: 5 * time.Millisecond,
+		Workers: workers, QueueCap: 2 * jobs, Fingerprint: "chaos",
+		DrainGrace: 2 * time.Second, Runner: runner,
 	})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := c.Drain(ctx); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-		servetest.AssertQuiesced(t, c, goroutinesBefore)
-	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -98,53 +114,74 @@ func TestChaosKillReplicaMidRun(t *testing.T) {
 		wg.Add(1)
 		go func(i int, h *scenario.Job) {
 			defer wg.Done()
-			defer h.Release()
+			released := false
+			if fates[i] == fateCancel {
+				select {
+				case <-started[i]:
+				case <-ctx.Done():
+				}
+				if i%2 == 0 {
+					c.Cancel(h.Hash) // explicit cancel
+				} else {
+					h.Release() // abandonment: the only interest walks away
+					released = true
+				}
+			}
 			_, errs[i] = h.Wait(ctx)
+			if !released {
+				h.Release()
+			}
 		}(i, h)
 	}
 
-	// Strike once the victim is actually working: kill mid-run, not at an
-	// idle boundary.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		st := c.ReplicaStatus()
-		if st.Replicas[victim].Running > 0 && st.Replicas[victim].Queued > 0 {
-			break
-		}
-		time.Sleep(200 * time.Microsecond)
+	// Drain with a deadline shorter than the queued work: the rest is cut.
+	dctx, dcancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
+	defer dcancel()
+	if err := c.Drain(dctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain: %v, want the deadline to cut the run short", err)
 	}
-	if !c.KillReplica(victim) {
-		t.Fatalf("KillReplica(%d) refused", victim)
-	}
-
 	wg.Wait()
+
+	var done, failed, canceled int
 	for i, err := range errs {
-		if err != nil {
-			t.Errorf("waiter %d lost: %v", i, err)
+		switch {
+		case err == nil:
+			done++
+			if fates[i] != fateComplete {
+				t.Errorf("job %d (fate %d) completed", i, fates[i])
+			}
+		case errors.Is(err, errCrash):
+			failed++
+			if fates[i] != fateFail {
+				t.Errorf("job %d (fate %d) failed", i, fates[i])
+			}
+		case errors.Is(err, context.Canceled):
+			canceled++
+		default:
+			t.Errorf("waiter %d: %v", i, err)
 		}
 	}
 	if overlap.Load() {
-		t.Error("duplicate execution: a spec ran on two replicas concurrently")
+		t.Error("a spec ran twice at once")
 	}
-	singles := 0
-	completions.Range(func(_, v any) bool {
-		if n := v.(*atomic.Int64).Load(); n != 1 {
-			t.Errorf("a spec completed %d times, want exactly 1", n)
-		} else {
-			singles++
+	for i := 0; i < jobs; i++ {
+		if runs[i] > 1 {
+			t.Errorf("spec %d ran %d times", i, runs[i])
 		}
-		return true
-	})
-	if singles != jobs {
-		t.Errorf("%d specs completed exactly once, want %d", singles, jobs)
 	}
-	st := c.ReplicaStatus()
-	if st.Requeues == 0 && st.Steals == 0 {
-		t.Error("the kill moved no work: expected requeues (running) or steals (queued) onto peers")
+	if canceled == 0 || done+failed+canceled != jobs {
+		t.Errorf("settlements: %d done, %d failed, %d canceled of %d jobs", done, failed, canceled, jobs)
 	}
-	if st.Requeues == 0 {
-		t.Error("no requeue recorded for the victim's in-flight jobs")
+	var text strings.Builder
+	if err := c.Registry().WritePrometheus(&text); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("chaos: victim=%d requeues=%d steals=%d dispatched=%d",
-		victim, st.Requeues, st.Steals, st.Dispatched)
+	for state, want := range map[string]int{"done": done, "failed": failed, "canceled": canceled} {
+		line := fmt.Sprintf(`epi_scenario_jobs_total{state="%s"} %d`, state, want)
+		if !strings.Contains(text.String(), line+"\n") {
+			t.Errorf("service booked settlements differently from its waiters: want %q in\n%s", line, text.String())
+		}
+	}
+	servetest.AssertQuiesced(t, c, goroutinesBefore)
+	t.Logf("chaos: %d done, %d failed, %d canceled", done, failed, canceled)
 }

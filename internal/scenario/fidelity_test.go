@@ -170,7 +170,7 @@ func TestFidelityABMBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Fidelity = "abm"
-	job, err := svc.Submit(spec)
+	job, err := submit(svc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestFidelityABMBitIdentical(t *testing.T) {
 	// A fidelity-free spec through the fidelity runner is the legacy result
 	// with no tier annotation at all.
 	spec.Fidelity = ""
-	job2, err := svc.Submit(spec)
+	job2, err := submit(svc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFidelityServiceLearns(t *testing.T) {
 	svc, _, router := fidelityTestService(t, 40000, 3)
 	submit := func(tau float64) *Result {
 		t.Helper()
-		job, err := svc.Submit(Spec{
+		job, err := submit(svc, Spec{
 			Workflow: "prediction", State: "VA", Days: 30, Replicates: 2,
 			Configs:  []ParamSpec{{TAU: tau, SYMP: 0.65, SHCompliance: 0.5, VHICompliance: 0.5}},
 			Fidelity: "auto", MaxUncertainty: 5,
@@ -318,7 +318,7 @@ func TestResultCacheHitRatioGauge(t *testing.T) {
 	if err := svc.Registry().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "epi_result_cache_hit_ratio") {
-		t.Fatal("epi_result_cache_hit_ratio not exposed")
+	if !strings.Contains(sb.String(), "epi_scenario_cache_hit_ratio") {
+		t.Fatal("epi_scenario_cache_hit_ratio not exposed")
 	}
 }

@@ -1,13 +1,13 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,7 +24,7 @@ import (
 // worker forever.
 func TestTimedOutWaiterReleaseCancelsRun(t *testing.T) {
 	s, r := stubService(t, 1, 4)
-	j, err := s.Submit(predSpec("VA", 10))
+	j, err := submit(s, predSpec("VA", 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +53,14 @@ func TestTimedOutWaiterReleaseCancelsRun(t *testing.T) {
 // live hash leave Status().Shared == k and the deduped counter == k.
 func TestSharedCountsExact(t *testing.T) {
 	s, r := stubService(t, 1, 4)
-	j, err := s.Submit(predSpec("VA", 10))
+	j, err := submit(s, predSpec("VA", 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-r.started
 	const k = 5
 	for i := 0; i < k; i++ {
-		dup, err := s.Submit(predSpec("VA", 10))
+		dup, err := submit(s, predSpec("VA", 10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestDrainGraceReportsStuckRunners(t *testing.T) {
 		},
 	})
 	defer close(block)
-	j, err := s.Submit(predSpec("VA", 10))
+	j, err := submit(s, predSpec("VA", 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestSubmitReleaseCancelChurnRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 200; i++ {
 				spec := predSpec("VA", 10+rng.Intn(4))
-				j, err := s.Submit(spec)
+				j, err := submit(s, spec)
 				if err != nil {
 					if errors.Is(err, ErrQueueFull) {
 						rejected.Add(1)
@@ -313,17 +313,52 @@ func TestServerBackpressureStatusContract(t *testing.T) {
 	}
 }
 
-// TestServerReplicasEndpointSingleService pins that /replicas is always
-// mounted: a single-pool service reports one row.
-func TestServerReplicasEndpointSingleService(t *testing.T) {
-	svc, _ := stubService(t, 1, 4)
-	ts := httptest.NewServer(NewServer(svc))
-	t.Cleanup(ts.Close)
-	var st ClusterStatus
-	if code := getJSON(t, ts.URL+"/replicas", &st); code != http.StatusOK {
-		t.Fatalf("/replicas on single service: status %d want 200", code)
+// TestServerSubmitBodyBounded pins that a submit body is read only up to
+// maxSpecBytes: a larger body is refused with 413 before it is decoded in
+// full and never reaches admission, while the largest spec Normalize accepts
+// is far inside the bound.
+func TestServerSubmitBodyBounded(t *testing.T) {
+	ts, svc, r := testServer(t, 1, 8)
+	t.Cleanup(func() { r.releaseAll(1) })
+
+	big := Spec{Workflow: WorkflowWhatIf, State: "VA", Days: MaxDays, Replicates: MaxReplicates}
+	for i := 0; i < MaxConfigs; i++ {
+		big.Configs = append(big.Configs, ParamSpec{TAU: 0.2 + float64(i)/1000, SYMP: 0.6, SHCompliance: 0.4, VHICompliance: 0.4})
 	}
-	if len(st.Replicas) != 1 || !st.Replicas[0].Up || st.Replicas[0].Workers != 1 || st.Replicas[0].QueueCap != 4 {
-		t.Fatalf("/replicas on single service: %+v, want one up row (1 worker, queue 4)", st.Replicas)
+	for i := 0; i < MaxWhatIfs; i++ {
+		big.WhatIfs = append(big.WhatIfs, WhatIfSpec{Name: fmt.Sprintf("%064d", i), SHEndShift: -7,
+			ComplianceScale: 0.5, AddTesting: 0.1, AddTracing: 3, TraceDetectProb: 0.5})
+	}
+	body, err := json.MarshalIndent(big, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > maxSpecBytes/16 {
+		t.Fatalf("largest valid spec is %d bytes, too close to the %d-byte bound", len(body), maxSpecBytes)
+	}
+	resp, err := http.Post(ts.URL+"/scenarios", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("largest valid spec: status %d want 202", resp.StatusCode)
+	}
+
+	// A well-formed spec padded past the bound by a field the decoder
+	// ignores: without the bound it would be admitted.
+	pad := bytes.Repeat([]byte("x"), maxSpecBytes)
+	over := append([]byte(`{"workflow":"prediction","state":"VA","days":10,"pad":"`), pad...)
+	over = append(over, `"}`...)
+	resp, err = http.Post(ts.URL+"/scenarios", "application/json", bytes.NewReader(over))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d want 413", resp.StatusCode)
+	}
+	if got := series(t, svc, "epi_scenario_submitted_total"); got != 1 {
+		t.Fatalf("submitted_total %v after the oversized body, want 1", got)
 	}
 }

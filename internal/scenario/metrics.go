@@ -1,10 +1,6 @@
 package scenario
 
-import (
-	"strconv"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // latencyBounds are the histogram bucket upper bounds in seconds; the last
 // implicit bucket is +Inf. The range spans sub-millisecond stub runs up to
@@ -14,9 +10,9 @@ var latencyBounds = []float64{
 }
 
 // registerMetrics puts every series of the serving tier on the one registry:
-// the front door's counters, live queue/job/store state as exposition-time
-// callbacks, and the per-pool epi_replica_* gauges. Callbacks run outside the
-// registry lock, so taking s.mu or the store's lock in them is deadlock-free.
+// the front door's counters and live queue/job/store state as exposition-time
+// callbacks. Callbacks run outside the registry lock, so taking s.mu or the
+// store's lock in them is deadlock-free.
 // The per-workflow latency histograms register on first use (run).
 func (s *Service) registerMetrics() {
 	reg := s.reg
@@ -33,17 +29,6 @@ func (s *Service) registerMetrics() {
 			return float64(read())
 		})
 	}
-	// upPools sums a per-pool quantity over the pools that are up.
-	upPools := func(per func(*pool) int) func() int {
-		return func() (n int) {
-			for _, p := range s.pools {
-				if !p.down {
-					n += per(p)
-				}
-			}
-			return n
-		}
-	}
 
 	s.submitted = counter("epi_scenario_submitted_total", "scenario jobs admitted to the queue")
 	s.rejected = counter("epi_scenario_rejected_total", "scenario submissions shed by backpressure")
@@ -55,23 +40,14 @@ func (s *Service) registerMetrics() {
 	s.jobsFailed = reg.Counter(`epi_scenario_jobs_total{state="failed"}`)
 	s.jobsCanceled = reg.Counter(`epi_scenario_jobs_total{state="canceled"}`)
 
-	locked("epi_scenario_queue_depth", "jobs waiting for a worker",
-		upPools(func(p *pool) int { return len(p.queue) }))
+	locked("epi_scenario_queue_depth", "jobs waiting for a worker", func() int { return len(s.queue) })
 	for _, pri := range []Priority{PriorityInteractive, PriorityNormal, PriorityBatch} {
 		locked(`epi_scenario_queue_depth_class{class="`+pri.String()+`"}`,
-			"jobs waiting for a worker, by priority class",
-			upPools(func(p *pool) int { return p.queuedBy[pri] }))
+			"jobs waiting for a worker, by priority class", func() int { return s.queuedBy[pri] })
 	}
-	locked("epi_scenario_queue_capacity", "bounded queue capacity",
-		upPools(func(*pool) int { return s.queueCap }))
-	locked("epi_scenario_workers", "worker-pool size",
-		upPools(func(*pool) int { return s.workers }))
-	locked("epi_scenario_inflight_jobs", "jobs currently running on a worker", func() (n int) {
-		for _, p := range s.pools {
-			n += p.running
-		}
-		return n
-	})
+	locked("epi_scenario_queue_capacity", "bounded queue capacity", func() int { return s.queueCap })
+	locked("epi_scenario_workers", "worker-pool size", func() int { return s.workers })
+	locked("epi_scenario_inflight_jobs", "jobs currently running on a worker", func() int { return s.running })
 	locked("epi_scenario_draining", "1 while the service is shutting down", func() int {
 		if s.draining {
 			return 1
@@ -89,23 +65,4 @@ func (s *Service) registerMetrics() {
 	reg.Help("epi_scenario_cache_hit_ratio", "hits over lookups, 0 when idle")
 	reg.Help("epi_scenario_cache_capacity", "result-cache capacity")
 	reg.GaugeFunc("epi_scenario_cache_capacity", func() float64 { return float64(s.store.Stats().Capacity) })
-	reg.Help("epi_result_cache_hit_ratio", "result-cache hits over lookups (alias of epi_scenario_cache_hit_ratio)")
-	reg.GaugeFunc("epi_result_cache_hit_ratio", func() float64 { return s.store.Stats().HitRatio })
-
-	for _, p := range s.pools {
-		label := `{replica="` + strconv.Itoa(p.id) + `"}`
-		locked("epi_replica_queue_depth"+label, "queued jobs per replica", func() int { return len(p.queue) })
-		locked("epi_replica_running"+label, "running jobs per replica", func() int { return p.running })
-		locked("epi_replica_up"+label, "1 while the replica accepts work", func() int {
-			if p.down {
-				return 0
-			}
-			return 1
-		})
-	}
-	s.dispatched = counter("epi_replica_dispatched_total", "jobs dispatched to replicas")
-	s.steals = counter("epi_replica_steals_total", "queued jobs stolen onto idle peers")
-	s.requeues = counter("epi_replica_requeues_total", "jobs requeued after a replica death")
-	s.batchExecs = counter("epi_replica_batch_execs_total", "ensemble executions flushed by the batcher")
-	s.batchMembs = counter("epi_replica_batch_members_total", "member specs folded into ensembles")
 }

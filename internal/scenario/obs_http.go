@@ -31,8 +31,8 @@ type ServingObsConfig struct {
 }
 
 // ServingObs is the request-scoped observability bundle the HTTP layer
-// wires in: a per-request trace (span tree through admission, queue,
-// dispatch, batching, fidelity, engine), the flight recorder holding the
+// wires in: a per-request trace (span tree through admission, queue wait,
+// run, fidelity, engine), the flight recorder holding the
 // last N traces, RED series, and SLO burn tracking. A nil *ServingObs is
 // valid and inert — the server behaves exactly as before the layer
 // existed, which is what the overhead benchmark's "off" arm measures.

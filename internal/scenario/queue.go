@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -141,8 +141,7 @@ type Runner func(ctx context.Context, spec Spec) (*Result, error)
 // Job is one admitted scenario run and the handle every submitter of its
 // spec shares (single-flight): each holds an interest reference, and when the
 // last interested party walks away the work is cancelled so abandoned
-// requests stop burning CPU. The same *Job is what sits in a pool's FIFO, so
-// a steal or a requeue moves the pointer and the waiters never notice.
+// requests stop burning CPU. The same *Job is what sits in the FIFO.
 type Job struct {
 	// Hash is the spec's content address and the job's public ID.
 	Hash string
@@ -152,9 +151,9 @@ type Job struct {
 	svc  *Service
 	done chan struct{}
 	// tctx carries the submitter's tracing identity (obs.AdoptTrace over
-	// context.Background(): values only, no cancellation), so queue waits,
-	// the run and every steal, requeue and batch hop report into that
-	// request's trace from whichever goroutine performs them. Read-only.
+	// context.Background(): values only, no cancellation), so the queue wait
+	// and the run report into that request's trace from the worker that
+	// performs them. Read-only.
 	tctx context.Context
 	// pri is the admission class the job was admitted under.
 	pri Priority
@@ -167,27 +166,14 @@ type Job struct {
 	result *Result
 	shared int64
 	cached bool
-	// ensemble links a batched member to the job executing the merged spec;
-	// the member holds one interest reference on it.
-	ensemble *Job
 
 	// The fields below are guarded by Service.mu alone.
 	interest int
 	pinned   bool
-	// clientCanceled marks an explicit Cancel or an abandonment, so a run
-	// cancelled on a dead pool settles as canceled instead of being requeued.
-	clientCanceled bool
-	// pool is where the job is queued or running; nil while it waits in a
-	// batch window or on an ensemble.
-	pool *pool
-	// cancel stops the current run; non-nil exactly while a worker runs it.
+	// cancel stops the run; non-nil exactly while a worker runs it.
 	cancel context.CancelFunc
-	// qspan is the open queue.wait span of the job's current FIFO.
+	// qspan is the open queue.wait span while the job is queued.
 	qspan *obs.Span
-	// batch is the pending batch the job waits in before its flush.
-	batch *pendingBatch
-	// members are the batched jobs awaiting a slice of this job's result.
-	members []*Job
 }
 
 // completedJob wraps a result-store hit as an already-done job.
@@ -231,21 +217,21 @@ func (j *Job) Pin() {
 
 // Release drops one interest reference (a waiting client that completed or
 // disconnected). When the count reaches zero on an unpinned, unfinished job,
-// the work is cancelled wherever it is: taken out of its FIFO or batch
-// window, or its run context cancelled.
+// the work is cancelled: taken out of the FIFO, or its run context
+// cancelled.
 func (j *Job) Release() {
 	s := j.svc
 	if s == nil {
 		return // result-store hit
 	}
-	var d deferred
+	var qs *obs.Span
 	s.mu.Lock()
 	j.interest--
 	if j.interest <= 0 && !j.pinned && j.live() {
-		s.abandonLocked(j, &d)
+		qs = s.abandonLocked(j)
 	}
 	s.mu.Unlock()
-	d.run()
+	endQueueSpan(qs, "canceled")
 }
 
 // JobStatus is the poll payload.
@@ -260,22 +246,16 @@ type JobStatus struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// Status snapshots the job. A batched member reports queued through its
-// window and then mirrors the ensemble running it.
+// Status snapshots the job.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	st := JobStatus{
 		ID: j.Hash, Workflow: j.Spec.Workflow, State: j.state.String(),
 		Shared: j.shared, Cached: j.cached,
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()
-	}
-	ens := j.ensemble
-	queued := j.state == StateQueued
-	j.mu.Unlock()
-	if queued && ens != nil && ens.Status().State == StateRunning.String() {
-		st.State = StateRunning.String()
 	}
 	return st
 }
@@ -284,22 +264,15 @@ func (j *Job) Status() JobStatus {
 type Config struct {
 	// Pipeline is the shared workflow substrate.
 	Pipeline *core.Pipeline
-	// Replicas is the number of worker pools behind the front door
-	// (default 1). Workers and QueueCap are per pool.
-	Replicas int
-	// Workers is each pool's fixed worker count (default 2).
+	// Workers is the fixed worker count serving the FIFO (default 2).
 	Workers int
-	// QueueCap bounds each pool's FIFO; admission runs against the aggregate
-	// of the up pools and rejects with ErrQueueFull when it is full
-	// (default 16).
+	// QueueCap bounds the FIFO; admission rejects with ErrQueueFull when it
+	// is full (default 16).
 	QueueCap int
 	// CacheCap bounds the LRU result store (default 64).
 	CacheCap int
 	// Runner overrides the pipeline runner (tests).
 	Runner Runner
-	// RunnerFor overrides Runner per pool (chaos tests give each pool a
-	// distinguishable runner).
-	RunnerFor func(i int) Runner
 	// Fingerprint overrides the pipeline fingerprint (tests without a
 	// pipeline).
 	Fingerprint string
@@ -315,50 +288,43 @@ type Config struct {
 	// unwind after its context expires (default 5s). A runner that ignores
 	// cancellation past the grace is abandoned and reported via DrainError.
 	DrainGrace time.Duration
-	// BatchWindow is how long a batchable what-if spec waits for
-	// near-identical peers before it is placed; 0 disables batching.
-	BatchWindow time.Duration
-	// RebalanceEvery is the work-stealing scan period between pools
-	// (default 25ms; <0 disables the background loop — tests drive
-	// RebalanceOnce directly). A single pool never starts the loop.
-	RebalanceEvery time.Duration
 }
 
 // Service is the scenario engine and its one front door: content-addressed
-// result store, single-flight table, aggregate priority admission, what-if
-// batching, N worker pools with stealing and death requeue, metrics and
-// graceful drain.
+// result store, single-flight table, priority admission, one bounded FIFO
+// served by a fixed set of workers, metrics and graceful drain.
 //
 // Lock order: Service.mu → Job.mu. Service.mu is never held across a runner
-// call or a trace write (a sink may be a journal file): code that decides a
-// span end or an event under the lock queues it on a deferred list and runs
-// the list after unlocking.
+// call or a span end (a sink may be a journal file): code that decides a
+// span end under the lock ends the span after unlocking.
 type Service struct {
 	fingerprint string
 	store       *castore.Store[*Result]
 	reg         *obs.Registry
 	fidelity    *fidelity.Router
-	workers     int // per pool
-	queueCap    int // per pool
+	runner      Runner
+	workers     int
+	queueCap    int
 	drainGrace  time.Duration
-	batchWindow time.Duration
 
 	submitted, rejected, deduped, shed *obs.Counter
 	jobsDone, jobsFailed, jobsCanceled *obs.Counter
-	dispatched, steals, requeues       *obs.Counter
-	batchExecs, batchMembs             *obs.Counter
 
-	baseCtx       context.Context
-	baseCancel    context.CancelFunc
-	wg            sync.WaitGroup // workers and the rebalance loop
-	stopRebalance chan struct{}  // closed by the first Drain
+	baseCtx    context.Context // parent of every run; cancelled by an expired Drain
+	baseCancel context.CancelFunc
+	wg         sync.WaitGroup // workers
 
-	mu       sync.Mutex // guards the fields below and every pool's state
-	pools    []*pool
-	inflight map[string]*Job // unsettled jobs by hash: the single-flight table
-	recent   []*Job          // settled jobs kept for status polls, oldest first
-	registry map[string]*Job // inflight + recent, for Lookup
-	batches  map[string]*pendingBatch
+	mu sync.Mutex // guards the fields below
+	// cond wakes idle workers: signalled per enqueue, broadcast on drain.
+	// Its locker is mu.
+	cond     *sync.Cond
+	queue    []*Job
+	queuedBy [3]int // per Priority class
+	running  int
+	started  int                       // workers that have come up
+	inflight map[string]*Job           // unsettled jobs by hash: the single-flight table
+	recent   []*Job                    // settled jobs kept for status polls, oldest first
+	registry map[string]*Job           // inflight + recent, for Lookup
 	latency  map[string]*obs.Histogram // by workflow
 	draining bool
 }
@@ -367,19 +333,7 @@ type Service struct {
 // the result store beyond this).
 const recentCap = 256
 
-// deferred collects trace writes decided under Service.mu; run it after
-// unlocking.
-type deferred []func()
-
-func (d *deferred) add(f func()) { *d = append(*d, f) }
-
-func (d deferred) run() {
-	for _, f := range d {
-		f()
-	}
-}
-
-// endQueueSpan closes a queue.wait span with its outcome.
+// endQueueSpan closes a queue.wait span with its outcome; nil is a no-op.
 func endQueueSpan(sp *obs.Span, outcome string) {
 	sp.SetAttr(obs.String("outcome", outcome))
 	sp.End()
@@ -392,9 +346,6 @@ func isCancel(err error) bool {
 
 // NewService builds and starts a service; callers must Drain it.
 func NewService(cfg Config) *Service {
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 1
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
@@ -407,57 +358,38 @@ func NewService(cfg Config) *Service {
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 5 * time.Second
 	}
-	if cfg.RebalanceEvery == 0 {
-		cfg.RebalanceEvery = 25 * time.Millisecond
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
 	s := &Service{
-		fingerprint:   cfg.Fingerprint,
-		store:         castore.New(castore.WithMaxEntries[*Result](cfg.CacheCap)),
-		reg:           cfg.Registry,
-		fidelity:      cfg.Fidelity,
-		workers:       cfg.Workers,
-		queueCap:      cfg.QueueCap,
-		drainGrace:    cfg.DrainGrace,
-		batchWindow:   cfg.BatchWindow,
-		stopRebalance: make(chan struct{}),
-		inflight:      map[string]*Job{},
-		registry:      map[string]*Job{},
-		batches:       map[string]*pendingBatch{},
-		latency:       map[string]*obs.Histogram{},
+		fingerprint: cfg.Fingerprint,
+		store:       castore.New(castore.WithMaxEntries[*Result](cfg.CacheCap)),
+		reg:         cfg.Registry,
+		fidelity:    cfg.Fidelity,
+		runner:      cfg.Runner,
+		workers:     cfg.Workers,
+		queueCap:    cfg.QueueCap,
+		drainGrace:  cfg.DrainGrace,
+		inflight:    map[string]*Job{},
+		registry:    map[string]*Job{},
+		latency:     map[string]*obs.Histogram{},
 	}
+	s.cond = sync.NewCond(&s.mu)
 	if s.fingerprint == "" && cfg.Pipeline != nil {
 		s.fingerprint = Fingerprint(cfg.Pipeline)
 	}
-	runner := cfg.Runner
-	if runner == nil {
+	if s.runner == nil {
 		if cfg.Fidelity != nil {
-			runner = FidelityPipelineRunner(cfg.Pipeline, cfg.Fidelity)
+			s.runner = FidelityPipelineRunner(cfg.Pipeline, cfg.Fidelity)
 		} else {
-			runner = PipelineRunner(cfg.Pipeline)
+			s.runner = PipelineRunner(cfg.Pipeline)
 		}
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	for i := 0; i < cfg.Replicas; i++ {
-		p := &pool{id: i, name: "r" + strconv.Itoa(i), runner: runner, cond: sync.NewCond(&s.mu)}
-		if cfg.RunnerFor != nil {
-			p.runner = cfg.RunnerFor(i)
-		}
-		p.ctx, p.cancel = context.WithCancel(s.baseCtx)
-		s.pools = append(s.pools, p)
-	}
 	s.registerMetrics()
-	for _, p := range s.pools {
-		for i := 0; i < s.workers; i++ {
-			s.wg.Add(1)
-			go s.worker(p)
-		}
-	}
-	if len(s.pools) > 1 && cfg.RebalanceEvery > 0 {
+	for i := 0; i < s.workers; i++ {
 		s.wg.Add(1)
-		go s.rebalanceLoop(cfg.RebalanceEvery)
+		go s.worker()
 	}
 	return s
 }
@@ -466,19 +398,13 @@ func NewService(cfg Config) *Service {
 // the source the HTTP layer's Prometheus /metrics endpoint renders.
 func (s *Service) Registry() *obs.Registry { return s.reg }
 
-// Submit is SubmitCtx at normal priority with no request trace.
-func (s *Service) Submit(spec Spec) (*Job, error) {
-	return s.SubmitCtx(context.Background(), spec, PriorityNormal)
-}
-
 // SubmitCtx is the front door: normalize and hash once, look the result
 // store up once, then — under one acquisition of Service.mu — attach to an
-// identical unsettled job (single-flight), or admit by priority class
-// against the aggregate queue of the up pools and either enrol the job in a
-// what-if batch window or place it on the least-loaded pool. An admitted job
-// is therefore never refused later. The caller holds one interest reference
-// on the returned job and must Release it (a result-store hit returns an
-// already-done job where Release is a no-op).
+// identical unsettled job (single-flight), or admit by priority class and
+// append the job to the FIFO. An admitted job is therefore never refused
+// later. The caller holds one interest reference on the returned job and
+// must Release it (a result-store hit returns an already-done job where
+// Release is a no-op).
 //
 // ctx contributes ONLY tracing identity: when it carries a request trace
 // (obs), the admission decision, queue waits and the job's whole execution
@@ -499,12 +425,6 @@ func (s *Service) SubmitCtx(ctx context.Context, spec Spec, pri Priority) (*Job,
 	if res, ok := s.store.Get(hash); ok {
 		obs.Event(ctx, "cache.hit", obs.String("hash", hash))
 		return completedJob(hash, ns, res), nil
-	}
-	family := "" // the batch window the spec would wait in, if any
-	if s.batchWindow > 0 && batchable(ns) {
-		if family, err = s.batchKey(ns); err != nil {
-			return nil, &BadSpecError{Err: err}
-		}
 	}
 	s.mu.Lock()
 	if s.draining {
@@ -542,37 +462,19 @@ func (s *Service) SubmitCtx(ctx context.Context, spec Spec, pri Priority) (*Job,
 		interest: 1, tctx: obs.AdoptTrace(context.Background(), ctx)}
 	s.inflight[hash] = j
 	s.registry[hash] = j
-	if family != "" {
-		var d deferred
-		s.enrollLocked(j, family, &d)
-		s.mu.Unlock()
-		d.run()
-		return j, nil
-	}
-	p := s.dispatchLocked(j)
+	s.enqueueLocked(j)
 	s.mu.Unlock()
 	s.submitted.Inc()
 	s.store.RecordMiss()
-	obs.Event(ctx, "replica.dispatch", obs.Int("replica", int64(p.id)), obs.String("hash", hash))
 	return j, nil
 }
 
-// admitLocked applies the per-class budget over the aggregate queue of the
-// up pools: batch may use the first half, normal everything except a
-// reserved eighth (zero below eight slots), interactive all of it. A full
-// queue is ErrQueueFull for every class — the saturation signal beats a
-// class shed — and no up pool at all is ErrDraining. Caller holds s.mu.
+// admitLocked applies the per-class budget over the queue: batch may use the
+// first half, normal everything except a reserved eighth (zero below eight
+// slots), interactive all of it. A full queue is ErrQueueFull for every
+// class — the saturation signal beats a class shed. Caller holds s.mu.
 func (s *Service) admitLocked(pri Priority) error {
-	queued, capacity := 0, 0
-	for _, p := range s.pools {
-		if !p.down {
-			queued += len(p.queue)
-			capacity += s.queueCap
-		}
-	}
-	if capacity == 0 {
-		return ErrDraining
-	}
+	queued, capacity := len(s.queue), s.queueCap
 	if queued >= capacity {
 		return ErrQueueFull
 	}
@@ -608,61 +510,57 @@ func (s *Service) Lookup(id string) (*Job, bool) {
 // Cancel cancels an unsettled job by ID. It reports whether a cancellation
 // was initiated.
 func (s *Service) Cancel(id string) bool {
-	var d deferred
+	var qs *obs.Span
 	s.mu.Lock()
 	j := s.registry[id]
 	live := j != nil && j.live()
 	if live {
-		s.abandonLocked(j, &d)
+		qs = s.abandonLocked(j)
 	}
 	s.mu.Unlock()
-	d.run()
+	endQueueSpan(qs, "canceled")
 	return live
 }
 
-// abandonLocked cancels a live job's work wherever it is. A running job has
-// its run context cancelled and the worker settles it when the runner
-// unwinds; anything still waiting — in a FIFO, in a batch window, on an
-// ensemble — is taken out and settled as canceled at once, so nothing dead
-// occupies a bounded slot. Caller holds s.mu.
-func (s *Service) abandonLocked(j *Job, d *deferred) {
-	j.clientCanceled = true
-	switch {
-	case j.cancel != nil:
-		j.cancel()
-	case j.batch != nil:
-		j.batch.remove(j)
-		j.batch = nil
-		s.finishLocked(j, nil, context.Canceled)
-	case j.ensemble != nil:
-		ens := j.ensemble
-		s.finishLocked(j, nil, context.Canceled)
-		// Last member out cancels the ensemble execution.
-		if ens.interest--; ens.interest <= 0 && !ens.pinned && ens.live() {
-			s.abandonLocked(ens, d)
-		}
-	default:
-		s.cancelQueuedLocked(j, d)
+// enqueueLocked appends j to the FIFO, opens its queue.wait span and wakes
+// one idle worker. Caller holds s.mu.
+func (s *Service) enqueueLocked(j *Job) {
+	s.queue = append(s.queue, j)
+	s.queuedBy[j.pri]++
+	_, j.qspan = obs.StartSpan(j.tctx, "queue.wait",
+		obs.String("hash", j.Hash), obs.String("priority", j.pri.String()))
+	s.cond.Signal()
+}
+
+// dequeueLocked takes j out of the FIFO, so a job that leaves — to a worker
+// or a cancellation — frees its slot at once. Caller holds s.mu.
+func (s *Service) dequeueLocked(j *Job) {
+	if i := slices.Index(s.queue, j); i >= 0 {
+		s.queue = slices.Delete(s.queue, i, i+1)
+		s.queuedBy[j.pri]--
 	}
 }
 
-// cancelQueuedLocked takes a queued job out of its FIFO and settles it as
-// canceled. Caller holds s.mu.
-func (s *Service) cancelQueuedLocked(j *Job, d *deferred) {
-	j.pool.remove(j)
-	qs := j.qspan
-	d.add(func() { endQueueSpan(qs, "canceled") })
+// abandonLocked cancels a live job's work. A running job has its run context
+// cancelled and the worker settles it when the runner unwinds; a queued job
+// is taken out of the FIFO and settled as canceled at once, so nothing dead
+// occupies a bounded slot; its open queue.wait span is returned for the
+// caller to end after unlocking. Caller holds s.mu.
+func (s *Service) abandonLocked(j *Job) (qspan *obs.Span) {
+	if j.cancel != nil {
+		j.cancel()
+		return nil
+	}
+	s.dequeueLocked(j)
+	qspan = j.qspan
 	s.finishLocked(j, nil, context.Canceled)
+	return qspan
 }
 
 // finishLocked settles a live job exactly once: terminal state, waiters
 // released, out of the single-flight table, kept pollable for recentCap more
-// settlements. An ensemble settles its members with it — each receives the
-// slice of the result carrying exactly its what-ifs, published under its own
-// hash so a later identical submission is a hit — and the members that got
-// a slice are returned for the caller's batch.slice events. Caller holds
-// s.mu.
-func (s *Service) finishLocked(j *Job, res *Result, err error) (sliced []*Job) {
+// settlements. Caller holds s.mu.
+func (s *Service) finishLocked(j *Job, res *Result, err error) {
 	j.mu.Lock()
 	switch {
 	case err == nil:
@@ -678,7 +576,7 @@ func (s *Service) finishLocked(j *Job, res *Result, err error) (sliced []*Job) {
 	j.result, j.err = res, err
 	close(j.done)
 	j.mu.Unlock()
-	j.pool, j.qspan = nil, nil
+	j.qspan = nil
 	delete(s.inflight, j.Hash)
 	s.recent = append(s.recent, j)
 	for len(s.recent) > recentCap {
@@ -688,57 +586,41 @@ func (s *Service) finishLocked(j *Job, res *Result, err error) (sliced []*Job) {
 			delete(s.registry, old.Hash)
 		}
 	}
-	for _, m := range j.members {
-		switch {
-		case !m.live(): // abandoned before the ensemble settled
-		case err != nil:
-			s.finishLocked(m, nil, err)
-		default:
-			mres := sliceResult(res, m.Hash, m.Spec)
-			s.store.Put(m.Hash, mres)
-			s.finishLocked(m, mres, nil)
-			sliced = append(sliced, m)
-		}
-	}
-	j.members = nil
-	return sliced
 }
 
-// worker serves one pool until the pool dies or a drain empties its FIFO.
-func (s *Service) worker(p *pool) {
+// worker serves the FIFO until a drain empties it.
+func (s *Service) worker() {
 	defer s.wg.Done()
 	s.mu.Lock()
-	p.started++
+	s.started++
 	for {
-		for len(p.queue) == 0 && !p.down && !s.draining {
-			p.cond.Wait()
+		for len(s.queue) == 0 && !s.draining {
+			s.cond.Wait()
 		}
-		if p.down || len(p.queue) == 0 {
+		if len(s.queue) == 0 {
 			s.mu.Unlock()
 			return
 		}
-		j := p.queue[0]
-		p.remove(j)
-		p.running++
+		j := s.queue[0]
+		s.dequeueLocked(j)
+		s.running++
 		j.mu.Lock()
 		j.state = StateRunning
 		j.mu.Unlock()
-		// The run context belongs to the pool the job runs on, not to where
-		// it was first queued: killing that pool is what cancels it.
-		ctx, cancel := context.WithCancel(p.ctx)
+		ctx, cancel := context.WithCancel(s.baseCtx)
 		j.cancel = cancel
 		qs := j.qspan
 		j.qspan = nil
 		s.mu.Unlock()
 		endQueueSpan(qs, "run")
-		s.run(ctx, p, j)
+		s.run(ctx, j)
 		cancel() // release the context's resources
 		s.mu.Lock()
 	}
 }
 
-// run executes one job on a worker of p and settles or requeues it.
-func (s *Service) run(ctx context.Context, p *pool, j *Job) {
+// run executes one job on a worker and settles it.
+func (s *Service) run(ctx context.Context, j *Job) {
 	started := time.Now()
 	// tier is the requested fidelity ("auto" when unset) — the decided tier
 	// lands on the job.run span after the runner returns.
@@ -747,17 +629,16 @@ func (s *Service) run(ctx context.Context, p *pool, j *Job) {
 		tier = "auto"
 	}
 	runCtx, rspan := obs.StartSpan(obs.AdoptTrace(ctx, j.tctx), "job.run",
-		obs.String("hash", j.Hash), obs.String("workflow", j.Spec.Workflow),
-		obs.String("replica", p.name))
+		obs.String("hash", j.Hash), obs.String("workflow", j.Spec.Workflow))
 	var res *Result
 	var err error
 	// pprof labels attribute CPU samples in the -pprof profiles to the
 	// request being served; they are invisible to the runner itself.
 	pprof.Do(runCtx, pprof.Labels(
 		"hash", j.Hash, "workflow", j.Spec.Workflow,
-		"tier", tier, "replica", p.name,
+		"tier", tier,
 	), func(ctx context.Context) {
-		res, err = p.runner(ctx, j.Spec)
+		res, err = s.runner(ctx, j.Spec)
 	})
 	elapsed := time.Since(started)
 	if err != nil {
@@ -774,24 +655,8 @@ func (s *Service) run(ctx context.Context, p *pool, j *Job) {
 	}
 
 	s.mu.Lock()
-	p.running--
+	s.running--
 	j.cancel = nil
-	if isCancel(err) && p.down && !j.clientCanceled && !s.draining {
-		// The pool died under the job, not the client under the request:
-		// move the work to an up peer with its waiters intact. The runner
-		// has returned, so the spec is running nowhere during the hop. (A
-		// drain moves nothing: the peers' idle workers may already be gone.)
-		if to := s.dispatchLocked(j); to != nil {
-			j.mu.Lock()
-			j.state = StateQueued
-			j.mu.Unlock()
-			s.mu.Unlock()
-			s.requeues.Inc()
-			obs.Event(j.tctx, "replica.requeue", obs.Int("from", int64(p.id)), obs.String("hash", j.Hash))
-			obs.Event(j.tctx, "replica.dispatch", obs.Int("replica", int64(to.id)), obs.String("hash", j.Hash))
-			return
-		}
-	}
 	if err == nil {
 		s.store.Put(j.Hash, res)
 		lat := s.latency[j.Spec.Workflow]
@@ -801,12 +666,8 @@ func (s *Service) run(ctx context.Context, p *pool, j *Job) {
 		}
 		lat.Observe(elapsed.Seconds()) // before the waiters wake: a served reply is a counted one
 	}
-	sliced := s.finishLocked(j, res, err)
+	s.finishLocked(j, res, err)
 	s.mu.Unlock()
-	for _, m := range sliced {
-		obs.Event(m.tctx, "batch.slice", obs.String("batch", j.Hash), obs.String("hash", m.Hash),
-			obs.Int("scenarios", int64(len(m.Spec.WhatIfs))))
-	}
 }
 
 // Readiness is the /readyz payload: overall readiness plus the state of
@@ -822,23 +683,16 @@ type Readiness struct {
 	Fidelity map[string]fidelity.TierState `json:"fidelity,omitempty"`
 }
 
-// Readiness reports whether the service can usefully serve: some pool is up
-// and all workers of the up pools have started, the service is not draining,
-// and — when the fidelity ladder is enabled — at least one emulator is
-// fitted (before that, every auto-routed query escalates to a full
-// simulation, which is availability but not the latency contract /readyz
-// guards). Worker counts are summed over the up pools.
+// Readiness reports whether the service can usefully serve: all workers
+// have started, the service is not draining, and — when the fidelity ladder
+// is enabled — at least one emulator is fitted (before that, every
+// auto-routed query escalates to a full simulation, which is availability
+// but not the latency contract /readyz guards).
 func (s *Service) Readiness() Readiness {
 	s.mu.Lock()
-	r := Readiness{Draining: s.draining}
-	for _, p := range s.pools {
-		if !p.down {
-			r.WorkersUp += p.started
-			r.WorkersSet += s.workers
-		}
-	}
+	r := Readiness{Draining: s.draining, WorkersUp: s.started, WorkersSet: s.workers}
 	s.mu.Unlock()
-	r.Ready = r.WorkersSet > 0 && r.WorkersUp >= r.WorkersSet && !r.Draining
+	r.Ready = r.WorkersUp >= r.WorkersSet && !r.Draining
 	if s.fidelity != nil {
 		r.Fidelity = s.fidelity.Status()
 		if !r.Fidelity[string(fidelity.TierEmulator)].Ready {
@@ -855,40 +709,25 @@ func (s *Service) Draining() bool {
 	return s.draining
 }
 
-// Loads returns the live queued and running job counts over all pools.
+// Loads returns the live queued and running job counts.
 func (s *Service) Loads() (queued, running int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, p := range s.pools {
-		queued += len(p.queue)
-		running += p.running
-	}
-	return queued, running
+	return len(s.queue), s.running
 }
 
-// Drain gracefully shuts the service down: pending batch windows close, new
-// submissions are rejected, the rebalance loop stops, queued and in-flight
-// jobs run to completion where they are, workers exit. If ctx expires first,
-// the remaining jobs are cancelled and Drain waits up to the configured
-// DrainGrace for the workers to unwind, then returns ctx.Err() — or, when a
-// runner ignores cancellation past the grace, a *DrainError listing the
-// hashes still occupying workers (it unwraps to ctx.Err(), so deadline
-// checks via errors.Is keep working).
+// Drain gracefully shuts the service down: new submissions are rejected,
+// queued and in-flight jobs run to completion, workers exit. If ctx expires
+// first, the remaining jobs are cancelled and Drain waits up to the
+// configured DrainGrace for the workers to unwind, then returns ctx.Err() —
+// or, when a runner ignores cancellation past the grace, a *DrainError
+// listing the hashes still occupying workers (it unwraps to ctx.Err(), so
+// deadline checks via errors.Is keep working).
 func (s *Service) Drain(ctx context.Context) error {
-	var d deferred
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.stopRebalance)
-		for _, b := range s.batches {
-			s.flushLocked(b, &d)
-		}
-		for _, p := range s.pools {
-			p.cond.Broadcast()
-		}
-	}
+	s.draining = true
+	s.cond.Broadcast()
 	s.mu.Unlock()
-	d.run()
 	finished := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -926,9 +765,9 @@ func (s *Service) runningHashes() []string {
 }
 
 // Quiesced reports what the service still holds, nil when nothing: an empty
-// single-flight table, no open batch window, every pool's FIFO and running
-// count at zero, and at most recentCap settled jobs kept pollable. Anything
-// else after Drain returned nil is a leak.
+// single-flight table, the FIFO and running count at zero, and at most
+// recentCap settled jobs kept pollable. Anything else after Drain returned
+// nil is a leak.
 func (s *Service) Quiesced() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -936,16 +775,11 @@ func (s *Service) Quiesced() error {
 	if n := len(s.inflight); n > 0 {
 		held = append(held, fmt.Sprintf("%d jobs in the single-flight table", n))
 	}
-	if n := len(s.batches); n > 0 {
-		held = append(held, fmt.Sprintf("%d batch windows open", n))
-	}
 	if n := len(s.registry); n > recentCap {
 		held = append(held, fmt.Sprintf("%d pollable jobs (cap %d)", n, recentCap))
 	}
-	for _, p := range s.pools {
-		if len(p.queue) > 0 || p.running > 0 {
-			held = append(held, fmt.Sprintf("pool %s: %d queued, %d running", p.name, len(p.queue), p.running))
-		}
+	if len(s.queue) > 0 || s.running > 0 {
+		held = append(held, fmt.Sprintf("%d queued, %d running", len(s.queue), s.running))
 	}
 	if held == nil {
 		return nil

@@ -73,6 +73,11 @@ func series(t *testing.T, s *Service, name string) float64 {
 	return 0
 }
 
+// submit is SubmitCtx at normal priority with no request trace.
+func submit(s *Service, spec Spec) (*Job, error) {
+	return s.SubmitCtx(context.Background(), spec, PriorityNormal)
+}
+
 func predSpec(state string, days int) Spec {
 	return Spec{Workflow: WorkflowPrediction, State: state, Days: days}
 }
@@ -92,22 +97,22 @@ func waitState(t *testing.T, j *Job, want JobState) {
 func TestSubmitValidationErrors(t *testing.T) {
 	s, _ := stubService(t, 1, 4)
 	var bad *BadSpecError
-	if _, err := s.Submit(Spec{Workflow: "bogus"}); !errors.As(err, &bad) {
+	if _, err := submit(s, Spec{Workflow: "bogus"}); !errors.As(err, &bad) {
 		t.Fatalf("want BadSpecError, got %v", err)
 	}
-	if _, err := s.Submit(predSpec("ZZ", 10)); !errors.As(err, &bad) {
+	if _, err := submit(s, predSpec("ZZ", 10)); !errors.As(err, &bad) {
 		t.Fatalf("want BadSpecError for bad state, got %v", err)
 	}
 }
 
 func TestSingleflightSharesOneRun(t *testing.T) {
 	s, r := stubService(t, 2, 8)
-	j1, err := s.Submit(predSpec("VA", 30))
+	j1, err := submit(s, predSpec("VA", 30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-r.started // running and blocked on the gate
-	j2, err := s.Submit(predSpec("va", 30))
+	j2, err := submit(s, predSpec("va", 30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +133,7 @@ func TestSingleflightSharesOneRun(t *testing.T) {
 
 func TestCacheHitSkipsQueue(t *testing.T) {
 	s, r := stubService(t, 1, 4)
-	j, err := s.Submit(predSpec("VA", 20))
+	j, err := submit(s, predSpec("VA", 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +142,7 @@ func TestCacheHitSkipsQueue(t *testing.T) {
 	if _, err := j.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := s.Submit(predSpec("VA", 20))
+	j2, err := submit(s, predSpec("VA", 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,15 +165,15 @@ func TestCacheHitSkipsQueue(t *testing.T) {
 func TestQueueFullRejects(t *testing.T) {
 	s, r := stubService(t, 1, 1)
 	// One running (blocked on the gate) + one queued fills the service.
-	j1, err := s.Submit(predSpec("VA", 10))
+	j1, err := submit(s, predSpec("VA", 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-r.started
-	if _, err := s.Submit(predSpec("VA", 11)); err != nil {
+	if _, err := submit(s, predSpec("VA", 11)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Submit(predSpec("VA", 12))
+	_, err = submit(s, predSpec("VA", 12))
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
@@ -176,7 +181,7 @@ func TestQueueFullRejects(t *testing.T) {
 		t.Fatalf("rejected %v want 1", got)
 	}
 	// Deduplication onto the running job still succeeds under a full queue.
-	if _, err := s.Submit(predSpec("VA", 10)); err != nil {
+	if _, err := submit(s, predSpec("VA", 10)); err != nil {
 		t.Fatalf("singleflight attach rejected: %v", err)
 	}
 	j1.Release() // drop the extra attach reference
@@ -185,12 +190,12 @@ func TestQueueFullRejects(t *testing.T) {
 
 func TestReleaseCancelsAbandonedJobs(t *testing.T) {
 	s, r := stubService(t, 1, 4)
-	running, err := s.Submit(predSpec("VA", 10))
+	running, err := submit(s, predSpec("VA", 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-r.started
-	queued, err := s.Submit(predSpec("VA", 11))
+	queued, err := submit(s, predSpec("VA", 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +217,7 @@ func TestReleaseCancelsAbandonedJobs(t *testing.T) {
 
 func TestPinnedJobSurvivesRelease(t *testing.T) {
 	s, r := stubService(t, 1, 4)
-	j, err := s.Submit(predSpec("VA", 10))
+	j, err := submit(s, predSpec("VA", 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +233,11 @@ func TestPinnedJobSurvivesRelease(t *testing.T) {
 
 func TestExplicitCancel(t *testing.T) {
 	s, r := stubService(t, 1, 4)
-	running, _ := s.Submit(predSpec("VA", 10))
+	running, _ := submit(s, predSpec("VA", 10))
 	running.Pin()
 	running.Release()
 	<-r.started
-	queued, _ := s.Submit(predSpec("VA", 11))
+	queued, _ := submit(s, predSpec("VA", 11))
 	queued.Pin()
 	queued.Release()
 
@@ -259,7 +264,7 @@ func TestExplicitCancel(t *testing.T) {
 
 func TestLookupFindsTerminalAndCachedJobs(t *testing.T) {
 	s, r := stubService(t, 1, 4)
-	j, _ := s.Submit(predSpec("VA", 10))
+	j, _ := submit(s, predSpec("VA", 10))
 	<-r.started
 	r.releaseAll(1)
 	if _, err := j.Wait(context.Background()); err != nil {
@@ -279,7 +284,7 @@ func TestDrainRunsQueuedJobsThenRejects(t *testing.T) {
 	s := NewService(Config{Workers: 1, QueueCap: 8, Runner: r.run, Fingerprint: "test"})
 	var jobs []*Job
 	for i := 0; i < 3; i++ {
-		j, err := s.Submit(predSpec("VA", 10+i))
+		j, err := submit(s, predSpec("VA", 10+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +301,7 @@ func TestDrainRunsQueuedJobsThenRejects(t *testing.T) {
 			t.Fatalf("job %d state %s want done after drain", i, st)
 		}
 	}
-	if _, err := s.Submit(predSpec("VA", 99)); !errors.Is(err, ErrDraining) {
+	if _, err := submit(s, predSpec("VA", 99)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after drain: %v want ErrDraining", err)
 	}
 }
@@ -304,7 +309,7 @@ func TestDrainRunsQueuedJobsThenRejects(t *testing.T) {
 func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	r := newStubRunner()
 	s := NewService(Config{Workers: 1, QueueCap: 4, Runner: r.run, Fingerprint: "test"})
-	j, err := s.Submit(predSpec("VA", 10))
+	j, err := submit(s, predSpec("VA", 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +336,7 @@ func TestRecentEvictionKeepsRegistryBounded(t *testing.T) {
 	}()
 	var last *Job
 	for i := 0; i < recentCap+10; i++ {
-		j, err := s.Submit(predSpec("VA", (i%300)+1))
+		j, err := submit(s, predSpec("VA", (i%300)+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,4 +355,55 @@ func TestRecentEvictionKeepsRegistryBounded(t *testing.T) {
 		t.Fatal("most recent job evicted")
 	}
 	close(r.started)
+}
+
+func waitLoads(t *testing.T, s *Service, queued, running int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		q, r := s.Loads()
+		if q == queued && r == running {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("loads %d queued / %d running, want %d / %d", q, r, queued, running)
+		}
+	}
+}
+
+// TestCancelFreesQueueSlot pins that nothing dead occupies a bounded slot:
+// with the worker gated and the FIFO at QueueCap, cancelling k queued jobs
+// admits and queues k fresh submissions.
+func TestCancelFreesQueueSlot(t *testing.T) {
+	const queueCap, k = 4, 2
+	s, r := stubService(t, 1, queueCap)
+	t.Cleanup(func() { r.releaseAll(2 * queueCap) })
+	if _, err := submit(s, predSpec("VA", 10)); err != nil {
+		t.Fatal(err)
+	}
+	waitLoads(t, s, 0, 1)
+	var queued []*Job
+	for i := 0; i < queueCap; i++ {
+		j, err := submit(s, predSpec("VA", 20+i))
+		if err != nil {
+			t.Fatalf("fill %d: %v", i, err)
+		}
+		queued = append(queued, j)
+	}
+	if _, err := submit(s, predSpec("VA", 30)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("full queue: %v, want ErrQueueFull", err)
+	}
+	if !s.Cancel(queued[0].Hash) { // explicit cancel
+		t.Fatal("cancel of a queued job refused")
+	}
+	queued[2].Release() // abandonment
+	waitLoads(t, s, queueCap-k, 1)
+	for i := 0; i < k; i++ {
+		if _, err := submit(s, predSpec("VA", 40+i)); err != nil {
+			t.Fatalf("fresh submission %d after %d cancels: %v", i, k, err)
+		}
+	}
+	waitLoads(t, s, queueCap, 1)
+	if _, err := submit(s, predSpec("VA", 50)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("refilled queue: %v, want ErrQueueFull", err)
+	}
 }

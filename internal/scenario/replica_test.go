@@ -12,96 +12,90 @@ import (
 	"repro/internal/scenario"
 )
 
-// clusterRunner hands each replica a distinguishable gated runner and
-// tracks global execution counts per hash-identity (spec state+days), so
-// tests can assert exactly-once execution across the cluster.
+// clusterRunner is a gated runner that tracks execution counts per spec
+// identity (workflow, state, days, what-if count), so tests can assert
+// exactly-once execution behind the front door.
 type clusterRunner struct {
 	mu      sync.Mutex
 	runs    map[string]int   // completed executions by spec identity
 	started map[string]int   // begun executions by spec identity
-	byRep   map[int]int      // begun executions by replica
-	gates   []chan struct{}  // per-replica release gates
+	gate    chan struct{}    // each receive releases one run
 	live    map[string]int32 // concurrently-running count by spec identity
 	overlap atomic.Bool      // any identity ever ran twice at once
-	begun   chan string      // announces identity/replica on start
 }
 
-func newClusterRunner(replicas int) *clusterRunner {
-	cr := &clusterRunner{
-		runs: map[string]int{}, started: map[string]int{},
-		byRep: map[int]int{}, live: map[string]int32{},
-		begun: make(chan string, 1024),
+func newClusterRunner() *clusterRunner {
+	return &clusterRunner{
+		runs: map[string]int{}, started: map[string]int{}, live: map[string]int32{},
+		gate: make(chan struct{}, 1024),
 	}
-	for i := 0; i < replicas; i++ {
-		cr.gates = append(cr.gates, make(chan struct{}, 1024))
-	}
-	return cr
 }
 
 func specIdent(s scenario.Spec) string {
 	return fmt.Sprintf("%s/%s/%d/%d", s.Workflow, s.State, s.Days, len(s.WhatIfs))
 }
 
-func (cr *clusterRunner) runnerFor(rep int) scenario.Runner {
-	return func(ctx context.Context, spec scenario.Spec) (*scenario.Result, error) {
-		id := specIdent(spec)
-		cr.mu.Lock()
-		cr.started[id]++
-		cr.byRep[rep]++
-		cr.live[id]++
-		if cr.live[id] > 1 {
-			cr.overlap.Store(true)
-		}
-		cr.mu.Unlock()
-		cr.begun <- fmt.Sprintf("%d:%s", rep, id)
-		defer func() {
-			cr.mu.Lock()
-			cr.live[id]--
-			cr.mu.Unlock()
-		}()
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-cr.gates[rep]:
-		}
-		cr.mu.Lock()
-		cr.runs[id]++
-		cr.mu.Unlock()
-		res := &scenario.Result{}
-		for _, w := range spec.WhatIfs {
-			res.Scenarios = append(res.Scenarios, scenario.ScenarioResult{Name: w.Name})
-		}
-		return res, nil
+func (cr *clusterRunner) run(ctx context.Context, spec scenario.Spec) (*scenario.Result, error) {
+	id := specIdent(spec)
+	cr.mu.Lock()
+	cr.started[id]++
+	cr.live[id]++
+	if cr.live[id] > 1 {
+		cr.overlap.Store(true)
 	}
+	cr.mu.Unlock()
+	defer func() {
+		cr.mu.Lock()
+		cr.live[id]--
+		cr.mu.Unlock()
+	}()
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-cr.gate:
+	}
+	cr.mu.Lock()
+	cr.runs[id]++
+	cr.mu.Unlock()
+	res := &scenario.Result{}
+	for _, w := range spec.WhatIfs {
+		res.Scenarios = append(res.Scenarios, scenario.ScenarioResult{Name: w.Name})
+	}
+	return res, nil
 }
 
-func (cr *clusterRunner) release(rep, n int) {
+func (cr *clusterRunner) release(n int) {
 	for i := 0; i < n; i++ {
-		cr.gates[rep] <- struct{}{}
+		cr.gate <- struct{}{}
 	}
 }
 
-func testCoordinator(t *testing.T, replicas, workers, queueCap int, opts func(*scenario.Config)) (*scenario.Service, *clusterRunner) {
+func testCoordinator(t *testing.T, workers, queueCap int, opts func(*scenario.Config)) (*scenario.Service, *clusterRunner) {
 	t.Helper()
-	cr := newClusterRunner(replicas)
+	cr := newClusterRunner()
 	cfg := scenario.Config{
-		Replicas: replicas, Workers: workers, QueueCap: queueCap, Fingerprint: "test",
-		RunnerFor:      cr.runnerFor,
-		RebalanceEvery: -1, // tests drive RebalanceOnce explicitly
+		Workers: workers, QueueCap: queueCap, Fingerprint: "test", Runner: cr.run,
 	}
 	if opts != nil {
 		opts(&cfg)
 	}
 	c := scenario.NewService(cfg)
 	t.Cleanup(func() {
-		for i := range cr.gates {
-			cr.release(i, 64)
-		}
+		cr.release(64)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = c.Drain(ctx)
 	})
 	return c, cr
+}
+
+// waitRunning polls until n jobs occupy a worker.
+func waitRunning(t *testing.T, c *scenario.Service, n int) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d runs on a worker", n), func() bool {
+		_, running := c.Loads()
+		return running == n
+	})
 }
 
 // isCancel classifies context-style cancellation errors.
@@ -126,7 +120,7 @@ func waitFor(t *testing.T, what string, ok func() bool) {
 }
 
 func TestCoordinatorSingleFlightAcrossFrontDoor(t *testing.T) {
-	c, cr := testCoordinator(t, 2, 1, 8, nil)
+	c, cr := testCoordinator(t, 2, 8, nil)
 	h1, err := c.SubmitCtx(context.Background(), predSpec("VA", 30), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +135,7 @@ func TestCoordinatorSingleFlightAcrossFrontDoor(t *testing.T) {
 	if got := h2.Status().Shared; got != 1 {
 		t.Fatalf("want Shared=1 on the attached handle, got %d", got)
 	}
-	cr.release(0, 1)
-	cr.release(1, 1)
+	cr.release(2)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := h1.Wait(ctx); err != nil {
@@ -165,13 +158,12 @@ func TestCoordinatorSingleFlightAcrossFrontDoor(t *testing.T) {
 }
 
 func TestSharedStoreServesPeerResults(t *testing.T) {
-	c, cr := testCoordinator(t, 2, 1, 8, nil)
+	c, cr := testCoordinator(t, 2, 8, nil)
 	h, err := c.SubmitCtx(context.Background(), predSpec("VA", 40), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr.release(0, 1)
-	cr.release(1, 1)
+	cr.release(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := h.Wait(ctx); err != nil {
@@ -179,8 +171,8 @@ func TestSharedStoreServesPeerResults(t *testing.T) {
 	}
 	h.Release()
 
-	// The same spec resubmitted is a shared-store hit: served terminal,
-	// no new execution anywhere in the cluster.
+	// The same spec resubmitted is a store hit: served terminal, no new
+	// execution on any worker.
 	h2, err := c.SubmitCtx(context.Background(), predSpec("VA", 40), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
@@ -195,30 +187,6 @@ func TestSharedStoreServesPeerResults(t *testing.T) {
 	if started != 1 {
 		t.Fatalf("peer-cached result recomputed: %d executions", started)
 	}
-	// One store behind the front door: the result outlives the pool that
-	// computed it.
-	cr.mu.Lock()
-	computedOn := 0
-	if cr.byRep[1] > 0 {
-		computedOn = 1
-	}
-	cr.mu.Unlock()
-	if !c.KillReplica(computedOn) {
-		t.Fatalf("KillReplica(%d) refused", computedOn)
-	}
-	h3, err := c.SubmitCtx(context.Background(), predSpec("VA", 40), scenario.PriorityNormal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := h3.Status(); st.State != "done" || !st.Cached {
-		t.Fatalf("want cached done handle after the kill, got %+v", st)
-	}
-	cr.mu.Lock()
-	started = cr.started[specIdent(mustNormalize(t, predSpec("VA", 40)))]
-	cr.mu.Unlock()
-	if started != 1 {
-		t.Fatalf("result recomputed after the kill: %d executions", started)
-	}
 }
 
 func mustNormalize(t *testing.T, s scenario.Spec) scenario.Spec {
@@ -230,77 +198,6 @@ func mustNormalize(t *testing.T, s scenario.Spec) scenario.Spec {
 	return ns
 }
 
-func TestWorkStealingMovesQueuedJobToIdlePeer(t *testing.T) {
-	c, cr := testCoordinator(t, 2, 1, 8, nil)
-	// Occupy both workers, then queue one more job on each replica.
-	handles := map[string]*scenario.Job{}
-	for i, st := range []string{"VA", "NC", "MD", "GA"} {
-		h, err := c.SubmitCtx(context.Background(), predSpec(st, 20), scenario.PriorityNormal)
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		handles[st] = h
-	}
-	waitFor(t, "two runs started", func() bool {
-		cr.mu.Lock()
-		defer cr.mu.Unlock()
-		n := 0
-		for _, v := range cr.started {
-			n += v
-		}
-		return n == 2
-	})
-	// Drain replica 1 completely: its running job finishes, then its
-	// queued job runs and finishes, leaving it idle while replica 0 still
-	// holds a blocked run plus a queued job.
-	cr.release(1, 2)
-	waitFor(t, "replica 1 idle", func() bool {
-		st := c.ReplicaStatus()
-		r1 := st.Replicas[1]
-		return r1.Queued == 0 && r1.Running == 0
-	})
-	moved := c.RebalanceOnce()
-	if moved != 1 {
-		t.Fatalf("RebalanceOnce moved %d jobs, want 1", moved)
-	}
-	if got := c.ReplicaStatus().Steals; got != 1 {
-		t.Fatalf("steals counter = %d, want 1", got)
-	}
-	// The stolen job now runs on replica 1; release it and its waiter
-	// completes even though replica 0 never freed a worker.
-	cr.release(1, 1)
-	stolenDone := false
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for _, st := range []string{"MD", "GA"} {
-		h := handles[st]
-		done := make(chan struct{})
-		go func() {
-			if _, err := h.Wait(ctx); err == nil {
-				close(done)
-			}
-		}()
-		select {
-		case <-done:
-			stolenDone = true
-		case <-time.After(250 * time.Millisecond):
-		}
-		if stolenDone {
-			break
-		}
-	}
-	if !stolenDone {
-		t.Fatal("no queued job completed after the steal; waiter lost")
-	}
-	if cr.overlap.Load() {
-		t.Fatal("a spec ran on two replicas concurrently")
-	}
-	cr.release(0, 4)
-	for _, h := range handles {
-		h.Release()
-	}
-}
-
 func whatIfSpec(name string) scenario.Spec {
 	return scenario.Spec{
 		Workflow: scenario.WorkflowWhatIf, State: "VA", Days: 30,
@@ -308,71 +205,9 @@ func whatIfSpec(name string) scenario.Spec {
 	}
 }
 
-func TestBatchingMergesNearIdenticalWhatIfs(t *testing.T) {
-	c, cr := testCoordinator(t, 2, 2, 8, func(cfg *scenario.Config) {
-		cfg.BatchWindow = 30 * time.Millisecond
-	})
-	h1, err := c.SubmitCtx(context.Background(), whatIfSpec("alpha"), scenario.PriorityNormal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := c.SubmitCtx(context.Background(), whatIfSpec("beta"), scenario.PriorityNormal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1.Status().State != "queued" || h2.Status().State != "queued" {
-		t.Fatalf("batched members should report queued, got %s / %s",
-			h1.Status().State, h2.Status().State)
-	}
-	cr.release(0, 4)
-	cr.release(1, 4)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	r1, err := h1.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := h2.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Scenarios) != 1 || r1.Scenarios[0].Name != "alpha" {
-		t.Fatalf("member 1 got wrong slice: %+v", r1.Scenarios)
-	}
-	if len(r2.Scenarios) != 1 || r2.Scenarios[0].Name != "beta" {
-		t.Fatalf("member 2 got wrong slice: %+v", r2.Scenarios)
-	}
-	cr.mu.Lock()
-	execs := 0
-	for id, n := range cr.started {
-		if n > 0 && id != "" {
-			execs += n
-		}
-	}
-	cr.mu.Unlock()
-	if execs != 1 {
-		t.Fatalf("want one ensemble execution, got %d", execs)
-	}
-	st := c.ReplicaStatus()
-	if st.BatchExecs != 1 || st.BatchMembs != 2 {
-		t.Fatalf("batch counters = %d execs / %d members, want 1 / 2", st.BatchExecs, st.BatchMembs)
-	}
-	// Member results were published per-member: resubmitting a member spec
-	// is a cluster-wide cache hit.
-	h3, err := c.SubmitCtx(context.Background(), whatIfSpec("alpha"), scenario.PriorityNormal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := h3.Status(); st.State != "done" || !st.Cached {
-		t.Fatalf("member result not in shared store: %+v", st)
-	}
-	h1.Release()
-	h2.Release()
-}
-
 func TestCoordinatorAdmissionControl(t *testing.T) {
-	c, cr := testCoordinator(t, 2, 1, 2, nil)
-	// Fill both workers, then both queues (aggregate queue capacity 4).
+	c, cr := testCoordinator(t, 2, 4, nil)
+	// Fill both workers, then the queue (capacity 4).
 	var handles []*scenario.Job
 	for i := 0; i < 2; i++ {
 		h, err := c.SubmitCtx(context.Background(), predSpec("VA", 10+i), scenario.PriorityInteractive)
@@ -381,10 +216,7 @@ func TestCoordinatorAdmissionControl(t *testing.T) {
 		}
 		handles = append(handles, h)
 	}
-	waitFor(t, "both workers busy", func() bool {
-		st := c.ReplicaStatus()
-		return st.Replicas[0].Running == 1 && st.Replicas[1].Running == 1
-	})
+	waitRunning(t, c, 2)
 	for i := 2; i < 6; i++ {
 		h, err := c.SubmitCtx(context.Background(), predSpec("VA", 10+i), scenario.PriorityInteractive)
 		if err != nil {
@@ -393,24 +225,23 @@ func TestCoordinatorAdmissionControl(t *testing.T) {
 		handles = append(handles, h)
 	}
 	if _, err := c.SubmitCtx(context.Background(), predSpec("VA", 90), scenario.PriorityInteractive); !errors.Is(err, scenario.ErrQueueFull) {
-		t.Fatalf("want ErrQueueFull at aggregate capacity, got %v", err)
+		t.Fatalf("want ErrQueueFull at capacity, got %v", err)
 	}
 	// At hard-full the saturation signal wins for every class — batch gets
 	// queue-full, not a class shed (class sheds require spare capacity).
 	if _, err := c.SubmitCtx(context.Background(), predSpec("VA", 91), scenario.PriorityBatch); !errors.Is(err, scenario.ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull for batch at hard-full, got %v", err)
 	}
-	cr.release(0, 8)
-	cr.release(1, 8)
+	cr.release(16)
 	for _, h := range handles {
 		h.Release()
 	}
 }
 
 func TestBatchClassShedsBeforeQueueFull(t *testing.T) {
-	c, cr := testCoordinator(t, 2, 1, 8, nil)
+	c, cr := testCoordinator(t, 2, 16, nil)
 	var handles []*scenario.Job
-	// Occupy workers, then push queued depth to half of aggregate capacity.
+	// Occupy workers, then push queued depth to half of capacity.
 	for i := 0; i < 2; i++ {
 		h, err := c.SubmitCtx(context.Background(), predSpec("VA", 10+i), scenario.PriorityInteractive)
 		if err != nil {
@@ -418,10 +249,7 @@ func TestBatchClassShedsBeforeQueueFull(t *testing.T) {
 		}
 		handles = append(handles, h)
 	}
-	waitFor(t, "both workers busy", func() bool {
-		st := c.ReplicaStatus()
-		return st.Replicas[0].Running == 1 && st.Replicas[1].Running == 1
-	})
+	waitRunning(t, c, 2)
 	for i := 2; i < 10; i++ {
 		h, err := c.SubmitCtx(context.Background(), predSpec("VA", 10+i), scenario.PriorityInteractive)
 		if err != nil {
@@ -436,56 +264,14 @@ func TestBatchClassShedsBeforeQueueFull(t *testing.T) {
 	if _, err := c.SubmitCtx(context.Background(), predSpec("VA", 81), scenario.PriorityNormal); err != nil {
 		t.Fatalf("normal class should still admit: %v", err)
 	}
-	cr.release(0, 16)
-	cr.release(1, 16)
+	cr.release(32)
 	for _, h := range handles {
 		h.Release()
 	}
 }
 
-func TestKillReplicaRequeuesOnPeer(t *testing.T) {
-	c, cr := testCoordinator(t, 2, 1, 8, nil)
-	h1, err := c.SubmitCtx(context.Background(), predSpec("VA", 30), scenario.PriorityNormal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := c.SubmitCtx(context.Background(), predSpec("NC", 30), scenario.PriorityNormal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "both replicas running", func() bool {
-		st := c.ReplicaStatus()
-		return st.Replicas[0].Running == 1 && st.Replicas[1].Running == 1
-	})
-	if !c.KillReplica(0) {
-		t.Fatal("KillReplica(0) refused")
-	}
-	if c.KillReplica(0) {
-		t.Fatal("double kill should refuse")
-	}
-	// Replica 0's job is cancelled by the crash and must reappear on
-	// replica 1 — not fail its waiter.
-	waitFor(t, "requeue on peer", func() bool {
-		return c.ReplicaStatus().Requeues >= 1
-	})
-	cr.release(1, 4)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := h1.Wait(ctx); err != nil {
-		t.Fatalf("waiter on killed replica's job lost: %v", err)
-	}
-	if _, err := h2.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if cr.overlap.Load() {
-		t.Fatal("a spec ran on two replicas concurrently")
-	}
-	h1.Release()
-	h2.Release()
-}
-
 func TestCoordinatorCancelAndAbandon(t *testing.T) {
-	c, cr := testCoordinator(t, 2, 1, 8, nil)
+	c, cr := testCoordinator(t, 2, 8, nil)
 	h, err := c.SubmitCtx(context.Background(), predSpec("VA", 30), scenario.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
@@ -509,11 +295,7 @@ func TestCoordinatorCancelAndAbandon(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "second run started", func() bool {
-		st := c.ReplicaStatus()
-		running := 0
-		for _, r := range st.Replicas {
-			running += r.Running
-		}
+		_, running := c.Loads()
 		return running >= 1
 	})
 	h2.Release()

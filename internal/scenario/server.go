@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/internal/obs"
@@ -20,13 +21,13 @@ import (
 //	GET    /healthz               liveness
 //	GET    /readyz                readiness (workers up; fidelity tiers warm)
 //	GET    /metrics               the registry in Prometheus text exposition
-//	GET    /replicas              per-pool view (one row per replica)
 //
 // Submit responses carry the spec's content address as the job ID, so
 // clients can re-derive, share and re-poll result URLs.
 //
 // Backpressure contract (pinned by server_test.go):
 //
+//	body over maxSpecBytes → 413
 //	ErrQueueFull → 429, Retry-After: 1, body reason "queue_full"
 //	*ShedError   → 429, Retry-After: 5, body reason "shed" (class included)
 //	ErrDraining  → 503, body reason "draining"
@@ -52,9 +53,6 @@ func NewServer(svc *Service, so ...*ServingObs) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /replicas", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, s.svc.ReplicaStatus())
-	})
 	if s.obs != nil {
 		s.mux.HandleFunc("GET /debug/requests", s.obs.handleDebugList)
 		s.mux.HandleFunc("GET /debug/requests/{id}", s.obs.handleDebugGet)
@@ -89,6 +87,12 @@ func writeReasonError(w http.ResponseWriter, code int, reason, msg string, extra
 	writeJSON(w, code, body)
 }
 
+// maxSpecBytes bounds a submit body. The largest spec Normalize accepts —
+// MaxConfigs configurations and MaxWhatIfs what-ifs, indented — is a few
+// kilobytes, so the bound only stops a body that could never be a valid
+// spec from being decoded into memory.
+const maxSpecBytes = 1 << 20
+
 // handleSubmit admits a spec. Asynchronous submissions (the default) pin
 // the job and return 202 with its status; ?wait=1 holds the request open
 // until the job finishes and returns the result — and because the waiting
@@ -96,7 +100,12 @@ func writeReasonError(w http.ResponseWriter, code int, reason, msg string, extra
 // ?priority= (or X-Priority) selects the admission class.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "spec body exceeds "+strconv.Itoa(maxSpecBytes)+" bytes")
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad spec JSON: "+err.Error())
 		return
 	}

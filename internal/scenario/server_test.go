@@ -409,66 +409,42 @@ func TestServerRealPipeline(t *testing.T) {
 }
 
 // TestServerMetricsPrometheus verifies /metrics serves the one registry in
-// Prometheus text exposition at every replica count: N=1 and N=2 expose the
-// same set of epi_scenario_* series, and every pool has its labelled
-// epi_replica_* gauges beside them.
+// Prometheus text exposition, with the queue's bound and worker count, and
+// no per-pool series.
 func TestServerMetricsPrometheus(t *testing.T) {
-	scrape := func(replicas int) string {
-		svc := NewService(Config{Replicas: replicas, Workers: 1, QueueCap: 4,
-			Runner: newStubRunner().run, Fingerprint: "test"})
-		t.Cleanup(func() { _ = svc.Drain(context.Background()) })
-		ts := httptest.NewServer(NewServer(svc))
-		t.Cleanup(ts.Close)
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-			t.Fatalf("content type %q", ct)
-		}
-		return string(body)
+	svc := NewService(Config{Workers: 2, QueueCap: 4, Runner: newStubRunner().run, Fingerprint: "test"})
+	t.Cleanup(func() { _ = svc.Drain(context.Background()) })
+	ts := httptest.NewServer(NewServer(svc))
+	t.Cleanup(ts.Close)
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// seriesNames lists the exposed series (labels included) under a prefix.
-	seriesNames := func(text, prefix string) string {
-		var names []string
-		for _, line := range strings.Split(text, "\n") {
-			if name, _, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, prefix) {
-				names = append(names, name)
-			}
-		}
-		return strings.Join(names, "\n")
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	one, two := scrape(1), scrape(2)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("content type %q", ct)
+	}
+	text := string(body)
 	for _, want := range []string{
 		"# TYPE epi_scenario_queue_capacity gauge",
 		"epi_scenario_queue_capacity 4",
 		"# TYPE epi_scenario_workers gauge",
+		"epi_scenario_workers 2",
 		"# TYPE epi_scenario_submitted_total counter",
 		"epi_scenario_cache_capacity",
 	} {
-		if !strings.Contains(one, want) {
-			t.Fatalf("missing %q in exposition:\n%s", want, one)
+		if !strings.Contains(text, want) {
+			t.Fatalf("missing %q in exposition:\n%s", want, text)
 		}
 	}
-	if a, b := seriesNames(one, "epi_scenario_"), seriesNames(two, "epi_scenario_"); a != b || a == "" {
-		t.Fatalf("epi_scenario_* series differ between one replica and two:\n--- N=1\n%s\n--- N=2\n%s", a, b)
-	}
-	for _, want := range []string{
-		`epi_replica_queue_depth{replica="0"} 0`, `epi_replica_queue_depth{replica="1"} 0`,
-		`epi_replica_running{replica="0"} 0`, `epi_replica_running{replica="1"} 0`,
-		`epi_replica_up{replica="0"} 1`, `epi_replica_up{replica="1"} 1`,
-		"epi_scenario_queue_capacity 8",
-	} {
-		if !strings.Contains(two, want) {
-			t.Fatalf("missing %q in the two-replica exposition:\n%s", want, two)
-		}
+	if strings.Contains(text, "epi_replica_") {
+		t.Fatalf("per-pool series exposed:\n%s", text)
 	}
 }

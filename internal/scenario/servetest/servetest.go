@@ -9,7 +9,7 @@ import (
 )
 
 // AssertQuiesced fails t unless a drained service has let go of everything:
-// svc.Quiesced() reports no job, batch or pool residue, and the goroutine
+// svc.Quiesced() reports no job or queue residue, and the goroutine
 // count is back to goroutinesBefore — runtime.NumGoroutine() read before the
 // service was constructed — within a short poll. Call it after Drain, and
 // after the test's own HTTP servers and clients are closed.
