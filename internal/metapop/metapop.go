@@ -19,15 +19,19 @@ type County struct {
 	Pop  float64
 }
 
-// Model is a fixed geography: counties plus a row-stochastic coupling
-// matrix; Coupling[i][j] is the fraction of county i's effective contacts
-// spent in county j.
+// Model is a fixed geography: counties plus a row-stochastic coupling. The
+// gravity coupling of NewFromState gives county c the weight s on itself and
+// (1−s)·N_j / Σ_{k≠c} N_k on county j ≠ c, so c's infectious pressure is
+// s·I_c/N_c + (1−s)·Σ_{j≠c} I_j / Σ_{j≠c} N_j: O(counties) per day.
 type Model struct {
 	State    string
 	Counties []County
-	Coupling [][]float64
-	// links, when non-nil, replaces Coupling with a sparse structure
-	// (see SetSparseLinks / NewUS).
+	// selfWeight is s; a one-county region has s = 1.
+	selfWeight float64
+	// offPop[c] is Σ_{j≠c} N_j, summed without cancellation.
+	offPop []float64
+	// links, when non-nil, replaces the gravity coupling (see
+	// SetSparseLinks / NewUS).
 	links [][]Link
 }
 
@@ -66,41 +70,44 @@ func NewFromState(st synthpop.StateInfo, selfWeight float64) (*Model, error) {
 	if selfWeight <= 0 || selfWeight >= 1 {
 		selfWeight = 0.85
 	}
-	m := &Model{State: st.Code}
+	m := &Model{State: st.Code, Counties: zipfCounties(st)}
+	m.setGravity(selfWeight)
+	return m, nil
+}
+
+// zipfCounties spreads a state's population over its counties by the Zipf
+// profile, at least 100 people each.
+func zipfCounties(st synthpop.StateInfo) []County {
 	weights := make([]float64, st.Counties)
 	total := 0.0
 	for i := range weights {
 		weights[i] = 1 / math.Pow(float64(i+1), 0.8)
 		total += weights[i]
 	}
-	for c := 0; c < st.Counties; c++ {
-		pop := float64(st.Population) * weights[c] / total
-		if pop < 100 {
-			pop = 100
-		}
-		m.Counties = append(m.Counties, County{FIPS: int32(synthpop.CountyFIPS(st.FIPS, c)), Pop: pop})
+	counties := make([]County, st.Counties)
+	for c := range counties {
+		counties[c] = County{FIPS: int32(synthpop.CountyFIPS(st.FIPS, c)),
+			Pop: math.Max(100, float64(st.Population)*weights[c]/total)}
 	}
-	// Gravity coupling: off-diagonal mass proportional to destination
-	// population, diagonal fixed at selfWeight.
-	m.Coupling = make([][]float64, st.Counties)
-	for i := range m.Coupling {
-		row := make([]float64, st.Counties)
-		var offTotal float64
-		for j := range row {
-			if j != i {
-				offTotal += m.Counties[j].Pop
-			}
-		}
-		for j := range row {
-			if j == i {
-				row[j] = selfWeight
-			} else if offTotal > 0 {
-				row[j] = (1 - selfWeight) * m.Counties[j].Pop / offTotal
-			}
-		}
-		m.Coupling[i] = row
+	return counties
+}
+
+// setGravity couples the counties by gravity: self weight s, the rest
+// spread over the other counties in proportion to their populations. One
+// county keeps all its contacts (s = 1).
+func (m *Model) setGravity(selfWeight float64) {
+	n := len(m.Counties)
+	m.selfWeight, m.offPop = selfWeight, make([]float64, n)
+	if n == 1 {
+		m.selfWeight = 1
 	}
-	return m, nil
+	head, tail := 0.0, 0.0
+	for c := range m.Counties {
+		m.offPop[c] += head
+		m.offPop[n-1-c] += tail
+		head += m.Counties[c].Pop
+		tail += m.Counties[n-1-c].Pop
+	}
 }
 
 // Trajectory is the output of one run: per-county daily series.
@@ -152,10 +159,42 @@ type Seed struct {
 	Infectious  float64
 }
 
+// newTrajectory allocates a run's output: each series is one slab cut
+// into per-county rows.
+func newTrajectory(n, days int) *Trajectory {
+	t := &Trajectory{Days: days, NewConfirmed: make([][]float64, n), Infectious: make([][]float64, n)}
+	confirmed, infectious := make([]float64, n*days), make([]float64, n*days)
+	for c := 0; c < n; c++ {
+		t.NewConfirmed[c] = confirmed[c*days : (c+1)*days : (c+1)*days]
+		t.Infectious[c] = infectious[c*days : (c+1)*days : (c+1)*days]
+	}
+	return t
+}
+
+// betaOn is Beta scaled by every scenario window open on day d.
+func betaOn(p Params, scenarios []Scenario, d int) float64 {
+	beta := p.Beta
+	for _, sc := range scenarios {
+		if d >= sc.Start && d < sc.End {
+			beta *= sc.Factor
+		}
+	}
+	return beta
+}
+
+// suffixSums sets tail[c] = Σ_{j≥c} x[j] and tail[len(x)] = 0.
+func suffixSums(x, tail []float64) {
+	tail[len(x)] = 0
+	for c := len(x) - 1; c >= 0; c-- {
+		tail[c] = tail[c+1] + x[c]
+	}
+}
+
 // Run integrates the coupled SEIR system for the given horizon with
-// deterministic daily Euler steps. Scenario windows scale Beta. The run is
-// O(days × counties²) from the coupling product — cheap, as the paper
-// requires for in-loop calibration.
+// deterministic daily Euler steps. Scenario windows scale Beta. Counties
+// update in place, in order (Gauss–Seidel): county c sees the counties
+// before it at today's prevalence. Under gravity coupling a day is
+// O(counties) — cheap, as the paper requires for in-loop calibration.
 func (m *Model) Run(p Params, days int, seeds []Seed, scenarios []Scenario) (*Trajectory, error) {
 	if days <= 0 {
 		return nil, fmt.Errorf("metapop: non-positive horizon %d", days)
@@ -164,10 +203,8 @@ func (m *Model) Run(p Params, days int, seeds []Seed, scenarios []Scenario) (*Tr
 		return nil, fmt.Errorf("metapop: bad parameters %+v", p)
 	}
 	n := len(m.Counties)
-	s := make([]float64, n)
-	e := make([]float64, n)
-	i := make([]float64, n)
-	r := make([]float64, n)
+	state := make([]float64, 4*n+1)
+	s, e, i, tail := state[:n], state[n:2*n], state[2*n:3*n], state[3*n:]
 	for c := range m.Counties {
 		s[c] = m.Counties[c].Pop
 	}
@@ -179,24 +216,13 @@ func (m *Model) Run(p Params, days int, seeds []Seed, scenarios []Scenario) (*Tr
 		s[sd.CountyIndex] -= amount
 		i[sd.CountyIndex] += amount
 	}
-	traj := &Trajectory{Days: days}
-	traj.NewConfirmed = make([][]float64, n)
-	traj.Infectious = make([][]float64, n)
-	for c := 0; c < n; c++ {
-		traj.NewConfirmed[c] = make([]float64, days)
-		traj.Infectious[c] = make([]float64, days)
-	}
-	// Effective infectious pressure per county: lambda_c = beta *
-	// sum_j coupling[c][j] * I_j / N_j.
+	traj := newTrajectory(n, days)
 	for d := 0; d < days; d++ {
-		beta := p.Beta
-		for _, sc := range scenarios {
-			if d >= sc.Start && d < sc.End {
-				beta *= sc.Factor
-			}
-		}
+		beta := betaOn(p, scenarios, d)
+		suffixSums(i, tail)
+		head := 0.0 // Σ_{j<c} I_j, already updated today
 		for c := 0; c < n; c++ {
-			lambda := beta * m.lambdaAt(c, i)
+			lambda := beta * m.pressure(c, i, head+tail[c+1])
 			newExposed := lambda * s[c]
 			if newExposed > s[c] {
 				newExposed = s[c]
@@ -206,7 +232,7 @@ func (m *Model) Run(p Params, days int, seeds []Seed, scenarios []Scenario) (*Tr
 			s[c] -= newExposed
 			e[c] += newExposed - newInfectious
 			i[c] += newInfectious - newRecovered
-			r[c] += newRecovered
+			head += i[c]
 			traj.NewConfirmed[c][d] = p.Detect * newInfectious
 			traj.Infectious[c][d] = i[c]
 		}
@@ -215,7 +241,8 @@ func (m *Model) Run(p Params, days int, seeds []Seed, scenarios []Scenario) (*Tr
 }
 
 // RunStochastic integrates the same dynamics with binomial transition noise
-// (chain-binomial), used when replicate variability matters.
+// (chain-binomial), used when replicate variability matters. Unlike Run,
+// every county sees the start-of-day prevalence (Jacobi).
 func (m *Model) RunStochastic(p Params, days int, seeds []Seed, scenarios []Scenario, rng *stats.RNG) (*Trajectory, error) {
 	if days <= 0 {
 		return nil, fmt.Errorf("metapop: non-positive horizon %d", days)
@@ -231,33 +258,23 @@ func (m *Model) RunStochastic(p Params, days int, seeds []Seed, scenarios []Scen
 		s[c] = int(m.Counties[c].Pop)
 	}
 	for _, sd := range seeds {
-		amt := int(sd.Infectious)
-		if amt > s[sd.CountyIndex] {
-			amt = s[sd.CountyIndex]
-		}
+		amt := min(int(sd.Infectious), s[sd.CountyIndex])
 		s[sd.CountyIndex] -= amt
 		i[sd.CountyIndex] += amt
 	}
-	traj := &Trajectory{Days: days}
-	traj.NewConfirmed = make([][]float64, n)
-	traj.Infectious = make([][]float64, n)
-	for c := 0; c < n; c++ {
-		traj.NewConfirmed[c] = make([]float64, days)
-		traj.Infectious[c] = make([]float64, days)
-	}
-	infectious := make([]float64, n)
+	traj := newTrajectory(n, days)
+	snapshot := make([]float64, 2*n+1)
+	infectious, tail := snapshot[:n], snapshot[n:]
 	for d := 0; d < days; d++ {
-		beta := p.Beta
-		for _, sc := range scenarios {
-			if d >= sc.Start && d < sc.End {
-				beta *= sc.Factor
-			}
-		}
+		beta := betaOn(p, scenarios, d)
 		for c := 0; c < n; c++ {
 			infectious[c] = float64(i[c])
 		}
+		suffixSums(infectious, tail)
+		head := 0.0 // Σ_{j<c} I_j at the start of the day
 		for c := 0; c < n; c++ {
-			pInf := 1 - math.Exp(-beta*m.lambdaAt(c, infectious))
+			pInf := 1 - math.Exp(-beta*m.pressure(c, infectious, head+tail[c+1]))
+			head += infectious[c]
 			newE := rng.Binomial(s[c], pInf)
 			newI := rng.Binomial(e[c], 1-math.Exp(-p.Sigma))
 			newR := rng.Binomial(i[c], 1-math.Exp(-p.Gamma))
@@ -269,4 +286,22 @@ func (m *Model) RunStochastic(p Params, days int, seeds []Seed, scenarios []Scen
 		}
 	}
 	return traj, nil
+}
+
+// pressure is county c's infectious pressure per unit Beta, given the
+// prevalence vector and, under gravity coupling, the summed prevalence of
+// the other counties.
+func (m *Model) pressure(c int, infectious []float64, others float64) float64 {
+	if m.links != nil {
+		lambda := 0.0
+		for _, l := range m.links[c] {
+			lambda += l.W * infectious[l.To] / m.Counties[l.To].Pop
+		}
+		return lambda
+	}
+	lambda := m.selfWeight * infectious[c] / m.Counties[c].Pop
+	if m.offPop[c] > 0 {
+		lambda += (1 - m.selfWeight) * others / m.offPop[c]
+	}
+	return lambda
 }

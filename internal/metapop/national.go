@@ -42,29 +42,7 @@ func (m *Model) SetSparseLinks(links [][]Link) error {
 		}
 	}
 	m.links = links
-	m.Coupling = nil
 	return nil
-}
-
-// lambdaAt computes the infectious pressure for county c from either the
-// dense matrix or the sparse links.
-func (m *Model) lambdaAt(c int, infectious []float64) float64 {
-	if m.links != nil {
-		lambda := 0.0
-		for _, l := range m.links[c] {
-			lambda += l.W * infectious[l.To] / m.Counties[l.To].Pop
-		}
-		return lambda
-	}
-	lambda := 0.0
-	row := m.Coupling[c]
-	for j, w := range row {
-		if w == 0 {
-			continue
-		}
-		lambda += w * infectious[j] / m.Counties[j].Pop
-	}
-	return lambda
 }
 
 // NationalConfig tunes NewUS.
@@ -103,22 +81,8 @@ func NewUS(cfg NationalConfig) (*Model, error) {
 	type block struct{ start, n, hub int }
 	var blocks []block
 	for _, st := range synthpop.States {
-		weights := make([]float64, st.Counties)
-		total := 0.0
-		for i := range weights {
-			weights[i] = 1 / math.Pow(float64(i+1), 0.8)
-			total += weights[i]
-		}
 		start := len(m.Counties)
-		for c := 0; c < st.Counties; c++ {
-			pop := float64(st.Population) * weights[c] / total
-			if pop < 100 {
-				pop = 100
-			}
-			m.Counties = append(m.Counties, County{
-				FIPS: int32(synthpop.CountyFIPS(st.FIPS, c)), Pop: pop,
-			})
-		}
+		m.Counties = append(m.Counties, zipfCounties(st)...)
 		blocks = append(blocks, block{start: start, n: st.Counties, hub: start})
 	}
 	interState := 1 - cfg.SelfWeight - cfg.InStateWeight

@@ -15,7 +15,7 @@ func TestNewUSStructure(t *testing.T) {
 	if len(m.Counties) != synthpop.TotalCounties() {
 		t.Fatalf("%d counties want %d", len(m.Counties), synthpop.TotalCounties())
 	}
-	if m.Coupling != nil {
+	if m.links == nil {
 		t.Fatal("national model should be sparse")
 	}
 	// Every county's links sum to 1 (validated by SetSparseLinks, but
@@ -112,13 +112,13 @@ func TestSetSparseLinksValidation(t *testing.T) {
 }
 
 func TestSparseMatchesDenseOnEquivalentModel(t *testing.T) {
-	// Convert RI's dense coupling to sparse links: trajectories must be
-	// identical.
+	// Convert RI's gravity coupling to sparse links: trajectories must
+	// agree.
 	ri, _ := synthpop.StateByCode("RI")
 	dense, _ := NewFromState(ri, 0.85)
 	sparse, _ := NewFromState(ri, 0.85)
 	links := make([][]Link, len(dense.Counties))
-	for i, row := range dense.Coupling {
+	for i, row := range couplingMatrix(dense) {
 		for j, w := range row {
 			if w != 0 {
 				links[i] = append(links[i], Link{To: j, W: w})

@@ -174,12 +174,33 @@ type Job struct {
 	cancel context.CancelFunc
 	// qspan is the open queue.wait span while the job is queued.
 	qspan *obs.Span
+
+	// entry is the result-store entry a store hit was served from; nil on
+	// every other job. Read-only.
+	entry *storeEntry
+}
+
+// storeEntry is one result in the result store. The reply bytes are
+// encoded on the entry's first hit and written on every hit after, so only
+// results that are actually repeated carry them: at most the store's
+// capacity times one reply.
+type storeEntry struct {
+	res   *Result
+	once  sync.Once
+	reply []byte
+}
+
+// body returns the 200 reply for the entry's result, byte for byte what
+// writeJSON sends for it.
+func (e *storeEntry) body() []byte {
+	e.once.Do(func() { e.reply = encodeJSON(e.res) })
+	return e.reply
 }
 
 // completedJob wraps a result-store hit as an already-done job.
-func completedJob(hash string, spec Spec, res *Result) *Job {
+func completedJob(hash string, spec Spec, e *storeEntry) *Job {
 	j := &Job{Hash: hash, Spec: spec, done: make(chan struct{}),
-		state: StateDone, result: res, cached: true}
+		state: StateDone, result: e.res, cached: true, entry: e}
 	close(j.done)
 	return j
 }
@@ -299,7 +320,7 @@ type Config struct {
 // span end under the lock ends the span after unlocking.
 type Service struct {
 	fingerprint string
-	store       *castore.Store[*Result]
+	store       *castore.Store[*storeEntry]
 	reg         *obs.Registry
 	fidelity    *fidelity.Router
 	runner      Runner
@@ -363,7 +384,7 @@ func NewService(cfg Config) *Service {
 	}
 	s := &Service{
 		fingerprint: cfg.Fingerprint,
-		store:       castore.New(castore.WithMaxEntries[*Result](cfg.CacheCap)),
+		store:       castore.New(castore.WithMaxEntries[*storeEntry](cfg.CacheCap)),
 		reg:         cfg.Registry,
 		fidelity:    cfg.Fidelity,
 		runner:      cfg.Runner,
@@ -422,9 +443,9 @@ func (s *Service) SubmitCtx(ctx context.Context, spec Spec, pri Priority) (*Job,
 	if err != nil {
 		return nil, &BadSpecError{Err: err}
 	}
-	if res, ok := s.store.Get(hash); ok {
+	if e, ok := s.store.Get(hash); ok {
 		obs.Event(ctx, "cache.hit", obs.String("hash", hash))
-		return completedJob(hash, ns, res), nil
+		return completedJob(hash, ns, e), nil
 	}
 	s.mu.Lock()
 	if s.draining {
@@ -501,8 +522,8 @@ func (s *Service) Lookup(id string) (*Job, bool) {
 	if ok {
 		return j, true
 	}
-	if res, ok := s.store.Peek(id); ok {
-		return completedJob(id, res.Spec, res), true
+	if e, ok := s.store.Peek(id); ok {
+		return completedJob(id, e.res.Spec, e), true
 	}
 	return nil, false
 }
@@ -658,7 +679,7 @@ func (s *Service) run(ctx context.Context, j *Job) {
 	s.running--
 	j.cancel = nil
 	if err == nil {
-		s.store.Put(j.Hash, res)
+		s.store.Put(j.Hash, &storeEntry{res: res})
 		lat := s.latency[j.Spec.Workflow]
 		if lat == nil {
 			lat = s.reg.Histogram(`epi_scenario_latency_seconds{workflow="`+j.Spec.Workflow+`"}`, latencyBounds)

@@ -64,12 +64,32 @@ func NewServer(svc *Service, so ...*ServingObs) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+func writeJSON(w http.ResponseWriter, code int, v any) { writeBody(w, code, encodeJSON(v)) }
+
+// encodeJSON is the reply body for v: indented JSON and a trailing newline.
+// A value that cannot be encoded yields an empty body.
+func encodeJSON(v any) []byte {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil
+	}
+	return append(b, '\n')
+}
+
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // a failed write means the client is gone: nothing left to tell it
+}
+
+// writeResult writes a finished job's result: a result-store hit writes
+// its entry's memoized bytes, anything else encodes res.
+func writeResult(w http.ResponseWriter, job *Job, res *Result) {
+	if job.entry != nil {
+		writeBody(w, http.StatusOK, job.entry.body())
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
@@ -189,7 +209,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			rt.Annotate("hash", res.Hash)
 		}
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeResult(w, job, res)
 }
 
 // errCanceledResult classifies cancellation in handleSubmit.
@@ -221,7 +241,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		writeResult(w, job, res)
 	case StateFailed.String():
 		writeError(w, http.StatusInternalServerError, st.Error)
 	case StateCanceled.String():
