@@ -17,7 +17,7 @@ tier1:
 	$(GO) test -race ./internal/fidelity
 	$(GO) test -race ./internal/scenario ./cmd/loadgen
 	$(GO) test -race -run 'Reference|Snapshot|WhatIf|Shard|Determinism' ./internal/epihiper ./internal/core
-	$(GO) test -race -run 'Builder|Golden|Layout|DerivedColumns' ./internal/synthpop
+	$(GO) test -race -run 'Build|Golden|Layout|DerivedColumns' ./internal/synthpop
 
 race:
 	$(GO) test -race ./...
@@ -47,8 +47,8 @@ loadtest:
 
 # Short exploratory fuzz pass over the scheduler, executor, snapshot-codec,
 # kernel-vs-reference, metapop closed-form-vs-dense, fidelity-router,
-# scenario-spec and network/partition file-loader targets (the seed corpus
-# always runs as part of tier1).
+# scenario-spec, network/partition file-loader and network-builder targets
+# (the seed corpus always runs as part of tier1).
 fuzz:
 	$(GO) test ./internal/sched -fuzz FuzzRelaxedColoring -fuzztime 10s
 	$(GO) test ./internal/sched -fuzz FuzzScheduleRoundTrip -fuzztime 10s
@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test ./internal/synthpop -fuzz FuzzReadNetworkBinary -fuzztime 10s
 	$(GO) test ./internal/synthpop -fuzz FuzzReadNetworkCSV -fuzztime 10s
 	$(GO) test ./internal/synthpop -fuzz FuzzReadPartitions -fuzztime 10s
+	$(GO) test ./internal/synthpop -fuzz FuzzBuildMatchesOracle -fuzztime 10s
 
 # The benchmark is its own module (bench/go.mod), so its unit tests do not
 # ride the root `go test ./...`.

@@ -31,16 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	counts := map[int32]int{}
-	for _, p := range net.Persons {
-		counts[p.CountyFIPS]++
-	}
-	var largest int32
-	for c, n := range counts {
-		if n > counts[largest] {
-			largest = c
-		}
-	}
+	largest := net.Counties().Largest()
 	logRec := &output.TransitionLog{}
 	const days = 120
 	sim, err := epihiper.New(epihiper.Config{

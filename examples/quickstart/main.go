@@ -36,16 +36,7 @@ func main() {
 	// of the CDC best-guess COVID-19 model, with voluntary home
 	// isolation, school closure and a 60%-compliant stay-at-home order
 	// from day 40 to day 100.
-	counts := map[int32]int{}
-	for _, p := range net.Persons {
-		counts[p.CountyFIPS]++
-	}
-	var largest int32
-	for c, n := range counts {
-		if n > counts[largest] {
-			largest = c
-		}
-	}
+	largest := net.Counties().Largest()
 	sim, err := epihiper.New(epihiper.Config{
 		Model:       disease.COVID19(),
 		Network:     net,

@@ -200,12 +200,6 @@ func TargetTraitAbove(name string, threshold float64) TargetFunc {
 // ---------------------------------------------------------------------------
 // Common node operations
 
-// OpIsolate confines the person to home for the given days from the
-// current simulation day.
-func OpIsolate(days int) NodeOp {
-	return func(s *Sim, pid int32) { s.Isolate(pid, s.Day()+days) }
-}
-
 // OpVaccinate zeroes susceptibility — node deletion in the Appendix A
 // sense.
 func OpVaccinate() NodeOp {

@@ -17,12 +17,12 @@ func fivePersonNetwork() *synthpop.Network {
 			ID: i, HouseholdID: i, Age: 30, CountyFIPS: 99001,
 		})
 	}
-	b := synthpop.NewBuilder("XX", persons)
 	edges := [][2]int32{{0, 1}, {0, 4}, {1, 3}, {1, 4}, {3, 2}}
-	for _, e := range edges {
-		b.AddContact(e[0], e[1], synthpop.CtxWork, synthpop.CtxWork, 9*60, 480, 1)
-	}
-	net, err := b.Build()
+	net, err := synthpop.NewBuilder("XX", persons).Build(func(b *synthpop.Builder) {
+		for _, e := range edges {
+			b.AddContact(e[0], e[1], synthpop.CtxWork, synthpop.CtxWork, 9*60, 480, 1)
+		}
+	})
 	if err != nil {
 		panic(err)
 	}

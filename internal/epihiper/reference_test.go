@@ -201,22 +201,22 @@ func (r *streamRecorder) Record(tick int, pid int32, from, to disease.State, inf
 // contact's own fields. Rows come out in the order of the CSV file, not of
 // net; nothing pinned depends on them.
 func reweighted(net *synthpop.Network, seed uint64) *synthpop.Network {
-	b := synthpop.NewBuilder(net.Region, net.Persons)
 	c := net.CSR()
-	for i := range net.Persons {
-		for k := c.Offsets[i]; k < c.Offsets[i+1]; k++ {
-			e := c.At(k)
-			if e.Neighbor < int32(i) {
-				continue // each contact once, from its lower endpoint
+	out, err := synthpop.NewBuilder(net.Region, net.Persons).Build(func(b *synthpop.Builder) {
+		for i := range net.Persons {
+			for k := c.Offsets[i]; k < c.Offsets[i+1]; k++ {
+				e := c.At(k)
+				if e.Neighbor < int32(i) {
+					continue // each contact once, from its lower endpoint
+				}
+				h := seed ^ uint64(i)*0x9E3779B97F4A7C15 ^ uint64(e.Neighbor)*0xC2B2AE3D27D4EB4F ^
+					uint64(e.SrcContext)<<8 ^ uint64(e.DstContext)<<16 ^ uint64(e.StartMin)<<24 ^ uint64(e.DurationMin)<<40
+				r := stats.Seeded(h)
+				b.AddContact(int32(i), e.Neighbor, e.SrcContext, e.DstContext, e.StartMin,
+					uint16(5+r.Intn(900)), float32(0.05+2.5*r.Float64()))
 			}
-			h := seed ^ uint64(i)*0x9E3779B97F4A7C15 ^ uint64(e.Neighbor)*0xC2B2AE3D27D4EB4F ^
-				uint64(e.SrcContext)<<8 ^ uint64(e.DstContext)<<16 ^ uint64(e.StartMin)<<24 ^ uint64(e.DurationMin)<<40
-			r := stats.Seeded(h)
-			b.AddContact(int32(i), e.Neighbor, e.SrcContext, e.DstContext, e.StartMin,
-				uint16(5+r.Intn(900)), float32(0.05+2.5*r.Float64()))
 		}
-	}
-	out, err := b.Build()
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -444,17 +444,19 @@ func FuzzKernelMatchesReference(f *testing.F) {
 		for i := range persons {
 			persons[i] = synthpop.Person{ID: int32(i), HouseholdID: int32(i / 3), Age: uint8(r.Intn(90)), CountyFIPS: 1}
 		}
-		b := synthpop.NewBuilder("ZZ", persons)
-		for e, edges := 0, n*(2+r.Intn(6)); e < edges; e++ {
-			u, v := int32(r.Intn(n)), int32(r.Intn(n))
-			if u == v {
-				continue
+		wiring := *r
+		net, err := synthpop.NewBuilder("ZZ", persons).Build(func(b *synthpop.Builder) {
+			r := wiring // both passes draw the same contacts
+			for e, edges := 0, n*(2+r.Intn(6)); e < edges; e++ {
+				u, v := int32(r.Intn(n)), int32(r.Intn(n))
+				if u == v {
+					continue
+				}
+				cu, cv := synthpop.Context(r.Intn(int(synthpop.NumContexts))), synthpop.Context(r.Intn(int(synthpop.NumContexts)))
+				dur, wt := uint16(1+r.Intn(1200)), float32(3*r.Float64())
+				b.AddContact(u, v, cu, cv, 0, dur, wt)
 			}
-			cu, cv := synthpop.Context(r.Intn(int(synthpop.NumContexts))), synthpop.Context(r.Intn(int(synthpop.NumContexts)))
-			dur, wt := uint16(1+r.Intn(1200)), float32(3*r.Float64())
-			b.AddContact(u, v, cu, cv, 0, dur, wt)
-		}
-		net, err := b.Build()
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

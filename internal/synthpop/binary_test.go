@@ -203,11 +203,11 @@ func TestReadNetworkCSVRejectsBadWeight(t *testing.T) {
 // contacts summing below 2²⁰.
 func TestValidateFixedPointLimits(t *testing.T) {
 	pair := func(dur uint16, w float32, copies int) *Network {
-		b := NewBuilder("XX", make([]Person, 2))
-		for i := 0; i < copies; i++ {
-			b.AddContact(0, 1, CtxHome, CtxHome, 0, dur, w)
-		}
-		net, err := b.Build()
+		net, err := NewBuilder("XX", make([]Person, 2)).Build(func(b *Builder) {
+			for i := 0; i < copies; i++ {
+				b.AddContact(0, 1, CtxHome, CtxHome, 0, dur, w)
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,9 @@ package synthpop
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/disease"
@@ -78,35 +80,56 @@ func requireSameColumns(t *testing.T, label string, got, want *Network) {
 	}
 }
 
-// TestBuilderMatchesAdjacencyOracle: the Builder's counting sort must put
-// every half-edge where appending to per-person rows would have. Random
-// insertion sequences cover repeated contacts, both endpoint orders, isolated
-// nodes, unequal contexts, lists longer than one chunk and the empty network;
-// the generated networks cover real degree distributions.
+// contactArgs is one AddContact call, kept so a test can replay it.
+type contactArgs struct {
+	u, v       int32
+	cu, cv     Context
+	start, dur uint16
+	w          float32
+}
+
+// buildAll builds a network over persons from a list of AddContact calls.
+func buildAll(region string, persons []Person, contacts []contactArgs) (*Network, error) {
+	return NewBuilder(region, persons).Build(func(b *Builder) {
+		for _, a := range contacts {
+			b.AddContact(a.u, a.v, a.cu, a.cv, a.start, a.dur, a.w)
+		}
+	})
+}
+
+// oracleOf lays the same calls out by appending to per-person rows.
+func oracleOf(region string, persons []Person, contacts []contactArgs) *Network {
+	oracle := make(adjOracle, len(persons))
+	for _, a := range contacts {
+		oracle.addEdge(a.u, a.v, a.cu, a.cv, a.start, a.dur, a.w)
+	}
+	return oracle.network(region, persons)
+}
+
+// TestBuilderMatchesAdjacencyOracle: the Builder's two passes must put every
+// half-edge where appending to per-person rows would have. Random insertion
+// sequences cover repeated contacts, both endpoint orders, isolated nodes,
+// unequal contexts, lists of more than 2¹⁴ contacts (several of the
+// builder's windows, and more than a list chunk once held) and the empty
+// network; the generated networks cover real degree distributions.
 func TestBuilderMatchesAdjacencyOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		r := stats.NewRNG(seed)
 		n := r.Intn(60)
 		if seed%10 == 0 {
-			n = 3000 // ≥ 8 contacts each: the list spans chunks
+			n = 3000 // ≥ 8 contacts each
 		}
 		contacts := 0
 		if n >= 2 {
 			contacts = r.Intn(8*n) + 8*n
 		}
 		persons := make([]Person, n)
-		b, oracle := NewBuilder("ZZ", persons), make(adjOracle, n)
 		// Half the nodes draw contacts; the rest stay isolated unless picked
 		// as a partner.
-		type args struct {
-			u, v       int32
-			cu, cv     Context
-			start, dur uint16
-			w          float32
-		}
-		var last args
+		var list []contactArgs
+		var last contactArgs
 		for k := 0; k < contacts; k++ {
-			a := args{
+			a := contactArgs{
 				u: int32(r.Intn(n/2 + 1)), v: int32(r.Intn(n)),
 				cu: Context(r.Intn(int(NumContexts))), cv: Context(r.Intn(int(NumContexts))),
 				start: uint16(r.Intn(1440)), dur: uint16(r.Intn(1440)), w: float32(3 * r.Float64()),
@@ -123,17 +146,16 @@ func TestBuilderMatchesAdjacencyOracle(t *testing.T) {
 				a.u, a.v = a.v, a.u
 			}
 			last = a
-			b.AddContact(a.u, a.v, a.cu, a.cv, a.start, a.dur, a.w)
-			oracle.addEdge(a.u, a.v, a.cu, a.cv, a.start, a.dur, a.w)
+			list = append(list, a)
 		}
-		if seed%10 == 0 && len(b.chunks) < 2 {
-			t.Fatalf("seed %d: %d contacts fit one chunk", seed, contacts)
+		if seed%10 == 0 && len(list) <= 1<<14 {
+			t.Fatalf("seed %d: only %d contacts", seed, len(list))
 		}
-		got, err := b.Build()
+		got, err := buildAll("ZZ", persons, list)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		requireSameColumns(t, "random sequence", got, oracle.network("ZZ", persons))
+		requireSameColumns(t, "random sequence", got, oracleOf("ZZ", persons, list))
 		if err := got.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -146,20 +168,19 @@ func TestBuilderMatchesAdjacencyOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, oracle := NewBuilder(code, net.Persons), make(adjOracle, net.NumNodes())
+		var list []contactArgs
 		for i, row := range rows(net) {
 			for _, e := range row {
 				if e.Neighbor > int32(i) {
-					b.AddContact(int32(i), e.Neighbor, e.SrcContext, e.DstContext, e.StartMin, e.DurationMin, e.Weight)
-					oracle.addEdge(int32(i), e.Neighbor, e.SrcContext, e.DstContext, e.StartMin, e.DurationMin, e.Weight)
+					list = append(list, contactArgs{int32(i), e.Neighbor, e.SrcContext, e.DstContext, e.StartMin, e.DurationMin, e.Weight})
 				}
 			}
 		}
-		got, err := b.Build()
+		got, err := buildAll(code, net.Persons, list)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameColumns(t, code, got, oracle.network(code, net.Persons))
+		requireSameColumns(t, code, got, oracleOf(code, net.Persons, list))
 		if got.NumEdges() != net.NumEdges() {
 			t.Fatalf("%s: replay has %d edges, generated %d", code, got.NumEdges(), net.NumEdges())
 		}
@@ -169,21 +190,87 @@ func TestBuilderMatchesAdjacencyOracle(t *testing.T) {
 // TestBuilderRefusesWhatColumnsCannotHold: an endpoint that is not a person
 // and a context beyond the three bits Ctx gives it.
 func TestBuilderRefusesWhatColumnsCannotHold(t *testing.T) {
-	for _, bad := range []struct {
-		u, v   int32
-		cu, cv Context
-	}{
-		{0, 3, CtxHome, CtxHome},
-		{-1, 1, CtxHome, CtxHome},
-		{0, 1, NumContexts, CtxHome},
-		{0, 1, CtxHome, 9},
+	for _, bad := range []contactArgs{
+		{u: 0, v: 3, cu: CtxHome, cv: CtxHome},
+		{u: -1, v: 1, cu: CtxHome, cv: CtxHome},
+		{u: 0, v: 1, cu: NumContexts, cv: CtxHome},
+		{u: 0, v: 1, cu: CtxHome, cv: 9},
 	} {
-		b := NewBuilder("ZZ", make([]Person, 3))
-		b.AddContact(0, 1, CtxHome, CtxWork, 0, 60, 1)
-		b.AddContact(bad.u, bad.v, bad.cu, bad.cv, 0, 60, 1)
-		if net, err := b.Build(); err == nil {
+		bad.dur, bad.w = 60, 1
+		list := []contactArgs{{u: 0, v: 1, cu: CtxHome, cv: CtxWork, dur: 60, w: 1}, bad}
+		if net, err := buildAll("ZZ", make([]Person, 3), list); err == nil {
 			t.Errorf("contact %+v built a network with %d edges", bad, net.NumEdges())
 		}
+	}
+}
+
+// TestBuilderRefusesNonReplayingWire: the count pass sizes every row, so a
+// wiring function whose second call adds a contact, drops one or moves one to
+// another endpoint would leave a row overrun or short. Build refuses it
+// instead of returning a network.
+func TestBuilderRefusesNonReplayingWire(t *testing.T) {
+	list := []contactArgs{
+		{u: 0, v: 1, cu: CtxHome, cv: CtxHome, dur: 60, w: 1},
+		{u: 0, v: 2, cu: CtxWork, cv: CtxWork, dur: 60, w: 1},
+		{u: 3, v: 1, cu: CtxOther, cv: CtxOther, dur: 60, w: 1},
+	}
+	moved := slices.Clone(list)
+	moved[0].v = 3
+	for _, tc := range []struct {
+		name   string
+		second []contactArgs
+	}{
+		{"adds", append(slices.Clone(list), contactArgs{u: 1, v: 2, dur: 60, w: 1})},
+		{"adds past the last slot", append(slices.Clone(list), contactArgs{u: 3, v: 0, dur: 60, w: 1})},
+		{"adds first", append([]contactArgs{{u: 2, v: 3, dur: 60, w: 1}}, list...)},
+		{"drops", list[:2]},
+		{"drops first", list[1:]},
+		{"moves", moved},
+	} {
+		pass := 0
+		net, err := NewBuilder("ZZ", make([]Person, 4)).Build(func(b *Builder) {
+			pass++
+			replay := list
+			if pass == 2 {
+				replay = tc.second
+			}
+			for _, a := range replay {
+				b.AddContact(a.u, a.v, a.cu, a.cv, a.start, a.dur, a.w)
+			}
+		})
+		if err == nil {
+			t.Errorf("%s: built a network with %d edges", tc.name, net.NumEdges())
+		} else if !strings.Contains(err.Error(), "did not replay") {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		}
+		if pass != 2 {
+			t.Errorf("%s: wire ran %d times, want 2", tc.name, pass)
+		}
+	}
+	// The faithful replay builds.
+	if _, err := buildAll("ZZ", make([]Person, 4), list); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBuilderGenerateAllocatesNearItsSize: Generate holds no list of contacts
+// beside the columns it fills, so what it allocates in all stays close to the
+// network's own size. A contact list alive during the fill took it to ≈1.8×.
+func TestBuilderGenerateAllocatesNearItsSize(t *testing.T) {
+	va, _ := StateByCode("VA")
+	cfg := DefaultConfig(1)
+	cfg.Scale = 250
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net, err := Generate(va, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(net.Bytes())
+	t.Logf("Generate allocated %.2f× Network.Bytes() (%d contacts)", ratio, net.NumEdges())
+	if ratio > 1.4 {
+		t.Fatalf("Generate allocated %.2f× Network.Bytes(), want ≤ 1.4", ratio)
 	}
 }
 

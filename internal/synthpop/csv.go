@@ -108,9 +108,15 @@ func WriteNetworkCSV(w io.Writer, net *Network) error {
 
 // ReadNetworkCSV parses a network written by WriteNetworkCSV into the given
 // set of persons; the Builder restores both half-edges of every line. A file
-// whose network fails Validate is refused.
+// whose network fails Validate is refused. A reader cannot be rewound for the
+// Builder's second pass, so the lines are parsed into a list of contacts,
+// 20 bytes each, which Build replays.
 func ReadNetworkCSV(r io.Reader, persons []Person, region string) (*Network, error) {
-	b := NewBuilder(region, persons)
+	type contact struct {
+		u int32
+		HalfEdge
+	}
+	var contacts []contact
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	if !sc.Scan() {
@@ -138,12 +144,19 @@ func ReadNetworkCSV(r io.Reader, persons []Person, region string) (*Network, err
 		if u < 0 || u >= len(persons) || v < 0 || v >= len(persons) {
 			return nil, fmt.Errorf("synthpop: line %d: endpoint out of range", line)
 		}
-		b.AddContact(int32(u), int32(v), cs, cd, uint16(start), uint16(dur), float32(wt))
+		contacts = append(contacts, contact{int32(u), HalfEdge{
+			Neighbor: int32(v), SrcContext: cs, DstContext: cd,
+			StartMin: uint16(start), DurationMin: uint16(dur), Weight: float32(wt),
+		}})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	net, err := b.Build()
+	net, err := NewBuilder(region, persons).Build(func(b *Builder) {
+		for _, c := range contacts {
+			b.AddContact(c.u, c.Neighbor, c.SrcContext, c.DstContext, c.StartMin, c.DurationMin, c.Weight)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -81,6 +81,33 @@ func FuzzReadNetworkCSV(f *testing.F) {
 	})
 }
 
+// FuzzBuildMatchesOracle: any contact list, built by the Builder's two
+// passes, must equal the append-per-row oracle column by column. Six bytes
+// make one contact among n persons: its endpoints, their contexts, a duration
+// and a weight; self-loops and repeats are left in.
+func FuzzBuildMatchesOracle(f *testing.F) {
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(1), []byte{0, 0, 1, 2, 30, 4})
+	f.Add(uint8(5), []byte{0, 1, 0, 0, 60, 10, 1, 0, 3, 4, 90, 20, 4, 2, 6, 6, 255, 255})
+	f.Add(uint8(40), bytes.Repeat([]byte{7, 3, 1, 5, 200, 9, 3, 7, 2, 2, 15, 1}, 2100)) // spans two windows
+	f.Fuzz(func(t *testing.T, n uint8, data []byte) {
+		persons := make([]Person, n)
+		var list []contactArgs
+		for ; n > 0 && len(data) >= 6; data = data[6:] {
+			list = append(list, contactArgs{
+				u: int32(data[0] % n), v: int32(data[1] % n),
+				cu: Context(data[2] % uint8(NumContexts)), cv: Context(data[3] % uint8(NumContexts)),
+				start: uint16(data[4]) * 5, dur: uint16(data[4]) * 3, w: float32(data[5]) / 16,
+			})
+		}
+		got, err := buildAll("ZZ", persons, list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameColumns(t, "fuzzed list", got, oracleOf("ZZ", persons, list))
+	})
+}
+
 // FuzzReadPartitions hardens the partition-cache loader.
 func FuzzReadPartitions(f *testing.F) {
 	var buf bytes.Buffer

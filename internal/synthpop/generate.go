@@ -92,10 +92,10 @@ func (c Config) withDefaults() Config {
 }
 
 // basePopulation is stage (i) of both generators: it draws the region's
-// households and persons and records every household as a home-contact
-// clique. It returns the builder holding them and the RNG, positioned after
-// the last person's draws, for the generator that goes on to wire the other
-// contexts from the same stream. cfg must have its defaults filled.
+// households and persons. It returns them with a builder over them and the
+// RNG, positioned after the last person's draws, for the generator that goes
+// on to wire the contexts from the same stream. cfg must have its defaults
+// filled.
 func basePopulation(st StateInfo, cfg Config) (*Builder, *stats.RNG) {
 	n := st.Population / cfg.Scale
 	if n < cfg.MinPersons {
@@ -118,7 +118,10 @@ func basePopulation(st StateInfo, cfg Config) (*Builder, *stats.RNG) {
 
 	// --- Households and persons, in the order the stream draws them ---
 	drawn := make([]Person, 0, n)
-	var households []Household
+	// Sized for householdSizeDist's mean of 2.44 persons, with 6% to spare:
+	// growing a slice by appending leaves several times its size behind as
+	// garbage, which would set the peak of the whole build.
+	households := make([]Household, 0, n*100/230+16)
 	for len(drawn) < n {
 		size := sampleHouseholdSize(r)
 		if len(drawn)+size > n {
@@ -160,17 +163,21 @@ func basePopulation(st StateInfo, cfg Config) (*Builder, *stats.RNG) {
 		}
 	}
 
-	// --- Home contacts: household cliques ---
 	b := NewBuilder(st.Code, persons)
 	b.households = households
-	for _, hh := range households {
+	return b, r
+}
+
+// homeContacts wires every household as a home-contact clique, the first
+// contacts both generators add.
+func homeContacts(b *Builder) {
+	for _, hh := range b.households {
 		for u := hh.First; u < hh.First+hh.Size; u++ {
 			for v := u + 1; v < hh.First+hh.Size; v++ {
 				b.AddContact(u, v, CtxHome, CtxHome, 18*60, 600, 1)
 			}
 		}
 	}
-	return b, r
 }
 
 // clique wires a contact between every pair of the group.
@@ -186,27 +193,48 @@ func clique(b *Builder, group []int32, cSrc, cDst Context, start, dur uint16) {
 // region. The result is deterministic in (cfg.Seed, st.FIPS).
 func Generate(st StateInfo, cfg Config) (*Network, error) {
 	cfg = cfg.withDefaults()
-	b, r := basePopulation(st, cfg)
+	b, drawn := basePopulation(st, cfg)
 	persons := b.persons
 
 	// --- Group-based contexts ---
-	countyOf := func(p int32) int {
-		return int(persons[p].CountyFIPS) % 1000
+	countyOf := func(p *Person) int {
+		return min(int(p.CountyFIPS)%1000, st.Counties)
+	}
+	// The lists are sized before they are filled, so each is allocated once.
+	sizes := make([]int, st.Counties+1)
+	for i := range persons {
+		sizes[countyOf(&persons[i])]++
 	}
 	byCounty := make([][]int32, st.Counties+1)
-	for _, p := range persons {
-		c := countyOf(p.ID)
-		if c > st.Counties {
-			c = st.Counties
-		}
-		byCounty[c] = append(byCounty[c], p.ID)
+	for c := range byCounty {
+		byCounty[c] = make([]int32, 0, sizes[c])
 	}
+	for i := range persons {
+		c := countyOf(&persons[i])
+		byCounty[c] = append(byCounty[c], persons[i].ID)
+	}
+	// Every member list below fits one buffer of a person per slot, reused
+	// by both passes, so wiring allocates nothing.
+	buf := make([]int32, 0, len(persons))
+	return b.Build(func(b *Builder) {
+		// Each pass replays the same draws from its own copy of the stream.
+		rng := *drawn
+		wireContexts(b, &rng, cfg, byCounty, buf)
+	})
+}
+
+// wireContexts adds Generate's contacts: the household cliques, then every
+// other context drawn from r. Each member list it builds is used up before
+// the next, so all of them share buf, whose capacity is the person count.
+func wireContexts(b *Builder, r *stats.RNG, cfg Config, byCounty [][]int32, buf []int32) {
+	persons := b.persons
+	homeContacts(b)
 
 	// Workers: adults 18–64, employed at the configured rate, shuffled
 	// statewide and cut into workplaces of 12: a workplace draws from every
 	// county (commuting). With college below, these are the contacts that
 	// cross a shard line in the county-ordered layout.
-	var workers []int32
+	workers := buf[:0]
 	for _, p := range persons {
 		if p.Age >= 18 && p.Age <= 64 && r.Bool(cfg.EmploymentRate) {
 			workers = append(workers, p.ID)
@@ -217,7 +245,7 @@ func Generate(st StateInfo, cfg Config) (*Network, error) {
 
 	// School: ages 5–17 in classes of ≈20 within their county.
 	for _, members := range byCounty {
-		var students []int32
+		students := buf[:0]
 		for _, id := range members {
 			a := persons[id].Age
 			if a >= 5 && a <= 17 {
@@ -228,7 +256,7 @@ func Generate(st StateInfo, cfg Config) (*Network, error) {
 	}
 
 	// College: ages 18–22 statewide.
-	var collegians []int32
+	collegians := buf[:0]
 	for _, p := range persons {
 		if p.Age >= 18 && p.Age <= 22 && r.Bool(cfg.CollegeRate) {
 			collegians = append(collegians, p.ID)
@@ -239,7 +267,7 @@ func Generate(st StateInfo, cfg Config) (*Network, error) {
 
 	// Religion: congregations of ≈30 within county.
 	for _, members := range byCounty {
-		var attendees []int32
+		attendees := buf[:0]
 		for _, id := range members {
 			if r.Bool(cfg.ReligionRate) {
 				attendees = append(attendees, id)
@@ -277,7 +305,6 @@ func Generate(st StateInfo, cfg Config) (*Network, error) {
 			}
 		}
 	}
-	return b.Build()
 }
 
 // groupContacts partitions members into sequential groups of approximately

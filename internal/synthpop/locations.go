@@ -102,8 +102,8 @@ func (lm *LocationModel) VisitorsOf() map[int32][]Visit {
 // exposes the intermediate artefacts.
 func GenerateWithLocations(st StateInfo, cfg Config) (*Network, *LocationModel, error) {
 	cfg = cfg.withDefaults()
-	// Stage (i): persons, households and home contacts, shared with Generate;
-	// every other contact is derived below through explicit locations.
+	// Stage (i): persons and households, shared with Generate; every contact
+	// but the home cliques is derived below through explicit locations.
 	b, _ := basePopulation(st, cfg)
 	persons, households := b.persons, b.households
 
@@ -222,16 +222,20 @@ func GenerateWithLocations(st StateInfo, cfg Config) (*Network, *LocationModel, 
 			meta[a.loc] = a
 		}
 	}
-	// Iterate locations in ID order for determinism.
-	for locID := int32(0); locID < int32(len(lm.Locations)); locID++ {
-		group := visitors[locID]
-		if len(group) < 2 {
-			continue
+	// Iterate locations in ID order for determinism. Each wiring pass
+	// replays the same draws from its own copy of the stream.
+	net, err := b.Build(func(b *Builder) {
+		homeContacts(b)
+		rng := *r
+		for locID := int32(0); locID < int32(len(lm.Locations)); locID++ {
+			group := visitors[locID]
+			if len(group) < 2 {
+				continue
+			}
+			a := meta[locID]
+			groupContacts(b, &rng, group, len(group), a.ctx, a.ctx, a.contacts, a.start, a.dur)
 		}
-		a := meta[locID]
-		groupContacts(b, r, group, len(group), a.ctx, a.ctx, a.contacts, a.start, a.dur)
-	}
-	net, err := b.Build()
+	})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -115,6 +115,18 @@ func (n *Network) Counties() *CountyIndex {
 	return n.counties
 }
 
+// Largest returns the FIPS code of the most populous county, the lowest
+// code among counties that tie (0 when there are none).
+func (ix *CountyIndex) Largest() int32 {
+	var fips, best int32 = 0, -1
+	for ord, size := range ix.Size {
+		if size > best {
+			fips, best = ix.FIPS[ord], size
+		}
+	}
+	return fips
+}
+
 // AgeBands returns each person's Table III age band, one byte per person,
 // built once and shared — do not mutate. The simulator samples every
 // progression by age band; this column spares it a read of the whole person

@@ -338,7 +338,7 @@ func TestPartitionBalanced(t *testing.T) {
 }
 
 func TestPartitionDegenerate(t *testing.T) {
-	net, err := NewBuilder("XX", make([]Person, 3)).Build()
+	net, err := NewBuilder("XX", make([]Person, 3)).Build(func(*Builder) {})
 	if err != nil {
 		t.Fatal(err)
 	}
