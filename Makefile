@@ -47,8 +47,8 @@ loadtest:
 
 # Short exploratory fuzz pass over the scheduler, executor, snapshot-codec,
 # kernel-vs-reference, metapop closed-form-vs-dense, fidelity-router,
-# scenario-spec, network/partition file-loader and network-builder targets
-# (the seed corpus always runs as part of tier1).
+# scenario-spec, submit-handler, network/partition file-loader and
+# network-builder targets (the seed corpus always runs as part of tier1).
 fuzz:
 	$(GO) test ./internal/sched -fuzz FuzzRelaxedColoring -fuzztime 10s
 	$(GO) test ./internal/sched -fuzz FuzzScheduleRoundTrip -fuzztime 10s
@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test ./internal/metapop -fuzz FuzzClosedFormMatchesDense -fuzztime 10s
 	$(GO) test ./internal/fidelity -fuzz FuzzFidelityRoute -fuzztime 10s
 	$(GO) test ./internal/scenario -fuzz FuzzSpecNormalize -fuzztime 10s
+	$(GO) test ./internal/scenario -fuzz FuzzSubmitHandler -fuzztime 10s
 	$(GO) test ./internal/synthpop -fuzz FuzzReadNetworkBinary -fuzztime 10s
 	$(GO) test ./internal/synthpop -fuzz FuzzReadNetworkCSV -fuzztime 10s
 	$(GO) test ./internal/synthpop -fuzz FuzzReadPartitions -fuzztime 10s

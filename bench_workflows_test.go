@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -28,7 +29,7 @@ func BenchmarkTableI(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := core.NewPipeline(uint64(i) + 1)
 				var err error
-				rep, err = p.RunNight(core.NightConfig{Spec: spec, Heuristic: "FFDT-DC", Seed: uint64(i), Day: 1})
+				rep, err = p.RunNightCtx(context.Background(), core.NightConfig{Spec: spec, Heuristic: "FFDT-DC", Seed: uint64(i), Day: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -127,7 +128,7 @@ func BenchmarkFig15PriorPosterior(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := core.NewPipeline(2020, core.WithScale(20000))
 		var err error
-		cal, err = p.RunCalibrationWorkflow(core.CalibrationConfig{
+		cal, err = p.RunCalibrationWorkflowCtx(context.Background(), core.CalibrationConfig{
 			State: "VA", Cells: 100, Days: 70,
 			Steps: 2000, PosteriorSize: 100, SigmaDeltaMax: 0.1,
 		})
@@ -156,7 +157,7 @@ func BenchmarkFig16EmulatorFit(b *testing.B) {
 	var coverage float64
 	for i := 0; i < b.N; i++ {
 		p := core.NewPipeline(2021, core.WithScale(20000))
-		cal, err := p.RunCalibrationWorkflow(core.CalibrationConfig{
+		cal, err := p.RunCalibrationWorkflowCtx(context.Background(), core.CalibrationConfig{
 			State: "VA", Cells: 60, Days: 70,
 			Steps: 800, PosteriorSize: 50,
 		})
@@ -184,7 +185,7 @@ func BenchmarkFig17Forecast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := core.NewPipeline(2022, core.WithScale(20000))
 		var err error
-		out, err = p.RunPredictionWorkflow(core.PredictionConfig{
+		out, err = p.RunPredictionWorkflowCtx(context.Background(), core.PredictionConfig{
 			State: "VA", Configs: configs, Replicates: 5, Days: 126,
 		})
 		if err != nil {
@@ -367,7 +368,7 @@ func calibrateViaEmulator(b *testing.B, model *metapop.Model, trueP metapop.Para
 	if err != nil {
 		b.Fatal(err)
 	}
-	post, err := cal.Sample(calib.Config{Steps: 500, BurnIn: 300, Seed: 7}, 50)
+	post, err := cal.SampleCtx(context.Background(), calib.Config{Steps: 500, BurnIn: 300, Seed: 7}, 50)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,6 +10,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -91,7 +92,7 @@ func main() {
 	p := core.NewPipeline(*seed, core.WithScale(*scale))
 	fmt.Printf("prediction workflow: %s, %d configs × %d replicates, %d days\n",
 		*state, len(configs), *replicates, *days)
-	out, err := p.RunPredictionWorkflow(core.PredictionConfig{
+	out, err := p.RunPredictionWorkflowCtx(context.Background(), core.PredictionConfig{
 		State: *state, Configs: configs, Replicates: *replicates, Days: *days,
 	})
 	if err != nil {

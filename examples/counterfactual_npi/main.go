@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 		len(cfg.FactorialCells()), len(cfg.States), cfg.Replicates,
 		len(cfg.FactorialCells())*len(cfg.States)*cfg.Replicates)
 
-	out, err := p.RunCounterfactualWorkflow(cfg)
+	out, err := p.RunCounterfactualWorkflowCtx(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

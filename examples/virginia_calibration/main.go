@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -25,7 +26,7 @@ func main() {
 
 	fmt.Println("=== case study 3: calibrating the agent-based model for Virginia ===")
 	fmt.Println("prior design: 100 LHS cells over (TAU, SYMP, SH, VHI); SC at 100%")
-	cal, err := p.RunCalibrationWorkflow(core.CalibrationConfig{
+	cal, err := p.RunCalibrationWorkflowCtx(context.Background(), core.CalibrationConfig{
 		State:         "VA",
 		Cells:         100, // the case study's 100 prior configurations
 		Days:          70,  // data through "April 11" ≈ day 70 of the season
@@ -90,7 +91,7 @@ func main() {
 		}
 		configs = sub
 	}
-	pred, err := p.RunPredictionWorkflow(core.PredictionConfig{
+	pred, err := p.RunPredictionWorkflowCtx(context.Background(), core.PredictionConfig{
 		State: "VA", Configs: configs, Replicates: 5,
 		Days: 70 + 56, // history + 8 weeks
 	})

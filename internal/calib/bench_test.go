@@ -1,6 +1,7 @@
 package calib
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/stats"
@@ -55,7 +56,7 @@ func BenchmarkLogLikWoodbury(b *testing.B) {
 
 var sink float64
 
-// benchSample runs Sample end to end at the production draw budget: 1200
+// benchSample runs SampleCtx end to end at the production draw budget: 1200
 // total MCMC steps (half burn-in), 100 posterior draws. Multi-chain
 // configurations split the same budget across chains, the standard way a
 // fixed budget buys R̂/ESS diagnostics.
@@ -67,7 +68,7 @@ func benchSample(b *testing.B, cfg Config, steps int, dense bool) {
 	cfg.Steps, cfg.BurnIn, cfg.Seed = steps, steps/2, 9
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		post, err := c.Sample(cfg, 100)
+		post, err := c.SampleCtx(context.Background(), cfg, 100)
 		if err != nil {
 			b.Fatal(err)
 		}

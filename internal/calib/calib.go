@@ -83,8 +83,8 @@ type Calibrator struct {
 	Obs    []float64
 	VBasis *linalg.Matrix // discrepancy kernels, T × pδ
 
-	// lik, when set, replaces logLik as the likelihood Sample draws against;
-	// in-package tests point it at the dense reference.
+	// lik, when set, replaces logLik as the likelihood SampleCtx draws
+	// against; in-package tests point it at the dense reference.
 	lik func(thetaUnit []float64, sdDelta, sdEps float64, s *likScratch) float64
 }
 
@@ -103,7 +103,7 @@ type Config struct {
 	Chains        int
 	Parallelism   int
 
-	// RHatMax, when > 0, gates convergence: Sample still returns the
+	// RHatMax, when > 0, gates convergence: SampleCtx still returns the
 	// posterior (with diagnostics filled in) but pairs it with a
 	// *mcmc.ConvergenceError when any coordinate's split-R̂ exceeds the
 	// gate. MinESS (> 0) additionally requires that much pooled effective
@@ -301,20 +301,16 @@ type Posterior struct {
 	Converged bool
 }
 
-// Sample runs the multi-chain MCMC and returns `count` posterior
+// SampleCtx runs the multi-chain MCMC and returns `count` posterior
 // configurations thinned from the pooled chains (the VA case study
 // generates 100 posterior configurations). When a convergence gate is
 // configured (Config.RHatMax or MinESS) and fails, the posterior is still
 // returned — diagnostics filled in — together with the
-// *mcmc.ConvergenceError describing the failure.
-func (c *Calibrator) Sample(cfg Config, count int) (*Posterior, error) {
-	return c.SampleCtx(context.Background(), cfg, count)
-}
-
-// SampleCtx is Sample under a "calibrate" span, with the multi-chain run
-// traced through mcmc.RunChainsCtx (per-chain spans plus the
-// "calibration.gate" event). Sampling itself is untouched by tracing, so
-// the posterior is bit-identical with or without a tracer on ctx.
+// *mcmc.ConvergenceError describing the failure. It runs under a
+// "calibrate" span, with the multi-chain run traced through
+// mcmc.RunChainsCtx (per-chain spans plus the "calibration.gate" event).
+// Sampling itself is untouched by tracing, so the posterior is
+// bit-identical with or without a tracer on ctx.
 func (c *Calibrator) SampleCtx(ctx context.Context, cfg Config, count int) (*Posterior, error) {
 	ctx, sp := obs.StartSpan(ctx, "calibrate")
 	defer sp.End()

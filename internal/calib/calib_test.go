@@ -1,6 +1,7 @@
 package calib
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -93,7 +94,7 @@ func TestCalibrationRecoversParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post, err := c.Sample(Config{Steps: 1500, BurnIn: 800, Seed: 4}, 100)
+	post, err := c.SampleCtx(context.Background(), Config{Steps: 1500, BurnIn: 800, Seed: 4}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestPosteriorTighterThanPrior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post, err := c.Sample(Config{Steps: 1200, BurnIn: 600, Seed: 6}, 100)
+	post, err := c.SampleCtx(context.Background(), Config{Steps: 1200, BurnIn: 600, Seed: 6}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestSampleHyperparameterRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post, err := c.Sample(Config{Steps: 400, BurnIn: 200, Seed: 9}, 50)
+	post, err := c.SampleCtx(context.Background(), Config{Steps: 400, BurnIn: 200, Seed: 9}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestTracedSampleBitIdentical(t *testing.T) {
 	}
 	cfg := Config{Steps: 400, BurnIn: 200, Seed: 9}
 
-	plain, err := c.Sample(cfg, 50)
+	plain, err := c.SampleCtx(context.Background(), cfg, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

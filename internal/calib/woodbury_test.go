@@ -1,6 +1,7 @@
 package calib
 
 import (
+	"context"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -93,7 +94,7 @@ func goldenSample(t *testing.T, parallelism int) *Posterior {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post, err := c.Sample(Config{
+	post, err := c.SampleCtx(context.Background(), Config{
 		Steps: 300, BurnIn: 150, Seed: 99,
 		Chains: 3, Parallelism: parallelism,
 	}, 50)
@@ -110,7 +111,7 @@ func goldenSample(t *testing.T, parallelism int) *Posterior {
 // deliberately, never silently.
 const sampleGoldenHash uint64 = 0x92760d4f1aa0c219
 
-// The tentpole contract: Calibrator.Sample is bit-deterministic for a
+// The tentpole contract: Calibrator.SampleCtx is bit-deterministic for a
 // fixed seed regardless of how many workers run the chains, and matches
 // the pinned golden posterior.
 func TestSampleGoldenPinAndParallelismDeterminism(t *testing.T) {
@@ -130,7 +131,7 @@ func TestSampleGoldenPinAndParallelismDeterminism(t *testing.T) {
 }
 
 // denseLik is logLik on the O(T³) dense-Cholesky reference path; assigned to
-// Calibrator.lik it makes Sample draw against the reference.
+// Calibrator.lik it makes SampleCtx draw against the reference.
 func (c *Calibrator) denseLik(thetaUnit []float64, sdDelta, sdEps float64, s *likScratch) float64 {
 	c.Em.PredictInto(thetaUnit, s.mean, s.variance, s.buf)
 	for i := range s.r {
@@ -151,12 +152,12 @@ func TestSampleDenseAndWoodburyAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Config{Steps: 600, BurnIn: 300, Seed: 7, Chains: 2}
-	fast, err := c.Sample(base, 100)
+	fast, err := c.SampleCtx(context.Background(), base, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.lik = c.denseLik
-	slow, err := c.Sample(base, 100)
+	slow, err := c.SampleCtx(context.Background(), base, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestSampleConvergenceGateSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 4 chains, tiny chains, an ESS demand they cannot meet.
-	post, err := c.Sample(Config{
+	post, err := c.SampleCtx(context.Background(), Config{
 		Steps: 30, BurnIn: 10, Seed: 3, Chains: 4, MinESS: 1e9,
 	}, 20)
 	if err == nil {

@@ -9,7 +9,6 @@ package capacity
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/synthpop"
 )
@@ -33,21 +32,6 @@ func FromAHA(st synthpop.StateInfo) Resources {
 		Ventilators: int(float64(st.Population) * 0.19 / 1000),
 	}
 }
-
-// Scaled returns the capacity at a 1:scale synthetic population.
-func (r Resources) Scaled(scale int) Resources {
-	if scale <= 1 {
-		return r
-	}
-	return Resources{
-		Region:      r.Region,
-		Beds:        ceilDiv(r.Beds, scale),
-		ICUBeds:     ceilDiv(r.ICUBeds, scale),
-		Ventilators: ceilDiv(r.Ventilators, scale),
-	}
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // Demand is a daily occupancy forecast for the two constrained resources.
 type Demand struct {
@@ -120,19 +104,4 @@ func Analyze(res Resources, d Demand, availableFraction float64) (*Report, error
 	rep.HospitalUtilizationPeak = rep.PeakHospitalized / beds
 	rep.VentUtilizationPeak = rep.PeakVentilated / vents
 	return rep, nil
-}
-
-// DaysOfVentilatorRunway returns how many days remain until ventilator
-// demand first exceeds the available supply, assuming the demand path
-// given — the "assessing depletion of current resources" product. It
-// returns math.Inf(1) when the path never overflows.
-func DaysOfVentilatorRunway(res Resources, d Demand, availableFraction float64) (float64, error) {
-	rep, err := Analyze(res, d, availableFraction)
-	if err != nil {
-		return 0, err
-	}
-	if rep.FirstVentOverflow < 0 {
-		return math.Inf(1), nil
-	}
-	return float64(rep.FirstVentOverflow), nil
 }

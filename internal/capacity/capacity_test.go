@@ -22,17 +22,6 @@ func TestFromAHA(t *testing.T) {
 	}
 }
 
-func TestScaled(t *testing.T) {
-	r := Resources{Region: "VA", Beds: 20000, ICUBeds: 2200, Ventilators: 1600}
-	s := r.Scaled(10000)
-	if s.Beds != 2 || s.ICUBeds != 1 || s.Ventilators != 1 {
-		t.Fatalf("scaled %+v", s)
-	}
-	if r.Scaled(1) != r || r.Scaled(0) != r {
-		t.Fatal("identity scaling wrong")
-	}
-}
-
 func demandPath(days int, peakH, peakV float64, peakDay int) Demand {
 	d := Demand{Hospitalized: make([]float64, days), Ventilated: make([]float64, days)}
 	for i := 0; i < days; i++ {
@@ -62,10 +51,6 @@ func TestAnalyzeNoOverflow(t *testing.T) {
 	if rep.HospitalUtilizationPeak <= 0 || rep.HospitalUtilizationPeak >= 1 {
 		t.Fatalf("utilization %v", rep.HospitalUtilizationPeak)
 	}
-	runway, err := DaysOfVentilatorRunway(res, d, 0.6)
-	if err != nil || !math.IsInf(runway, 1) {
-		t.Fatalf("runway %v, %v want +Inf", runway, err)
-	}
 }
 
 func TestAnalyzeOverflow(t *testing.T) {
@@ -88,12 +73,8 @@ func TestAnalyzeOverflow(t *testing.T) {
 	if rep.HospitalUtilizationPeak <= 1 {
 		t.Fatalf("peak utilization %v should exceed 1", rep.HospitalUtilizationPeak)
 	}
-	runway, err := DaysOfVentilatorRunway(res, d, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runway <= 0 || runway >= 60 {
-		t.Fatalf("runway %v days implausible", runway)
+	if rep.FirstVentOverflow <= 0 || rep.FirstVentOverflow >= 60 {
+		t.Fatalf("first ventilator overflow day %d implausible", rep.FirstVentOverflow)
 	}
 }
 

@@ -185,32 +185,6 @@ func endExecSpan(sp *obs.Span, tasks int, res *ExecResult) {
 	sp.End()
 }
 
-// MeanWait returns the average task start time — the queueing delay a
-// submitted simulation experiences, the timeliness metric behind the
-// paper's "reducing the time span required to execute a given set of
-// jobs".
-func (r *ExecResult) MeanWait() float64 {
-	if len(r.Records) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, rec := range r.Records {
-		s += rec.Start
-	}
-	return s / float64(len(r.Records))
-}
-
-// MaxWait returns the longest start delay.
-func (r *ExecResult) MaxWait() float64 {
-	max := 0.0
-	for _, rec := range r.Records {
-		if rec.Start > max {
-			max = rec.Start
-		}
-	}
-	return max
-}
-
 // ExecuteLevelSync replays a level packing with a barrier after each level:
 // all tasks of level i run concurrently starting when level i−1 completes.
 // Tasks whose level would end past the deadline are not started.

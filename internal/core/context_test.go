@@ -121,11 +121,11 @@ func TestConcurrentPredictionsShareOnePipeline(t *testing.T) {
 	cfgB := smallPredictionConfig(3, 25)
 
 	solo := testPipeline(40)
-	baseA, err := solo.RunPredictionWorkflow(cfgA)
+	baseA, err := solo.RunPredictionWorkflowCtx(context.Background(), cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseB, err := solo.RunPredictionWorkflow(cfgB)
+	baseB, err := solo.RunPredictionWorkflowCtx(context.Background(), cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}

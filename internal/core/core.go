@@ -8,9 +8,8 @@
 //
 // The pipeline object owns the shared substrates: per-region synthetic
 // networks (generated once and cached, like the paper's static partitions),
-// population database servers instantiated from snapshots, synthetic
-// surveillance ground truth, the transfer ledger between the two sites, and
-// the simulated cluster specs.
+// population database servers instantiated from snapshots, the transfer
+// ledger between the two sites, and the simulated cluster specs.
 package core
 
 import (
@@ -23,7 +22,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/popdb"
-	"repro/internal/surveillance"
 	"repro/internal/synthpop"
 	"repro/internal/transfer"
 )
@@ -51,7 +49,6 @@ type Pipeline struct {
 	mu       sync.Mutex
 	networks map[string]*synthpop.Network
 	dbs      map[string]*popdb.Server
-	truth    map[string]*surveillance.StateTruth
 
 	// snapshots is the content-addressed checkpoint store of the what-if
 	// workflow: keys are SHA-256 of (pipeline fingerprint, prefix spec,
@@ -72,9 +69,6 @@ func WithScale(s int) Option { return func(p *Pipeline) { p.Scale = s } }
 
 // WithParallelism sets the per-simulation processing units.
 func WithParallelism(n int) Option { return func(p *Pipeline) { p.Parallelism = n } }
-
-// WithDBConnBound sets the per-region DB connection bound.
-func WithDBConnBound(b int) Option { return func(p *Pipeline) { p.DBConnBound = b } }
 
 // WithSnapshotCacheBytes bounds the what-if checkpoint store. Zero or
 // negative disables snapshot caching entirely (every what-if run
@@ -109,7 +103,6 @@ func NewPipeline(seed uint64, opts ...Option) *Pipeline {
 		FaultCounters: &faults.Counters{},
 		networks:      map[string]*synthpop.Network{},
 		dbs:           map[string]*popdb.Server{},
-		truth:         map[string]*surveillance.StateTruth{},
 		snapshots: castore.New(
 			castore.WithMaxCost[*whatIfCheckpoint](DefaultSnapshotCacheBytes, checkpointCost)),
 	}
@@ -143,15 +136,6 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 func (p *Pipeline) Fingerprint() string {
 	return fmt.Sprintf("seed=%d;scale=%d;par=%d;dbb=%d;nodes=%d;window=%g",
 		p.Seed, p.Scale, p.Parallelism, p.DBConnBound, p.Remote.Nodes, p.Window.Seconds())
-}
-
-// SnapshotStats reports the what-if checkpoint store counters (zero value
-// when snapshot caching is disabled).
-func (p *Pipeline) SnapshotStats() castore.Stats {
-	if p.snapshots == nil {
-		return castore.Stats{}
-	}
-	return p.snapshots.Stats()
 }
 
 // Network returns the cached contact network for a region, generating it on
@@ -215,25 +199,6 @@ func (p *Pipeline) DB(state string) (*popdb.Server, error) {
 	}
 	p.dbs[state] = db
 	return db, nil
-}
-
-// Truth returns the surveillance ground truth for a region.
-func (p *Pipeline) Truth(state string) (*surveillance.StateTruth, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if t, ok := p.truth[state]; ok {
-		return t, nil
-	}
-	st, err := synthpop.StateByCode(state)
-	if err != nil {
-		return nil, err
-	}
-	t, err := surveillance.GenerateState(st, surveillance.DefaultConfig(p.Seed))
-	if err != nil {
-		return nil, err
-	}
-	p.truth[state] = t
-	return t, nil
 }
 
 // Params is one model configuration (cell) of a calibration or prediction

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/epihiper"
 	"repro/internal/obs"
 	"repro/internal/output"
+	"repro/internal/popdb"
 	"repro/internal/transfer"
 )
 
@@ -22,16 +25,9 @@ func testPipeline(seed uint64) *Pipeline {
 }
 
 func TestPipelineOptions(t *testing.T) {
-	p := NewPipeline(1, WithScale(5000), WithParallelism(3), WithDBConnBound(7))
-	if p.Scale != 5000 || p.Parallelism != 3 || p.DBConnBound != 7 {
+	p := NewPipeline(1, WithScale(5000), WithParallelism(3))
+	if p.Scale != 5000 || p.Parallelism != 3 {
 		t.Fatalf("options not applied: %+v", p)
-	}
-	db, err := p.DB("RI")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.MaxConns() != 7 {
-		t.Fatal("DB bound option not propagated")
 	}
 }
 
@@ -77,23 +73,26 @@ func TestDBFromSnapshot(t *testing.T) {
 		t.Fatal("DB not cached")
 	}
 	net, _ := p.Network("VA")
-	if db.NumPersons() != net.NumNodes() {
-		t.Fatal("DB population mismatch")
-	}
-	if db.MaxConns() != p.DBConnBound {
-		t.Fatal("DB bound not applied")
-	}
-}
-
-func TestTruthCached(t *testing.T) {
-	p := testPipeline(3)
-	a, err := p.Truth("VA")
+	c, err := db.TryConnect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := p.Truth("VA")
-	if a != b {
-		t.Fatal("truth not cached")
+	defer c.Close()
+	if _, err := c.Person(int32(net.NumNodes() - 1)); err != nil {
+		t.Fatalf("DB population mismatch: %v", err)
+	}
+	if _, err := c.Person(int32(net.NumNodes())); err == nil {
+		t.Fatal("DB population mismatch: person past the network served")
+	}
+	for i := 1; i < p.DBConnBound; i++ {
+		ci, err := db.TryConnect()
+		if err != nil {
+			t.Fatalf("connection %d of %d refused: %v", i+1, p.DBConnBound, err)
+		}
+		defer ci.Close()
+	}
+	if _, err := db.TryConnect(); !errors.Is(err, popdb.ErrTooManyConnections) {
+		t.Fatalf("DB bound not applied: got %v", err)
 	}
 }
 
@@ -335,11 +334,11 @@ func TestTableIAccounting(t *testing.T) {
 func TestRunNightFFDTvsNFDT(t *testing.T) {
 	p := testPipeline(6)
 	pred := TableI()[1]
-	ff, err := p.RunNight(NightConfig{Spec: pred, Heuristic: "FFDT-DC", Seed: 11, Day: 1})
+	ff, err := p.RunNightCtx(context.Background(), NightConfig{Spec: pred, Heuristic: "FFDT-DC", Seed: 11, Day: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf, err := p.RunNight(NightConfig{Spec: pred, Heuristic: "NFDT-DC", Seed: 11, Day: 2})
+	nf, err := p.RunNightCtx(context.Background(), NightConfig{Spec: pred, Heuristic: "NFDT-DC", Seed: 11, Day: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +357,7 @@ func TestRunNightFFDTvsNFDT(t *testing.T) {
 	if ff.RawBytes <= 0 || ff.SummaryBytes <= 0 || ff.ConfigBytes <= 0 {
 		t.Fatal("night data accounting missing")
 	}
-	if _, err := p.RunNight(NightConfig{Spec: pred, Heuristic: "bogus"}); err == nil {
+	if _, err := p.RunNightCtx(context.Background(), NightConfig{Spec: pred, Heuristic: "bogus"}); err == nil {
 		t.Fatal("bogus heuristic accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestCombinedWeeklyCycle(t *testing.T) {
 	p := testPipeline(100)
 
 	// --- Day 0–2: calibration (Figure 4) ---
-	cal, err := p.RunCalibrationWorkflow(CalibrationConfig{
+	cal, err := p.RunCalibrationWorkflowCtx(context.Background(), CalibrationConfig{
 		State: "VA", Cells: 30, Days: 50,
 		Steps: 500, BurnIn: 300, PosteriorSize: 12, Day: 1,
 	})
@@ -38,7 +39,7 @@ func TestCombinedWeeklyCycle(t *testing.T) {
 	if len(configs) > 4 {
 		configs = configs[:4]
 	}
-	pred, err := p.RunPredictionWorkflow(PredictionConfig{
+	pred, err := p.RunPredictionWorkflowCtx(context.Background(), PredictionConfig{
 		State: "VA", Configs: configs, Replicates: 3, Days: 80, Day: 4,
 	})
 	if err != nil {

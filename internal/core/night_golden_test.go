@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -49,7 +50,7 @@ func TestNightGolden(t *testing.T) {
 		for n := 0; n < 6; n++ {
 			cfg := goldenNight(seed, n)
 			p := NewPipeline(seed)
-			r, exec, err := p.ExecuteNight(cfg)
+			r, exec, err := p.ExecuteNightCtx(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("seed %d night %d: %v", seed, n, err)
 			}

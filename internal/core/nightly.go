@@ -138,32 +138,21 @@ type NightReport struct {
 	TransferRetries int
 }
 
-// RunNight simulates one night of the given workflow on the remote
+// RunNightCtx simulates one night of the given workflow on the remote
 // cluster: build the ⟨cell, region⟩ tasks with the empirical time model,
 // pack with the chosen heuristic, execute (level-synchronous for NFDT-DC,
 // backfilled for FFDT-DC — how the respective production configurations
 // ran) under the configured fault model with retry/requeue/shed recovery,
-// and account the data movement.
-func (p *Pipeline) RunNight(cfg NightConfig) (*NightReport, error) {
-	report, _, err := p.ExecuteNight(cfg)
-	return report, err
-}
-
-// RunNightCtx is RunNight under a context: cancellation interrupts the
-// recovery rounds between scheduling passes.
+// and account the data movement. Cancellation interrupts the recovery
+// rounds between scheduling passes.
 func (p *Pipeline) RunNightCtx(ctx context.Context, cfg NightConfig) (*NightReport, error) {
 	report, _, err := p.ExecuteNightCtx(ctx, cfg)
 	return report, err
 }
 
-// ExecuteNight is RunNight exposing the merged execution trace across all
-// recovery rounds, so callers can replay or validate it (e.g. with
-// cluster.ValidateExecution against the night's constraints).
-func (p *Pipeline) ExecuteNight(cfg NightConfig) (*NightReport, cluster.ExecResult, error) {
-	return p.ExecuteNightCtx(context.Background(), cfg)
-}
-
-// ExecuteNightCtx is ExecuteNight under a context.
+// ExecuteNightCtx is RunNightCtx exposing the merged execution trace
+// across all recovery rounds, so callers can replay or validate it (e.g.
+// with cluster.ValidateExecution against the night's constraints).
 func (p *Pipeline) ExecuteNightCtx(ctx context.Context, cfg NightConfig) (*NightReport, cluster.ExecResult, error) {
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, cluster.ExecResult{}, err
@@ -281,17 +270,12 @@ func (p *Pipeline) moveWithRecovery(ctx context.Context, cfg NightConfig, fm *fa
 	return err
 }
 
-// RunNights executes a workload across consecutive nightly windows with
+// RunNightsCtx executes a workload across consecutive nightly windows with
 // carryover — the resiliency behaviour of the production pipeline: tasks
 // that do not fit tonight's 10-hour window are resubmitted the next night
-// until the workload drains or maxNights is exhausted.
-func (p *Pipeline) RunNights(spec WorkflowSpec, heuristic string, maxNights int, seed uint64) ([]*NightReport, error) {
-	return p.RunNightsCtx(context.Background(), spec, heuristic, maxNights, seed)
-}
-
-// RunNightsCtx is RunNights under a context: long multi-night campaigns
-// check ctx at each night boundary, so cancellation returns the reports of
-// the nights already simulated together with ctx.Err().
+// until the workload drains or maxNights is exhausted. Long multi-night
+// campaigns check ctx at each night boundary, so cancellation returns the
+// reports of the nights already simulated together with ctx.Err().
 func (p *Pipeline) RunNightsCtx(ctx context.Context, spec WorkflowSpec, heuristic string, maxNights int, seed uint64) ([]*NightReport, error) {
 	if maxNights <= 0 {
 		maxNights = 1

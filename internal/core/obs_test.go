@@ -143,7 +143,7 @@ func TestTracedNightReportBitIdentical(t *testing.T) {
 		}
 		return b
 	}
-	plain := marshal(NewPipeline(33).RunNight(cfg))
+	plain := marshal(NewPipeline(33).RunNightCtx(context.Background(), cfg))
 	var buf bytes.Buffer
 	ctx, _ := tracedCtx(&buf)
 	traced := marshal(NewPipeline(33).RunNightCtx(ctx, cfg))
@@ -156,7 +156,7 @@ func TestTracedNightReportBitIdentical(t *testing.T) {
 // accounting, and the failure-free baseline must leave them all zero.
 func TestFaultCountersMatchReport(t *testing.T) {
 	p := NewPipeline(32)
-	rep, err := p.RunNight(NightConfig{
+	rep, err := p.RunNightCtx(context.Background(), NightConfig{
 		Spec: smallSpec(), Seed: 32,
 		Faults: faults.Spec{Seed: 9, TaskCrashProb: 0.1, DBRefusalProb: 0.05, TransferStallProb: 0.2},
 	})
@@ -180,7 +180,7 @@ func TestFaultCountersMatchReport(t *testing.T) {
 	}
 
 	clean := NewPipeline(31)
-	if _, err := clean.RunNight(NightConfig{Spec: smallSpec(), Seed: 31}); err != nil {
+	if _, err := clean.RunNightCtx(context.Background(), NightConfig{Spec: smallSpec(), Seed: 31}); err != nil {
 		t.Fatal(err)
 	}
 	if s := clean.FaultCounters.Snapshot(); s != (faults.CountersSnapshot{}) {
@@ -192,7 +192,7 @@ func TestFaultCountersMatchReport(t *testing.T) {
 // night: makespan ≥ lower bound, utilization ≤ bound.
 func TestNightReportSchedulingBound(t *testing.T) {
 	p := NewPipeline(31)
-	rep, err := p.RunNight(NightConfig{Spec: smallSpec(), Seed: 31})
+	rep, err := p.RunNightCtx(context.Background(), NightConfig{Spec: smallSpec(), Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}

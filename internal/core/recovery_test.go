@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"runtime"
 	"testing"
@@ -25,7 +26,7 @@ func smallSpec() WorkflowSpec {
 func TestZeroFaultSpecIsBitForBitBaseline(t *testing.T) {
 	p := NewPipeline(31)
 	cfg := NightConfig{Spec: smallSpec(), Seed: 31}
-	rep, exec, err := p.ExecuteNight(cfg)
+	rep, exec, err := p.ExecuteNightCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestFaultNightAccountingAndValidation(t *testing.T) {
 		Spec: smallSpec(), Seed: 32,
 		Faults: faults.Spec{Seed: 9, TaskCrashProb: 0.1, DBRefusalProb: 0.05, TransferStallProb: 0.2},
 	}
-	rep, exec, err := p.ExecuteNight(cfg)
+	rep, exec, err := p.ExecuteNightCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestFaultyNightReportDeterministic(t *testing.T) {
 		Faults: faults.Spec{Seed: 5, TaskCrashProb: 0.15, DBRefusalProb: 0.05, TransferStallProb: 0.3},
 	}
 	run := func() []byte {
-		rep, err := NewPipeline(33).RunNight(cfg)
+		rep, err := NewPipeline(33).RunNightCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestShedOrderedLowestPriorityFirst(t *testing.T) {
 		Faults:   faults.Spec{Seed: 2, TaskCrashProb: 0.6, DBRefusalProb: 0.2},
 		Recovery: RecoveryPolicy{MaxRetries: 1},
 	}
-	rep, err := p.RunNight(cfg)
+	rep, err := p.RunNightCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestNegativeMaxRetriesDisablesRequeue(t *testing.T) {
 		Faults:   faults.Spec{Seed: 3, TaskCrashProb: 0.2},
 		Recovery: RecoveryPolicy{MaxRetries: -1},
 	}
-	rep, err := p.RunNight(cfg)
+	rep, err := p.RunNightCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestTransferRetriesAccounted(t *testing.T) {
 		Spec: smallSpec(), Seed: 36,
 		Faults: faults.Spec{Seed: 8, TransferStallProb: 0.5},
 	}
-	rep, err := p.RunNight(cfg)
+	rep, err := p.RunNightCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +203,10 @@ func TestTransferRetriesAccounted(t *testing.T) {
 
 func TestExecuteNightRejectsBadInput(t *testing.T) {
 	p := NewPipeline(37)
-	if _, err := p.RunNight(NightConfig{Spec: smallSpec(), Heuristic: "LPT"}); err == nil {
+	if _, err := p.RunNightCtx(context.Background(), NightConfig{Spec: smallSpec(), Heuristic: "LPT"}); err == nil {
 		t.Fatal("unknown heuristic accepted")
 	}
-	if _, err := p.RunNight(NightConfig{Spec: smallSpec(),
+	if _, err := p.RunNightCtx(context.Background(), NightConfig{Spec: smallSpec(),
 		Faults: faults.Spec{TaskCrashProb: 1.5}}); err == nil {
 		t.Fatal("invalid fault spec accepted")
 	}
@@ -219,7 +220,7 @@ func TestLevelSyncNightRecovers(t *testing.T) {
 		Spec: smallSpec(), Heuristic: "NFDT-DC", Seed: 38,
 		Faults: faults.Spec{Seed: 4, TaskCrashProb: 0.1},
 	}
-	rep, exec, err := p.ExecuteNight(cfg)
+	rep, exec, err := p.ExecuteNightCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -9,7 +10,7 @@ func TestRefitCalibrationReusesConfigurations(t *testing.T) {
 		t.Skip("refit in short mode")
 	}
 	p := testPipeline(40)
-	orig, err := p.RunCalibrationWorkflow(CalibrationConfig{
+	orig, err := p.RunCalibrationWorkflowCtx(context.Background(), CalibrationConfig{
 		State: "VA", Cells: 24, Days: 60,
 		Steps: 400, BurnIn: 200, PosteriorSize: 20, Day: 1,
 	})

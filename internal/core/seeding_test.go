@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cluster"
@@ -31,7 +32,7 @@ func TestSeedsFromSurveillance(t *testing.T) {
 		if s.Day != 0 {
 			t.Fatal("seeds should start at day 0")
 		}
-		if synthpop.StateOfCountyFIPS(int(s.CountyFIPS)) != va.FIPS {
+		if int(s.CountyFIPS)/1000 != va.FIPS {
 			t.Fatal("seed outside state")
 		}
 		total += s.Count
@@ -95,7 +96,7 @@ func TestRunNightsCarryover(t *testing.T) {
 	// Shrink the window so one night cannot hold the calibration load.
 	p.Window = cluster.Window{StartHour: 0, EndHour: 2}
 	spec := TableI()[2] // Calibration: 15300 sims
-	reports, err := p.RunNights(spec, "FFDT-DC", 10, 3)
+	reports, err := p.RunNightsCtx(context.Background(), spec, "FFDT-DC", 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +128,14 @@ func TestRunNightsExhaustion(t *testing.T) {
 	p := testPipeline(21)
 	p.Window = cluster.Window{StartHour: 0, EndHour: 1}
 	spec := TableI()[2]
-	if _, err := p.RunNights(spec, "FFDT-DC", 1, 3); err == nil {
+	if _, err := p.RunNightsCtx(context.Background(), spec, "FFDT-DC", 1, 3); err == nil {
 		t.Fatal("one short night should not finish the calibration workload")
 	}
 }
 
 func TestRunNightsBadHeuristic(t *testing.T) {
 	p := testPipeline(22)
-	if _, err := p.RunNights(TableI()[1], "bogus", 2, 1); err == nil {
+	if _, err := p.RunNightsCtx(context.Background(), TableI()[1], "bogus", 2, 1); err == nil {
 		t.Fatal("bogus heuristic accepted")
 	}
 }

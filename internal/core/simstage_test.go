@@ -96,8 +96,8 @@ func TestJobErrorCarriesIndex(t *testing.T) {
 		Configs:    []Params{{TAU: 0.25, SYMP: 0.65}, {TAU: -1, SYMP: 0.65}},
 		Replicates: 1, Days: 12,
 	}
-	_, predErr := p.RunPredictionWorkflow(cfg)
-	_, whatIfErr := p.RunWhatIfScenarios(cfg, []WhatIf{{Name: "noop"}})
+	_, predErr := p.RunPredictionWorkflowCtx(context.Background(), cfg)
+	_, whatIfErr := p.RunWhatIfScenariosCtx(context.Background(), cfg, []WhatIf{{Name: "noop"}})
 	for name, err := range map[string]error{"prediction": predErr, "what-if": whatIfErr} {
 		if err == nil || !strings.Contains(err.Error(), "core: job 1: ") || !strings.Contains(err.Error(), "negative TAU") {
 			t.Errorf("%s: err = %v, want job 1's negative-TAU failure", name, err)

@@ -154,16 +154,11 @@ func (p *Pipeline) snapshotKey(cfg PredictionConfig, job SimJob, tick int) strin
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// RunWhatIfScenarios simulates the expanded configurations and returns one
-// forecast per scenario, combined with the as-is predictions the caller
+// RunWhatIfScenariosCtx simulates the expanded configurations and returns
+// one forecast per scenario, combined with the as-is predictions the caller
 // already holds. Each scenario runs every configuration with the given
 // replicates; the shared pre-pivot prefix of each (cell, replicate) is
-// simulated once and every scenario branches from its snapshot.
-func (p *Pipeline) RunWhatIfScenarios(cfg PredictionConfig, scenarios []WhatIf) ([]*ScenarioOutcome, error) {
-	return p.RunWhatIfScenariosCtx(context.Background(), cfg, scenarios)
-}
-
-// RunWhatIfScenariosCtx is RunWhatIfScenarios under a context: work is
+// simulated once and every scenario branches from its snapshot. Work is
 // dispatched in simulation-sized units and the dispatcher checks ctx, so
 // cancellation costs at most the in-flight simulations.
 func (p *Pipeline) RunWhatIfScenariosCtx(ctx context.Context, cfg PredictionConfig, scenarios []WhatIf) ([]*ScenarioOutcome, error) {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/castore"
 	"repro/internal/disease"
 	"repro/internal/epihiper"
 	"repro/internal/output"
@@ -74,7 +75,7 @@ func TestRunWhatIfScenarios(t *testing.T) {
 		{Name: "sh-lifted-early", SHEndShift: -30},
 		{Name: "better-compliance", ComplianceScale: 1.6},
 	}
-	outs, err := p.RunWhatIfScenarios(cfg, scenarios)
+	outs, err := p.RunWhatIfScenariosCtx(context.Background(), cfg, scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +111,10 @@ func TestRunWhatIfScenarios(t *testing.T) {
 
 func TestRunWhatIfValidation(t *testing.T) {
 	p := testPipeline(31)
-	if _, err := p.RunWhatIfScenarios(PredictionConfig{State: "VA"}, StandardWhatIfs()); err == nil {
+	if _, err := p.RunWhatIfScenariosCtx(context.Background(), PredictionConfig{State: "VA"}, StandardWhatIfs()); err == nil {
 		t.Error("no configs accepted")
 	}
-	if _, err := p.RunWhatIfScenarios(PredictionConfig{
+	if _, err := p.RunWhatIfScenariosCtx(context.Background(), PredictionConfig{
 		State: "VA", Configs: []Params{{TAU: 0.2, SYMP: 0.6}},
 	}, nil); err == nil {
 		t.Error("no scenarios accepted")
@@ -196,7 +197,7 @@ func TestWhatIfSharedMatchesUnshared(t *testing.T) {
 		{Name: "early-pivot", PivotDay: 10, ComplianceScale: 1.4},
 		{Name: "late-pivot", PivotDay: 25, AddTesting: 0.2},
 	}
-	shared, err := p.RunWhatIfScenarios(cfg, scenarios)
+	shared, err := p.RunWhatIfScenariosCtx(context.Background(), cfg, scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestWhatIfSharedMatchesUnshared(t *testing.T) {
 			t.Errorf("scenario %q: shared and unshared forecasts differ", shared[i].Scenario.Name)
 		}
 	}
-	if st := p.SnapshotStats(); st.Misses == 0 {
+	if st := p.snapshotStats(); st.Misses == 0 {
 		t.Error("shared run recorded no snapshot misses; the prefix walk never ran")
 	}
 }
@@ -228,19 +229,19 @@ func TestWhatIfSnapshotCacheReuse(t *testing.T) {
 		{Name: "a", SHEndShift: -5},
 		{Name: "b", ComplianceScale: 1.3},
 	}
-	first, err := p.RunWhatIfScenarios(cfg, scenarios)
+	first, err := p.RunWhatIfScenariosCtx(context.Background(), cfg, scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st1 := p.SnapshotStats()
+	st1 := p.snapshotStats()
 	if st1.Misses == 0 || st1.Entries == 0 {
 		t.Fatalf("first call should miss and populate the store: %+v", st1)
 	}
-	second, err := p.RunWhatIfScenarios(cfg, scenarios)
+	second, err := p.RunWhatIfScenariosCtx(context.Background(), cfg, scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2 := p.SnapshotStats()
+	st2 := p.snapshotStats()
 	if st2.Misses != st1.Misses {
 		t.Errorf("second call re-simulated prefixes: misses %d -> %d", st1.Misses, st2.Misses)
 	}
@@ -264,15 +265,15 @@ func TestWhatIfCacheDisabled(t *testing.T) {
 	scenarios := []WhatIf{{Name: "a", SHEndShift: -5}, {Name: "b", AddTesting: 0.15}}
 
 	nocache := NewPipeline(79, WithScale(40000), WithParallelism(2), WithSnapshotCacheBytes(0))
-	got, err := nocache.RunWhatIfScenarios(cfg, scenarios)
+	got, err := nocache.RunWhatIfScenariosCtx(context.Background(), cfg, scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := nocache.SnapshotStats(); st.Entries != 0 || st.Hits != 0 {
+	if st := nocache.snapshotStats(); st.Entries != 0 || st.Hits != 0 {
 		t.Errorf("disabled store has activity: %+v", st)
 	}
 	cached := NewPipeline(79, WithScale(40000), WithParallelism(2))
-	want, err := cached.RunWhatIfScenarios(cfg, scenarios)
+	want, err := cached.RunWhatIfScenariosCtx(context.Background(), cfg, scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,4 +295,13 @@ func TestWhatIfCanceledContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// snapshotStats reports the what-if checkpoint store counters (zero value
+// when snapshot caching is disabled).
+func (p *Pipeline) snapshotStats() castore.Stats {
+	if p.snapshots == nil {
+		return castore.Stats{}
+	}
+	return p.snapshots.Stats()
 }

@@ -166,16 +166,11 @@ type CalibrationOutcome struct {
 	MeanSigmaDelta, MeanSigmaEps float64
 }
 
-// RunCalibrationWorkflow executes Figure 4 end to end: LHS prior design →
-// EpiHiper simulations for every cell → aggregation to logged cumulative
-// confirmed-case curves → GP-emulator Bayesian calibration against the
-// ground truth → posterior configurations.
-func (p *Pipeline) RunCalibrationWorkflow(cfg CalibrationConfig) (*CalibrationOutcome, error) {
-	return p.RunCalibrationWorkflowCtx(context.Background(), cfg)
-}
-
-// RunCalibrationWorkflowCtx is RunCalibrationWorkflow under a context:
-// cancelling ctx stops the simulation fan-out and skips the MCMC fit.
+// RunCalibrationWorkflowCtx executes Figure 4 end to end: LHS prior
+// design → EpiHiper simulations for every cell → aggregation to logged
+// cumulative confirmed-case curves → GP-emulator Bayesian calibration
+// against the ground truth → posterior configurations. Cancelling ctx stops
+// the simulation fan-out and skips the MCMC fit.
 func (p *Pipeline) RunCalibrationWorkflowCtx(ctx context.Context, cfg CalibrationConfig) (*CalibrationOutcome, error) {
 	cfg.fillDefaults()
 	ctx, sp := obs.StartSpan(ctx, "workflow.calibration",
@@ -325,7 +320,7 @@ func (p *Pipeline) RefitCalibration(prev *CalibrationOutcome, newDays int) (*Cal
 		return nil, err
 	}
 	out.Calibrator = cal
-	post, err := cal.Sample(calib.Config{
+	post, err := cal.SampleCtx(context.Background(), calib.Config{
 		Steps: cfg.Steps, BurnIn: cfg.BurnIn, Seed: p.Seed ^ 0x9057E7107 ^ uint64(newDays),
 		SigmaDeltaMax: cfg.SigmaDeltaMax,
 		Chains:        cfg.Chains, Parallelism: cfg.ChainParallelism,
@@ -387,14 +382,9 @@ type PredictionOutcome struct {
 	Sims         []*SimOutput
 }
 
-// RunPredictionWorkflow executes Figure 5: simulate every calibrated
+// RunPredictionWorkflowCtx executes Figure 5: simulate every calibrated
 // configuration with replicates, aggregate, and quantify uncertainty.
-func (p *Pipeline) RunPredictionWorkflow(cfg PredictionConfig) (*PredictionOutcome, error) {
-	return p.RunPredictionWorkflowCtx(context.Background(), cfg)
-}
-
-// RunPredictionWorkflowCtx is RunPredictionWorkflow under a context:
-// cancelling ctx stops the replicate fan-out and returns ctx.Err().
+// Cancelling ctx stops the replicate fan-out and returns ctx.Err().
 func (p *Pipeline) RunPredictionWorkflowCtx(ctx context.Context, cfg PredictionConfig) (*PredictionOutcome, error) {
 	if len(cfg.Configs) == 0 {
 		return nil, fmt.Errorf("core: prediction needs calibrated configs")
@@ -519,14 +509,9 @@ func (cfg CounterfactualConfig) FactorialCells() []Cell {
 	return out
 }
 
-// RunCounterfactualWorkflow executes Figure 3: the factorial design across
-// the given regions with replicates.
-func (p *Pipeline) RunCounterfactualWorkflow(cfg CounterfactualConfig) (*CounterfactualOutcome, error) {
-	return p.RunCounterfactualWorkflowCtx(context.Background(), cfg)
-}
-
-// RunCounterfactualWorkflowCtx is RunCounterfactualWorkflow under a
-// context, cancellable between cells and between jobs within a cell.
+// RunCounterfactualWorkflowCtx executes Figure 3: the factorial design
+// across the given regions with replicates, cancellable between cells and
+// between jobs within a cell.
 func (p *Pipeline) RunCounterfactualWorkflowCtx(ctx context.Context, cfg CounterfactualConfig) (*CounterfactualOutcome, error) {
 	if len(cfg.States) == 0 {
 		return nil, fmt.Errorf("core: counterfactual needs states")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/econ"
@@ -26,7 +27,7 @@ func TestCalibrationWorkflowEndToEnd(t *testing.T) {
 		t.Skip("end-to-end calibration in short mode")
 	}
 	p := testPipeline(10)
-	out, err := p.RunCalibrationWorkflow(calibTestConfig())
+	out, err := p.RunCalibrationWorkflowCtx(context.Background(), calibTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +61,16 @@ func TestCalibrationWorkflowEndToEnd(t *testing.T) {
 			stats.StdDev(postTau), stats.StdDev(priorTau))
 	}
 	// Transfer accounting: configs out, summaries back.
-	if p.Ledger.DayBytes(1, transfer.HomeToRemote) == 0 {
+	dayOne := map[transfer.Direction]int64{}
+	for _, r := range p.Ledger.Records {
+		if r.Day == 1 {
+			dayOne[r.Direction] += r.Bytes
+		}
+	}
+	if dayOne[transfer.HomeToRemote] == 0 {
 		t.Fatal("no config transfer recorded")
 	}
-	if p.Ledger.DayBytes(1, transfer.RemoteToHome) == 0 {
+	if dayOne[transfer.RemoteToHome] == 0 {
 		t.Fatal("no summary transfer recorded")
 	}
 }
@@ -78,7 +85,7 @@ func TestPredictionWorkflowEndToEnd(t *testing.T) {
 		{TAU: 0.24, SYMP: 0.65, SHCompliance: 0.5, VHICompliance: 0.3},
 		{TAU: 0.28, SYMP: 0.55, SHCompliance: 0.3, VHICompliance: 0.5},
 	}
-	out, err := p.RunPredictionWorkflow(PredictionConfig{
+	out, err := p.RunPredictionWorkflowCtx(context.Background(), PredictionConfig{
 		State: "VA", Configs: configs, Replicates: 4, Days: 60, Day: 2,
 	})
 	if err != nil {
@@ -109,7 +116,7 @@ func TestPredictionWorkflowEndToEnd(t *testing.T) {
 	if len(out.CountyMedian) < 10 {
 		t.Fatalf("only %d county forecasts", len(out.CountyMedian))
 	}
-	if _, err := p.RunPredictionWorkflow(PredictionConfig{State: "VA"}); err == nil {
+	if _, err := p.RunPredictionWorkflowCtx(context.Background(), PredictionConfig{State: "VA"}); err == nil {
 		t.Fatal("prediction without configs accepted")
 	}
 }
@@ -131,7 +138,7 @@ func TestCounterfactualWorkflowEndToEnd(t *testing.T) {
 		SHStart:        10,
 		Day:            3,
 	}
-	out, err := p.RunCounterfactualWorkflow(cfg)
+	out, err := p.RunCounterfactualWorkflowCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +178,10 @@ func TestCounterfactualWorkflowEndToEnd(t *testing.T) {
 		t.Logf("warning: strong NPI (%d attended) not below weak (%d) — small-sample noise",
 			strong.AttendedCases, weak.AttendedCases)
 	}
-	if _, err := p.RunCounterfactualWorkflow(CounterfactualConfig{}); err == nil {
+	if _, err := p.RunCounterfactualWorkflowCtx(context.Background(), CounterfactualConfig{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	if _, err := p.RunCounterfactualWorkflow(CounterfactualConfig{States: []string{"RI"}}); err == nil {
+	if _, err := p.RunCounterfactualWorkflowCtx(context.Background(), CounterfactualConfig{States: []string{"RI"}}); err == nil {
 		t.Fatal("empty factorial accepted")
 	}
 }

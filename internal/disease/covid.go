@@ -176,27 +176,6 @@ func COVID19() *Model {
 	return m
 }
 
-// COVID19Waning returns the COVID-19 model with waning immunity: Recovered
-// individuals return to the susceptible RxFailure state (Table IV gives
-// RxFailure susceptibility 1.0) after a dwell of waningDays ± 20%. This is
-// the model variant behind reinfection and endemic-regime studies — the
-// paper's conclusion anticipates "a second, or possibly third, wave".
-func COVID19Waning(waningDays float64) *Model {
-	m := COVID19()
-	m.Name = "covid19-waning"
-	if waningDays <= 0 {
-		waningDays = 180
-	}
-	m.AddTransition(Transition{
-		From: Recovered, To: RxFailure,
-		Prob: uniformProb(1),
-		Dwell: uniformDwell(stats.TruncNormal{
-			Mean: waningDays, SD: 0.2 * waningDays, Lo: 7, Hi: 5 * waningDays,
-		}),
-	})
-	return m
-}
-
 // SIR returns the minimal three-state model of Appendix A, useful for tests
 // and for the illustrative five-person example of Figure 11. The infectious
 // period is geometric-ish via a fixed dwell of the given days.
@@ -208,30 +187,6 @@ func SIR(transmissibility float64, infectiousDays float64) *Model {
 	}
 	m.Attrs[Susceptible] = StateAttr{Susceptibility: 1}
 	m.Attrs[Symptomatic] = StateAttr{Infectivity: 1}
-	m.AddTransition(Transition{
-		From: Symptomatic, To: Recovered,
-		Prob:  uniformProb(1),
-		Dwell: uniformDwell(stats.Fixed{V: infectiousDays}),
-	})
-	return m
-}
-
-// SEIR returns a four-state model (Susceptible → Exposed → Symptomatic →
-// Recovered) used by unit tests and by cross-checks against the
-// metapopulation model.
-func SEIR(transmissibility, latentDays, infectiousDays float64) *Model {
-	m := &Model{
-		Name:             "seir",
-		Transmissibility: transmissibility,
-		ExposedState:     Exposed,
-	}
-	m.Attrs[Susceptible] = StateAttr{Susceptibility: 1}
-	m.Attrs[Symptomatic] = StateAttr{Infectivity: 1}
-	m.AddTransition(Transition{
-		From: Exposed, To: Symptomatic,
-		Prob:  uniformProb(1),
-		Dwell: uniformDwell(stats.Fixed{V: latentDays}),
-	})
 	m.AddTransition(Transition{
 		From: Symptomatic, To: Recovered,
 		Prob:  uniformProb(1),

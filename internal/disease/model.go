@@ -151,9 +151,6 @@ func (m *Model) AddTransition(t Transition) {
 // mutate).
 func (m *Model) Transitions(s State) []Transition { return m.transitions[s] }
 
-// IsTerminal reports whether s has no out-transitions.
-func (m *Model) IsTerminal(s State) bool { return len(m.transitions[s]) == 0 }
-
 // IsInfectious reports whether s can transmit.
 func (m *Model) IsInfectious(s State) bool { return m.Attrs[s].Infectivity > 0 }
 
@@ -264,15 +261,4 @@ func (m *Model) Clone() *Model {
 		c.transitions[s] = append([]Transition(nil), m.transitions[s]...)
 	}
 	return c
-}
-
-// InfectiousStates returns the states with positive infectivity.
-func (m *Model) InfectiousStates() []State {
-	var out []State
-	for s := State(0); s < NumStates; s++ {
-		if m.IsInfectious(s) {
-			out = append(out, s)
-		}
-	}
-	return out
 }

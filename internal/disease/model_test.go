@@ -71,16 +71,21 @@ func TestDiseaseModelMatchesPaper(t *testing.T) {
 func TestFig12ModelStructure(t *testing.T) {
 	m := COVID19()
 	for _, s := range []State{Recovered, Dead} {
-		if !m.IsTerminal(s) {
+		if !terminal(m, s) {
 			t.Errorf("%v should be terminal", s)
 		}
 	}
 	for _, s := range []State{Exposed, Symptomatic, Hospitalized, HospitalizedD} {
-		if m.IsTerminal(s) {
+		if terminal(m, s) {
 			t.Errorf("%v should not be terminal", s)
 		}
 	}
-	inf := m.InfectiousStates()
+	var inf []State
+	for s := State(0); s < NumStates; s++ {
+		if m.IsInfectious(s) {
+			inf = append(inf, s)
+		}
+	}
 	if len(inf) != 3 {
 		t.Fatalf("infectious states %v want exactly {Presymptomatic, Symptomatic, Asymptomatic}", inf)
 	}
@@ -88,7 +93,7 @@ func TestFig12ModelStructure(t *testing.T) {
 	visited := map[State]bool{}
 	var reachTerminal func(s State) bool
 	reachTerminal = func(s State) bool {
-		if m.IsTerminal(s) {
+		if terminal(m, s) {
 			return true
 		}
 		if visited[s] {
@@ -256,11 +261,8 @@ func TestValidateCatchesSusceptibleExposedState(t *testing.T) {
 	}
 }
 
-func TestSIRAndSEIRValidate(t *testing.T) {
+func TestSIRValidates(t *testing.T) {
 	if err := SIR(0.2, 4).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := SEIR(0.2, 2, 4).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -274,10 +276,10 @@ func TestCloneIndependence(t *testing.T) {
 	if m.Transmissibility != 0.18 {
 		t.Fatal("clone mutated original transmissibility")
 	}
-	if !m.IsTerminal(Recovered) {
+	if !terminal(m, Recovered) {
 		t.Fatal("clone mutated original transitions")
 	}
-	if c.IsTerminal(Recovered) {
+	if terminal(c, Recovered) {
 		t.Fatal("clone did not take new transition")
 	}
 }
@@ -293,3 +295,6 @@ func TestStateStrings(t *testing.T) {
 		t.Error("age group names wrong")
 	}
 }
+
+// terminal reports whether s has no out-transitions in m.
+func terminal(m *Model, s State) bool { return len(m.Transitions(s)) == 0 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/disease"
 	"repro/internal/synthpop"
 )
 
@@ -65,7 +64,7 @@ func TestInfectiousCountersUnderWaning(t *testing.T) {
 	net := testNetwork(t, 71)
 	cfg := baseConfig(net, 5100)
 	cfg.Days = 150
-	cfg.Model = disease.COVID19Waning(25)
+	cfg.Model = covid19Waning(25)
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -243,7 +243,7 @@ func TestTargetInStateAndTraitAbove(t *testing.T) {
 		t.Fatal("no exposed persons found after seeding")
 	}
 	for _, pid := range exposed {
-		if sim.Health(pid) != disease.Exposed {
+		if sim.health[pid] != disease.Exposed {
 			t.Fatal("target selected wrong state")
 		}
 	}

@@ -53,7 +53,7 @@ func fig11Run(t *testing.T, seed uint64, ivs []Intervention) map[int32]bool {
 	}
 	_ = res
 	for pid := int32(0); pid < 5; pid++ {
-		if sim.Health(pid) != disease.Susceptible {
+		if sim.health[pid] != disease.Susceptible {
 			infected[pid] = true
 		}
 	}

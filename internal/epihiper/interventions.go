@@ -84,10 +84,6 @@ type StayAtHome struct {
 // Name implements Intervention.
 func (sh *StayAtHome) Name() string { return "SH" }
 
-// Compliant returns the IDs of persons complying with the order (valid
-// after StartDay has passed).
-func (sh *StayAtHome) Compliant() []int32 { return sh.compliant }
-
 // EncodeState implements InterventionState (the compliant set).
 func (sh *StayAtHome) EncodeState() []byte { return encodeI32s(sh.compliant) }
 
@@ -458,14 +454,6 @@ func (t *Triggered) Name() string { return t.Label }
 func (t *Triggered) Step(s *Sim, day int, r *stats.RNG) {
 	if t.When != nil && t.When(s, day) {
 		t.Do(s, day, r)
-	}
-}
-
-// PrevalenceAbove builds a trigger that fires when the current occupancy of
-// a state exceeds a fraction of the population.
-func PrevalenceAbove(st disease.State, frac float64) func(*Sim, int) bool {
-	return func(s *Sim, day int) bool {
-		return float64(s.CurrentCount(st)) > frac*float64(s.net.NumNodes())
 	}
 }
 

@@ -112,7 +112,7 @@ func TestPartialReopenReleasesSome(t *testing.T) {
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	compliant := sh.Compliant()
+	compliant := sh.compliant
 	if len(compliant) == 0 {
 		t.Fatal("no compliant persons sampled")
 	}
@@ -284,11 +284,11 @@ func TestMaskMandateRestoresWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range nonHomeContexts {
-		if sim.ContextWeight(c) != 1 {
-			t.Fatalf("context %v weight %v not restored", c, sim.ContextWeight(c))
+		if sim.ctxWeight[c] != 1 {
+			t.Fatalf("context %v weight %v not restored", c, sim.ctxWeight[c])
 		}
 	}
-	if sim.ContextWeight(synthpop.CtxHome) != 1 {
+	if sim.ctxWeight[synthpop.CtxHome] != 1 {
 		t.Fatal("home weight should never change")
 	}
 }
@@ -300,7 +300,7 @@ func TestSetContextWeightClamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.SetContextWeight(synthpop.CtxWork, -3)
-	if sim.ContextWeight(synthpop.CtxWork) != 0 {
+	if sim.ctxWeight[synthpop.CtxWork] != 0 {
 		t.Fatal("negative weight not clamped to 0")
 	}
 }
@@ -313,14 +313,14 @@ func TestIsolationConfinesToHome(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Isolate(0, 10)
-	if !sim.IsIsolated(0) {
+	if !sim.isIsolated(0) {
 		t.Fatal("person not isolated")
 	}
 	if sim.effMask(0) != homeOnlyMask {
 		t.Fatalf("isolated mask %b want home-only", sim.effMask(0))
 	}
 	sim.day = 10
-	if sim.IsIsolated(0) {
+	if sim.isIsolated(0) {
 		t.Fatal("isolation did not expire")
 	}
 	if sim.effMask(0) != allContexts {
@@ -395,3 +395,6 @@ func TestInterventionsDeterministic(t *testing.T) {
 }
 
 var _ = disease.Dead // silence potential unused import in refactors
+
+// isIsolated reports whether the person is currently isolated.
+func (s *Sim) isIsolated(pid int32) bool { return int32(s.day) < s.isolatedUntil[pid] }

@@ -274,7 +274,7 @@ func refWorlds(tb testing.TB) []refWorld {
 		{"generated", net, lively, 40},
 		{"reweighted", heavy, lively, 40},
 		{"waning", net, func() *disease.Model {
-			m := disease.COVID19Waning(8)
+			m := covid19Waning(8)
 			m.Transmissibility = 0.45
 			return m
 		}, 70},
@@ -464,7 +464,7 @@ func FuzzKernelMatchesReference(f *testing.F) {
 			t.Fatalf("fuzz network invalid: %v", err)
 		}
 		w := refWorld{name: "fuzz", net: net, days: 25, model: func() *disease.Model {
-			m := disease.COVID19Waning(7)
+			m := covid19Waning(7)
 			m.Transmissibility = 0.4
 			return m
 		}}

@@ -81,9 +81,8 @@ type Config struct {
 	// InterventionsFactory, when set, builds a fresh intervention stack
 	// per simulation. Several interventions are stateful (StayAtHome
 	// retains its compliant set, PulsingShutdown its pulse state), so
-	// concurrent replicates must not share instances; RunReplicates uses
-	// the factory to parallelize safely and falls back to sequential
-	// execution when only shared Interventions are given.
+	// concurrent replicates must not share instances; New builds the stack
+	// from the factory when Interventions is nil.
 	InterventionsFactory func() []Intervention
 	// DB optionally supplies the population at start-up, exercising the
 	// bounded-connection database path of the production workflow. When
@@ -656,12 +655,6 @@ func (s *Sim) Model() *disease.Model { return s.model }
 // Network returns the contact network.
 func (s *Sim) Network() *synthpop.Network { return s.net }
 
-// Health returns the health state of a person.
-func (s *Sim) Health(pid int32) disease.State { return s.health[pid] }
-
-// CurrentCount returns the number of persons currently in the state.
-func (s *Sim) CurrentCount(st disease.State) int { return s.currentByState[st] }
-
 // CumulativeCount returns the number of entries into the state so far.
 func (s *Sim) CumulativeCount(st disease.State) int64 { return s.cumByState[st] }
 
@@ -687,9 +680,6 @@ func (s *Sim) SetContextWeight(ctx synthpop.Context, factor float64) {
 	}
 	s.ctxWeight[ctx] = factor
 }
-
-// ContextWeight returns the current weight factor of a context.
-func (s *Sim) ContextWeight(ctx synthpop.Context) float64 { return s.ctxWeight[ctx] }
 
 // SetGlobalContext enables or disables a context network-wide. A call that
 // leaves the mask unchanged (interventions re-assert their context state
@@ -725,9 +715,6 @@ func (s *Sim) Isolate(pid int32, untilDay int) {
 		}
 	}
 }
-
-// IsIsolated reports whether the person is currently isolated.
-func (s *Sim) IsIsolated(pid int32) bool { return int32(s.day) < s.isolatedUntil[pid] }
 
 // SetSusceptibility sets a person's susceptibility scaling factor.
 func (s *Sim) SetSusceptibility(pid int32, v float64) { s.susceptibilityScale[pid] = float32(v) }

@@ -1,9 +1,14 @@
 package epihiper
 
 import (
+	"context"
+	"runtime"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/disease"
+	"repro/internal/obs"
 	"repro/internal/popdb"
 	"repro/internal/stats"
 	"repro/internal/synthpop"
@@ -362,7 +367,7 @@ func TestRunReplicatesEnsemble(t *testing.T) {
 	net := testNetwork(t, 13)
 	cfg := baseConfig(net, 61)
 	cfg.Days = 40
-	results, err := RunReplicates(cfg, 6)
+	results, err := runReplicates(context.Background(), cfg, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +381,7 @@ func TestRunReplicatesEnsemble(t *testing.T) {
 	if len(distinct) < 2 {
 		t.Fatal("replicates not stochastic")
 	}
-	qs := EnsembleQuantiles(results, disease.Symptomatic, 0.025, 0.5, 0.975)
+	qs := ensembleQuantiles(results, disease.Symptomatic, 0.025, 0.5, 0.975)
 	for d := 0; d < cfg.Days; d++ {
 		if qs[0][d] > qs[1][d] || qs[1][d] > qs[2][d] {
 			t.Fatalf("quantiles not ordered on day %d: %v %v %v", d, qs[0][d], qs[1][d], qs[2][d])
@@ -402,7 +407,7 @@ func TestRunReplicatesInterventionFactory(t *testing.T) {
 	cfg := baseConfig(net, 81)
 	cfg.Days = 40
 	cfg.InterventionsFactory = mk
-	parallel, err := RunReplicates(cfg, 4)
+	parallel, err := runReplicates(context.Background(), cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +416,7 @@ func TestRunReplicatesInterventionFactory(t *testing.T) {
 	cfg2 := baseConfig(net, 81)
 	cfg2.Days = 40
 	cfg2.Interventions = mk()
-	sequential, err := RunReplicates(cfg2, 4)
+	sequential, err := runReplicates(context.Background(), cfg2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +429,7 @@ func TestRunReplicatesInterventionFactory(t *testing.T) {
 }
 
 func TestEnsembleQuantilesEmpty(t *testing.T) {
-	if EnsembleQuantiles(nil, disease.Symptomatic, 0.5) != nil {
+	if ensembleQuantiles(nil, disease.Symptomatic, 0.5) != nil {
 		t.Fatal("empty ensemble should be nil")
 	}
 }
@@ -446,7 +451,7 @@ func TestVarsAndTriggered(t *testing.T) {
 	cfg.Interventions = []Intervention{
 		&Triggered{
 			Label: "threshold",
-			When:  PrevalenceAbove(disease.Symptomatic, 0.01),
+			When:  prevalenceAbove(disease.Symptomatic, 0.01),
 			Do: func(s *Sim, day int, r *stats.RNG) {
 				if fired < 0 {
 					fired = day
@@ -477,4 +482,165 @@ func TestOnDayTrigger(t *testing.T) {
 	if !OnDay(5)(nil, 5) || OnDay(5)(nil, 4) {
 		t.Fatal("OnDay trigger wrong")
 	}
+}
+
+// prevalenceAbove builds a trigger that fires when the current occupancy of
+// a state exceeds a fraction of the population.
+func prevalenceAbove(st disease.State, frac float64) func(*Sim, int) bool {
+	return func(s *Sim, day int) bool {
+		return float64(s.currentByState[st]) > frac*float64(s.net.NumNodes())
+	}
+}
+
+// ensembleQuantiles computes pointwise quantiles of the cumulative series
+// of a state across replicate results.
+func ensembleQuantiles(results []*Result, st disease.State, qs ...float64) [][]float64 {
+	if len(results) == 0 {
+		return nil
+	}
+	days := results[0].Days
+	out := make([][]float64, len(qs))
+	for i := range out {
+		out[i] = make([]float64, days)
+	}
+	series := make([][]float64, len(results))
+	for i, r := range results {
+		series[i] = r.cumulativeInto(st)
+	}
+	vals := make([]float64, len(results))
+	for d := 0; d < days; d++ {
+		for i := range series {
+			vals[i] = series[i][d]
+		}
+		sort.Float64s(vals)
+		for qi, q := range qs {
+			out[qi][d] = sortedQuantile(vals, q)
+		}
+	}
+	return out
+}
+
+func sortedQuantile(s []float64, q float64) float64 {
+	if len(s) == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return s[0]
+	}
+	if q >= 1 {
+		return s[len(s)-1]
+	}
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if lo+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[lo]*(1-frac) + s[lo+1]*frac
+}
+
+// cumulativeInto returns the cumulative daily series of entries into the
+// given state.
+func (r *Result) cumulativeInto(st disease.State) []float64 {
+	out := make([]float64, len(r.Daily))
+	var acc int64
+	for d := range r.Daily {
+		acc += int64(r.Daily[d][st])
+		out[d] = float64(acc)
+	}
+	return out
+}
+
+// runReplicates executes the same configuration with distinct replicate
+// seeds and returns the per-replicate results in replicate order.
+// Replicates run in parallel when that is safe: either the configuration
+// has no interventions, or it supplies InterventionsFactory so each
+// replicate gets fresh (non-shared) intervention state. With only a shared
+// Interventions slice, replicates run sequentially to avoid racing on
+// stateful interventions. Parallel fan-out is bounded by a worker pool of
+// GOMAXPROCS goroutines — each replicate holds per-person state for the
+// whole network, so unbounded fan-out at production replicate counts
+// multiplies peak memory for no throughput gain. It runs under an
+// "epihiper.replicates" span with one child span per replicate; tracing
+// reads only the tracer's clock, never the simulation RNG, so results are
+// bit-identical with or without a tracer.
+func runReplicates(ctx context.Context, cfg Config, replicates int) ([]*Result, error) {
+	ctx, sp := obs.StartSpan(ctx, "epihiper.replicates",
+		obs.Int("replicates", int64(replicates)), obs.Int("days", int64(cfg.Days)))
+	defer sp.End()
+	results := make([]*Result, replicates)
+	errs := make([]error, replicates)
+	runOne := func(rep int) {
+		_, rsp := obs.StartSpan(ctx, "epihiper.replicate", obs.Int("replicate", int64(rep)))
+		defer rsp.End()
+		c := cfg
+		c.Seed = cfg.Seed + uint64(rep)*0x9E3779B97F4A7C15
+		c.Recorder = nil // recorders are not safe across replicate goroutines
+		if cfg.InterventionsFactory != nil {
+			c.Interventions = cfg.InterventionsFactory()
+		}
+		sim, err := New(c)
+		if err != nil {
+			errs[rep] = err
+			return
+		}
+		results[rep], errs[rep] = sim.Run()
+		if results[rep] != nil {
+			rsp.SetAttr(obs.Int("infections", results[rep].TotalInfections))
+		}
+	}
+	parallelSafe := cfg.Interventions == nil || cfg.InterventionsFactory != nil
+	var ctxErr error
+	if parallelSafe {
+		workers := runtime.GOMAXPROCS(0)
+		if workers > replicates {
+			workers = replicates
+		}
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := range jobs {
+					runOne(rep)
+				}
+			}()
+		}
+		// The dispatch loop watches the context: a cancelled client (an
+		// episerve disconnect) must not keep queueing replicates behind
+		// the ones already in flight. In-flight replicates drain before
+		// return so no sim outlives the call.
+		for rep := 0; rep < replicates; rep++ {
+			if ctxErr = ctx.Err(); ctxErr != nil {
+				break
+			}
+			select {
+			case jobs <- rep:
+			case <-ctx.Done():
+				ctxErr = ctx.Err()
+			}
+			if ctxErr != nil {
+				break
+			}
+		}
+		close(jobs)
+		wg.Wait()
+	} else {
+		for rep := 0; rep < replicates; rep++ {
+			if ctxErr = ctx.Err(); ctxErr != nil {
+				break
+			}
+			runOne(rep)
+		}
+	}
+	if ctxErr != nil {
+		return nil, ctxErr
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }

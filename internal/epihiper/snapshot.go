@@ -542,6 +542,3 @@ func (s *Sim) SwapInterventions(ivs []Intervention) {
 		s.applyInterventionState(st.name, st.data)
 	}
 }
-
-// RanTo returns the number of completed simulation days.
-func (s *Sim) RanTo() int { return s.ranTo }

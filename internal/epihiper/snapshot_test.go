@@ -183,8 +183,8 @@ func TestSnapshotEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if simB.RanTo() != pivot {
-				t.Fatalf("restored sim at day %d, want %d", simB.RanTo(), pivot)
+			if simB.ranTo != pivot {
+				t.Fatalf("restored sim at day %d, want %d", simB.ranTo, pivot)
 			}
 			resSplit, err := simB.RunSuffix(preRes)
 			if err != nil {
@@ -483,12 +483,12 @@ func TestSwapInterventionsTransfersState(t *testing.T) {
 	if _, err := sim.RunPrefix(10); err != nil {
 		t.Fatal(err)
 	}
-	if len(sh.Compliant()) == 0 {
+	if len(sh.compliant) == 0 {
 		t.Fatal("no compliant persons sampled; test needs a live SH order")
 	}
 	replacement := &StayAtHome{StartDay: 3, EndDay: 60, Compliance: 0.5}
 	sim.SwapInterventions([]Intervention{replacement})
-	if !reflect.DeepEqual(sh.Compliant(), replacement.Compliant()) {
+	if !reflect.DeepEqual(sh.compliant, replacement.compliant) {
 		t.Error("compliant set not transferred to the replacement stack")
 	}
 }

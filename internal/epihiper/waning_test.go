@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/disease"
+	"repro/internal/stats"
 )
 
 // TestWaningImmunityReinfects exercises the RxFailure path of Table IV:
@@ -14,7 +15,7 @@ func TestWaningImmunityReinfects(t *testing.T) {
 	exposures := map[int32]int{}
 	cfg := baseConfig(net, 4000)
 	cfg.Days = 200
-	cfg.Model = disease.COVID19Waning(25) // fast waning for the test
+	cfg.Model = covid19Waning(25) // fast waning for the test
 	cfg.Recorder = RecorderFunc(func(tick int, pid int32, from, to disease.State, infector int32) {
 		if to == disease.Exposed {
 			exposures[pid]++
@@ -40,7 +41,7 @@ func TestWaningImmunityReinfects(t *testing.T) {
 	// Reinfections must come from the RxFailure state.
 	sawRxFailure := false
 	for pid := int32(0); int(pid) < net.NumNodes(); pid++ {
-		if sim.Health(pid) == disease.RxFailure {
+		if sim.health[pid] == disease.RxFailure {
 			sawRxFailure = true
 			break
 		}
@@ -66,14 +67,36 @@ func TestWaningImmunityReinfects(t *testing.T) {
 }
 
 func TestWaningModelValidates(t *testing.T) {
-	if err := disease.COVID19Waning(0).Validate(); err != nil {
+	if err := covid19Waning(0).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := disease.COVID19Waning(90)
-	if m.IsTerminal(disease.Recovered) {
+	m := covid19Waning(90)
+	if len(m.Transitions(disease.Recovered)) == 0 {
 		t.Fatal("Recovered should wane")
 	}
 	if !m.IsSusceptible(disease.RxFailure) {
 		t.Fatal("RxFailure must be susceptible")
 	}
+}
+
+// covid19Waning returns the COVID-19 model with waning immunity: Recovered
+// individuals return to the susceptible RxFailure state (Table IV gives
+// RxFailure susceptibility 1.0) after a dwell of waningDays ± 20%. This is
+// the model variant behind reinfection and endemic-regime studies — the
+// paper's conclusion anticipates "a second, or possibly third, wave".
+func covid19Waning(waningDays float64) *disease.Model {
+	m := disease.COVID19()
+	m.Name = "covid19-waning"
+	if waningDays <= 0 {
+		waningDays = 180
+	}
+	tr := disease.Transition{From: disease.Recovered, To: disease.RxFailure}
+	for ag := range tr.Prob {
+		tr.Prob[ag] = 1
+		tr.Dwell[ag] = stats.TruncNormal{
+			Mean: waningDays, SD: 0.2 * waningDays, Lo: 7, Hi: 5 * waningDays,
+		}
+	}
+	m.AddTransition(tr)
+	return m
 }

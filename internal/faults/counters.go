@@ -23,11 +23,6 @@ type Counters struct {
 	Shed      atomic.Int64
 }
 
-// Injected returns the total injected fault count across classes.
-func (c *Counters) Injected() int64 {
-	return c.Crashes.Load() + c.DBRefusals.Load() + c.TransferStalls.Load()
-}
-
 // CountersSnapshot is a point-in-time copy of the counters.
 type CountersSnapshot struct {
 	Crashes, DBRefusals, TransferStalls int64

@@ -12,7 +12,7 @@ func normalForecast(t testing.TB, mean, sd float64) *Forecast {
 	t.Helper()
 	var qs []Quantile
 	for _, p := range HubQuantileLevels() {
-		qs = append(qs, Quantile{P: p, V: mean + sd*stats.NormQuantile(p)})
+		qs = append(qs, Quantile{P: p, V: mean + sd*math.Sqrt2*math.Erfinv(2*p-1)})
 	}
 	f, err := NewForecast(qs)
 	if err != nil {

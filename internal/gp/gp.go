@@ -386,15 +386,3 @@ func (m *MultiGP) PredictInto(theta, mean, variance []float64, buf *MultiBuf) {
 		variance[i] = s2
 	}
 }
-
-// PredictWeights returns the basis-weight means and variances at a
-// unit-cube input, used by the calibration likelihood.
-func (m *MultiGP) PredictWeights(theta []float64) (mean, variance []float64) {
-	pEta := len(m.GPs)
-	mean = make([]float64, pEta)
-	variance = make([]float64, pEta)
-	for k, g := range m.GPs {
-		mean[k], variance[k] = g.Predict(theta)
-	}
-	return mean, variance
-}

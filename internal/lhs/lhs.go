@@ -45,50 +45,3 @@ func Sample(r *stats.RNG, n int, ranges []Range) ([][]float64, error) {
 	}
 	return design, nil
 }
-
-// Maximin returns the best of k candidate LHS designs under the maximin
-// inter-point distance criterion, a standard space-filling refinement.
-func Maximin(r *stats.RNG, n int, ranges []Range, k int) ([][]float64, error) {
-	if k <= 0 {
-		k = 1
-	}
-	var best [][]float64
-	bestScore := -1.0
-	for c := 0; c < k; c++ {
-		d, err := Sample(r, n, ranges)
-		if err != nil {
-			return nil, err
-		}
-		// The first candidate is always taken: minPairDist's no-pair
-		// sentinel is -1.0, which `s > bestScore` would never beat for
-		// n == 1 designs, returning a nil design.
-		s := minPairDist(d, ranges)
-		if best == nil || s > bestScore {
-			best, bestScore = d, s
-		}
-	}
-	return best, nil
-}
-
-// minPairDist computes the minimum pairwise distance with each dimension
-// normalized to unit range so no parameter dominates.
-func minPairDist(design [][]float64, ranges []Range) float64 {
-	min := -1.0
-	for i := 0; i < len(design); i++ {
-		for j := i + 1; j < len(design); j++ {
-			d := 0.0
-			for c := range ranges {
-				span := ranges[c].Hi - ranges[c].Lo
-				if span == 0 {
-					continue
-				}
-				diff := (design[i][c] - design[j][c]) / span
-				d += diff * diff
-			}
-			if min < 0 || d < min {
-				min = d
-			}
-		}
-	}
-	return min
-}

@@ -115,61 +115,6 @@ func TestDegenerateRange(t *testing.T) {
 	}
 }
 
-func TestMaximinAtLeastAsSpread(t *testing.T) {
-	ranges := []Range{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}}
-	// Average over several seeds: maximin-of-20 should beat a single draw.
-	winsOrTies := 0
-	const trials = 10
-	for s := uint64(0); s < trials; s++ {
-		r1 := stats.NewRNG(1000 + s)
-		single, err := Sample(r1, 12, ranges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2 := stats.NewRNG(2000 + s)
-		multi, err := Maximin(r2, 12, ranges, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if minPairDist(multi, ranges) >= minPairDist(single, ranges) {
-			winsOrTies++
-		}
-	}
-	if winsOrTies < trials/2 {
-		t.Fatalf("maximin won only %d/%d trials", winsOrTies, trials)
-	}
-}
-
-// Regression: for n == 1 the maximin score of every candidate is the
-// no-pair sentinel (-1.0), which the old `s > bestScore` comparison never
-// beat — Maximin returned a nil design with a nil error.
-func TestMaximinSinglePointDesign(t *testing.T) {
-	r := stats.NewRNG(11)
-	ranges := []Range{{Lo: 0, Hi: 1}, {Lo: -2, Hi: 2}}
-	for _, k := range []int{1, 5} {
-		d, err := Maximin(r, 1, ranges, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(d) != 1 || len(d[0]) != 2 {
-			t.Fatalf("k=%d: n=1 maximin design %v; want one 2-d point", k, d)
-		}
-		for c, rg := range ranges {
-			if d[0][c] < rg.Lo || d[0][c] > rg.Hi {
-				t.Fatalf("point outside range: %v", d[0])
-			}
-		}
-	}
-}
-
-func TestMaximinZeroCandidates(t *testing.T) {
-	r := stats.NewRNG(6)
-	d, err := Maximin(r, 5, []Range{{Lo: 0, Hi: 1}}, 0)
-	if err != nil || len(d) != 5 {
-		t.Fatalf("maximin k=0 fallback failed: %v", err)
-	}
-}
-
 func TestDesignIsSpaceFilling(t *testing.T) {
 	// With n=100 points in 1-d, sorted gaps must all be < 2/n.
 	r := stats.NewRNG(7)

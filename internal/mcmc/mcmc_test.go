@@ -25,8 +25,8 @@ func TestMetropolisRecoversGaussian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m0 := ColumnMean(res.Samples, 0)
-	m1 := ColumnMean(res.Samples, 1)
+	m0 := columnMean(res.Samples, 0)
+	m1 := columnMean(res.Samples, 1)
 	if math.Abs(m0-1) > 0.08 {
 		t.Errorf("mean[0] = %v want 1", m0)
 	}
@@ -35,8 +35,8 @@ func TestMetropolisRecoversGaussian(t *testing.T) {
 	}
 	// Posterior spread roughly matches the target sd (0.2): the central
 	// 95% interval should span ≈ 4 sd.
-	qlo := ColumnQuantile(res.Samples, 0, 0.025)
-	qhi := ColumnQuantile(res.Samples, 0, 0.975)
+	qlo := columnQuantile(res.Samples, 0, 0.025)
+	qhi := columnQuantile(res.Samples, 0, 0.975)
 	span := qhi - qlo
 	if span < 0.5 || span > 1.3 {
 		t.Errorf("95%% span %v want ≈0.78", span)
@@ -122,7 +122,7 @@ func TestDeterministicBySeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ColumnMean(res.Samples, 0)
+		return columnMean(res.Samples, 0)
 	}
 	if run(7) != run(7) {
 		t.Fatal("same seed differs")
@@ -285,10 +285,31 @@ func TestReflectHelper(t *testing.T) {
 }
 
 func TestColumnStatsEmpty(t *testing.T) {
-	if !math.IsNaN(ColumnMean(nil, 0)) {
+	if !math.IsNaN(columnMean(nil, 0)) {
 		t.Fatal("empty mean should be NaN")
 	}
-	if !math.IsNaN(ColumnQuantile(nil, 0, 0.5)) {
+	if !math.IsNaN(columnQuantile(nil, 0, 0.5)) {
 		t.Fatal("empty quantile should be NaN")
 	}
+}
+
+// columnMean returns the mean of one coordinate across samples.
+func columnMean(samples [][]float64, k int) float64 {
+	if len(samples) == 0 {
+		return math.NaN()
+	}
+	s := 0.0
+	for _, x := range samples {
+		s += x[k]
+	}
+	return s / float64(len(samples))
+}
+
+// columnQuantile returns a quantile of one coordinate across samples.
+func columnQuantile(samples [][]float64, k int, q float64) float64 {
+	col := make([]float64, len(samples))
+	for i, x := range samples {
+		col[i] = x[k]
+	}
+	return stats.Quantile(col, q)
 }

@@ -25,7 +25,7 @@ type MultiConfig struct {
 	// pooled in chain order.
 	Parallelism int
 	// RHatMax, when > 0, gates convergence: if any coordinate's split-R̂
-	// exceeds it, RunChains returns the pooled result together with a
+	// exceeds it, RunChainsCtx returns the pooled result together with a
 	// *ConvergenceError instead of silently handing back a bad posterior.
 	RHatMax float64
 	// MinESS, when > 0, additionally requires every coordinate's pooled
@@ -91,19 +91,14 @@ func (e *ConvergenceError) Error() string {
 		worstR, worstK, e.RHatMax, minESS, minK, e.MinESS)
 }
 
-// RunChains runs M over-dispersed Metropolis chains concurrently and pools
-// their post-burn-in draws. newTarget is called once per chain (with the
-// chain index) before any chain starts, so targets may carry per-chain
+// RunChainsCtx runs M over-dispersed Metropolis chains concurrently and
+// pools their post-burn-in draws. newTarget is called once per chain (with
+// the chain index) before any chain starts, so targets may carry per-chain
 // scratch state without synchronization; pass the same function for a
 // stateless target. The result is deterministic for a fixed cfg.Seed at any
-// Parallelism.
-func RunChains(newTarget func(chain int) LogTarget, cfg MultiConfig) (*MultiResult, error) {
-	return RunChainsCtx(context.Background(), newTarget, cfg)
-}
-
-// RunChainsCtx is RunChains under an "mcmc" span with one "mcmc.chain" child
-// per chain and a "calibration.gate" event recording the R̂/ESS verdict.
-// Chain seeding and pooling are untouched by tracing, so the posterior is
+// Parallelism. It runs under an "mcmc" span with one "mcmc.chain" child per
+// chain and a "calibration.gate" event recording the R̂/ESS verdict; chain
+// seeding and pooling are untouched by tracing, so the posterior is
 // bit-identical with or without a tracer on ctx.
 func RunChainsCtx(ctx context.Context, newTarget func(chain int) LogTarget, cfg MultiConfig) (*MultiResult, error) {
 	if newTarget == nil {

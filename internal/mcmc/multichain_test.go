@@ -1,6 +1,7 @@
 package mcmc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -11,7 +12,7 @@ func sharedTarget(t LogTarget) func(int) LogTarget {
 }
 
 func gaussMulti(steps int, chains, parallelism int, rhatMax float64) (*MultiResult, error) {
-	return RunChains(sharedTarget(gaussTarget), MultiConfig{
+	return RunChainsCtx(context.Background(), sharedTarget(gaussTarget), MultiConfig{
 		Config: Config{
 			Init: []float64{0, 0},
 			Lo:   []float64{-3, -3}, Hi: []float64{3, 3},
@@ -32,8 +33,8 @@ func TestRunChainsRecoversGaussian(t *testing.T) {
 	if len(res.Samples) != 4*3000 {
 		t.Fatalf("pooled samples %d want %d", len(res.Samples), 4*3000)
 	}
-	m0 := ColumnMean(res.Samples, 0)
-	m1 := ColumnMean(res.Samples, 1)
+	m0 := columnMean(res.Samples, 0)
+	m1 := columnMean(res.Samples, 1)
 	if math.Abs(m0-1) > 0.08 || math.Abs(m1+0.5) > 0.05 {
 		t.Errorf("pooled means (%v, %v) want (1, -0.5)", m0, m1)
 	}
@@ -121,7 +122,7 @@ func TestRHatGateFiresOnStuckChains(t *testing.T) {
 		// Two needle modes at ±8; a chain cannot cross between them.
 		return math.Log(math.Exp(-0.5*a*a/0.0001) + math.Exp(-0.5*b*b/0.0001) + 1e-300)
 	}
-	res, err := RunChains(sharedTarget(bimodal), MultiConfig{
+	res, err := RunChainsCtx(context.Background(), sharedTarget(bimodal), MultiConfig{
 		Config: Config{
 			Init: []float64{-8},
 			Lo:   []float64{-10}, Hi: []float64{10},
@@ -146,7 +147,7 @@ func TestRHatGateFiresOnStuckChains(t *testing.T) {
 
 func TestRunChainsChainErrorPropagates(t *testing.T) {
 	nan := func([]float64) float64 { return math.NaN() }
-	_, err := RunChains(sharedTarget(nan), MultiConfig{
+	_, err := RunChainsCtx(context.Background(), sharedTarget(nan), MultiConfig{
 		Config: Config{
 			Init: []float64{0.5},
 			Lo:   []float64{0}, Hi: []float64{1},

@@ -142,17 +142,6 @@ func (t *Trajectory) StateCumConfirmed() []float64 {
 	return out
 }
 
-// CountyCumConfirmed returns one county's cumulative confirmed series.
-func (t *Trajectory) CountyCumConfirmed(c int) []float64 {
-	out := make([]float64, t.Days)
-	acc := 0.0
-	for d := 0; d < t.Days; d++ {
-		acc += t.NewConfirmed[c][d]
-		out[d] = acc
-	}
-	return out
-}
-
 // Seed places initial infectious individuals in a county.
 type Seed struct {
 	CountyIndex int

@@ -105,13 +105,13 @@ func TestEpidemicSpreadsAcrossCounties(t *testing.T) {
 	}
 	// Every county eventually sees cases through the coupling.
 	for c := range m.Counties {
-		cum := traj.CountyCumConfirmed(c)
+		cum := traj.countyCumConfirmed(c)
 		if cum[149] <= 0 {
 			t.Fatalf("county %d never infected", c)
 		}
 	}
 	// Seeded county leads early.
-	if traj.CountyCumConfirmed(0)[30] <= traj.CountyCumConfirmed(4)[30] {
+	if traj.countyCumConfirmed(0)[30] <= traj.countyCumConfirmed(4)[30] {
 		t.Fatal("seeded county does not lead")
 	}
 }
@@ -597,4 +597,15 @@ func BenchmarkRunVA(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// countyCumConfirmed returns one county's cumulative confirmed series.
+func (t *Trajectory) countyCumConfirmed(c int) []float64 {
+	out := make([]float64, t.Days)
+	acc := 0.0
+	for d := 0; d < t.Days; d++ {
+		acc += t.NewConfirmed[c][d]
+		out[d] = acc
+	}
+	return out
 }

@@ -158,30 +158,3 @@ func NewUS(cfg NationalConfig) (*Model, error) {
 	}
 	return m, nil
 }
-
-// CountyIndexByFIPS returns the index of a county in the model.
-func (m *Model) CountyIndexByFIPS(fips int32) (int, error) {
-	for i, c := range m.Counties {
-		if c.FIPS == fips {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("metapop: county %d not in model", fips)
-}
-
-// StateCumConfirmedByPrefix sums cumulative confirmed over the counties of
-// one state (by FIPS prefix) — the state-level series of a national run.
-func (t *Trajectory) StateCumConfirmedByPrefix(m *Model, stateFIPS int) []float64 {
-	out := make([]float64, t.Days)
-	for c := range m.Counties {
-		if synthpop.StateOfCountyFIPS(int(m.Counties[c].FIPS)) != stateFIPS {
-			continue
-		}
-		acc := 0.0
-		for d := 0; d < t.Days; d++ {
-			acc += t.NewConfirmed[c][d]
-			out[d] += acc
-		}
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package metapop
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,8 +13,12 @@ func TestNewUSStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Counties) != synthpop.TotalCounties() {
-		t.Fatalf("%d counties want %d", len(m.Counties), synthpop.TotalCounties())
+	counties := 0
+	for _, st := range synthpop.States {
+		counties += st.Counties
+	}
+	if len(m.Counties) != counties {
+		t.Fatalf("%d counties want %d", len(m.Counties), counties)
 	}
 	if m.links == nil {
 		t.Fatal("national model should be sparse")
@@ -45,7 +50,7 @@ func TestNationalEpidemicCrossesStates(t *testing.T) {
 	}
 	// Seed only Washington state's hub (the US epidemic's actual entry).
 	wa, _ := synthpop.StateByCode("WA")
-	hub, err := m.CountyIndexByFIPS(int32(synthpop.CountyFIPS(wa.FIPS, 0)))
+	hub, err := m.countyIndexByFIPS(int32(synthpop.CountyFIPS(wa.FIPS, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,20 +63,24 @@ func TestNationalEpidemicCrossesStates(t *testing.T) {
 	va, _ := synthpop.StateByCode("VA")
 	ny, _ := synthpop.StateByCode("NY")
 	for _, st := range []synthpop.StateInfo{va, ny} {
-		cum := traj.StateCumConfirmedByPrefix(m, st.FIPS)
+		cum := traj.stateCumConfirmedByPrefix(m, st.FIPS)
 		if cum[249] <= 0 {
 			t.Fatalf("state %s never infected", st.Code)
 		}
 	}
 	// The seeded state leads early.
-	waCum := traj.StateCumConfirmedByPrefix(m, wa.FIPS)
-	vaCum := traj.StateCumConfirmedByPrefix(m, va.FIPS)
+	waCum := traj.stateCumConfirmedByPrefix(m, wa.FIPS)
+	vaCum := traj.stateCumConfirmedByPrefix(m, va.FIPS)
 	if waCum[40] <= vaCum[40] {
 		t.Fatal("seeded state does not lead the early epidemic")
 	}
 	// Total remains bounded by the US population.
 	total := traj.StateCumConfirmed()
-	if total[249] > float64(synthpop.USPopulation()) {
+	pop := 0
+	for _, st := range synthpop.States {
+		pop += st.Population
+	}
+	if total[249] > float64(pop) {
 		t.Fatalf("confirmed %v exceeds US population", total[249])
 	}
 }
@@ -150,11 +159,38 @@ func TestCountyIndexByFIPS(t *testing.T) {
 	m, _ := NewUS(DefaultNationalConfig())
 	va, _ := synthpop.StateByCode("VA")
 	fips := int32(synthpop.CountyFIPS(va.FIPS, 0))
-	idx, err := m.CountyIndexByFIPS(fips)
+	idx, err := m.countyIndexByFIPS(fips)
 	if err != nil || m.Counties[idx].FIPS != fips {
 		t.Fatalf("lookup failed: %v", err)
 	}
-	if _, err := m.CountyIndexByFIPS(-5); err == nil {
+	if _, err := m.countyIndexByFIPS(-5); err == nil {
 		t.Error("bogus FIPS accepted")
 	}
+}
+
+// countyIndexByFIPS returns the index of a county in the model.
+func (m *Model) countyIndexByFIPS(fips int32) (int, error) {
+	for i, c := range m.Counties {
+		if c.FIPS == fips {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("metapop: county %d not in model", fips)
+}
+
+// stateCumConfirmedByPrefix sums cumulative confirmed over the counties of
+// one state (by FIPS prefix) — the state-level series of a national run.
+func (t *Trajectory) stateCumConfirmedByPrefix(m *Model, stateFIPS int) []float64 {
+	out := make([]float64, t.Days)
+	for c := range m.Counties {
+		if int(m.Counties[c].FIPS)/1000 != stateFIPS {
+			continue
+		}
+		acc := 0.0
+		for d := 0; d < t.Days; d++ {
+			acc += t.NewConfirmed[c][d]
+			out[d] += acc
+		}
+	}
+	return out
 }

@@ -150,10 +150,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Default is the process-wide registry; binaries that expose a single
-// /metrics endpoint or an end-of-run dump default to it.
-var Default = NewRegistry()
-
 // baseName strips a "{...}" label suffix.
 func baseName(name string) string {
 	if i := strings.IndexByte(name, '{'); i >= 0 {

@@ -257,9 +257,6 @@ func NewSLOSet(cfg SLOConfig, reg *Registry) *SLOSet {
 	return s
 }
 
-// Aggregate returns the cross-series tracker.
-func (s *SLOSet) Aggregate() *SLOTracker { return s.agg }
-
 // Observe books one request into the aggregate and its series tracker.
 func (s *SLOSet) Observe(workflow, priority string, status int, latency time.Duration) {
 	if s == nil {

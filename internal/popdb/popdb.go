@@ -26,30 +26,11 @@ type Server struct {
 	byCounty map[int32][]int32
 	maxConns int
 
-	mu       sync.Mutex
-	open     int
-	peak     int
-	refused  int
-	injected int
-	attempts int
-	queries  int64
-	fault    FaultFn
-}
-
-// FaultFn decides whether connection attempt `attempt` (0-based, counted
-// over the server's lifetime) is transiently refused — the nightly
-// "database connection refused" failure mode the production pipeline
-// restarted by hand. Implementations must be deterministic pure functions
-// of the attempt number if reproducible runs are wanted; they are called
-// under the server lock and must not call back into the server.
-type FaultFn func(attempt int) bool
-
-// SetFault installs (or, with nil, clears) a transient connection-fault
-// hook consulted by TryConnect before the bound check.
-func (s *Server) SetFault(f FaultFn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fault = f
+	mu      sync.Mutex
+	open    int
+	peak    int
+	refused int
+	queries int64
 }
 
 // NewServer builds a server over the given persons with the given maximum
@@ -74,12 +55,6 @@ func NewServer(region string, persons []synthpop.Person, maxConns int) (*Server,
 // Region returns the server's region code.
 func (s *Server) Region() string { return s.region }
 
-// MaxConns returns the connection bound.
-func (s *Server) MaxConns() int { return s.maxConns }
-
-// NumPersons returns the size of the served population.
-func (s *Server) NumPersons() int { return len(s.persons) }
-
 // Conn is an open connection to a Server. Connections are not safe for
 // concurrent use; open one per worker.
 type Conn struct {
@@ -91,25 +66,12 @@ type Conn struct {
 // bound.
 var ErrTooManyConnections = fmt.Errorf("popdb: connection bound reached")
 
-// ErrConnectionRefused is returned by TryConnect when an injected fault
-// transiently refuses the attempt; retrying may succeed.
-var ErrConnectionRefused = fmt.Errorf("popdb: connection refused (transient fault)")
-
 // TryConnect opens a connection, failing immediately with
-// ErrTooManyConnections when the server is at its cap, or with
-// ErrConnectionRefused when the installed fault hook refuses the attempt.
-// Schedulers use the cap a priori; TryConnect enforces it at run time as a
-// backstop.
+// ErrTooManyConnections when the server is at its cap. Schedulers use the
+// cap a priori; TryConnect enforces it at run time as a backstop.
 func (s *Server) TryConnect() (*Conn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	attempt := s.attempts
-	s.attempts++
-	if s.fault != nil && s.fault(attempt) {
-		s.refused++
-		s.injected++
-		return nil, ErrConnectionRefused
-	}
 	if s.open >= s.maxConns {
 		s.refused++
 		return nil, ErrTooManyConnections
@@ -119,28 +81,6 @@ func (s *Server) TryConnect() (*Conn, error) {
 		s.peak = s.open
 	}
 	return &Conn{s: s}, nil
-}
-
-// ConnectWithRetry calls TryConnect up to maxAttempts times, retrying only
-// transient injected refusals (ErrConnectionRefused). A bound refusal is
-// returned immediately: the scheduler's DB constraint, not a fault,
-// produced it, and retrying without a slot being freed cannot help.
-func ConnectWithRetry(s *Server, maxAttempts int) (*Conn, error) {
-	if maxAttempts <= 0 {
-		maxAttempts = 1
-	}
-	var err error
-	for i := 0; i < maxAttempts; i++ {
-		var c *Conn
-		c, err = s.TryConnect()
-		if err == nil {
-			return c, nil
-		}
-		if err != ErrConnectionRefused {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("popdb: %d attempts refused: %w", maxAttempts, err)
 }
 
 // Close releases the connection. Closing twice is a no-op.
@@ -197,18 +137,14 @@ func (c *Conn) Counties() ([]int32, error) {
 // Stats is a snapshot of the server's usage counters.
 type Stats struct {
 	Open, Peak, Refused int
-	// Injected counts refusals produced by the fault hook (a subset of
-	// Refused); Attempts counts every TryConnect call.
-	Injected, Attempts int
-	Queries            int64
+	Queries             int64
 }
 
 // Stats returns current usage counters.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{Open: s.open, Peak: s.peak, Refused: s.refused,
-		Injected: s.injected, Attempts: s.attempts, Queries: s.queries}
+	return Stats{Open: s.open, Peak: s.peak, Refused: s.refused, Queries: s.queries}
 }
 
 // Snapshot is a serialized person table; the workflow generates one per

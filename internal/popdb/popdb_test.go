@@ -23,7 +23,7 @@ func TestNewServerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Region() != "VA" || s.NumPersons() != 10 || s.MaxConns() != 2 {
+	if s.Region() != "VA" || len(s.persons) != 10 || s.maxConns != 2 {
 		t.Fatal("accessors wrong")
 	}
 }
@@ -114,8 +114,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Region() != "VA" || back.NumPersons() != 20 || back.MaxConns() != 5 {
-		t.Fatalf("snapshot server wrong: %s %d %d", back.Region(), back.NumPersons(), back.MaxConns())
+	if back.Region() != "VA" || len(back.persons) != 20 || back.maxConns != 5 {
+		t.Fatalf("snapshot server wrong: %s %d %d", back.Region(), len(back.persons), back.maxConns)
 	}
 	c, _ := back.TryConnect()
 	defer c.Close()

@@ -1,9 +1,19 @@
 package scenario
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/scenario/servetest"
 )
 
 // FuzzSpecNormalize fuzzes the one decoder of the front door that faces the
@@ -66,5 +76,63 @@ func FuzzSpecNormalize(f *testing.F) {
 		if h3, err := hn.Hash("fp"); err != nil || h3 != h1 {
 			t.Fatalf("the shards hint changed the hash: %s vs %s (%v)", h1, h3, err)
 		}
+	})
+}
+
+// FuzzSubmitHandler drives POST /scenarios with arbitrary body bytes and
+// priority and wait values, over a service whose runner finishes at once.
+// Whatever arrives, the reply is one of the documented statuses with a JSON
+// body, and the drained service holds no job, queue entry or goroutine.
+// The corpus seeds the trailing-data bodies and free-form workflow names
+// the handler once accepted or labelled its metrics with.
+func FuzzSubmitHandler(f *testing.F) {
+	const spec = `{"workflow":"prediction","state":"VA","days":10}`
+	for _, seed := range []struct{ body, priority, xPriority, wait string }{
+		{spec, "", "", ""},
+		{spec, "", "", "1"},
+		{spec + ` trailing`, "", "", ""},
+		{spec + `{"workflow":"night"}`, "batch", "", "1"},
+		{spec + "\n", "", "interactive", "0"},
+		{`{"workflow":"bogus0"}`, "", "", ""},
+		{`{"workflow":"night"}`, "normal", "batch", "true"},
+		{`{"workflow":"whatif","state":"RI","days":20}`, "bogus", "", "1"},
+		{`{not json`, "", "", ""},
+		{``, "", "", "false"},
+	} {
+		f.Add([]byte(seed.body), seed.priority, seed.xPriority, seed.wait)
+	}
+	instant := func(context.Context, Spec) (*Result, error) { return &Result{}, nil }
+	f.Fuzz(func(t *testing.T, body []byte, priority, xPriority, wait string) {
+		goroutinesBefore := runtime.NumGoroutine()
+		svc := NewService(Config{Workers: 1, QueueCap: 2, Runner: instant, Fingerprint: "fuzz"})
+		h := NewServer(svc, NewServingObs(obs.NewRegistry(), ServingObsConfig{RecorderCapacity: 4}))
+		q := url.Values{}
+		if priority != "" {
+			q.Set("priority", priority)
+		}
+		if wait != "" {
+			q.Set("wait", wait)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/scenarios?"+q.Encode(), bytes.NewReader(body))
+		if xPriority != "" {
+			req.Header.Set("X-Priority", xPriority)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusAccepted, http.StatusBadRequest,
+			http.StatusRequestEntityTooLarge, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.Bytes())
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("status %d reply is not JSON: %q", rec.Code, rec.Body.Bytes())
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := svc.Drain(ctx); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		servetest.AssertQuiesced(t, svc, goroutinesBefore)
 	})
 }

@@ -112,14 +112,6 @@ func (so *ServingObs) Recorder() *obs.Recorder {
 	return so.recorder
 }
 
-// SLO exposes the tracker set.
-func (so *ServingObs) SLO() *obs.SLOSet {
-	if so == nil {
-		return nil
-	}
-	return so.slo
-}
-
 // statusWriter captures the response code for the trace and RED series.
 type statusWriter struct {
 	http.ResponseWriter

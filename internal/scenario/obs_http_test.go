@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -213,7 +214,7 @@ func TestServingObsREDAndSLO(t *testing.T) {
 	httpResp.Body.Close()
 	for _, want := range []string{
 		`epi_http_requests_total{workflow="prediction",priority="normal",code="200"} 1`,
-		`epi_http_requests_total{workflow="bogus",priority="normal",code="400"} 1`,
+		`epi_http_requests_total{workflow="other",priority="normal",code="400"} 1`,
 		`epi_http_request_seconds`,
 		`epi_slo_burn_rate`,
 	} {
@@ -238,6 +239,59 @@ func TestServingObsREDAndSLO(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/debug/requests/badbadbadbadbad0", nil); code != http.StatusOK {
 		t.Fatalf("errored trace not kept: %d", code)
+	}
+}
+
+// TestServingObsBadWorkflowLabelBounded: the workflow of a rejected spec is
+// client input, so labelling metrics with it would mint a request series and
+// an SLO tracker with three burn-rate gauges per distinct name, none ever
+// evicted. Every rejected name shares the "other" label.
+func TestServingObsBadWorkflowLabelBounded(t *testing.T) {
+	ts, _ := obsServer(t, 1, 4)
+	seriesCount := func() (requests, burn int) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		for _, line := range strings.Split(string(body), "\n") {
+			if strings.HasPrefix(line, "epi_http_requests_total{") {
+				requests++
+			}
+			if strings.HasPrefix(line, "epi_slo_burn_rate{") {
+				burn++
+			}
+		}
+		return requests, burn
+	}
+	postBogus := func(i int) {
+		t.Helper()
+		resp, _ := postSpecID(t, ts, Spec{Workflow: fmt.Sprintf(" Bogus%d", i)}, "", "")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bogus workflow %d: status %d want 400", i, resp.StatusCode)
+		}
+	}
+	const n = 50
+	postBogus(0)
+	r0, b0 := seriesCount()
+	for i := 1; i < n; i++ {
+		postBogus(i)
+	}
+	if r, b := seriesCount(); r != r0 || b != b0 {
+		t.Errorf("%d distinct bad workflows grew the series: requests %d -> %d, burn-rate gauges %d -> %d",
+			n, r0, r, b0, b)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	want := fmt.Sprintf(`epi_http_requests_total{workflow="other",priority="normal",code="400"} %d`, n)
+	if !strings.Contains(string(metrics), want) {
+		t.Fatalf("missing %q in /metrics:\n%s", want, metrics)
 	}
 }
 

@@ -730,13 +730,6 @@ func (s *Service) Draining() bool {
 	return s.draining
 }
 
-// Loads returns the live queued and running job counts.
-func (s *Service) Loads() (queued, running int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue), s.running
-}
-
 // Drain gracefully shuts the service down: new submissions are rejected,
 // queued and in-flight jobs run to completion, workers exit. If ctx expires
 // first, the remaining jobs are cancelled and Drain waits up to the

@@ -407,3 +407,10 @@ func TestCancelFreesQueueSlot(t *testing.T) {
 		t.Fatalf("refilled queue: %v, want ErrQueueFull", err)
 	}
 }
+
+// Loads returns the live queued and running job counts.
+func (s *Service) Loads() (queued, running int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue), s.running
+}

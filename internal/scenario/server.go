@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -107,6 +108,17 @@ func writeReasonError(w http.ResponseWriter, code int, reason, msg string, extra
 	writeJSON(w, code, body)
 }
 
+// workflowLabel is the workflow label of a request's metrics: the workflow
+// when it is one Normalize accepts, else "other". The body is client input,
+// so a free-form label would mint series without bound.
+func workflowLabel(workflow string) string {
+	switch w := strings.ToLower(strings.TrimSpace(workflow)); w {
+	case WorkflowPrediction, WorkflowWhatIf, WorkflowNight:
+		return w
+	}
+	return "other"
+}
+
 // maxSpecBytes bounds a submit body. The largest spec Normalize accepts —
 // MaxConfigs configurations and MaxWhatIfs what-ifs, indented — is a few
 // kilobytes, so the bound only stops a body that could never be a valid
@@ -120,8 +132,19 @@ const maxSpecBytes = 1 << 20
 // ?priority= (or X-Priority) selects the admission class.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
-		var tooBig *http.MaxBytesError
+	var tooBig *http.MaxBytesError
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	err := dec.Decode(&spec)
+	if err == nil {
+		// The spec must be the whole body: a second value or stray bytes
+		// after it are refused, not silently ignored. Whitespace is legal.
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, &tooBig) {
+			err = errors.New("trailing data")
+		}
+	}
+	if err != nil {
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "spec body exceeds "+strconv.Itoa(maxSpecBytes)+" bytes")
 			return
@@ -140,7 +163,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	rt := obs.RequestTraceFrom(r.Context())
 	if rt != nil {
-		rt.SetRequest(strings.ToLower(spec.Workflow), pri.String())
+		rt.SetRequest(workflowLabel(spec.Workflow), pri.String())
 	}
 	job, err := s.svc.SubmitCtx(r.Context(), spec, pri)
 	var shedErr *ShedError

@@ -291,11 +291,41 @@ func TestServerStatusAndCancelEndpoints(t *testing.T) {
 	if resp, _ := postSpec(t, ts, Spec{Workflow: "bogus"}, ""); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad spec status %d want 400", resp.StatusCode)
 	}
-	badBody, _ := http.Post(ts.URL+"/scenarios", "application/json", bytes.NewReader([]byte("{not json")))
-	if badBody.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad json status %d want 400", badBody.StatusCode)
+}
+
+// TestServerSubmitBodies pins how a submit body is decoded: the spec must be
+// the whole body, up to trailing whitespace.
+func TestServerSubmitBodies(t *testing.T) {
+	ts, _, r := testServer(t, 1, 8)
+	t.Cleanup(func() { r.releaseAll(8) })
+	const spec = `{"workflow":"prediction","state":"VA","days":10}`
+	for _, tc := range []struct {
+		name, body string
+		code       int
+		errPrefix  string
+	}{
+		{"not json", `{not json`, http.StatusBadRequest, "bad spec JSON: "},
+		{"trailing bytes", spec + ` trailing`, http.StatusBadRequest, "bad spec JSON: trailing data"},
+		{"second object", spec + `{"workflow":"night"}`, http.StatusBadRequest, "bad spec JSON: trailing data"},
+		{"trailing whitespace", spec + " \n\t\r\n", http.StatusAccepted, ""},
+	} {
+		resp, err := http.Post(ts.URL+"/scenarios", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: reply is not JSON: %v", tc.name, err)
+		}
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s: status %d want %d (%v)", tc.name, resp.StatusCode, tc.code, body)
+		}
+		if msg, _ := body["error"].(string); !strings.HasPrefix(msg, tc.errPrefix) {
+			t.Errorf("%s: error %q want prefix %q", tc.name, msg, tc.errPrefix)
+		}
 	}
-	badBody.Body.Close()
 }
 
 func TestServerHealthzAndDraining(t *testing.T) {

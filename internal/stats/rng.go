@@ -227,31 +227,6 @@ func (r *RNG) Beta(a, b float64) float64 {
 	return x / (x + y)
 }
 
-// Poisson returns a Poisson variate with the given mean. For large means it
-// uses the normal approximation, which is adequate for count synthesis.
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		n := int(math.Round(r.Normal(mean, math.Sqrt(mean))))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Binomial returns a binomial(n, p) variate.
 func (r *RNG) Binomial(n int, p float64) int {
 	if n <= 0 || p <= 0 {

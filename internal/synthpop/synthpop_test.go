@@ -31,11 +31,16 @@ func TestStatesRegistry(t *testing.T) {
 		}
 	}
 	// The paper: ~300 million nodes, 3140 counties.
-	if pop := USPopulation(); pop < 320e6 || pop > 340e6 {
+	pop, counties := 0, 0
+	for _, s := range States {
+		pop += s.Population
+		counties += s.Counties
+	}
+	if pop < 320e6 || pop > 340e6 {
 		t.Errorf("US population %d outside 320–340M", pop)
 	}
-	if c := TotalCounties(); c < 3100 || c > 3200 {
-		t.Errorf("total counties %d want ≈3140", c)
+	if counties < 3100 || counties > 3200 {
+		t.Errorf("total counties %d want ≈3140", counties)
 	}
 }
 
@@ -51,7 +56,7 @@ func TestStateByCode(t *testing.T) {
 
 func TestCountyFIPSRoundTrip(t *testing.T) {
 	f := CountyFIPS(51, 3)
-	if StateOfCountyFIPS(f) != 51 {
+	if f/1000 != 51 {
 		t.Fatalf("county FIPS roundtrip failed: %d", f)
 	}
 }
@@ -144,7 +149,7 @@ func TestHouseholdsAreCliques(t *testing.T) {
 	va, _ := StateByCode("VA")
 	net, _ := Generate(va, smallConfig(13))
 	adj := rows(net)
-	for _, hh := range net.Households() {
+	for _, hh := range net.households {
 		for m := hh.First; m < hh.First+hh.Size; m++ {
 			homeNbrs := map[int32]bool{}
 			for _, e := range adj[m] {
@@ -215,7 +220,7 @@ func TestCountiesPopulated(t *testing.T) {
 		t.Fatalf("only %d counties populated for VA (want a broad spread)", len(counties))
 	}
 	for fips := range counties {
-		if StateOfCountyFIPS(int(fips)) != va.FIPS {
+		if int(fips)/1000 != va.FIPS {
 			t.Fatalf("county %d not in VA", fips)
 		}
 	}
@@ -224,19 +229,19 @@ func TestCountiesPopulated(t *testing.T) {
 func TestGenerateAll(t *testing.T) {
 	cfg := smallConfig(63)
 	cfg.Scale = 200000 // tiny per-state populations: the whole US quickly
-	nets, err := GenerateAll(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if len(States) != 51 {
+		t.Fatalf("%d regions want 51", len(States))
 	}
-	if len(nets) != 51 {
-		t.Fatalf("%d networks want 51", len(nets))
-	}
-	for code, net := range nets {
-		if net.Region != code {
-			t.Fatalf("network for %s labeled %s", code, net.Region)
+	for _, st := range States {
+		net, err := Generate(st, cfg)
+		if err != nil {
+			t.Fatalf("generating %s: %v", st.Code, err)
+		}
+		if net.Region != st.Code {
+			t.Fatalf("network for %s labeled %s", st.Code, net.Region)
 		}
 		if net.NumNodes() < cfg.MinPersons {
-			t.Fatalf("%s below the floor: %d", code, net.NumNodes())
+			t.Fatalf("%s below the floor: %d", st.Code, net.NumNodes())
 		}
 	}
 }
@@ -448,7 +453,15 @@ func TestParseContext(t *testing.T) {
 func TestContextDegreeShare(t *testing.T) {
 	va, _ := StateByCode("VA")
 	net, _ := Generate(va, smallConfig(47))
-	share := net.ContextDegreeShare()
+	// The fraction of half-edges per context.
+	var counts [NumContexts]int
+	for _, bits := range net.CSR().Ctx {
+		counts[bits&7]++
+	}
+	var share [NumContexts]float64
+	for i, c := range counts {
+		share[i] = float64(c) / float64(len(net.CSR().Ctx))
+	}
 	sum := 0.0
 	for _, s := range share {
 		sum += s

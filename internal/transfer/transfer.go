@@ -201,19 +201,6 @@ func (l *Ledger) TotalBytes(dir Direction) int64 {
 	return total
 }
 
-// DayBytes sums one day's bytes in one direction.
-func (l *Ledger) DayBytes(day int, dir Direction) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var total int64
-	for _, r := range l.Records {
-		if r.Day == day && r.Direction == dir {
-			total += r.Bytes
-		}
-	}
-	return total
-}
-
 // TotalSeconds sums modeled transfer time.
 func (l *Ledger) TotalSeconds() float64 {
 	l.mu.Lock()
