@@ -37,8 +37,9 @@ func steadyStateSim(tb testing.TB) *Sim {
 		}
 	}
 	for pid := int32(0); pid < int32(net.NumNodes()); pid += 20 {
-		sim.applyTransition(nil, pid, sim.health[pid], infState, NoInfector, 0)
+		sim.applyTransition(&sim.serial, pid, sim.health[pid], infState, NoInfector, 0)
 	}
+	sim.foldSerial(0)
 	sim.prepareTick()
 	return sim
 }

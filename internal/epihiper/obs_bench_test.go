@@ -18,7 +18,7 @@ func benchReplicates(b *testing.B, ctx context.Context) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runReplicates(ctx, cfg, 4); err != nil {
+		if _, err := runReplicates(ctx, cfg, 4, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,7 +16,7 @@ func TestTracedReplicatesBitIdentical(t *testing.T) {
 	cfg := baseConfig(net, 61)
 	cfg.Days = 40
 
-	plain, err := runReplicates(context.Background(), cfg, 6)
+	plain, err := runReplicates(context.Background(), cfg, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestTracedReplicatesBitIdentical(t *testing.T) {
 	col := obs.NewCollector(nil)
 	tr := obs.NewTracer(col, obs.WithClock(obs.FixedClock(time.Unix(0, 0), time.Millisecond)))
 	ctx := obs.WithTracer(context.Background(), tr)
-	traced, err := runReplicates(ctx, cfg, 6)
+	traced, err := runReplicates(ctx, cfg, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

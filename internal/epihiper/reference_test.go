@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/disease"
@@ -22,10 +23,12 @@ import (
 // decision from first principles each tick: every node is visited, every
 // susceptible node's whole adjacency row is scanned, the infection test is
 // the direct comparison u < 1 − e^{−Λ}, and a progression fires when the
-// node's switchTick equals the day. Only two things are shared with the
+// node's switchTick equals the day. Seedings, at day 0 and later, go through
+// the reference's own transition. Only three things are shared with the
 // production code, because they DEFINE the model rather than implement it:
-// the (seed, node, tick, phase) keying of the random streams and the order
-// of the floating-point products of eq. (1).
+// the (seed, node, tick, phase) keying of the random streams, the order of
+// the floating-point products of eq. (1), and which persons a seeding picks
+// (seededPersons).
 //
 // A refKernel drives a real *Sim because interventions are written against
 // one (they set masks, weights, scales, isolations and variables through its
@@ -39,17 +42,47 @@ type refKernel struct {
 	// susceptible node (zero for the others): what the production thinning
 	// bound must dominate.
 	totals, sigmas []float64
+	// delayed are the seedings of later days, exposed at the head of their
+	// tick.
+	delayed []refSeeding
+}
+
+type refSeeding struct {
+	day  int
+	pids []int32
 }
 
 func newRefKernel(tb testing.TB, cfg Config) *refKernel {
 	tb.Helper()
 	cfg.Parallelism = 1
-	s, err := New(cfg)
+	s, err := newSim(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	n := s.net.NumNodes()
-	return &refKernel{s: s, res: s.newResult(), totals: make([]float64, n), sigmas: make([]float64, n)}
+	k := &refKernel{s: s, res: s.newResult(), totals: make([]float64, n), sigmas: make([]float64, n)}
+	for _, pid := range cfg.SeedPersons {
+		if s.model.IsSusceptible(s.health[pid]) {
+			k.transition(pid, s.model.ExposedState, NoInfector, 0)
+		}
+	}
+	for _, seed := range cfg.Seeds {
+		ids := s.net.PersonsByCounty()[seed.CountyFIPS]
+		if len(ids) == 0 {
+			continue
+		}
+		pids := s.seededPersons(seed, ids)
+		if seed.Day > 0 {
+			// A pending seeding is a scheduled change of the memory model.
+			k.delayed = append(k.delayed, refSeeding{day: seed.Day, pids: pids})
+			s.dynamicBytes += perScheduledChangeBytes
+			continue
+		}
+		for _, pid := range pids {
+			k.transition(pid, s.model.ExposedState, NoInfector, 0)
+		}
+	}
+	return k
 }
 
 // transition moves pid into state to, records the event and samples the
@@ -98,6 +131,19 @@ func (k *refKernel) step(day int) {
 	s.day = day
 	if day > 0 {
 		s.todayEvents = s.todayEvents[:0]
+	}
+	// The seedings were queued before any intervention could queue an
+	// action, so they run first.
+	for _, d := range k.delayed {
+		if d.day != day {
+			continue
+		}
+		s.dynamicBytes -= perScheduledChangeBytes
+		for _, pid := range d.pids {
+			if s.model.IsSusceptible(s.health[pid]) {
+				k.transition(pid, s.model.ExposedState, NoInfector, day)
+			}
+		}
 	}
 	s.runScheduled(day)
 
@@ -251,12 +297,14 @@ var refStacks = []struct {
 	}},
 }
 
-// refWorld is one (network, model, horizon) axis of the matrix.
+// refWorld is one (network, model, horizon) axis of the matrix; delayed are
+// seedings on top of the day-0 one every world has.
 type refWorld struct {
-	name  string
-	net   *synthpop.Network
-	model func() *disease.Model
-	days  int
+	name    string
+	net     *synthpop.Network
+	model   func() *disease.Model
+	days    int
+	delayed []Seeding
 }
 
 func refWorlds(tb testing.TB) []refWorld {
@@ -271,20 +319,25 @@ func refWorlds(tb testing.TB) []refWorld {
 		tb.Fatalf("reweighted network: %v", err)
 	}
 	return []refWorld{
-		{"generated", net, lively, 40},
-		{"reweighted", heavy, lively, 40},
+		{"generated", net, lively, 40, nil},
+		{"reweighted", heavy, lively, 40, nil},
 		{"waning", net, func() *disease.Model {
 			m := covid19Waning(8)
 			m.Transmissibility = 0.45
 			return m
-		}, 70},
+		}, 70, nil},
+		// SIR's entry state is infectious, so seeding itself bumps
+		// neighbors, across shard lines for the day-3 seeding in the last
+		// county.
+		{"sir", net, func() *disease.Model { return disease.SIR(0.35, 5) }, 40,
+			[]Seeding{{CountyFIPS: net.Persons[len(net.Persons)-1].CountyFIPS, Day: 3, Count: 6}}},
 	}
 }
 
 func (w refWorld) config(shards int, seed uint64, ivs []Intervention, rec Recorder) Config {
 	return Config{
 		Model: w.model(), Network: w.net, Days: w.days, Parallelism: shards,
-		Seed: seed, Seeds: seedAll(w.net, 6), Interventions: ivs, Recorder: rec,
+		Seed: seed, Seeds: append(seedAll(w.net, 6), w.delayed...), Interventions: ivs, Recorder: rec,
 	}
 }
 
@@ -338,10 +391,20 @@ func requireSameRun(tb testing.TB, label string, wantRes, gotRes *Result, wantSt
 // same test, where the multi-shard counts are what the detector can see.
 var refShardCounts = []int{1, 2, 4, 8}
 
+// withPooledDispatch raises GOMAXPROCS to at least 4 for the rest of the
+// test. runSpan runs the phases inline when GOMAXPROCS is 1, so without it a
+// one-CPU host would never run the worker pool or the cross-shard exchange,
+// and the race detector would never see them.
+func withPooledDispatch(tb testing.TB) {
+	prev := runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0)))
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestKernelMatchesReference byte-compares the production kernel with the
 // reference over seeds × shard counts × intervention stacks × worlds ×
 // {straight run, snapshot at a random day restored at another shard count}.
 func TestKernelMatchesReference(t *testing.T) {
+	withPooledDispatch(t)
 	seeds := []uint64{7, 20260930}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -391,13 +454,15 @@ func TestThinningBoundDominates(t *testing.T) {
 					t.Fatal(err)
 				}
 				var res *Result
+				var words []uint64
 				checked, slack := 0, 0.0
 				for day := 0; day < w.days; day++ {
 					// The words the transmit phase of `day` reads are the
-					// ones the previous tick left: the scheduled actions at
-					// the head of a tick expose people, and no model here
-					// has an infectious exposed state.
-					words := append([]uint64(nil), sim.infNbr...)
+					// ones its scheduled actions leave: a seeding into an
+					// infectious state bumps neighbors. Actions run in the
+					// order they were queued, so this one runs last and
+					// copies the words transmit reads.
+					sim.Schedule(day, func(s *Sim) { words = append(words[:0], s.infNbr...) })
 					if res, err = sim.RunSegment(res, day+1); err != nil {
 						t.Fatal(err)
 					}
@@ -431,12 +496,16 @@ func TestThinningBoundDominates(t *testing.T) {
 
 // FuzzKernelMatchesReference runs the same comparison on small random
 // networks: random size, random multigraph contacts with random contexts,
-// durations and weights, a random seed set, a random stack and shard count.
+// durations and weights, a random seed, a random stack and shard count, and
+// SIR in place of the waning COVID-19 model when bit 16 of shape is set.
+// Every case seeds three persons on day 0 and two more on day 3.
 func FuzzKernelMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint16(150), uint8(0))
 	f.Add(uint64(2), uint16(300), uint8(5))
 	f.Add(uint64(3), uint16(70), uint8(10))
 	f.Add(uint64(4), uint16(520), uint8(15))
+	f.Add(uint64(5), uint16(200), uint8(22))
+	withPooledDispatch(f)
 	f.Fuzz(func(t *testing.T, seed uint64, size uint16, shape uint8) {
 		n := 65 + int(size)%600
 		r := stats.NewRNG(seed)
@@ -468,12 +537,15 @@ func FuzzKernelMatchesReference(f *testing.F) {
 			m.Transmissibility = 0.4
 			return m
 		}}
+		if shape&16 != 0 {
+			w.name, w.model = "fuzz-sir", func() *disease.Model { return disease.SIR(0.4, 4) }
+		}
 		seedPersons := []int32{0, int32(n / 2), int32(n - 1)}
 		st := refStacks[int(shape)%len(refStacks)]
 		shards := refShardCounts[int(shape/4)%len(refShardCounts)]
 		cfg := func(shards int, rec Recorder) Config {
 			c := w.config(shards, seed, st.ivs(w.days), rec)
-			c.Seeds, c.SeedPersons = nil, seedPersons
+			c.Seeds, c.SeedPersons = []Seeding{{CountyFIPS: 1, Day: 3, Count: 2}}, seedPersons
 			return c
 		}
 		recRef, rec := &streamRecorder{}, &streamRecorder{}

@@ -211,16 +211,16 @@ func (s *Sim) runSpan(res *Result, stop int) {
 		dispatch(phTransmit)
 
 		// Mutate: progression drain + exposure application on owned
-		// nodes; risk-counter deltas for remote neighbors are sent to
-		// their owners' inboxes.
+		// nodes; risk-counter deltas for remote neighbors go to the
+		// outboxes for their owners.
 		dispatch(phMutate)
 
 		// Exchange: owners apply the deltas addressed to them. Skipped
 		// when no shard sent anything this tick.
 		if nShards > 1 {
-			sent := 0
+			var sent int64
 			for si := range s.shards {
-				sent += s.shards[si].sent
+				sent += s.shards[si].work.crossShardUpdates
 			}
 			if sent > 0 {
 				dispatch(phExchange)
@@ -303,7 +303,7 @@ func (s *Sim) publishMetrics(phaseStart [numPhases]float64) {
 }
 
 // runScheduled fires queued actions due on or before the given day, in the
-// order they were scheduled.
+// order they were scheduled, and folds the transitions they made.
 func (s *Sim) runScheduled(day int) {
 	if len(s.scheduled) == 0 {
 		return
@@ -322,6 +322,7 @@ func (s *Sim) runScheduled(day int) {
 	for _, a := range due {
 		a.run(s)
 	}
+	s.foldSerial(day)
 }
 
 // transmissionPhase computes exposures for the susceptible nodes of one

@@ -2,7 +2,6 @@ package epihiper
 
 import (
 	"math/bits"
-	"slices"
 
 	"repro/internal/disease"
 	"repro/internal/synthpop"
@@ -12,7 +11,7 @@ import (
 // memory ABM pattern of the paper (EpiHiper splits the national network per
 // state across MPI ranks; "Pandemics in Silico" formalizes the same
 // shard-owns-state / exchange-at-tick-boundaries design), expressed over
-// goroutines and channels inside one process.
+// goroutines inside one process.
 //
 // Ownership. The network's nodes are split into contiguous, 64-aligned
 // ranges by the edge-balanced partitioner; shard i privately owns range
@@ -23,12 +22,15 @@ import (
 // reads about other shards' nodes (their effInf, effMaskT, effInfBits) is
 // frozen for the duration of the phase by the barrier protocol below. The
 // 64-alignment guarantees no bitset word is shared between owners, so
-// bitset maintenance needs no atomics.
+// bitset maintenance needs no atomics. The serial stages run on one more
+// shard, Sim.serial, that owns every node; transitions take the same path
+// and fold the same way on either kind.
 //
 // Barrier protocol. Each tick runs four parallel phases, separated by
 // barriers (the coordinator's WaitGroup), with serial stitches between:
 //
-//	serial : scheduled actions, propensity-bound refresh
+//	serial : scheduled actions (on the serial shard, then folded),
+//	         propensity-bound refresh
 //	upkeep : per-shard table maintenance (effInf rebuild on ω change,
 //	         isolation-window expiries, global-context mask refresh)
 //	-------- barrier: tables frozen -------------------------------------
@@ -38,22 +40,22 @@ import (
 //	mutate : per-shard progression drain + exposure application — writes
 //	         owned state; infectiousness changes touching a REMOTE
 //	         neighbor's infectious-contact word become typed nbrUpdate
-//	         messages sent over the owner's channel
-//	-------- barrier 2 of the tick: all messages sent -------------------
-//	exchange: per-shard inbox drain — each shard applies the contact
-//	         gains and losses addressed to it, in sender order
-//	serial : canonical merge (events, counters), recorder, interventions,
-//	         daily accounting
+//	         messages in the sender's outbox for that owner
+//	-------- barrier 2 of the tick: all messages written ----------------
+//	exchange: each shard reads the outboxes addressed to it, in sender
+//	         order, and applies the contact gains and losses
+//	serial : canonical merge (counters, then events to todayEvents and
+//	         the recorder), interventions, daily accounting
 //
 // Determinism. Output is bit-identical at any shard count because (a)
 // every stochastic decision draws from an RNG keyed on (seed, node, tick,
 // phase), never a worker stream; (b) each shard drains progressions and
 // applies exposures in ascending node order, and the serial merge
 // concatenates per-shard buffers in shard order — reproducing exactly the
-// global ascending-node order of the single-threaded kernel; (c) inbox
-// batches are applied in sender order (and the infectious-contact words
-// are integers — count and fixed-point weight sum — so their additions
-// commute regardless); (d) counter deltas fold in shard order.
+// global ascending-node order of the single-threaded kernel; (c) outboxes
+// are applied in sender order (and the infectious-contact words are
+// integers — count and fixed-point weight sum — so their additions commute
+// regardless); (d) counter deltas fold in shard order.
 const shardAlign = 64
 
 // Parallel phase identifiers, in per-tick execution order.
@@ -77,14 +79,6 @@ var phaseNames = [numPhases]string{"upkeep", "transmit", "mutate", "exchange"}
 type nbrUpdate struct {
 	pid int32
 	q   int32
-}
-
-// shardBatch carries one tick's updates from one sender shard. Batches are
-// sent over the owner's inbox channel at the end of the mutate phase and
-// applied in ascending sender order during the exchange phase.
-type shardBatch struct {
-	from    int
-	updates []nbrUpdate
 }
 
 // shard is one processing unit: the owner of a contiguous node range and
@@ -119,13 +113,9 @@ type shard struct {
 	events    []TransitionEvent
 	progCount int
 
-	// outbox[d] accumulates updates owned by shard d; inbox receives the
-	// batches addressed here. sent counts batches sent this tick so the
-	// coordinator can skip the exchange phase on quiet ticks.
-	outbox  [][]nbrUpdate
-	inbox   chan shardBatch
-	batches []shardBatch
-	sent    int
+	// outbox[d] accumulates this tick's updates for nodes of shard d; shard
+	// d reads it in its exchange phase, after the mutate barrier.
+	outbox [][]nbrUpdate
 
 	// Counter deltas of the mutate phase and the work counts of the tick's
 	// phases, folded into the Sim's totals (in shard order) at the merge.
@@ -171,12 +161,12 @@ func (s *Sim) buildShards() {
 		sh.part = p
 		sh.calendar = make([][]uint64, s.cfg.Days)
 		sh.outbox = make([][]nbrUpdate, ns)
-		sh.inbox = make(chan shardBatch, ns)
 		s.shardStarts[i] = p.FirstNode
 		for w := int(uint32(p.FirstNode) >> 6); w <= int(uint32(p.LastNode)>>6); w++ {
 			s.ownerWord[w] = uint16(i)
 		}
 	}
+	s.serial.last = int32(nn - 1)
 }
 
 // ownerOf returns the shard owning node v. Because shard boundaries are
@@ -253,11 +243,8 @@ func (s *Sim) upkeepPhase(sh *shard, day int) {
 // then the exposures the transmit phase found (ascending node order; a node
 // that progressed out of susceptibility this tick can no longer be
 // exposed). Infectiousness changes update owned neighbors' words directly
-// and emit nbrUpdate messages to the owners of remote neighbors.
+// and queue nbrUpdate messages for the owners of remote neighbors.
 func (s *Sim) mutatePhase(sh *shard, day int) {
-	sh.events = sh.events[:0]
-	sh.progCount = 0
-	sh.sent = 0
 	for d := range sh.outbox {
 		sh.outbox[d] = sh.outbox[d][:0]
 	}
@@ -281,80 +268,82 @@ func (s *Sim) mutatePhase(sh *shard, day int) {
 	sh.progCount = len(sh.events)
 	for _, e := range sh.exposures {
 		if s.model.IsSusceptible(s.health[e.pid]) {
-			s.infectIn(sh, e.pid, e.infector, day)
+			s.infect(sh, e.pid, e.infector, day)
 			sh.infections++
 		}
 	}
-	for d := range sh.outbox {
-		if d != sh.id && len(sh.outbox[d]) > 0 {
-			s.shards[d].inbox <- shardBatch{from: sh.id, updates: sh.outbox[d]}
-			sh.sent++
-			sh.work.crossShardUpdates += int64(len(sh.outbox[d]))
-		}
+	for _, out := range sh.outbox {
+		sh.work.crossShardUpdates += int64(len(out))
 	}
 }
 
-// exchangePhase drains the shard's inbox and applies the infectious-contact
-// gains and losses addressed to it. All sends completed before the phase's barrier,
-// so a non-blocking drain sees every batch; batches are applied in sender
-// order for a deterministic (if already commutative) update sequence. The
-// received slices are owned by their senders and stay valid until the
-// sender's next mutate phase — strictly after this phase's barrier.
+// exchangePhase applies the infectious-contact gains and losses addressed to
+// the shard, reading every sender's outbox in ascending sender order. The
+// mutate barrier orders the senders' writes before these reads, and a
+// sender clears its outboxes only in its next mutate phase, after this
+// phase's barrier.
 func (s *Sim) exchangePhase(sh *shard) {
-	sh.batches = sh.batches[:0]
-	for len(sh.inbox) > 0 {
-		sh.batches = append(sh.batches, <-sh.inbox)
-	}
-	slices.SortFunc(sh.batches, func(a, b shardBatch) int { return a.from - b.from })
-	for _, b := range sh.batches {
-		for _, u := range b.updates {
+	for src := range s.shards {
+		for _, u := range s.shards[src].outbox[sh.id] {
 			s.bumpInfNbr(u.pid, u.q)
 		}
 	}
 }
 
 // mergeTick folds the shards' phase outputs into the global state, in
-// shard order: counter deltas, the infection total, work counts, and the buffered
-// transition events — all progressions (ascending node order across
+// shard order: counter deltas, the infection total, work counts, and the
+// buffered transition events — all progressions (ascending node order across
 // shards), then all exposures, exactly the order the single-threaded
-// kernel emits. The recorder sees the merged stream here, on the
-// coordinator goroutine.
+// kernel emits.
 func (s *Sim) mergeTick(res *Result, day int) {
 	for si := range s.shards {
 		sh := &s.shards[si]
-		for st := range sh.curDelta {
-			s.currentByState[st] += sh.curDelta[st]
-			sh.curDelta[st] = 0
-		}
-		for st := range sh.cumDelta {
-			s.cumByState[st] += sh.cumDelta[st]
-			sh.cumDelta[st] = 0
-		}
+		s.foldCounters(sh)
 		res.TotalInfections += sh.infections
 		sh.infections = 0
 		s.work.add(sh.work)
 		sh.work = kernelWork{}
 	}
-	rec := s.cfg.Recorder
 	for si := range s.shards {
 		sh := &s.shards[si]
-		for _, ev := range sh.events[:sh.progCount] {
-			s.todayEvents = append(s.todayEvents, ev)
-			if rec != nil {
-				rec.Record(day, ev.PID, ev.From, ev.To, ev.Infector)
-			}
-		}
+		s.emit(day, sh.events[:sh.progCount])
 	}
 	for si := range s.shards {
 		sh := &s.shards[si]
-		for _, ev := range sh.events[sh.progCount:] {
-			s.todayEvents = append(s.todayEvents, ev)
-			if rec != nil {
-				rec.Record(day, ev.PID, ev.From, ev.To, ev.Infector)
-			}
-		}
+		s.emit(day, sh.events[sh.progCount:])
 		sh.events = sh.events[:0]
 		sh.progCount = 0
+	}
+}
+
+// foldSerial folds the serial shard's transitions, counters first, then
+// events, as mergeTick folds a real shard's.
+func (s *Sim) foldSerial(day int) {
+	s.foldCounters(&s.serial)
+	s.emit(day, s.serial.events)
+	s.serial.events = s.serial.events[:0]
+}
+
+// foldCounters moves a shard's counter deltas into the Sim's totals.
+func (s *Sim) foldCounters(sh *shard) {
+	for st := range sh.curDelta {
+		s.currentByState[st] += sh.curDelta[st]
+		sh.curDelta[st] = 0
+	}
+	for st := range sh.cumDelta {
+		s.cumByState[st] += sh.cumDelta[st]
+		sh.cumDelta[st] = 0
+	}
+}
+
+// emit appends transitions of the day to todayEvents and hands them to the
+// recorder, on the coordinator goroutine: the kernel's one event outlet.
+func (s *Sim) emit(day int, events []TransitionEvent) {
+	s.todayEvents = append(s.todayEvents, events...)
+	if rec := s.cfg.Recorder; rec != nil {
+		for _, ev := range events {
+			rec.Record(day, ev.PID, ev.From, ev.To, ev.Infector)
+		}
 	}
 }
 

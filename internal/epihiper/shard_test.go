@@ -146,7 +146,7 @@ func TestRunReplicatesCtxPreCancelled(t *testing.T) {
 
 	cfg := snapCfg(net, 30, 1, 99, nil, nil)
 	start := time.Now()
-	res, err := runReplicates(ctx, cfg, 64)
+	res, err := runReplicates(ctx, cfg, 64, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel path: got (%v, %v), want context.Canceled", res, err)
 	}
@@ -160,7 +160,7 @@ func TestRunReplicatesCtxPreCancelled(t *testing.T) {
 
 	// The sequential path (shared intervention stack) must bail too.
 	cfg.Interventions = BaseCaseInterventions(5, 20, 0.3, 0.4)
-	res, err = runReplicates(ctx, cfg, 64)
+	res, err = runReplicates(ctx, cfg, 64, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("sequential path: got (%v, %v), want context.Canceled", res, err)
 	}
@@ -171,11 +171,11 @@ func TestRunReplicatesCtxPreCancelled(t *testing.T) {
 func TestRunReplicatesCtxUncancelled(t *testing.T) {
 	net := smallNetwork(t)
 	cfg := snapCfg(net, 15, 2, 41, nil, nil)
-	want, err := runReplicates(context.Background(), cfg, 3)
+	want, err := runReplicates(context.Background(), cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runReplicates(context.Background(), cfg, 3)
+	got, err := runReplicates(context.Background(), cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ package epihiper
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/disease"
 	"repro/internal/obs"
@@ -76,14 +76,11 @@ type Config struct {
 	// SeedPersons infects these exact persons at day 0, in addition to
 	// any county-level Seeds — useful for controlled experiments like
 	// the Figure 11 five-person network.
-	SeedPersons   []int32
+	SeedPersons []int32
+	// Interventions is the simulation's stack. Several interventions are
+	// stateful (StayAtHome retains its compliant set, PulsingShutdown its
+	// pulse state), so concurrent simulations must not share instances.
 	Interventions []Intervention
-	// InterventionsFactory, when set, builds a fresh intervention stack
-	// per simulation. Several interventions are stateful (StayAtHome
-	// retains its compliant set, PulsingShutdown its pulse state), so
-	// concurrent replicates must not share instances; New builds the stack
-	// from the factory when Interventions is nil.
-	InterventionsFactory func() []Intervention
 	// DB optionally supplies the population at start-up, exercising the
 	// bounded-connection database path of the production workflow. When
 	// nil, the network's own person table is used directly.
@@ -153,7 +150,14 @@ type Sim struct {
 	// rebuilds the upkeep phase splits across shards; phaseSecs
 	// accumulates per-phase wall-clock, and work the current run segment's
 	// work counts, for the obs registry.
+	//
+	// serial is the shard of the serial stages (seeding, scheduled actions,
+	// snapshot restore). It owns every node, so its neighbor bumps write
+	// every word directly and its outbox stays empty; foldSerial folds its
+	// counters and events the way mergeTick folds a real shard's. Its work
+	// counts are never folded: a serial bump is not kernel work.
 	shards      []shard
+	serial      shard
 	shardStarts []int32
 	ownerWord   []uint16
 	curPhase    int
@@ -281,7 +285,7 @@ func (a *scheduledAction) run(s *Sim) {
 	case opSeedPersons:
 		for _, pid := range a.pids {
 			if s.model.IsSusceptible(s.health[pid]) {
-				s.infect(pid, NoInfector, a.day)
+				s.infect(&s.serial, pid, NoInfector, a.day)
 			}
 		}
 	case opIsolate:
@@ -303,6 +307,7 @@ func New(cfg Config) (*Sim, error) {
 	if err := s.applySeeding(); err != nil {
 		return nil, err
 	}
+	s.foldSerial(0)
 	return s, nil
 }
 
@@ -320,6 +325,11 @@ func newSim(cfg Config) (*Sim, error) {
 	if cfg.Days <= 0 {
 		return nil, fmt.Errorf("epihiper: non-positive horizon %d", cfg.Days)
 	}
+	for _, seed := range cfg.Seeds {
+		if seed.Count < 0 {
+			return nil, fmt.Errorf("epihiper: seeding of county %d has negative count %d", seed.CountyFIPS, seed.Count)
+		}
+	}
 	csr := cfg.Network.CSR()
 	if err := csr.RangeErr(); err != nil {
 		return nil, fmt.Errorf("epihiper: network outside the kernel's counter range: %w", err)
@@ -329,9 +339,6 @@ func newSim(cfg Config) (*Sim, error) {
 	}
 	if cfg.PartitionTolerance <= 0 {
 		cfg.PartitionTolerance = 0.01
-	}
-	if cfg.Interventions == nil && cfg.InterventionsFactory != nil {
-		cfg.Interventions = cfg.InterventionsFactory()
 	}
 	n := cfg.Network.NumNodes()
 	s := &Sim{
@@ -401,94 +408,77 @@ func (s *Sim) applySeeding() error {
 			return fmt.Errorf("epihiper: seed person %d out of range", pid)
 		}
 		if s.model.IsSusceptible(s.health[pid]) {
-			s.infect(pid, NoInfector, 0)
+			s.infect(&s.serial, pid, NoInfector, 0)
 		}
 	}
-	var byCounty map[int32][]int32
+	var conn *popdb.Conn
 	if s.cfg.DB != nil {
-		byCounty = make(map[int32][]int32)
-		conn, err := s.cfg.DB.TryConnect()
-		if err != nil {
+		var err error
+		if conn, err = s.cfg.DB.TryConnect(); err != nil {
 			return fmt.Errorf("epihiper: population DB: %w", err)
 		}
 		defer conn.Close()
-		counties, err := conn.Counties()
-		if err != nil {
-			return err
-		}
-		for _, c := range counties {
-			ids, err := conn.PersonsInCounty(c)
-			if err != nil {
-				return err
-			}
-			byCounty[c] = ids
-		}
-	} else {
-		// The network's county index is built once and shared across the
-		// thousands of sims a replicate fan-out constructs over one
-		// network; both paths list each county ascending by person ID.
-		byCounty = s.net.PersonsByCounty()
 	}
 	for _, seed := range s.cfg.Seeds {
-		ids := byCounty[seed.CountyFIPS]
+		// Both sources list a county ascending by person ID; the network's
+		// index is built once and shared across the thousands of sims a
+		// replicate fan-out constructs over one network.
+		var ids []int32
+		if conn != nil {
+			var err error
+			if ids, err = conn.PersonsInCounty(seed.CountyFIPS); err != nil {
+				return err
+			}
+		} else {
+			ids = s.net.PersonsByCounty()[seed.CountyFIPS]
+		}
 		if len(ids) == 0 {
 			continue // county may be empty at small scales
 		}
-		count, day := seed.Count, seed.Day
-		if count > len(ids) {
-			count = len(ids)
-		}
-		// Choose the seeded persons deterministically.
-		r := stats.NewRNG(s.cfg.Seed ^ uint64(seed.CountyFIPS)*0x9E3779B97F4A7C15 ^ uint64(day))
-		perm := r.Perm(len(ids))
-		chosen := make([]int32, count)
-		for i := 0; i < count; i++ {
-			chosen[i] = ids[perm[i]]
-		}
-		sort.Slice(chosen, func(a, b int) bool { return chosen[a] < chosen[b] })
-		if day <= 0 {
+		chosen := s.seededPersons(seed, ids)
+		if seed.Day <= 0 {
 			for _, pid := range chosen {
-				s.infect(pid, NoInfector, 0)
+				s.infect(&s.serial, pid, NoInfector, 0)
 			}
 		} else {
-			s.scheduleOp(scheduledAction{day: day, kind: opSeedPersons, pids: chosen})
+			s.scheduleOp(scheduledAction{day: seed.Day, kind: opSeedPersons, pids: chosen})
 		}
 	}
 	return nil
 }
 
-// infect moves person pid into the model's exposed state at the given tick
-// and samples their onward progression. It is the serial-phase entry point
-// (seeding, scheduled actions, interventions); the mutate phase uses
-// infectIn with its shard.
-func (s *Sim) infect(pid, infector int32, tick int) {
-	s.infectIn(nil, pid, infector, tick)
+// seededPersons returns the persons a seeding infects, ascending: the first
+// min(Count, len(ids)) of a permutation of ids, its county's persons, drawn
+// from a stream keyed on (run seed, county, day).
+func (s *Sim) seededPersons(seed Seeding, ids []int32) []int32 {
+	r := stats.NewRNG(s.cfg.Seed ^ uint64(seed.CountyFIPS)*0x9E3779B97F4A7C15 ^ uint64(seed.Day))
+	perm := r.Perm(len(ids))
+	chosen := make([]int32, min(seed.Count, len(ids)))
+	for i := range chosen {
+		chosen[i] = ids[perm[i]]
+	}
+	slices.Sort(chosen)
+	return chosen
 }
 
-func (s *Sim) infectIn(sh *shard, pid, infector int32, tick int) {
+// infect moves person pid into the model's exposed state at the given tick
+// and samples their onward progression.
+func (s *Sim) infect(sh *shard, pid, infector int32, tick int) {
 	s.applyTransition(sh, pid, s.health[pid], s.model.ExposedState, infector, tick)
 }
 
-// applyTransition applies a state change, records it, and samples the next
-// progression step. With sh == nil the caller runs in a serial phase and
-// every side effect lands directly in global state. With sh != nil the
-// caller is sh's mutate phase: pid is owned by sh, counter changes
-// accumulate in the shard's deltas, the event is buffered for the
-// canonical merge, and infectious-contact updates for neighbors owned by
-// OTHER shards become outbox messages instead of direct writes. Both paths
-// perform the identical RNG draw — determinism never depends on which one
-// ran. The mutate-phase path allocates nothing once its buffers are warm.
+// applyTransition applies a state change, buffers its event, and samples the
+// next progression step. The caller is sh's mutate phase, with pid owned by
+// sh, or a serial stage, with sh the serial shard: counter changes accumulate
+// in the shard's deltas, the event waits in its buffer for the fold, and
+// infectious-contact updates for neighbors outside its range become outbox
+// messages instead of direct writes. The mutate phase allocates nothing here
+// once its buffers are warm.
 func (s *Sim) applyTransition(sh *shard, pid int32, from, to disease.State, infector int32, tick int) {
 	s.health[pid] = to
-	if sh == nil {
-		s.currentByState[from]--
-		s.currentByState[to]++
-		s.cumByState[to]++
-	} else {
-		sh.curDelta[from]--
-		sh.curDelta[to]++
-		sh.cumDelta[to]++
-	}
+	sh.curDelta[from]--
+	sh.curDelta[to]++
+	sh.cumDelta[to]++
 	s.updateEffInf(pid)
 	// A change of infectiousness adds this node's contacts to, or removes
 	// them from, every neighbor's infectious-contact word: neg is 0 for a
@@ -501,15 +491,7 @@ func (s *Sim) applyTransition(sh *shard, pid int32, from, to disease.State, infe
 		}
 		s.bumpNeighbors(sh, pid, neg)
 	}
-	ev := TransitionEvent{PID: pid, From: from, To: to, Infector: infector}
-	if sh == nil {
-		s.todayEvents = append(s.todayEvents, ev)
-		if s.cfg.Recorder != nil {
-			s.cfg.Recorder.Record(tick, pid, from, to, infector)
-		}
-	} else {
-		sh.events = append(sh.events, ev)
-	}
+	sh.events = append(sh.events, TransitionEvent{PID: pid, From: from, To: to, Infector: infector})
 	r := stats.Seeded(s.nodeSeed(pid, tick, phaseProgressionSample))
 	next, dwell, ok := s.model.Next(to, s.ageBand[pid], &r)
 	if !ok {
@@ -519,16 +501,11 @@ func (s *Sim) applyTransition(sh *shard, pid int32, from, to disease.State, infe
 	s.nextState[pid] = next
 	fire := tick + dwell
 	s.switchTick[pid] = int32(fire)
-	// A progression enters the calendar of pid's OWNER — for serial-phase
-	// transitions that may not be the calling context's shard — unless it
-	// can never fire: past the horizon, or before the current day (a
-	// serial-phase transition stamped with an earlier tick).
+	// A progression enters the calendar of pid's owner, unless it can never
+	// fire: past the horizon, or before the current day (a serial-stage
+	// transition stamped with an earlier tick).
 	if fire < s.cfg.Days && fire >= s.day {
-		owner := sh
-		if owner == nil {
-			owner = s.ownerOf(pid)
-		}
-		owner.schedule(pid, fire)
+		s.ownerOf(pid).schedule(pid, fire)
 	}
 }
 
@@ -559,16 +536,13 @@ func (s *Sim) infContactTW(v int32) float64 { return float64(s.infNbr[v]>>nbrCou
 
 // bumpNeighbors adds pid's contacts to every neighbor's infectious-contact
 // word (neg = 0) or removes them (neg = -1): (q^neg)-neg negates q without a
-// branch. It is the one neighbor loop at every shard count. A serial phase
-// (sh == nil) writes every word; shard sh writes the words of its own range,
-// found by one unsigned compare, and sends the rest to their owners' outboxes.
+// branch. It is the one neighbor loop at every shard count: shard sh writes
+// the words of its own range, found by one unsigned compare, and sends the
+// rest to their owners' outboxes (the serial shard's range is every node).
 func (s *Sim) bumpNeighbors(sh *shard, pid, neg int32) {
 	off, end := s.csr.Offsets[pid], s.csr.Offsets[pid+1]
-	first, span := uint32(0), uint32(math.MaxUint32)
-	if sh != nil {
-		first, span = uint32(sh.first), uint32(sh.last-sh.first)
-		sh.work.edgeVisits += end - off
-	}
+	first, span := uint32(sh.first), uint32(sh.last-sh.first)
+	sh.work.edgeVisits += end - off
 	qs := s.csr.Q[off:end]
 	for i, v := range s.csr.Nbr[off:end] {
 		q := (qs[i] ^ neg) - neg

@@ -69,6 +69,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Model: disease.COVID19(), Network: net, Days: 0}); err == nil {
 		t.Error("zero horizon accepted")
 	}
+	negative := []Seeding{{CountyFIPS: seedAll(net, 1)[0].CountyFIPS, Day: 0, Count: -3}}
+	if _, err := New(Config{Model: disease.COVID19(), Network: net, Days: 10, Seeds: negative}); err == nil {
+		t.Error("negative seeding count accepted")
+	}
 }
 
 func TestEpidemicSpreads(t *testing.T) {
@@ -367,7 +371,7 @@ func TestRunReplicatesEnsemble(t *testing.T) {
 	net := testNetwork(t, 13)
 	cfg := baseConfig(net, 61)
 	cfg.Days = 40
-	results, err := runReplicates(context.Background(), cfg, 6)
+	results, err := runReplicates(context.Background(), cfg, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +398,9 @@ func TestRunReplicatesEnsemble(t *testing.T) {
 	}
 }
 
-// Stateful interventions require the factory for parallel replicates; the
-// results must be identical to the sequential shared-stack path.
+// Stateful interventions need a fresh stack per replicate to run in
+// parallel; the results must be identical to the sequential shared-stack
+// path.
 func TestRunReplicatesInterventionFactory(t *testing.T) {
 	net := testNetwork(t, 15)
 	mk := func() []Intervention {
@@ -406,23 +411,22 @@ func TestRunReplicatesInterventionFactory(t *testing.T) {
 	}
 	cfg := baseConfig(net, 81)
 	cfg.Days = 40
-	cfg.InterventionsFactory = mk
-	parallel, err := runReplicates(context.Background(), cfg, 4)
+	parallel, err := runReplicates(context.Background(), cfg, 4, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sequential path: shared stack, no factory. Stateful interventions
+	// Sequential path: one shared stack. Stateful interventions
 	// are reset at their StartDay, so sequential reuse is well-defined.
 	cfg2 := baseConfig(net, 81)
 	cfg2.Days = 40
 	cfg2.Interventions = mk()
-	sequential, err := runReplicates(context.Background(), cfg2, 4)
+	sequential, err := runReplicates(context.Background(), cfg2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := range parallel {
 		if parallel[rep].TotalInfections != sequential[rep].TotalInfections {
-			t.Fatalf("replicate %d: factory %d vs shared %d infections",
+			t.Fatalf("replicate %d: fresh stacks %d vs shared %d infections",
 				rep, parallel[rep].TotalInfections, sequential[rep].TotalInfections)
 		}
 	}
@@ -554,17 +558,16 @@ func (r *Result) cumulativeInto(st disease.State) []float64 {
 // runReplicates executes the same configuration with distinct replicate
 // seeds and returns the per-replicate results in replicate order.
 // Replicates run in parallel when that is safe: either the configuration
-// has no interventions, or it supplies InterventionsFactory so each
-// replicate gets fresh (non-shared) intervention state. With only a shared
-// Interventions slice, replicates run sequentially to avoid racing on
-// stateful interventions. Parallel fan-out is bounded by a worker pool of
+// has no interventions, or stack is set and builds each replicate a fresh
+// (non-shared) intervention stack. With only a shared Interventions slice,
+// replicates run sequentially to avoid racing on stateful interventions. Parallel fan-out is bounded by a worker pool of
 // GOMAXPROCS goroutines — each replicate holds per-person state for the
 // whole network, so unbounded fan-out at production replicate counts
 // multiplies peak memory for no throughput gain. It runs under an
 // "epihiper.replicates" span with one child span per replicate; tracing
 // reads only the tracer's clock, never the simulation RNG, so results are
 // bit-identical with or without a tracer.
-func runReplicates(ctx context.Context, cfg Config, replicates int) ([]*Result, error) {
+func runReplicates(ctx context.Context, cfg Config, replicates int, stack func() []Intervention) ([]*Result, error) {
 	ctx, sp := obs.StartSpan(ctx, "epihiper.replicates",
 		obs.Int("replicates", int64(replicates)), obs.Int("days", int64(cfg.Days)))
 	defer sp.End()
@@ -576,8 +579,8 @@ func runReplicates(ctx context.Context, cfg Config, replicates int) ([]*Result, 
 		c := cfg
 		c.Seed = cfg.Seed + uint64(rep)*0x9E3779B97F4A7C15
 		c.Recorder = nil // recorders are not safe across replicate goroutines
-		if cfg.InterventionsFactory != nil {
-			c.Interventions = cfg.InterventionsFactory()
+		if stack != nil {
+			c.Interventions = stack()
 		}
 		sim, err := New(c)
 		if err != nil {
@@ -589,7 +592,7 @@ func runReplicates(ctx context.Context, cfg Config, replicates int) ([]*Result, 
 			rsp.SetAttr(obs.Int("infections", results[rep].TotalInfections))
 		}
 	}
-	parallelSafe := cfg.Interventions == nil || cfg.InterventionsFactory != nil
+	parallelSafe := cfg.Interventions == nil || stack != nil
 	var ctxErr error
 	if parallelSafe {
 		workers := runtime.GOMAXPROCS(0)

@@ -481,7 +481,7 @@ func (s *Sim) rebuildDerived() {
 	}
 	for pid := int32(0); int(pid) < n; pid++ {
 		if s.model.IsInfectious(s.health[pid]) {
-			s.bumpNeighbors(nil, pid, 0)
+			s.bumpNeighbors(&s.serial, pid, 0)
 		}
 	}
 	// Progression calendars live on their owner shards: the snapshot knows

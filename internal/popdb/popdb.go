@@ -119,21 +119,6 @@ func (c *Conn) PersonsInCounty(fips int32) ([]int32, error) {
 	return c.s.byCounty[fips], nil
 }
 
-// Counties returns all county FIPS codes present in the population.
-func (c *Conn) Counties() ([]int32, error) {
-	if c.closed {
-		return nil, fmt.Errorf("popdb: query on closed connection")
-	}
-	c.s.mu.Lock()
-	c.s.queries++
-	c.s.mu.Unlock()
-	out := make([]int32, 0, len(c.s.byCounty))
-	for f := range c.s.byCounty {
-		out = append(out, f)
-	}
-	return out, nil
-}
-
 // Stats is a snapshot of the server's usage counters.
 type Stats struct {
 	Open, Peak, Refused int

@@ -79,13 +79,9 @@ func TestQueries(t *testing.T) {
 	if err != nil || len(ids) != 3 {
 		t.Fatalf("county query: %v, %v", ids, err)
 	}
-	counties, err := c.Counties()
-	if err != nil || len(counties) != 3 {
-		t.Fatalf("counties: %v, %v", counties, err)
-	}
-	// Four queries served, including the failed Person lookup.
-	if s.Stats().Queries != 4 {
-		t.Fatalf("query count %d want 4", s.Stats().Queries)
+	// Three queries served, including the failed Person lookup.
+	if s.Stats().Queries != 3 {
+		t.Fatalf("query count %d want 3", s.Stats().Queries)
 	}
 }
 
@@ -98,9 +94,6 @@ func TestClosedConnectionRejectsQueries(t *testing.T) {
 	}
 	if _, err := c.PersonsInCounty(51001); err == nil {
 		t.Error("closed conn served PersonsInCounty")
-	}
-	if _, err := c.Counties(); err == nil {
-		t.Error("closed conn served Counties")
 	}
 }
 
