@@ -34,7 +34,6 @@ var censusKeep = map[string]string{
 	"internal/disease.Model.MarshalJSON":    "encoding/json calls it",
 	"internal/disease.Model.UnmarshalJSON":  "encoding/json calls it",
 	"internal/obs.AttrList.MarshalJSON":     "encoding/json calls it",
-	"internal/obs.AttrList.UnmarshalJSON":   "encoding/json calls it",
 	"internal/scenario.BadSpecError.Unwrap": "errors.Is and errors.As call it",
 	"internal/scenario.DrainError.Unwrap":   "errors.Is and errors.As call it",
 
@@ -44,7 +43,6 @@ var censusKeep = map[string]string{
 	"internal/synthpop.ReadPersonsCSV":        "reads what popgen writes",
 	"internal/synthpop.ReadPartitions":        "reads what popgen writes",
 	"internal/synthpop.ValidatePartitionsFor": "checks what popgen writes against its network",
-	"internal/obs.ReadEntries":                "reads the flight-recorder log the binaries write",
 	"internal/output.ReadSummaryCSV":          "reads the county summaries the pipeline writes",
 
 	// Test helpers that the tests of several packages share.

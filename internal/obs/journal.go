@@ -78,39 +78,6 @@ func (l AttrList) MarshalJSON() ([]byte, error) {
 	return json.Marshal(l.Map())
 }
 
-// UnmarshalJSON parses a JSON object back into a key-sorted list. JSON
-// numbers surface as float attrs — the same fidelity the map form had.
-func (l *AttrList) UnmarshalJSON(b []byte) error {
-	var m map[string]any
-	if err := json.Unmarshal(b, &m); err != nil {
-		return err
-	}
-	if len(m) == 0 {
-		*l = nil
-		return nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make(AttrList, 0, len(keys))
-	for _, k := range keys {
-		switch v := m[k].(type) {
-		case string:
-			out = append(out, String(k, v))
-		case float64:
-			out = append(out, Float(k, v))
-		case bool:
-			out = append(out, Bool(k, v))
-		default:
-			out = append(out, Attr{Key: k, kind: attrAny, v: v})
-		}
-	}
-	*l = out
-	return nil
-}
-
 // Journal writes entries as JSON Lines — one self-describing object per
 // line, append-only, so a night's journal can be tailed while it runs and
 // replayed afterwards. Safe for concurrent use.
@@ -192,31 +159,6 @@ func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// ReadEntries parses a JSONL journal back into entries — the round-trip
-// used by -trace-summary and by tests.
-func ReadEntries(r io.Reader) ([]Entry, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var out []Entry
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(b, &e); err != nil {
-			return nil, fmt.Errorf("obs: journal line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Collector is an in-memory sink, optionally teeing to a next sink — the

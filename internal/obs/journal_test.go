@@ -2,7 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"reflect"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -26,18 +26,28 @@ func TestJournalRoundTrip(t *testing.T) {
 	if lines := strings.Count(buf.String(), "\n"); lines != len(in) {
 		t.Fatalf("journal has %d lines, want %d", lines, len(in))
 	}
-	out, err := ReadEntries(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip diverged:\n in %+v\nout %+v", in, out)
-	}
+	wantJournal(t, buf.Bytes(), in)
 }
 
-func TestReadEntriesRejectsGarbage(t *testing.T) {
-	if _, err := ReadEntries(strings.NewReader("{\"type\":\"span\"}\nnot json\n")); err == nil {
-		t.Fatal("garbage line accepted")
+// wantJournal fails unless journal holds exactly one line per entry, each
+// the bytes json.Marshal writes for it.
+func wantJournal(t *testing.T, journal []byte, es []Entry) {
+	t.Helper()
+	lines := bytes.SplitAfter(journal, []byte("\n"))
+	if len(lines[len(lines)-1]) == 0 {
+		lines = lines[:len(lines)-1]
+	}
+	if len(lines) != len(es) {
+		t.Fatalf("journal has %d lines, want %d", len(lines), len(es))
+	}
+	for i, e := range es {
+		want, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(lines[i], want) {
+			t.Fatalf("journal line %d:\n got %s\nwant %s", i, lines[i], want)
+		}
 	}
 }
 

@@ -84,9 +84,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Bounds returns the bucket upper bounds (excluding the implicit +Inf).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // HistogramSnapshot is a point-in-time cumulative view of a Histogram.
 type HistogramSnapshot struct {
 	Count int64

@@ -8,105 +8,60 @@ import (
 
 // Recorder is the serving tier's flight recorder: a bounded ring of the
 // last N request traces, plus a second always-keep ring for the requests
-// worth keeping past churn — slow (duration ≥ SlowThreshold), errored
-// (HTTP ≥ 400 or an error message), or escalated to the full ABM. Traces
-// are stored live (by pointer), so an async job that finishes after its
-// HTTP exchange keeps enriching the recorded trace.
+// worth keeping past churn — slow (duration ≥ the slow threshold), errored
+// (HTTP ≥ 400), or escalated to the full ABM. Traces are stored live (by
+// pointer), so an async job that finishes after its HTTP exchange keeps
+// enriching the recorded trace.
 //
-// Lookup is by request ID over both rings; a trace evicted from the main
-// ring stays reachable while the kept ring references it, and vice versa.
+// Lookup is by request ID over both rings, newest first: a trace evicted
+// from the main ring stays reachable while the kept ring holds it, and a
+// client that reuses a request ID finds its latest trace.
 type Recorder struct {
 	mu   sync.Mutex
-	main ringBuf
-	kept ringBuf
-	// byID refcounts each trace's ring memberships so eviction from one
-	// ring doesn't break lookup through the other.
-	byID map[string]*recEntry
-
-	capMain int
-	capKept int
-	slow    time.Duration
+	main ring
+	kept ring
+	slow time.Duration
 }
 
-type recEntry struct {
-	rt   *RequestTrace
-	refs int
-}
-
-type ringBuf struct {
+// ring is a fixed-size buffer of traces that overwrites its oldest slot.
+type ring struct {
 	buf  []*RequestTrace
 	next int
-	full bool
 }
 
-func (r *ringBuf) push(rt *RequestTrace) (evicted *RequestTrace) {
-	if len(r.buf) == 0 {
-		return nil
-	}
-	if r.full {
-		evicted = r.buf[r.next]
-	}
+func (r *ring) push(rt *RequestTrace) {
 	r.buf[r.next] = rt
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	return evicted
+	r.next = (r.next + 1) % len(r.buf)
 }
 
-// newest-first iteration order.
-func (r *ringBuf) items() []*RequestTrace {
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	out := make([]*RequestTrace, 0, n)
-	for i := 0; i < n; i++ {
-		idx := r.next - 1 - i
-		if idx < 0 {
-			idx += len(r.buf)
+// newest returns the ring's traces, newest first.
+func (r *ring) newest() []*RequestTrace {
+	out := make([]*RequestTrace, 0, len(r.buf))
+	for i := 1; i <= len(r.buf); i++ {
+		rt := r.buf[(r.next-i+len(r.buf))%len(r.buf)]
+		if rt == nil {
+			break
 		}
-		out = append(out, r.buf[idx])
+		out = append(out, rt)
 	}
 	return out
 }
 
-// RecorderConfig sizes the recorder.
-type RecorderConfig struct {
-	// Capacity bounds the main ring (default 256).
-	Capacity int
-	// KeepCapacity bounds the always-keep ring (default Capacity/4, min 16).
-	KeepCapacity int
-	// SlowThreshold marks a request always-keep when its duration reaches
-	// it. Zero disables the slowness criterion (errors and escalations are
-	// always kept regardless).
-	SlowThreshold time.Duration
-}
-
-// NewRecorder builds a flight recorder.
-func NewRecorder(cfg RecorderConfig) *Recorder {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 256
-	}
-	if cfg.KeepCapacity <= 0 {
-		cfg.KeepCapacity = cfg.Capacity / 4
-		if cfg.KeepCapacity < 16 {
-			cfg.KeepCapacity = 16
-		}
+// NewRecorder builds a flight recorder whose main ring holds capacity
+// traces (256 when capacity ≤ 0) and whose kept ring holds a quarter of
+// that, at least 16. A request at least slow long is always kept; zero
+// disables the slowness criterion (errors and escalations are always kept
+// regardless).
+func NewRecorder(capacity int, slow time.Duration) *Recorder {
+	if capacity <= 0 {
+		capacity = 256
 	}
 	return &Recorder{
-		main:    ringBuf{buf: make([]*RequestTrace, cfg.Capacity)},
-		kept:    ringBuf{buf: make([]*RequestTrace, cfg.KeepCapacity)},
-		byID:    make(map[string]*recEntry, cfg.Capacity+cfg.KeepCapacity),
-		capMain: cfg.Capacity,
-		capKept: cfg.KeepCapacity,
-		slow:    cfg.SlowThreshold,
+		main: ring{buf: make([]*RequestTrace, capacity)},
+		kept: ring{buf: make([]*RequestTrace, max(capacity/4, 16))},
+		slow: slow,
 	}
 }
-
-// SlowThreshold returns the configured always-keep latency bar.
-func (r *Recorder) SlowThreshold() time.Duration { return r.slow }
 
 // Record stores a completed (or async-pending) request trace. The keep
 // decision is made here, at HTTP completion time: slow, errored, or
@@ -115,56 +70,47 @@ func (r *Recorder) Record(rt *RequestTrace) {
 	if r == nil || rt == nil {
 		return
 	}
-	keep := rt.Escalated()
-	if st := rt.Status(); st >= 400 {
-		keep = true
-	}
-	if r.slow > 0 && rt.Duration() >= r.slow {
-		keep = true
-	}
+	rt.mu.Lock()
+	status, _, ms, _ := rt.outcomeLocked()
+	keep := rt.escalated || status >= 400 ||
+		r.slow > 0 && ms >= float64(r.slow)/float64(time.Millisecond)
+	rt.mu.Unlock()
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.retainLocked(rt)
-	r.releaseLocked(r.main.push(rt))
+	r.main.push(rt)
 	if keep {
-		r.retainLocked(rt)
-		r.releaseLocked(r.kept.push(rt))
+		r.kept.push(rt)
 	}
 }
 
-func (r *Recorder) retainLocked(rt *RequestTrace) {
-	e := r.byID[rt.ID()]
-	if e == nil {
-		e = &recEntry{rt: rt}
-		r.byID[rt.ID()] = e
+// tracesLocked returns every recorded trace once: the main ring's, newest
+// first, then the kept ring's. Caller holds r.mu.
+func (r *Recorder) tracesLocked() []*RequestTrace {
+	out := r.main.newest()
+	seen := make(map[*RequestTrace]bool, len(out))
+	for _, rt := range out {
+		seen[rt] = true
 	}
-	e.refs++
+	for _, rt := range r.kept.newest() {
+		if !seen[rt] {
+			out = append(out, rt)
+		}
+	}
+	return out
 }
 
-func (r *Recorder) releaseLocked(rt *RequestTrace) {
-	if rt == nil {
-		return
-	}
-	e := r.byID[rt.ID()]
-	if e == nil {
-		return
-	}
-	e.refs--
-	if e.refs <= 0 {
-		delete(r.byID, rt.ID())
-	}
-}
-
-// Get returns the trace for a request ID, or nil.
+// Get returns the newest trace recorded under a request ID, or nil.
 func (r *Recorder) Get(id string) *RequestTrace {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e := r.byID[id]; e != nil {
-		return e.rt
+	for _, rt := range append(r.main.newest(), r.kept.newest()...) {
+		if rt.id == id {
+			return rt
+		}
 	}
 	return nil
 }
@@ -176,20 +122,7 @@ func (r *Recorder) List(limit int) []TraceSummary {
 		return nil
 	}
 	r.mu.Lock()
-	seen := map[string]bool{}
-	var rts []*RequestTrace
-	for _, rt := range r.main.items() {
-		if !seen[rt.ID()] {
-			seen[rt.ID()] = true
-			rts = append(rts, rt)
-		}
-	}
-	for _, rt := range r.kept.items() {
-		if !seen[rt.ID()] {
-			seen[rt.ID()] = true
-			rts = append(rts, rt)
-		}
-	}
+	rts := r.tracesLocked()
 	r.mu.Unlock()
 
 	// Summaries take each trace's own lock — outside the recorder lock.
@@ -211,5 +144,5 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.byID)
+	return len(r.tracesLocked())
 }

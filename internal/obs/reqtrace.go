@@ -30,78 +30,57 @@ func NewRequestID() string {
 // into an in-memory buffer, keyed by a request ID. It is itself a Sink: the
 // serving tier mints one tracer per request with the trace as its sink, so
 // span IDs are unique within the request and the span tree reassembles
-// without global coordination. A tee sink (the request journal) optionally
-// receives every entry stamped with the request ID.
+// without global coordination. The request's root is an ordinary span of
+// that tracer; its close entry carries the HTTP outcome. A tee sink (the
+// request journal) optionally receives every entry stamped with the request
+// ID.
 //
 // The trace outlives its HTTP exchange: async (202) submissions keep
 // filling it from worker goroutines, so Snapshot builds the tree lazily at
 // read time under the lock rather than freezing it at Finish.
 type RequestTrace struct {
-	id     string
-	tracer *Tracer
-	root   *Span
-	tee    Sink
-	start  time.Time
-	clock  Clock
+	id   string
+	root *Span
+	tee  Sink
 
 	mu        sync.Mutex
 	entries   []Entry
 	workflow  string
 	priority  string
-	status    int
-	errMsg    string
-	end       time.Time
-	done      bool
 	escalated bool
 	annos     map[string]any
 }
 
-// ReqTraceOption configures NewRequestTrace.
-type ReqTraceOption func(*RequestTrace)
-
-// WithReqClock injects the trace's timestamp source (default time.Now);
-// determinism tests use FixedClock.
-func WithReqClock(c Clock) ReqTraceOption { return func(rt *RequestTrace) { rt.clock = c } }
-
-// WithReqTee forwards every entry (stamped with the request ID) to an
-// additional sink — the optional JSONL request journal.
-func WithReqTee(s Sink) ReqTraceOption { return func(rt *RequestTrace) { rt.tee = s } }
-
-// NewRequestTrace builds a request trace with its own tracer and opens the
-// root "request" span. An empty id mints a fresh one.
-func NewRequestTrace(id string, opts ...ReqTraceOption) *RequestTrace {
+// NewRequestTrace builds a request trace with its own tracer over clock
+// (nil means time.Now) and opens the root "request" span. An empty id mints
+// a fresh one; a non-nil tee receives every entry stamped with the id.
+func NewRequestTrace(id string, clock Clock, tee Sink) *RequestTrace {
 	if id == "" {
 		id = NewRequestID()
 	}
 	// Preallocate the entry buffer: a typical served request closes on the
 	// order of a dozen spans plus events, and growing from nil would churn
 	// six reallocations on every request.
-	rt := &RequestTrace{id: id, clock: time.Now, entries: make([]Entry, 0, 32)}
-	for _, o := range opts {
-		o(rt)
-	}
-	rt.tracer = NewTracer(rt, WithClock(rt.clock))
-	rt.start = rt.clock()
-	rt.root = &Span{
-		tracer: rt.tracer,
-		name:   "request",
-		id:     rt.tracer.ids.Add(1),
-		start:  rt.start,
-	}
+	rt := &RequestTrace{id: id, tee: tee, entries: make([]Entry, 0, 32)}
+	rt.root = NewTracer(rt, WithClock(clock)).root.child("request", nil)
 	return rt
 }
 
-// RequestTraceFrom returns the context's request trace, or nil.
+// RequestTraceFrom returns the request trace the context's spans report
+// to, or nil.
 func RequestTraceFrom(ctx context.Context) *RequestTrace {
-	rt, _ := ctx.Value(reqTraceKey).(*RequestTrace)
+	s := SpanFrom(ctx)
+	if s == nil {
+		return nil
+	}
+	rt, _ := s.tracer.sink.(*RequestTrace)
 	return rt
 }
 
-// Attach returns ctx carrying the trace's tracer, root span, and the trace
-// itself — everything below sees StartSpan/Event report into this request.
-// One context link, not three: this sits on every served request.
+// Attach returns ctx carrying the trace's root span — everything below
+// sees StartSpan/Event report into this request.
 func (rt *RequestTrace) Attach(ctx context.Context) context.Context {
-	return &traceCtx{Context: ctx, t: rt.tracer, s: rt.root, rt: rt}
+	return WithSpan(ctx, rt.root)
 }
 
 // Emit implements Sink: buffer the entry, flag ABM escalation when the
@@ -124,9 +103,6 @@ func (rt *RequestTrace) Emit(e Entry) {
 
 // ID returns the request trace ID.
 func (rt *RequestTrace) ID() string { return rt.id }
-
-// Start returns when the trace (root span) opened.
-func (rt *RequestTrace) Start() time.Time { return rt.start }
 
 // SetRequest records the classified workflow and priority for the recorder
 // listing and RED series.
@@ -158,57 +134,13 @@ func (rt *RequestTrace) MarkEscalated() {
 }
 
 // Finish closes the root span with the HTTP outcome. Idempotent; only the
-// first call sets status/err/end.
+// first call counts.
 func (rt *RequestTrace) Finish(status int, errMsg string) {
-	rt.mu.Lock()
-	if rt.done {
-		rt.mu.Unlock()
+	if errMsg == "" {
+		rt.root.End(Int("status", int64(status)))
 		return
 	}
-	rt.done = true
-	rt.status = status
-	rt.errMsg = errMsg
-	rt.mu.Unlock()
-	rt.root.SetAttr(Int("status", int64(status)))
-	if errMsg != "" {
-		rt.root.SetAttr(String("error", errMsg))
-	}
-	rt.root.End()
-	rt.mu.Lock()
-	rt.end = rt.clock()
-	rt.mu.Unlock()
-}
-
-// Done reports whether Finish has run.
-func (rt *RequestTrace) Done() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.done
-}
-
-// Status returns the recorded HTTP status (0 before Finish).
-func (rt *RequestTrace) Status() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.status
-}
-
-// Escalated reports whether the request escalated to the full ABM.
-func (rt *RequestTrace) Escalated() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.escalated
-}
-
-// Duration returns the root span's wall time: end−start once finished,
-// otherwise elapsed so far.
-func (rt *RequestTrace) Duration() time.Duration {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.done {
-		return rt.end.Sub(rt.start)
-	}
-	return rt.clock().Sub(rt.start)
+	rt.root.End(Int("status", int64(status)), String("error", errMsg))
 }
 
 // Workflow returns the recorded workflow ("" before SetRequest).
@@ -223,6 +155,29 @@ func (rt *RequestTrace) Priority() string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.priority
+}
+
+// outcomeLocked reads the HTTP status, error message and wall time in
+// milliseconds off the root span's close entry. Before Finish, done is
+// false, status is 0 and the wall time is the time elapsed so far. Caller
+// holds rt.mu.
+func (rt *RequestTrace) outcomeLocked() (status int, errMsg string, ms float64, done bool) {
+	for i := len(rt.entries) - 1; i >= 0; i-- {
+		e := &rt.entries[i]
+		if e.Type != EntrySpan || e.Span != rt.root.id {
+			continue
+		}
+		for _, a := range e.Attrs {
+			switch a.Key {
+			case "status":
+				status = int(a.i)
+			case "error":
+				errMsg = a.s
+			}
+		}
+		return status, errMsg, e.Seconds * 1e3, true
+	}
+	return 0, "", float64(rt.root.tracer.clock().Sub(rt.root.start)) / float64(time.Millisecond), false
 }
 
 // SpanNode is one span in the reassembled request tree.
@@ -279,17 +234,10 @@ func (rt *RequestTrace) summaryLocked() TraceSummary {
 		ID:        rt.id,
 		Workflow:  rt.workflow,
 		Priority:  rt.priority,
-		Status:    rt.status,
-		Error:     rt.errMsg,
-		Done:      rt.done,
 		Escalated: rt.escalated,
-		StartNS:   rt.start.UnixNano(),
+		StartNS:   rt.root.start.UnixNano(),
 	}
-	if rt.done {
-		s.DurationMS = float64(rt.end.Sub(rt.start)) / float64(time.Millisecond)
-	} else {
-		s.DurationMS = float64(rt.clock().Sub(rt.start)) / float64(time.Millisecond)
-	}
+	s.Status, s.Error, s.DurationMS, s.Done = rt.outcomeLocked()
 	for _, e := range rt.entries {
 		switch e.Type {
 		case EntrySpan:
@@ -316,19 +264,14 @@ func (rt *RequestTrace) Snapshot() TraceView {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 
-	nodes := map[uint64]*SpanNode{}
+	_, _, ms, _ := rt.outcomeLocked()
 	rootNode := &SpanNode{
-		Name:    "request",
-		Span:    rt.root.id,
-		StartNS: rt.start.UnixNano(),
+		Name:       "request",
+		Span:       rt.root.id,
+		StartNS:    rt.root.start.UnixNano(),
+		DurationMS: ms,
 	}
-	if rt.done {
-		rootNode.EndNS = rt.end.UnixNano()
-		rootNode.DurationMS = float64(rt.end.Sub(rt.start)) / float64(time.Millisecond)
-	} else {
-		rootNode.DurationMS = float64(rt.clock().Sub(rt.start)) / float64(time.Millisecond)
-	}
-	nodes[rt.root.id] = rootNode
+	nodes := map[uint64]*SpanNode{rt.root.id: rootNode}
 
 	type pendingEvent struct {
 		span uint64
@@ -349,9 +292,7 @@ func (rt *RequestTrace) Snapshot() TraceView {
 			n.DurationMS = e.Seconds * 1e3
 			n.Attrs = e.Attrs.Map()
 			if e.Span == rt.root.id {
-				// Root closes through Finish; its entry carries the final
-				// attrs (status, error).
-				continue
+				continue // the root is the tree, not a child in it
 			}
 			parent := nodes[e.Parent]
 			if parent == nil {
@@ -361,12 +302,6 @@ func (rt *RequestTrace) Snapshot() TraceView {
 			parent.Children = append(parent.Children, n)
 		case EntryEvent:
 			events = append(events, pendingEvent{span: e.Span, ev: EventNode{Name: e.Name, AtNS: e.AtNS, Attrs: e.Attrs.Map()}})
-		}
-	}
-	// Root attrs come from its close entry, if present.
-	for _, e := range rt.entries {
-		if e.Type == EntrySpan && e.Span == rt.root.id {
-			rootNode.Attrs = e.Attrs.Map()
 		}
 	}
 	for _, pe := range events {

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,12 +20,7 @@ var traceSeq atomic.Int64
 
 func fixedTrace(id string, tee Sink) *RequestTrace {
 	base := time.Unix(1700000000, 0).Add(time.Duration(traceSeq.Add(1)) * time.Second)
-	clock := FixedClock(base, time.Millisecond)
-	opts := []ReqTraceOption{WithReqClock(clock)}
-	if tee != nil {
-		opts = append(opts, WithReqTee(tee))
-	}
-	return NewRequestTrace(id, opts...)
+	return NewRequestTrace(id, FixedClock(base, time.Millisecond), tee)
 }
 
 func TestNewRequestIDUnique(t *testing.T) {
@@ -54,10 +51,10 @@ func TestRequestTraceSnapshotTree(t *testing.T) {
 	rt.SetRequest("prediction", "normal")
 	rt.Finish(200, "")
 
-	if !rt.Done() || rt.Status() != 200 {
-		t.Fatalf("done=%v status=%d", rt.Done(), rt.Status())
-	}
 	v := rt.Snapshot()
+	if !v.Done || v.Status != 200 {
+		t.Fatalf("done=%v status=%d", v.Done, v.Status)
+	}
 	if v.ID != "req1" || v.Workflow != "prediction" || v.Priority != "normal" {
 		t.Fatalf("summary mismatch: %+v", v.TraceSummary)
 	}
@@ -103,15 +100,15 @@ func TestRequestTraceLazySnapshot(t *testing.T) {
 func TestRequestTraceEscalationFlag(t *testing.T) {
 	rt := fixedTrace("esc", nil)
 	ctx := rt.Attach(context.Background())
-	if rt.Escalated() {
+	if rt.Summary().Escalated {
 		t.Fatal("escalated before any event")
 	}
 	Event(ctx, "fidelity.route", String("tier", "emulator"))
-	if rt.Escalated() {
+	if rt.Summary().Escalated {
 		t.Fatal("emulator route must not flag escalation")
 	}
 	Event(ctx, "fidelity.route", String("tier", "abm"))
-	if !rt.Escalated() {
+	if !rt.Summary().Escalated {
 		t.Fatal("abm route must flag escalation")
 	}
 }
@@ -134,30 +131,254 @@ func TestRequestTraceTeeStampsReq(t *testing.T) {
 	}
 }
 
-func TestAdoptTraceCarriesIdentityNotCancellation(t *testing.T) {
+func TestWithSpanCarriesIdentityNotCancellation(t *testing.T) {
 	rt := fixedTrace("adopt", nil)
 	src, cancel := context.WithCancel(rt.Attach(context.Background()))
-	dst := AdoptTrace(context.Background(), src)
+	dst := WithSpan(context.Background(), SpanFrom(src))
 	cancel()
 	if dst.Err() != nil {
-		t.Fatal("AdoptTrace leaked cancellation")
+		t.Fatal("WithSpan leaked cancellation")
 	}
-	if TracerFrom(dst) == nil || RequestTraceFrom(dst) != rt {
-		t.Fatal("AdoptTrace dropped tracing identity")
+	if SpanFrom(dst) == nil || RequestTraceFrom(dst) != rt {
+		t.Fatal("WithSpan dropped tracing identity")
 	}
 	_, s := StartSpan(dst, "after.cancel")
 	s.End()
 	if v := rt.Snapshot(); len(v.Root.Children) != 1 {
-		t.Fatalf("span on adopted ctx not recorded: %+v", v.Root.Children)
+		t.Fatalf("span on the moved span's ctx not recorded: %+v", v.Root.Children)
 	}
 	// Untraced source: dst unchanged.
-	if got := AdoptTrace(context.Background(), context.Background()); TracerFrom(got) != nil {
-		t.Fatal("AdoptTrace invented a tracer")
+	bg := context.Background()
+	if got := WithSpan(bg, SpanFrom(bg)); got != bg {
+		t.Fatal("WithSpan of no span changed the context")
 	}
 }
 
+// TestRequestTraceGolden pins the /debug/requests/{id} payload and the
+// request journal of one FixedClock request: a read while the job still
+// runs, then the finished trace, then the teed journal lines. It covers
+// nested children, events on closed and still-open spans, an orphan whose
+// parent never closes, escalation, annotations and an errored outcome.
+// Built the way writeJSON serves it (two-space indent, trailing newline).
+func TestRequestTraceGolden(t *testing.T) {
+	var journal bytes.Buffer
+	rt := NewRequestTrace("golden-1", FixedClock(time.Unix(1700000000, 0), time.Millisecond), NewJournal(&journal))
+	ctx := rt.Attach(context.Background())
+	rt.SetRequest("prediction", "interactive")
+	rt.Annotate("hash", "c0ffee")
+	Event(ctx, "admission.accept", String("class", "interactive"))
+	qctx, qs := StartSpan(ctx, "queue.wait", String("priority", "interactive"))
+	Event(qctx, "replica.dispatch", Int("replica", 1))
+	qs.SetAttr(String("outcome", "run"))
+	qs.End()
+	rctx, rs := StartSpan(ctx, "job.run", String("hash", "c0ffee"))
+	sctx, _ := StartSpan(rctx, "stage") // never closes
+	_, part := StartSpan(sctx, "stage.part", Int("cell", 3))
+	part.End()
+	Event(sctx, "stage.progress", Float("frac", 0.5))
+	ectx, es := StartSpan(rctx, "engine.run")
+	Event(ectx, "fidelity.route", String("tier", "abm"), Float("uncertainty", 0.25))
+	view := func() string {
+		b, err := json.MarshalIndent(rt.Snapshot(), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	async := view()
+	es.End()
+	rs.SetAttr(Bool("cached", false))
+	rs.End()
+	rt.Finish(500, "boom")
+	if got := async + view() + journal.String(); got != requestTraceGolden {
+		t.Fatalf("request trace payload moved:\n%s", got)
+	}
+}
+
+const requestTraceGolden = `{
+  "id": "golden-1",
+  "workflow": "prediction",
+  "priority": "interactive",
+  "duration_ms": 13,
+  "done": false,
+  "escalated": true,
+  "spans": 2,
+  "events": 4,
+  "annotations": {
+    "hash": "c0ffee"
+  },
+  "start_ns": 1700000000000000000,
+  "root": {
+    "name": "request",
+    "span": 1,
+    "start_ns": 1700000000000000000,
+    "duration_ms": 12,
+    "events": [
+      {
+        "name": "admission.accept",
+        "at_ns": 1700000000001000000,
+        "attrs": {
+          "class": "interactive"
+        }
+      },
+      {
+        "name": "fidelity.route",
+        "at_ns": 1700000000011000000,
+        "attrs": {
+          "tier": "abm",
+          "uncertainty": 0.25
+        }
+      }
+    ],
+    "children": [
+      {
+        "name": "queue.wait",
+        "span": 2,
+        "start_ns": 1700000000002000000,
+        "end_ns": 1700000000004000000,
+        "duration_ms": 2,
+        "attrs": {
+          "outcome": "run",
+          "priority": "interactive"
+        },
+        "events": [
+          {
+            "name": "replica.dispatch",
+            "at_ns": 1700000000003000000,
+            "attrs": {
+              "replica": 1
+            }
+          }
+        ]
+      }
+    ]
+  },
+  "orphans": [
+    {
+      "name": "stage.part",
+      "span": 5,
+      "start_ns": 1700000000007000000,
+      "end_ns": 1700000000008000000,
+      "duration_ms": 1,
+      "attrs": {
+        "cell": 3
+      }
+    }
+  ]
+}
+{
+  "id": "golden-1",
+  "workflow": "prediction",
+  "priority": "interactive",
+  "status": 500,
+  "error": "boom",
+  "duration_ms": 16,
+  "done": true,
+  "escalated": true,
+  "spans": 5,
+  "events": 4,
+  "annotations": {
+    "hash": "c0ffee"
+  },
+  "start_ns": 1700000000000000000,
+  "root": {
+    "name": "request",
+    "span": 1,
+    "start_ns": 1700000000000000000,
+    "end_ns": 1700000000016000000,
+    "duration_ms": 16,
+    "attrs": {
+      "error": "boom",
+      "status": 500
+    },
+    "events": [
+      {
+        "name": "admission.accept",
+        "at_ns": 1700000000001000000,
+        "attrs": {
+          "class": "interactive"
+        }
+      }
+    ],
+    "children": [
+      {
+        "name": "queue.wait",
+        "span": 2,
+        "start_ns": 1700000000002000000,
+        "end_ns": 1700000000004000000,
+        "duration_ms": 2,
+        "attrs": {
+          "outcome": "run",
+          "priority": "interactive"
+        },
+        "events": [
+          {
+            "name": "replica.dispatch",
+            "at_ns": 1700000000003000000,
+            "attrs": {
+              "replica": 1
+            }
+          }
+        ]
+      },
+      {
+        "name": "job.run",
+        "span": 3,
+        "start_ns": 1700000000005000000,
+        "end_ns": 1700000000015000000,
+        "duration_ms": 10,
+        "attrs": {
+          "cached": false,
+          "hash": "c0ffee"
+        },
+        "children": [
+          {
+            "name": "engine.run",
+            "span": 6,
+            "start_ns": 1700000000010000000,
+            "end_ns": 1700000000014000000,
+            "duration_ms": 4,
+            "events": [
+              {
+                "name": "fidelity.route",
+                "at_ns": 1700000000011000000,
+                "attrs": {
+                  "tier": "abm",
+                  "uncertainty": 0.25
+                }
+              }
+            ]
+          }
+        ]
+      }
+    ]
+  },
+  "orphans": [
+    {
+      "name": "stage.part",
+      "span": 5,
+      "start_ns": 1700000000007000000,
+      "end_ns": 1700000000008000000,
+      "duration_ms": 1,
+      "attrs": {
+        "cell": 3
+      }
+    }
+  ]
+}
+{"type":"event","name":"admission.accept","req":"golden-1","span":1,"at_ns":1700000000001000000,"attrs":{"class":"interactive"}}
+{"type":"event","name":"replica.dispatch","req":"golden-1","span":2,"at_ns":1700000000003000000,"attrs":{"replica":1}}
+{"type":"span","name":"queue.wait","req":"golden-1","span":2,"parent":1,"start_ns":1700000000002000000,"end_ns":1700000000004000000,"seconds":0.002,"attrs":{"outcome":"run","priority":"interactive"}}
+{"type":"span","name":"stage.part","req":"golden-1","span":5,"parent":4,"start_ns":1700000000007000000,"end_ns":1700000000008000000,"seconds":0.001,"attrs":{"cell":3}}
+{"type":"event","name":"stage.progress","req":"golden-1","span":4,"at_ns":1700000000009000000,"attrs":{"frac":0.5}}
+{"type":"event","name":"fidelity.route","req":"golden-1","span":6,"at_ns":1700000000011000000,"attrs":{"tier":"abm","uncertainty":0.25}}
+{"type":"span","name":"engine.run","req":"golden-1","span":6,"parent":3,"start_ns":1700000000010000000,"end_ns":1700000000014000000,"seconds":0.004}
+{"type":"span","name":"job.run","req":"golden-1","span":3,"parent":1,"start_ns":1700000000005000000,"end_ns":1700000000015000000,"seconds":0.01,"attrs":{"cached":false,"hash":"c0ffee"}}
+{"type":"span","name":"request","req":"golden-1","span":1,"start_ns":1700000000000000000,"end_ns":1700000000016000000,"seconds":0.016,"attrs":{"error":"boom","status":500}}
+`
+
 func TestRecorderEvictionAndKeep(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Capacity: 4, KeepCapacity: 16, SlowThreshold: time.Hour})
+	r := NewRecorder(4, time.Hour)
 	// An error trace recorded first: must survive main-ring churn via the
 	// kept ring.
 	bad := fixedTrace("bad", nil)
@@ -187,9 +408,45 @@ func TestRecorderEvictionAndKeep(t *testing.T) {
 	}
 }
 
+// A client that retries with the same X-Request-Id must find its latest
+// trace: once the first trace churns out of the main ring, Get and List
+// both show the second.
+func TestRecorderReusedIDServesLatest(t *testing.T) {
+	r := NewRecorder(4, time.Hour)
+	first := fixedTrace("dup", nil)
+	first.Finish(200, "")
+	r.Record(first)
+	latest := fixedTrace("dup", nil)
+	latest.Finish(200, "")
+	r.Record(latest)
+	if r.Get("dup") != latest {
+		t.Fatal("Get returned an older trace for a reused ID")
+	}
+	for i := 0; i < 3; i++ {
+		rt := fixedTrace(fmt.Sprintf("churn%d", i), nil)
+		rt.Finish(200, "")
+		r.Record(rt)
+	}
+	if r.Get("dup") != latest {
+		t.Fatal("Get returned the evicted trace for a reused ID")
+	}
+	var dups int
+	for _, s := range r.List(0) {
+		if s.ID == "dup" {
+			dups++
+			if s.StartNS != latest.Summary().StartNS {
+				t.Fatalf("List shows a stale trace for dup: %+v", s)
+			}
+		}
+	}
+	if dups != 1 || r.Len() != 4 {
+		t.Fatalf("List shows dup %d times, Len %d; want 1 and 4", dups, r.Len())
+	}
+}
+
 func TestRecorderKeepCriteria(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Capacity: 2, KeepCapacity: 4, SlowThreshold: 10 * time.Millisecond})
-	slow := NewRequestTrace("slow", WithReqClock(FixedClock(time.Unix(0, 0), 20*time.Millisecond)))
+	r := NewRecorder(2, 10*time.Millisecond)
+	slow := NewRequestTrace("slow", FixedClock(time.Unix(0, 0), 20*time.Millisecond), nil)
 	slow.Finish(200, "")
 	esc := fixedTrace("esc", nil)
 	esc.MarkEscalated()
@@ -220,7 +477,7 @@ func TestRecorderKeepCriteria(t *testing.T) {
 // recording, listing, and snapshotting concurrently — and is part of the
 // tier-1 -race targets.
 func TestRecorderChurnRace(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Capacity: 8, KeepCapacity: 4, SlowThreshold: time.Millisecond})
+	r := NewRecorder(8, time.Millisecond)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -350,42 +607,29 @@ func TestFileJournalCloseFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var in []Entry
 	for i := 0; i < 10; i++ {
-		j.Emit(Entry{Type: EntrySpan, Name: "request", Req: fmt.Sprintf("r%d", i), Seconds: 0.1})
+		in = append(in, Entry{Type: EntrySpan, Name: "request", Req: fmt.Sprintf("r%d", i), Seconds: 0.1})
+		j.Emit(in[i])
 	}
 	// The writer is buffered: before Close the file may be empty; after
 	// Close every entry must be on disk.
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	es, err := ReadEntries(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(es) != 10 {
-		t.Fatalf("read %d entries, want 10 (tail lost without flush-on-close)", len(es))
-	}
-	if es[3].Req != "r3" {
-		t.Fatalf("Req round-trip: %+v", es[3])
-	}
+	wantJournal(t, b, in)
 	// Writes after Close are dropped, and a second Close is a no-op.
 	j.Emit(Entry{Type: EntryEvent, Name: "late"})
 	if err := j.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	fi, err := os.Stat(path)
+	b, err = os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, _ := os.Open(path)
-	defer f2.Close()
-	es2, _ := ReadEntries(f2)
-	if len(es2) != 10 {
-		t.Fatalf("post-close emit leaked to disk (%d entries, size %d)", len(es2), fi.Size())
-	}
+	wantJournal(t, b, in)
 }

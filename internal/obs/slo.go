@@ -72,15 +72,6 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	return t
 }
 
-// Target returns the configured latency bound.
-func (t *SLOTracker) Target() time.Duration { return t.cfg.Target }
-
-// Objective returns the configured good-fraction objective.
-func (t *SLOTracker) Objective() float64 { return t.cfg.Objective }
-
-// Window returns the long SLO window.
-func (t *SLOTracker) Window() time.Duration { return t.cfg.Window }
-
 // Observe books one request outcome.
 func (t *SLOTracker) Observe(status int, latency time.Duration) {
 	if t == nil {

@@ -38,7 +38,6 @@ type Attr struct {
 	s    string
 	i    int64
 	f    float64
-	v    any // attrAny only (journal read-back of non-scalar values)
 }
 
 const (
@@ -46,7 +45,6 @@ const (
 	attrInt
 	attrFloat
 	attrBool
-	attrAny
 )
 
 // String builds a string attribute.
@@ -76,10 +74,8 @@ func (a Attr) Value() any {
 		return a.i
 	case attrFloat:
 		return a.f
-	case attrBool:
-		return a.i != 0
 	default:
-		return a.v
+		return a.i != 0
 	}
 }
 
@@ -90,14 +86,18 @@ type Sink interface {
 }
 
 // Tracer mints hierarchical spans and forwards their close events (and any
-// point events) to a sink. A nil *Tracer is valid and inert, which is what
-// makes instrumentation free on un-traced paths: StartSpan on a context
-// without a tracer returns a nil span whose methods are no-ops.
+// point events) to a sink. Its root span 0 is born ended, so it never
+// emits a close entry: it is the parent of top-level spans and the owner of
+// out-of-span events, so a context carries one tracing value, the current
+// span. StartSpan on a context with no span
+// returns a nil span whose methods are no-ops, which is what makes
+// instrumentation free on un-traced paths.
 type Tracer struct {
 	sink  Sink
 	clock Clock
 	reg   *Registry
 	ids   atomic.Uint64
+	root  Span
 }
 
 // TracerOption configures a Tracer.
@@ -121,6 +121,7 @@ func NewTracer(sink Sink, opts ...TracerOption) *Tracer {
 	if t.clock == nil {
 		t.clock = time.Now
 	}
+	t.root.tracer, t.root.ended = t, true
 	return t
 }
 
@@ -138,100 +139,56 @@ type Span struct {
 	ended bool
 }
 
-// ctxKey keys context values privately.
-type ctxKey int
-
-const (
-	tracerKey ctxKey = iota
-	spanKey
-	reqTraceKey
-)
+// spanKey keys the current span in a context.
+type spanKey struct{}
 
 // WithTracer attaches a tracer to the context; all StartSpan/Event calls
 // below this point in the call tree report to it.
 func WithTracer(ctx context.Context, t *Tracer) context.Context {
-	return context.WithValue(ctx, tracerKey, t)
+	return WithSpan(ctx, &t.root)
 }
 
-// TracerFrom returns the context's tracer, or nil.
-func TracerFrom(ctx context.Context) *Tracer {
-	t, _ := ctx.Value(tracerKey).(*Tracer)
-	return t
+// WithSpan returns ctx with s as its current span, and ctx itself when s is
+// nil. It carries no cancellation or deadline from wherever s came from:
+// the serving tier uses it to let a job that outlives its submitting HTTP
+// request keep reporting spans into that request's trace.
+func WithSpan(ctx context.Context, s *Span) context.Context {
+	if s == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanKey{}, s)
 }
 
 // SpanFrom returns the context's current span, or nil.
 func SpanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey).(*Span)
+	s, _ := ctx.Value(spanKey{}).(*Span)
 	return s
 }
 
-// traceCtx carries the full tracing identity — tracer, current span, and
-// request trace — as ONE context link instead of three stacked WithValue
-// wrappers: request attach and trace adoption sit on every served request,
-// so the shallower chain saves both allocations and Value-lookup hops. A
-// nil field falls through to the parent context.
-type traceCtx struct {
-	context.Context
-	t  *Tracer
-	s  *Span
-	rt *RequestTrace
-}
-
-func (c *traceCtx) Value(key any) any {
-	switch key {
-	case tracerKey:
-		if c.t != nil {
-			return c.t
-		}
-	case spanKey:
-		if c.s != nil {
-			return c.s
-		}
-	case reqTraceKey:
-		if c.rt != nil {
-			return c.rt
-		}
-	}
-	return c.Context.Value(key)
-}
-
-// AdoptTrace transplants src's tracing identity — tracer, current span, and
-// request trace — onto dst and returns the combined context. It carries NO
-// cancellation or deadline from src: the serving tier uses it to let a job
-// that outlives its submitting HTTP request (worker-pool execution, replica
-// redispatch) keep reporting spans into the submitter's request trace while
-// the job's lifecycle stays bound to the service's own context tree. When
-// src carries no tracer, dst is returned unchanged.
-func AdoptTrace(dst, src context.Context) context.Context {
-	t := TracerFrom(src)
-	if t == nil {
-		return dst
-	}
-	return &traceCtx{Context: dst, t: t, s: SpanFrom(src), rt: RequestTraceFrom(src)}
-}
-
-// StartSpan opens a span under the context's tracer and current span and
-// returns the child context carrying it. Without a tracer it returns ctx
-// unchanged and a nil span — every Span method is nil-safe, so callers
-// never branch.
+// StartSpan opens a span under the context's current span and returns the
+// child context carrying it. Without a span it returns ctx unchanged and a
+// nil span — every Span method is nil-safe, so callers never branch.
 func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	t := TracerFrom(ctx)
-	if t == nil {
+	p := SpanFrom(ctx)
+	if p == nil {
 		return ctx, nil
 	}
-	var parent uint64
-	if p := SpanFrom(ctx); p != nil {
-		parent = p.id
-	}
-	s := &Span{
+	s := p.child(name, attrs)
+	return WithSpan(ctx, s), s
+}
+
+// child opens a span under p: the one path by which every span, a
+// request's root included, is minted.
+func (p *Span) child(name string, attrs []Attr) *Span {
+	t := p.tracer
+	return &Span{
 		tracer: t,
 		name:   name,
 		id:     t.ids.Add(1),
-		parent: parent,
+		parent: p.id,
 		start:  t.clock(),
 		attrs:  attrs,
 	}
-	return context.WithValue(ctx, spanKey, s), s
 }
 
 // Name returns the span's name ("" for a nil span).
@@ -268,10 +225,11 @@ func (s *Span) Event(name string, attrs ...Attr) {
 	s.tracer.emitEvent(s.id, name, attrs)
 }
 
-// End closes the span, emitting its close entry to the sink and (when
-// configured) observing its duration into the span-seconds histogram.
-// Multiple End calls are safe; only the first counts.
-func (s *Span) End() {
+// End closes the span with final appended to its attributes, emitting its
+// close entry to the sink and (when configured) observing its duration
+// into the span-seconds histogram. Multiple End calls are safe; only the
+// first counts.
+func (s *Span) End(final ...Attr) {
 	if s == nil {
 		return
 	}
@@ -281,7 +239,7 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	attrs := s.attrs
+	attrs := append(s.attrs, final...)
 	s.mu.Unlock()
 
 	end := s.tracer.clock()
@@ -304,15 +262,12 @@ func (s *Span) End() {
 }
 
 // Event emits a structured point event bound to the context's current span
-// (if any). Without a tracer it is a no-op. This is how the pipeline books
-// discrete happenings — task placed/retried/shed, fault injected, R-hat
-// gate result — into the run journal.
+// (span 0 when only a tracer is attached). Without a tracer it is a no-op.
+// This is how the pipeline books discrete happenings — task
+// placed/retried/shed, fault injected, R-hat gate result — into the run
+// journal.
 func Event(ctx context.Context, name string, attrs ...Attr) {
-	t := TracerFrom(ctx)
-	if t == nil {
-		return
-	}
-	t.emitEvent(SpanFrom(ctx).ID(), name, attrs)
+	SpanFrom(ctx).Event(name, attrs...)
 }
 
 // emitEvent forwards one point event to the sink.

@@ -8,7 +8,9 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,30 +81,40 @@ func FuzzSpecNormalize(f *testing.F) {
 	})
 }
 
-// FuzzSubmitHandler drives POST /scenarios with arbitrary body bytes and
-// priority and wait values, over a service whose runner finishes at once.
-// Whatever arrives, the reply is one of the documented statuses with a JSON
-// body, and the drained service holds no job, queue entry or goroutine.
-// The corpus seeds the trailing-data bodies and free-form workflow names
-// the handler once accepted or labelled its metrics with.
+// FuzzSubmitHandler drives POST /scenarios with arbitrary body bytes,
+// priority and wait values and X-Request-Id, over a service whose runner
+// finishes at once. Whatever arrives, the reply is one of the documented
+// statuses with a JSON body, the echoed request ID is a valid one (the
+// client's when it was valid) whose trace GET /debug/requests/{id} finds,
+// and the drained service holds no job, queue entry or goroutine. The
+// corpus seeds the trailing-data bodies and free-form workflow names the
+// handler once accepted or labelled its metrics with, and the request IDs
+// it once echoed and journaled whole.
 func FuzzSubmitHandler(f *testing.F) {
 	const spec = `{"workflow":"prediction","state":"VA","days":10}`
-	for _, seed := range []struct{ body, priority, xPriority, wait string }{
-		{spec, "", "", ""},
-		{spec, "", "", "1"},
-		{spec + ` trailing`, "", "", ""},
-		{spec + `{"workflow":"night"}`, "batch", "", "1"},
-		{spec + "\n", "", "interactive", "0"},
-		{`{"workflow":"bogus0"}`, "", "", ""},
-		{`{"workflow":"night"}`, "normal", "batch", "true"},
-		{`{"workflow":"whatif","state":"RI","days":20}`, "bogus", "", "1"},
-		{`{not json`, "", "", ""},
-		{``, "", "", "false"},
+	for _, seed := range []struct{ body, priority, xPriority, wait, reqID string }{
+		{spec, "", "", "", ""},
+		{spec, "", "", "1", ""},
+		{spec + ` trailing`, "", "", "", ""},
+		{spec + `{"workflow":"night"}`, "batch", "", "1", ""},
+		{spec + "\n", "", "interactive", "0", ""},
+		{`{"workflow":"bogus0"}`, "", "", "", ""},
+		{`{"workflow":"night"}`, "normal", "batch", "true", ""},
+		{`{"workflow":"whatif","state":"RI","days":20}`, "bogus", "", "1", ""},
+		{`{not json`, "", "", "", ""},
+		{``, "", "", "false", ""},
+		{spec, "", "", "1", "feedfacefeedface"},
+		{spec, "", "", "1", strings.Repeat("a", 100000)},
+		{spec, "", "", "", strings.Repeat("b", 65)},
+		{`{not json`, "", "", "", "retry id/with\nbad bytes"},
+		{spec, "", "", "1", ".."},
+		{spec, "", "", "", "Client_7.retry-2"},
 	} {
-		f.Add([]byte(seed.body), seed.priority, seed.xPriority, seed.wait)
+		f.Add([]byte(seed.body), seed.priority, seed.xPriority, seed.wait, seed.reqID)
 	}
 	instant := func(context.Context, Spec) (*Result, error) { return &Result{}, nil }
-	f.Fuzz(func(t *testing.T, body []byte, priority, xPriority, wait string) {
+	validID := regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
+	f.Fuzz(func(t *testing.T, body []byte, priority, xPriority, wait, reqID string) {
 		goroutinesBefore := runtime.NumGoroutine()
 		svc := NewService(Config{Workers: 1, QueueCap: 2, Runner: instant, Fingerprint: "fuzz"})
 		h := NewServer(svc, NewServingObs(obs.NewRegistry(), ServingObsConfig{RecorderCapacity: 4}))
@@ -117,6 +129,9 @@ func FuzzSubmitHandler(f *testing.F) {
 		if xPriority != "" {
 			req.Header.Set("X-Priority", xPriority)
 		}
+		if reqID != "" {
+			req.Header.Set("X-Request-Id", reqID)
+		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		switch rec.Code {
@@ -127,6 +142,18 @@ func FuzzSubmitHandler(f *testing.F) {
 		}
 		if !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("status %d reply is not JSON: %q", rec.Code, rec.Body.Bytes())
+		}
+		echoed := rec.Header().Get("X-Request-Id")
+		if !validID.MatchString(echoed) || echoed == "." || echoed == ".." {
+			t.Fatalf("echoed request ID %.80q for client ID %.80q", echoed, reqID)
+		}
+		if validID.MatchString(reqID) && reqID != "." && reqID != ".." && echoed != reqID {
+			t.Fatalf("valid client ID %q echoed as %q", reqID, echoed)
+		}
+		get := httptest.NewRecorder()
+		h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, "/debug/requests/"+echoed, nil))
+		if get.Code != http.StatusOK {
+			t.Fatalf("GET /debug/requests/%s: status %d", echoed, get.Code)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

@@ -2,13 +2,6 @@ package scenario
 
 import "repro/internal/obs"
 
-// latencyBounds are the histogram bucket upper bounds in seconds; the last
-// implicit bucket is +Inf. The range spans sub-millisecond stub runs up to
-// multi-minute full-scale workflows.
-var latencyBounds = []float64{
-	0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120, 300, 600,
-}
-
 // registerMetrics puts every series of the serving tier on the one registry:
 // the front door's counters and live queue/job/store state as exposition-time
 // callbacks. Callbacks run outside the registry lock, so taking s.mu or the

@@ -13,11 +13,9 @@ import (
 type ServingObsConfig struct {
 	// RecorderCapacity bounds the flight recorder's main ring (default 256).
 	RecorderCapacity int
-	// SlowThreshold always-keeps traces at least this slow (default = the
-	// SLO target when set, else 1s).
-	SlowThreshold time.Duration
 	// SLOTarget is the latency a good request must meet (-slo-p99). Zero
-	// disables the latency criterion.
+	// disables the latency criterion. The flight recorder always keeps
+	// traces at least this slow (at least 1s when zero).
 	SLOTarget time.Duration
 	// SLOObjective is the good-fraction objective (default 0.99).
 	SLOObjective float64
@@ -26,8 +24,6 @@ type ServingObsConfig struct {
 	// Journal optionally tees every trace entry (stamped with the request
 	// ID) into a JSONL sink — the flight recorder's durable export.
 	Journal obs.Sink
-	// Clock injects timestamps; determinism tests use obs.FixedClock.
-	Clock obs.Clock
 }
 
 // ServingObs is the request-scoped observability bundle the HTTP layer
@@ -40,11 +36,7 @@ type ServingObs struct {
 	recorder *obs.Recorder
 	slo      *obs.SLOSet
 	journal  obs.Sink
-	clock    obs.Clock
 	reg      *obs.Registry
-	// traceOpts is the option slice every request trace is built with,
-	// assembled once instead of per request.
-	traceOpts []obs.ReqTraceOption
 
 	// redMu guards red, a cache of resolved RED series handles keyed by
 	// (workflow, priority, code): series names are assembled and looked up
@@ -68,33 +60,19 @@ type redSeries struct {
 // NewServingObs builds the bundle over the backend's registry (reg may be
 // nil: metrics are skipped, traces and recorder still work).
 func NewServingObs(reg *obs.Registry, cfg ServingObsConfig) *ServingObs {
-	if cfg.SlowThreshold <= 0 {
-		cfg.SlowThreshold = cfg.SLOTarget
-		if cfg.SlowThreshold <= 0 {
-			cfg.SlowThreshold = time.Second
-		}
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
+	slow := cfg.SLOTarget
+	if slow <= 0 {
+		slow = time.Second
 	}
 	so := &ServingObs{
-		recorder: obs.NewRecorder(obs.RecorderConfig{
-			Capacity:      cfg.RecorderCapacity,
-			SlowThreshold: cfg.SlowThreshold,
-		}),
-		journal: cfg.Journal,
-		clock:   cfg.Clock,
-		reg:     reg,
-	}
-	so.traceOpts = []obs.ReqTraceOption{obs.WithReqClock(cfg.Clock)}
-	if cfg.Journal != nil {
-		so.traceOpts = append(so.traceOpts, obs.WithReqTee(cfg.Journal))
+		recorder: obs.NewRecorder(cfg.RecorderCapacity, slow),
+		journal:  cfg.Journal,
+		reg:      reg,
 	}
 	so.slo = obs.NewSLOSet(obs.SLOConfig{
 		Target:    cfg.SLOTarget,
 		Objective: cfg.SLOObjective,
 		Window:    cfg.SLOWindow,
-		Clock:     cfg.Clock,
 	}, reg)
 	if reg != nil {
 		reg.Help("epi_http_requests_total", "served requests by workflow/priority/code")
@@ -132,22 +110,25 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// Middleware traces one handler: mint or accept X-Request-Id, attach a
-// request trace to the context, and on return record the trace, observe
-// the RED series, and book the SLO outcome. A nil receiver returns h
-// untouched — zero overhead when serving observability is off.
+// Middleware traces one handler: accept a valid X-Request-Id or mint one,
+// attach a request trace to the context, and on return record the trace,
+// observe the RED series, and book the SLO outcome. A nil receiver returns
+// h untouched — zero overhead when serving observability is off.
 func (so *ServingObs) Middleware(h http.HandlerFunc) http.HandlerFunc {
 	if so == nil {
 		return h
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
-		rt := obs.NewRequestTrace(id, so.traceOpts...)
+		if !validRequestID(id) {
+			id = ""
+		}
+		rt := obs.NewRequestTrace(id, nil, so.journal)
 		w.Header().Set("X-Request-Id", rt.ID())
 		sw := &statusWriter{ResponseWriter: w}
-		start := so.clock()
+		start := time.Now()
 		h(sw, r.WithContext(rt.Attach(r.Context())))
-		elapsed := so.clock().Sub(start)
+		elapsed := time.Since(start)
 		code := sw.code
 		if code == 0 {
 			// Handler wrote nothing (e.g. client disconnected mid-wait).
@@ -160,6 +141,24 @@ func (so *ServingObs) Middleware(h http.HandlerFunc) http.HandlerFunc {
 		so.recorder.Record(rt)
 		so.observe(rt.Workflow(), rt.Priority(), code, elapsed)
 	}
+}
+
+// validRequestID reports whether a client's X-Request-Id may name its
+// trace: 1–64 bytes of [A-Za-z0-9._-], and not "." or "..", which a URL
+// path cannot carry to /debug/requests/{id}. The ID is echoed, stamped on
+// every journal entry and held by the flight recorder, so anything else is
+// replaced by a minted one.
+func validRequestID(id string) bool {
+	if len(id) == 0 || len(id) > 64 || id == "." || id == ".." {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
 }
 
 // observe books one request into the RED series and SLO trackers.

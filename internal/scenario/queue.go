@@ -150,11 +150,10 @@ type Job struct {
 
 	svc  *Service
 	done chan struct{}
-	// tctx carries the submitter's tracing identity (obs.AdoptTrace over
-	// context.Background(): values only, no cancellation), so the queue wait
-	// and the run report into that request's trace from the worker that
-	// performs them. Read-only.
-	tctx context.Context
+	// span is the submitter's current span (nil when untraced), so the queue
+	// wait and the run report into that request's trace from the worker
+	// that performs them. Read-only.
+	span *obs.Span
 	// pri is the admission class the job was admitted under.
 	pri Priority
 
@@ -480,7 +479,7 @@ func (s *Service) SubmitCtx(ctx context.Context, spec Spec, pri Priority) (*Job,
 		return nil, err
 	}
 	j := &Job{Hash: hash, Spec: ns, svc: s, pri: pri, done: make(chan struct{}),
-		interest: 1, tctx: obs.AdoptTrace(context.Background(), ctx)}
+		interest: 1, span: obs.SpanFrom(ctx)}
 	s.inflight[hash] = j
 	s.registry[hash] = j
 	s.enqueueLocked(j)
@@ -548,7 +547,7 @@ func (s *Service) Cancel(id string) bool {
 func (s *Service) enqueueLocked(j *Job) {
 	s.queue = append(s.queue, j)
 	s.queuedBy[j.pri]++
-	_, j.qspan = obs.StartSpan(j.tctx, "queue.wait",
+	_, j.qspan = obs.StartSpan(obs.WithSpan(context.Background(), j.span), "queue.wait",
 		obs.String("hash", j.Hash), obs.String("priority", j.pri.String()))
 	s.cond.Signal()
 }
@@ -649,7 +648,7 @@ func (s *Service) run(ctx context.Context, j *Job) {
 	if tier == "" {
 		tier = "auto"
 	}
-	runCtx, rspan := obs.StartSpan(obs.AdoptTrace(ctx, j.tctx), "job.run",
+	runCtx, rspan := obs.StartSpan(obs.WithSpan(ctx, j.span), "job.run",
 		obs.String("hash", j.Hash), obs.String("workflow", j.Spec.Workflow))
 	var res *Result
 	var err error
@@ -682,7 +681,7 @@ func (s *Service) run(ctx context.Context, j *Job) {
 		s.store.Put(j.Hash, &storeEntry{res: res})
 		lat := s.latency[j.Spec.Workflow]
 		if lat == nil {
-			lat = s.reg.Histogram(`epi_scenario_latency_seconds{workflow="`+j.Spec.Workflow+`"}`, latencyBounds)
+			lat = s.reg.Histogram(`epi_scenario_latency_seconds{workflow="`+j.Spec.Workflow+`"}`, nil)
 			s.latency[j.Spec.Workflow] = lat
 		}
 		lat.Observe(elapsed.Seconds()) // before the waiters wake: a served reply is a counted one
