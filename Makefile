@@ -46,15 +46,18 @@ loadtest:
 	$(GO) test -race -run 'TestLoadProof|TestTwoClientClosedLoopNeverRefused|TestChaosOneQueue' -v -count=1 ./cmd/loadgen ./internal/scenario
 
 # Short exploratory fuzz pass over the scheduler, executor, snapshot-codec,
-# kernel-vs-reference, metapop closed-form-vs-dense, fidelity-router,
-# scenario-spec, submit-handler, network/partition file-loader and
-# network-builder targets (the seed corpus always runs as part of tier1).
+# kernel-vs-reference, kernel JSON-config and disease-model decoders,
+# metapop closed-form-vs-dense, fidelity-router, scenario-spec,
+# submit-handler, network/partition file-loader and network-builder targets
+# (the seed corpus always runs as part of tier1).
 fuzz:
 	$(GO) test ./internal/sched -fuzz FuzzRelaxedColoring -fuzztime 10s
 	$(GO) test ./internal/sched -fuzz FuzzScheduleRoundTrip -fuzztime 10s
 	$(GO) test ./internal/cluster -fuzz FuzzBackfillMatchesReference -fuzztime 10s
 	$(GO) test ./internal/epihiper -fuzz FuzzSnapshotRoundTrip -fuzztime 10s
 	$(GO) test ./internal/epihiper -fuzz FuzzKernelMatchesReference -fuzztime 10s
+	$(GO) test ./internal/epihiper -fuzz FuzzParseJSONConfig -fuzztime 10s
+	$(GO) test ./internal/epihiper -fuzz FuzzDiseaseModelJSON -fuzztime 10s
 	$(GO) test ./internal/metapop -fuzz FuzzClosedFormMatchesDense -fuzztime 10s
 	$(GO) test ./internal/fidelity -fuzz FuzzFidelityRoute -fuzztime 10s
 	$(GO) test ./internal/scenario -fuzz FuzzSpecNormalize -fuzztime 10s

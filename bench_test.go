@@ -239,7 +239,7 @@ func BenchmarkFig9Utilization(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := cluster.ExecuteBackfill(cluster.FlattenSchedule(s), c, 0)
+				res, err := cluster.ExecuteBackfill(s.Flatten(), c, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -283,7 +283,7 @@ func BenchmarkFig9Utilization(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := cluster.ExecuteBackfill(cluster.FlattenSchedule(s), c, 0)
+				res, err := cluster.ExecuteBackfill(s.Flatten(), c, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -309,7 +309,7 @@ func BenchmarkBackfillScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		queue := cluster.FlattenSchedule(s)
+		queue := s.Flatten()
 		b.Run(fmt.Sprintf("tasks=%d", len(queue)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -224,7 +224,7 @@ func BenchmarkSchedulerAblation(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			res, err := cluster.ExecuteBackfill(cluster.FlattenSchedule(s), c, 0)
+			res, err := cluster.ExecuteBackfill(s.Flatten(), c, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -283,7 +283,7 @@ func BenchmarkNodeCategoryAblation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err = cluster.ExecuteBackfill(cluster.FlattenSchedule(s), c, 0)
+				res, err = cluster.ExecuteBackfill(s.Flatten(), c, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -400,7 +400,7 @@ func BenchmarkDBConnectionBound(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err = cluster.ExecuteBackfill(cluster.FlattenSchedule(s), c, 0)
+				res, err = cluster.ExecuteBackfill(s.Flatten(), c, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

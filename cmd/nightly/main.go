@@ -9,6 +9,7 @@
 //	nightly -workflow prediction
 //	nightly -workflow all -nights 3
 //	nightly -workflow prediction -fault-rate 0.05 -max-retries 3
+//	nightly -workflow calibration -carryover -nights 3 -fault-rate 0.05
 //
 // Observability: -journal FILE writes a JSONL run journal (one entry per
 // closed span and per event: tasks placed/retried/shed, faults injected,
@@ -49,9 +50,6 @@ func main() {
 
 	if *faultRate < 0 || *faultRate > 1 {
 		log.Fatalf("-fault-rate %v outside [0, 1]", *faultRate)
-	}
-	if *carryover && *faultRate > 0 {
-		log.Fatal("-fault-rate is not supported with -carryover (carryover nights run the failure-free model)")
 	}
 	faultSpec := faults.Spec{
 		Seed:              *faultSeed,
@@ -106,27 +104,28 @@ func main() {
 		}
 		fmt.Printf("=== %s workflow: %d cells × %d states × %d replicates = %d simulations ===\n",
 			spec.Kind, spec.Cells, spec.States, spec.Replicates, spec.Simulations())
+		cfg := core.NightConfig{
+			Spec: spec, Heuristic: *heuristic, Seed: *seed, Day: day,
+			Faults: faultSpec, Recovery: recovery,
+		}
 		var reports []*core.NightReport
 		if *carryover {
 			var err error
-			reports, err = p.RunNightsCtx(ctx, spec, *heuristic, *nights, *seed)
+			reports, err = p.RunNightsCtx(ctx, cfg, *nights)
 			if err != nil {
 				fmt.Printf("  WARNING: %v\n", err)
 			}
 		} else {
 			for n := 0; n < *nights; n++ {
-				rep, err := p.RunNightCtx(ctx, core.NightConfig{
-					Spec: spec, Heuristic: *heuristic,
-					Seed: *seed + uint64(n), Day: day,
-					Faults: faultSpec, Recovery: recovery,
-				})
+				cfg.Seed, cfg.Day = *seed+uint64(n), day+n
+				rep, err := p.RunNightCtx(ctx, cfg)
 				if err != nil {
 					log.Fatal(err)
 				}
 				reports = append(reports, rep)
-				day++
 			}
 		}
+		day += len(reports)
 		for n, rep := range reports {
 			status := "within the 10h window"
 			if !rep.FitsWindow {

@@ -58,7 +58,7 @@ func main() {
 			panic(err)
 		}
 		nfExec := cluster.ExecuteLevelSync(nfSched, 0)
-		ffExec, err := cluster.ExecuteBackfill(cluster.FlattenSchedule(ffSched), c, 0)
+		ffExec, err := cluster.ExecuteBackfill(ffSched.Flatten(), c, 0)
 		if err != nil {
 			panic(err)
 		}

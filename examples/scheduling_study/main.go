@@ -39,7 +39,7 @@ func main() {
 			panic(err)
 		}
 		nfRes := cluster.ExecuteLevelSync(nfSched, 0)
-		ffRes, err := cluster.ExecuteBackfill(cluster.FlattenSchedule(ffSched), c, 0)
+		ffRes, err := cluster.ExecuteBackfill(ffSched.Flatten(), c, 0)
 		if err != nil {
 			panic(err)
 		}

@@ -16,6 +16,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -82,50 +83,20 @@ type TaskRecord struct {
 	Start, End float64
 }
 
-// FaultKind classifies an injected execution failure.
-type FaultKind int
-
-// Execution fault classes.
-const (
-	FaultNone FaultKind = iota
-	// FaultCrash kills a running task partway through its interval.
-	FaultCrash
-	// FaultDBRefused fails a task instantly at start: its region database
-	// refused the connection.
-	FaultDBRefused
-)
-
-func (k FaultKind) String() string {
-	switch k {
-	case FaultCrash:
-		return "crash"
-	case FaultDBRefused:
-		return "db-refused"
-	default:
-		return "none"
-	}
-}
-
-// Fault is an injector's verdict for one task start.
-type Fault struct {
-	Kind FaultKind
-	// Frac is the fraction of the task's runtime completed before a
-	// FaultCrash; ignored for other kinds.
-	Frac float64
-}
-
-// Injector decides the fate of a task at the moment the executor starts it.
-// It is consulted at most once per task per execution; callers that requeue
-// failed tasks re-execute with a fresh injector bound to the new attempt
-// number. A nil Injector is failure-free.
-type Injector func(t sched.Task) Fault
+// Injector decides the fate of a task at the moment the executor starts it:
+// the fault model's verdict for the attempt (a faults.Crash carries the
+// fraction of the runtime completed before the crash). It is consulted at
+// most once per task per execution; callers that requeue failed tasks
+// re-execute with a fresh injector bound to the new attempt number. A nil
+// Injector is failure-free.
+type Injector func(t sched.Task) faults.TaskFault
 
 // FaultRecord is one injected failure observed during execution: the task
 // held its nodes (and DB connection) on [Start, At); refusals are
 // zero-length.
 type FaultRecord struct {
 	Task      sched.Task
-	Kind      FaultKind
+	Kind      faults.Kind
 	Start, At float64
 }
 
@@ -212,10 +183,10 @@ func ExecuteLevelSyncOpts(s *sched.Schedule, opt ExecOptions) ExecResult {
 		for _, t := range l.Tasks {
 			if opt.Injector != nil {
 				switch f := opt.Injector(t); f.Kind {
-				case FaultDBRefused:
+				case faults.DBRefusal:
 					res.Failed = append(res.Failed, FaultRecord{Task: t, Kind: f.Kind, Start: start, At: start})
 					continue
-				case FaultCrash:
+				case faults.Crash:
 					at := start + clampFrac(f.Frac)*t.Time
 					res.Failed = append(res.Failed, FaultRecord{Task: t, Kind: f.Kind, Start: start, At: at})
 					res.WastedNodeSeconds += (at - start) * float64(t.Nodes)
@@ -296,11 +267,11 @@ func ExecuteBackfillOpts(tasks []sched.Task, c sched.Constraints, opt ExecOption
 			end, crashed := now+t.Time, false
 			if opt.Injector != nil {
 				f := opt.Injector(t)
-				if f.Kind == FaultDBRefused {
+				if f.Kind == faults.DBRefusal {
 					res.Failed = append(res.Failed, FaultRecord{Task: t, Kind: f.Kind, Start: now, At: now})
 					continue
 				}
-				if f.Kind != FaultNone {
+				if f.Kind != faults.None {
 					end, crashed = now+clampFrac(f.Frac)*t.Time, true
 					res.Failed = append(res.Failed, FaultRecord{Task: t, Kind: f.Kind, Start: now, At: end})
 					res.WastedNodeSeconds += (end - now) * float64(t.Nodes)
@@ -457,11 +428,6 @@ func (h *endHeap) pop() running {
 	*h = s
 	return top
 }
-
-// FlattenSchedule returns the packing's tasks in (level, position) order —
-// the submission order handed to the executor. The slice may be the
-// schedule's own storage (sched.Schedule.Flatten): read-only.
-func FlattenSchedule(s *sched.Schedule) []sched.Task { return s.Flatten() }
 
 // ValidateExecution checks an ExecResult against the constraints: at no
 // instant do running tasks exceed the node count or any region's DB bound,

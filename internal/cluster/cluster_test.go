@@ -64,7 +64,7 @@ func TestFig9UtilizationBands(t *testing.T) {
 		t.Fatal(err)
 	}
 	nfExec := ExecuteLevelSync(nf, 0)
-	ffExec, err := ExecuteBackfill(FlattenSchedule(ff), c, 0)
+	ffExec, err := ExecuteBackfill(ff.Flatten(), c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFig9UtilizationBands(t *testing.T) {
 func TestBackfillRespectsConstraints(t *testing.T) {
 	tasks, c := nightly(2)
 	ff, _ := sched.FFDTDC(tasks, c)
-	res, err := ExecuteBackfill(FlattenSchedule(ff), c, 0)
+	res, err := ExecuteBackfill(ff.Flatten(), c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestNightlyFitsWindow(t *testing.T) {
 	tasks, c := nightly(4)
 	ff, _ := sched.FFDTDC(tasks, c)
 	deadline := NightlyWindow().Seconds()
-	res, err := ExecuteBackfill(FlattenSchedule(ff), c, deadline)
+	res, err := ExecuteBackfill(ff.Flatten(), c, deadline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDeadlineDropsTasks(t *testing.T) {
 	tasks, c := nightly(5)
 	ff, _ := sched.FFDTDC(tasks, c)
 	// An absurdly short deadline: almost nothing runs.
-	res, err := ExecuteBackfill(FlattenSchedule(ff), c, 100)
+	res, err := ExecuteBackfill(ff.Flatten(), c, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestBackfillEmptyWorkload(t *testing.T) {
 func TestWaitMetrics(t *testing.T) {
 	tasks, c := nightly(9)
 	ff, _ := sched.FFDTDC(tasks, c)
-	res, err := ExecuteBackfill(FlattenSchedule(ff), c, 0)
+	res, err := ExecuteBackfill(ff.Flatten(), c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestWaitMetrics(t *testing.T) {
 func TestBackfillUtilizationNeverExceedsOne(t *testing.T) {
 	tasks, c := nightly(7)
 	ff, _ := sched.FFDTDC(tasks, c)
-	res, err := ExecuteBackfill(FlattenSchedule(ff), c, 0)
+	res, err := ExecuteBackfill(ff.Flatten(), c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestVAOnlyNightUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExecuteBackfill(FlattenSchedule(ff), c, 0)
+	res, err := ExecuteBackfill(ff.Flatten(), c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,21 +4,22 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/sched"
 )
 
 // injectOn builds an injector that fails the given ⟨region, cell⟩ tasks on
 // their (single) execution and passes everything else.
-func injectOn(faults map[[2]interface{}]Fault) Injector {
-	return func(t sched.Task) Fault {
-		return faults[[2]interface{}{t.Region, t.Cell}]
+func injectOn(verdicts map[[2]interface{}]faults.TaskFault) Injector {
+	return func(t sched.Task) faults.TaskFault {
+		return verdicts[[2]interface{}{t.Region, t.Cell}]
 	}
 }
 
 func TestNilInjectorMatchesBaseline(t *testing.T) {
 	tasks, c := nightly(21)
 	ff, _ := sched.FFDTDC(tasks, c)
-	flat := FlattenSchedule(ff)
+	flat := ff.Flatten()
 	base, err := ExecuteBackfill(flat, c, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +46,8 @@ func TestBackfillCrashAccounting(t *testing.T) {
 		{Region: "WY", Cell: 2, Nodes: 2, Time: 50},
 	}
 	c := sched.Constraints{TotalNodes: 10}
-	inj := injectOn(map[[2]interface{}]Fault{
-		{"VA", 1}: {Kind: FaultCrash, Frac: 0.5},
+	inj := injectOn(map[[2]interface{}]faults.TaskFault{
+		{"VA", 1}: {Kind: faults.Crash, Frac: 0.5},
 	})
 	res, err := ExecuteBackfillOpts(tasks, c, ExecOptions{Injector: inj})
 	if err != nil {
@@ -56,7 +57,7 @@ func TestBackfillCrashAccounting(t *testing.T) {
 		t.Fatalf("got %d records, %d failed; want 2, 1", len(res.Records), len(res.Failed))
 	}
 	f := res.Failed[0]
-	if f.Kind != FaultCrash || f.Task.Region != "VA" {
+	if f.Kind != faults.Crash || f.Task.Region != "VA" {
 		t.Fatalf("wrong failure: %+v", f)
 	}
 	// Crashed halfway: held [0, 40) on 4 nodes → 160 wasted node-seconds.
@@ -82,8 +83,8 @@ func TestBackfillRefusalHoldsNothing(t *testing.T) {
 	}
 	// One CA connection: a refused task must not consume it.
 	c := sched.Constraints{TotalNodes: 8, DBBound: map[string]int{"CA": 1}}
-	inj := injectOn(map[[2]interface{}]Fault{
-		{"CA", 0}: {Kind: FaultDBRefused},
+	inj := injectOn(map[[2]interface{}]faults.TaskFault{
+		{"CA", 0}: {Kind: faults.DBRefusal},
 	})
 	res, err := ExecuteBackfillOpts(tasks, c, ExecOptions{Injector: inj})
 	if err != nil {
@@ -112,8 +113,8 @@ func TestBackfillCrashFreesNodesEarly(t *testing.T) {
 		{Region: "VA", Cell: 1, Nodes: 8, Time: 60},
 	}
 	c := sched.Constraints{TotalNodes: 8}
-	inj := injectOn(map[[2]interface{}]Fault{
-		{"CA", 0}: {Kind: FaultCrash, Frac: 0.25},
+	inj := injectOn(map[[2]interface{}]faults.TaskFault{
+		{"CA", 0}: {Kind: faults.Crash, Frac: 0.25},
 	})
 	res, err := ExecuteBackfillOpts(tasks, c, ExecOptions{Injector: inj})
 	if err != nil {
@@ -134,7 +135,7 @@ func TestBackfillCrashFreesNodesEarly(t *testing.T) {
 func TestLevelSyncFaultsKeepBarrier(t *testing.T) {
 	tasks, c := nightly(22)
 	nf, _ := sched.NFDTDC(tasks, c)
-	crashEverything := func(t sched.Task) Fault { return Fault{Kind: FaultCrash, Frac: 0.5} }
+	crashEverything := func(t sched.Task) faults.TaskFault { return faults.TaskFault{Kind: faults.Crash, Frac: 0.5} }
 	base := ExecuteLevelSync(nf, 0)
 	res := ExecuteLevelSyncOpts(nf, ExecOptions{Injector: crashEverything})
 	// The barrier waits for the packed height regardless of crashes.
@@ -187,7 +188,7 @@ func TestValidateExecutionCatchesFailedOveruse(t *testing.T) {
 	res := ExecResult{
 		Records: []TaskRecord{{Task: sched.Task{Region: "VA", Nodes: 6, Time: 10}, Start: 0, End: 10}},
 		Failed: []FaultRecord{
-			{Task: sched.Task{Region: "VA", Nodes: 6}, Kind: FaultCrash, Start: 2, At: 8},
+			{Task: sched.Task{Region: "VA", Nodes: 6}, Kind: faults.Crash, Start: 2, At: 8},
 		},
 	}
 	if err := ValidateExecution(res, sched.Constraints{TotalNodes: 10}, 0); err == nil {

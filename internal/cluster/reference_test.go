@@ -64,10 +64,10 @@ func referenceBackfill(tasks []sched.Task, c sched.Constraints, opt ExecOptions)
 				continue
 			}
 			if opt.Injector != nil {
-				if f := opt.Injector(t); f.Kind != FaultNone {
+				if f := opt.Injector(t); f.Kind != faults.None {
 					pending[i] = false
 					remaining--
-					if f.Kind == FaultDBRefused {
+					if f.Kind == faults.DBRefusal {
 						res.Failed = append(res.Failed, FaultRecord{Task: t, Kind: f.Kind, Start: now, At: now})
 						continue
 					}
@@ -129,15 +129,9 @@ func referenceBackfill(tasks []sched.Task, c sched.Constraints, opt ExecOptions)
 // hold "consulted exactly once per task, in start order".
 func faultyInjector(seed uint64, calls *[]sched.Task) Injector {
 	fm := faults.New(faults.Spec{Seed: seed, TaskCrashProb: 0.08, DBRefusalProb: 0.04})
-	return func(t sched.Task) Fault {
+	return func(t sched.Task) faults.TaskFault {
 		*calls = append(*calls, t)
-		switch f := fm.Task(t.Region, t.Cell, t.Replicate, 0); f.Kind {
-		case faults.Crash:
-			return Fault{Kind: FaultCrash, Frac: f.Frac}
-		case faults.DBRefusal:
-			return Fault{Kind: FaultDBRefused}
-		}
-		return Fault{}
+		return fm.Task(t.Region, t.Cell, t.Replicate, 0)
 	}
 }
 
@@ -182,7 +176,7 @@ func tableINight(t *testing.T, regions []synthpop.StateInfo, cells, reps int, sp
 	if err != nil {
 		t.Fatal(err)
 	}
-	return FlattenSchedule(s)
+	return s.Flatten()
 }
 
 // dbBoundCases are the DB-bound shapes of the differential matrix.

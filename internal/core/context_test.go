@@ -79,7 +79,7 @@ func TestRunNightsCtxCancelStopsBetweenNights(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	reps, err := p.RunNightsCtx(ctx, spec, "FFDT-DC", 1_000_000, 5)
+	reps, err := p.RunNightsCtx(ctx, NightConfig{Spec: spec, Heuristic: "FFDT-DC", Seed: 5}, 1_000_000)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled nights returned %v want context.Canceled (after %d nights)", err, len(reps))
 	}
@@ -90,7 +90,7 @@ func TestRunNightsCtxCancelStopsBetweenNights(t *testing.T) {
 	// A pre-canceled context runs zero nights.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	reps, err = p.RunNightsCtx(ctx2, spec, "FFDT-DC", 3, 5)
+	reps, err = p.RunNightsCtx(ctx2, NightConfig{Spec: spec, Heuristic: "FFDT-DC", Seed: 5}, 3)
 	if !errors.Is(err, context.Canceled) || len(reps) != 0 {
 		t.Fatalf("pre-canceled nights: %d reports, err %v", len(reps), err)
 	}

@@ -13,6 +13,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -42,8 +43,7 @@ type Pipeline struct {
 	Window cluster.Window
 	Ledger *transfer.Ledger
 	// FaultCounters accumulates injected/recovered/shed counts across every
-	// night run on this pipeline; fault models built by ExecuteNightCtx
-	// report into it.
+	// night run on this pipeline; each night's fault model reports into it.
 	FaultCounters *faults.Counters
 
 	mu       sync.Mutex
@@ -164,7 +164,7 @@ func (p *Pipeline) Network(state string) (*synthpop.Network, error) {
 		p.metrics.Gauge(`epi_network_half_edges{state="` + state + `"}`).Set(float64(2 * net.NumEdges()))
 	}
 	// One-time staging of traits + network to the remote site (Table II).
-	if _, err := p.Ledger.Move(0, transfer.HomeToRemote, "network-staging",
+	if _, err := p.Ledger.Move(context.Background(), 0, transfer.HomeToRemote, "network-staging",
 		net.PersonBytes()+net.EdgeBytes()); err != nil {
 		return nil, err
 	}

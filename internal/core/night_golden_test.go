@@ -50,7 +50,7 @@ func TestNightGolden(t *testing.T) {
 		for n := 0; n < 6; n++ {
 			cfg := goldenNight(seed, n)
 			p := NewPipeline(seed)
-			r, exec, err := p.ExecuteNightCtx(context.Background(), cfg)
+			r, exec, err := p.runNight(context.Background(), cfg, nil)
 			if err != nil {
 				t.Fatalf("seed %d night %d: %v", seed, n, err)
 			}

@@ -146,14 +146,16 @@ type NightReport struct {
 // and account the data movement. Cancellation interrupts the recovery
 // rounds between scheduling passes.
 func (p *Pipeline) RunNightCtx(ctx context.Context, cfg NightConfig) (*NightReport, error) {
-	report, _, err := p.ExecuteNightCtx(ctx, cfg)
+	report, _, err := p.runNight(ctx, cfg, nil)
 	return report, err
 }
 
-// ExecuteNightCtx is RunNightCtx exposing the merged execution trace
-// across all recovery rounds, so callers can replay or validate it (e.g.
-// with cluster.ValidateExecution against the night's constraints).
-func (p *Pipeline) ExecuteNightCtx(ctx context.Context, cfg NightConfig) (*NightReport, cluster.ExecResult, error) {
+// runNight is the one night every entry point runs: RunNightCtx over the
+// given tasks (nil builds the night's workload from cfg), also returning
+// the merged execution trace across all recovery rounds so callers can
+// replay or validate it (e.g. with cluster.ValidateExecution against the
+// night's constraints).
+func (p *Pipeline) runNight(ctx context.Context, cfg NightConfig, tasks []sched.Task) (*NightReport, cluster.ExecResult, error) {
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, cluster.ExecResult{}, err
 	}
@@ -163,7 +165,9 @@ func (p *Pipeline) ExecuteNightCtx(ctx context.Context, cfg NightConfig) (*Night
 		obs.Int("day", int64(cfg.Day)))
 	defer night.End()
 	_, part := obs.StartSpan(ctx, "partition")
-	tasks := nightWorkload(cfg.Spec).Tasks(stats.NewRNG(cfg.Seed))
+	if tasks == nil {
+		tasks = nightWorkload(cfg.Spec).Tasks(stats.NewRNG(cfg.Seed))
+	}
 	part.SetAttr(obs.Int("tasks", int64(len(tasks))))
 	part.End()
 	constraints, deadline := p.nightConstraints()
@@ -251,18 +255,15 @@ func nightBounds(tasks []sched.Task, totalNodes int) (makespanLB, utilizationBou
 	return makespanLB, utilizationBound
 }
 
-// moveWithRecovery ships bytes over the ledger; under a fault model the
-// transfer retries stalled attempts with jittered backoff and the retry
-// count lands in the report. A transfer that stalls through the whole
-// retry budget fails the night — the morning's products cannot ship.
+// moveWithRecovery ships bytes over the ledger: the transfer retries
+// stalled attempts with jittered backoff and the retry count lands in the
+// report. A failure-free night's nil fault model never stalls. A transfer
+// that stalls through the whole retry budget fails the night — the
+// morning's products cannot ship.
 func (p *Pipeline) moveWithRecovery(ctx context.Context, cfg NightConfig, fm *faults.Model, report *NightReport,
 	dir transfer.Direction, label string, bytes int64) error {
-	if fm == nil {
-		_, err := p.Ledger.MoveCtx(ctx, cfg.Day, dir, label, bytes)
-		return err
-	}
 	pol := cfg.Recovery.withDefaults()
-	_, retries, err := p.Ledger.MoveWithRetryCtx(ctx, cfg.Day, dir, label, bytes, pol.Transfer,
+	_, retries, err := p.Ledger.MoveWithRetry(ctx, cfg.Day, dir, label, bytes, pol.Transfer,
 		func(attempt int) (bool, float64) {
 			return fm.TransferStall(label, attempt), fm.Jitter(label, 0, 0, attempt)
 		})
@@ -270,86 +271,29 @@ func (p *Pipeline) moveWithRecovery(ctx context.Context, cfg NightConfig, fm *fa
 	return err
 }
 
-// RunNightsCtx executes a workload across consecutive nightly windows with
-// carryover — the resiliency behaviour of the production pipeline: tasks
-// that do not fit tonight's 10-hour window are resubmitted the next night
-// until the workload drains or maxNights is exhausted. Long multi-night
-// campaigns check ctx at each night boundary, so cancellation returns the
-// reports of the nights already simulated together with ctx.Err().
-func (p *Pipeline) RunNightsCtx(ctx context.Context, spec WorkflowSpec, heuristic string, maxNights int, seed uint64) ([]*NightReport, error) {
-	if maxNights <= 0 {
-		maxNights = 1
-	}
-	remaining := nightWorkload(spec).Tasks(stats.NewRNG(seed))
-	constraints, deadline := p.nightConstraints()
+// RunNightsCtx runs a campaign of consecutive nights with carryover — the
+// resiliency behaviour of the production pipeline. Each night is the night
+// RunNightCtx runs, faults and recovery included; the tasks it could not
+// start inside its window are resubmitted the next night, on day cfg.Day+1,
+// until the workload drains or maxNights is exhausted. Shed work is not
+// carried. Cancellation returns the reports of the nights already simulated
+// together with ctx.Err().
+func (p *Pipeline) RunNightsCtx(ctx context.Context, cfg NightConfig, maxNights int) ([]*NightReport, error) {
 	var reports []*NightReport
-	for night := 0; night < maxNights && len(remaining) > 0; night++ {
-		if err := ctx.Err(); err != nil {
+	var carry []sched.Task
+	for range max(maxNights, 1) {
+		rep, exec, err := p.runNight(ctx, cfg, carry)
+		if err != nil {
 			return reports, err
 		}
-		nctx, nsp := obs.StartSpan(ctx, "night",
-			obs.String("workflow", spec.Kind.String()),
-			obs.String("heuristic", heuristic),
-			obs.Int("day", int64(night)))
-		var exec cluster.ExecResult
-		switch heuristic {
-		case "", "FFDT-DC":
-			s, err := sched.FFDTDC(remaining, constraints)
-			if err != nil {
-				nsp.End()
-				return nil, err
-			}
-			exec, err = cluster.ExecuteBackfillOpts(cluster.FlattenSchedule(s), constraints,
-				cluster.ExecOptions{Deadline: deadline, Ctx: nctx})
-			if err != nil {
-				nsp.End()
-				return nil, err
-			}
-		case "NFDT-DC":
-			s, err := sched.NFDTDC(remaining, constraints)
-			if err != nil {
-				nsp.End()
-				return nil, err
-			}
-			exec = cluster.ExecuteLevelSyncOpts(s, cluster.ExecOptions{Deadline: deadline, Ctx: nctx})
-		default:
-			nsp.End()
-			return nil, fmt.Errorf("core: unknown heuristic %q", heuristic)
-		}
-		completed := int64(len(exec.Records))
-		rep := &NightReport{
-			Config:       NightConfig{Spec: spec, Heuristic: heuristic, Seed: seed, Day: night},
-			Tasks:        len(remaining),
-			Makespan:     exec.Makespan,
-			Utilization:  exec.Utilization,
-			Unstarted:    len(exec.Unstarted),
-			FitsWindow:   len(exec.Unstarted) == 0 && exec.Makespan <= deadline,
-			ConfigBytes:  int64(len(remaining)) * 580 * transfer.KB,
-			SummaryBytes: completed * spec.SummaryBytesPerSim,
-			RawBytes:     completed * spec.RawBytesPerSim,
-		}
-		rep.MakespanLB, rep.UtilizationBound = nightBounds(remaining, constraints.TotalNodes)
-		if _, err := p.Ledger.MoveCtx(nctx, night, transfer.HomeToRemote, "night-configs", rep.ConfigBytes); err != nil {
-			nsp.End()
-			return nil, err
-		}
-		if _, err := p.Ledger.MoveCtx(nctx, night, transfer.RemoteToHome, "night-summaries", rep.SummaryBytes); err != nil {
-			nsp.End()
-			return nil, err
-		}
-		nsp.SetAttr(
-			obs.Int("tasks", int64(rep.Tasks)),
-			obs.Float("makespan", rep.Makespan),
-			obs.Float("utilization", rep.Utilization),
-		)
-		nsp.End()
 		reports = append(reports, rep)
-		remaining = exec.Unstarted
+		if len(exec.Unstarted) == 0 {
+			return reports, nil
+		}
+		carry = exec.Unstarted
+		cfg.Day++
 	}
-	if len(remaining) > 0 {
-		return reports, fmt.Errorf("core: %d tasks still unfinished after %d nights", len(remaining), maxNights)
-	}
-	return reports, nil
+	return reports, fmt.Errorf("core: %d tasks still unfinished after %d nights", len(carry), len(reports))
 }
 
 // TimelineStep is one task of the multi-day human-in-the-loop cycle of

@@ -124,15 +124,8 @@ func (p *Pipeline) runNightRounds(ctx context.Context, cfg NightConfig, fm *faul
 	attempts := map[taskID]int{}
 	var inj cluster.Injector
 	if fm != nil {
-		inj = func(t sched.Task) cluster.Fault {
-			f := fm.Task(t.Region, t.Cell, t.Replicate, attempts[tid(t)])
-			switch f.Kind {
-			case faults.Crash:
-				return cluster.Fault{Kind: cluster.FaultCrash, Frac: f.Frac}
-			case faults.DBRefusal:
-				return cluster.Fault{Kind: cluster.FaultDBRefused}
-			}
-			return cluster.Fault{}
+		inj = func(t sched.Task) faults.TaskFault {
+			return fm.Task(t.Region, t.Cell, t.Replicate, attempts[tid(t)])
 		}
 	}
 
@@ -159,7 +152,7 @@ func (p *Pipeline) runNightRounds(ctx context.Context, cfg NightConfig, fm *faul
 			return cluster.ExecResult{}, err
 		}
 		runtime.Gosched()
-		return cluster.ExecuteBackfillOpts(cluster.FlattenSchedule(s), constraints,
+		return cluster.ExecuteBackfillOpts(s.Flatten(), constraints,
 			cluster.ExecOptions{Deadline: deadline, StartAt: startAt, Injector: inj, Ctx: rctx})
 	}
 
@@ -199,9 +192,9 @@ func (p *Pipeline) runNightRounds(ctx context.Context, cfg NightConfig, fm *faul
 	processFailures := func(failed []cluster.FaultRecord) {
 		for _, f := range failed {
 			switch f.Kind {
-			case cluster.FaultCrash:
+			case faults.Crash:
 				report.Crashes++
-			case cluster.FaultDBRefused:
+			case faults.DBRefusal:
 				report.DBRefusals++
 			}
 			obs.Event(ctx, "fault.injected",

@@ -26,7 +26,7 @@ func smallSpec() WorkflowSpec {
 func TestZeroFaultSpecIsBitForBitBaseline(t *testing.T) {
 	p := NewPipeline(31)
 	cfg := NightConfig{Spec: smallSpec(), Seed: 31}
-	rep, exec, err := p.ExecuteNightCtx(context.Background(), cfg)
+	rep, exec, err := p.runNight(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestZeroFaultSpecIsBitForBitBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := cluster.ExecuteBackfill(cluster.FlattenSchedule(s), c, deadline)
+	base, err := cluster.ExecuteBackfill(s.Flatten(), c, deadline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestFaultNightAccountingAndValidation(t *testing.T) {
 		Spec: smallSpec(), Seed: 32,
 		Faults: faults.Spec{Seed: 9, TaskCrashProb: 0.1, DBRefusalProb: 0.05, TransferStallProb: 0.2},
 	}
-	rep, exec, err := p.ExecuteNightCtx(context.Background(), cfg)
+	rep, exec, err := p.runNight(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestLevelSyncNightRecovers(t *testing.T) {
 		Spec: smallSpec(), Heuristic: "NFDT-DC", Seed: 38,
 		Faults: faults.Spec{Seed: 4, TaskCrashProb: 0.1},
 	}
-	rep, exec, err := p.ExecuteNightCtx(context.Background(), cfg)
+	rep, exec, err := p.runNight(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

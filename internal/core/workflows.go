@@ -38,7 +38,7 @@ func (p *Pipeline) runJobs(ctx context.Context, day int, label string, jobs []Si
 	defer sp.End()
 	// Daily configuration push (100MB–8.7GB band at full scale).
 	configBytes := int64(len(jobs)) * 64 * transfer.KB
-	if _, err := p.Ledger.MoveCtx(ctx, day, transfer.HomeToRemote, label+"-configs", configBytes); err != nil {
+	if _, err := p.Ledger.Move(ctx, day, transfer.HomeToRemote, label+"-configs", configBytes); err != nil {
 		return nil, err
 	}
 	outs := make([]*SimOutput, len(jobs))
@@ -53,7 +53,7 @@ func (p *Pipeline) runJobs(ctx context.Context, day int, label string, jobs []Si
 	for _, o := range outs {
 		summaryBytes += o.Agg.SummaryBytes()
 	}
-	if _, err := p.Ledger.MoveCtx(ctx, day, transfer.RemoteToHome, label+"-summaries", summaryBytes); err != nil {
+	if _, err := p.Ledger.Move(ctx, day, transfer.RemoteToHome, label+"-summaries", summaryBytes); err != nil {
 		return nil, err
 	}
 	return outs, nil

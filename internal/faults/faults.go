@@ -68,7 +68,7 @@ func (k Kind) String() string {
 	case Crash:
 		return "crash"
 	case DBRefusal:
-		return "db-refusal"
+		return "db-refused"
 	default:
 		return "unknown"
 	}

@@ -1,39 +1,29 @@
 package fidelity
 
-import (
-	"sync/atomic"
+import "repro/internal/obs"
 
-	"repro/internal/obs"
-)
-
-// counter is a registry-independent atomic counter: the router counts
-// unconditionally and RegisterMetrics exposes the values lazily, so a
-// router without a registry costs one atomic add per event.
-type counter struct{ v atomic.Int64 }
-
-func (c *counter) inc()         { c.v.Add(1) }
-func (c *counter) value() int64 { return c.v.Load() }
-
-// metrics holds the router's internal counters.
+// metrics holds the router's internal counters. A zero obs.Counter needs no
+// registry: the router counts unconditionally and RegisterMetrics exposes
+// the values lazily, so a router without a registry costs one atomic add
+// per event.
 type metrics struct {
-	servedEmulator counter
-	servedMetapop  counter
-	servedABM      counter
-	escalated      counter
-	observations   counter
-	refits         counter
-	refitErrors    counter
-	families       counter
+	servedEmulator obs.Counter
+	servedMetapop  obs.Counter
+	servedABM      obs.Counter
+	escalated      obs.Counter
+	observations   obs.Counter
+	refits         obs.Counter
+	refitErrors    obs.Counter
 }
 
 func (m *metrics) served(t Tier) {
 	switch t {
 	case TierEmulator:
-		m.servedEmulator.inc()
+		m.servedEmulator.Inc()
 	case TierMetapop:
-		m.servedMetapop.inc()
+		m.servedMetapop.Inc()
 	case TierABM:
-		m.servedABM.inc()
+		m.servedABM.Inc()
 	}
 }
 
@@ -51,21 +41,21 @@ func (m *metrics) served(t Tier) {
 func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	reg.Help("epi_fidelity_served_total", "Fidelity routing decisions by serving tier.")
 	reg.CounterFunc(`epi_fidelity_served_total{tier="emulator"}`,
-		func() float64 { return float64(r.m.servedEmulator.value()) })
+		func() float64 { return float64(r.m.servedEmulator.Value()) })
 	reg.CounterFunc(`epi_fidelity_served_total{tier="metapop"}`,
-		func() float64 { return float64(r.m.servedMetapop.value()) })
+		func() float64 { return float64(r.m.servedMetapop.Value()) })
 	reg.CounterFunc(`epi_fidelity_served_total{tier="abm"}`,
-		func() float64 { return float64(r.m.servedABM.value()) })
+		func() float64 { return float64(r.m.servedABM.Value()) })
 	reg.Help("epi_fidelity_escalations_total", "Auto-mode escalations to the ABM tier.")
 	reg.CounterFunc("epi_fidelity_escalations_total",
-		func() float64 { return float64(r.m.escalated.value()) })
+		func() float64 { return float64(r.m.escalated.Value()) })
 	reg.Help("epi_fidelity_observations_total", "ABM answers recorded as emulator training observations.")
 	reg.CounterFunc("epi_fidelity_observations_total",
-		func() float64 { return float64(r.m.observations.value()) })
+		func() float64 { return float64(r.m.observations.Value()) })
 	reg.CounterFunc("epi_fidelity_refits_total",
-		func() float64 { return float64(r.m.refits.value()) })
+		func() float64 { return float64(r.m.refits.Value()) })
 	reg.CounterFunc("epi_fidelity_refit_errors_total",
-		func() float64 { return float64(r.m.refitErrors.value()) })
+		func() float64 { return float64(r.m.refitErrors.Value()) })
 	reg.GaugeFunc("epi_fidelity_families",
 		func() float64 { return float64(r.families.Len()) })
 	reg.GaugeFunc("epi_fidelity_fitted_families",

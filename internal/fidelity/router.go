@@ -91,7 +91,6 @@ func (r *Router) family(req Request, key string) *family {
 	}
 	f := newFamily(key, req)
 	r.families.Put(key, f)
-	r.m.families.inc()
 	return f
 }
 
@@ -178,7 +177,7 @@ func (r *Router) decide(req Request, key string, budget float64) (Decision, erro
 	if snap != nil && snap.corr != nil {
 		reason = fmt.Sprintf("%s; metapop error %.3g > budget %.3g", reason, snap.corr.err, budget)
 	}
-	r.m.escalated.inc()
+	r.m.escalated.Inc()
 	base.Tier, base.Reason = TierABM, reason
 	return base, nil
 }
@@ -285,7 +284,7 @@ func (r *Router) observe(ctx context.Context, req Request, perConfig func(int) (
 			return err
 		}
 		n, pending = fam.add(observation{theta: theta(pr), curves: curves, base: base, noise: noise})
-		r.m.observations.inc()
+		r.m.observations.Inc()
 	}
 	obs.Event(ctx, "fidelity.observe",
 		obs.String("family", key[:12]),
@@ -319,9 +318,9 @@ func (r *Router) scheduleRefit(fam *family) {
 			fam.mu.Unlock()
 		}()
 		if err := fam.refit(r.cfg.MinFit); err == nil {
-			r.m.refits.inc()
+			r.m.refits.Inc()
 		} else {
-			r.m.refitErrors.inc()
+			r.m.refitErrors.Inc()
 		}
 	}
 	if r.cfg.Sync {

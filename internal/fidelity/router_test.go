@@ -404,7 +404,7 @@ func TestRouterConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	r.Close()
-	if got := int(r.m.observations.value()); got != 32 {
+	if got := int(r.m.observations.Value()); got != 32 {
 		t.Errorf("observations %d, want 32", got)
 	}
 }

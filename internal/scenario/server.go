@@ -213,7 +213,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return // client gone; nothing to write
 		}
 		code := http.StatusInternalServerError
-		if errors.Is(err, errCanceledResult) || job.Status().State == StateCanceled.String() {
+		if job.Status().State == StateCanceled.String() {
 			code = http.StatusConflict
 		}
 		writeError(w, code, err.Error())
@@ -234,9 +234,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	writeResult(w, job, res)
 }
-
-// errCanceledResult classifies cancellation in handleSubmit.
-var errCanceledResult = errors.New("scenario: job canceled")
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.svc.Lookup(r.PathValue("id"))

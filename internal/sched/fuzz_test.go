@@ -107,7 +107,7 @@ func FuzzScheduleRoundTrip(f *testing.F) {
 			if err := s.Validate(tasks, c); err != nil {
 				t.Fatalf("accepted instance packed invalidly: %v", err)
 			}
-			flat := cluster.FlattenSchedule(s)
+			flat := s.Flatten()
 			if len(flat) != len(tasks) {
 				t.Fatalf("flatten lost tasks: %d of %d", len(flat), len(tasks))
 			}

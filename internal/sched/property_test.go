@@ -91,7 +91,7 @@ func TestExecutionPropertiesRandomInstances(t *testing.T) {
 		// instances; zero means unlimited. Both regimes must validate.
 		full := cluster.ExecuteLevelSync(nf, 0)
 		for _, deadline := range []float64{0, full.Makespan / 2} {
-			res, err := cluster.ExecuteBackfill(cluster.FlattenSchedule(ff), c, deadline)
+			res, err := cluster.ExecuteBackfill(ff.Flatten(), c, deadline)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -109,7 +109,7 @@ func TestExecutionPropertiesRandomInstances(t *testing.T) {
 		}
 		// Work conservation: backfill completes everything with no deadline
 		// and performs exactly the schedule's node-seconds.
-		res, _ := cluster.ExecuteBackfill(cluster.FlattenSchedule(ff), c, 0)
+		res, _ := cluster.ExecuteBackfill(ff.Flatten(), c, 0)
 		if got, want := res.BusyNodeSeconds, ff.Work(); !approxEq(got, want) {
 			t.Fatalf("trial %d: executed %g node-seconds, schedule has %g", trial, got, want)
 		}

@@ -1,10 +1,6 @@
 package transfer
 
-import (
-	"context"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Snapshot is the ledger's aggregate state at one instant — the numbers the
 // unified /metrics endpoint and the nightly trace summary report.
@@ -50,61 +46,6 @@ func metricLabel(d Direction) string {
 		return "home_to_remote"
 	}
 	return "remote_to_home"
-}
-
-// MoveCtx is Move wrapped in a "transfer" span carrying the label,
-// direction, byte count and modeled duration. Without a tracer on ctx it is
-// exactly Move.
-func (l *Ledger) MoveCtx(ctx context.Context, day int, dir Direction, label string, bytes int64) (float64, error) {
-	ctx, sp := obs.StartSpan(ctx, "transfer",
-		obs.String("label", label),
-		obs.String("direction", metricLabel(dir)),
-		obs.Int("bytes", bytes))
-	d, err := l.Move(day, dir, label, bytes)
-	if err != nil {
-		sp.SetAttr(obs.String("error", err.Error()))
-	} else {
-		sp.SetAttr(obs.Float("model_seconds", d))
-		obs.Event(ctx, "transfer.bytes",
-			obs.String("label", label),
-			obs.String("direction", metricLabel(dir)),
-			obs.Int("bytes", bytes))
-	}
-	sp.End()
-	return d, err
-}
-
-// MoveWithRetryCtx is MoveWithRetry wrapped in a "transfer" span; every
-// stalled attempt books a transfer.retried event with the attempt number.
-func (l *Ledger) MoveWithRetryCtx(ctx context.Context, day int, dir Direction, label string, bytes int64, pol RetryPolicy, fault func(attempt int) (stalled bool, jitter float64)) (float64, int, error) {
-	ctx, sp := obs.StartSpan(ctx, "transfer",
-		obs.String("label", label),
-		obs.String("direction", metricLabel(dir)),
-		obs.Int("bytes", bytes))
-	traced := fault
-	if sp != nil && fault != nil {
-		traced = func(attempt int) (bool, float64) {
-			stalled, jitter := fault(attempt)
-			if stalled {
-				obs.Event(ctx, "transfer.retried",
-					obs.String("label", label),
-					obs.Int("attempt", int64(attempt)))
-			}
-			return stalled, jitter
-		}
-	}
-	elapsed, retries, err := l.MoveWithRetry(day, dir, label, bytes, pol, traced)
-	sp.SetAttr(obs.Int("retries", int64(retries)), obs.Float("model_seconds", elapsed))
-	if err != nil {
-		sp.SetAttr(obs.String("error", err.Error()))
-	} else {
-		obs.Event(ctx, "transfer.bytes",
-			obs.String("label", label),
-			obs.String("direction", metricLabel(dir)),
-			obs.Int("bytes", bytes))
-	}
-	sp.End()
-	return elapsed, retries, err
 }
 
 // RegisterMetrics exposes the ledger on a registry: per-direction byte

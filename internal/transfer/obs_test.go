@@ -3,6 +3,7 @@ package transfer
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,15 +16,15 @@ import (
 // exactly those numbers in the Prometheus exposition.
 func TestSnapshotAndRegisteredMetrics(t *testing.T) {
 	l := NewLedger(DefaultLink())
-	if _, err := l.Move(0, HomeToRemote, "configs", 500*MB); err != nil {
+	if _, err := l.Move(context.Background(), 0, HomeToRemote, "configs", 500*MB); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Move(0, RemoteToHome, "summaries", 2*GB); err != nil {
+	if _, err := l.Move(context.Background(), 0, RemoteToHome, "summaries", 2*GB); err != nil {
 		t.Fatal(err)
 	}
 	pol := RetryPolicy{MaxAttempts: 5, BaseBackoff: 1, Factor: 2}
 	fault := func(attempt int) (bool, float64) { return attempt == 0, 0 }
-	if _, retries, err := l.MoveWithRetry(1, HomeToRemote, "configs", 300*MB, pol, fault); err != nil {
+	if _, retries, err := l.MoveWithRetry(context.Background(), 1, HomeToRemote, "configs", 300*MB, pol, fault); err != nil {
 		t.Fatal(err)
 	} else if retries != 1 {
 		t.Fatalf("retries %d want 1", retries)
@@ -72,33 +73,31 @@ func TestSnapshotAndRegisteredMetrics(t *testing.T) {
 	}
 }
 
-// MoveCtx and MoveWithRetryCtx must book the same ledger records as their
-// untraced counterparts while emitting transfer spans and events.
-func TestMoveCtxMatchesMove(t *testing.T) {
-	plain := NewLedger(DefaultLink())
-	dPlain, err := plain.Move(0, HomeToRemote, "configs", 500*MB)
-	if err != nil {
-		t.Fatal(err)
+// A traced ledger must book the same records as an untraced one while
+// emitting one transfer span per move, a transfer.retried event per stalled
+// attempt and a transfer.bytes event per completed move.
+func TestTracedMoveMatchesUntraced(t *testing.T) {
+	pol := RetryPolicy{MaxAttempts: 5, BaseBackoff: 1, Factor: 2}
+	stall := func(attempt int) (bool, float64) { return attempt < 2, 0 }
+	moves := func(ctx context.Context) *Ledger {
+		l := NewLedger(DefaultLink())
+		if _, err := l.Move(ctx, 0, HomeToRemote, "configs", 500*MB); err != nil {
+			t.Fatal(err)
+		}
+		if _, retries, err := l.MoveWithRetry(ctx, 1, RemoteToHome, "summaries", GB, pol, stall); err != nil {
+			t.Fatal(err)
+		} else if retries != 2 {
+			t.Fatalf("retries %d want 2", retries)
+		}
+		return l
 	}
+	plain := moves(context.Background())
 
 	col := obs.NewCollector(nil)
 	tr := obs.NewTracer(col, obs.WithClock(obs.FixedClock(time.Unix(0, 0), time.Millisecond)))
-	ctx := obs.WithTracer(context.Background(), tr)
-	traced := NewLedger(DefaultLink())
-	dTraced, err := traced.MoveCtx(ctx, 0, HomeToRemote, "configs", 500*MB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dPlain != dTraced {
-		t.Fatalf("modeled duration %v diverges from %v under tracing", dTraced, dPlain)
-	}
-
-	pol := RetryPolicy{MaxAttempts: 5, BaseBackoff: 1, Factor: 2}
-	fault := func(attempt int) (bool, float64) { return attempt < 2, 0 }
-	if _, retries, err := traced.MoveWithRetryCtx(ctx, 1, RemoteToHome, "summaries", GB, pol, fault); err != nil {
-		t.Fatal(err)
-	} else if retries != 2 {
-		t.Fatalf("retries %d want 2", retries)
+	traced := moves(obs.WithTracer(context.Background(), tr))
+	if !reflect.DeepEqual(plain.Records, traced.Records) {
+		t.Fatalf("traced records %+v diverge from %+v", traced.Records, plain.Records)
 	}
 
 	spans, retried, moved := 0, 0, 0

@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -26,10 +27,10 @@ func TestDurationRejectsBadLinks(t *testing.T) {
 // duration that poisons downstream sums.
 func TestMoveRejectsBadLinkWithoutRecording(t *testing.T) {
 	l := NewLedger(Link{BandwidthBytesPerSec: 0, LatencySec: 30})
-	if _, err := l.Move(0, HomeToRemote, "configs", GB); err == nil {
+	if _, err := l.Move(context.Background(), 0, HomeToRemote, "configs", GB); err == nil {
 		t.Fatal("zero-bandwidth Move succeeded")
 	}
-	if _, _, err := l.MoveWithRetry(0, HomeToRemote, "configs", GB, RetryPolicy{}, nil); err == nil {
+	if _, _, err := l.MoveWithRetry(context.Background(), 0, HomeToRemote, "configs", GB, RetryPolicy{}, nil); err == nil {
 		t.Fatal("zero-bandwidth MoveWithRetry succeeded")
 	}
 	if len(l.Records) != 0 {
@@ -47,7 +48,7 @@ func TestMoveWithRetrySucceedsAfterStalls(t *testing.T) {
 	stallFirst := func(n int) func(int) (bool, float64) {
 		return func(attempt int) (bool, float64) { return attempt < n, 0 }
 	}
-	elapsed, retries, err := l.MoveWithRetry(3, RemoteToHome, "summaries", 1000, pol, stallFirst(2))
+	elapsed, retries, err := l.MoveWithRetry(context.Background(), 3, RemoteToHome, "summaries", 1000, pol, stallFirst(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestMoveWithRetryExhaustsBudget(t *testing.T) {
 	l := NewLedger(Link{BandwidthBytesPerSec: 100, LatencySec: 10})
 	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: 1, Factor: 2}
 	alwaysStall := func(int) (bool, float64) { return true, 0 }
-	elapsed, retries, err := l.MoveWithRetry(0, HomeToRemote, "configs", 1000, pol, alwaysStall)
+	elapsed, retries, err := l.MoveWithRetry(context.Background(), 0, HomeToRemote, "configs", 1000, pol, alwaysStall)
 	if err == nil {
 		t.Fatal("all-stalled transfer succeeded")
 	}
@@ -90,11 +91,11 @@ func TestMoveWithRetryExhaustsBudget(t *testing.T) {
 
 func TestMoveWithRetryNilFaultMatchesMove(t *testing.T) {
 	a, b := NewLedger(DefaultLink()), NewLedger(DefaultLink())
-	d1, err := a.Move(0, HomeToRemote, "x", MB)
+	d1, err := a.Move(context.Background(), 0, HomeToRemote, "x", MB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, retries, err := b.MoveWithRetry(0, HomeToRemote, "x", MB, RetryPolicy{}, nil)
+	d2, retries, err := b.MoveWithRetry(context.Background(), 0, HomeToRemote, "x", MB, RetryPolicy{}, nil)
 	if err != nil || retries != 0 {
 		t.Fatalf("nil-fault retry: %v retries %d", err, retries)
 	}

@@ -7,10 +7,13 @@
 package transfer
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // Byte-size constants.
@@ -99,16 +102,11 @@ type Ledger struct {
 // NewLedger builds a ledger over a link.
 func NewLedger(link Link) *Ledger { return &Ledger{Link: link} }
 
-// Move records a transfer and returns its modeled duration.
-func (l *Ledger) Move(day int, dir Direction, label string, bytes int64) (float64, error) {
-	d, err := l.Link.Duration(bytes)
-	if err != nil {
-		return 0, err
-	}
-	l.mu.Lock()
-	l.Records = append(l.Records, Record{Day: day, Direction: dir, Label: label, Bytes: bytes, Seconds: d})
-	l.mu.Unlock()
-	return d, nil
+// Move records a transfer that never stalls and returns its modeled
+// duration: MoveWithRetry with a nil stall.
+func (l *Ledger) Move(ctx context.Context, day int, dir Direction, label string, bytes int64) (float64, error) {
+	d, _, err := l.MoveWithRetry(ctx, day, dir, label, bytes, RetryPolicy{}, nil)
+	return d, err
 }
 
 // RetryPolicy bounds transfer retries with exponential backoff. Zero fields
@@ -153,39 +151,61 @@ func (p RetryPolicy) Backoff(attempt int, u float64) float64 {
 	return b * (1 + u)
 }
 
-// MoveWithRetry records a transfer whose attempts may stall. fault(attempt)
-// reports whether 0-based attempt `attempt` stalls and supplies the jitter
-// u ∈ [0, 1) for that attempt's backoff; a nil fault never stalls. Each
-// stalled attempt costs the link's per-batch latency plus the jittered
-// backoff before the next try. On success the ledger gains one record
-// carrying the total elapsed seconds and the retry count; when every
-// attempt stalls the transfer fails, nothing is recorded, and the retry
-// count is returned with the error.
-func (l *Ledger) MoveWithRetry(day int, dir Direction, label string, bytes int64, pol RetryPolicy, fault func(attempt int) (stalled bool, jitter float64)) (float64, int, error) {
+// MoveWithRetry records a transfer whose attempts may stall, inside a
+// "transfer" span carrying the label, direction, byte count, retry count and
+// modeled seconds. stall(attempt) reports whether 0-based attempt `attempt`
+// stalls and supplies the jitter u ∈ [0, 1) for that attempt's backoff; a
+// nil stall never stalls. Each stalled attempt books a transfer.retried
+// event and costs the link's per-batch latency plus the jittered backoff
+// before the next try. On success the ledger gains one record carrying the
+// total elapsed seconds and the retry count; when every attempt stalls the
+// transfer fails, nothing is recorded, and the retry count is returned with
+// the error.
+func (l *Ledger) MoveWithRetry(ctx context.Context, day int, dir Direction, label string, bytes int64, pol RetryPolicy, stall func(attempt int) (stalled bool, jitter float64)) (float64, int, error) {
+	ctx, sp := obs.StartSpan(ctx, "transfer",
+		obs.String("label", label),
+		obs.String("direction", metricLabel(dir)),
+		obs.Int("bytes", bytes))
+	defer sp.End()
 	pol = pol.withDefaults()
 	d, err := l.Link.Duration(bytes)
-	if err != nil {
-		return 0, 0, err
-	}
-	elapsed := 0.0
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
+	elapsed, attempt := 0.0, 0
+	for ; err == nil && attempt < pol.MaxAttempts; attempt++ {
 		stalled, jitter := false, 0.0
-		if fault != nil {
-			stalled, jitter = fault(attempt)
+		if stall != nil {
+			stalled, jitter = stall(attempt)
 		}
 		if !stalled {
-			elapsed += d
-			l.mu.Lock()
-			l.Records = append(l.Records, Record{
-				Day: day, Direction: dir, Label: label, Bytes: bytes,
-				Seconds: elapsed, Retries: attempt,
-			})
-			l.mu.Unlock()
-			return elapsed, attempt, nil
+			break
 		}
+		obs.Event(ctx, "transfer.retried",
+			obs.String("label", label),
+			obs.Int("attempt", int64(attempt)))
 		elapsed += l.Link.LatencySec + pol.Backoff(attempt, jitter)
 	}
-	return elapsed, pol.MaxAttempts, fmt.Errorf("transfer: %s stalled on all %d attempts", label, pol.MaxAttempts)
+	switch {
+	case err != nil:
+	case attempt == pol.MaxAttempts:
+		err = fmt.Errorf("transfer: %s stalled on all %d attempts", label, pol.MaxAttempts)
+	default:
+		elapsed += d
+		l.mu.Lock()
+		l.Records = append(l.Records, Record{
+			Day: day, Direction: dir, Label: label, Bytes: bytes,
+			Seconds: elapsed, Retries: attempt,
+		})
+		l.mu.Unlock()
+	}
+	sp.SetAttr(obs.Int("retries", int64(attempt)), obs.Float("model_seconds", elapsed))
+	if err != nil {
+		sp.SetAttr(obs.String("error", err.Error()))
+		return elapsed, attempt, err
+	}
+	obs.Event(ctx, "transfer.bytes",
+		obs.String("label", label),
+		obs.String("direction", metricLabel(dir)),
+		obs.Int("bytes", bytes))
+	return elapsed, attempt, nil
 }
 
 // TotalBytes sums transferred bytes, optionally filtered by direction.

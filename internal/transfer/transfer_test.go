@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -21,13 +22,13 @@ func TestDuration(t *testing.T) {
 
 func TestLedgerAccounting(t *testing.T) {
 	l := NewLedger(DefaultLink())
-	if _, err := l.Move(0, HomeToRemote, "configs", 500*MB); err != nil {
+	if _, err := l.Move(context.Background(), 0, HomeToRemote, "configs", 500*MB); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Move(0, RemoteToHome, "summaries", 2*GB); err != nil {
+	if _, err := l.Move(context.Background(), 0, RemoteToHome, "summaries", 2*GB); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Move(1, HomeToRemote, "configs", 300*MB); err != nil {
+	if _, err := l.Move(context.Background(), 1, HomeToRemote, "configs", 300*MB); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.TotalBytes(HomeToRemote); got != 800*MB {
@@ -89,7 +90,7 @@ func TestTableIITransferTimes(t *testing.T) {
 
 func TestMoveError(t *testing.T) {
 	l := NewLedger(Link{BandwidthBytesPerSec: 0})
-	if _, err := l.Move(0, HomeToRemote, "x", 10); err == nil {
+	if _, err := l.Move(context.Background(), 0, HomeToRemote, "x", 10); err == nil {
 		t.Fatal("zero-bandwidth move accepted")
 	}
 	if len(l.Records) != 0 {
