@@ -48,8 +48,8 @@ loadtest:
 # Short exploratory fuzz pass over the scheduler, executor, snapshot-codec,
 # kernel-vs-reference, kernel JSON-config and disease-model decoders,
 # metapop closed-form-vs-dense, fidelity-router, scenario-spec,
-# submit-handler, network/partition file-loader and network-builder targets
-# (the seed corpus always runs as part of tier1).
+# submit, status, result and cancel handler, network/partition file-loader
+# and network-builder targets (the seed corpus always runs as part of tier1).
 fuzz:
 	$(GO) test ./internal/sched -fuzz FuzzRelaxedColoring -fuzztime 10s
 	$(GO) test ./internal/sched -fuzz FuzzScheduleRoundTrip -fuzztime 10s
@@ -62,6 +62,9 @@ fuzz:
 	$(GO) test ./internal/fidelity -fuzz FuzzFidelityRoute -fuzztime 10s
 	$(GO) test ./internal/scenario -fuzz FuzzSpecNormalize -fuzztime 10s
 	$(GO) test ./internal/scenario -fuzz FuzzSubmitHandler -fuzztime 10s
+	$(GO) test ./internal/scenario -fuzz FuzzStatusHandler -fuzztime 10s
+	$(GO) test ./internal/scenario -fuzz FuzzResultHandler -fuzztime 10s
+	$(GO) test ./internal/scenario -fuzz FuzzCancelHandler -fuzztime 10s
 	$(GO) test ./internal/synthpop -fuzz FuzzReadNetworkBinary -fuzztime 10s
 	$(GO) test ./internal/synthpop -fuzz FuzzReadNetworkCSV -fuzztime 10s
 	$(GO) test ./internal/synthpop -fuzz FuzzReadPartitions -fuzztime 10s

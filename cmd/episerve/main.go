@@ -87,6 +87,7 @@ func main() {
 	p := core.NewPipeline(*seed, core.WithScale(*scale), core.WithParallelism(*shards),
 		core.WithSnapshotCacheBytes(*snapCacheMB<<20))
 	reg := obs.NewRegistry()
+	obs.RegisterRuntimeMetrics(reg)
 	p.RegisterMetrics(reg)
 	var router *fidelity.Router
 	if *enableFidelity {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -199,5 +201,34 @@ func TestValidateExecutionCatchesFailedOveruse(t *testing.T) {
 	}
 	if err := ValidateExecution(res, sched.Constraints{TotalNodes: 12}, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBackfillCancelInsideRun: a cancelled context stops the executor within
+// 1 024 started tasks, not at the end of the night. The injector cancels at
+// its 100th call, so it may see at most 1 024 more before the executor
+// returns context.Canceled.
+func TestBackfillCancelInsideRun(t *testing.T) {
+	tasks := make([]sched.Task, 20000)
+	for i := range tasks {
+		tasks[i] = sched.Task{Region: "VA", Cell: i, Nodes: 1, Time: 10}
+	}
+	c := sched.Constraints{TotalNodes: 64}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	inj := func(sched.Task) faults.TaskFault {
+		calls++
+		if calls == 100 {
+			cancel()
+		}
+		return faults.TaskFault{}
+	}
+	_, err := ExecuteBackfillOpts(tasks, c, ExecOptions{Injector: inj, Ctx: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if calls > 100+1024 {
+		t.Fatalf("injector called %d times, %d after the cancel", calls, calls-100)
 	}
 }

@@ -112,8 +112,9 @@ type retryItem struct {
 // FFDT-DC + backfill into the remaining window. The merged ExecResult
 // spans all rounds; failure/retry/shed accounting lands in the report.
 // With a nil fault model this is exactly one failure-free round — the
-// bit-for-bit baseline. Cancelling ctx interrupts the retry loop between
-// scheduling passes and returns ctx.Err().
+// bit-for-bit baseline. Cancelling ctx returns ctx.Err(): it is checked
+// before each round is packed, and the backfill executor checks it as it
+// starts tasks.
 func (p *Pipeline) runNightRounds(ctx context.Context, cfg NightConfig, fm *faults.Model, tasks []sched.Task,
 	constraints sched.Constraints, deadline float64, report *NightReport) (cluster.ExecResult, error) {
 
@@ -147,6 +148,9 @@ func (p *Pipeline) runNightRounds(ctx context.Context, cfg NightConfig, fm *faul
 	// peak RSS 21–30 MB without the yields, 17.5 MB with them).
 	backfillRound := func(rctx context.Context, tasks []sched.Task, startAt float64) (cluster.ExecResult, error) {
 		runtime.Gosched()
+		if err := rctx.Err(); err != nil {
+			return cluster.ExecResult{}, err
+		}
 		s, err := sched.FFDTDC(tasks, constraints)
 		if err != nil {
 			return cluster.ExecResult{}, err

@@ -10,7 +10,7 @@ import (
 // requireCountersExact recounts every node's infectious-contact word from
 // its row's half-edge records: the neighbor count and the fixed-point ΣT·w (taken
 // from the node's OWN half-edges, the side the scan reads, and quantised from
-// their Dur and Weight, never read from the Q column the kernel adds) must
+// their Dur and Weight, never read from the Q table the kernel adds) must
 // both match what the kernel maintained incrementally from the neighbors' side.
 func requireCountersExact(t *testing.T, label string, sim *Sim) {
 	t.Helper()

@@ -333,8 +333,8 @@ func (s *Sim) runScheduled(day int) {
 // Λ, infection occurs with probability 1 − e^{−Λ}, and the causing contact
 // is drawn proportionally to its propensity.
 //
-// The hot loop runs on the network's CSR view: T·w_e is computed from the
-// Dur and Weight columns only for the infectious contacts it prices,
+// The hot loop runs on the network's CSR view: T·w_e is looked up by the
+// contact's record code only for the infectious contacts it prices,
 // ω·ι·infectivityScale comes from the per-tick effInf table, and
 // each contributing contact's propensity is pushed to the caller's
 // scratch buffer so infector selection replays the buffer instead of
@@ -343,7 +343,7 @@ func (s *Sim) runScheduled(day int) {
 // partition's shard in one write at the end.
 func (s *Sim) transmissionPhase(p synthpop.Partition, day int, buf []exposure, scratch []propEntry) ([]exposure, []propEntry) {
 	offsets := s.csr.Offsets
-	csrNbr, csrCtx, csrDur, csrWeight := s.csr.Nbr, s.csr.Ctx, s.csr.Dur, s.csr.Weight
+	csrNbr, csrCtx, csrCode, twOf := s.csr.Nbr, s.csr.Ctx, s.csr.Code, s.csr.TW
 	infBits := s.effInfBits
 	attrs := &s.model.Attrs
 	propBound := s.propBound
@@ -395,7 +395,7 @@ func (s *Sim) transmissionPhase(p synthpop.Partition, day int, buf []exposure, s
 			scratch = scratch[:0]
 			nbrs := csrNbr[off:end]
 			ctxs := csrCtx[off:end]
-			durs, weights := csrDur[off:end], csrWeight[off:end]
+			codes := csrCode[off:end]
 			found := int32(0)
 			visited := len(nbrs)
 			for i, nb := range nbrs {
@@ -410,10 +410,10 @@ func (s *Sim) transmissionPhase(p synthpop.Partition, day int, buf []exposure, s
 				ctx := ctxs[i]
 				src := ctx & 7
 				if maskV&(1<<src) != 0 && s.effMaskT[nb]&(1<<(ctx>>3)) != 0 {
-					// T·w as synthpop's seal computes it, so the product
-					// matches the reference kernel's bit for bit.
-					tw := float64(durs[i]) / 1440 * float64(weights[i])
-					prop := tw * s.ctxWeight[src] * sigma * s.effInf[nb]
+					// T·w as synthpop's seal computes it once per record,
+					// so the product matches the reference kernel's bit
+					// for bit.
+					prop := twOf[codes[i]] * s.ctxWeight[src] * sigma * s.effInf[nb]
 					total += prop
 					scratch = append(scratch, propEntry{nbr: nb, p: prop})
 				}

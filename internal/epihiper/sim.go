@@ -103,7 +103,8 @@ type Sim struct {
 	model *disease.Model
 	net   *synthpop.Network
 	// csr is the flat adjacency the kernel scans: offsets plus contiguous
-	// half-edge columns, the fixed-point T·w_e among them (synthpop.CSR).
+	// half-edge columns, whose record codes index the T·w_e and fixed-point
+	// T·w_e tables (synthpop.CSR).
 	csr *synthpop.CSR
 	// ageBand is the network's per-person Table III age band, the one
 	// person trait a transition reads.
@@ -543,9 +544,9 @@ func (s *Sim) bumpNeighbors(sh *shard, pid, neg int32) {
 	off, end := s.csr.Offsets[pid], s.csr.Offsets[pid+1]
 	first, span := uint32(sh.first), uint32(sh.last-sh.first)
 	sh.work.edgeVisits += end - off
-	qs := s.csr.Q[off:end]
+	codes, qOf := s.csr.Code[off:end], s.csr.Q
 	for i, v := range s.csr.Nbr[off:end] {
-		q := (qs[i] ^ neg) - neg
+		q := (qOf[codes[i]] ^ neg) - neg
 		if uint32(v)-first <= span {
 			s.bumpInfNbr(v, q)
 		} else {

@@ -306,9 +306,11 @@ func (rt *RequestTrace) Snapshot() TraceView {
 	}
 	for _, pe := range events {
 		n := nodes[pe.span]
-		if n == nil {
-			// Event fired on a span that has not closed yet (or span 0):
-			// surface it on the root so nothing is lost.
+		if n == nil || n.Name == "" {
+			// Event fired on a span that has not closed yet (or span 0),
+			// or on a placeholder — a parent that never closed, whose
+			// closed children surface as orphans: surface it on the root
+			// so nothing is lost.
 			n = rootNode
 		}
 		n.Events = append(n.Events, pe.ev)

@@ -154,11 +154,34 @@ func TestWithSpanCarriesIdentityNotCancellation(t *testing.T) {
 	}
 }
 
+// requireEventsShown holds a trace view to its summary: every event the
+// summary counts appears somewhere in the tree, on the root, a descendant or
+// an orphan.
+func requireEventsShown(t *testing.T, v TraceView) {
+	t.Helper()
+	var shown func(*SpanNode) int
+	shown = func(n *SpanNode) int {
+		c := len(n.Events)
+		for _, ch := range n.Children {
+			c += shown(ch)
+		}
+		return c
+	}
+	got := shown(v.Root)
+	for _, o := range v.Orphans {
+		got += shown(o)
+	}
+	if got != v.Events {
+		t.Fatalf("summary counts %d events, the tree shows %d", v.Events, got)
+	}
+}
+
 // TestRequestTraceGolden pins the /debug/requests/{id} payload and the
 // request journal of one FixedClock request: a read while the job still
 // runs, then the finished trace, then the teed journal lines. It covers
 // nested children, events on closed and still-open spans, an orphan whose
-// parent never closes, escalation, annotations and an errored outcome.
+// parent never closes (an event on that parent shows on the root),
+// escalation, annotations and an errored outcome.
 // Built the way writeJSON serves it (two-space indent, trailing newline).
 func TestRequestTraceGolden(t *testing.T) {
 	var journal bytes.Buffer
@@ -190,8 +213,17 @@ func TestRequestTraceGolden(t *testing.T) {
 	rs.SetAttr(Bool("cached", false))
 	rs.End()
 	rt.Finish(500, "boom")
-	if got := async + view() + journal.String(); got != requestTraceGolden {
+	done := view()
+	if got := async + done + journal.String(); got != requestTraceGolden {
 		t.Fatalf("request trace payload moved:\n%s", got)
+	}
+	// Parsed back from the payloads: a Snapshot here would move the clock.
+	for _, payload := range []string{async, done} {
+		var v TraceView
+		if err := json.Unmarshal([]byte(payload), &v); err != nil {
+			t.Fatal(err)
+		}
+		requireEventsShown(t, v)
 	}
 }
 
@@ -219,6 +251,13 @@ const requestTraceGolden = `{
         "at_ns": 1700000000001000000,
         "attrs": {
           "class": "interactive"
+        }
+      },
+      {
+        "name": "stage.progress",
+        "at_ns": 1700000000009000000,
+        "attrs": {
+          "frac": 0.5
         }
       },
       {
@@ -297,6 +336,13 @@ const requestTraceGolden = `{
         "at_ns": 1700000000001000000,
         "attrs": {
           "class": "interactive"
+        }
+      },
+      {
+        "name": "stage.progress",
+        "at_ns": 1700000000009000000,
+        "attrs": {
+          "frac": 0.5
         }
       }
     ],

@@ -163,3 +163,93 @@ func FuzzSubmitHandler(f *testing.F) {
 		servetest.AssertQuiesced(t, svc, goroutinesBefore)
 	})
 }
+
+// fuzzJobRoute drives one job-ID route — method and the path around the ID
+// — with an arbitrary ID and X-Request-Id, over a service holding one
+// finished job. When known is set the path carries that job's ID followed
+// by id, so an empty id names the job and any other is a near miss. The
+// reply is never a 5xx, every 4xx carries a JSON error body, the echoed
+// request ID follows the submit route's rule and names a trace the flight
+// recorder holds, and the drained service is quiescent. An ID of "", "."
+// or ".." leaves an empty or dot segment, which the mux may answer with a
+// redirect to the cleaned path; it never reaches the route and is skipped.
+func fuzzJobRoute(f *testing.F, method, suffix string) {
+	for _, seed := range []struct {
+		id, reqID string
+		known     bool
+	}{
+		{"", "", true},
+		{"", "feedfacefeedface", true},
+		{"/", "", false},
+		{"x", "", true},
+		{"0123abcd", "", false},
+		{"a/b?c#d", "..", false},
+		{"%2F..%00", strings.Repeat("b", 65), false},
+		{"\xff\x00 spaces\n", "retry id/with\nbad bytes", false},
+		{strings.Repeat("f", 4096), "Client_7.retry-2", false},
+	} {
+		f.Add(seed.id, seed.reqID, seed.known)
+	}
+	instant := func(context.Context, Spec) (*Result, error) { return &Result{}, nil }
+	validID := regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
+	f.Fuzz(func(t *testing.T, id, reqID string, known bool) {
+		if !known && (id == "" || id == "." || id == "..") {
+			t.Skip("cleaned by the mux")
+		}
+		goroutinesBefore := runtime.NumGoroutine()
+		svc := NewService(Config{Workers: 1, QueueCap: 2, Runner: instant, Fingerprint: "fuzz"})
+		h := NewServer(svc, NewServingObs(obs.NewRegistry(), ServingObsConfig{RecorderCapacity: 4}))
+		job, err := svc.SubmitCtx(context.Background(), Spec{Workflow: WorkflowPrediction, State: "VA", Days: 10}, PriorityNormal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := job.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if known {
+			id = job.Status().ID + id
+		}
+		req := httptest.NewRequest(method, "/scenarios/"+url.PathEscape(id)+suffix, nil)
+		if reqID != "" {
+			req.Header.Set("X-Request-Id", reqID)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code >= 500 {
+			t.Fatalf("%s %q: status %d: %s", method, id, rec.Code, rec.Body.Bytes())
+		}
+		if rec.Code >= 400 {
+			var body struct{ Error string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+				t.Fatalf("%s %q: status %d body is not a JSON error: %q", method, id, rec.Code, rec.Body.Bytes())
+			}
+		}
+		echoed := rec.Header().Get("X-Request-Id")
+		if !validID.MatchString(echoed) || echoed == "." || echoed == ".." {
+			t.Fatalf("echoed request ID %.80q for client ID %.80q", echoed, reqID)
+		}
+		if validID.MatchString(reqID) && reqID != "." && reqID != ".." && echoed != reqID {
+			t.Fatalf("valid client ID %q echoed as %q", reqID, echoed)
+		}
+		get := httptest.NewRecorder()
+		h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, "/debug/requests/"+echoed, nil))
+		if get.Code != http.StatusOK {
+			t.Fatalf("GET /debug/requests/%s: status %d", echoed, get.Code)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := svc.Drain(ctx); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		servetest.AssertQuiesced(t, svc, goroutinesBefore)
+	})
+}
+
+// FuzzStatusHandler fuzzes GET /scenarios/{id} (fuzzJobRoute).
+func FuzzStatusHandler(f *testing.F) { fuzzJobRoute(f, http.MethodGet, "") }
+
+// FuzzResultHandler fuzzes GET /scenarios/{id}/result (fuzzJobRoute).
+func FuzzResultHandler(f *testing.F) { fuzzJobRoute(f, http.MethodGet, "/result") }
+
+// FuzzCancelHandler fuzzes DELETE /scenarios/{id} (fuzzJobRoute).
+func FuzzCancelHandler(f *testing.F) { fuzzJobRoute(f, http.MethodDelete, "") }

@@ -51,6 +51,11 @@ func NewServer(svc *Service, so ...*ServingObs) *Server {
 	s.mux.HandleFunc("GET /scenarios/{id}", s.obs.Middleware(s.handleStatus))
 	s.mux.HandleFunc("GET /scenarios/{id}/result", s.obs.Middleware(s.handleResult))
 	s.mux.HandleFunc("DELETE /scenarios/{id}", s.obs.Middleware(s.handleCancel))
+	// A path under /scenarios/ that names no route — an empty ID, or an ID
+	// of "/", which the mux matches to no {id} — still gets a JSON 404 and
+	// a request ID.
+	s.mux.HandleFunc("GET /scenarios/", s.obs.Middleware(handleNoRoute))
+	s.mux.HandleFunc("DELETE /scenarios/", s.obs.Middleware(handleNoRoute))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -281,6 +286,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "scenario already finished")
 		return
 	}
+	writeError(w, http.StatusNotFound, "unknown scenario")
+}
+
+func handleNoRoute(w http.ResponseWriter, _ *http.Request) {
 	writeError(w, http.StatusNotFound, "unknown scenario")
 }
 

@@ -7,12 +7,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 func testServer(t *testing.T, workers, queueCap int) (*httptest.Server, *Service, *stubRunner) {
@@ -476,5 +479,47 @@ func TestServerMetricsPrometheus(t *testing.T) {
 	}
 	if strings.Contains(text, "epi_replica_") {
 		t.Fatalf("per-pool series exposed:\n%s", text)
+	}
+}
+
+// TestServerMetricsRuntime: with the runtime series registered, a scrape of
+// /metrics shows the live heap, mapped memory, GC cycles, goroutines and
+// the build info, each positive once a GC cycle has completed.
+func TestServerMetricsRuntime(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.RegisterRuntimeMetrics(reg)
+	svc := NewService(Config{Workers: 1, QueueCap: 1, Runner: newStubRunner().run, Fingerprint: "test", Registry: reg})
+	t.Cleanup(func() { _ = svc.Drain(context.Background()) })
+	ts := httptest.NewServer(NewServer(svc))
+	t.Cleanup(ts.Close)
+	runtime.GC()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("series %q has value %q", name, val)
+		}
+		values[name] = v
+	}
+	for _, name := range []string{
+		"epi_go_heap_live_bytes", "epi_go_memory_total_bytes", "epi_go_gc_cycles_total", "epi_go_goroutines",
+		`epi_build_info{go_version="` + runtime.Version() + `"}`,
+	} {
+		if values[name] <= 0 {
+			t.Errorf("%s = %v, want > 0", name, values[name])
+		}
 	}
 }

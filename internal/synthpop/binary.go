@@ -182,7 +182,9 @@ func ReadNetworkBinary(r io.Reader) (*Network, error) {
 		}
 		c.set(int64(k), e)
 	}
-	c.seal()
+	if err := c.seal(); err != nil {
+		return nil, err
+	}
 	// Half-edges arrive one by one, so nothing yet says the two directions
 	// of a contact agree — the invariant the simulator's counters rest on.
 	if err := net.Validate(); err != nil {

@@ -88,14 +88,15 @@ func (b *Builder) flush() {
 			b.err = errOverrun(end)
 			return
 		}
-		c.set(cur[u], e)
+		// Both half-edges of a contact share its record and so its code.
+		code := c.intern(record{e.StartMin, e.DurationMin, e.Weight})
+		c.put(cur[u], v, CtxBits(e.SrcContext, e.DstContext), code)
 		cur[u]++
 		if cur[v] == end {
 			b.err = errOverrun(end)
 			return
 		}
-		e.Neighbor, e.SrcContext, e.DstContext = u, e.DstContext, e.SrcContext
-		c.set(cur[v], e)
+		c.put(cur[v], u, CtxBits(e.DstContext, e.SrcContext), code)
 		cur[v]++
 	}
 }
@@ -142,8 +143,10 @@ func (b *Builder) Build(wire func(*Builder)) (*Network, error) {
 			return nil, fmt.Errorf("synthpop: wiring did not replay: row %d gets %d of the %d half-edges counted", i, k-c.Offsets[i], c.Offsets[i+1]-c.Offsets[i])
 		}
 	}
-	b.cursor = nil // garbage by the time seal allocates Q
-	c.seal()
+	b.cursor = nil
+	if err := c.seal(); err != nil {
+		return nil, err
+	}
 	return net, nil
 }
 

@@ -29,17 +29,22 @@ func (a adjOracle) network(region string, persons []Person) *Network {
 	net := &Network{Region: region, Persons: persons}
 	c := &net.csr
 	c.Offsets = make([]int64, len(a)+1)
-	for i, row := range a {
-		for _, e := range row {
-			c.Nbr = append(c.Nbr, e.Neighbor)
-			c.Ctx = append(c.Ctx, CtxBits(e.SrcContext, e.DstContext))
-			c.Start = append(c.Start, e.StartMin)
-			c.Dur = append(c.Dur, e.DurationMin)
-			c.Weight = append(c.Weight, e.Weight)
-		}
-		c.Offsets[i+1] = int64(len(c.Nbr))
+	total := 0
+	for _, row := range a {
+		total += len(row)
 	}
-	c.seal()
+	c.resize(uint64(total), uint64(total))
+	for i, row := range a {
+		k := c.Offsets[i]
+		for _, e := range row {
+			c.set(k, e)
+			k++
+		}
+		c.Offsets[i+1] = k
+	}
+	if err := c.seal(); err != nil {
+		panic(err)
+	}
 	return net
 }
 
@@ -55,8 +60,10 @@ func rows(net *Network) adjOracle {
 	return out
 }
 
-// requireSameColumns compares every column of two networks position by
-// position, floats by bit pattern.
+// requireSameColumns compares two networks half-edge by half-edge: the
+// stored columns, the record each code stands for (floats by bit pattern) and
+// the T·w and Q it prices. Codes themselves may differ, since they number
+// records in the order each network met them.
 func requireSameColumns(t *testing.T, label string, got, want *Network) {
 	t.Helper()
 	g, w := got.CSR(), want.CSR()
@@ -66,14 +73,14 @@ func requireSameColumns(t *testing.T, label string, got, want *Network) {
 	if !slices.Equal(g.Nbr, w.Nbr) || !slices.Equal(g.Ctx, w.Ctx) {
 		t.Fatalf("%s: Nbr/Ctx differ", label)
 	}
-	if !slices.Equal(g.Start, w.Start) || !slices.Equal(g.Dur, w.Dur) {
-		t.Fatalf("%s: Start/Dur differ", label)
-	}
-	if !slices.EqualFunc(g.Weight, w.Weight, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
-		t.Fatalf("%s: Weight differs", label)
-	}
-	if !slices.Equal(g.Q, w.Q) {
-		t.Fatalf("%s: Q differs", label)
+	for k := range g.Code {
+		if gr, wr := g.recs[g.Code[k]], w.recs[w.Code[k]]; gr.key() != wr.key() {
+			t.Fatalf("%s: half-edge %d has record %+v, want %+v", label, k, gr, wr)
+		}
+		gc, wc := g.Code[k], w.Code[k]
+		if g.Q[gc] != w.Q[wc] || math.Float64bits(g.TW[gc]) != math.Float64bits(w.TW[wc]) {
+			t.Fatalf("%s: half-edge %d prices T·w %g (Q %d), want %g (Q %d)", label, k, g.TW[gc], g.Q[gc], w.TW[wc], w.Q[wc])
+		}
 	}
 	if (g.RangeErr() == nil) != (w.RangeErr() == nil) {
 		t.Fatalf("%s: range check disagrees: %v vs %v", label, g.RangeErr(), w.RangeErr())
@@ -274,34 +281,139 @@ func TestBuilderGenerateAllocatesNearItsSize(t *testing.T) {
 	}
 }
 
-// TestNetworkBytes: Bytes is the columns plus the person table, 34 bytes per
-// contact (17 per half-edge), with nothing per person but its record and its
-// offset.
+// TestNetworkBytes: Bytes is the columns, the record table and the person
+// table: 18 bytes per contact (9 per half-edge), 20 per distinct record, and
+// nothing per person but its record and its offset. The generators write
+// 1 265 distinct records at most.
 func TestNetworkBytes(t *testing.T) {
 	va, _ := StateByCode("VA")
 	net, err := Generate(va, smallConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(net.NumEdges())*34 + int64(net.NumNodes())*(24+8) + 8
+	records := int64(len(net.CSR().recs))
+	if records == 0 || records > 1265 {
+		t.Fatalf("%d distinct records, want 1–1265", records)
+	}
+	want := int64(net.NumEdges())*18 + records*20 + int64(net.NumNodes())*(24+8) + 8
 	if got := net.Bytes(); got != want {
 		t.Fatalf("Bytes() = %d, want %d", got, want)
 	}
 }
 
-// requireDerivedColumns holds a network's derived per-edge and per-person
-// columns to their definitions, recomputed from the record columns: Q[k] is
-// QuantTW of half-edge k's T·w, and AgeBands()[i] is person i's Table III
-// band.
-func requireDerivedColumns(t *testing.T, label string, net *Network) {
+// TestRecordCodes: a code stands for a record's bits. Half-edges whose
+// records have equal bits share a code and half-edges whose bits differ do
+// not, on both interning paths — once per contact (Builder) and once per
+// half-edge (the binary reader's set). Validate still compares records by
+// value, so a contact stored as a +0 weight one way and −0 the other is a
+// mirror. A record table past maxRecords is refused.
+func TestRecordCodes(t *testing.T) {
+	weights := []float32{0, float32(math.Copysign(0, -1)), 1, 0.5, float32(math.NaN()), math.Float32frombits(0x7fc00001)}
+	r := stats.NewRNG(7)
+	var list []contactArgs
+	for k := 0; k < 3000; k++ {
+		a := contactArgs{u: int32(r.Intn(40)), v: int32(r.Intn(40)), start: uint16(r.Intn(3)), dur: uint16(r.Intn(3)), w: weights[r.Intn(len(weights))]}
+		if a.u != a.v {
+			list = append(list, a)
+		}
+	}
+	persons := make([]Person, 40)
+	built, err := buildAll("ZZ", persons, list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, net := range map[string]*Network{"built": built, "set": oracleOf("ZZ", persons, list)} {
+		c := net.CSR()
+		codeOf, keyOf := map[uint64]uint32{}, map[uint32]uint64{}
+		for k, code := range c.Code {
+			key := c.recs[code].key()
+			e := c.At(int64(k))
+			if want := (record{e.StartMin, e.DurationMin, e.Weight}).key(); key != want {
+				t.Fatalf("%s: half-edge %d has key %#x, its record %#x", label, k, key, want)
+			}
+			if prev, ok := codeOf[key]; ok && prev != code {
+				t.Fatalf("%s: record %#x has codes %d and %d", label, key, prev, code)
+			}
+			if prev, ok := keyOf[code]; ok && prev != key {
+				t.Fatalf("%s: code %d stands for %#x and %#x", label, code, prev, key)
+			}
+			codeOf[key], keyOf[code] = code, key
+		}
+		if len(codeOf) != len(c.recs) {
+			t.Fatalf("%s: %d distinct records in %d table entries", label, len(codeOf), len(c.recs))
+		}
+	}
+
+	mirror := make(adjOracle, 2)
+	mirror[0] = []HalfEdge{{Neighbor: 1, DurationMin: 60, Weight: 0}}
+	mirror[1] = []HalfEdge{{Neighbor: 0, DurationMin: 60, Weight: float32(math.Copysign(0, -1))}}
+	net := mirror.network("ZZ", make([]Person, 2))
+	if c := net.CSR(); c.Code[0] == c.Code[1] {
+		t.Fatalf("+0 and −0 weights share code %d", c.Code[0])
+	}
+	if err := net.Validate(); err != nil {
+		t.Fatalf("+0/−0 mirror refused: %v", err)
+	}
+
+	three := []contactArgs{{u: 0, v: 1, dur: 60, w: 1}, {u: 1, v: 2, dur: 30, w: 1}, {u: 2, v: 0, dur: 10, w: 1}}
+	threeNet, err := buildAll("ZZ", persons, three)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := WriteNetworkBinary(&file, threeNet); err != nil {
+		t.Fatal(err)
+	}
+	defer func(old uint64) { maxRecords = old }(maxRecords)
+	maxRecords = 2
+	if _, err := buildAll("ZZ", persons, three[:2]); err != nil {
+		t.Fatalf("two records refused at maxRecords 2: %v", err)
+	}
+	if _, err := buildAll("ZZ", persons, three); err == nil {
+		t.Fatal("three records built at maxRecords 2")
+	}
+	if _, err := ReadNetworkBinary(&file); err == nil {
+		t.Fatal("three records read at maxRecords 2")
+	}
+}
+
+// requireDerivedColumns holds a network's record table and derived
+// per-person column to their definitions: every code names a record, each
+// record's TW is its duration as a fraction of a day times its weight, its Q
+// is QuantTW of that, and AgeBands()[i] is person i's Table III band. When
+// written is not nil, every half-edge's record (At) must also equal, bit for
+// bit, the one written's half-edge at the same position.
+func requireDerivedColumns(t *testing.T, label string, net, written *Network) {
 	t.Helper()
 	c := net.CSR()
-	if len(c.Q) != len(c.Nbr) {
-		t.Fatalf("%s: %d Q entries for %d half-edges", label, len(c.Q), len(c.Nbr))
+	if len(c.TW) != len(c.recs) || len(c.Q) != len(c.recs) {
+		t.Fatalf("%s: %d TW and %d Q entries for %d records", label, len(c.TW), len(c.Q), len(c.recs))
 	}
-	for k := range c.Q {
-		if want := QuantTW(float64(c.Dur[k]) / 1440.0 * float64(c.Weight[k])); int64(c.Q[k]) != want {
-			t.Fatalf("%s: Q[%d] = %d, want QuantTW(%d/1440·%g) = %d", label, k, c.Q[k], c.Dur[k], c.Weight[k], want)
+	for r, rec := range c.recs {
+		tw := float64(rec.dur) / 1440.0 * float64(rec.weight)
+		if math.Float64bits(c.TW[r]) != math.Float64bits(tw) {
+			t.Fatalf("%s: TW[%d] = %g, want %d/1440·%g = %g", label, r, c.TW[r], rec.dur, rec.weight, tw)
+		}
+		want := int64(-1)
+		if tw >= 0 && tw*(1<<TWQuantBits) < MaxQuantTW {
+			want = QuantTW(tw)
+		}
+		if int64(c.Q[r]) != want {
+			t.Fatalf("%s: Q[%d] = %d, want QuantTW(%g) = %d", label, r, c.Q[r], tw, want)
+		}
+	}
+	if len(c.Code) != len(c.Nbr) {
+		t.Fatalf("%s: %d codes for %d half-edges", label, len(c.Code), len(c.Nbr))
+	}
+	for k, code := range c.Code {
+		if int(code) >= len(c.recs) {
+			t.Fatalf("%s: half-edge %d has code %d of %d records", label, k, code, len(c.recs))
+		}
+		if written == nil {
+			continue
+		}
+		if got, want := c.At(int64(k)), written.CSR().At(int64(k)); !sameHalfEdge(got, want) {
+			t.Fatalf("%s: half-edge %d reads %+v, written %+v", label, k, got, want)
 		}
 	}
 	bands := net.AgeBands()
@@ -315,16 +427,26 @@ func requireDerivedColumns(t *testing.T, label string, net *Network) {
 	}
 }
 
-// TestDerivedColumns: the columns a tick reads in place of the records —
-// quantised weights and age bands — agree with the records on every path a
-// network is made by: generated, read from CSV and read from binary.
+// sameHalfEdge compares two half-edge records, the weight by bit pattern.
+func sameHalfEdge(a, b HalfEdge) bool {
+	fa, fb := a, b
+	fa.Weight, fb.Weight = 0, 0
+	return fa == fb && math.Float32bits(a.Weight) == math.Float32bits(b.Weight)
+}
+
+// TestDerivedColumns: the tables a tick reads in place of the records —
+// T·w, quantised T·w and age bands — agree with the records on every path a
+// network is made by: generated, read from CSV and read from binary, and
+// each read network returns the records its file was written from. The
+// generated network's records are held to the generators by
+// TestPopulationGolden, which hashes every record popgen writes.
 func TestDerivedColumns(t *testing.T) {
 	va, _ := StateByCode("VA")
 	net, err := Generate(va, smallConfig(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireDerivedColumns(t, "generated", net)
+	requireDerivedColumns(t, "generated", net, nil)
 
 	var csvBuf bytes.Buffer
 	if err := WriteNetworkCSV(&csvBuf, net); err != nil {
@@ -334,7 +456,17 @@ func TestDerivedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireDerivedColumns(t, "CSV-read", fromCSV)
+	// The CSV file lists each contact once, from its lower endpoint, so its
+	// rows come back in the order that list gives them.
+	var lines []contactArgs
+	for i, row := range rows(net) {
+		for _, e := range row {
+			if e.Neighbor >= int32(i) {
+				lines = append(lines, contactArgs{int32(i), e.Neighbor, e.SrcContext, e.DstContext, e.StartMin, e.DurationMin, e.Weight})
+			}
+		}
+	}
+	requireDerivedColumns(t, "CSV-read", fromCSV, oracleOf("VA", net.Persons, lines))
 
 	var binBuf bytes.Buffer
 	if err := WriteNetworkBinary(&binBuf, net); err != nil {
@@ -344,5 +476,5 @@ func TestDerivedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireDerivedColumns(t, "binary-read", fromBin)
+	requireDerivedColumns(t, "binary-read", fromBin, net)
 }

@@ -39,7 +39,7 @@ func FuzzReadNetworkBinary(f *testing.F) {
 		if err := got.CSR().RangeErr(); err != nil {
 			t.Fatalf("accepted network is outside the simulator's range: %v", err)
 		}
-		requireDerivedColumns(t, "accepted file", got)
+		requireDerivedColumns(t, "accepted file", got, nil)
 		// ... that the writer and the reader agree on: re-written, it reads
 		// back as the same columns and re-writes to the same bytes.
 		var first, second bytes.Buffer

@@ -2,6 +2,7 @@ package synthpop
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"unsafe"
@@ -167,30 +168,98 @@ func (n *Network) PersonsByCounty() map[int32][]int32 {
 // kernels scale to realistic networks. The per-edge fields are split
 // structure-of-arrays style because the transmission kernel's common path
 // (neighbor not infectious) needs only the 4-byte neighbor ID: scanning Nbr
-// alone moves a quarter of the memory an array-of-structs row would. The
+// alone moves under half the memory an array-of-structs row would. The
 // columns are shared — do not mutate.
 type CSR struct {
 	Offsets []int64 // len NumNodes()+1
-	// Nbr, Ctx and Q are the columns every tick reads, parallel over all
-	// half-edges in row order. Ctx packs the source context in bits 0-2 and
-	// the destination context in bits 3-5 (NumContexts = 7 fits in 3 bits).
-	// Q is the fixed-point image QuantTW(T·w_e) of the static part of the
+	// Nbr, Ctx and Code are the half-edge columns, parallel over all
+	// half-edges in row order: 9 bytes per half-edge. Ctx packs the source
+	// context in bits 0-2 and the destination context in bits 3-5
+	// (NumContexts = 7 fits in 3 bits). Code numbers the half-edge's (start,
+	// duration, weight) record in the network's table of distinct records.
+	// A generated network holds about 1 300 of them at any size, so the
+	// tables a code indexes stay in the L1 cache.
+	Nbr  []int32
+	Ctx  []uint8
+	Code []uint32
+	// TW and Q are indexed by code. TW is the static part of the
 	// per-contact propensity — T·w_e of eq. (1), the contact duration as a
-	// fraction of a day times the contact weight — which is all the
-	// simulator's neighbor updates add and remove.
-	Nbr []int32
-	Ctx []uint8
-	Q   []int32
-	// Start, Dur (minutes) and Weight complete the file formats' half-edge
-	// record. The writers, Validate and the reference kernel read them; a
-	// tick reads Dur and Weight only for the infectious contacts it prices,
-	// computing T·w with the expression seal quantises.
-	Start  []uint16
-	Dur    []uint16
-	Weight []float32
+	// fraction of a day times the contact weight — which the transmission
+	// scan prices an infectious contact with. Q is its fixed-point image
+	// QuantTW(T·w), which is all the simulator's neighbor updates add and
+	// remove; a record whose T·w is outside QuantTW's range has Q = -1, and
+	// the range check refuses every row that uses it.
+	TW []float64
+	Q  []int32
+
+	// recs is the record table Code indexes. index finds a record's code
+	// while the columns are filled; seal drops it.
+	recs  []record
+	index *recordIndex
 
 	// rangeErr is set when some row leaves the range QuantTW sums can hold.
 	rangeErr error
+}
+
+// record is the part of a half-edge that its code stands for.
+type record struct {
+	start, dur uint16 // minutes
+	weight     float32
+}
+
+// key returns r's bits as one word: records with equal keys share a code,
+// so a +0 and a −0 weight are two records, as they are two bit patterns in
+// the file formats.
+func (r record) key() uint64 {
+	return uint64(r.start) | uint64(r.dur)<<16 | uint64(math.Float32bits(r.weight))<<32
+}
+
+// recordIndex finds a record's code while the columns are filled. Contacts
+// come in runs that share a record (a household, a class), so the previous
+// record is tried first, then a direct-mapped cache that fits in L1, and the
+// map only when both miss.
+type recordIndex struct {
+	last  cachedCode
+	cache [1 << recordCacheBits]cachedCode
+	codes map[uint64]uint32
+	err   error
+}
+
+// cachedCode is a record key and its code plus one; code 0 is an empty slot.
+type cachedCode struct {
+	key  uint64
+	code uint32
+}
+
+const recordCacheBits = 10
+
+// maxRecords bounds a network's distinct records, since a code is 32 bits.
+// It is a variable so that a test can reach the refusal.
+var maxRecords uint64 = 1 << 32
+
+// intern returns record r's code, adding r to the table when it is new. A
+// record past maxRecords gets code 0 and an error that seal returns.
+func (c *CSR) intern(r record) uint32 {
+	ix, key := c.index, r.key()
+	if ix.last.code != 0 && ix.last.key == key {
+		return ix.last.code - 1
+	}
+	slot := &ix.cache[(key*0x9E3779B97F4A7C15)>>(64-recordCacheBits)]
+	if slot.code == 0 || slot.key != key {
+		code, ok := ix.codes[key]
+		if !ok {
+			if uint64(len(c.recs)) >= maxRecords {
+				ix.err = fmt.Errorf("synthpop: more than %d distinct contact records", maxRecords)
+				return 0
+			}
+			code = uint32(len(c.recs))
+			c.recs = append(c.recs, r)
+			ix.codes[key] = code
+		}
+		*slot = cachedCode{key, code + 1}
+	}
+	ix.last = *slot
+	return slot.code - 1
 }
 
 // The simulator bounds a susceptible node's total propensity by the sum of
@@ -218,39 +287,49 @@ const (
 // must be finite, non-negative and below 2048 (checkRow).
 func QuantTW(tw float64) int64 { return int64(tw*(1<<TWQuantBits)) + 1 }
 
-// seal completes the columns once Offsets, Nbr, Ctx, Start, Dur and Weight
-// are filled: one pass over the rows runs the range check and derives Q.
-// Builder.Build and ReadNetworkBinary, the two places a Network is made,
-// both end here, so no network reaches the simulator unchecked.
-func (c *CSR) seal() {
-	c.Q = make([]int32, len(c.Nbr))
-	for i := 0; i+1 < len(c.Offsets) && c.rangeErr == nil; i++ {
-		c.rangeErr = c.checkRow(i, c.Q)
+// seal completes the columns once Offsets, Nbr, Ctx and Code are filled: it
+// drops the record index, derives TW and Q once per record, and runs the
+// range check row by row from them. Builder.Build and ReadNetworkBinary, the
+// two places a Network is made, both end here, so no network reaches the
+// simulator unchecked. The error is a record table that outgrew its codes.
+func (c *CSR) seal() error {
+	if ix := c.index; ix != nil {
+		c.index = nil
+		if ix.err != nil {
+			return ix.err
+		}
 	}
+	c.recs = slices.Clone(c.recs) // exactly sized
+	c.TW, c.Q = make([]float64, len(c.recs)), make([]int32, len(c.recs))
+	for r, rec := range c.recs {
+		// T·w_e of eq. (1), computed as the reference kernel computes it.
+		tw := float64(rec.dur) / 1440 * float64(rec.weight)
+		c.TW[r], c.Q[r] = tw, -1
+		// A NaN fails the comparison and keeps Q = -1.
+		if tw >= 0 && tw*(1<<TWQuantBits) < MaxQuantTW {
+			c.Q[r] = int32(QuantTW(tw))
+		}
+	}
+	for i := 0; i+1 < len(c.Offsets) && c.rangeErr == nil; i++ {
+		c.rangeErr = c.checkRow(i)
+	}
+	return nil
 }
 
 // checkRow verifies that node i's contacts have a finite, non-negative T·w
-// and fit the fixed-point limits above. When q is non-nil it receives each
-// checked contact's QuantTW.
-func (c *CSR) checkRow(i int, q []int32) error {
+// and fit the fixed-point limits above.
+func (c *CSR) checkRow(i int) error {
 	lo, hi := c.Offsets[i], c.Offsets[i+1]
 	if hi-lo > MaxDegree {
 		return fmt.Errorf("synthpop: node %d has %d contacts, limit %d", i, hi-lo, MaxDegree)
 	}
 	sum := int64(0)
 	for k := lo; k < hi; k++ {
-		// T·w_e of eq. (1), computed as the transmission scan and the
-		// reference kernel compute it.
-		tw := float64(c.Dur[k]) / 1440 * float64(c.Weight[k])
-		// The negated comparison also refuses NaN.
-		if !(tw >= 0 && tw*(1<<TWQuantBits) < MaxQuantTW) {
-			return fmt.Errorf("synthpop: contact %d→%d has T·w %g outside [0, %d)", i, c.Nbr[k], tw, (MaxQuantTW+1)>>TWQuantBits)
+		code := c.Code[k]
+		if c.Q[code] < 0 {
+			return fmt.Errorf("synthpop: contact %d→%d has T·w %g outside [0, %d)", i, c.Nbr[k], c.TW[code], (MaxQuantTW+1)>>TWQuantBits)
 		}
-		qk := QuantTW(tw)
-		if q != nil {
-			q[k] = int32(qk)
-		}
-		sum += qk
+		sum += int64(c.Q[code])
 	}
 	if sum > MaxRowQuantTW {
 		return fmt.Errorf("synthpop: node %d's contacts sum to T·w %g, limit %d", i, float64(sum)/(1<<TWQuantBits), (MaxRowQuantTW+1)>>TWQuantBits)
@@ -276,25 +355,32 @@ func (c *CSR) Degree(i int32) int { return int(c.Offsets[i+1] - c.Offsets[i]) }
 
 // At returns half-edge k (an index into the columns) as a record.
 func (c *CSR) At(k int64) HalfEdge {
+	r := c.recs[c.Code[k]]
 	return HalfEdge{
 		Neighbor:   c.Nbr[k],
 		SrcContext: Context(c.Ctx[k] & 7), DstContext: Context(c.Ctx[k] >> 3),
-		StartMin: c.Start[k], DurationMin: c.Dur[k], Weight: c.Weight[k],
+		StartMin: r.start, DurationMin: r.dur, Weight: r.weight,
 	}
 }
 
 // set stores record e as half-edge k, the inverse of At. Contexts must be
 // below NumContexts: Ctx has three bits for each.
 func (c *CSR) set(k int64, e HalfEdge) {
-	c.Nbr[k], c.Ctx[k] = e.Neighbor, CtxBits(e.SrcContext, e.DstContext)
-	c.Start[k], c.Dur[k], c.Weight[k] = e.StartMin, e.DurationMin, e.Weight
+	c.put(k, e.Neighbor, CtxBits(e.SrcContext, e.DstContext), c.intern(record{e.StartMin, e.DurationMin, e.Weight}))
 }
 
-// resize sets the length of the five stored half-edge columns to n, growing
-// them as grown does.
+// put stores half-edge k from its column values.
+func (c *CSR) put(k int64, nbr int32, ctx uint8, code uint32) {
+	c.Nbr[k], c.Ctx[k], c.Code[k] = nbr, ctx, code
+}
+
+// resize sets the length of the three stored half-edge columns to n, growing
+// them as grown does. The first call also starts the record index.
 func (c *CSR) resize(n, limit uint64) {
-	c.Nbr, c.Ctx = grown(c.Nbr, n, limit), grown(c.Ctx, n, limit)
-	c.Start, c.Dur, c.Weight = grown(c.Start, n, limit), grown(c.Dur, n, limit), grown(c.Weight, n, limit)
+	c.Nbr, c.Ctx, c.Code = grown(c.Nbr, n, limit), grown(c.Ctx, n, limit), grown(c.Code, n, limit)
+	if c.index == nil {
+		c.index = &recordIndex{codes: make(map[uint64]uint32)}
+	}
 }
 
 // grown returns s at length n. When it has to reallocate it at least doubles,
@@ -327,16 +413,18 @@ func (n *Network) MeanDegree() float64 {
 	return float64(len(n.csr.Nbr)) / float64(len(n.Persons))
 }
 
-// Bytes returns the memory the network occupies: the contact columns (17
-// bytes per half-edge, 34 per contact), the row offsets and the person
-// table. Household records, a generator by-product the simulator never
-// reads, and the derived per-person indexes (Counties, AgeBands) are not
-// counted.
+// Bytes returns the memory the network occupies: the contact columns (9
+// bytes per half-edge, 18 per contact), the record table (20 bytes per
+// distinct record: the record, its T·w and its Q), the row offsets and the
+// person table. A generated network has about 1 300 records; if every
+// contact had its own, a half-edge would cost ≈19 bytes. Household records,
+// a generator by-product the simulator never reads, and the derived
+// per-person indexes (Counties, AgeBands) are not counted.
 func (n *Network) Bytes() int64 {
 	c := &n.csr
 	return int64(len(c.Offsets))*8 +
-		int64(len(c.Nbr))*4 + int64(len(c.Ctx)) + int64(len(c.Q))*4 +
-		int64(len(c.Start))*2 + int64(len(c.Dur))*2 + int64(len(c.Weight))*4 +
+		int64(len(c.Nbr))*4 + int64(len(c.Ctx)) + int64(len(c.Code))*4 +
+		int64(len(c.recs))*int64(unsafe.Sizeof(record{})) + int64(len(c.TW))*8 + int64(len(c.Q))*4 +
 		int64(len(n.Persons))*int64(unsafe.Sizeof(Person{}))
 }
 
@@ -370,7 +458,7 @@ func (n *Network) Validate() error {
 				return fmt.Errorf("synthpop: contact %d→%d has an unknown context (%d, %d)", i, e.Neighbor, e.SrcContext, e.DstContext)
 			}
 		}
-		if err := c.checkRow(i, nil); err != nil {
+		if err := c.checkRow(i); err != nil {
 			return err
 		}
 	}
@@ -393,11 +481,12 @@ func (n *Network) Validate() error {
 
 // countLike counts the half-edges of node i's row that lead to nbr with the
 // packed contexts ctx and share half-edge k's start, duration and weight.
+// Records compare field by field, so a +0 weight matches a −0 one although
+// their codes differ.
 func (c *CSR) countLike(k int64, i, nbr int32, ctx uint8) int {
-	lo, count := c.Offsets[i], 0
+	lo, count, r := c.Offsets[i], 0, c.recs[c.Code[k]]
 	for d, x := range c.Nbr[lo:c.Offsets[i+1]] {
-		if j := lo + int64(d); x == nbr && c.Ctx[j] == ctx &&
-			c.Start[j] == c.Start[k] && c.Dur[j] == c.Dur[k] && c.Weight[j] == c.Weight[k] {
+		if j := lo + int64(d); x == nbr && c.Ctx[j] == ctx && c.recs[c.Code[j]] == r {
 			count++
 		}
 	}
