@@ -22,7 +22,10 @@
 // the corrected county metapop when they can meet the budget, running the
 // full ABM only otherwise (and folding every ABM answer back into the
 // emulator's training set). "fidelity": "abm" forces the exact path;
-// omitting the field keeps the legacy behavior byte-for-byte.
+// omitting the field keeps the legacy behavior byte-for-byte. A family is
+// refitted inside the job whose ABM answer crossed its staleness bound, so
+// that job's reply and the drain on shutdown wait for the refit, and
+// /readyz reflects it once the reply is out.
 //
 // /metrics serves the unified registry: serving counters (submissions,
 // queue, result store, per-workflow latency histograms) plus the shared
@@ -96,7 +99,6 @@ func main() {
 			MinFit: *fidelityMinFit, MaxBytes: *fidelityCacheMB << 20,
 		})
 		router.RegisterMetrics(reg)
-		defer router.Close()
 	}
 	if *replicas > 1 {
 		*workers *= *replicas

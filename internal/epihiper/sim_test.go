@@ -134,61 +134,6 @@ func TestPopulationConserved(t *testing.T) {
 	}
 }
 
-func TestDeterministicSameSeed(t *testing.T) {
-	net := testNetwork(t, 5)
-	run := func() *Result {
-		sim, err := New(baseConfig(net, 99))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.TotalInfections != b.TotalInfections {
-		t.Fatalf("same seed differs: %d vs %d", a.TotalInfections, b.TotalInfections)
-	}
-	for d := range a.Daily {
-		if a.Daily[d] != b.Daily[d] {
-			t.Fatalf("day %d differs", d)
-		}
-	}
-}
-
-// The headline reproducibility property: results are bit-identical across
-// different processing-unit counts (our MPI-rank stand-in).
-func TestDeterministicAcrossParallelism(t *testing.T) {
-	net := testNetwork(t, 6)
-	var results []*Result
-	for _, p := range []int{1, 2, 4, 8} {
-		cfg := baseConfig(net, 1234)
-		cfg.Parallelism = p
-		sim, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i].TotalInfections != results[0].TotalInfections {
-			t.Fatalf("parallelism changed outcome: %d vs %d infections",
-				results[i].TotalInfections, results[0].TotalInfections)
-		}
-		for d := range results[0].Daily {
-			if results[i].Daily[d] != results[0].Daily[d] {
-				t.Fatalf("parallelism changed day %d", d)
-			}
-		}
-	}
-}
-
 func TestSeedSensitivity(t *testing.T) {
 	net := testNetwork(t, 7)
 	outcomes := map[int64]bool{}

@@ -45,7 +45,7 @@ type family struct {
 }
 
 // snapshot is an immutable fitted view: readers use it without holding the
-// family lock.
+// family lock. A family starts with an empty one (n 0, no tier fitted).
 type snapshot struct {
 	n    int
 	emu  *emulator
@@ -77,7 +77,7 @@ func newFamily(key string, proto Request) *family {
 	proto.Configs = nil
 	proto.Mode = ""
 	proto.MaxUncertainty = 0
-	return &family{key: key, proto: proto, seen: map[string]int{}}
+	return &family{key: key, proto: proto, seen: map[string]int{}, snap: &snapshot{}}
 }
 
 // thetaKey fingerprints a design point for dedup.
@@ -108,7 +108,7 @@ func (f *family) add(o observation) (n, pending int) {
 	return len(f.obs), f.pending
 }
 
-// snapshotView returns the current fitted snapshot (nil before first fit).
+// snapshotView returns the current fitted snapshot.
 func (f *family) snapshotView() *snapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -131,7 +131,7 @@ func (f *family) cost() int64 {
 	names := len(f.proto.seriesNames())
 	perObs := int64(2*names*f.proto.Days+paramDim) * 8
 	c := int64(len(f.obs)) * perObs
-	if f.snap != nil && f.snap.emu != nil {
+	if f.snap.emu != nil {
 		n := int64(f.snap.emu.n)
 		c += n * n * 8 * 5 * int64(names)
 	}
@@ -142,38 +142,51 @@ func (f *family) cost() int64 {
 // fits on; below it the tier serves uncorrected with a conservative error.
 const minCorrection = 3
 
-// refit fits a fresh snapshot from the current observations (outside the
-// family lock — fitting is the expensive step) and installs it. minFit
-// gates the emulator; the correction fits from minCorrection points.
-func (f *family) refit(minFit int) error {
+// refit fits fresh snapshots from the current observations (outside the
+// family lock — fitting is the expensive step) until fewer than maxStale
+// observations are pending, and reports the fits made and failed. minFit
+// gates the emulator; the correction fits from minCorrection points. A
+// call that finds a refit running returns at once with no fits: the
+// running refit checks the staleness bound again when it finishes.
+func (f *family) refit(minFit, maxStale int) (fits, failed int) {
 	f.mu.Lock()
-	obs := make([]observation, len(f.obs))
-	copy(obs, f.obs)
-	names := f.proto.seriesNames()
-	days := f.proto.Days
-	pendingAtCopy := f.pending
-	f.mu.Unlock()
-
-	snap := &snapshot{n: len(obs)}
-	var err error
-	if len(obs) >= minCorrection {
-		snap.corr = fitCorrection(names, days, obs)
+	defer f.mu.Unlock()
+	if f.fitting {
+		return 0, 0
 	}
-	if len(obs) >= minFit {
-		snap.emu, err = fitEmulator(names, days, obs)
+	f.fitting = true
+	defer func() { f.fitting = false }()
+	for {
+		obs := append([]observation(nil), f.obs...)
+		names := f.proto.seriesNames()
+		days := f.proto.Days
+		pendingAtCopy := f.pending
+		f.mu.Unlock()
+
+		snap := &snapshot{n: len(obs)}
+		var err error
+		if len(obs) >= minCorrection {
+			snap.corr = fitCorrection(names, days, obs)
+		}
+		if len(obs) >= minFit {
+			snap.emu, err = fitEmulator(names, days, obs)
+			if err != nil {
+				snap.emu = nil // degenerate design: keep serving the correction
+			}
+		}
+
+		f.mu.Lock()
+		f.snap = snap
+		f.pending -= pendingAtCopy
 		if err != nil {
-			snap.emu = nil // degenerate design: keep serving the correction
+			failed++
+		} else {
+			fits++
+		}
+		if f.pending < maxStale {
+			return fits, failed
 		}
 	}
-
-	f.mu.Lock()
-	f.snap = snap
-	f.pending -= pendingAtCopy
-	if f.pending < 0 {
-		f.pending = 0
-	}
-	f.mu.Unlock()
-	return err
 }
 
 // fitCorrection estimates the per-day delta between ABM curves and metapop
@@ -342,66 +355,43 @@ func (e *emulator) predictConfig(name string, th [paramDim]float64, buf *gp.Mult
 // across the requested configurations and the worst-case uncertainty.
 func (e *emulator) emulate(req Request) (*Answer, float64) {
 	names := req.seriesNames()
-	days := req.Days
-	nc := len(req.Configs)
 	buf := e.gps[names[0]].NewBuf()
-	mean := make([]float64, days)
-	sd := make([]float64, days)
 	ans := &Answer{Series: map[string]core.Forecast{}}
 	uncertainty := 0.0
-	vals := make([]float64, nc)
 	for _, name := range names {
-		means := make([][]float64, nc)
-		f := core.Forecast{
-			Median: make([]float64, days),
-			Lo:     make([]float64, days),
-			Hi:     make([]float64, days),
-		}
-		for d := range f.Lo {
-			f.Lo[d] = math.Inf(1)
-			f.Hi[d] = math.Inf(-1)
-		}
+		means := make([][]float64, len(req.Configs))
+		sds := make([][]float64, len(req.Configs))
 		for c, pr := range req.Configs {
-			e.predictConfig(name, theta(pr), buf, mean, sd)
-			means[c] = append([]float64(nil), mean...)
-			for d := 0; d < days; d++ {
-				if u := 2 * sd[d]; u > uncertainty {
+			means[c], sds[c] = make([]float64, req.Days), make([]float64, req.Days)
+			e.predictConfig(name, theta(pr), buf, means[c], sds[c])
+			for _, sd := range sds[c] {
+				if u := 2 * sd; u > uncertainty {
 					uncertainty = u
 				}
-				f.Lo[d] = math.Min(f.Lo[d], expm1Clamped(mean[d]-2*sd[d]))
-				f.Hi[d] = math.Max(f.Hi[d], expm1Clamped(mean[d]+2*sd[d]))
 			}
 		}
-		for d := 0; d < days; d++ {
-			for c := range means {
-				vals[c] = means[c][d]
-			}
-			f.Median[d] = expm1Clamped(median(vals))
-		}
-		ans.Series[name] = f
+		ans.Series[name] = band(means, sds)
 	}
 	return ans, uncertainty
 }
 
-// uncertaintyAt is the emulator's worst-case uncertainty over the request's
-// configurations without assembling the answer (the routing probe).
-func (e *emulator) uncertaintyAt(req Request) float64 {
-	names := req.seriesNames()
-	buf := e.gps[names[0]].NewBuf()
-	mean := make([]float64, req.Days)
-	sd := make([]float64, req.Days)
-	u := 0.0
-	for _, name := range names {
-		for _, pr := range req.Configs {
-			e.predictConfig(name, theta(pr), buf, mean, sd)
-			for d := range sd {
-				if v := 2 * sd[d]; v > u {
-					u = v
-				}
-			}
+// band turns one series' per-configuration log1p mean and SD curves into
+// its served forecast: the median of the means and the ±2 SD envelope
+// across the configurations, in natural units.
+func band(means, sds [][]float64) core.Forecast {
+	days := len(means[0])
+	f := core.Forecast{Median: make([]float64, days), Lo: make([]float64, days), Hi: make([]float64, days)}
+	vals := make([]float64, len(means))
+	for d := 0; d < days; d++ {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for c := range means {
+			lo = math.Min(lo, expm1Clamped(means[c][d]-2*sds[c][d]))
+			hi = math.Max(hi, expm1Clamped(means[c][d]+2*sds[c][d]))
+			vals[c] = means[c][d]
 		}
+		f.Median[d], f.Lo[d], f.Hi[d] = expm1Clamped(median(vals)), lo, hi
 	}
-	return u
+	return f
 }
 
 // median returns the sample median (sorting a scratch copy).
@@ -425,130 +415,101 @@ const uncorrectedError = 1.0
 // tier. Curves come from the mapper; the correction snapshot may be nil.
 func metapopAnswer(m *metapopMapper, req Request, corr *correction) (*Answer, float64, error) {
 	names := req.seriesNames()
-	ans := &Answer{Series: map[string]core.Forecast{}, Counties: m.counties(req.State)}
-	days := req.Days
-	uncertainty := uncorrectedError
+	uncertainty, sd := uncorrectedError, make([]float64, req.Days)
+	for d := range sd {
+		sd[d] = uncorrectedError / 2
+	}
 	if corr != nil {
 		uncertainty = corr.err
 	}
-	type acc struct{ med, lo, hi []float64 }
-	accs := map[string]*acc{}
-	for _, name := range names {
-		a := &acc{med: make([]float64, days), lo: make([]float64, days), hi: make([]float64, days)}
-		for d := range a.lo {
-			a.lo[d] = math.Inf(1)
-			a.hi[d] = math.Inf(-1)
-		}
-		accs[name] = a
-	}
-	perConfig := make(map[string][][]float64, len(names))
+	means := make(map[string][][]float64, len(names))
+	sds := make(map[string][][]float64, len(names))
 	for _, pr := range req.Configs {
 		base, err := m.baseCurves(req, pr)
 		if err != nil {
 			return nil, 0, err
 		}
 		for _, name := range names {
-			curve := base[name]
-			sd := make([]float64, days)
+			curve, s := base[name], sd
 			if corr != nil {
-				corrected := make([]float64, days)
-				for d := 0; d < days; d++ {
-					corrected[d] = curve[d] + corr.delta[name][d]
-					sd[d] = corr.sd[name][d]
-				}
-				curve = corrected
-			} else {
-				for d := range sd {
-					sd[d] = uncorrectedError / 2
+				curve, s = make([]float64, req.Days), corr.sd[name]
+				for d := range curve {
+					curve[d] = base[name][d] + corr.delta[name][d]
 				}
 			}
-			perConfig[name] = append(perConfig[name], curve)
-			a := accs[name]
-			for d := 0; d < days; d++ {
-				a.lo[d] = math.Min(a.lo[d], expm1Clamped(curve[d]-2*sd[d]))
-				a.hi[d] = math.Max(a.hi[d], expm1Clamped(curve[d]+2*sd[d]))
-			}
+			means[name] = append(means[name], curve)
+			sds[name] = append(sds[name], s)
 		}
 	}
-	vals := make([]float64, len(req.Configs))
+	ans := &Answer{Series: map[string]core.Forecast{}, Counties: m.counties(req.State)}
 	for _, name := range names {
-		a := accs[name]
-		for d := 0; d < days; d++ {
-			for c := range perConfig[name] {
-				vals[c] = perConfig[name][c][d]
-			}
-			a.med[d] = expm1Clamped(median(vals))
-		}
-		ans.Series[name] = core.Forecast{Median: a.med, Lo: a.lo, Hi: a.hi}
+		ans.Series[name] = band(means[name], sds[name])
 	}
 	return ans, uncertainty, nil
 }
 
-// curvesFromSims extracts per-config replicate-mean log1p curves from ABM
-// simulation outputs: for each config cell, the mean over its replicates of
-// the log1p series.
-func curvesFromSims(sims []*core.SimOutput, days int, extract func(*core.SimOutput) []float64) map[int][]float64 {
-	sums := map[int][]float64{}
+// harvest names one series to learn from an ABM outcome: the simulations
+// that produced it and how to read its natural-unit curve off each.
+type harvest struct {
+	name    string
+	sims    []*core.SimOutput
+	extract func(*core.SimOutput) []float64
+}
+
+// seriesCells is one harvested series per config cell: the replicate-mean
+// log1p curve, and its standard error (worst day) — the sampling noise of
+// that statistic, zero for a cell with a single replicate.
+type seriesCells struct {
+	mean map[int][]float64
+	se   map[int]float64
+}
+
+// cells computes the per-cell means in one pass over the simulations and
+// their standard errors in a second.
+func (h harvest) cells(days int) seriesCells {
+	out := seriesCells{mean: map[int][]float64{}, se: map[int]float64{}}
 	counts := map[int]int{}
-	for _, s := range sims {
-		cell := s.Job.Cell
-		acc, ok := sums[cell]
+	for _, s := range h.sims {
+		acc, ok := out.mean[s.Job.Cell]
 		if !ok {
 			acc = make([]float64, days)
-			sums[cell] = acc
+			out.mean[s.Job.Cell] = acc
 		}
-		series := extract(s)
+		series := h.extract(s)
 		for d := 0; d < days && d < len(series); d++ {
 			acc[d] += math.Log1p(math.Max(0, series[d]))
 		}
-		counts[cell]++
+		counts[s.Job.Cell]++
 	}
-	for cell, acc := range sums {
-		n := float64(counts[cell])
+	for cell, acc := range out.mean {
 		for d := range acc {
-			acc[d] /= n
+			acc[d] /= float64(counts[cell])
 		}
 	}
-	return sums
-}
-
-// noiseFromSims estimates, per config cell, the standard error of the
-// replicate-mean log1p curve (worst day): the sampling noise of the
-// statistic curvesFromSims extracts. Cells with a single replicate report
-// zero — there is nothing to estimate from.
-func noiseFromSims(sims []*core.SimOutput, days int, means map[int][]float64, extract func(*core.SimOutput) []float64) map[int]float64 {
 	ss := map[int][]float64{}
-	counts := map[int]int{}
-	for _, s := range sims {
-		cell := s.Job.Cell
-		acc, ok := ss[cell]
+	for _, s := range h.sims {
+		acc, ok := ss[s.Job.Cell]
 		if !ok {
 			acc = make([]float64, days)
-			ss[cell] = acc
+			ss[s.Job.Cell] = acc
 		}
-		series := extract(s)
-		mean := means[cell]
+		series, mean := h.extract(s), out.mean[s.Job.Cell]
 		for d := 0; d < days && d < len(series); d++ {
 			r := math.Log1p(math.Max(0, series[d])) - mean[d]
 			acc[d] += r * r
 		}
-		counts[cell]++
 	}
-	out := map[int]float64{}
 	for cell, acc := range ss {
 		n := counts[cell]
 		if n < 2 {
-			out[cell] = 0
-			continue
+			continue // one replicate: no spread to estimate from
 		}
-		worst := 0.0
 		for _, v := range acc {
 			// SE of the mean: sample variance (n−1 denominator) over n.
-			if se := math.Sqrt(v / float64(n-1) / float64(n)); se > worst {
-				worst = se
+			if se := math.Sqrt(v / float64(n-1) / float64(n)); se > out.se[cell] {
+				out.se[cell] = se
 			}
 		}
-		out[cell] = worst
 	}
 	return out
 }

@@ -26,8 +26,10 @@
 // maintains the emulator's trained region (the bounding box of its design
 // points), a LOO-CV variance calibration (internal/gp/loocv.go), and the
 // metapop delta correction. Every ABM answer the caller reports back via
-// the Observe hooks becomes a new design point; emulators are refitted in
-// the background with bounded staleness.
+// the Observe hooks becomes a new design point; the Observe call that
+// crosses the staleness bound refits the family before it returns, and
+// concurrent triggers coalesce onto the refit already running. The router
+// starts no goroutine of its own.
 //
 // Escalation rule, in auto mode: serve from the emulator iff the family is
 // fitted, every requested configuration lies inside the trained region, and

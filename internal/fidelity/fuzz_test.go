@@ -19,7 +19,7 @@ func FuzzFidelityRoute(f *testing.F) {
 	f.Add("night", "", -3, 0, 0, 0, "emulator", -1.0, math.NaN(), 0.0, 2.0, -1.0, uint8(0))
 	f.Add("prediction", "zz", 1000000, -5, -9, 3, "Metapop", math.Inf(1), 0.3, 0.7, 0.4, 0.6, uint8(7))
 
-	r := NewRouter(Config{Fingerprint: "fuzz", Scale: 40000, Sync: true})
+	r := NewRouter(Config{Fingerprint: "fuzz", Scale: 40000})
 	f.Fuzz(func(t *testing.T, workflow, state string, days, shStart, shEnd, reps int,
 		mode string, budget, tau, symp, shc, vhic float64, nWhatIfs uint8) {
 		req := Request{

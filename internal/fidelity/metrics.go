@@ -59,6 +59,6 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("epi_fidelity_families",
 		func() float64 { return float64(r.families.Len()) })
 	reg.GaugeFunc("epi_fidelity_fitted_families",
-		func() float64 { return float64(r.FittedFamilies()) })
+		func() float64 { return float64(r.Status()[string(TierEmulator)].Families) })
 	r.families.RegisterMetrics(reg, "epi_fidelity_train")
 }

@@ -32,9 +32,6 @@ type Config struct {
 	// Defaults 64 families / 64 MiB.
 	MaxFamilies int
 	MaxBytes    int64
-	// Sync makes observations refit inline instead of in the background
-	// (deterministic tests).
-	Sync bool
 }
 
 func (c Config) withDefaults() Config {
@@ -63,8 +60,7 @@ type Router struct {
 	mu       sync.Mutex // guards get-or-create on families
 	families *castore.Store[*family]
 
-	refits sync.WaitGroup
-	m      metrics
+	m metrics
 }
 
 // NewRouter builds a router for one pipeline.
@@ -77,9 +73,6 @@ func NewRouter(cfg Config) *Router {
 	)
 	return r
 }
-
-// Close waits for in-flight background refits to finish.
-func (r *Router) Close() { r.refits.Wait() }
 
 // family returns the training family for a request, creating it on first
 // sight.
@@ -131,7 +124,7 @@ func (r *Router) decide(req Request, key string, budget float64) (Decision, erro
 		base.Tier, base.Reason = TierABM, "forced"
 		return base, nil
 	case TierEmulator:
-		if snap == nil || snap.emu == nil {
+		if snap.emu == nil {
 			return Decision{}, fmt.Errorf("fidelity: emulator not fitted for family %s (have %d of %d design points)",
 				key[:12], fam.size(), r.cfg.MinFit)
 		}
@@ -139,11 +132,7 @@ func (r *Router) decide(req Request, key string, budget float64) (Decision, erro
 		base.Tier, base.Reason, base.Uncertainty, base.Answer = TierEmulator, "forced", u, ans
 		return base, nil
 	case TierMetapop:
-		var corr *correction
-		if snap != nil {
-			corr = snap.corr
-		}
-		ans, u, err := metapopAnswer(r.mapper, req, corr)
+		ans, u, err := metapopAnswer(r.mapper, req, snap.corr)
 		if err != nil {
 			return Decision{}, err
 		}
@@ -153,19 +142,18 @@ func (r *Router) decide(req Request, key string, budget float64) (Decision, erro
 
 	// Auto mode: walk the ladder bottom-up, recording why each rung passes.
 	reason := "no training data"
-	if snap != nil && snap.emu != nil {
+	if snap.emu != nil {
 		if !allInRegion(snap.emu, req) {
 			reason = "outside trained region"
-		} else if u := snap.emu.uncertaintyAt(req); u > budget {
+		} else if ans, u := snap.emu.emulate(req); u > budget {
 			reason = fmt.Sprintf("emulator uncertainty %.3g > budget %.3g", u, budget)
 		} else {
-			ans, u := snap.emu.emulate(req)
 			base.Tier, base.Uncertainty, base.Answer = TierEmulator, u, ans
 			base.Reason = fmt.Sprintf("uncertainty %.3g within budget %.3g", u, budget)
 			return base, nil
 		}
 	}
-	if snap != nil && snap.corr != nil && snap.corr.err <= budget {
+	if snap.corr != nil && snap.corr.err <= budget {
 		ans, u, err := metapopAnswer(r.mapper, req, snap.corr)
 		if err != nil {
 			return Decision{}, err
@@ -174,7 +162,7 @@ func (r *Router) decide(req Request, key string, budget float64) (Decision, erro
 		base.Reason = fmt.Sprintf("%s; metapop error %.3g within budget %.3g", reason, u, budget)
 		return base, nil
 	}
-	if snap != nil && snap.corr != nil {
+	if snap.corr != nil {
 		reason = fmt.Sprintf("%s; metapop error %.3g > budget %.3g", reason, snap.corr.err, budget)
 	}
 	r.m.escalated.Inc()
@@ -199,34 +187,13 @@ func (r *Router) ObservePrediction(ctx context.Context, req Request, out *core.P
 		return nil
 	}
 	req.Workflow = WorkflowPrediction
-	extractors := map[string]func(*core.SimOutput) []float64{
-		SeriesConfirmed: func(s *core.SimOutput) []float64 {
-			return s.Agg.StateConfirmedCumulative()
-		},
-		SeriesHospitalized: func(s *core.SimOutput) []float64 {
+	return r.observe(ctx, req, []harvest{
+		{SeriesConfirmed, out.Sims, confirmedCurve},
+		{SeriesHospitalized, out.Sims, func(s *core.SimOutput) []float64 {
 			return s.Agg.StateCumulative(disease.Hospitalized)
-		},
-		SeriesDeaths: func(s *core.SimOutput) []float64 {
-			return s.Agg.StateCumulative(disease.Dead)
-		},
-	}
-	curves := map[string]map[int][]float64{}
-	noise := map[string]map[int]float64{}
-	for name, ex := range extractors {
-		means := curvesFromSims(out.Sims, req.Days, ex)
-		curves[name] = means
-		noise[name] = noiseFromSims(out.Sims, req.Days, means, ex)
-	}
-	perConfig := func(c int) (map[string][]float64, float64) {
-		m := map[string][]float64{}
-		worst := 0.0
-		for name, byCell := range curves {
-			m[name] = byCell[c]
-			worst = math.Max(worst, noise[name][c])
-		}
-		return m, worst
-	}
-	return r.observe(ctx, req, perConfig)
+		}},
+		{SeriesDeaths, out.Sims, deathsCurve},
+	})
 }
 
 // ObserveWhatIf records an ABM what-if outcome as training data, one
@@ -236,46 +203,43 @@ func (r *Router) ObserveWhatIf(ctx context.Context, req Request, outs []*core.Sc
 		return nil
 	}
 	req.Workflow = WorkflowWhatIf
-	bySeries := map[string]map[int][]float64{}
-	noise := map[string]map[int]float64{}
-	record := func(name string, sims []*core.SimOutput, ex func(*core.SimOutput) []float64) {
-		means := curvesFromSims(sims, req.Days, ex)
-		bySeries[name] = means
-		noise[name] = noiseFromSims(sims, req.Days, means, ex)
-	}
+	var hs []harvest
 	for _, o := range outs {
 		if len(o.Sims) == 0 {
 			return nil // outcome predates per-sim reporting; nothing to learn
 		}
-		record(ScenarioSeries(o.Scenario.Name, SeriesConfirmed), o.Sims,
-			func(s *core.SimOutput) []float64 { return s.Agg.StateConfirmedCumulative() })
-		record(ScenarioSeries(o.Scenario.Name, SeriesDeaths), o.Sims,
-			func(s *core.SimOutput) []float64 { return s.Agg.StateCumulative(disease.Dead) })
+		hs = append(hs,
+			harvest{ScenarioSeries(o.Scenario.Name, SeriesConfirmed), o.Sims, confirmedCurve},
+			harvest{ScenarioSeries(o.Scenario.Name, SeriesDeaths), o.Sims, deathsCurve})
 	}
-	perConfig := func(c int) (map[string][]float64, float64) {
-		m := map[string][]float64{}
-		worst := 0.0
-		for name, byCell := range bySeries {
-			m[name] = byCell[c]
-			worst = math.Max(worst, noise[name][c])
-		}
-		return m, worst
-	}
-	return r.observe(ctx, req, perConfig)
+	return r.observe(ctx, req, hs)
 }
 
-// observe folds per-config curves into the request's family and schedules a
-// refit when staleness crosses the bound.
-func (r *Router) observe(ctx context.Context, req Request, perConfig func(int) (map[string][]float64, float64)) error {
+func confirmedCurve(s *core.SimOutput) []float64 { return s.Agg.StateConfirmedCumulative() }
+func deathsCurve(s *core.SimOutput) []float64    { return s.Agg.StateCumulative(disease.Dead) }
+
+// observe folds the harvested series into the request's family, one
+// observation per configuration, and refits the family on the calling
+// goroutine when staleness crosses the bound.
+func (r *Router) observe(ctx context.Context, req Request, hs []harvest) error {
 	if err := req.Validate(); err != nil {
 		return err
+	}
+	cells := make([]seriesCells, len(hs))
+	for i, h := range hs {
+		cells[i] = h.cells(req.Days)
 	}
 	key := req.FamilyKey(r.cfg.Fingerprint)
 	fam := r.family(req, key)
 	names := req.seriesNames()
 	var n, pending int
 	for c, pr := range req.Configs {
-		curves, noise := perConfig(c)
+		curves := make(map[string][]float64, len(hs))
+		noise := 0.0
+		for i, h := range hs {
+			curves[h.name] = cells[i].mean[c]
+			noise = math.Max(noise, cells[i].se[c])
+		}
 		if err := checkCurves(names, req.Days, curves); err != nil {
 			return err
 		}
@@ -295,43 +259,12 @@ func (r *Router) observe(ctx context.Context, req Request, perConfig func(int) (
 	r.mu.Lock()
 	r.families.Put(key, fam)
 	r.mu.Unlock()
-	if pending >= r.cfg.MaxStale || (n >= minCorrection && fam.snapshotView() == nil) {
-		r.scheduleRefit(fam)
+	if pending >= r.cfg.MaxStale || (n >= minCorrection && fam.snapshotView().n == 0) {
+		fits, failed := fam.refit(r.cfg.MinFit, r.cfg.MaxStale)
+		r.m.refits.Add(int64(fits))
+		r.m.refitErrors.Add(int64(failed))
 	}
 	return nil
-}
-
-// scheduleRefit triggers a background (or, under Config.Sync, inline) refit
-// of one family; concurrent triggers coalesce.
-func (r *Router) scheduleRefit(fam *family) {
-	fam.mu.Lock()
-	if fam.fitting {
-		fam.mu.Unlock()
-		return
-	}
-	fam.fitting = true
-	fam.mu.Unlock()
-	run := func() {
-		defer func() {
-			fam.mu.Lock()
-			fam.fitting = false
-			fam.mu.Unlock()
-		}()
-		if err := fam.refit(r.cfg.MinFit); err == nil {
-			r.m.refits.Inc()
-		} else {
-			r.m.refitErrors.Inc()
-		}
-	}
-	if r.cfg.Sync {
-		run()
-		return
-	}
-	r.refits.Add(1)
-	go func() {
-		defer r.refits.Done()
-		run()
-	}()
 }
 
 // TierState summarizes one rung's warm state for readiness reporting.
@@ -353,13 +286,12 @@ func (r *Router) Status() map[string]TierState {
 	}
 	var fitted, corrected int
 	for _, f := range fams {
-		if snap := f.snapshotView(); snap != nil {
-			if snap.emu != nil {
-				fitted++
-			}
-			if snap.corr != nil {
-				corrected++
-			}
+		snap := f.snapshotView()
+		if snap.emu != nil {
+			fitted++
+		}
+		if snap.corr != nil {
+			corrected++
 		}
 	}
 	return map[string]TierState{
@@ -369,11 +301,4 @@ func (r *Router) Status() map[string]TierState {
 			Detail: fmt.Sprintf("%d of %d families delta-corrected", corrected, len(fams))},
 		string(TierABM): {Ready: true, Detail: "always available"},
 	}
-}
-
-// FittedFamilies reports how many families currently have a fitted
-// emulator.
-func (r *Router) FittedFamilies() int {
-	st := r.Status()
-	return st[string(TierEmulator)].Families
 }

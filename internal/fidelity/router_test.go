@@ -109,7 +109,7 @@ func TestFamilyKey(t *testing.T) {
 }
 
 func TestColdAutoEscalates(t *testing.T) {
-	r := NewRouter(Config{Fingerprint: "fp", Scale: 40000, Sync: true})
+	r := NewRouter(Config{Fingerprint: "fp", Scale: 40000})
 	d, err := r.Route(context.Background(), validRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestColdAutoEscalates(t *testing.T) {
 }
 
 func TestForcedABMBypasses(t *testing.T) {
-	r := NewRouter(Config{Fingerprint: "fp", Scale: 40000, Sync: true})
+	r := NewRouter(Config{Fingerprint: "fp", Scale: 40000})
 	req := validRequest()
 	req.Mode = TierABM
 	d, err := r.Route(context.Background(), req)
@@ -142,7 +142,7 @@ func TestForcedABMBypasses(t *testing.T) {
 }
 
 func TestForcedEmulatorUnfittedErrors(t *testing.T) {
-	r := NewRouter(Config{Fingerprint: "fp", Scale: 40000, Sync: true})
+	r := NewRouter(Config{Fingerprint: "fp", Scale: 40000})
 	req := validRequest()
 	req.Mode = TierEmulator
 	if _, err := r.Route(context.Background(), req); err == nil {
@@ -151,7 +151,7 @@ func TestForcedEmulatorUnfittedErrors(t *testing.T) {
 }
 
 func TestForcedMetapopServesUncorrected(t *testing.T) {
-	r := NewRouter(Config{Fingerprint: "fp", Scale: 40000, Sync: true})
+	r := NewRouter(Config{Fingerprint: "fp", Scale: 40000})
 	req := validRequest()
 	req.Mode = TierMetapop
 	d, err := r.Route(context.Background(), req)
@@ -224,7 +224,7 @@ func TestLadderTrainsAndServes(t *testing.T) {
 	// under 1 on 14 of them before people were numbered by county and on 15
 	// after), so the seed is one that clears it under either numbering.
 	p := core.NewPipeline(2021, core.WithScale(40000), core.WithParallelism(2))
-	r := NewRouter(Config{Fingerprint: p.Fingerprint(), Scale: 40000, MinFit: 5, MaxStale: 1, Sync: true})
+	r := NewRouter(Config{Fingerprint: p.Fingerprint(), Scale: 40000, MinFit: 5, MaxStale: 1})
 	base := validRequest()
 
 	taus := []float64{0.16, 0.18, 0.20, 0.22, 0.24}
@@ -292,9 +292,6 @@ func TestLadderTrainsAndServes(t *testing.T) {
 	if !st[string(TierEmulator)].Ready || st[string(TierEmulator)].Families != 1 {
 		t.Errorf("emulator tier state %+v, want ready with 1 family", st[string(TierEmulator)])
 	}
-	if r.FittedFamilies() != 1 {
-		t.Errorf("FittedFamilies = %d, want 1", r.FittedFamilies())
-	}
 }
 
 func TestObserveDedupsDesignPoints(t *testing.T) {
@@ -351,7 +348,7 @@ func TestRegionMargin(t *testing.T) {
 }
 
 func TestRouterMetricsRegistered(t *testing.T) {
-	r := NewRouter(Config{Fingerprint: "fp", Scale: 40000, Sync: true})
+	r := NewRouter(Config{Fingerprint: "fp", Scale: 40000})
 	reg := obs.NewRegistry()
 	r.RegisterMetrics(reg)
 	if _, err := r.Route(context.Background(), validRequest()); err != nil {
@@ -392,9 +389,9 @@ func TestRouterConcurrency(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := r.observe(context.Background(), req, func(int) (map[string][]float64, float64) {
-					return syntheticCurves(req), 0.01
-				}); err != nil {
+				if err := r.observe(context.Background(), req, syntheticHarvest(req, func(d int) float64 {
+					return float64(d) * req.Configs[0].TAU * 100
+				})); err != nil {
 					t.Error(err)
 					return
 				}
@@ -403,24 +400,27 @@ func TestRouterConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	r.Close()
 	if got := int(r.m.observations.Value()); got != 32 {
 		t.Errorf("observations %d, want 32", got)
 	}
 }
 
-// syntheticCurves fabricates a plausible log1p curve set for concurrency
-// tests without running any simulator.
-func syntheticCurves(req Request) map[string][]float64 {
-	out := map[string][]float64{}
-	for _, name := range req.seriesNames() {
+// syntheticHarvest fabricates one replicate per series for a
+// single-configuration request, every series reading curve(day), so tests
+// can observe without running any simulator.
+func syntheticHarvest(req Request, curve func(d int) float64) []harvest {
+	extract := func(*core.SimOutput) []float64 {
 		c := make([]float64, req.Days)
 		for d := range c {
-			c[d] = math.Log1p(float64(d) * req.Configs[0].TAU * 100)
+			c[d] = curve(d)
 		}
-		out[name] = c
+		return c
 	}
-	return out
+	var hs []harvest
+	for _, name := range req.seriesNames() {
+		hs = append(hs, harvest{name, []*core.SimOutput{{}}, extract})
+	}
+	return hs
 }
 
 func TestCurvesFromSims(t *testing.T) {
@@ -431,10 +431,11 @@ func TestCurvesFromSims(t *testing.T) {
 		return &core.SimOutput{Job: core.SimJob{Cell: cell}, RawBytes: int64(vals[0])}
 	}
 	sims := []*core.SimOutput{mk(1, 8), mk(0, 2), mk(1, 4), mk(0, 6)}
-	got := curvesFromSims(sims, days, func(s *core.SimOutput) []float64 {
+	cells := harvest{"x", sims, func(s *core.SimOutput) []float64 {
 		v := float64(s.RawBytes)
 		return []float64{v, v, v}
-	})
+	}}.cells(days)
+	got := cells.mean
 	if len(got) != 2 {
 		t.Fatalf("got %d cells, want 2", len(got))
 	}

@@ -23,7 +23,7 @@ func TestValidationSweep(t *testing.T) {
 	const scale = 5000
 	ctx := context.Background()
 	p := core.NewPipeline(2020, core.WithScale(scale), core.WithParallelism(2))
-	r := NewRouter(Config{Fingerprint: p.Fingerprint(), Scale: scale, MinFit: 10, MaxStale: 1, Sync: true})
+	r := NewRouter(Config{Fingerprint: p.Fingerprint(), Scale: scale, MinFit: 10, MaxStale: 1})
 
 	base := Request{
 		Workflow: WorkflowPrediction, State: "VA",
@@ -67,11 +67,11 @@ func TestValidationSweep(t *testing.T) {
 	}
 	truthStat := func(out *core.PredictionOutcome, name string) []float64 {
 		extract := map[string]func(*core.SimOutput) []float64{
-			SeriesConfirmed:    func(s *core.SimOutput) []float64 { return s.Agg.StateConfirmedCumulative() },
+			SeriesConfirmed:    confirmedCurve,
 			SeriesHospitalized: func(s *core.SimOutput) []float64 { return s.Agg.StateCumulative(disease.Hospitalized) },
-			SeriesDeaths:       func(s *core.SimOutput) []float64 { return s.Agg.StateCumulative(disease.Dead) },
+			SeriesDeaths:       deathsCurve,
 		}[name]
-		return curvesFromSims(out.Sims, base.Days, extract)[0]
+		return harvest{name, out.Sims, extract}.cells(base.Days).mean[0]
 	}
 
 	within := 0
@@ -128,7 +128,7 @@ func TestWhatIfLadder(t *testing.T) {
 	const scale = 40000
 	ctx := context.Background()
 	p := core.NewPipeline(2020, core.WithScale(scale), core.WithParallelism(2))
-	r := NewRouter(Config{Fingerprint: p.Fingerprint(), Scale: scale, MinFit: 4, MaxStale: 1, Sync: true})
+	r := NewRouter(Config{Fingerprint: p.Fingerprint(), Scale: scale, MinFit: 4, MaxStale: 1})
 
 	whatifs := []core.WhatIf{
 		{Name: "sh-extended", SHEndShift: 20},

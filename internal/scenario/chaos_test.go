@@ -1,4 +1,4 @@
-package scenario_test
+package scenario
 
 import (
 	"context"
@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/scenario"
 	"repro/internal/scenario/servetest"
 )
 
@@ -60,7 +59,7 @@ func TestChaosOneQueue(t *testing.T) {
 	live, runs := map[int]int{}, map[int]int{}
 	var overlap atomic.Bool
 	errCrash := errors.New("chaos: runner crashed")
-	runner := func(ctx context.Context, spec scenario.Spec) (*scenario.Result, error) {
+	runner := func(ctx context.Context, spec Spec) (*Result, error) {
 		i := spec.Days - 10
 		liveMu.Lock()
 		live[i]++
@@ -93,11 +92,11 @@ func TestChaosOneQueue(t *testing.T) {
 		if fates[i] == fateFail {
 			return nil, errCrash
 		}
-		return &scenario.Result{}, nil
+		return &Result{}, nil
 	}
 
 	goroutinesBefore := runtime.NumGoroutine()
-	c := scenario.NewService(scenario.Config{
+	c := NewService(Config{
 		Workers: workers, QueueCap: 2 * jobs, Fingerprint: "chaos",
 		DrainGrace: 2 * time.Second, Runner: runner,
 	})
@@ -107,12 +106,12 @@ func TestChaosOneQueue(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, jobs)
 	for i := 0; i < jobs; i++ {
-		h, err := c.SubmitCtx(context.Background(), predSpec("VA", 10+i), scenario.PriorityNormal)
+		h, err := c.SubmitCtx(context.Background(), predSpec("VA", 10+i), PriorityNormal)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		wg.Add(1)
-		go func(i int, h *scenario.Job) {
+		go func(i int, h *Job) {
 			defer wg.Done()
 			released := false
 			if fates[i] == fateCancel {

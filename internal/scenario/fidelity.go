@@ -12,68 +12,54 @@ import (
 // The spec must be normalized (tier lowercased, budget defaulted) — the
 // service only runs normalized specs.
 func fidelityRequest(spec Spec) fidelity.Request {
-	req := fidelity.Request{
-		Workflow: spec.Workflow, State: spec.State,
-		Days: spec.Days, SHStart: spec.SHStart, SHEnd: spec.SHEnd,
-		Replicates:     spec.Replicates,
-		Mode:           fidelity.Tier(spec.Fidelity),
-		MaxUncertainty: spec.MaxUncertainty,
+	cfg := predictionConfig(spec)
+	return fidelity.Request{
+		Workflow: spec.Workflow, State: cfg.State,
+		Days: cfg.Days, SHStart: cfg.SHStart, SHEnd: cfg.SHEnd, Replicates: cfg.Replicates,
+		Configs: cfg.Configs, WhatIfs: whatIfScenarios(spec),
+		Mode: fidelity.Tier(spec.Fidelity), MaxUncertainty: spec.MaxUncertainty,
 	}
-	for _, c := range spec.Configs {
-		req.Configs = append(req.Configs, c.toCore())
-	}
-	req.WhatIfs = whatIfScenarios(spec)
-	return req
 }
 
-// FidelityPipelineRunner wraps the exact pipeline runner with the fidelity
-// ladder. Specs without a fidelity field (and night specs, which have no
-// surrogate) take the legacy path untouched — byte-identical responses.
-// Specs with one are routed: surrogate tiers answer from the router's
-// fitted emulator or corrected metapop; a TierABM decision runs the same
-// legacy workflow code path and additionally feeds the outcome back to the
+// runRouted answers a spec from the rung the router picks: the surrogate
+// tiers answer from the fitted emulator or the corrected metapop; a TierABM
+// decision runs the exact workflow and feeds the outcome back to the
 // router as training data.
-func FidelityPipelineRunner(p *core.Pipeline, router *fidelity.Router) Runner {
-	legacy := PipelineRunner(p)
-	return func(ctx context.Context, spec Spec) (*Result, error) {
-		if router == nil || spec.Fidelity == "" || spec.Workflow == WorkflowNight {
-			return legacy(ctx, spec)
-		}
-		req := fidelityRequest(spec)
-		d, err := router.Route(ctx, req)
+func runRouted(ctx context.Context, p *core.Pipeline, router *fidelity.Router, spec Spec) (*Result, error) {
+	req := fidelityRequest(spec)
+	d, err := router.Route(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	var res *Result
+	switch d.Tier {
+	case fidelity.TierABM:
+		out, err := runABM(ctx, p, spec)
 		if err != nil {
 			return nil, err
 		}
-		var res *Result
-		switch d.Tier {
-		case fidelity.TierABM:
-			out, err := runABM(ctx, p, spec)
-			if err != nil {
-				return nil, err
-			}
-			switch {
-			case out.prediction != nil:
-				err = router.ObservePrediction(ctx, req, out.prediction)
-			case out.whatIf != nil:
-				err = router.ObserveWhatIf(ctx, req, out.whatIf)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("scenario: recording fidelity observation: %w", err)
-			}
-			res = out.res
-		case fidelity.TierEmulator, fidelity.TierMetapop:
-			res, err = resultFromAnswer(spec, d)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("scenario: unexpected fidelity tier %q", d.Tier)
+		switch {
+		case out.prediction != nil:
+			err = router.ObservePrediction(ctx, req, out.prediction)
+		case out.whatIf != nil:
+			err = router.ObserveWhatIf(ctx, req, out.whatIf)
 		}
-		res.Tier = string(d.Tier)
-		res.TierReason = d.Reason
-		res.Uncertainty = d.Uncertainty
-		return res, nil
+		if err != nil {
+			return nil, fmt.Errorf("scenario: recording fidelity observation: %w", err)
+		}
+		res = out.res
+	case fidelity.TierEmulator, fidelity.TierMetapop:
+		res, err = resultFromAnswer(spec, d)
+		if err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("scenario: unexpected fidelity tier %q", d.Tier)
 	}
+	res.Tier = string(d.Tier)
+	res.TierReason = d.Reason
+	res.Uncertainty = d.Uncertainty
+	return res, nil
 }
 
 // resultFromAnswer shapes a surrogate-tier answer like the corresponding

@@ -6,11 +6,14 @@ import (
 	"math"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fidelity"
+	"repro/internal/scenario/servetest"
 )
 
 func TestNormalizeFidelityTiers(t *testing.T) {
@@ -143,13 +146,11 @@ func fidelityTestService(t *testing.T, scale int, minFit int) (*Service, *core.P
 	t.Helper()
 	p := core.NewPipeline(2020, core.WithScale(scale), core.WithParallelism(2))
 	router := fidelity.NewRouter(fidelity.Config{
-		Fingerprint: p.Fingerprint(), Scale: scale, MinFit: minFit, MaxStale: 1, Sync: true,
+		Fingerprint: p.Fingerprint(), Scale: scale, MinFit: minFit, MaxStale: 1,
 	})
-	svc := NewService(Config{Pipeline: p, Workers: 1, Fidelity: router})
-	t.Cleanup(func() {
-		_ = svc.Drain(context.Background())
-		router.Close()
-	})
+	svc := NewService(Config{Pipeline: p, Workers: 2, Fidelity: router})
+	router.RegisterMetrics(svc.Registry())
+	t.Cleanup(func() { _ = svc.Drain(context.Background()) })
 	return svc, p, router
 }
 
@@ -165,7 +166,7 @@ func TestFidelityABMBitIdentical(t *testing.T) {
 		Workflow: "prediction", State: "VA", Days: 30, Replicates: 2,
 		Configs: []ParamSpec{{TAU: 0.2, SYMP: 0.65, SHCompliance: 0.5, VHICompliance: 0.5}},
 	}
-	legacy, err := PipelineRunner(p)(context.Background(), mustNormalize(t, spec))
+	legacy, err := pipelineRunner(p, nil)(context.Background(), mustNormalize(t, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +243,8 @@ func TestFidelityServiceLearns(t *testing.T) {
 			t.Fatalf("cold query served by %q", res.Tier)
 		}
 	}
-	if router.FittedFamilies() != 1 {
-		t.Fatalf("emulator not fitted after %d observations", 3)
+	if st := router.Status()["emulator"]; st.Families != 1 {
+		t.Fatalf("emulator not fitted after %d observations: %+v", 3, st)
 	}
 	res := submit(0.18)
 	if res.Tier != "emulator" {
@@ -255,6 +256,60 @@ func TestFidelityServiceLearns(t *testing.T) {
 	if res.Prediction == nil || len(res.Prediction.Confirmed.Median) != 30 {
 		t.Fatalf("malformed emulator result: %+v", res.Prediction)
 	}
+}
+
+// TestFidelityConcurrentTraining drives the refit path episerve runs: two
+// workers answer concurrent forced-ABM specs of one family, and a job whose
+// observation crosses the staleness bound refits inside the job (or leaves
+// it to the refit already running, which fits again before it returns). So
+// once the last reply is out, the emulator is fitted on every design point
+// and /readyz says so without polling.
+func TestFidelityConcurrentTraining(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the ABM")
+	}
+	goroutinesBefore := runtime.NumGoroutine()
+	svc, _, _ := fidelityTestService(t, 40000, 4)
+	const configs = 6
+	var wg sync.WaitGroup
+	for i := 0; i < configs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			job, err := submit(svc, Spec{
+				Workflow: "prediction", State: "VA", Days: 30, Replicates: 2,
+				Configs: []ParamSpec{{TAU: 0.16 + 0.02*float64(i), SYMP: 0.65,
+					SHCompliance: 0.3 + 0.08*float64(i%3), VHICompliance: 0.5}},
+				Fidelity: "abm",
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer job.Release()
+			if res, err := job.Wait(context.Background()); err != nil {
+				t.Errorf("config %d: %v", i, err)
+			} else if res.Tier != "abm" {
+				t.Errorf("config %d answered by tier %q", i, res.Tier)
+			}
+		}(i)
+	}
+	wg.Wait()
+	w := httptest.NewRecorder()
+	NewServer(svc).ServeHTTP(w, httptest.NewRequest("GET", "/readyz", nil))
+	if w.Code != 200 {
+		t.Fatalf("/readyz right after the last training reply = %d: %s", w.Code, w.Body)
+	}
+	if got := series(t, svc, "epi_fidelity_observations_total"); got != configs {
+		t.Errorf("observations %v, want %d", got, configs)
+	}
+	if got := series(t, svc, "epi_fidelity_refits_total"); got < 1 {
+		t.Errorf("refits %v, want ≥ 1", got)
+	}
+	if err := svc.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	servetest.AssertQuiesced(t, svc, goroutinesBefore)
 }
 
 func TestReadyzGatesOnFidelityWarmth(t *testing.T) {

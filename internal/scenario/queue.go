@@ -396,14 +396,13 @@ func NewService(cfg Config) *Service {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if s.fingerprint == "" && cfg.Pipeline != nil {
-		s.fingerprint = Fingerprint(cfg.Pipeline)
+		// The pipeline's own fingerprint also keys the what-if snapshot
+		// store: the result cache and the checkpoint cache agree on what
+		// "the same pipeline" means.
+		s.fingerprint = cfg.Pipeline.Fingerprint()
 	}
 	if s.runner == nil {
-		if cfg.Fidelity != nil {
-			s.runner = FidelityPipelineRunner(cfg.Pipeline, cfg.Fidelity)
-		} else {
-			s.runner = PipelineRunner(cfg.Pipeline)
-		}
+		s.runner = pipelineRunner(cfg.Pipeline, cfg.Fidelity)
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.registerMetrics()

@@ -11,7 +11,8 @@ import (
 )
 
 // stubRunner counts executions and blocks each run on a gate until released
-// or the run's context is cancelled.
+// or the run's context is cancelled. A released what-if run answers with
+// one empty scenario per requested what-if.
 type stubRunner struct {
 	runs    atomic.Int64
 	started chan string   // receives the spec's state+workflow when a run begins
@@ -29,8 +30,12 @@ func (r *stubRunner) run(ctx context.Context, spec Spec) (*Result, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-r.gate:
-		return &Result{}, nil
 	}
+	res := &Result{}
+	for _, w := range spec.WhatIfs {
+		res.Scenarios = append(res.Scenarios, ScenarioResult{Name: w.Name})
+	}
+	return res, nil
 }
 
 // releaseAll opens the gate for n runs.
@@ -186,6 +191,41 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 	j1.Release() // drop the extra attach reference
 	r.releaseAll(2)
+}
+
+// TestBatchClassShedsBeforeQueueFull pins class admission: at half queue a
+// batch submission is shed while normal ones are still admitted, and once
+// the queue is full every class gets ErrQueueFull, not a class shed.
+func TestBatchClassShedsBeforeQueueFull(t *testing.T) {
+	const queueCap = 4
+	s, r := stubService(t, 1, queueCap)
+	t.Cleanup(func() { r.releaseAll(queueCap + 1) })
+	submitAt := func(days int, pri Priority) error {
+		_, err := s.SubmitCtx(context.Background(), predSpec("VA", days), pri)
+		return err
+	}
+	for days := 10; days < 13; days++ { // one running, two queued: half full
+		if err := submitAt(days, PriorityInteractive); err != nil {
+			t.Fatal(err)
+		}
+		if days == 10 {
+			waitLoads(t, s, 0, 1)
+		}
+	}
+	var shed *ShedError
+	if err := submitAt(80, PriorityBatch); !errors.As(err, &shed) {
+		t.Fatalf("batch at half queue: %v, want a class shed", err)
+	}
+	for days := 13; days < 15; days++ {
+		if err := submitAt(days, PriorityNormal); err != nil {
+			t.Fatalf("normal below a full queue: %v", err)
+		}
+	}
+	for _, pri := range []Priority{PriorityBatch, PriorityNormal, PriorityInteractive} {
+		if err := submitAt(90, pri); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("%s at a full queue: %v, want ErrQueueFull", pri, err)
+		}
+	}
 }
 
 func TestReleaseCancelsAbandonedJobs(t *testing.T) {

@@ -5,14 +5,20 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/fidelity"
 )
 
-// PipelineRunner executes normalized specs against the shared pipeline's
+// pipelineRunner executes normalized specs against the shared pipeline's
 // three production workflows. The pipeline memoizes networks, population
 // databases and ground truth internally, so concurrent jobs for the same
-// region share substrates.
-func PipelineRunner(p *core.Pipeline) Runner {
+// region share substrates. A spec with a fidelity field routes through the
+// ladder when router is non-nil (runRouted); every other spec, and every
+// night, takes the exact path untouched — byte-identical responses.
+func pipelineRunner(p *core.Pipeline, router *fidelity.Router) Runner {
 	return func(ctx context.Context, spec Spec) (*Result, error) {
+		if router != nil && spec.Fidelity != "" && spec.Workflow != WorkflowNight {
+			return runRouted(ctx, p, router, spec)
+		}
 		out, err := runABM(ctx, p, spec)
 		return out.res, err
 	}

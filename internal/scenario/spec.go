@@ -92,19 +92,21 @@ type NightSpec struct {
 // workflowSpec resolves the night to a core.WorkflowSpec. Family must
 // already be normalized.
 func (n NightSpec) workflowSpec() core.WorkflowSpec {
-	rows := core.TableI()
-	var base core.WorkflowSpec
-	switch n.Family {
-	case "economic":
-		base = rows[0]
-	case "prediction":
-		base = rows[1]
-	case "calibration":
-		base = rows[2]
-	}
+	base, _ := tableIRow(n.Family)
 	base.Cells = n.Cells
 	base.Replicates = n.Replicates
 	return base
+}
+
+// tableIRow looks a night family up among the Table I rows by its
+// lowercased kind: economic, prediction or calibration.
+func tableIRow(family string) (core.WorkflowSpec, bool) {
+	for _, row := range core.TableI() {
+		if strings.ToLower(row.Kind.String()) == family {
+			return row, true
+		}
+	}
+	return core.WorkflowSpec{}, false
 }
 
 // Spec is a scenario request. The zero values of most fields are filled
@@ -293,10 +295,7 @@ func (s Spec) normalizeNight() (Spec, error) {
 	if n.Family == "" {
 		n.Family = "prediction"
 	}
-	rows := map[string]core.WorkflowSpec{
-		"economic": core.TableI()[0], "prediction": core.TableI()[1], "calibration": core.TableI()[2],
-	}
-	row, ok := rows[n.Family]
+	row, ok := tableIRow(n.Family)
 	if !ok {
 		return s, fmt.Errorf("scenario: unknown night family %q", n.Family)
 	}
@@ -347,10 +346,3 @@ func (s Spec) Hash(fingerprint string) (string, error) {
 	h.Write(canon)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
-
-// Fingerprint identifies the pipeline parameters that shape results:
-// different seeds, scales or site configurations must not share cache
-// entries. It delegates to the pipeline's own fingerprint, which also keys
-// the what-if snapshot store — the result cache and the checkpoint cache
-// agree on what "the same pipeline" means.
-func Fingerprint(p *core.Pipeline) string { return p.Fingerprint() }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -137,13 +138,18 @@ func TestNormalizeRejections(t *testing.T) {
 }
 
 func TestFingerprintDistinguishesPipelines(t *testing.T) {
-	a := Fingerprint(core.NewPipeline(1))
-	b := Fingerprint(core.NewPipeline(2))
-	c := Fingerprint(core.NewPipeline(1, core.WithScale(999)))
+	fp := func(p *core.Pipeline) string {
+		s := NewService(Config{Pipeline: p, Workers: 1})
+		defer s.Drain(context.Background())
+		return s.fingerprint
+	}
+	a := fp(core.NewPipeline(1))
+	b := fp(core.NewPipeline(2))
+	c := fp(core.NewPipeline(1, core.WithScale(999)))
 	if a == b || a == c {
 		t.Fatalf("fingerprints collide: %q %q %q", a, b, c)
 	}
-	if a != Fingerprint(core.NewPipeline(1)) {
+	if a != fp(core.NewPipeline(1)) {
 		t.Fatal("fingerprint not deterministic")
 	}
 }

@@ -1,4 +1,4 @@
-package scenario_test
+package scenario
 
 import (
 	"bytes"
@@ -13,24 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/scenario"
 )
-
-// findSpan walks a snapshot tree (root + orphans) for a span by name.
-func findSpan(n *obs.SpanNode, name string) *obs.SpanNode {
-	if n == nil {
-		return nil
-	}
-	if n.Name == name {
-		return n
-	}
-	for _, c := range n.Children {
-		if m := findSpan(c, name); m != nil {
-			return m
-		}
-	}
-	return nil
-}
 
 func viewSpan(v obs.TraceView, name string) *obs.SpanNode {
 	if s := findSpan(v.Root, name); s != nil {
@@ -85,7 +68,7 @@ func getTrace(t *testing.T, base, id string) obs.TraceView {
 	return v
 }
 
-func postTraced(t *testing.T, base string, spec scenario.Spec, reqID string) (*http.Response, []byte) {
+func postTraced(t *testing.T, base string, spec Spec, reqID string) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -117,34 +100,37 @@ func postTraced(t *testing.T, base string, spec scenario.Spec, reqID string) (*h
 // job run, the engine span and the fidelity tier decision, and each gets
 // its own scenario back.
 func TestClusterTraceEndToEnd(t *testing.T) {
-	c, cr := testCoordinator(t, 3, 8, func(cfg *scenario.Config) {
-		base := cfg.Runner
-		cfg.Runner = func(ctx context.Context, spec scenario.Spec) (*scenario.Result, error) {
+	r := newStubRunner()
+	r.releaseAll(8)
+	c := NewService(Config{Workers: 3, QueueCap: 8, Fingerprint: "test",
+		Runner: func(ctx context.Context, spec Spec) (*Result, error) {
 			// Emit the engine-side shape the real pipeline produces: a
 			// phase span plus the fidelity router's tier decision event.
 			ectx, sp := obs.StartSpan(ctx, "engine.run")
 			obs.Event(ectx, "fidelity.route",
 				obs.String("tier", "metapop"), obs.String("reason", "stub"),
 				obs.Float("uncertainty", 0.01))
-			res, err := base(ectx, spec)
+			res, err := r.run(ectx, spec)
 			sp.End()
 			return res, err
-		}
-	})
-	cr.release(8)
-	so := scenario.NewServingObs(c.Registry(), scenario.ServingObsConfig{RecorderCapacity: 64})
-	ts := httptest.NewServer(scenario.NewServer(c, so))
+		}})
+	t.Cleanup(func() { _ = c.Drain(context.Background()) })
+	so := NewServingObs(c.Registry(), ServingObsConfig{RecorderCapacity: 64})
+	ts := httptest.NewServer(NewServer(c, so))
 	t.Cleanup(ts.Close)
 
 	ids := map[string]string{"alpha": "aaaaaaaaaaaaaaaa", "beta": "bbbbbbbbbbbbbbbb"}
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	results := map[string]*scenario.Result{}
+	results := map[string]*Result{}
 	for name, id := range ids {
 		wg.Add(1)
 		go func(name, id string) {
 			defer wg.Done()
-			resp, payload := postTraced(t, ts.URL, whatIfSpec(name), id)
+			resp, payload := postTraced(t, ts.URL, Spec{
+				Workflow: WorkflowWhatIf, State: "VA", Days: 30,
+				WhatIfs: []WhatIfSpec{{Name: name, SHEndShift: 7}},
+			}, id)
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("%s: status %d: %s", name, resp.StatusCode, payload)
 				return
@@ -152,7 +138,7 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 			if got := resp.Header.Get("X-Request-Id"); got != id {
 				t.Errorf("%s: X-Request-Id echo %q", name, got)
 			}
-			var res scenario.Result
+			var res Result
 			if err := json.Unmarshal(payload, &res); err != nil {
 				t.Errorf("%s: %v", name, err)
 				return
@@ -195,21 +181,21 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 // engaged — tracing reads clocks, never the simulation's RNG.
 func TestTracedClusterBitIdentity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("real pipeline cluster in short mode")
+		t.Skip("real pipeline service in short mode")
 	}
-	specs := []scenario.Spec{
+	specs := []Spec{
 		{
 			Workflow: "prediction", State: "RI", Days: 25, Replicates: 2,
-			Configs: []scenario.ParamSpec{{TAU: 0.22, SYMP: 0.6, SHCompliance: 0.4, VHICompliance: 0.4}},
+			Configs: []ParamSpec{{TAU: 0.22, SYMP: 0.6, SHCompliance: 0.4, VHICompliance: 0.4}},
 		},
 		{
 			Workflow: "whatif", State: "RI", Days: 20, Replicates: 1,
-			Configs: []scenario.ParamSpec{{TAU: 0.22, SYMP: 0.6, SHCompliance: 0.4, VHICompliance: 0.4}},
-			WhatIfs: []scenario.WhatIfSpec{{Name: "sh-lifted-1w-early", SHEndShift: -7}},
+			Configs: []ParamSpec{{TAU: 0.22, SYMP: 0.6, SHCompliance: 0.4, VHICompliance: 0.4}},
+			WhatIfs: []WhatIfSpec{{Name: "sh-lifted-1w-early", SHEndShift: -7}},
 		},
 	}
 	normalize := func(i int, payload []byte) string {
-		var r scenario.Result
+		var r Result
 		if err := json.Unmarshal(payload, &r); err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +218,7 @@ func TestTracedClusterBitIdentity(t *testing.T) {
 	}
 	run := func(traced bool) []string {
 		p := core.NewPipeline(77, core.WithScale(40000), core.WithParallelism(2))
-		c := scenario.NewService(scenario.Config{
+		c := NewService(Config{
 			Pipeline: p, Workers: 2, QueueCap: 8, CacheCap: 8,
 		})
 		defer func() {
@@ -240,14 +226,14 @@ func TestTracedClusterBitIdentity(t *testing.T) {
 			defer cancel()
 			_ = c.Drain(ctx)
 		}()
-		var so *scenario.ServingObs
+		var so *ServingObs
 		if traced {
 			col := obs.NewCollector(nil)
-			so = scenario.NewServingObs(c.Registry(), scenario.ServingObsConfig{
+			so = NewServingObs(c.Registry(), ServingObsConfig{
 				RecorderCapacity: 16, Journal: col,
 			})
 		}
-		ts := httptest.NewServer(scenario.NewServer(c, so))
+		ts := httptest.NewServer(NewServer(c, so))
 		defer ts.Close()
 		var out []string
 		for i, spec := range specs {
