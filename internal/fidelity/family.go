@@ -377,7 +377,9 @@ func (e *emulator) emulate(req Request) (*Answer, float64) {
 
 // band turns one series' per-configuration log1p mean and SD curves into
 // its served forecast: the median of the means and the ±2 SD envelope
-// across the configurations, in natural units.
+// across the configurations, in natural units. Every served series is
+// cumulative, so each curve is then projected onto the non-decreasing
+// curves by a running max (which keeps Lo ≤ Median ≤ Hi).
 func band(means, sds [][]float64) core.Forecast {
 	days := len(means[0])
 	f := core.Forecast{Median: make([]float64, days), Lo: make([]float64, days), Hi: make([]float64, days)}
@@ -390,6 +392,9 @@ func band(means, sds [][]float64) core.Forecast {
 			vals[c] = means[c][d]
 		}
 		f.Median[d], f.Lo[d], f.Hi[d] = expm1Clamped(median(vals)), lo, hi
+		if d > 0 {
+			f.Median[d], f.Lo[d], f.Hi[d] = max(f.Median[d], f.Median[d-1]), max(lo, f.Lo[d-1]), max(hi, f.Hi[d-1])
+		}
 	}
 	return f
 }
