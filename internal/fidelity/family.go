@@ -150,12 +150,11 @@ const minCorrection = 3
 // running refit checks the staleness bound again when it finishes.
 func (f *family) refit(minFit, maxStale int) (fits, failed int) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.fitting {
+		f.mu.Unlock()
 		return 0, 0
 	}
 	f.fitting = true
-	defer func() { f.fitting = false }()
 	for {
 		obs := append([]observation(nil), f.obs...)
 		names := f.proto.seriesNames()
@@ -184,6 +183,8 @@ func (f *family) refit(minFit, maxStale int) (fits, failed int) {
 			fits++
 		}
 		if f.pending < maxStale {
+			f.fitting = false
+			f.mu.Unlock()
 			return fits, failed
 		}
 	}

@@ -269,8 +269,8 @@ func TestFidelityConcurrentTraining(t *testing.T) {
 		t.Skip("runs the ABM")
 	}
 	goroutinesBefore := runtime.NumGoroutine()
-	svc, _, _ := fidelityTestService(t, 40000, 4)
-	const configs = 6
+	const configs = 6 // the emulator fits only on all of them
+	svc, _, _ := fidelityTestService(t, 40000, configs)
 	var wg sync.WaitGroup
 	for i := 0; i < configs; i++ {
 		wg.Add(1)
