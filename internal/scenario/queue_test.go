@@ -193,19 +193,45 @@ func TestQueueFullRejects(t *testing.T) {
 	r.releaseAll(2)
 }
 
+// submitAt is SubmitCtx of a Virginia prediction of the given length.
+func submitAt(s *Service, days int, pri Priority) error {
+	_, err := s.SubmitCtx(context.Background(), predSpec("VA", days), pri)
+	return err
+}
+
+// TestCoordinatorAdmissionControl pins the saturation signal: with both
+// workers busy and the queue at capacity every class gets ErrQueueFull, not
+// a class shed (class sheds need spare capacity).
+func TestCoordinatorAdmissionControl(t *testing.T) {
+	const workers, queueCap = 2, 4
+	s, r := stubService(t, workers, queueCap)
+	t.Cleanup(func() { r.releaseAll(workers + queueCap) })
+	for days := 10; days < 10+workers; days++ {
+		if err := submitAt(s, days, PriorityInteractive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitLoads(t, s, 0, workers)
+	for days := 10 + workers; days < 10+workers+queueCap; days++ {
+		if err := submitAt(s, days, PriorityInteractive); err != nil {
+			t.Fatalf("interactive below a full queue: %v", err)
+		}
+	}
+	for _, pri := range []Priority{PriorityInteractive, PriorityNormal, PriorityBatch} {
+		if err := submitAt(s, 90, pri); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("%s at a full queue: %v, want ErrQueueFull", pri, err)
+		}
+	}
+}
+
 // TestBatchClassShedsBeforeQueueFull pins class admission: at half queue a
-// batch submission is shed while normal ones are still admitted, and once
-// the queue is full every class gets ErrQueueFull, not a class shed.
+// batch submission is shed while normal ones are still admitted.
 func TestBatchClassShedsBeforeQueueFull(t *testing.T) {
 	const queueCap = 4
 	s, r := stubService(t, 1, queueCap)
 	t.Cleanup(func() { r.releaseAll(queueCap + 1) })
-	submitAt := func(days int, pri Priority) error {
-		_, err := s.SubmitCtx(context.Background(), predSpec("VA", days), pri)
-		return err
-	}
 	for days := 10; days < 13; days++ { // one running, two queued: half full
-		if err := submitAt(days, PriorityInteractive); err != nil {
+		if err := submitAt(s, days, PriorityInteractive); err != nil {
 			t.Fatal(err)
 		}
 		if days == 10 {
@@ -213,18 +239,11 @@ func TestBatchClassShedsBeforeQueueFull(t *testing.T) {
 		}
 	}
 	var shed *ShedError
-	if err := submitAt(80, PriorityBatch); !errors.As(err, &shed) {
+	if err := submitAt(s, 80, PriorityBatch); !errors.As(err, &shed) {
 		t.Fatalf("batch at half queue: %v, want a class shed", err)
 	}
-	for days := 13; days < 15; days++ {
-		if err := submitAt(days, PriorityNormal); err != nil {
-			t.Fatalf("normal below a full queue: %v", err)
-		}
-	}
-	for _, pri := range []Priority{PriorityBatch, PriorityNormal, PriorityInteractive} {
-		if err := submitAt(90, pri); !errors.Is(err, ErrQueueFull) {
-			t.Fatalf("%s at a full queue: %v, want ErrQueueFull", pri, err)
-		}
+	if err := submitAt(s, 13, PriorityNormal); err != nil {
+		t.Fatalf("normal class should still admit: %v", err)
 	}
 }
 
