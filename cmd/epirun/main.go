@@ -165,7 +165,7 @@ func main() {
 	fmt.Printf("\nsimulated %d days in %v (%d shards)\n", *days, elapsed, sim.ShardCount())
 	fmt.Printf("  total infections: %d (attack rate %.1f%%)\n",
 		res.TotalInfections, 100*epihiper.Attack(res, net.NumNodes()))
-	conf := agg.StateConfirmedCumulative()
+	conf := (&core.SimOutput{Result: res}).ConfirmedCumulative()
 	fmt.Printf("  cumulative confirmed: %.0f\n", conf[len(conf)-1])
 	fmt.Printf("  deaths: %d\n", sim.CumulativeCount(disease.Dead))
 	fmt.Printf("  transitions logged: %d (raw %s at this scale, ≈%s at 1:1)\n",

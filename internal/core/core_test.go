@@ -146,7 +146,7 @@ func TestRunSim(t *testing.T) {
 	if out.RawBytes <= 0 {
 		t.Fatal("raw byte estimate non-positive")
 	}
-	conf := out.Agg.StateConfirmedCumulative()
+	conf := out.ConfirmedCumulative()
 	if conf[len(conf)-1] <= 0 {
 		t.Fatal("no confirmed cases aggregated")
 	}

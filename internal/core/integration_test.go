@@ -52,7 +52,7 @@ func TestCombinedWeeklyCycle(t *testing.T) {
 	var samples []float64
 	day := 70
 	for _, s := range pred.Sims {
-		samples = append(samples, s.Agg.StateConfirmedCumulative()[day])
+		samples = append(samples, s.ConfirmedCumulative()[day])
 	}
 	f, err := forecast.FromSamples(samples)
 	if err != nil {

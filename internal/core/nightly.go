@@ -150,12 +150,21 @@ func (p *Pipeline) RunNightCtx(ctx context.Context, cfg NightConfig) (*NightRepo
 	return report, err
 }
 
+// carryover is what a campaign night inherits from the nights before it:
+// the tasks to run (nil: the night's own workload) and the attempts each
+// task has consumed so far, which a retried task's fault draws continue
+// from.
+type carryover struct {
+	tasks []sched.Task
+	tried map[taskID]int
+}
+
 // runNight is the one night every entry point runs: RunNightCtx over the
-// given tasks (nil builds the night's workload from cfg), also returning
+// carried work (nil builds the night's workload from cfg), also returning
 // the merged execution trace across all recovery rounds so callers can
 // replay or validate it (e.g. with cluster.ValidateExecution against the
 // night's constraints).
-func (p *Pipeline) runNight(ctx context.Context, cfg NightConfig, tasks []sched.Task) (*NightReport, cluster.ExecResult, error) {
+func (p *Pipeline) runNight(ctx context.Context, cfg NightConfig, carry *carryover) (*NightReport, cluster.ExecResult, error) {
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, cluster.ExecResult{}, err
 	}
@@ -165,6 +174,11 @@ func (p *Pipeline) runNight(ctx context.Context, cfg NightConfig, tasks []sched.
 		obs.Int("day", int64(cfg.Day)))
 	defer night.End()
 	_, part := obs.StartSpan(ctx, "partition")
+	var tasks []sched.Task
+	var tried map[taskID]int
+	if carry != nil {
+		tasks, tried = carry.tasks, carry.tried
+	}
 	if tasks == nil {
 		tasks = nightWorkload(cfg.Spec).Tasks(stats.NewRNG(cfg.Seed))
 	}
@@ -176,7 +190,7 @@ func (p *Pipeline) runNight(ctx context.Context, cfg NightConfig, tasks []sched.
 
 	fm := faults.New(cfg.Faults)
 	fm.SetCounters(p.FaultCounters)
-	exec, err := p.runNightRounds(ctx, cfg, fm, tasks, constraints, deadline, report)
+	exec, err := p.runNightRounds(ctx, cfg, fm, tasks, tried, constraints, deadline, report)
 	if err != nil {
 		return nil, cluster.ExecResult{}, err
 	}
@@ -274,26 +288,28 @@ func (p *Pipeline) moveWithRecovery(ctx context.Context, cfg NightConfig, fm *fa
 // RunNightsCtx runs a campaign of consecutive nights with carryover — the
 // resiliency behaviour of the production pipeline. Each night is the night
 // RunNightCtx runs, faults and recovery included; the tasks it could not
-// start inside its window are resubmitted the next night, on day cfg.Day+1,
-// until the workload drains or maxNights is exhausted. Shed work is not
-// carried. Cancellation returns the reports of the nights already simulated
-// together with ctx.Err().
+// start inside its window and the tasks it shed are resubmitted the next
+// night, on day cfg.Day+1, until the workload drains or maxNights is
+// exhausted. A resubmitted task gets the night's full retry budget, and its
+// attempts continue the numbering of its earlier nights, so it does not
+// replay the fault draws that shed it. Cancellation returns the reports of
+// the nights already simulated together with ctx.Err().
 func (p *Pipeline) RunNightsCtx(ctx context.Context, cfg NightConfig, maxNights int) ([]*NightReport, error) {
 	var reports []*NightReport
-	var carry []sched.Task
+	carry := &carryover{tried: map[taskID]int{}}
 	for range max(maxNights, 1) {
 		rep, exec, err := p.runNight(ctx, cfg, carry)
 		if err != nil {
 			return reports, err
 		}
 		reports = append(reports, rep)
-		if len(exec.Unstarted) == 0 {
+		carry.tasks = append(exec.Unstarted, rep.Shed...)
+		if len(carry.tasks) == 0 {
 			return reports, nil
 		}
-		carry = exec.Unstarted
 		cfg.Day++
 	}
-	return reports, fmt.Errorf("core: %d tasks still unfinished after %d nights", len(carry), len(reports))
+	return reports, fmt.Errorf("core: %d tasks still unfinished after %d nights", len(carry.tasks), len(reports))
 }
 
 // TimelineStep is one task of the multi-day human-in-the-loop cycle of

@@ -114,9 +114,12 @@ type retryItem struct {
 // With a nil fault model this is exactly one failure-free round — the
 // bit-for-bit baseline. Cancelling ctx returns ctx.Err(): it is checked
 // before each round is packed, and the backfill executor checks it as it
-// starts tasks.
+// starts tasks. tried holds the attempts each task consumed on earlier
+// nights of a campaign (nil for a single night): fault draws number a
+// task's attempts from there, and the night's own attempts are added to it
+// before returning.
 func (p *Pipeline) runNightRounds(ctx context.Context, cfg NightConfig, fm *faults.Model, tasks []sched.Task,
-	constraints sched.Constraints, deadline float64, report *NightReport) (cluster.ExecResult, error) {
+	tried map[taskID]int, constraints sched.Constraints, deadline float64, report *NightReport) (cluster.ExecResult, error) {
 
 	if err := ctx.Err(); err != nil {
 		return cluster.ExecResult{}, err
@@ -126,7 +129,8 @@ func (p *Pipeline) runNightRounds(ctx context.Context, cfg NightConfig, fm *faul
 	var inj cluster.Injector
 	if fm != nil {
 		inj = func(t sched.Task) faults.TaskFault {
-			return fm.Task(t.Region, t.Cell, t.Replicate, attempts[tid(t)])
+			id := tid(t)
+			return fm.Task(t.Region, t.Cell, t.Replicate, tried[id]+attempts[id])
 		}
 	}
 
@@ -336,6 +340,11 @@ func (p *Pipeline) runNightRounds(ctx context.Context, cfg NightConfig, fm *faul
 	if p.FaultCounters != nil {
 		p.FaultCounters.Recovered.Add(int64(report.Recovered))
 		p.FaultCounters.Shed.Add(int64(len(report.Shed)))
+	}
+	if tried != nil {
+		for id, a := range attempts {
+			tried[id] += a
+		}
 	}
 	return merged, nil
 }

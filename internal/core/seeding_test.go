@@ -133,9 +133,9 @@ func TestRunNightsCarryover(t *testing.T) {
 			if r.Rounds < 1 {
 				t.Fatalf("faults %+v night %d: %d rounds", fs, i, r.Rounds)
 			}
-			if i > 0 && r.Tasks != reports[i-1].Unstarted {
-				t.Fatalf("faults %+v night %d: %d tasks, night %d left %d unstarted",
-					fs, i, r.Tasks, i-1, reports[i-1].Unstarted)
+			if i > 0 && r.Tasks != reports[i-1].Unstarted+len(reports[i-1].Shed) {
+				t.Fatalf("faults %+v night %d: %d tasks, night %d left %d unstarted and %d shed",
+					fs, i, r.Tasks, i-1, reports[i-1].Unstarted, len(reports[i-1].Shed))
 			}
 			if r.Config.Day != i {
 				t.Fatalf("faults %+v night %d ran on day %d", fs, i, r.Config.Day)
@@ -143,7 +143,7 @@ func TestRunNightsCarryover(t *testing.T) {
 			if r.Makespan > p.Window.Seconds() {
 				t.Fatalf("faults %+v night %d overran the window", fs, i)
 			}
-			settled += r.Completed + len(r.Shed)
+			settled += r.Completed // shed work returns the next night
 			failures += r.Crashes + r.DBRefusals
 		}
 		if total := reports[0].Tasks; settled != total {
@@ -165,6 +165,37 @@ func TestRunNightsCarryover(t *testing.T) {
 				t.Fatalf("night %d: tasks %d unstarted %d makespan %#x utilization %#x; pinned %+v",
 					i, r.Tasks, r.Unstarted, math.Float64bits(r.Makespan), math.Float64bits(r.Utilization), w)
 			}
+		}
+	}
+}
+
+// TestRunNightsCarriesShedWork: a campaign resubmits the work a faulted
+// night shed, not only the work it never started. Each family's first
+// night under -fault-rate 0.05 sheds retry-exhausted tasks inside an
+// otherwise sufficient window; the next night must run exactly those, at
+// fresh attempt numbers, and the campaign must drain.
+func TestRunNightsCarriesShedWork(t *testing.T) {
+	fs := faults.Spec{Seed: 1, TaskCrashProb: 0.05, DBRefusalProb: 0.025, TransferStallProb: 0.025}
+	for _, spec := range TableI() {
+		p := testPipeline(23)
+		reports, err := p.RunNightsCtx(context.Background(),
+			NightConfig{Spec: spec, Heuristic: "FFDT-DC", Seed: 1, Day: 1, Faults: fs}, 3)
+		if err != nil {
+			t.Fatalf("%v: %v", spec.Kind, err)
+		}
+		first := reports[0]
+		if len(first.Shed) == 0 {
+			t.Fatalf("%v: night 1 shed nothing; the case is vacuous", spec.Kind)
+		}
+		if len(reports) < 2 {
+			t.Fatalf("%v: night 1 shed %d tasks and the campaign stopped there", spec.Kind, len(first.Shed))
+		}
+		if got, want := reports[1].Tasks, first.Unstarted+len(first.Shed); got != want {
+			t.Errorf("%v: night 2 ran %d tasks, night 1 left %d unstarted and %d shed", spec.Kind, got, first.Unstarted, len(first.Shed))
+		}
+		last := reports[len(reports)-1]
+		if last.Unstarted != 0 || len(last.Shed) != 0 {
+			t.Errorf("%v: campaign ended with %d unstarted and %d shed", spec.Kind, last.Unstarted, len(last.Shed))
 		}
 	}
 }

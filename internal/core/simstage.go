@@ -19,9 +19,9 @@ import (
 // differ in how they design cells and what they aggregate; all of them hand
 // <cell, region, replicate> jobs to this one stage (Figures 3–5). simConfig
 // is the only place a job becomes an epihiper.Config and fanOut the only
-// worker pool, so a from-scratch run, a what-if prefix walk and a what-if
-// branch of one (cell, replicate) cannot seed, configure or record
-// differently.
+// worker pool, so a from-scratch run and a what-if prefix walk of one
+// (cell, replicate) cannot seed or configure differently, and a what-if
+// branch forks the prefix walk's own sim.
 
 // SimJob is one simulation instance (one replicate of one cell).
 type SimJob struct {
@@ -36,13 +36,42 @@ type SimJob struct {
 	SeedCounties int
 }
 
-// SimOutput couples a job with its aggregated result.
+// SimOutput couples a job with its result. Agg holds the county series of
+// a from-scratch run (RunSim); a what-if branch has none, and every
+// state-level curve reads Result.Daily.
 type SimOutput struct {
 	Job    SimJob
 	Result *epihiper.Result
 	Agg    *output.CountyAggregator
 	// RawBytes estimates the individual-level output size at 1:1 scale.
 	RawBytes int64
+}
+
+// StateCumulative returns the region's cumulative entries into st, day by
+// day.
+func (o *SimOutput) StateCumulative(st disease.State) []float64 {
+	return o.cumulative(st)
+}
+
+// ConfirmedCumulative returns the region's cumulative confirmed cases —
+// entries into any medically-attended state (Attended, Attended(H),
+// Attended(D)), the calibration target of the VA case study — day by day.
+func (o *SimOutput) ConfirmedCumulative() []float64 {
+	return o.cumulative(disease.Attended, disease.AttendedH, disease.AttendedD)
+}
+
+// cumulative sums the daily entries into the given states and accumulates
+// them over the horizon.
+func (o *SimOutput) cumulative(states ...disease.State) []float64 {
+	out := make([]float64, len(o.Result.Daily))
+	var acc int64
+	for d, row := range o.Result.Daily {
+		for _, st := range states {
+			acc += int64(row[st])
+		}
+		out[d] = float64(acc)
+	}
+	return out
 }
 
 // jobSeed derives a deterministic per-job seed.
@@ -82,7 +111,7 @@ func topCounties(net *synthpop.Network, n int) []int32 {
 // seeding of the most populous counties (by default 5 cases in 1 county),
 // and the pipeline's parallelism, database and metrics registry. The caller
 // chooses the intervention stack and the recorder, which is all that differs
-// between a full run, a what-if prefix and a what-if branch.
+// between a full run and a what-if prefix.
 func (p *Pipeline) simConfig(job SimJob, net *synthpop.Network, db *popdb.Server,
 	ivs []epihiper.Intervention, rec epihiper.Recorder) (cfg epihiper.Config, err error) {
 	if job.Days <= 0 {

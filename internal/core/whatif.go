@@ -10,7 +10,6 @@ import (
 	"repro/internal/disease"
 	"repro/internal/epihiper"
 	"repro/internal/obs"
-	"repro/internal/output"
 	"repro/internal/popdb"
 	"repro/internal/synthpop"
 )
@@ -26,7 +25,7 @@ import (
 // scenario's modified stack takes over at the pivot with the baseline
 // stack's accumulated state handed across — a scenario can change the
 // future, never the past. The shared prefix is what the workflow simulates
-// once and snapshots; every scenario branches from the checkpoint.
+// once and checkpoints; every scenario forks the checkpoint.
 type WhatIf struct {
 	Name string
 	// PivotDay is the day the scenario's interventions take effect; days
@@ -75,8 +74,8 @@ func (w WhatIf) pivot(cfg PredictionConfig) int {
 func (w WhatIf) apply(pr Params, shStart, shEnd int) (Params, []epihiper.Intervention) {
 	scaled := pr
 	if w.ComplianceScale > 0 {
-		scaled.SHCompliance = minf(1, pr.SHCompliance*w.ComplianceScale)
-		scaled.VHICompliance = minf(1, pr.VHICompliance*w.ComplianceScale)
+		scaled.SHCompliance = min(1, pr.SHCompliance*w.ComplianceScale)
+		scaled.VHICompliance = min(1, pr.VHICompliance*w.ComplianceScale)
 	}
 	end := shEnd + w.SHEndShift
 	if end < shStart {
@@ -99,13 +98,6 @@ func (w WhatIf) apply(pr Params, shStart, shEnd int) (Params, []epihiper.Interve
 	return scaled, ivs
 }
 
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ScenarioOutcome is one what-if scenario's forecast next to the as-is
 // baseline.
 type ScenarioOutcome struct {
@@ -118,23 +110,21 @@ type ScenarioOutcome struct {
 	Sims []*SimOutput
 }
 
-// whatIfCheckpoint is one cached shared-prefix state: the serialized
-// simulator snapshot at a pivot tick, the partial Result up to it, and the
-// transition log to replay into each branch's aggregator. All three are
-// read-only once stored — branches deep-copy on use (RunSuffix clones the
-// Result; Restore fills branch-owned slabs; the log is only replayed).
+// whatIfCheckpoint is one cached shared-prefix state: the as-is simulator
+// frozen at a pivot tick and its Result up to that tick. Both are read-only
+// once stored: a branch forks the sim (Fork copies everything a run writes)
+// and RunSuffix clones the Result, so any number of branches, in any number
+// of requests, can start from one checkpoint at once.
 type whatIfCheckpoint struct {
-	tick int
-	snap []byte
-	res  *epihiper.Result
-	log  []output.Transition
+	sim *epihiper.Sim
+	res *epihiper.Result
 }
 
-// checkpointCost approximates a checkpoint's resident bytes for the
-// store's cost bound.
+// checkpointCost is a checkpoint's resident bytes for the store's cost
+// bound: what the frozen sim retains plus the Result's two day × state
+// tables.
 func checkpointCost(cp *whatIfCheckpoint) int64 {
-	resBytes := int64(len(cp.res.Daily)) * int64(disease.NumStates) * 8
-	return int64(len(cp.snap)) + int64(len(cp.log))*20 + resBytes
+	return cp.sim.RetainedBytes() + int64(cap(cp.res.Daily)+cap(cp.res.Current))*int64(disease.NumStates)*4
 }
 
 // snapshotKey content-addresses a shared prefix: SHA-256 over the pipeline
@@ -227,15 +217,7 @@ func (p *Pipeline) RunWhatIfScenariosCtx(ctx context.Context, cfg PredictionConf
 		cp := checkpoints[i%len(prefixes)][sc.pivot(cfg)]
 		var ivs []epihiper.Intervention
 		job.Params, ivs = sc.apply(job.Params, cfg.SHStart, cfg.SHEnd)
-		agg := output.NewCountyAggregator(net, cfg.Days)
-		simCfg, err := p.simConfig(job, net, db, ivs, agg)
-		if err != nil {
-			return err
-		}
-		for _, t := range cp.log {
-			agg.Record(int(t.Tick), t.PID, t.From, t.To, t.Infector)
-		}
-		sim, err := epihiper.NewFromSnapshot(simCfg, cp.snap)
+		sim, err := cp.sim.Fork(epihiper.Config{Interventions: ivs, Metrics: p.metrics})
 		if err != nil {
 			return err
 		}
@@ -243,7 +225,7 @@ func (p *Pipeline) RunWhatIfScenariosCtx(ctx context.Context, cfg PredictionConf
 		if err != nil {
 			return err
 		}
-		sims[i] = &SimOutput{Job: job, Result: res, Agg: agg}
+		sims[i] = &SimOutput{Job: job, Result: res}
 		return nil
 	})
 	if err != nil {
@@ -253,11 +235,9 @@ func (p *Pipeline) RunWhatIfScenariosCtx(ctx context.Context, cfg PredictionConf
 	out := make([]*ScenarioOutcome, 0, len(scenarios))
 	for si, sc := range scenarios {
 		so := &ScenarioOutcome{Scenario: sc, Sims: sims[si*len(prefixes) : (si+1)*len(prefixes) : (si+1)*len(prefixes)]}
-		so.Confirmed = ensembleBand(so.Sims, cfg.Days, func(s *SimOutput) []float64 {
-			return s.Agg.StateConfirmedCumulative()
-		})
+		so.Confirmed = ensembleBand(so.Sims, cfg.Days, (*SimOutput).ConfirmedCumulative)
 		so.Deaths = ensembleBand(so.Sims, cfg.Days, func(s *SimOutput) []float64 {
-			return s.Agg.StateCumulative(disease.Dead)
+			return s.StateCumulative(disease.Dead)
 		})
 		out = append(out, so)
 	}
@@ -304,16 +284,14 @@ func (p *Pipeline) ensureCheckpoints(ctx context.Context, cfg PredictionConfig,
 			base = cp
 		}
 	}
-	log := &output.TransitionLog{}
-	simCfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, cfg.SHStart, cfg.SHEnd), log)
+	simCfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, cfg.SHStart, cfg.SHEnd), nil)
 	if err != nil {
 		return nil, err
 	}
 	var sim *epihiper.Sim
 	var res *epihiper.Result
 	if base != nil {
-		log.Entries = slices.Clone(base.log)
-		sim, err = epihiper.NewFromSnapshot(simCfg, base.snap)
+		sim, err = base.sim.Fork(simCfg)
 		res = base.res
 	} else {
 		sim, err = epihiper.New(simCfg)
@@ -329,11 +307,13 @@ func (p *Pipeline) ensureCheckpoints(ctx context.Context, cfg PredictionConfig,
 		if err != nil {
 			return nil, err
 		}
-		snap, err := sim.Snapshot()
+		// The frozen copy gets a stack of its own: the walk runs on with
+		// the walker's.
+		frozen, err := sim.Fork(epihiper.Config{Interventions: interventionsFor(job.Params, cfg.SHStart, cfg.SHEnd)})
 		if err != nil {
 			return nil, err
 		}
-		cp := &whatIfCheckpoint{tick: tick, snap: snap, res: res, log: slices.Clone(log.Entries)}
+		cp := &whatIfCheckpoint{sim: frozen, res: res}
 		out[tick] = cp
 		if p.snapshots != nil {
 			p.snapshots.Put(p.snapshotKey(cfg, job, tick), cp)

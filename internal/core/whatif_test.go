@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/castore"
@@ -123,10 +124,13 @@ func TestRunWhatIfValidation(t *testing.T) {
 
 // runWhatIfUnshared is the from-scratch oracle of the what-if workflow: every
 // (scenario, cell, replicate) re-simulates the as-is history to its pivot,
-// swaps the scenario stack in and runs on — the computation the snapshot path
-// shortcuts. It builds each simulation with the stage's simConfig, so seeds
-// and seeding cannot drift from production, and shares nothing else with
-// RunWhatIfScenariosCtx: no checkpoint, no log replay, no fan-out.
+// swaps the scenario stack in and runs on — the computation the checkpoint
+// path shortcuts. It builds each simulation with the stage's simConfig, so
+// seeds and seeding cannot drift from production, and shares nothing else
+// with RunWhatIfScenariosCtx: no checkpoint, no fork, no fan-out. Its bands
+// come from a CountyAggregator recording each run, summed over counties — an
+// independent cross-check of the production curves over Result.Daily — and
+// its SimOutputs carry no aggregator, as a branch's do not.
 func runWhatIfUnshared(t *testing.T, p *Pipeline, cfg PredictionConfig, scenarios []WhatIf) []*ScenarioOutcome {
 	t.Helper()
 	cfg.fillDefaults(5)
@@ -141,6 +145,7 @@ func runWhatIfUnshared(t *testing.T, p *Pipeline, cfg PredictionConfig, scenario
 	var outs []*ScenarioOutcome
 	for _, sc := range scenarios {
 		so := &ScenarioOutcome{Scenario: sc}
+		aggs := map[*SimOutput]*output.CountyAggregator{}
 		for ci, pr := range cfg.Configs {
 			for rep := 0; rep < cfg.Replicates; rep++ {
 				scaled, ivs := sc.apply(pr, cfg.SHStart, cfg.SHEnd)
@@ -163,18 +168,40 @@ func runWhatIfUnshared(t *testing.T, p *Pipeline, cfg PredictionConfig, scenario
 				if err != nil {
 					t.Fatal(err)
 				}
-				so.Sims = append(so.Sims, &SimOutput{Job: job, Result: res, Agg: agg})
+				out := &SimOutput{Job: job, Result: res}
+				aggs[out] = agg
+				so.Sims = append(so.Sims, out)
 			}
 		}
 		so.Confirmed = ensembleBand(so.Sims, cfg.Days, func(s *SimOutput) []float64 {
-			return s.Agg.StateConfirmedCumulative()
+			return countyCumulative(aggs[s], cfg.Days, disease.Attended, disease.AttendedH, disease.AttendedD)
 		})
 		so.Deaths = ensembleBand(so.Sims, cfg.Days, func(s *SimOutput) []float64 {
-			return s.Agg.StateCumulative(disease.Dead)
+			return countyCumulative(aggs[s], cfg.Days, disease.Dead)
 		})
 		outs = append(outs, so)
 	}
 	return outs
+}
+
+// countyCumulative sums the aggregator's daily series of the given states
+// over every county and accumulates them over the horizon.
+func countyCumulative(agg *output.CountyAggregator, days int, states ...disease.State) []float64 {
+	daily := make([]int64, days)
+	for _, c := range agg.Counties() {
+		for _, st := range states {
+			for d, v := range agg.Daily(c, st) {
+				daily[d] += int64(v)
+			}
+		}
+	}
+	out := make([]float64, days)
+	var acc int64
+	for d, v := range daily {
+		acc += v
+		out[d] = float64(acc)
+	}
+	return out
 }
 
 // TestWhatIfSharedMatchesUnshared is the workflow-level equivalence gate:
@@ -294,6 +321,54 @@ func TestWhatIfCanceledContext(t *testing.T) {
 	}, StandardWhatIfs())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestCheckpointCostMatchesHeap fills the checkpoint store and holds its
+// cost bound to what the checkpoints really keep alive: per checkpoint, the
+// live heap after a GC grows by checkpointCost within 15%. A cost that
+// undercounts lets the store hold more memory than its bound says.
+func TestCheckpointCostMatchesHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1:2000 population in short mode")
+	}
+	p := NewPipeline(93, WithScale(2000), WithParallelism(2))
+	cfg := PredictionConfig{State: "VA", Configs: []Params{{TAU: 0.22, SYMP: 0.65, SHCompliance: 0.5, VHICompliance: 0.5}},
+		Days: 90, SHStart: 20}
+	cfg.fillDefaults(1)
+	net, err := p.Network(cfg.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := p.DB(cfg.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(reps ...int) {
+		for _, rep := range reps {
+			job := SimJob{State: cfg.State, Replicate: rep, Params: cfg.Configs[0], Days: cfg.Days}
+			if _, err := p.ensureCheckpoints(context.Background(), cfg, net, db, job, []int{30, 60}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	fill(0) // builds the network's lazy indexes outside the measurement
+	heap0, st0 := liveHeap(), p.snapshotStats()
+	fill(1, 2, 3, 4, 5, 6, 7, 8)
+	heap1, st1 := liveHeap(), p.snapshotStats()
+	if st1.Evictions != 0 || st1.Entries-st0.Entries != 16 {
+		t.Fatalf("store holds %d new checkpoints with %d evictions, want 16 and none", st1.Entries-st0.Entries, st1.Evictions)
+	}
+	grown, cost := float64(heap1-heap0), float64(st1.Cost-st0.Cost)
+	t.Logf("per checkpoint: live heap %.0f KB, checkpointCost %.0f KB", grown/16/1024, cost/16/1024)
+	if r := grown / cost; r < 0.85 || r > 1.15 {
+		t.Errorf("live heap grew %.0f bytes for checkpoints costed at %.0f (ratio %.2f, want within 15%%)", grown, cost, r)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/calib"
 	"repro/internal/disease"
@@ -215,7 +216,7 @@ func (p *Pipeline) RunCalibrationWorkflowCtx(ctx context.Context, cfg Calibratio
 	out.Sims = sims
 	design.Outputs = linalg.NewMatrix(cfg.Cells, cfg.Days)
 	for i, s := range sims {
-		logged := calib.Log1p(s.Agg.StateConfirmedCumulative())
+		logged := calib.Log1p(s.ConfirmedCumulative())
 		for d, v := range logged {
 			design.Outputs.Set(i, d, v)
 		}
@@ -406,14 +407,12 @@ func (p *Pipeline) RunPredictionWorkflowCtx(ctx context.Context, cfg PredictionC
 		return nil, err
 	}
 	out := &PredictionOutcome{Config: cfg, Sims: sims, CountyMedian: map[int32][]float64{}}
-	out.Confirmed = ensembleBand(sims, cfg.Days, func(s *SimOutput) []float64 {
-		return s.Agg.StateConfirmedCumulative()
-	})
+	out.Confirmed = ensembleBand(sims, cfg.Days, (*SimOutput).ConfirmedCumulative)
 	out.Hospitalized = ensembleBand(sims, cfg.Days, func(s *SimOutput) []float64 {
-		return s.Agg.StateCumulative(disease.Hospitalized)
+		return s.StateCumulative(disease.Hospitalized)
 	})
 	out.Deaths = ensembleBand(sims, cfg.Days, func(s *SimOutput) []float64 {
-		return s.Agg.StateCumulative(disease.Dead)
+		return s.StateCumulative(disease.Dead)
 	})
 	// County-level medians.
 	counties := sims[0].Agg.Counties()
@@ -434,7 +433,8 @@ func (p *Pipeline) RunPredictionWorkflowCtx(ctx context.Context, cfg PredictionC
 }
 
 // ensembleBand computes pointwise (2.5, 50, 97.5) percentiles over the
-// extracted series of every simulation.
+// extracted series of every simulation, sorting one scratch column per day
+// in place.
 func ensembleBand(sims []*SimOutput, days int, extract func(*SimOutput) []float64) Forecast {
 	series := make([][]float64, len(sims))
 	for i, s := range sims {
@@ -450,8 +450,8 @@ func ensembleBand(sims []*SimOutput, days int, extract func(*SimOutput) []float6
 		for i := range series {
 			vals[i] = series[i][d]
 		}
-		qs := stats.Quantiles(vals, 0.025, 0.5, 0.975)
-		f.Lo[d], f.Median[d], f.Hi[d] = qs[0], qs[1], qs[2]
+		sort.Float64s(vals)
+		f.Lo[d], f.Median[d], f.Hi[d] = stats.SortedQuantile(vals, 0.025), stats.SortedQuantile(vals, 0.5), stats.SortedQuantile(vals, 0.975)
 	}
 	return f
 }

@@ -1,0 +1,163 @@
+package epihiper
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/disease"
+)
+
+// TestForkConcurrentFromOneFrozenSim is the what-if workflow's sharing
+// pattern under the race detector: a walker runs the as-is stack to the
+// pivot, freezes a fork there and runs on, while four goroutines fork the
+// frozen sim under a scenario stack and run to the horizon. Every branch
+// must equal the in-place swap of a from-scratch run — stream, Result and
+// final state — and the walker must equal an unbranched run: no fork may
+// write into another's state or into its source's.
+func TestForkConcurrentFromOneFrozenSim(t *testing.T) {
+	withPooledDispatch(t)
+	net := testNetwork(t, 515)
+	const days, pivot, par, seed = 45, 18, 4, 515
+	cfg := func(ivs []Intervention, rec Recorder) Config {
+		c := snapCfg(net, days, par, seed, ivs, rec)
+		c.Model.Transmissibility = 0.3
+		return c
+	}
+	baseStack := func() []Intervention {
+		return append(BaseCaseInterventions(8, days, 0.4, 0.5),
+			&TestAndIsolate{DailyDetectRate: 0.15, IsolationDays: 7})
+	}
+	branchStack := func() []Intervention {
+		return append(BaseCaseInterventions(8, 28, 0.6, 0.5),
+			&ContactTracing{Distance: 1, DetectProb: 0.4, TraceCompliance: 0.7, IsolationDays: 7})
+	}
+	// suffixOnly forwards the ticks a branch runs, so a reference stream
+	// is comparable with a branch's recorder.
+	suffixOnly := func(rec Recorder) Recorder {
+		return RecorderFunc(func(tick int, pid int32, from, to disease.State, infector int32) {
+			if tick >= pivot {
+				rec.Record(tick, pid, from, to, infector)
+			}
+		})
+	}
+
+	recSwap := newHashingRecorder()
+	swap, err := New(cfg(baseStack(), suffixOnly(recSwap)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := swap.RunPrefix(pivot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swap.SwapInterventions(branchStack())
+	resSwap, err := swap.RunSuffix(pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	straight, err := New(cfg(baseStack(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resStraight, err := straight.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	walker, err := New(cfg(baseStack(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	preW, err := walker.RunPrefix(pivot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := walker.Fork(Config{Interventions: baseStack()})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const branches = 4
+	var (
+		wg       sync.WaitGroup
+		sims     [branches]*Sim
+		results  [branches]*Result
+		recs     [branches]*hashingRecorder
+		errs     [branches + 1]error
+		resWalk  *Result
+		walkDone = make(chan struct{})
+	)
+	go func() {
+		defer close(walkDone)
+		resWalk, errs[branches] = walker.RunSuffix(preW)
+	}()
+	for i := range branches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i] = newHashingRecorder()
+			sims[i], errs[i] = frozen.Fork(Config{Interventions: branchStack(), Recorder: recs[i]})
+			if errs[i] == nil {
+				results[i], errs[i] = sims[i].RunSuffix(preW)
+			}
+		}()
+	}
+	wg.Wait()
+	<-walkDone
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if recSwap.count < 100 {
+		t.Fatalf("only %d transitions after the pivot; the case is vacuous", recSwap.count)
+	}
+	for i := range branches {
+		if recs[i].h != recSwap.h || recs[i].count != recSwap.count {
+			t.Errorf("branch %d: stream %d events hash %#x, swap %d events hash %#x", i, recs[i].count, recs[i].h, recSwap.count, recSwap.h)
+		}
+		if resultDigest(results[i]) != resultDigest(resSwap) {
+			t.Errorf("branch %d: Result differs from the swap's", i)
+		}
+		requireFinalStateEqual(t, swap, sims[i])
+	}
+	if resultDigest(resWalk) != resultDigest(resStraight) {
+		t.Error("the walker diverged from an unbranched run after freezing a fork")
+	}
+	requireFinalStateEqual(t, straight, walker)
+}
+
+// TestForkRefusesAnotherRun: a fork keeps its source's model, network,
+// horizon, seed and shard layout. Naming the same ones (an equal model
+// value included) is accepted; naming another is refused, never run under
+// tables computed for the original.
+func TestForkRefusesAnotherRun(t *testing.T) {
+	net := smallNetwork(t)
+	sim, err := New(snapCfg(net, 20, 2, 9, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunPrefix(6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Fork(Config{}); err != nil {
+		t.Errorf("zero config refused: %v", err)
+	}
+	if _, err := sim.Fork(snapCfg(net, 20, 2, 9, nil, nil)); err != nil {
+		t.Errorf("the source's own configuration refused: %v", err)
+	}
+	other := smallNetwork(t)
+	hotter := disease.COVID19()
+	hotter.Transmissibility *= 1.5
+	for name, cfg := range map[string]Config{
+		"model":   {Model: hotter},
+		"network": {Network: other},
+		"horizon": {Days: 25},
+		"seed":    {Seed: 10},
+		"shards":  {Parallelism: 4},
+	} {
+		if _, err := sim.Fork(cfg); err == nil {
+			t.Errorf("fork with another %s accepted", name)
+		}
+	}
+}

@@ -342,9 +342,9 @@ func (w refWorld) config(shards int, seed uint64, ivs []Intervention, rec Record
 }
 
 // productionRun executes cfg on the production kernel. With pivot > 0 the run
-// is cut at that day, checkpointed, and continued by a sim restored at
-// restoreShards, with both halves feeding the one recorder.
-func productionRun(tb testing.TB, w refWorld, shards int, seed uint64, stack func(int) []Intervention, pivot, restoreShards int) (*Result, []byte) {
+// is cut at that day and continued by a branch of mode at branchShards, with
+// both halves feeding the one recorder.
+func productionRun(tb testing.TB, w refWorld, shards int, seed uint64, stack func(int) []Intervention, pivot int, mode branchMode, branchShards int) (*Result, []byte) {
 	tb.Helper()
 	rec := &streamRecorder{}
 	sim, err := New(w.config(shards, seed, stack(w.days), rec))
@@ -362,11 +362,7 @@ func productionRun(tb testing.TB, w refWorld, shards int, seed uint64, stack fun
 	if err != nil {
 		tb.Fatal(err)
 	}
-	snap, err := sim.Snapshot()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	simB, err := NewFromSnapshot(w.config(restoreShards, seed, stack(w.days), rec), snap)
+	simB, err := mode.branch(sim, w.config(branchShards, seed, stack(w.days), rec))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -402,7 +398,8 @@ func withPooledDispatch(tb testing.TB) {
 
 // TestKernelMatchesReference byte-compares the production kernel with the
 // reference over seeds × shard counts × intervention stacks × worlds ×
-// {straight run, snapshot at a random day restored at another shard count}.
+// {straight run, snapshot at a random day restored at another shard count,
+// forked at a random day}.
 func TestKernelMatchesReference(t *testing.T) {
 	withPooledDispatch(t)
 	seeds := []uint64{7, 20260930}
@@ -422,14 +419,18 @@ func TestKernelMatchesReference(t *testing.T) {
 				}
 				for _, shards := range refShardCounts {
 					label := fmt.Sprintf("%s/%s/seed=%d/shards=%d", w.name, st.name, seed, shards)
-					res, stream := productionRun(t, w, shards, seed, st.ivs, 0, 0)
+					res, stream := productionRun(t, w, shards, seed, st.ivs, 0, branchMode{}, 0)
 					requireSameRun(t, label, wantRes, res, recRef.b, stream)
 
-					pivot := 1 + pick.Intn(w.days-1)
-					other := refShardCounts[pick.Intn(len(refShardCounts))]
-					label = fmt.Sprintf("%s/snapshot@%d→shards=%d", label, pivot, other)
-					res, stream = productionRun(t, w, shards, seed, st.ivs, pivot, other)
-					requireSameRun(t, label, wantRes, res, recRef.b, stream)
+					for _, mode := range branchModes {
+						pivot, other := 1+pick.Intn(w.days-1), shards
+						if mode.crossesShards {
+							other = refShardCounts[pick.Intn(len(refShardCounts))]
+						}
+						res, stream = productionRun(t, w, shards, seed, st.ivs, pivot, mode, other)
+						requireSameRun(t, fmt.Sprintf("%s/%s@%d→shards=%d", label, mode.name, pivot, other),
+							wantRes, res, recRef.b, stream)
+					}
 				}
 			}
 		}

@@ -522,23 +522,22 @@ func NewFromSnapshot(cfg Config, data []byte) (*Sim, error) {
 
 // SwapInterventions replaces the intervention stack mid-run, transferring
 // the named state of the outgoing stack into the incoming one (the same
-// by-name handover a snapshot restore performs). It is the from-scratch
-// path of a what-if branch: run the shared stack to the pivot, swap in the
-// scenario stack, continue — and must be equivalent to branching from a
-// snapshot taken at the pivot.
+// by-name handover a snapshot restore or a Fork performs). It is the
+// from-scratch path of a what-if branch: run the shared stack to the pivot,
+// swap in the scenario stack, continue — and must be equivalent to
+// branching from a checkpoint taken at the pivot.
 func (s *Sim) SwapInterventions(ivs []Intervention) {
-	type saved struct {
-		name string
-		data []byte
-	}
-	var states []saved
-	for _, iv := range s.cfg.Interventions {
-		if st, ok := iv.(InterventionState); ok {
-			states = append(states, saved{name: iv.Name(), data: st.EncodeState()})
-		}
-	}
+	old := s.cfg.Interventions
 	s.cfg.Interventions = ivs
-	for _, st := range states {
-		s.applyInterventionState(st.name, st.data)
+	s.handOver(old)
+}
+
+// handOver moves the named state of the from stack, intervention by
+// intervention, into the sim's own stack.
+func (s *Sim) handOver(from []Intervention) {
+	for _, iv := range from {
+		if st, ok := iv.(InterventionState); ok {
+			s.applyInterventionState(iv.Name(), st.EncodeState())
+		}
 	}
 }

@@ -11,12 +11,36 @@ import (
 	"repro/internal/synthpop"
 )
 
-// This file gates the snapshot subsystem on one obligation: branching a run
-// from a checkpoint must be bit-identical to running the same configuration
-// from scratch — the transition stream, the daily summaries, the cumulative
-// counters and the final per-person state all included. The what-if fan-out
-// in internal/core shares simulated prefixes through these snapshots, so any
-// state the codec loses would silently skew every counter-factual forecast.
+// This file gates checkpointing on one obligation: branching a run from a
+// checkpoint must be bit-identical to running the same configuration from
+// scratch — the transition stream, the daily summaries, the cumulative
+// counters and the final per-person state all included. A checkpoint
+// continues two ways, and every property below holds for both: through the
+// EPSNAP codec into a fresh sim (restore), or as an in-process copy (Fork),
+// the way the what-if fan-out in internal/core shares simulated prefixes.
+// Any state either loses would silently skew every counter-factual forecast.
+
+// branchMode is one way to continue a run from a sim stopped at a day
+// boundary: branch returns the sim that runs on under cfg.
+type branchMode struct {
+	name string
+	// crossesShards reports whether the branch may run at another shard
+	// count than the checkpointed sim (EPSNAP is canonical node order; a
+	// fork keeps the shard layout).
+	crossesShards bool
+	branch        func(src *Sim, cfg Config) (*Sim, error)
+}
+
+var branchModes = []branchMode{
+	{"restore", true, func(src *Sim, cfg Config) (*Sim, error) {
+		snap, err := src.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		return NewFromSnapshot(cfg, snap)
+	}},
+	{"fork", false, func(src *Sim, cfg Config) (*Sim, error) { return src.Fork(cfg) }},
+}
 
 // smallNetwork builds a ~400-person VA network cheap enough for many
 // randomized trials.
@@ -128,10 +152,10 @@ func requireFinalStateEqual(t *testing.T, want, got *Sim) {
 
 // TestSnapshotEquivalenceProperty is the randomized equivalence gate:
 // for random horizons, seeds, parallelism, pivot ticks and intervention
-// stacks, Snapshot at the pivot + Restore into a fresh sim + run-to-end
-// must reproduce the from-scratch run bit for bit — the same transition
-// stream (prefix + suffix folded into one hash), the same Result digest
-// and the same final state.
+// stacks, a checkpoint at the pivot continued to the end — restored into a
+// fresh sim or forked — must reproduce the from-scratch run bit for bit:
+// the same transition stream (prefix + suffix folded into one hash), the
+// same Result digest and the same final state.
 func TestSnapshotEquivalenceProperty(t *testing.T) {
 	net := smallNetwork(t)
 	trials := 10
@@ -147,10 +171,10 @@ func TestSnapshotEquivalenceProperty(t *testing.T) {
 			pivot := 1 + r.Intn(days-1)
 			simSeed := r.Uint64()
 			par := 1 + 3*r.Intn(2) // 1 or 4
-			// The restored branch runs at an independently drawn shard
+			// A restored branch runs at an independently drawn shard
 			// count: snapshots are canonical-node-order and must cross
 			// shard layouts freely.
-			parB := []int{1, 2, 4, 8}[r.Intn(4)]
+			crossPar := []int{1, 2, 4, 8}[r.Intn(4)]
 			stackSeed := r.Int63()
 			mkStack := func() []Intervention {
 				return randomStack(rand.New(rand.NewSource(stackSeed)), days)
@@ -165,53 +189,57 @@ func TestSnapshotEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			recSplit := newHashingRecorder()
-			simA, err := New(snapCfg(net, days, par, simSeed, mkStack(), recSplit))
-			if err != nil {
-				t.Fatal(err)
-			}
-			preRes, err := simA.RunPrefix(pivot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap, err := simA.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			simB, err := NewFromSnapshot(snapCfg(net, days, parB, simSeed, mkStack(), recSplit), snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if simB.ranTo != pivot {
-				t.Fatalf("restored sim at day %d, want %d", simB.ranTo, pivot)
-			}
-			resSplit, err := simB.RunSuffix(preRes)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			if recRef.count == 0 {
 				t.Fatalf("days=%d pivot=%d: reference run produced no events; the trial is vacuous", days, pivot)
 			}
-			if recRef.h != recSplit.h || recRef.count != recSplit.count {
-				t.Errorf("days=%d pivot=%d par=%d→%d: transition streams differ: scratch %d events hash %#x, branched %d events hash %#x",
-					days, pivot, par, parB, recRef.count, recRef.h, recSplit.count, recSplit.h)
+
+			for _, mode := range branchModes {
+				t.Run(mode.name, func(t *testing.T) {
+					parB := par
+					if mode.crossesShards {
+						parB = crossPar
+					}
+					recSplit := newHashingRecorder()
+					simA, err := New(snapCfg(net, days, par, simSeed, mkStack(), recSplit))
+					if err != nil {
+						t.Fatal(err)
+					}
+					preRes, err := simA.RunPrefix(pivot)
+					if err != nil {
+						t.Fatal(err)
+					}
+					simB, err := mode.branch(simA, snapCfg(net, days, parB, simSeed, mkStack(), recSplit))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if simB.ranTo != pivot {
+						t.Fatalf("branched sim at day %d, want %d", simB.ranTo, pivot)
+					}
+					resSplit, err := simB.RunSuffix(preRes)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					if recRef.h != recSplit.h || recRef.count != recSplit.count {
+						t.Errorf("days=%d pivot=%d par=%d→%d: transition streams differ: scratch %d events hash %#x, branched %d events hash %#x",
+							days, pivot, par, parB, recRef.count, recRef.h, recSplit.count, recSplit.h)
+					}
+					if dRef, dSplit := resultDigest(resRef), resultDigest(resSplit); dRef != dSplit {
+						t.Errorf("days=%d pivot=%d par=%d→%d: result digests differ: scratch %#x, branched %#x",
+							days, pivot, par, parB, dRef, dSplit)
+					}
+					requireFinalStateEqual(t, simRef, simB)
+				})
 			}
-			if dRef, dSplit := resultDigest(resRef), resultDigest(resSplit); dRef != dSplit {
-				t.Errorf("days=%d pivot=%d par=%d→%d: result digests differ: scratch %#x, branched %#x",
-					days, pivot, par, parB, dRef, dSplit)
-			}
-			requireFinalStateEqual(t, simRef, simB)
 		})
 	}
 }
 
-// TestSnapshotBranchMatchesSwap pins the two branch mechanics against each
-// other: restoring a checkpoint under a different intervention stack must
-// equal running the original stack to the pivot and swapping the stack
-// in-place. The what-if workflow uses the first as its shared path and the
-// second as its from-scratch oracle, so they must never diverge.
+// TestSnapshotBranchMatchesSwap pins the branch mechanics against each
+// other: continuing a checkpoint under a different intervention stack, by
+// restore or by fork, must equal running the original stack to the pivot
+// and swapping the stack in-place. The what-if workflow forks as its shared
+// path and swaps in its from-scratch oracle, so they must never diverge.
 func TestSnapshotBranchMatchesSwap(t *testing.T) {
 	net := smallNetwork(t)
 	const days, pivot = 50, 20
@@ -223,28 +251,6 @@ func TestSnapshotBranchMatchesSwap(t *testing.T) {
 		return append(BaseCaseInterventions(10, 30, 0.3, 0.4),
 			&MaskMandate{StartDay: pivot, EndDay: days, WeightFactor: 0.7},
 			&ContactTracing{Distance: 1, DetectProb: 0.3, TraceCompliance: 0.6, IsolationDays: 7})
-	}
-
-	recSnap := newHashingRecorder()
-	simA, err := New(snapCfg(net, days, 2, 99, baseStack(), recSnap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	preA, err := simA.RunPrefix(pivot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := simA.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	simB, err := NewFromSnapshot(snapCfg(net, days, 2, 99, branchStack(), recSnap), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resSnap, err := simB.RunSuffix(preA)
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	recSwap := newHashingRecorder()
@@ -262,20 +268,41 @@ func TestSnapshotBranchMatchesSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if recSnap.h != recSwap.h || recSnap.count != recSwap.count {
-		t.Errorf("transition streams differ: snapshot-branch %d events hash %#x, swap %d events hash %#x",
-			recSnap.count, recSnap.h, recSwap.count, recSwap.h)
+	for _, mode := range branchModes {
+		t.Run(mode.name, func(t *testing.T) {
+			recSnap := newHashingRecorder()
+			simA, err := New(snapCfg(net, days, 2, 99, baseStack(), recSnap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			preA, err := simA.RunPrefix(pivot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simB, err := mode.branch(simA, snapCfg(net, days, 2, 99, branchStack(), recSnap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resSnap, err := simB.RunSuffix(preA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recSnap.h != recSwap.h || recSnap.count != recSwap.count {
+				t.Errorf("transition streams differ: %s branch %d events hash %#x, swap %d events hash %#x",
+					mode.name, recSnap.count, recSnap.h, recSwap.count, recSwap.h)
+			}
+			if dSnap, dSwap := resultDigest(resSnap), resultDigest(resSwap); dSnap != dSwap {
+				t.Errorf("result digests differ: %s branch %#x, swap %#x", mode.name, dSnap, dSwap)
+			}
+			requireFinalStateEqual(t, sim2, simB)
+		})
 	}
-	if dSnap, dSwap := resultDigest(resSnap), resultDigest(resSwap); dSnap != dSwap {
-		t.Errorf("result digests differ: snapshot-branch %#x, swap %#x", dSnap, dSwap)
-	}
-	requireFinalStateEqual(t, sim2, simB)
 }
 
 // TestSnapshotCarriesPendingIsolations regresses a deep-copy hazard: an
 // isolation scheduled for a post-pivot day (TestAndIsolate's 1–3 day test
-// turnaround) must survive the snapshot round-trip, or branched runs
-// silently drop in-flight test results.
+// turnaround) must survive the branch, or branched runs silently drop
+// in-flight test results.
 func TestSnapshotCarriesPendingIsolations(t *testing.T) {
 	net := smallNetwork(t)
 	const days, pivot, pid = 30, 5, 7
@@ -290,65 +317,65 @@ func TestSnapshotCarriesPendingIsolations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recSplit := newHashingRecorder()
-	simA, err := New(snapCfg(net, days, 1, 4242, nil, recSplit))
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range branchModes {
+		t.Run(mode.name, func(t *testing.T) {
+			recSplit := newHashingRecorder()
+			simA, err := New(snapCfg(net, days, 1, 4242, nil, recSplit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			simA.ScheduleIsolate(8, pid, 40)
+			pre, err := simA.RunPrefix(pivot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simB, err := mode.branch(simA, snapCfg(net, days, 1, 4242, nil, recSplit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := simB.RunSuffix(pre); err != nil {
+				t.Fatal(err)
+			}
+			if simB.isolatedUntil[pid] != 40 {
+				t.Errorf("pending isolation lost: person %d isolated until %d, want 40", pid, simB.isolatedUntil[pid])
+			}
+			if recRef.h != recSplit.h {
+				t.Errorf("streams differ: scratch %#x, branched %#x", recRef.h, recSplit.h)
+			}
+			requireFinalStateEqual(t, simRef, simB)
+		})
 	}
-	simA.ScheduleIsolate(8, pid, 40)
-	pre, err := simA.RunPrefix(pivot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := simA.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	simB, err := NewFromSnapshot(snapCfg(net, days, 1, 4242, nil, recSplit), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := simB.RunSuffix(pre); err != nil {
-		t.Fatal(err)
-	}
-	if simB.isolatedUntil[pid] != 40 {
-		t.Errorf("pending isolation lost: person %d isolated until %d, want 40", pid, simB.isolatedUntil[pid])
-	}
-	if recRef.h != recSplit.h {
-		t.Errorf("streams differ: scratch %#x, branched %#x", recRef.h, recSplit.h)
-	}
-	requireFinalStateEqual(t, simRef, simB)
 }
 
 // TestSnapshotCarriesScaleHW regresses the propensity-bound high-watermark:
 // scaleHW remembers every infectivity scale ever set (the rejection bound
-// must stay an upper bound), so a restore that recomputed it from current
+// must stay an upper bound), so a branch that recomputed it from current
 // scales would change kernel rejection behavior.
 func TestSnapshotCarriesScaleHW(t *testing.T) {
 	net := smallNetwork(t)
-	sim, err := New(snapCfg(net, 20, 1, 7, nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.SetInfectivity(3, 5.0)
-	sim.SetInfectivity(3, 1.0) // watermark must remember the 5.0
-	snap, err := sim.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := NewFromSnapshot(snapCfg(net, 20, 1, 7, nil, nil), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.scaleHW != sim.scaleHW {
-		t.Errorf("scale high-watermark lost: got %g, want %g", restored.scaleHW, sim.scaleHW)
-	}
-	if restored.scaleHW < 5.0 {
-		t.Errorf("watermark %g below historic max 5.0", restored.scaleHW)
+	for _, mode := range branchModes {
+		t.Run(mode.name, func(t *testing.T) {
+			sim, err := New(snapCfg(net, 20, 1, 7, nil, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.SetInfectivity(3, 5.0)
+			sim.SetInfectivity(3, 1.0) // watermark must remember the 5.0
+			restored, err := mode.branch(sim, snapCfg(net, 20, 1, 7, nil, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored.scaleHW != sim.scaleHW {
+				t.Errorf("scale high-watermark lost: got %g, want %g", restored.scaleHW, sim.scaleHW)
+			}
+			if restored.scaleHW < 5.0 {
+				t.Errorf("watermark %g below historic max 5.0", restored.scaleHW)
+			}
+		})
 	}
 }
 
-// TestSnapshotDayZeroBranch pins the earliest possible pivot: a snapshot
+// TestSnapshotDayZeroBranch pins the earliest possible pivot: a checkpoint
 // taken right after construction still carries the day-0 seeding events in
 // todayEvents, so event-driven interventions (VHI, contact tracing) see
 // them on the branch's first tick exactly as a from-scratch run would.
@@ -372,46 +399,51 @@ func TestSnapshotDayZeroBranch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recSplit := newHashingRecorder()
-	simA, err := New(snapCfg(net, days, 1, 2024, stack(), recSplit))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, err := simA.RunPrefix(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := simA.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	simB, err := NewFromSnapshot(snapCfg(net, days, 1, 2024, stack(), recSplit), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(simB.todayEvents) == 0 {
-		t.Error("day-0 seeding events lost in snapshot round-trip")
-	}
-	resSplit, err := simB.RunSuffix(pre)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recRef.h != recSplit.h || resultDigest(resRef) != resultDigest(resSplit) {
-		t.Error("day-0 branch diverges from scratch run")
+	for _, mode := range branchModes {
+		t.Run(mode.name, func(t *testing.T) {
+			recSplit := newHashingRecorder()
+			simA, err := New(snapCfg(net, days, 1, 2024, stack(), recSplit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pre, err := simA.RunPrefix(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simB, err := mode.branch(simA, snapCfg(net, days, 1, 2024, stack(), recSplit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(simB.todayEvents) == 0 {
+				t.Error("day-0 seeding events lost in the branch")
+			}
+			resSplit, err := simB.RunSuffix(pre)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recRef.h != recSplit.h || resultDigest(resRef) != resultDigest(resSplit) {
+				t.Error("day-0 branch diverges from scratch run")
+			}
+		})
 	}
 }
 
-// TestSnapshotRejectsOpaqueScheduled: a closure queued via Schedule cannot
-// be serialized; Snapshot must refuse rather than drop it.
+// TestSnapshotRejectsOpaqueScheduled: a closure queued via Schedule can be
+// neither serialized nor safely copied; a branch must refuse rather than
+// drop it.
 func TestSnapshotRejectsOpaqueScheduled(t *testing.T) {
 	net := smallNetwork(t)
-	sim, err := New(snapCfg(net, 20, 1, 1, nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Schedule(5, func(s *Sim) {})
-	if _, err := sim.Snapshot(); err == nil {
-		t.Error("Snapshot succeeded with a pending opaque scheduled action")
+	for _, mode := range branchModes {
+		t.Run(mode.name, func(t *testing.T) {
+			sim, err := New(snapCfg(net, 20, 1, 1, nil, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.Schedule(5, func(s *Sim) {})
+			if _, err := mode.branch(sim, snapCfg(net, 20, 1, 1, nil, nil)); err == nil {
+				t.Errorf("%s succeeded with a pending opaque scheduled action", mode.name)
+			}
+		})
 	}
 }
 

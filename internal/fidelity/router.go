@@ -190,7 +190,7 @@ func (r *Router) ObservePrediction(ctx context.Context, req Request, out *core.P
 	return r.observe(ctx, req, []harvest{
 		{SeriesConfirmed, out.Sims, confirmedCurve},
 		{SeriesHospitalized, out.Sims, func(s *core.SimOutput) []float64 {
-			return s.Agg.StateCumulative(disease.Hospitalized)
+			return s.StateCumulative(disease.Hospitalized)
 		}},
 		{SeriesDeaths, out.Sims, deathsCurve},
 	})
@@ -215,8 +215,8 @@ func (r *Router) ObserveWhatIf(ctx context.Context, req Request, outs []*core.Sc
 	return r.observe(ctx, req, hs)
 }
 
-func confirmedCurve(s *core.SimOutput) []float64 { return s.Agg.StateConfirmedCumulative() }
-func deathsCurve(s *core.SimOutput) []float64    { return s.Agg.StateCumulative(disease.Dead) }
+func confirmedCurve(s *core.SimOutput) []float64 { return s.ConfirmedCumulative() }
+func deathsCurve(s *core.SimOutput) []float64    { return s.StateCumulative(disease.Dead) }
 
 // observe folds the harvested series into the request's family, one
 // observation per configuration, and refits the family on the calling

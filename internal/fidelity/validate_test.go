@@ -68,7 +68,7 @@ func TestValidationSweep(t *testing.T) {
 	truthStat := func(out *core.PredictionOutcome, name string) []float64 {
 		extract := map[string]func(*core.SimOutput) []float64{
 			SeriesConfirmed:    confirmedCurve,
-			SeriesHospitalized: func(s *core.SimOutput) []float64 { return s.Agg.StateCumulative(disease.Hospitalized) },
+			SeriesHospitalized: func(s *core.SimOutput) []float64 { return s.StateCumulative(disease.Hospitalized) },
 			SeriesDeaths:       deathsCurve,
 		}[name]
 		return harvest{name, out.Sims, extract}.cells(base.Days).mean[0]

@@ -200,32 +200,6 @@ func (a *CountyAggregator) Daily(county int32, st disease.State) []int32 {
 	return a.series[CountKey{CountyFIPS: county, State: st}]
 }
 
-// StateDaily sums a daily series over all counties.
-func (a *CountyAggregator) StateDaily(st disease.State) []int32 {
-	out := make([]int32, a.days)
-	for key, s := range a.series {
-		if key.State != st {
-			continue
-		}
-		for d, v := range s {
-			out[d] += v
-		}
-	}
-	return out
-}
-
-// StateCumulative returns the state-level cumulative series.
-func (a *CountyAggregator) StateCumulative(st disease.State) []float64 {
-	daily := a.StateDaily(st)
-	out := make([]float64, a.days)
-	var acc int64
-	for d := range daily {
-		acc += int64(daily[d])
-		out[d] = float64(acc)
-	}
-	return out
-}
-
 // SummaryBytes estimates the serialized size of the aggregate output:
 // counties × days × health states × 3 counts × 4 bytes, the quantity the
 // workflow ships back to the home cluster.
@@ -340,21 +314,6 @@ func (a *CountyAggregator) ConfirmedCases(county int32) []int32 {
 				out[d] += v
 			}
 		}
-	}
-	return out
-}
-
-// StateConfirmedCumulative returns the state-level cumulative confirmed
-// case series, the calibration target of the VA case study.
-func (a *CountyAggregator) StateConfirmedCumulative() []float64 {
-	out := make([]float64, a.days)
-	var acc int64
-	attd := a.StateDaily(disease.Attended)
-	attdH := a.StateDaily(disease.AttendedH)
-	attdD := a.StateDaily(disease.AttendedD)
-	for d := 0; d < a.days; d++ {
-		acc += int64(attd[d]) + int64(attdH[d]) + int64(attdD[d])
-		out[d] = float64(acc)
 	}
 	return out
 }

@@ -165,21 +165,61 @@ func TestCountyAggregatorConsistency(t *testing.T) {
 	if len(agg.Counties()) == 0 {
 		t.Fatal("no counties")
 	}
-	// County daily sums equal state daily, equal result daily.
+	// County daily sums equal result daily.
 	for _, st := range []disease.State{disease.Exposed, disease.Symptomatic, disease.Dead} {
-		stateDaily := agg.StateDaily(st)
+		stateDaily := countySums(agg, st)
 		for d := 0; d < 60; d++ {
-			var sum int32
-			for _, c := range agg.Counties() {
-				if s := agg.Daily(c, st); s != nil {
-					sum += s[d]
-				}
-			}
-			if sum != stateDaily[d] {
-				t.Fatalf("state %v day %d: county sum %d vs state %d", st, d, sum, stateDaily[d])
-			}
 			if stateDaily[d] != res.Daily[d][st] {
 				t.Fatalf("state %v day %d: agg %d vs result %d", st, d, stateDaily[d], res.Daily[d][st])
+			}
+		}
+	}
+}
+
+// TestResultDailyMatchesCountySums holds the simulator's own daily totals to
+// the aggregator's county table in every (day, health state) cell, over runs
+// that make transitions in every serial and parallel stage: day-0 and
+// delayed seeding, progression, transmission at 1, 2 and 4 shards, and
+// interventions that isolate, trace and schedule. The workflows read their
+// state-level curves from Result.Daily and keep the aggregator for county
+// products only, so the two must never disagree.
+func TestResultDailyMatchesCountySums(t *testing.T) {
+	net := testNet(t)
+	const days = 70
+	counties := net.Counties().FIPS
+	for i, shards := range []int{1, 2, 4} {
+		agg := NewCountyAggregator(net, days)
+		sim, err := epihiper.New(epihiper.Config{
+			Model: disease.COVID19(), Network: net, Days: days,
+			Parallelism: shards, Seed: uint64(31 + i),
+			Seeds: []epihiper.Seeding{
+				{CountyFIPS: counties[0], Day: 0, Count: 5},
+				{CountyFIPS: counties[len(counties)-1], Day: 6, Count: 4},
+			},
+			Interventions: []epihiper.Intervention{
+				&epihiper.VoluntaryHomeIsolation{Compliance: 0.5, IsolationDays: 10},
+				&epihiper.StayAtHome{StartDay: 20, EndDay: 45, Compliance: 0.4},
+				&epihiper.TestAndIsolate{DailyDetectRate: 0.2, IsolationDays: 7},
+				&epihiper.ContactTracing{Distance: 1, DetectProb: 0.3, TraceCompliance: 0.6, IsolationDays: 7},
+			},
+			Recorder: agg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Transitions() < 200 {
+			t.Fatalf("shards=%d: only %d transitions; the run is too quiet to test anything", shards, res.Transitions())
+		}
+		for st := disease.State(0); st < disease.NumStates; st++ {
+			sums := countySums(agg, st)
+			for d := 0; d < days; d++ {
+				if sums[d] != res.Daily[d][st] {
+					t.Fatalf("shards=%d %v day %d: county sum %d, Result.Daily %d", shards, st, d, sums[d], res.Daily[d][st])
+				}
 			}
 		}
 	}
@@ -224,19 +264,22 @@ func TestCountyAggregatorMatchesLogRecount(t *testing.T) {
 func TestCumulativeMonotone(t *testing.T) {
 	net := testNet(t)
 	_, agg, _ := runLogged(t, net, 60)
-	cum := agg.StateCumulative(disease.Exposed)
-	for d := 1; d < len(cum); d++ {
-		if cum[d] < cum[d-1] {
-			t.Fatal("cumulative decreased")
+	confirmed := 0.0
+	for _, c := range agg.Counties() {
+		cum := agg.cumulative(c, disease.Exposed)
+		for d := 1; d < len(cum); d++ {
+			if cum[d] < cum[d-1] {
+				t.Fatal("cumulative decreased")
+			}
+		}
+		for _, v := range agg.ConfirmedCases(c) {
+			if v < 0 {
+				t.Fatal("negative confirmed count")
+			}
+			confirmed += float64(v)
 		}
 	}
-	conf := agg.StateConfirmedCumulative()
-	for d := 1; d < len(conf); d++ {
-		if conf[d] < conf[d-1] {
-			t.Fatal("confirmed cumulative decreased")
-		}
-	}
-	if conf[len(conf)-1] == 0 {
+	if confirmed == 0 {
 		t.Fatal("no confirmed cases despite epidemic")
 	}
 	// County cumulative matches its daily sum.
@@ -255,7 +298,7 @@ func TestCumulativeMonotone(t *testing.T) {
 
 func TestConfirmedCasesCombinesAttendedStates(t *testing.T) {
 	net := testNet(t)
-	_, agg, _ := runLogged(t, net, 60)
+	_, agg, res := runLogged(t, net, 60)
 	var total int64
 	for _, c := range agg.Counties() {
 		for _, v := range agg.ConfirmedCases(c) {
@@ -263,10 +306,8 @@ func TestConfirmedCasesCombinesAttendedStates(t *testing.T) {
 		}
 	}
 	var want int64
-	for _, st := range []disease.State{disease.Attended, disease.AttendedH, disease.AttendedD} {
-		for _, v := range agg.StateDaily(st) {
-			want += int64(v)
-		}
+	for _, row := range res.Daily {
+		want += int64(row[disease.Attended]) + int64(row[disease.AttendedH]) + int64(row[disease.AttendedD])
 	}
 	if total != want {
 		t.Fatalf("confirmed %d want %d", total, want)
@@ -293,7 +334,7 @@ func TestAggregatorIgnoresOutOfRangeTicks(t *testing.T) {
 	agg := NewCountyAggregator(net, 10)
 	agg.Record(-1, 0, disease.Susceptible, disease.Exposed, epihiper.NoInfector)
 	agg.Record(10, 0, disease.Susceptible, disease.Exposed, epihiper.NoInfector)
-	if s := agg.StateDaily(disease.Exposed); s[0] != 0 {
+	if s := countySums(agg, disease.Exposed); s[0] != 0 {
 		t.Fatal("out-of-range tick recorded")
 	}
 }
@@ -333,6 +374,18 @@ func (a *CountyAggregator) cumulative(county int32, st disease.State) []float64 
 			acc += int64(daily[d])
 		}
 		out[d] = float64(acc)
+	}
+	return out
+}
+
+// countySums adds a state's daily series over every county of the
+// aggregator.
+func countySums(a *CountyAggregator, st disease.State) []int32 {
+	out := make([]int32, a.days)
+	for _, c := range a.Counties() {
+		for d, v := range a.Daily(c, st) {
+			out[d] += v
+		}
 	}
 	return out
 }

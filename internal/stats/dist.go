@@ -222,27 +222,12 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	return sortedQuantile(s, q)
+	return SortedQuantile(s, q)
 }
 
-// Quantiles returns multiple quantiles of xs with one sort.
-func Quantiles(xs []float64, qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if len(xs) == 0 {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	for i, q := range qs {
-		out[i] = sortedQuantile(s, q)
-	}
-	return out
-}
-
-func sortedQuantile(s []float64, q float64) float64 {
+// SortedQuantile returns the q-quantile of s, which must be sorted
+// ascending and non-empty, interpolating linearly between order statistics.
+func SortedQuantile(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
 	}

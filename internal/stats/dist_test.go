@@ -179,11 +179,11 @@ func TestQuantilesMatchesQuantile(t *testing.T) {
 	for i := range xs {
 		xs[i] = r.Float64()
 	}
-	qs := []float64{0.05, 0.5, 0.95}
-	multi := Quantiles(xs, qs...)
-	for i, q := range qs {
-		if single := Quantile(xs, q); single != multi[i] {
-			t.Errorf("q=%v: %v vs %v", q, single, multi[i])
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	for _, q := range []float64{0, 0.025, 0.05, 0.5, 0.95, 0.975, 1} {
+		if single, multi := Quantile(xs, q), SortedQuantile(sorted, q); single != multi {
+			t.Errorf("q=%v: %v vs %v", q, single, multi)
 		}
 	}
 }
