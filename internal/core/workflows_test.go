@@ -207,3 +207,38 @@ func TestFactorialCells(t *testing.T) {
 		seen[c.Name()] = true
 	}
 }
+
+// TestEnsembleBandSortsInPlace holds ensembleBand to the plain per-day
+// quantiles of its series (stats.Quantile copies and sorts each day's
+// column) and to allocations that do not grow with the horizon: the band
+// sorts one scratch column in place per day.
+func TestEnsembleBandSortsInPlace(t *testing.T) {
+	r := stats.NewRNG(42)
+	curves := map[*SimOutput][]float64{}
+	var sims []*SimOutput
+	for range 30 {
+		s := &SimOutput{}
+		c := make([]float64, 200)
+		for d := range c {
+			c[d] = float64(r.Intn(1000))
+		}
+		curves[s] = c
+		sims = append(sims, s)
+	}
+	extract := func(s *SimOutput) []float64 { return curves[s] }
+	f := ensembleBand(sims, 200, extract)
+	col := make([]float64, len(sims))
+	for d := 0; d < 200; d++ {
+		for i, s := range sims {
+			col[i] = curves[s][d]
+		}
+		if f.Lo[d] != stats.Quantile(col, 0.025) || f.Median[d] != stats.Quantile(col, 0.5) || f.Hi[d] != stats.Quantile(col, 0.975) {
+			t.Fatalf("day %d: band (%v, %v, %v) differs from the per-day quantiles", d, f.Lo[d], f.Median[d], f.Hi[d])
+		}
+	}
+	short := testing.AllocsPerRun(20, func() { ensembleBand(sims, 10, extract) })
+	long := testing.AllocsPerRun(20, func() { ensembleBand(sims, 200, extract) })
+	if long != short {
+		t.Errorf("%v allocations over 200 days, %v over 10: ensembleBand allocates per day", long, short)
+	}
+}

@@ -23,7 +23,7 @@ func (s *Sim) Fork(cfg Config) (*Sim, error) {
 	case cfg.Model != nil && cfg.Model != s.model && !reflect.DeepEqual(*cfg.Model, *s.model):
 		return nil, fmt.Errorf("epihiper: fork under a different disease model")
 	case cfg.Days != 0 && cfg.Days != s.cfg.Days, cfg.Seed != 0 && cfg.Seed != s.cfg.Seed,
-		cfg.Parallelism != 0 && cfg.Parallelism != s.cfg.Parallelism:
+		cfg.Parallelism > 0 && cfg.Parallelism != s.cfg.Parallelism:
 		return nil, fmt.Errorf("epihiper: fork changes the horizon, seed or shard count")
 	}
 	for _, a := range s.scheduled {

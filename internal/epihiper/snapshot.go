@@ -159,7 +159,7 @@ func (r *snapReader) bytesField() []byte {
 // encodeI32s renders an int32 slice as length-prefixed little-endian bytes
 // (the InterventionState codecs share it).
 func encodeI32s(v []int32) []byte {
-	var w snapWriter
+	w := snapWriter{b: make([]byte, 0, 4+4*len(v))}
 	w.u32(uint32(len(v)))
 	for _, x := range v {
 		w.i32(x)
