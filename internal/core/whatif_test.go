@@ -205,10 +205,11 @@ func countyCumulative(agg *output.CountyAggregator, days int, states ...disease.
 }
 
 // TestWhatIfSharedMatchesUnshared is the workflow-level equivalence gate:
-// branching every scenario from the shared-prefix snapshot must produce
+// forking every scenario from the shared-prefix checkpoint must produce
 // bit-identical forecasts to re-simulating each scenario's history from
 // scratch. The scenarios span three distinct pivot days so the test also
-// exercises the multi-checkpoint prefix walk.
+// exercises the multi-checkpoint prefix walk, and a first call caches the
+// earliest pivot so that walk resumes by forking a cached checkpoint.
 func TestWhatIfSharedMatchesUnshared(t *testing.T) {
 	p := testPipeline(77)
 	cfg := PredictionConfig{
@@ -224,9 +225,16 @@ func TestWhatIfSharedMatchesUnshared(t *testing.T) {
 		{Name: "early-pivot", PivotDay: 10, ComplianceScale: 1.4},
 		{Name: "late-pivot", PivotDay: 25, AddTesting: 0.2},
 	}
+	if _, err := p.RunWhatIfScenariosCtx(context.Background(), cfg, scenarios[1:2]); err != nil {
+		t.Fatal(err)
+	}
+	hits := p.snapshotStats().Hits
 	shared, err := p.RunWhatIfScenariosCtx(context.Background(), cfg, scenarios)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if p.snapshotStats().Hits == hits {
+		t.Error("the full run found none of the cached day-10 checkpoints; the walk never resumed")
 	}
 	unshared := runWhatIfUnshared(t, p, cfg, scenarios)
 	if len(shared) != len(unshared) {
