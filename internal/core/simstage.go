@@ -47,22 +47,9 @@ type SimOutput struct {
 	RawBytes int64
 }
 
-// StateCumulative returns the region's cumulative entries into st, day by
-// day.
-func (o *SimOutput) StateCumulative(st disease.State) []float64 {
-	return o.cumulative(st)
-}
-
-// ConfirmedCumulative returns the region's cumulative confirmed cases —
-// entries into any medically-attended state (Attended, Attended(H),
-// Attended(D)), the calibration target of the VA case study — day by day.
-func (o *SimOutput) ConfirmedCumulative() []float64 {
-	return o.cumulative(disease.Attended, disease.AttendedH, disease.AttendedD)
-}
-
-// cumulative sums the daily entries into the given states and accumulates
-// them over the horizon.
-func (o *SimOutput) cumulative(states ...disease.State) []float64 {
+// StateCumulative returns the region's cumulative entries into the given
+// states, day by day, summed from the Result's daily totals.
+func (o *SimOutput) StateCumulative(states ...disease.State) []float64 {
 	out := make([]float64, len(o.Result.Daily))
 	var acc int64
 	for d, row := range o.Result.Daily {
@@ -72,6 +59,13 @@ func (o *SimOutput) cumulative(states ...disease.State) []float64 {
 		out[d] = float64(acc)
 	}
 	return out
+}
+
+// ConfirmedCumulative returns the region's cumulative confirmed cases —
+// entries into any medically-attended state (Attended, Attended(H),
+// Attended(D)), the calibration target of the VA case study — day by day.
+func (o *SimOutput) ConfirmedCumulative() []float64 {
+	return o.StateCumulative(disease.Attended, disease.AttendedH, disease.AttendedD)
 }
 
 // jobSeed derives a deterministic per-job seed.
