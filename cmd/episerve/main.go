@@ -66,7 +66,7 @@ func main() {
 		"what-if snapshot cache budget in MB (0 disables cross-request prefix reuse)")
 	scale := flag.Int("scale", 20000, "population scale (1:N)")
 	seed := flag.Uint64("seed", 2020, "pipeline random seed")
-	shards := flag.Int("shards", 2, "per-simulation shard count, each shard owning a disjoint node range; results are bit-identical at any value")
+	shards := flag.Int("shards", 2, "the most shards one simulation runs, each owning a disjoint node range; a request fanning out k simulations gives each at most GOMAXPROCS/k; results are bit-identical at any value")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful shutdown budget")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	enableFidelity := flag.Bool("fidelity", true,

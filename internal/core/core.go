@@ -33,7 +33,8 @@ type Pipeline struct {
 	Scale int
 	// Seed drives all randomness.
 	Seed uint64
-	// Parallelism is the per-simulation processing-unit count.
+	// Parallelism is the most processing units (shards) one simulation
+	// runs; a fan-out of several jobs gives each fewer (Pipeline.jobShards).
 	Parallelism int
 	// DBConnBound is B(T[r]), the per-region database connection bound.
 	DBConnBound int
@@ -67,7 +68,7 @@ type Option func(*Pipeline)
 // WithScale sets the population scale.
 func WithScale(s int) Option { return func(p *Pipeline) { p.Scale = s } }
 
-// WithParallelism sets the per-simulation processing units.
+// WithParallelism sets the most processing units one simulation runs.
 func WithParallelism(n int) Option { return func(p *Pipeline) { p.Parallelism = n } }
 
 // WithSnapshotCacheBytes bounds the what-if checkpoint store. Zero or
@@ -132,7 +133,9 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 
 // Fingerprint identifies the pipeline parameters that shape simulation
 // results: two pipelines may share cached results or checkpoints only when
-// their fingerprints match.
+// their fingerprints match. It carries the configured Parallelism although
+// results are the same at any shard count, so content addresses do not move
+// with the shard count a fan-out picks.
 func (p *Pipeline) Fingerprint() string {
 	return fmt.Sprintf("seed=%d;scale=%d;par=%d;dbb=%d;nodes=%d;window=%g",
 		p.Seed, p.Scale, p.Parallelism, p.DBConnBound, p.Remote.Nodes, p.Window.Seconds())

@@ -136,7 +136,7 @@ func TestRunSim(t *testing.T) {
 		State: "VA", Cell: 0, Replicate: 0,
 		Params: Params{TAU: 0.25, SYMP: 0.65, SHCompliance: 0.3, VHICompliance: 0.3},
 		Days:   40,
-	}, 15, 40)
+	}, 15, 40, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +159,14 @@ func TestRunSim(t *testing.T) {
 func TestRunSimRawBytesMatchesLog(t *testing.T) {
 	p := testPipeline(4)
 	job := SimJob{State: "VA", Params: Params{TAU: 0.25, SYMP: 0.65, SHCompliance: 0.3, VHICompliance: 0.3}, Days: 40}
-	out, err := p.RunSim(job, 15, 40)
+	out, err := p.RunSim(job, 15, 40, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net, _ := p.Network(job.State)
 	db, _ := p.DB(job.State)
 	log := &output.TransitionLog{}
-	cfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, 15, 40), log)
+	cfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, 15, 40), log, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +226,14 @@ func TestTopCounties(t *testing.T) {
 // no result.
 func TestPipelineRegistryCarriesKernelSeries(t *testing.T) {
 	job := SimJob{State: "VA", Params: Params{TAU: 0.25, SYMP: 0.65, SHCompliance: 0.3, VHICompliance: 0.3}, Days: 40}
-	plain, err := testPipeline(4).RunSim(job, 15, 40)
+	plain, err := testPipeline(4).RunSim(job, 15, 40, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := testPipeline(4)
 	reg := obs.NewRegistry()
 	p.RegisterMetrics(reg)
-	out, err := p.RunSim(job, 15, 40)
+	out, err := p.RunSim(job, 15, 40, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +269,11 @@ func TestPipelineRegistryCarriesKernelSeries(t *testing.T) {
 func TestRunSimDeterministicPerJob(t *testing.T) {
 	p := testPipeline(5)
 	job := SimJob{State: "VA", Params: Params{TAU: 0.22, SYMP: 0.6, SHCompliance: 0.2, VHICompliance: 0.2}, Days: 30}
-	a, err := p.RunSim(job, 10, 30)
+	a, err := p.RunSim(job, 10, 30, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.RunSim(job, 10, 30)
+	b, err := p.RunSim(job, 10, 30, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestRunSimDeterministicPerJob(t *testing.T) {
 	}
 	job2 := job
 	job2.Replicate = 1
-	c, err := p.RunSim(job2, 10, 30)
+	c, err := p.RunSim(job2, 10, 30, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -22,6 +23,13 @@ import (
 // worker pool, so a from-scratch run and a what-if prefix walk of one
 // (cell, replicate) cannot seed or configure differently, and a what-if
 // branch forks the prefix walk's own sim.
+//
+// Jobs come before shards. fanOut runs up to simWorkers jobs at once and
+// gives each simulation only the CPUs the other jobs leave idle
+// (jobShards), as the paper sizes each task's node count so that tasks ×
+// nodes fit the allocation. Results are bit-identical at any shard count;
+// shards only cost barriers and cross-shard messages once the CPUs are busy
+// with jobs.
 
 // SimJob is one simulation instance (one replicate of one cell).
 type SimJob struct {
@@ -37,8 +45,9 @@ type SimJob struct {
 }
 
 // SimOutput couples a job with its result. Agg holds the county series of
-// a from-scratch run (RunSim); a what-if branch has none, and every
-// state-level curve reads Result.Daily.
+// a from-scratch run that asked for them (prediction's); calibration,
+// counter-factual and what-if outputs have none, and every state-level
+// curve reads Result.Daily.
 type SimOutput struct {
 	Job    SimJob
 	Result *epihiper.Result
@@ -103,11 +112,12 @@ func topCounties(net *synthpop.Network, n int) []int32 {
 // simConfig builds the simulator configuration of one job over the region's
 // substrates: the model from the job's parameters, the per-job seed, day-0
 // seeding of the most populous counties (by default 5 cases in 1 county),
-// and the pipeline's parallelism, database and metrics registry. The caller
-// chooses the intervention stack and the recorder, which is all that differs
-// between a full run and a what-if prefix.
+// the shard count its fan-out chose (jobShards), and the pipeline's
+// database and metrics registry. The caller chooses the intervention stack
+// and the recorder, which is all that differs between a full run and a
+// what-if prefix.
 func (p *Pipeline) simConfig(job SimJob, net *synthpop.Network, db *popdb.Server,
-	ivs []epihiper.Intervention, rec epihiper.Recorder) (cfg epihiper.Config, err error) {
+	ivs []epihiper.Intervention, rec epihiper.Recorder, shards int) (cfg epihiper.Config, err error) {
 	if job.Days <= 0 {
 		return cfg, fmt.Errorf("core: job %+v has no horizon", job)
 	}
@@ -131,7 +141,7 @@ func (p *Pipeline) simConfig(job SimJob, net *synthpop.Network, db *popdb.Server
 		Model:         model,
 		Network:       net,
 		Days:          job.Days,
-		Parallelism:   p.Parallelism,
+		Parallelism:   shards,
 		Seed:          p.Seed ^ jobSeed(job),
 		Seeds:         seeds,
 		Interventions: ivs,
@@ -141,8 +151,10 @@ func (p *Pipeline) simConfig(job SimJob, net *synthpop.Network, db *popdb.Server
 	}, nil
 }
 
-// RunSim executes one simulation job against the pipeline's substrates.
-func (p *Pipeline) RunSim(job SimJob, shStart, shEnd int) (*SimOutput, error) {
+// RunSim executes one simulation job against the pipeline's substrates on
+// the given number of shards. With counties set, a county aggregator
+// records the run into Agg; otherwise no recorder runs.
+func (p *Pipeline) RunSim(job SimJob, shStart, shEnd, shards int, counties bool) (*SimOutput, error) {
 	net, err := p.Network(job.State)
 	if err != nil {
 		return nil, err
@@ -151,8 +163,13 @@ func (p *Pipeline) RunSim(job SimJob, shStart, shEnd int) (*SimOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg := output.NewCountyAggregator(net, job.Days)
-	cfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, shStart, shEnd), agg)
+	var agg *output.CountyAggregator
+	var rec epihiper.Recorder
+	if counties {
+		agg = output.NewCountyAggregator(net, job.Days)
+		rec = agg
+	}
+	cfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, shStart, shEnd), rec, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -170,17 +187,29 @@ func (p *Pipeline) RunSim(job SimJob, shStart, shEnd int) (*SimOutput, error) {
 	}, nil
 }
 
-// simWorkers bounds the job-level fan-out; each simulation additionally uses
-// p.Parallelism units, mirroring replicate-level × rank-level parallelism.
+// simWorkers bounds the job-level fan-out. It bounds memory — every job in
+// flight holds a simulator's per-person slabs — not CPU: jobShards fits the
+// shards of each job to the CPUs.
 const simWorkers = 4
 
-// fanOut calls run(ctx, i) once per job on at most simWorkers goroutines,
-// each call inside a "sim.job" span, and returns when all of them have.
+// jobShards is the shard count of every simulation in a fan-out of n jobs:
+// the k = min(simWorkers, n) jobs that run at once share GOMAXPROCS CPUs, so
+// each runs at most GOMAXPROCS/k shards, never more than p.Parallelism and
+// never fewer than one. A single job keeps min(p.Parallelism, GOMAXPROCS).
+func (p *Pipeline) jobShards(n int) int {
+	k := max(1, min(simWorkers, n))
+	return max(1, min(p.Parallelism, runtime.GOMAXPROCS(0)/k))
+}
+
+// fanOut calls run(ctx, i, shards) once per job on at most simWorkers
+// goroutines, each call inside a "sim.job" span, with the shard count
+// jobShards picks for the fan-out, and returns when all of them have.
 // Cancelling ctx stops the dispatch and keeps workers from starting a job
 // already handed to them; in-flight simulations finish (one simulation is
 // the cancellation granularity) and ctx.Err() is returned. Otherwise the
 // lowest-indexed failure is returned, wrapped with its index.
-func fanOut(ctx context.Context, jobs []SimJob, run func(ctx context.Context, i int) error) error {
+func (p *Pipeline) fanOut(ctx context.Context, jobs []SimJob, run func(ctx context.Context, i, shards int) error) error {
+	shards := p.jobShards(len(jobs))
 	errs := make([]error, len(jobs))
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -196,7 +225,7 @@ func fanOut(ctx context.Context, jobs []SimJob, run func(ctx context.Context, i 
 					obs.String("state", jobs[i].State),
 					obs.Int("cell", int64(jobs[i].Cell)),
 					obs.Int("replicate", int64(jobs[i].Replicate)))
-				errs[i] = run(jctx, i)
+				errs[i] = run(jctx, i, shards)
 				sp.End()
 			}
 		}()

@@ -3,12 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestRunSimPrefixEqualsWhatIfCheckpoint: for one (cell, replicate), days
@@ -25,13 +29,13 @@ func TestRunSimPrefixEqualsWhatIfCheckpoint(t *testing.T) {
 	}
 	const pivot = 28 // past SHStart+15, so every baseline intervention has fired
 	job := SimJob{State: cfg.State, Cell: 1, Replicate: 3, Params: cfg.Configs[1], Days: cfg.Days}
-	full, err := p.RunSim(job, cfg.SHStart, cfg.SHEnd)
+	full, err := p.RunSim(job, cfg.SHStart, cfg.SHEnd, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net, _ := p.Network(cfg.State)
 	db, _ := p.DB(cfg.State)
-	cps, err := p.ensureCheckpoints(context.Background(), cfg, net, db, job, []int{pivot})
+	cps, err := p.ensureCheckpoints(context.Background(), cfg, net, db, job, []int{pivot}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +68,7 @@ func TestFanOutCancelMidDispatch(t *testing.T) {
 	release := make(chan struct{})
 	// Every worker blocks inside its first job; the last one in cancels, so
 	// no worker is between its ctx check and its job when the cancel lands.
-	err := fanOut(ctx, make([]SimJob, 64), func(context.Context, int) error {
+	err := testPipeline(1).fanOut(ctx, make([]SimJob, 64), func(context.Context, int, int) error {
 		if started.Add(1) == simWorkers {
 			cancel()
 			close(release)
@@ -102,5 +106,80 @@ func TestJobErrorCarriesIndex(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "core: job 1: ") || !strings.Contains(err.Error(), "negative TAU") {
 			t.Errorf("%s: err = %v, want job 1's negative-TAU failure", name, err)
 		}
+	}
+}
+
+// TestFanOutShardsFitTheCPUs: a fan-out of n jobs on GOMAXPROCS g runs every
+// simulation at max(1, min(P, g/k)) shards, where k = min(simWorkers, n) is
+// the number of jobs that run at once and P the pipeline's Parallelism. The
+// prediction workflow's simulations report that count on epi_shards, and a
+// what-if request whose prefix walk and branches run at different counts —
+// a fork re-partitioning a checkpoint, also one cached by an earlier request
+// under another fan-out — forecasts exactly what from-scratch runs at P
+// shards forecast.
+func TestFanOutShardsFitTheCPUs(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, g := range []int{1, 2, 3, 4, 8} {
+		runtime.GOMAXPROCS(g)
+		for _, par := range []int{1, 2, 4} {
+			p := NewPipeline(1, WithParallelism(par))
+			for _, n := range []int{1, 2, 3, 4, 5, 16} {
+				want := max(1, min(par, g/min(simWorkers, n)))
+				var got atomic.Int64
+				got.Store(-1)
+				err := p.fanOut(context.Background(), make([]SimJob, n), func(_ context.Context, _, shards int) error {
+					if old := got.Swap(int64(shards)); old != -1 && old != int64(shards) {
+						return fmt.Errorf("shard counts %d and %d in one fan-out", old, shards)
+					}
+					return nil
+				})
+				if err != nil || got.Load() != int64(want) {
+					t.Errorf("GOMAXPROCS %d, Parallelism %d, %d jobs: %d shards (err %v), want %d", g, par, n, got.Load(), err, want)
+				}
+			}
+		}
+	}
+
+	runtime.GOMAXPROCS(4)
+	p := NewPipeline(61, WithScale(40000), WithParallelism(4))
+	reg := obs.NewRegistry()
+	p.RegisterMetrics(reg)
+	params := Params{TAU: 0.25, SYMP: 0.65, SHCompliance: 0.5, VHICompliance: 0.5}
+	for _, c := range []struct{ replicates, want int }{{1, 4}, {2, 2}, {3, 1}} {
+		cfg := PredictionConfig{State: "VA", Configs: []Params{params}, Replicates: c.replicates, Days: 20}
+		if _, err := p.RunPredictionWorkflowCtx(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Gauge("epi_shards").Value(); got != float64(c.want) {
+			t.Errorf("prediction of %d jobs on 4 CPUs: simulations ran %g shards, want %d", c.replicates, got, c.want)
+		}
+	}
+
+	// One prefix walks at 4 shards and three branches fork it at 1; then
+	// two prefixes resume from those checkpoints at 2 shards each.
+	scenarios := []WhatIf{
+		{Name: "lift", SHEndShift: -10},
+		{Name: "comply", ComplianceScale: 1.4},
+		{Name: "trace", AddTesting: 0.2, AddTracing: 1, TraceDetectProb: 0.4},
+	}
+	for _, reps := range []int{1, 2} {
+		cfg := PredictionConfig{State: "VA", Configs: []Params{params}, Replicates: reps, Days: 40, SHStart: 12, SHEnd: 32}
+		shared, err := p.RunWhatIfScenariosCtx(context.Background(), cfg, scenarios)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Gauge("epi_shards").Value(); got != 1 {
+			t.Errorf("%d-replicate what-if: branches ran %g shards, want 1", reps, got)
+		}
+		unshared := runWhatIfUnshared(t, p, cfg, scenarios)
+		for i := range shared {
+			if !reflect.DeepEqual(shared[i], unshared[i]) {
+				t.Errorf("%d-replicate what-if, scenario %q: re-sharded forks and from-scratch runs at 4 shards differ", reps, shared[i].Scenario.Name)
+			}
+		}
+	}
+	if p.snapshotStats().Hits == 0 {
+		t.Error("the second what-if found no checkpoint of the first; no walk resumed across fan-outs")
 	}
 }

@@ -197,27 +197,29 @@ func (p *Pipeline) RunWhatIfScenariosCtx(ctx context.Context, cfg PredictionConf
 		}
 	}
 	checkpoints := make([]map[int]*whatIfCheckpoint, len(prefixes))
-	err = fanOut(ctx, prefixes, func(ctx context.Context, i int) (err error) {
-		checkpoints[i], err = p.ensureCheckpoints(ctx, cfg, net, db, prefixes[i], pivots)
+	err = p.fanOut(ctx, prefixes, func(ctx context.Context, i, shards int) (err error) {
+		checkpoints[i], err = p.ensureCheckpoints(ctx, cfg, net, db, prefixes[i], pivots, shards)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Phase 2: branch every scenario from its checkpoint. Outputs land in
-	// (scenario, cell, replicate) order regardless of scheduling.
+	// Phase 2: branch every scenario from its checkpoint, at the shard count
+	// of this fan-out, which Fork re-partitions to when the checkpoint was
+	// walked at another. Outputs land in (scenario, cell, replicate) order
+	// regardless of scheduling.
 	branches := make([]SimJob, 0, len(scenarios)*len(prefixes))
 	for range scenarios {
 		branches = append(branches, prefixes...)
 	}
 	sims := make([]*SimOutput, len(branches))
-	err = fanOut(ctx, branches, func(_ context.Context, i int) error {
+	err = p.fanOut(ctx, branches, func(_ context.Context, i, shards int) error {
 		sc, job := scenarios[i/len(prefixes)], branches[i]
 		cp := checkpoints[i%len(prefixes)][sc.pivot(cfg)]
 		var ivs []epihiper.Intervention
 		job.Params, ivs = sc.apply(job.Params, cfg.SHStart, cfg.SHEnd)
-		sim, err := cp.sim.Fork(epihiper.Config{Interventions: ivs, Metrics: p.metrics})
+		sim, err := cp.sim.Fork(epihiper.Config{Interventions: ivs, Metrics: p.metrics, Parallelism: shards})
 		if err != nil {
 			return err
 		}
@@ -246,11 +248,12 @@ func (p *Pipeline) RunWhatIfScenariosCtx(ctx context.Context, cfg PredictionConf
 
 // ensureCheckpoints returns the as-is prefix checkpoints of one
 // (cell, replicate) job at every pivot tick, simulating only the ticks the
-// content-addressed store does not already hold: the walk resumes from the
-// deepest cached checkpoint at or below the first missing tick and
-// checkpoints forward.
+// content-addressed store does not already hold: the walk resumes, on the
+// given number of shards, from the deepest cached checkpoint at or below the
+// first missing tick and checkpoints forward. A checkpoint keeps the shard
+// count it was walked at; whoever forks it picks its own.
 func (p *Pipeline) ensureCheckpoints(ctx context.Context, cfg PredictionConfig,
-	net *synthpop.Network, db *popdb.Server, job SimJob, pivots []int,
+	net *synthpop.Network, db *popdb.Server, job SimJob, pivots []int, shards int,
 ) (map[int]*whatIfCheckpoint, error) {
 	out := make(map[int]*whatIfCheckpoint, len(pivots))
 	var missing []int
@@ -284,7 +287,7 @@ func (p *Pipeline) ensureCheckpoints(ctx context.Context, cfg PredictionConfig,
 			base = cp
 		}
 	}
-	simCfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, cfg.SHStart, cfg.SHEnd), nil)
+	simCfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, cfg.SHStart, cfg.SHEnd), nil, shards)
 	if err != nil {
 		return nil, err
 	}

@@ -151,7 +151,7 @@ func runWhatIfUnshared(t *testing.T, p *Pipeline, cfg PredictionConfig, scenario
 				scaled, ivs := sc.apply(pr, cfg.SHStart, cfg.SHEnd)
 				job := SimJob{State: cfg.State, Cell: ci, Replicate: rep, Params: scaled, Days: cfg.Days}
 				agg := output.NewCountyAggregator(net, cfg.Days)
-				simCfg, err := p.simConfig(job, net, db, interventionsFor(pr, cfg.SHStart, cfg.SHEnd), agg)
+				simCfg, err := p.simConfig(job, net, db, interventionsFor(pr, cfg.SHStart, cfg.SHEnd), agg, p.Parallelism)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -355,7 +355,7 @@ func TestCheckpointCostMatchesHeap(t *testing.T) {
 	fill := func(reps ...int) {
 		for _, rep := range reps {
 			job := SimJob{State: cfg.State, Replicate: rep, Params: cfg.Configs[0], Days: cfg.Days}
-			if _, err := p.ensureCheckpoints(context.Background(), cfg, net, db, job, []int{30, 60}); err != nil {
+			if _, err := p.ensureCheckpoints(context.Background(), cfg, net, db, job, []int{30, 60}, p.Parallelism); err != nil {
 				t.Fatal(err)
 			}
 		}

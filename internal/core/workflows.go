@@ -11,6 +11,7 @@ import (
 	"repro/internal/lhs"
 	"repro/internal/linalg"
 	"repro/internal/obs"
+	"repro/internal/output"
 	"repro/internal/stats"
 	"repro/internal/surveillance"
 	"repro/internal/synthpop"
@@ -30,10 +31,11 @@ func interventionsFor(pr Params, shStart, shEnd int) []epihiper.Intervention {
 }
 
 // runJobs executes jobs on the simulation stage and records the Table I
-// transfer accounting (configs out on the given day, summaries back).
-// Cancelling ctx stops dispatching new jobs and returns ctx.Err(), so
-// abandoned requests stop burning CPU.
-func (p *Pipeline) runJobs(ctx context.Context, day int, label string, jobs []SimJob, shStart, shEnd int) ([]*SimOutput, error) {
+// transfer accounting (configs out on the given day, summaries back). With
+// counties set every output carries its county series (Agg); the summary
+// accounting needs none. Cancelling ctx stops dispatching new jobs and
+// returns ctx.Err(), so abandoned requests stop burning CPU.
+func (p *Pipeline) runJobs(ctx context.Context, day int, label string, jobs []SimJob, shStart, shEnd int, counties bool) ([]*SimOutput, error) {
 	ctx, sp := obs.StartSpan(ctx, "sim",
 		obs.String("label", label), obs.Int("jobs", int64(len(jobs))))
 	defer sp.End()
@@ -43,16 +45,20 @@ func (p *Pipeline) runJobs(ctx context.Context, day int, label string, jobs []Si
 		return nil, err
 	}
 	outs := make([]*SimOutput, len(jobs))
-	err := fanOut(ctx, jobs, func(_ context.Context, i int) (err error) {
-		outs[i], err = p.RunSim(jobs[i], shStart, shEnd)
+	err := p.fanOut(ctx, jobs, func(_ context.Context, i, shards int) (err error) {
+		outs[i], err = p.RunSim(jobs[i], shStart, shEnd, shards, counties)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	var summaryBytes int64
-	for _, o := range outs {
-		summaryBytes += o.Agg.SummaryBytes()
+	for _, job := range jobs {
+		net, err := p.Network(job.State)
+		if err != nil {
+			return nil, err
+		}
+		summaryBytes += output.SummaryBytes(len(net.Counties().FIPS), job.Days)
 	}
 	if _, err := p.Ledger.Move(ctx, day, transfer.RemoteToHome, label+"-summaries", summaryBytes); err != nil {
 		return nil, err
@@ -209,7 +215,7 @@ func (p *Pipeline) RunCalibrationWorkflowCtx(ctx context.Context, cfg Calibratio
 		out.Prior = append(out.Prior, pr)
 		jobs[i] = SimJob{State: cfg.State, Cell: i, Replicate: 0, Params: pr, Days: cfg.Days}
 	}
-	sims, err := p.runJobs(ctx, cfg.Day, "calibration", jobs, cfg.SHStart, cfg.SHEnd)
+	sims, err := p.runJobs(ctx, cfg.Day, "calibration", jobs, cfg.SHStart, cfg.SHEnd, false)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +408,7 @@ func (p *Pipeline) RunPredictionWorkflowCtx(ctx context.Context, cfg PredictionC
 			})
 		}
 	}
-	sims, err := p.runJobs(ctx, cfg.Day, "prediction", jobs, cfg.SHStart, cfg.SHEnd)
+	sims, err := p.runJobs(ctx, cfg.Day, "prediction", jobs, cfg.SHStart, cfg.SHEnd, true)
 	if err != nil {
 		return nil, err
 	}
@@ -546,7 +552,7 @@ func (p *Pipeline) RunCounterfactualWorkflowCtx(ctx context.Context, cfg Counter
 			}
 		}
 		sims, err := p.runJobs(ctx, cfg.Day, fmt.Sprintf("economic-%s", cell.Name()), jobs,
-			cfg.SHStart, cfg.SHStart+cell.SHDuration)
+			cfg.SHStart, cfg.SHStart+cell.SHDuration, false)
 		if err != nil {
 			return nil, err
 		}

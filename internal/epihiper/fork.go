@@ -10,21 +10,23 @@ import (
 
 // Fork returns an independent copy of a sim stopped at a day boundary that
 // runs on under cfg's interventions, recorder and metrics: Snapshot +
-// NewFromSnapshot in process, with nothing encoded or rebuilt. Network,
-// model, horizon, seed, seeding and shard layout stay the sim's; a zero cfg
-// field keeps them, another value is refused, since the copied tables were
-// computed under them. Intervention state crosses by name, as in
-// SwapInterventions. Fork only reads s, so many goroutines may fork one sim
-// that nothing runs. Like Snapshot, it refuses a pending Schedule closure.
+// NewFromSnapshot in process, with nothing encoded. Network, model, horizon,
+// seed and seeding stay the sim's; a zero cfg field keeps them, another
+// value is refused, since the copied tables were computed under them. A
+// positive Parallelism other than the sim's repartitions the copy, whose
+// shards then take their progression calendars from switchTick as a restore
+// does; results are the same at any shard count. Intervention state crosses
+// by name, as in SwapInterventions. Fork only reads s, so many goroutines
+// may fork one sim that nothing runs. Like Snapshot, it refuses a pending
+// Schedule closure.
 func (s *Sim) Fork(cfg Config) (*Sim, error) {
 	switch {
 	case cfg.Network != nil && cfg.Network != s.net:
 		return nil, fmt.Errorf("epihiper: fork onto a different network")
 	case cfg.Model != nil && cfg.Model != s.model && !reflect.DeepEqual(*cfg.Model, *s.model):
 		return nil, fmt.Errorf("epihiper: fork under a different disease model")
-	case cfg.Days != 0 && cfg.Days != s.cfg.Days, cfg.Seed != 0 && cfg.Seed != s.cfg.Seed,
-		cfg.Parallelism > 0 && cfg.Parallelism != s.cfg.Parallelism:
-		return nil, fmt.Errorf("epihiper: fork changes the horizon, seed or shard count")
+	case cfg.Days != 0 && cfg.Days != s.cfg.Days, cfg.Seed != 0 && cfg.Seed != s.cfg.Seed:
+		return nil, fmt.Errorf("epihiper: fork changes the horizon or seed")
 	}
 	for _, a := range s.scheduled {
 		if a.kind == opOpaque {
@@ -39,12 +41,19 @@ func (s *Sim) Fork(cfg Config) (*Sim, error) {
 	f.effInf, f.infNbr = slices.Clone(s.effInf), slices.Clone(s.infNbr)
 	f.effInfBits, f.riskBits, f.susBits = slices.Clone(s.effInfBits), slices.Clone(s.riskBits), slices.Clone(s.susBits)
 	f.isolExpiry = cloneRows(s.isolExpiry)
-	f.shards = make([]shard, len(s.shards))
-	for i, sh := range s.shards {
-		f.shards[i] = shard{id: sh.id, first: sh.first, last: sh.last, part: sh.part,
-			calendar: cloneRows(sh.calendar), outbox: make([][]nbrUpdate, len(s.shards))}
-	}
 	f.serial = shard{last: s.serial.last}
+	if cfg.Parallelism > 0 && cfg.Parallelism != s.cfg.Parallelism {
+		f.cfg.Parallelism = cfg.Parallelism
+		f.parts = s.net.PartitionNodesAligned(cfg.Parallelism, s.cfg.PartitionTolerance, shardAlign)
+		f.buildShards()
+		f.fillCalendars()
+	} else {
+		f.shards = make([]shard, len(s.shards))
+		for i, sh := range s.shards {
+			f.shards[i] = shard{id: sh.id, first: sh.first, last: sh.last, part: sh.part,
+				calendar: cloneRows(sh.calendar), outbox: make([][]nbrUpdate, len(s.shards))}
+		}
+	}
 	rng := *s.ivRNG
 	f.ivRNG = &rng
 	f.Vars = maps.Clone(s.Vars)

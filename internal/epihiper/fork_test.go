@@ -1,6 +1,7 @@
 package epihiper
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -10,12 +11,12 @@ import (
 // TestForkConcurrentFromOneFrozenSim is the what-if workflow's sharing
 // pattern under the race detector: a walker runs the as-is stack to the
 // pivot, freezes a fork there and runs on, while four goroutines fork the
-// frozen sim under a scenario stack and run to the horizon. Every branch
-// must equal the in-place swap of a from-scratch run — stream, Result and
-// final state — and the walker must equal an unbranched run: no fork may
-// write into another's state or into its source's.
+// frozen sim under a scenario stack — three of them onto another shard
+// count — and run to the horizon. Every branch must equal the in-place swap
+// of a from-scratch run — stream, Result and final state — and the walker
+// must equal an unbranched run: no fork may write into another's state or
+// into its source's.
 func TestForkConcurrentFromOneFrozenSim(t *testing.T) {
-	withPooledDispatch(t)
 	net := testNetwork(t, 515)
 	const days, pivot, par, seed = 45, 18, 4, 515
 	cfg := func(ivs []Intervention, rec Recorder) Config {
@@ -78,6 +79,7 @@ func TestForkConcurrentFromOneFrozenSim(t *testing.T) {
 	}
 
 	const branches = 4
+	branchShards := [branches]int{par, 1, 2, 8}
 	var (
 		wg       sync.WaitGroup
 		sims     [branches]*Sim
@@ -96,7 +98,7 @@ func TestForkConcurrentFromOneFrozenSim(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			recs[i] = newHashingRecorder()
-			sims[i], errs[i] = frozen.Fork(Config{Interventions: branchStack(), Recorder: recs[i]})
+			sims[i], errs[i] = frozen.Fork(Config{Interventions: branchStack(), Recorder: recs[i], Parallelism: branchShards[i]})
 			if errs[i] == nil {
 				results[i], errs[i] = sims[i].RunSuffix(preW)
 			}
@@ -128,16 +130,18 @@ func TestForkConcurrentFromOneFrozenSim(t *testing.T) {
 }
 
 // TestForkRefusesAnotherRun: a fork keeps its source's model, network,
-// horizon, seed and shard layout. Naming the same ones (an equal model
-// value included) is accepted; naming another is refused, never run under
-// tables computed for the original.
+// horizon and seed. Naming the same ones (an equal model value included) is
+// accepted; naming another is refused, never run under tables computed for
+// the original. Another shard count is accepted: the fork repartitions, and
+// runs on to the same result as its source.
 func TestForkRefusesAnotherRun(t *testing.T) {
 	net := smallNetwork(t)
 	sim, err := New(snapCfg(net, 20, 2, 9, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.RunPrefix(6); err != nil {
+	pre, err := sim.RunPrefix(6)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Fork(Config{}); err != nil {
@@ -154,10 +158,85 @@ func TestForkRefusesAnotherRun(t *testing.T) {
 		"network": {Network: other},
 		"horizon": {Days: 25},
 		"seed":    {Seed: 10},
-		"shards":  {Parallelism: 4},
 	} {
 		if _, err := sim.Fork(cfg); err == nil {
 			t.Errorf("fork with another %s accepted", name)
 		}
+	}
+	resharded, err := sim.Fork(Config{Parallelism: 4})
+	if err != nil {
+		t.Fatalf("fork with another shard count refused: %v", err)
+	}
+	got, err := resharded.RunSuffix(pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.RunSuffix(pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultDigest(got) != resultDigest(want) {
+		t.Error("a fork at 4 shards runs to another Result than its 2-shard source")
+	}
+	requireFinalStateEqual(t, sim, resharded)
+}
+
+// TestForkAcrossShardCounts: a fork onto another shard count — fewer, more,
+// or up from one — continues bit-identically to an unbranched run at the
+// source's count: transition stream, Result and final state. The what-if
+// fan-out relies on it when a checkpoint cached under one fan-out is
+// branched under another.
+func TestForkAcrossShardCounts(t *testing.T) {
+	net := testNetwork(t, 4343)
+	const days, pivot, seed = 40, 17, 4343
+	stack := func() []Intervention {
+		return append(BaseCaseInterventions(6, 30, 0.4, 0.5),
+			&PulsingShutdown{StartDay: 8, EndDay: 36, PeriodDays: 5, Compliance: 0.4},
+			&TestAndIsolate{DailyDetectRate: 0.15, IsolationDays: 7},
+			&WeekendSchedule{SundayReligion: true})
+	}
+	for _, c := range []struct{ from, to int }{{1, 2}, {2, 1}, {2, 4}} {
+		t.Run(fmt.Sprintf("%d→%d", c.from, c.to), func(t *testing.T) {
+			recRef := newHashingRecorder()
+			ref, err := New(snapCfg(net, days, c.from, seed, stack(), recRef))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resRef, err := ref.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recRef.count < 100 {
+				t.Fatalf("only %d transitions; the case is vacuous", recRef.count)
+			}
+
+			recSplit := newHashingRecorder()
+			src, err := New(snapCfg(net, days, c.from, seed, stack(), recSplit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pre, err := src.RunPrefix(pivot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fork, err := src.Fork(Config{Parallelism: c.to, Interventions: stack(), Recorder: recSplit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fork.ShardCount() != c.to || src.ShardCount() != c.from {
+				t.Fatalf("fork runs %d shards and its source %d, want %d and %d", fork.ShardCount(), src.ShardCount(), c.to, c.from)
+			}
+			res, err := fork.RunSuffix(pre)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recSplit.h != recRef.h || recSplit.count != recRef.count {
+				t.Errorf("stream %d events hash %#x, unbranched %d events hash %#x", recSplit.count, recSplit.h, recRef.count, recRef.h)
+			}
+			if resultDigest(res) != resultDigest(resRef) {
+				t.Error("Result differs from the unbranched run's")
+			}
+			requireFinalStateEqual(t, ref, fork)
+		})
 	}
 }

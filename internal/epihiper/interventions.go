@@ -2,6 +2,7 @@ package epihiper
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/disease"
 	"repro/internal/stats"
@@ -20,9 +21,10 @@ type Intervention interface {
 
 // InterventionState is implemented by interventions that carry mutable
 // state across ticks (a compliant set, a pulse phase). Snapshot serializes
-// the state of every implementing intervention under its Name; Restore and
-// SwapInterventions decode it into a matching intervention of the new
-// stack, so a branched run continues exactly where the checkpoint left off.
+// the state of every implementing intervention under its Name and Restore
+// decodes it into a matching intervention of the new stack; Fork and
+// SwapInterventions copy it across in process. Either way a branched run
+// continues exactly where the checkpoint left off.
 type InterventionState interface {
 	Intervention
 	// EncodeState returns the mutable state as bytes.
@@ -30,6 +32,10 @@ type InterventionState interface {
 	// DecodeState replaces the mutable state from bytes produced by
 	// EncodeState.
 	DecodeState([]byte) error
+	// CopyState replaces the mutable state with a copy of from's, which
+	// shares nothing with it, and reports whether from has the receiver's
+	// concrete type; on false nothing changed.
+	CopyState(from Intervention) bool
 }
 
 // nonHomeContexts lists every context except home.
@@ -37,6 +43,10 @@ var nonHomeContexts = []synthpop.Context{
 	synthpop.CtxWork, synthpop.CtxShopping, synthpop.CtxOther,
 	synthpop.CtxSchool, synthpop.CtxCollege, synthpop.CtxReligion,
 }
+
+// nonHomeMask holds the bits of nonHomeContexts: stay-at-home orders switch
+// all of them for a person at once.
+const nonHomeMask = allContexts &^ homeOnlyMask
 
 // ---------------------------------------------------------------------------
 // SC — school closure
@@ -97,6 +107,15 @@ func (sh *StayAtHome) DecodeState(b []byte) error {
 	return nil
 }
 
+// CopyState implements InterventionState.
+func (sh *StayAtHome) CopyState(from Intervention) bool {
+	src, ok := from.(*StayAtHome)
+	if ok {
+		sh.compliant = slices.Clone(src.compliant)
+	}
+	return ok
+}
+
 // Step implements Intervention.
 func (sh *StayAtHome) Step(s *Sim, day int, r *stats.RNG) {
 	switch day {
@@ -106,17 +125,13 @@ func (sh *StayAtHome) Step(s *Sim, day int, r *stats.RNG) {
 		for pid := int32(0); int(pid) < n; pid++ {
 			if r.Bool(sh.Compliance) {
 				sh.compliant = append(sh.compliant, pid)
-				for _, c := range nonHomeContexts {
-					s.SetContextEnabled(pid, c, false)
-				}
+				s.setNonHomeContexts(pid, false)
 			}
 		}
 		s.AddDynamicMemory(int64(len(sh.compliant)) * perScheduledChangeBytes)
 	case sh.EndDay:
 		for _, pid := range sh.compliant {
-			for _, c := range nonHomeContexts {
-				s.SetContextEnabled(pid, c, true)
-			}
+			s.setNonHomeContexts(pid, true)
 		}
 		s.AddDynamicMemory(-int64(len(sh.compliant)) * perScheduledChangeBytes)
 	}
@@ -145,9 +160,7 @@ func (ro *PartialReopen) Step(s *Sim, day int, r *stats.RNG) {
 	released := 0
 	for _, pid := range ro.SH.compliant {
 		if r.Bool(ro.Level) {
-			for _, c := range nonHomeContexts {
-				s.SetContextEnabled(pid, c, true)
-			}
+			s.setNonHomeContexts(pid, true)
 			released++
 		}
 	}
@@ -254,9 +267,7 @@ func (ps *PulsingShutdown) Step(s *Sim, day int, r *stats.RNG) {
 	for pid := int32(0); int(pid) < n; pid++ {
 		if r.Bool(ps.Compliance) {
 			ps.compliant = append(ps.compliant, pid)
-			for _, c := range nonHomeContexts {
-				s.SetContextEnabled(pid, c, false)
-			}
+			s.setNonHomeContexts(pid, false)
 		}
 	}
 	ps.active = true
@@ -286,11 +297,18 @@ func (ps *PulsingShutdown) DecodeState(b []byte) error {
 	return nil
 }
 
+// CopyState implements InterventionState.
+func (ps *PulsingShutdown) CopyState(from Intervention) bool {
+	src, ok := from.(*PulsingShutdown)
+	if ok {
+		ps.compliant, ps.active = slices.Clone(src.compliant), src.active
+	}
+	return ok
+}
+
 func (ps *PulsingShutdown) release(s *Sim) {
 	for _, pid := range ps.compliant {
-		for _, c := range nonHomeContexts {
-			s.SetContextEnabled(pid, c, true)
-		}
+		s.setNonHomeContexts(pid, true)
 	}
 	ps.active = false
 }
@@ -433,6 +451,15 @@ func (ws *WeekendSchedule) DecodeState(b []byte) error {
 	}
 	ws.weekdayApplied = b[0] != 0
 	return nil
+}
+
+// CopyState implements InterventionState.
+func (ws *WeekendSchedule) CopyState(from Intervention) bool {
+	src, ok := from.(*WeekendSchedule)
+	if ok {
+		ws.weekdayApplied = src.weekdayApplied
+	}
+	return ok
 }
 
 // ---------------------------------------------------------------------------

@@ -293,6 +293,20 @@ func TestMaskMandateRestoresWeights(t *testing.T) {
 	}
 }
 
+// TestNonHomeMaskIsNonHomeContexts: stay-at-home, partial reopening and
+// pulsing shutdown switch a person's non-home contexts with one write of
+// nonHomeMask. Its bits must be exactly nonHomeContexts', so the write
+// leaves every mask as a SetContextEnabled call per context would.
+func TestNonHomeMaskIsNonHomeContexts(t *testing.T) {
+	var m uint8
+	for _, c := range nonHomeContexts {
+		m |= 1 << uint8(c)
+	}
+	if m != nonHomeMask || m&homeOnlyMask != 0 || m|homeOnlyMask != allContexts {
+		t.Fatalf("nonHomeMask %08b, nonHomeContexts %08b, home %08b, all %08b", nonHomeMask, m, homeOnlyMask, allContexts)
+	}
+}
+
 func TestSetContextWeightClamps(t *testing.T) {
 	net := testNetwork(t, 35)
 	sim, err := New(baseConfig(net, 1700))

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/disease"
@@ -387,21 +386,11 @@ func requireSameRun(tb testing.TB, label string, wantRes, gotRes *Result, wantSt
 // same test, where the multi-shard counts are what the detector can see.
 var refShardCounts = []int{1, 2, 4, 8}
 
-// withPooledDispatch raises GOMAXPROCS to at least 4 for the rest of the
-// test. runSpan runs the phases inline when GOMAXPROCS is 1, so without it a
-// one-CPU host would never run the worker pool or the cross-shard exchange,
-// and the race detector would never see them.
-func withPooledDispatch(tb testing.TB) {
-	prev := runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0)))
-	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
 // TestKernelMatchesReference byte-compares the production kernel with the
 // reference over seeds × shard counts × intervention stacks × worlds ×
 // {straight run, snapshot at a random day restored at another shard count,
-// forked at a random day}.
+// forked at a random day onto another shard count}.
 func TestKernelMatchesReference(t *testing.T) {
-	withPooledDispatch(t)
 	seeds := []uint64{7, 20260930}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -423,10 +412,7 @@ func TestKernelMatchesReference(t *testing.T) {
 					requireSameRun(t, label, wantRes, res, recRef.b, stream)
 
 					for _, mode := range branchModes {
-						pivot, other := 1+pick.Intn(w.days-1), shards
-						if mode.crossesShards {
-							other = refShardCounts[pick.Intn(len(refShardCounts))]
-						}
+						pivot, other := 1+pick.Intn(w.days-1), refShardCounts[pick.Intn(len(refShardCounts))]
 						res, stream = productionRun(t, w, shards, seed, st.ivs, pivot, mode, other)
 						requireSameRun(t, fmt.Sprintf("%s/%s@%d→shards=%d", label, mode.name, pivot, other),
 							wantRes, res, recRef.b, stream)
@@ -506,7 +492,6 @@ func FuzzKernelMatchesReference(f *testing.F) {
 	f.Add(uint64(3), uint16(70), uint8(10))
 	f.Add(uint64(4), uint16(520), uint8(15))
 	f.Add(uint64(5), uint16(200), uint8(22))
-	withPooledDispatch(f)
 	f.Fuzz(func(t *testing.T, seed uint64, size uint16, shape uint8) {
 		n := 65 + int(size)%600
 		r := stats.NewRNG(seed)

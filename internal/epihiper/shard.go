@@ -195,9 +195,9 @@ func (sh *shard) schedule(pid int32, fire int) {
 	set[off>>6] |= 1 << (off & 63)
 }
 
-// runPhase executes one parallel phase for one shard. It is called either
-// inline (single shard) or from a worker goroutine; in both cases the
-// coordinator guarantees exclusive access to the shard and the phase's
+// runPhase executes one parallel phase for one shard. The coordinator calls
+// it for shard 0 and a helper goroutine for each other shard; either way the
+// barrier protocol guarantees exclusive access to the shard and the phase's
 // read/write discipline documented above.
 func (s *Sim) runPhase(phase int, sh *shard) {
 	switch phase {

@@ -645,6 +645,18 @@ func (s *Sim) SetContextEnabled(pid int32, ctx synthpop.Context, enabled bool) {
 	s.effMaskT[pid] = s.effMask(pid)
 }
 
+// setNonHomeContexts enables or disables every non-home context of a person
+// with one mask write: SetContextEnabled for each of nonHomeContexts, without
+// recomputing the cached mask after each.
+func (s *Sim) setNonHomeContexts(pid int32, enabled bool) {
+	if enabled {
+		s.ctxMask[pid] |= nonHomeMask
+	} else {
+		s.ctxMask[pid] &^= nonHomeMask
+	}
+	s.effMaskT[pid] = s.effMask(pid)
+}
+
 // SetContextWeight scales the effective weight of every contact whose
 // source context is ctx (1 = unmodified). Values below 1 model
 // transmission-reducing measures that keep the contacts alive — mask

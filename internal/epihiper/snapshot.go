@@ -484,22 +484,30 @@ func (s *Sim) rebuildDerived() {
 			s.bumpNeighbors(&s.serial, pid, 0)
 		}
 	}
-	// Progression calendars live on their owner shards: the snapshot knows
-	// nothing about shard counts (it serializes canonical node order), so
-	// restore redistributes switchTick into whatever sharding THIS sim
-	// runs — a snapshot taken at shard count A restores at any count B.
-	for si := range s.shards {
-		s.shards[si].calendar = make([][]uint64, s.cfg.Days)
-	}
-	for pid := int32(0); int(pid) < n; pid++ {
-		if fire := s.switchTick[pid]; fire >= int32(s.ranTo) && int(fire) < s.cfg.Days {
-			s.ownerOf(pid).schedule(pid, int(fire))
-		}
-	}
+	s.fillCalendars()
 	s.isolExpiry = make([][]int32, s.cfg.Days)
 	for pid := int32(0); int(pid) < n; pid++ {
 		if until := s.isolatedUntil[pid]; until >= int32(s.ranTo) && int(until) < len(s.isolExpiry) {
 			s.isolExpiry[until] = append(s.isolExpiry[until], pid)
+		}
+	}
+}
+
+// fillCalendars enters every pending progression into its owner shard's
+// calendar. Progression calendars live on their owner shards: a snapshot
+// knows nothing about shard counts (it serializes canonical node order), so
+// restore redistributes switchTick into whatever sharding THIS sim runs — a
+// snapshot taken at shard count A restores at any count B — and a fork onto
+// another shard count does the same. A stale calendar entry of the source
+// (a person rescheduled since) is filtered by switchTick when drained, so
+// leaving it out changes nothing.
+func (s *Sim) fillCalendars() {
+	for si := range s.shards {
+		s.shards[si].calendar = make([][]uint64, s.cfg.Days)
+	}
+	for pid, fire := range s.switchTick {
+		if fire >= int32(s.ranTo) && int(fire) < s.cfg.Days {
+			s.ownerOf(int32(pid)).schedule(int32(pid), int(fire))
 		}
 	}
 }
@@ -532,12 +540,16 @@ func (s *Sim) SwapInterventions(ivs []Intervention) {
 	s.handOver(old)
 }
 
-// handOver moves the named state of the from stack, intervention by
-// intervention, into the sim's own stack.
+// handOver copies the named state of the from stack, intervention by
+// intervention, into the first intervention of the sim's own stack with the
+// same name and type — Restore's by-name transfer without the byte form. A
+// name with no taker is skipped, as in Restore.
 func (s *Sim) handOver(from []Intervention) {
-	for _, iv := range from {
-		if st, ok := iv.(InterventionState); ok {
-			s.applyInterventionState(iv.Name(), st.EncodeState())
+	for _, src := range from {
+		for _, iv := range s.cfg.Interventions {
+			if st, ok := iv.(InterventionState); ok && iv.Name() == src.Name() && st.CopyState(src) {
+				break
+			}
 		}
 	}
 }

@@ -23,23 +23,19 @@ import (
 // branchMode is one way to continue a run from a sim stopped at a day
 // boundary: branch returns the sim that runs on under cfg.
 type branchMode struct {
-	name string
-	// crossesShards reports whether the branch may run at another shard
-	// count than the checkpointed sim (EPSNAP is canonical node order; a
-	// fork keeps the shard layout).
-	crossesShards bool
-	branch        func(src *Sim, cfg Config) (*Sim, error)
+	name   string
+	branch func(src *Sim, cfg Config) (*Sim, error)
 }
 
 var branchModes = []branchMode{
-	{"restore", true, func(src *Sim, cfg Config) (*Sim, error) {
+	{"restore", func(src *Sim, cfg Config) (*Sim, error) {
 		snap, err := src.Snapshot()
 		if err != nil {
 			return nil, err
 		}
 		return NewFromSnapshot(cfg, snap)
 	}},
-	{"fork", false, func(src *Sim, cfg Config) (*Sim, error) { return src.Fork(cfg) }},
+	{"fork", func(src *Sim, cfg Config) (*Sim, error) { return src.Fork(cfg) }},
 }
 
 // smallNetwork builds a ~400-person VA network cheap enough for many
@@ -171,10 +167,10 @@ func TestSnapshotEquivalenceProperty(t *testing.T) {
 			pivot := 1 + r.Intn(days-1)
 			simSeed := r.Uint64()
 			par := 1 + 3*r.Intn(2) // 1 or 4
-			// A restored branch runs at an independently drawn shard
-			// count: snapshots are canonical-node-order and must cross
-			// shard layouts freely.
-			crossPar := []int{1, 2, 4, 8}[r.Intn(4)]
+			// The branch runs at an independently drawn shard count:
+			// snapshots are canonical-node-order and forks repartition, so
+			// both must cross shard layouts freely.
+			parB := []int{1, 2, 4, 8}[r.Intn(4)]
 			stackSeed := r.Int63()
 			mkStack := func() []Intervention {
 				return randomStack(rand.New(rand.NewSource(stackSeed)), days)
@@ -195,10 +191,6 @@ func TestSnapshotEquivalenceProperty(t *testing.T) {
 
 			for _, mode := range branchModes {
 				t.Run(mode.name, func(t *testing.T) {
-					parB := par
-					if mode.crossesShards {
-						parB = crossPar
-					}
 					recSplit := newHashingRecorder()
 					simA, err := New(snapCfg(net, days, par, simSeed, mkStack(), recSplit))
 					if err != nil {

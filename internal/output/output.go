@@ -200,11 +200,13 @@ func (a *CountyAggregator) Daily(county int32, st disease.State) []int32 {
 	return a.series[CountKey{CountyFIPS: county, State: st}]
 }
 
-// SummaryBytes estimates the serialized size of the aggregate output:
-// counties × days × health states × 3 counts × 4 bytes, the quantity the
-// workflow ships back to the home cluster.
-func (a *CountyAggregator) SummaryBytes() int64 {
-	return int64(len(a.counties)) * int64(a.days) * int64(disease.NumStates) * 3 * 4
+// SummaryBytes estimates the serialized size of the aggregate output of one
+// simulation over a region of the given counties: counties × days × health
+// states × 3 counts × 4 bytes, the quantity the workflow ships back to the
+// home cluster. It depends on the region and horizon alone, so no
+// aggregator has to record a run to size it.
+func SummaryBytes(counties, days int) int64 {
+	return int64(counties) * int64(days) * int64(disease.NumStates) * 3 * 4
 }
 
 // WriteSummaryCSV writes the county/day/state new-count table.

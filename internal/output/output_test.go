@@ -324,8 +324,8 @@ func TestSummaryCSVAndBytes(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), "county_fips,day,state,new_count") {
 		t.Fatal("bad summary header")
 	}
-	if agg.SummaryBytes() <= 0 {
-		t.Fatal("summary bytes non-positive")
+	if got, want := SummaryBytes(len(agg.Counties()), 30), int64(len(agg.Counties()))*30*int64(disease.NumStates)*12; got != want || got <= 0 {
+		t.Fatalf("summary bytes %d, want counties × days × states × 12 = %d", got, want)
 	}
 }
 
