@@ -7,8 +7,8 @@
 //
 // Parallel execution over network partitions stands in for the C++/MPI
 // implementation: the network is split with the paper's edge-balanced
-// partitioner and each partition is owned by one worker goroutine
-// ("processing unit"). Results are bit-for-bit independent of the number of
+// partitioner and each partition is owned by one goroutine ("processing
+// unit"). Results are bit-for-bit independent of the number of
 // processing units because every stochastic decision draws from an RNG
 // keyed on (seed, node, tick, phase) rather than on a worker-local stream.
 package epihiper
@@ -146,7 +146,7 @@ type Sim struct {
 	// maps each 64-node bitset word to its owning shard (alignment makes
 	// ownership word-constant), backing the O(1) ownerOf on the
 	// per-neighbor path. curPhase is written by the coordinator
-	// between barriers and read by the workers (ordered by the jobs
+	// between barriers and read by the helpers (ordered by the dispatch
 	// channel); omegaDirty/maskDirtyAll flag the pending O(n) table
 	// rebuilds the upkeep phase splits across shards; phaseSecs
 	// accumulates per-phase wall-clock, and work the current run segment's
