@@ -13,9 +13,9 @@ import (
 // NewFromSnapshot in process, with nothing encoded. Network, model, horizon,
 // seed and seeding stay the sim's; a zero cfg field keeps them, another
 // value is refused, since the copied tables were computed under them. A
-// positive Parallelism other than the sim's repartitions the copy, whose
-// shards then take their progression calendars from switchTick as a restore
-// does; results are the same at any shard count. Intervention state crosses
+// positive Parallelism other than the sim's repartitions the copy; at any
+// shard count the copy's shards take their progression calendars from
+// switchTick as a restore does, and results are the same. Intervention state crosses
 // by name, as in SwapInterventions. Fork only reads s, so many goroutines
 // may fork one sim that nothing runs. Like Snapshot, it refuses a pending
 // Schedule closure.
@@ -45,15 +45,9 @@ func (s *Sim) Fork(cfg Config) (*Sim, error) {
 	if cfg.Parallelism > 0 && cfg.Parallelism != s.cfg.Parallelism {
 		f.cfg.Parallelism = cfg.Parallelism
 		f.parts = s.net.PartitionNodesAligned(cfg.Parallelism, s.cfg.PartitionTolerance, shardAlign)
-		f.buildShards()
-		f.fillCalendars()
-	} else {
-		f.shards = make([]shard, len(s.shards))
-		for i, sh := range s.shards {
-			f.shards[i] = shard{id: sh.id, first: sh.first, last: sh.last, part: sh.part,
-				calendar: cloneRows(sh.calendar), outbox: make([][]nbrUpdate, len(s.shards))}
-		}
 	}
+	f.buildShards()
+	f.fillCalendars()
 	rng := *s.ivRNG
 	f.ivRNG = &rng
 	f.Vars = maps.Clone(s.Vars)
@@ -82,7 +76,8 @@ func (s *Sim) RetainedBytes() int64 {
 		capBytes(s.health) + capBytes(s.nextState) + capBytes(s.switchTick) + capBytes(s.infectivityScale) +
 		capBytes(s.susceptibilityScale) + capBytes(s.ctxMask) + capBytes(s.isolatedUntil) + capBytes(s.effInf) +
 		capBytes(s.effMaskT) + capBytes(s.infNbr) + capBytes(s.effInfBits) + capBytes(s.riskBits) + capBytes(s.susBits) +
-		capBytes(s.todayEvents) + capBytes(s.memTrace) + capBytes(s.scheduled) + rowBytes(s.isolExpiry)
+		capBytes(s.todayEvents) + capBytes(s.memTrace) + capBytes(s.scheduled) + rowBytes(s.isolExpiry) +
+		capBytes(s.shardStarts) + capBytes(s.ownerWord)
 	for i := range s.shards {
 		b += rowBytes(s.shards[i].calendar) + capBytes(s.shards[i].outbox)
 	}

@@ -125,13 +125,13 @@ func (sh *StayAtHome) Step(s *Sim, day int, r *stats.RNG) {
 		for pid := int32(0); int(pid) < n; pid++ {
 			if r.Bool(sh.Compliance) {
 				sh.compliant = append(sh.compliant, pid)
-				s.setNonHomeContexts(pid, false)
+				s.setContextBits(pid, nonHomeMask, false)
 			}
 		}
 		s.AddDynamicMemory(int64(len(sh.compliant)) * perScheduledChangeBytes)
 	case sh.EndDay:
 		for _, pid := range sh.compliant {
-			s.setNonHomeContexts(pid, true)
+			s.setContextBits(pid, nonHomeMask, true)
 		}
 		s.AddDynamicMemory(-int64(len(sh.compliant)) * perScheduledChangeBytes)
 	}
@@ -160,7 +160,7 @@ func (ro *PartialReopen) Step(s *Sim, day int, r *stats.RNG) {
 	released := 0
 	for _, pid := range ro.SH.compliant {
 		if r.Bool(ro.Level) {
-			s.setNonHomeContexts(pid, true)
+			s.setContextBits(pid, nonHomeMask, true)
 			released++
 		}
 	}
@@ -267,7 +267,7 @@ func (ps *PulsingShutdown) Step(s *Sim, day int, r *stats.RNG) {
 	for pid := int32(0); int(pid) < n; pid++ {
 		if r.Bool(ps.Compliance) {
 			ps.compliant = append(ps.compliant, pid)
-			s.setNonHomeContexts(pid, false)
+			s.setContextBits(pid, nonHomeMask, false)
 		}
 	}
 	ps.active = true
@@ -308,7 +308,7 @@ func (ps *PulsingShutdown) CopyState(from Intervention) bool {
 
 func (ps *PulsingShutdown) release(s *Sim) {
 	for _, pid := range ps.compliant {
-		s.setNonHomeContexts(pid, true)
+		s.setContextBits(pid, nonHomeMask, true)
 	}
 	ps.active = false
 }

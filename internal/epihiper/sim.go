@@ -636,23 +636,17 @@ func (s *Sim) CumulativeCount(st disease.State) int64 { return s.cumByState[st] 
 // SetContextEnabled enables or disables one context for a person (an
 // EpiHiper action-ensemble edge operation expressed at the node level).
 func (s *Sim) SetContextEnabled(pid int32, ctx synthpop.Context, enabled bool) {
-	bit := uint8(1) << uint8(ctx)
-	if enabled {
-		s.ctxMask[pid] |= bit
-	} else {
-		s.ctxMask[pid] &^= bit
-	}
-	s.effMaskT[pid] = s.effMask(pid)
+	s.setContextBits(pid, uint8(1)<<uint8(ctx), enabled)
 }
 
-// setNonHomeContexts enables or disables every non-home context of a person
-// with one mask write: SetContextEnabled for each of nonHomeContexts, without
-// recomputing the cached mask after each.
-func (s *Sim) setNonHomeContexts(pid int32, enabled bool) {
+// setContextBits enables or disables every context in bits for a person
+// with one mask write and one recomputation of the cached mask; stay-at-home
+// orders pass nonHomeMask.
+func (s *Sim) setContextBits(pid int32, bits uint8, enabled bool) {
 	if enabled {
-		s.ctxMask[pid] |= nonHomeMask
+		s.ctxMask[pid] |= bits
 	} else {
-		s.ctxMask[pid] &^= nonHomeMask
+		s.ctxMask[pid] &^= bits
 	}
 	s.effMaskT[pid] = s.effMask(pid)
 }
