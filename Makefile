@@ -45,7 +45,8 @@ fmt-check:
 loadtest:
 	$(GO) test -race -run 'TestLoadProof|TestTwoClientClosedLoopNeverRefused|TestChaosOneQueue' -v -count=1 ./cmd/loadgen ./internal/scenario
 
-# Short exploratory fuzz pass over the scheduler, executor, snapshot-codec,
+# Short exploratory fuzz pass over the scheduler, packer-vs-reference,
+# executor, snapshot-codec,
 # kernel-vs-reference, kernel JSON-config and disease-model decoders,
 # metapop closed-form-vs-dense, fidelity-router, scenario-spec,
 # submit, status, result and cancel handler, network/partition file-loader
@@ -53,6 +54,7 @@ loadtest:
 fuzz:
 	$(GO) test ./internal/sched -fuzz FuzzRelaxedColoring -fuzztime 10s
 	$(GO) test ./internal/sched -fuzz FuzzScheduleRoundTrip -fuzztime 10s
+	$(GO) test ./internal/sched -fuzz FuzzPackersMatchReference -fuzztime 10s
 	$(GO) test ./internal/cluster -fuzz FuzzBackfillMatchesReference -fuzztime 10s
 	$(GO) test ./internal/epihiper -fuzz FuzzSnapshotRoundTrip -fuzztime 10s
 	$(GO) test ./internal/epihiper -fuzz FuzzKernelMatchesReference -fuzztime 10s

@@ -169,6 +169,7 @@ func ExecuteLevelSync(s *sched.Schedule, deadline float64) ExecResult {
 // resumable start clock. A crashed task frees nothing early — the barrier
 // waits for the level's packed height regardless — but its node-time counts
 // as wasted rather than busy, and the failure is recorded for requeueing.
+// Negative or non-finite times (hand-built schedules only) stay unstarted.
 func ExecuteLevelSyncOpts(s *sched.Schedule, opt ExecOptions) ExecResult {
 	var res ExecResult
 	_, sp := obs.StartSpan(opt.execCtx(), "cluster.levelsync")
@@ -176,13 +177,15 @@ func ExecuteLevelSyncOpts(s *sched.Schedule, opt ExecOptions) ExecResult {
 	start := opt.StartAt
 	busy := 0.0
 	for _, l := range s.Levels {
-		if opt.Deadline > 0 && start+l.Height > opt.Deadline {
-			for _, t := range l.Tasks {
-				res.Unstarted = append(res.Unstarted, t)
-			}
+		if !(l.Height >= 0 && l.Height <= math.MaxFloat64) || opt.Deadline > 0 && start+l.Height > opt.Deadline {
+			res.Unstarted = append(res.Unstarted, l.Tasks...)
 			continue
 		}
 		for _, t := range l.Tasks {
+			if !(t.Time >= 0 && t.Time <= math.MaxFloat64) {
+				res.Unstarted = append(res.Unstarted, t)
+				continue
+			}
 			if opt.Injector != nil {
 				switch f := opt.Injector(t); f.Kind {
 				case faults.DBRefusal:
@@ -247,8 +250,8 @@ func ExecuteBackfillOpts(tasks []sched.Task, c sched.Constraints, opt ExecOption
 		return ExecResult{}, fmt.Errorf("cluster: non-positive node count")
 	}
 	for _, t := range tasks {
-		if t.Nodes <= 0 || t.Nodes > c.TotalNodes {
-			return ExecResult{}, fmt.Errorf("cluster: task %+v cannot fit on %d nodes", t, c.TotalNodes)
+		if t.Nodes <= 0 || t.Nodes > c.TotalNodes || !(t.Time >= 0 && t.Time <= math.MaxFloat64) {
+			return ExecResult{}, fmt.Errorf("cluster: task %+v cannot fit on %d nodes or has no finite time", t, c.TotalNodes)
 		}
 	}
 	var res ExecResult
@@ -337,13 +340,15 @@ func ExecuteBackfillOpts(tasks []sched.Task, c sched.Constraints, opt ExecOption
 
 // backfillQueue indexes one call's pending tasks for the in-order scan.
 // Region codes are interned to dense ints; each (region, nodes) pair owns a
-// FIFO of queue indices threaded through next.
+// FIFO of queue indices threaded through next. Live buckets are kept in
+// ascending head order, so the first that fits holds the scan's next task.
 type backfillQueue struct {
-	buckets []bucket
-	next    []int // next[i]: the queue index after i in its bucket, or drained
-	drained int   // sentinel index: len(tasks), above every real one
-	running []int // running[r]: tasks of region r holding a DB connection
-	bound   []int // bound[r]: B(T[r]), math.MaxInt when the region is unbounded
+	buckets  []bucket
+	next     []int32 // next[i]: the queue index after i in its bucket, or drained
+	drained  int     // sentinel index: len(tasks), above every real one
+	smallest int     // the fewest nodes a live bucket needs; MaxInt when none is live
+	running  []int   // running[r]: tasks of region r holding a DB connection
+	bound    []int   // bound[r]: B(T[r]), math.MaxInt when the region is unbounded
 }
 
 type bucket struct {
@@ -354,7 +359,7 @@ type bucket struct {
 }
 
 func newBackfillQueue(tasks []sched.Task, c sched.Constraints) *backfillQueue {
-	q := &backfillQueue{next: make([]int, len(tasks)), drained: len(tasks)}
+	q := &backfillQueue{next: make([]int32, len(tasks)), drained: len(tasks), smallest: math.MaxInt}
 	x := sched.NewRegionIndex(c.DBBound)
 	var first []int // first[r]: head of region r's sibling chain
 	for i, t := range tasks {
@@ -368,12 +373,12 @@ func newBackfillQueue(tasks []sched.Task, c sched.Constraints) *backfillQueue {
 		}
 		if b < 0 {
 			q.buckets = append(q.buckets, bucket{head: i, tail: i, nodes: t.Nodes, region: r, sibling: first[r]})
-			first[r] = len(q.buckets) - 1
+			first[r], q.smallest = len(q.buckets)-1, min(q.smallest, t.Nodes)
 		} else {
-			q.next[q.buckets[b].tail] = i
+			q.next[q.buckets[b].tail] = int32(i)
 			q.buckets[b].tail = i
 		}
-		q.next[i] = q.drained
+		q.next[i] = int32(q.drained)
 	}
 	q.running, q.bound = make([]int, len(first)), x.Bound
 	return q
@@ -383,18 +388,31 @@ func newBackfillQueue(tasks []sched.Task, c sched.Constraints) *backfillQueue {
 // nodes with its region under its DB bound, together with the interned
 // region; i is -1 when no pending task fits.
 func (q *backfillQueue) pop(free int) (i, region int) {
-	best, at := q.drained, -1
-	for j := range q.buckets {
-		b := &q.buckets[j]
-		if b.head < best && b.nodes <= free && q.running[b.region] < q.bound[b.region] {
-			best, at = b.head, j
-		}
-	}
-	if at < 0 {
+	if free < q.smallest {
 		return -1, -1
 	}
-	q.buckets[at].head = q.next[best]
-	return best, q.buckets[at].region
+	for j := range q.buckets {
+		if p := &q.buckets[j]; p.nodes > free || q.running[p.region] >= q.bound[p.region] {
+			continue
+		}
+		b := q.buckets[j]
+		i, region = b.head, b.region
+		b.head = int(q.next[i])
+		k := j + 1
+		for k < len(q.buckets) && q.buckets[k].head < b.head {
+			k++
+		}
+		copy(q.buckets[j:], q.buckets[j+1:k])
+		q.buckets[k-1] = b
+		if b.head == q.drained {
+			q.buckets, q.smallest = q.buckets[:k-1], math.MaxInt
+			for _, o := range q.buckets {
+				q.smallest = min(q.smallest, o.nodes)
+			}
+		}
+		return i, region
+	}
+	return -1, -1
 }
 
 // running is a started task's hold on its nodes and DB connection.

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -163,6 +165,50 @@ func TestBackfillValidation(t *testing.T) {
 	if _, err := ExecuteBackfill([]sched.Task{{Region: "VA", Nodes: 99, Time: 1}},
 		sched.Constraints{TotalNodes: 10}, 0); err == nil {
 		t.Error("oversized task accepted")
+	}
+}
+
+// A task with a NaN time ends at NaN, which never compares ≤ now, so the
+// backfill loop spun forever on it; a +Inf time made the makespan
+// infinite. The executor refuses both, and −Inf and negatives. Each call
+// runs under a deadline so a regression fails instead of hanging.
+func TestBackfillRefusesNonFiniteTimes(t *testing.T) {
+	c := sched.Constraints{TotalNodes: 4, DBBound: map[string]int{"VA": 2}}
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), -1, math.NaN()} {
+		tasks := []sched.Task{
+			{Region: "VA", Nodes: 2, Time: 3}, {Region: "VA", Cell: 1, Nodes: 1, Time: bad},
+			{Region: "TX", Nodes: 1, Time: 5}, {Region: "VA", Cell: 2, Nodes: 4, Time: 1},
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := ExecuteBackfillOpts(tasks, c, ExecOptions{})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("task time %v accepted", bad)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("task time %v: the executor did not return within 10 s", bad)
+		}
+	}
+}
+
+// ExecuteLevelSync has no error to return, so a hand-built level holding a
+// non-finite time is left unstarted rather than run forever or to +Inf.
+func TestLevelSyncLeavesNonFiniteTimesUnstarted(t *testing.T) {
+	ok := sched.Task{Region: "VA", Nodes: 1, Time: 2}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		odd := sched.Task{Region: "TX", Nodes: 1, Time: bad}
+		s := &sched.Schedule{TotalNodes: 4, Levels: []sched.Level{
+			{Tasks: []sched.Task{ok, odd}, UsedNodes: 2, Height: 2},
+			{Tasks: []sched.Task{ok}, UsedNodes: 1, Height: bad},
+		}}
+		res := ExecuteLevelSync(s, 0)
+		if len(res.Records) != 1 || len(res.Unstarted) != 2 || res.Makespan != 2 {
+			t.Errorf("time %v: %d records, %d unstarted, makespan %v; want 1, 2 and 2", bad, len(res.Records), len(res.Unstarted), res.Makespan)
+		}
 	}
 }
 

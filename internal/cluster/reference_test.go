@@ -312,6 +312,18 @@ func TestBackfillMatchesReferenceAdversarial(t *testing.T) {
 		{"start-past-deadline", mk(30, func(i int) sched.Task {
 			return sched.Task{Region: regions[i%4], Cell: i, Nodes: 1 + i%3, Time: 4}
 		}), sched.Constraints{TotalNodes: 5}, ExecOptions{StartAt: 100, Deadline: 50}},
+		// Buckets drain out of creation order: the one-node VA bucket, the
+		// smallest and second created, drains first, then the WY bucket,
+		// and the CA bucket created first drains last.
+		{"drain-out-of-order", mk(90, func(i int) sched.Task {
+			switch {
+			case i == 1 || i == 4 || i == 9:
+				return sched.Task{Region: "VA", Cell: i, Nodes: 1, Time: 2 + 3*r.Float64()}
+			case i%9 == 2 && i < 40:
+				return sched.Task{Region: "WY", Cell: i, Nodes: 2, Time: 4 + 6*r.Float64()}
+			}
+			return sched.Task{Region: "CA", Cell: i, Nodes: 3 + i%2, Time: 5 + 20*r.Float64()}
+		}), sched.Constraints{TotalNodes: 7, DBBound: map[string]int{"CA": 1}}, ExecOptions{Deadline: 900}},
 		{"oversized-task", []sched.Task{{Region: "CA", Nodes: 9, Time: 1}}, sched.Constraints{TotalNodes: 8}, ExecOptions{}},
 		{"no-nodes", []sched.Task{{Region: "CA", Nodes: 1, Time: 1}}, sched.Constraints{}, ExecOptions{}},
 	}

@@ -86,10 +86,24 @@ func (s *Sim) RetainedBytes() int64 {
 	}
 	for _, iv := range s.cfg.Interventions {
 		if st, ok := iv.(InterventionState); ok {
-			b += int64(len(st.EncodeState()))
+			b += stateBytes(st)
 		}
 	}
 	return b
+}
+
+// stateBytes is len(st.EncodeState()), computed from the state of the
+// package's stateful interventions without encoding it.
+func stateBytes(st InterventionState) int64 {
+	switch iv := st.(type) {
+	case *StayAtHome:
+		return 4 + 4*int64(len(iv.compliant))
+	case *PulsingShutdown:
+		return 4 + 4*int64(len(iv.compliant)) + 1
+	case *WeekendSchedule:
+		return 1
+	}
+	return int64(len(st.EncodeState()))
 }
 
 // capBytes is the heap behind a slice, and rowBytes behind a table of rows.

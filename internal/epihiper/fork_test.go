@@ -240,3 +240,40 @@ func TestForkAcrossShardCounts(t *testing.T) {
 		})
 	}
 }
+
+// stateBytes prices an intervention's state without encoding it; it must
+// read exactly len(EncodeState()) for each stateful intervention, before,
+// during and after its window, so checkpoint costs do not move.
+func TestStateBytesMatchesEncoding(t *testing.T) {
+	net := testNetwork(t, 4242)
+	const days = 40
+	ivs := []Intervention{
+		&StayAtHome{StartDay: 5, EndDay: 30, Compliance: 0.6},
+		&PulsingShutdown{StartDay: 8, EndDay: 36, PeriodDays: 5, Compliance: 0.4},
+		&WeekendSchedule{SundayReligion: true},
+	}
+	sim, err := New(snapCfg(net, days, 1, 4242, ivs, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	filled := map[string]bool{}
+	for _, stop := range []int{0, 3, 6, 9, 12, 20, 33, 38, days} {
+		if res, err = sim.RunSegment(res, stop); err != nil {
+			t.Fatal(err)
+		}
+		for _, iv := range ivs {
+			st := iv.(InterventionState)
+			enc := len(st.EncodeState())
+			if got := stateBytes(st); got != int64(enc) {
+				t.Errorf("day %d: %s state priced at %d bytes, encodes to %d", stop, iv.Name(), got, enc)
+			}
+			filled[iv.Name()] = filled[iv.Name()] || enc > 5
+		}
+	}
+	for _, iv := range ivs[:2] {
+		if !filled[iv.Name()] {
+			t.Errorf("%s never held a compliant set; the case is vacuous", iv.Name())
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -223,30 +224,51 @@ func (s *Schedule) Validate(tasks []Task, c Constraints) error {
 // non-increasing time order (ties by region then cell then replicate, then
 // input position, so the order is the stable one). The time of a task is
 // directly correlated with the size of its region's network, so this orders
-// big states first — Step 2 of the paper's heuristic. Sorting positions
-// rather than the 48-byte tasks keeps the moves cheap.
-func decreasingOrder(tasks []Task) []int {
-	order := make([]int, len(tasks))
-	for i := range order {
-		order[i] = i
+// big states first — Step 2 of the paper's heuristic.
+//
+// It sorts integer keys, not tasks. The bits of a non-negative time (all
+// that checkTasks lets through) order like the time; shifted past the sign
+// bit, which makes −0 and +0 one key, and complemented, they order it
+// descending. The input position fills the low bits. Keys equal above the
+// position field — ties, and times apart only in the bits it displaced —
+// are re-sorted with the full comparator.
+func decreasingOrder(tasks []Task) []uint64 {
+	shift := uint(bits.Len(uint(len(tasks))))
+	keys := make([]uint64, len(tasks))
+	for i := range tasks {
+		keys[i] = ^(math.Float64bits(tasks[i].Time)<<1)>>shift<<shift | uint64(i)
 	}
-	slices.SortFunc(order, func(i, j int) int {
-		a, b := &tasks[i], &tasks[j]
-		if c := cmp.Compare(b.Time, a.Time); c != 0 {
-			return c
+	slices.Sort(keys)
+	mask := uint64(1)<<shift - 1
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi]>>shift == keys[lo]>>shift {
+			hi++
 		}
-		if c := cmp.Compare(a.Region, b.Region); c != 0 {
-			return c
+		if hi-lo > 1 {
+			slices.SortFunc(keys[lo:hi], func(ki, kj uint64) int {
+				a, b := &tasks[ki&mask], &tasks[kj&mask]
+				if c := cmp.Compare(b.Time, a.Time); c != 0 {
+					return c
+				}
+				if c := cmp.Compare(a.Region, b.Region); c != 0 {
+					return c
+				}
+				if c := cmp.Compare(a.Cell, b.Cell); c != 0 {
+					return c
+				}
+				if c := cmp.Compare(a.Replicate, b.Replicate); c != 0 {
+					return c
+				}
+				return cmp.Compare(ki, kj) // the run's keys differ in position only
+			})
 		}
-		if c := cmp.Compare(a.Cell, b.Cell); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Replicate, b.Replicate); c != 0 {
-			return c
-		}
-		return i - j
-	})
-	return order
+		lo = hi
+	}
+	for i := range keys {
+		keys[i] &= mask
+	}
+	return keys
 }
 
 // sortDecreasing returns a copy of the tasks in decreasingOrder.
@@ -267,8 +289,8 @@ func checkTasks(tasks []Task, c Constraints) error {
 		if t.Nodes <= 0 || t.Nodes > c.TotalNodes {
 			return fmt.Errorf("sched: task %+v needs %d of %d nodes", t, t.Nodes, c.TotalNodes)
 		}
-		if t.Time < 0 {
-			return fmt.Errorf("sched: negative task time %+v", t)
+		if !(t.Time >= 0 && t.Time <= math.MaxFloat64) {
+			return fmt.Errorf("sched: negative or non-finite task time %+v", t)
 		}
 		if bound, ok := c.DBBound[t.Region]; ok && bound <= 0 {
 			return fmt.Errorf("sched: region %s has non-positive DB bound %d", t.Region, bound)
@@ -332,12 +354,17 @@ func FFDTDC(tasks []Task, c Constraints) (*Schedule, error) {
 	// array and fills them in placement order.
 	order := decreasingOrder(tasks)
 	x := NewRegionIndex(c.DBBound)
-	levelOf := make([]int, len(order))
+	levelOf := make([]int32, len(order))
 	var sizes []int
+	// Levels below open cannot take even the smallest task, and never will.
+	open, smallest := 0, c.TotalNodes
+	for i := range tasks {
+		smallest = min(smallest, tasks[i].Nodes)
+	}
 	for i, j := range order {
 		t := tasks[j]
 		r := x.ID(t.Region)
-		li := 0
+		li := open
 		for li < len(s.Levels) && !s.Levels[li].fits(t, r, c.TotalNodes, x) {
 			li++
 		}
@@ -347,7 +374,10 @@ func FFDTDC(tasks []Task, c Constraints) (*Schedule, error) {
 		}
 		s.Levels[li].admit(t, r)
 		sizes[li]++
-		levelOf[i] = li
+		levelOf[i] = int32(li)
+		for open < len(s.Levels) && s.Levels[open].UsedNodes+smallest > c.TotalNodes {
+			open++
+		}
 	}
 	s.packed = make([]Task, len(order))
 	start := 0

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -156,6 +157,22 @@ func TestScheduleErrors(t *testing.T) {
 	if _, err := FFDTDC([]Task{{Region: "VA", Nodes: 1, Time: 1}},
 		Constraints{TotalNodes: 2, DBBound: map[string]int{"VA": 0}}); err == nil {
 		t.Error("zero DB bound accepted")
+	}
+}
+
+// A NaN time compares false with everything, so a `< 0` test lets it
+// through and FFDT-DC seats it on a level of height 0; +Inf would make the
+// makespan infinite. Every packer refuses both, and −Inf and negatives.
+func TestNonFiniteTimesRefused(t *testing.T) {
+	c := Constraints{TotalNodes: 4}
+	packers := map[string]func([]Task, Constraints) (*Schedule, error){"FFDT-DC": FFDTDC, "NFDT-DC": NFDTDC, "FIFO": FIFO}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		tasks := []Task{{Region: "VA", Nodes: 1, Time: 3}, {Region: "VA", Cell: 1, Nodes: 2, Time: bad}}
+		for name, pack := range packers {
+			if _, err := pack(tasks, c); err == nil {
+				t.Errorf("%s accepted task time %v", name, bad)
+			}
+		}
 	}
 }
 
