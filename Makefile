@@ -49,7 +49,8 @@ loadtest:
 # executor, snapshot-codec,
 # kernel-vs-reference, kernel JSON-config and disease-model decoders,
 # metapop closed-form-vs-dense, fidelity-router, scenario-spec,
-# submit, status, result and cancel handler, network/partition file-loader
+# submit, status, result and cancel handler, reply-writer-vs-MarshalIndent,
+# network/partition file-loader
 # and network-builder targets (the seed corpus always runs as part of tier1).
 fuzz:
 	$(GO) test ./internal/sched -fuzz FuzzRelaxedColoring -fuzztime 10s
@@ -67,6 +68,7 @@ fuzz:
 	$(GO) test ./internal/scenario -fuzz FuzzStatusHandler -fuzztime 10s
 	$(GO) test ./internal/scenario -fuzz FuzzResultHandler -fuzztime 10s
 	$(GO) test ./internal/scenario -fuzz FuzzCancelHandler -fuzztime 10s
+	$(GO) test ./internal/scenario -fuzz FuzzReplyMatchesMarshalIndent -fuzztime 10s
 	$(GO) test ./internal/synthpop -fuzz FuzzReadNetworkBinary -fuzztime 10s
 	$(GO) test ./internal/synthpop -fuzz FuzzReadNetworkCSV -fuzztime 10s
 	$(GO) test ./internal/synthpop -fuzz FuzzReadPartitions -fuzztime 10s

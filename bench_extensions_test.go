@@ -25,11 +25,11 @@ func BenchmarkNationalMetapop(b *testing.B) {
 	b.ResetTimer()
 	var final float64
 	for i := 0; i < b.N; i++ {
-		traj, err := model.Run(p, 200, seeds, nil)
+		cum, err := model.StateCurve(p, 200, seeds, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		final = traj.StateCumConfirmed()[199]
+		final = cum[199]
 	}
 	b.ReportMetric(float64(len(model.Counties)), "counties")
 	b.ReportMetric(final, "final_cases")

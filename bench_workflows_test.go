@@ -377,11 +377,11 @@ func calibrateViaEmulator(b *testing.B, model *metapop.Model, trueP metapop.Para
 
 func trajCum(b *testing.B, model *metapop.Model, p metapop.Params, seeds []metapop.Seed) []float64 {
 	b.Helper()
-	traj, err := model.Run(p, 100, seeds, nil)
+	cum, err := model.StateCurve(p, 100, seeds, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return traj.StateCumConfirmed()
+	return cum
 }
 
 // BenchmarkDBConnectionBound sweeps B(T[r]), showing how the database

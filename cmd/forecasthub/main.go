@@ -149,14 +149,14 @@ func main() {
 				mit = res.Mitigations[pi]
 			}
 			scen := []metapop.Scenario{metapop.MitigationScenario(mitStart, mit)}
-			traj, err := model.Run(p, day+1, seeds, scen)
+			cum, err := model.StateCurve(p, day+1, seeds, scen)
 			if err != nil {
 				log.Fatal(err)
 			}
 			// Predictive, not parametric: the hub target is the
 			// *observed* count, so each draw carries the observation
 			// model's 20% noise.
-			v := traj.StateCumConfirmed()[day]
+			v := cum[day]
 			for k := 0; k < 4; k++ {
 				samples = append(samples, noiseRNG.Normal(v, 0.2*v))
 			}

@@ -176,6 +176,7 @@ func ExecuteLevelSyncOpts(s *sched.Schedule, opt ExecOptions) ExecResult {
 	defer func() { endExecSpan(sp, s.NumTasks(), &res) }()
 	start := opt.StartAt
 	busy := 0.0
+	res.Records = make([]TaskRecord, 0, s.NumTasks())
 	for _, l := range s.Levels {
 		if !(l.Height >= 0 && l.Height <= math.MaxFloat64) || opt.Deadline > 0 && start+l.Height > opt.Deadline {
 			res.Unstarted = append(res.Unstarted, l.Tasks...)
@@ -202,6 +203,9 @@ func ExecuteLevelSyncOpts(s *sched.Schedule, opt ExecOptions) ExecResult {
 			busy += t.Time * float64(t.Nodes)
 		}
 		start += l.Height
+	}
+	if len(res.Records) == 0 {
+		res.Records = nil // as when nothing was ever appended
 	}
 	res.Makespan = start
 	res.BusyNodeSeconds = busy

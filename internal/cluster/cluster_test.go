@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -142,6 +144,30 @@ func TestDeadlineDropsTasks(t *testing.T) {
 	}
 	if err := ValidateExecution(res, c, 100); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLevelSyncRecordsPresized: replaying the 9 180-task prediction night
+// allocates its records once, at the schedule's task count, not the
+// doublings of a slice grown by append; a replay that completes nothing
+// leaves them nil.
+func TestLevelSyncRecordsPresized(t *testing.T) {
+	tasks, c := nightly(3)
+	nf, _ := sched.NFDTDC(tasks, c)
+	ExecuteLevelSync(nf, 0) // warm
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		ExecuteLevelSync(nf, 0)
+	}
+	runtime.ReadMemStats(&after)
+	records := uint64(nf.NumTasks()) * uint64(unsafe.Sizeof(TaskRecord{}))
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > records+records/16 {
+		t.Errorf("replay allocates %d bytes, want ≈ %d (one record per task)", got, records)
+	}
+	if res := ExecuteLevelSync(nf, 1e-9); len(res.Unstarted) != len(tasks) || res.Records != nil {
+		t.Errorf("nothing completes: %d unstarted of %d, records %v", len(res.Unstarted), len(tasks), res.Records)
 	}
 }
 

@@ -3,7 +3,7 @@ package fidelity
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -392,7 +392,7 @@ func band(means, sds [][]float64) core.Forecast {
 			hi = math.Max(hi, expm1Clamped(means[c][d]+2*sds[c][d]))
 			vals[c] = means[c][d]
 		}
-		f.Median[d], f.Lo[d], f.Hi[d] = expm1Clamped(median(vals)), lo, hi
+		f.Median[d], f.Lo[d], f.Hi[d] = expm1Clamped(sortedMedian(vals)), lo, hi
 		if d > 0 {
 			f.Median[d], f.Lo[d], f.Hi[d] = max(f.Median[d], f.Median[d-1]), max(lo, f.Lo[d-1]), max(hi, f.Hi[d-1])
 		}
@@ -400,15 +400,14 @@ func band(means, sds [][]float64) core.Forecast {
 	return f
 }
 
-// median returns the sample median (sorting a scratch copy).
-func median(vals []float64) float64 {
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	n := len(s)
+// sortedMedian returns the sample median of vals, sorting vals in place.
+func sortedMedian(vals []float64) float64 {
+	slices.Sort(vals)
+	n := len(vals)
 	if n%2 == 1 {
-		return s[n/2]
+		return vals[n/2]
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
 // uncorrectedError is the metapop tier's declared uncertainty before any

@@ -131,13 +131,16 @@ func (m *metapopMapper) runCurve(req Request, p core.Params, w *core.WhatIf) ([]
 	if err != nil {
 		return nil, err
 	}
-	traj, err := mdl.Run(seirParams(p), req.Days,
+	cum, err := mdl.StateCurve(seirParams(p), req.Days,
 		[]metapop.Seed{{CountyIndex: 0, Infectious: seedCases}},
 		scenarioStack(req, p, w))
 	if err != nil {
 		return nil, err
 	}
-	return log1pCurve(traj.StateCumConfirmed()), nil
+	for d, v := range cum { // into the log1p space every surrogate works in
+		cum[d] = math.Log1p(math.Max(0, v))
+	}
+	return cum, nil
 }
 
 // baseCurves returns the metapop base curves for one configuration, one per
@@ -177,18 +180,8 @@ func (m *metapopMapper) counties(state string) int {
 	return len(mdl.Counties)
 }
 
-// log1pCurve maps a natural-unit curve into the log1p space every surrogate
-// operates in (absolute deviations there ≈ relative deviations in natural
-// units).
-func log1pCurve(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, v := range xs {
-		out[i] = math.Log1p(math.Max(0, v))
-	}
-	return out
-}
-
-// expm1Clamped inverts log1pCurve, clamping at zero.
+// expm1Clamped maps a log1p-space value back to natural units, clamping at
+// zero.
 func expm1Clamped(v float64) float64 { return math.Max(0, math.Expm1(v)) }
 
 // checkCurves validates that an observation's curves match the family's

@@ -3,8 +3,10 @@ package metapop
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mcmc"
+	"repro/internal/stats"
 	"repro/internal/surveillance"
 )
 
@@ -210,11 +212,11 @@ func (m *Model) PredictBand(post []Params, days int, seeds []Seed, scenarios []S
 	}
 	series := make([][]float64, 0, len(post))
 	for _, p := range post {
-		traj, err := m.Run(p, days, seeds, scenarios)
+		cum, err := m.StateCurve(p, days, seeds, scenarios)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		series = append(series, traj.StateCumConfirmed())
+		series = append(series, cum)
 	}
 	lo = make([]float64, days)
 	med = make([]float64, days)
@@ -224,31 +226,8 @@ func (m *Model) PredictBand(post []Params, days int, seeds []Seed, scenarios []S
 		for i := range series {
 			vals[i] = series[i][d]
 		}
-		q := quantiles3(vals)
-		lo[d], med[d], hi[d] = q[0], q[1], q[2]
+		slices.Sort(vals)
+		lo[d], med[d], hi[d] = stats.SortedQuantile(vals, 0.025), stats.SortedQuantile(vals, 0.5), stats.SortedQuantile(vals, 0.975)
 	}
 	return lo, med, hi, nil
-}
-
-func quantiles3(vals []float64) [3]float64 {
-	s := append([]float64(nil), vals...)
-	// insertion sort: posterior sizes are small
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	pick := func(q float64) float64 {
-		if len(s) == 1 {
-			return s[0]
-		}
-		pos := q * float64(len(s)-1)
-		lo := int(pos)
-		frac := pos - float64(lo)
-		if lo+1 >= len(s) {
-			return s[len(s)-1]
-		}
-		return s[lo]*(1-frac) + s[lo+1]*frac
-	}
-	return [3]float64{pick(0.025), pick(0.5), pick(0.975)}
 }

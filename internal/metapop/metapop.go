@@ -119,29 +119,6 @@ type Trajectory struct {
 	Infectious [][]float64
 }
 
-// StateNewConfirmed sums daily confirmed cases over counties.
-func (t *Trajectory) StateNewConfirmed() []float64 {
-	out := make([]float64, t.Days)
-	for _, s := range t.NewConfirmed {
-		for d, v := range s {
-			out[d] += v
-		}
-	}
-	return out
-}
-
-// StateCumConfirmed returns the state-level cumulative confirmed series.
-func (t *Trajectory) StateCumConfirmed() []float64 {
-	daily := t.StateNewConfirmed()
-	out := make([]float64, len(daily))
-	acc := 0.0
-	for d, v := range daily {
-		acc += v
-		out[d] = acc
-	}
-	return out
-}
-
 // Seed places initial infectious individuals in a county.
 type Seed struct {
 	CountyIndex int
@@ -185,11 +162,25 @@ func suffixSums(x, tail []float64) {
 // before it at today's prevalence. Under gravity coupling a day is
 // O(counties) — cheap, as the paper requires for in-loop calibration.
 func (m *Model) Run(p Params, days int, seeds []Seed, scenarios []Scenario) (*Trajectory, error) {
+	traj, _, err := m.integrate(p, days, seeds, scenarios, true)
+	return traj, err
+}
+
+// StateCurve is Run's state cumulative confirmed series — each day summed
+// over counties in county order — without building the per-county series.
+func (m *Model) StateCurve(p Params, days int, seeds []Seed, scenarios []Scenario) ([]float64, error) {
+	_, cum, err := m.integrate(p, days, seeds, scenarios, false)
+	return cum, err
+}
+
+// integrate is the one Gauss–Seidel loop of Run and StateCurve: it fills
+// the per-county trajectory when perCounty is set, else the state curve.
+func (m *Model) integrate(p Params, days int, seeds []Seed, scenarios []Scenario, perCounty bool) (*Trajectory, []float64, error) {
 	if days <= 0 {
-		return nil, fmt.Errorf("metapop: non-positive horizon %d", days)
+		return nil, nil, fmt.Errorf("metapop: non-positive horizon %d", days)
 	}
 	if p.Beta < 0 || p.Sigma <= 0 || p.Sigma > 1 || p.Gamma <= 0 || p.Gamma > 1 || p.Detect < 0 || p.Detect > 1 {
-		return nil, fmt.Errorf("metapop: bad parameters %+v", p)
+		return nil, nil, fmt.Errorf("metapop: bad parameters %+v", p)
 	}
 	n := len(m.Counties)
 	state := make([]float64, 4*n+1)
@@ -199,17 +190,25 @@ func (m *Model) Run(p Params, days int, seeds []Seed, scenarios []Scenario) (*Tr
 	}
 	for _, sd := range seeds {
 		if sd.CountyIndex < 0 || sd.CountyIndex >= n {
-			return nil, fmt.Errorf("metapop: seed county %d out of range", sd.CountyIndex)
+			return nil, nil, fmt.Errorf("metapop: seed county %d out of range", sd.CountyIndex)
 		}
 		amount := math.Min(sd.Infectious, s[sd.CountyIndex])
 		s[sd.CountyIndex] -= amount
 		i[sd.CountyIndex] += amount
 	}
-	traj := newTrajectory(n, days)
+	var traj *Trajectory
+	var cum []float64
+	if perCounty {
+		traj = newTrajectory(n, days)
+	} else {
+		cum = make([]float64, days)
+	}
+	total := 0.0
 	for d := 0; d < days; d++ {
 		beta := betaOn(p, scenarios, d)
 		suffixSums(i, tail)
 		head := 0.0 // Σ_{j<c} I_j, already updated today
+		daily := 0.0
 		for c := 0; c < n; c++ {
 			lambda := beta * m.pressure(c, i, head+tail[c+1])
 			newExposed := lambda * s[c]
@@ -222,11 +221,19 @@ func (m *Model) Run(p Params, days int, seeds []Seed, scenarios []Scenario) (*Tr
 			e[c] += newExposed - newInfectious
 			i[c] += newInfectious - newRecovered
 			head += i[c]
-			traj.NewConfirmed[c][d] = p.Detect * newInfectious
-			traj.Infectious[c][d] = i[c]
+			confirmed := p.Detect * newInfectious
+			daily += confirmed
+			if traj != nil {
+				traj.NewConfirmed[c][d] = confirmed
+				traj.Infectious[c][d] = i[c]
+			}
+		}
+		if cum != nil {
+			total += daily
+			cum[d] = total
 		}
 	}
-	return traj, nil
+	return traj, cum, nil
 }
 
 // RunStochastic integrates the same dynamics with binomial transition noise

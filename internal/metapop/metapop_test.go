@@ -457,6 +457,46 @@ func TestRunMatchesDenseOracle(t *testing.T) {
 	}
 }
 
+// TestStateCurveMatchesRun: the state curve equals Run's per-county series
+// summed and accumulated, bit for bit, over the oracle's regions and scales.
+func TestStateCurveMatchesRun(t *testing.T) {
+	scales := []int{1, 250, 2000}
+	if testing.Short() {
+		scales = []int{2000}
+	}
+	p := Params{Beta: 0.3, Sigma: 1.0 / 3, Gamma: 1.0 / 5, Detect: 0.39}
+	seeds := []Seed{{CountyIndex: 0, Infectious: 5}}
+	for _, st := range synthpop.States {
+		for _, scale := range scales {
+			scaled := st
+			scaled.Population = max(st.Population/scale, st.Counties)
+			m, err := NewFromState(scaled, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, scs := range [][]Scenario{nil, oracleScenarios(200)} {
+				traj, err := m.Run(p, 200, seeds, scs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.StateCurve(p, 200, seeds, scs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d, want := range traj.StateCumConfirmed() {
+					if math.Float64bits(got[d]) != math.Float64bits(want) {
+						t.Fatalf("%s 1:%d windows=%v day %d: state curve %v, Run %v",
+							st.Code, scale, scs != nil, d, got[d], want)
+					}
+				}
+			}
+		}
+	}
+	if _, err := vaScaled(t).StateCurve(defaultParams(), 0, seeds, nil); err == nil {
+		t.Fatal("StateCurve accepted a zero horizon")
+	}
+}
+
 // TestRunStochasticMatchesDenseTwin requires the same draws, hence the same
 // trajectory, from the closed form and the dense sum at a fixed seed.
 func TestRunStochasticMatchesDenseTwin(t *testing.T) {
@@ -571,13 +611,17 @@ func vaScaled(t testing.TB) *Model {
 }
 
 // TestRunAllocs: a run allocates its state, one slab per output series and
-// the row headers — a constant, not two rows per county.
+// the row headers — a constant, not two rows per county; the state curve
+// allocates its state and the curve alone.
 func TestRunAllocs(t *testing.T) {
 	m := vaScaled(t)
 	p := defaultParams()
 	seeds := []Seed{{CountyIndex: 0, Infectious: 5}}
 	if a := testing.AllocsPerRun(20, func() { _, _ = m.Run(p, 60, seeds, nil) }); a > 6 {
 		t.Errorf("Run: %v allocations per run, want ≤ 6", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { _, _ = m.StateCurve(p, 60, seeds, nil) }); a > 2 {
+		t.Errorf("StateCurve: %v allocations per run, want ≤ 2 (state and curve)", a)
 	}
 	rng := stats.NewRNG(1)
 	if a := testing.AllocsPerRun(20, func() { _, _ = m.RunStochastic(p, 60, seeds, nil, rng) }); a > 9 {
@@ -599,12 +643,51 @@ func BenchmarkRunVA(b *testing.B) {
 	}
 }
 
+// BenchmarkStateCurveVA is BenchmarkRunVA's run read as the one state
+// curve the fidelity rung serves.
+func BenchmarkStateCurveVA(b *testing.B) {
+	m := vaScaled(b)
+	p := Params{Beta: 0.3, Sigma: 1.0 / 3, Gamma: 1.0 / 5, Detect: 0.39}
+	seeds := []Seed{{CountyIndex: 0, Infectious: 5}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		if _, err := m.StateCurve(p, 60, seeds, oracleScenarios(60)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // countyCumConfirmed returns one county's cumulative confirmed series.
 func (t *Trajectory) countyCumConfirmed(c int) []float64 {
 	out := make([]float64, t.Days)
 	acc := 0.0
 	for d := 0; d < t.Days; d++ {
 		acc += t.NewConfirmed[c][d]
+		out[d] = acc
+	}
+	return out
+}
+
+// StateNewConfirmed sums daily confirmed cases over counties.
+func (t *Trajectory) StateNewConfirmed() []float64 {
+	out := make([]float64, t.Days)
+	for _, s := range t.NewConfirmed {
+		for d, v := range s {
+			out[d] += v
+		}
+	}
+	return out
+}
+
+// StateCumConfirmed returns the state-level cumulative confirmed series:
+// the oracle StateCurve must equal bit for bit.
+func (t *Trajectory) StateCumConfirmed() []float64 {
+	daily := t.StateNewConfirmed()
+	out := make([]float64, len(daily))
+	acc := 0.0
+	for d, v := range daily {
+		acc += v
 		out[d] = acc
 	}
 	return out

@@ -69,42 +69,30 @@ func resultFromAnswer(spec Spec, d fidelity.Decision) (*Result, error) {
 	if ans == nil {
 		return nil, fmt.Errorf("scenario: tier %s decision carried no answer", d.Tier)
 	}
-	band := func(name string) (Band, error) {
+	var missing error // the first series the answer lacks
+	band := func(name string) Band {
 		f, ok := ans.Series[name]
-		if !ok {
-			return Band{}, fmt.Errorf("scenario: tier %s answer missing series %q", d.Tier, name)
+		if !ok && missing == nil {
+			missing = fmt.Errorf("scenario: tier %s answer missing series %q", d.Tier, name)
 		}
-		return bandFrom(f), nil
+		return bandFrom(f)
 	}
+	res := &Result{}
 	switch spec.Workflow {
 	case WorkflowPrediction:
-		pr := &PredictionResult{Counties: ans.Counties}
-		var err error
-		if pr.Confirmed, err = band(fidelity.SeriesConfirmed); err != nil {
-			return nil, err
-		}
-		if pr.Hospitalized, err = band(fidelity.SeriesHospitalized); err != nil {
-			return nil, err
-		}
-		if pr.Deaths, err = band(fidelity.SeriesDeaths); err != nil {
-			return nil, err
-		}
-		return &Result{Prediction: pr}, nil
+		res.Prediction = &PredictionResult{Counties: ans.Counties, Confirmed: band(fidelity.SeriesConfirmed),
+			Hospitalized: band(fidelity.SeriesHospitalized), Deaths: band(fidelity.SeriesDeaths)}
 	case WorkflowWhatIf:
-		res := &Result{}
 		for _, w := range spec.WhatIfs {
-			sr := ScenarioResult{Name: w.Name}
-			var err error
-			if sr.Confirmed, err = band(fidelity.ScenarioSeries(w.Name, fidelity.SeriesConfirmed)); err != nil {
-				return nil, err
-			}
-			if sr.Deaths, err = band(fidelity.ScenarioSeries(w.Name, fidelity.SeriesDeaths)); err != nil {
-				return nil, err
-			}
-			res.Scenarios = append(res.Scenarios, sr)
+			res.Scenarios = append(res.Scenarios, ScenarioResult{Name: w.Name,
+				Confirmed: band(fidelity.ScenarioSeries(w.Name, fidelity.SeriesConfirmed)),
+				Deaths:    band(fidelity.ScenarioSeries(w.Name, fidelity.SeriesDeaths))})
 		}
-		return res, nil
 	default:
 		return nil, fmt.Errorf("scenario: workflow %q has no surrogate answer shape", spec.Workflow)
 	}
+	if missing != nil {
+		return nil, missing
+	}
+	return res, nil
 }

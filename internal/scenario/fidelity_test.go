@@ -377,3 +377,43 @@ func TestResultCacheHitRatioGauge(t *testing.T) {
 		t.Fatal("epi_scenario_cache_hit_ratio not exposed")
 	}
 }
+
+// TestResultFromAnswerNamesMissingSeries: a surrogate answer that lacks a
+// series the workflow serves is an error naming the first one missing, for
+// both workflow shapes; a complete answer maps every series.
+func TestResultFromAnswerNamesMissingSeries(t *testing.T) {
+	f := core.Forecast{Median: []float64{1}, Lo: []float64{0}, Hi: []float64{2}}
+	wi := []WhatIfSpec{{Name: "a"}, {Name: "b"}}
+	full := map[string]core.Forecast{fidelity.SeriesConfirmed: f, fidelity.SeriesHospitalized: f, fidelity.SeriesDeaths: f}
+	for _, w := range wi {
+		full[fidelity.ScenarioSeries(w.Name, fidelity.SeriesConfirmed)] = f
+		full[fidelity.ScenarioSeries(w.Name, fidelity.SeriesDeaths)] = f
+	}
+	for _, c := range []struct {
+		spec Spec
+		drop string
+	}{
+		{Spec{Workflow: WorkflowPrediction}, fidelity.SeriesHospitalized},
+		{Spec{Workflow: WorkflowWhatIf, WhatIfs: wi}, fidelity.ScenarioSeries("b", fidelity.SeriesConfirmed)},
+	} {
+		d := fidelity.Decision{Tier: fidelity.TierMetapop, Answer: &fidelity.Answer{Series: full, Counties: 3}}
+		res, err := resultFromAnswer(c.spec, d)
+		if err != nil || (res.Prediction == nil) == (c.spec.Workflow == WorkflowPrediction) ||
+			len(res.Scenarios) != len(c.spec.WhatIfs) {
+			t.Fatalf("%s, full answer: %+v, %v", c.spec.Workflow, res, err)
+		}
+		partial := map[string]core.Forecast{}
+		for k, v := range full {
+			if k != c.drop {
+				partial[k] = v
+			}
+		}
+		d.Answer = &fidelity.Answer{Series: partial}
+		if _, err := resultFromAnswer(c.spec, d); err == nil || !strings.Contains(err.Error(), c.drop) {
+			t.Errorf("%s without %q: error %v", c.spec.Workflow, c.drop, err)
+		}
+	}
+	if _, err := resultFromAnswer(Spec{Workflow: WorkflowPrediction}, fidelity.Decision{Tier: fidelity.TierEmulator}); err == nil {
+		t.Error("a decision without an answer gave a result")
+	}
+}

@@ -186,14 +186,21 @@ type Job struct {
 type storeEntry struct {
 	res   *Result
 	once  sync.Once
-	reply []byte
+	reply []byte // exactly the reply's length; nil if it cannot be encoded
+	err   error
 }
 
-// body returns the 200 reply for the entry's result, byte for byte what
-// writeJSON sends for it.
-func (e *storeEntry) body() []byte {
-	e.once.Do(func() { e.reply = encodeJSON(e.res) })
-	return e.reply
+// body returns the 200 reply for the entry's result, byte for byte what a
+// miss sends for it, or why the result has none.
+func (e *storeEntry) body() ([]byte, error) {
+	e.once.Do(func() {
+		buf := replyBufs.Get().(*[]byte)
+		if *buf, e.err = appendResult((*buf)[:0], e.res); e.err == nil {
+			e.reply = append(make([]byte, 0, len(*buf)), *buf...)
+		}
+		replyBufs.Put(buf)
+	})
+	return e.reply, e.err
 }
 
 // completedJob wraps a result-store hit as an already-done job.

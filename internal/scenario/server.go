@@ -89,13 +89,24 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 }
 
 // writeResult writes a finished job's result: a result-store hit writes
-// its entry's memoized bytes, anything else encodes res.
+// its entry's memoized bytes, anything else writes res through a pooled
+// buffer. A result JSON cannot carry is a 500, never an empty 200.
 func writeResult(w http.ResponseWriter, job *Job, res *Result) {
+	var body []byte
+	var err error
 	if job.entry != nil {
-		writeBody(w, http.StatusOK, job.entry.body())
+		body, err = job.entry.body()
+	} else {
+		buf := replyBufs.Get().(*[]byte)
+		defer replyBufs.Put(buf)
+		*buf, err = appendResult((*buf)[:0], res)
+		body = *buf
+	}
+	if err != nil {
+		writeReasonError(w, http.StatusInternalServerError, "unencodable", err.Error(), nil)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeBody(w, http.StatusOK, body)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
