@@ -40,6 +40,7 @@ func (s *Sim) Fork(cfg Config) (*Sim, error) {
 	f.ctxMask, f.isolatedUntil, f.effMaskT = slices.Clone(s.ctxMask), slices.Clone(s.isolatedUntil), slices.Clone(s.effMaskT)
 	f.effInf, f.infNbr = slices.Clone(s.effInf), slices.Clone(s.infNbr)
 	f.effInfBits, f.riskBits, f.susBits = slices.Clone(s.effInfBits), slices.Clone(s.riskBits), slices.Clone(s.susBits)
+	f.homeOnly, f.homeRisk, f.homeNbr = slices.Clone(s.homeOnly), slices.Clone(s.homeRisk), slices.Clone(s.homeNbr)
 	f.isolExpiry = cloneRows(s.isolExpiry)
 	f.serial = shard{last: s.serial.last}
 	if cfg.Parallelism > 0 && cfg.Parallelism != s.cfg.Parallelism {
@@ -76,6 +77,7 @@ func (s *Sim) RetainedBytes() int64 {
 		capBytes(s.health) + capBytes(s.nextState) + capBytes(s.switchTick) + capBytes(s.infectivityScale) +
 		capBytes(s.susceptibilityScale) + capBytes(s.ctxMask) + capBytes(s.isolatedUntil) + capBytes(s.effInf) +
 		capBytes(s.effMaskT) + capBytes(s.infNbr) + capBytes(s.effInfBits) + capBytes(s.riskBits) + capBytes(s.susBits) +
+		capBytes(s.homeOnly) + capBytes(s.homeRisk) + capBytes(s.homeNbr) +
 		capBytes(s.todayEvents) + capBytes(s.memTrace) + capBytes(s.scheduled) + rowBytes(s.isolExpiry) +
 		capBytes(s.shardStarts) + capBytes(s.ownerWord)
 	for i := range s.shards {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -283,6 +284,20 @@ var refStacks = []struct {
 			&TestAndIsolate{DailyDetectRate: 0.3, IsolationDays: 6},
 		}
 	}},
+	{"lockdown", func(days int) []Intervention {
+		// Every non-home context closes network-wide a third of the way in
+		// and reopens at two thirds: everyone is home-only in between.
+		on, off := days/3, 2*days/3
+		return []Intervention{&Triggered{
+			Label: "lockdown",
+			When:  func(_ *Sim, day int) bool { return day == on || day == off },
+			Do: func(s *Sim, day int, _ *stats.RNG) {
+				for _, c := range nonHomeContexts {
+					s.SetGlobalContext(c, day == off)
+				}
+			},
+		}}
+	}},
 	{"infectivity>1", func(int) []Intervention {
 		return []Intervention{&EnsembleIntervention{
 			Label:   "superspreaders",
@@ -428,8 +443,11 @@ func TestKernelMatchesReference(t *testing.T) {
 // thinning rests on: at every tick, for every susceptible node the reference
 // finds a positive total propensity for, σ·propBound·(the node's
 // infectious-contact T·w) is at least that total, and the node is on the
-// at-risk frontier. A bound that fell short would not fail loudly on its own
-// — it would skip a row whose draw might have infected.
+// filtered frontier. A bound or a filter that fell short would not fail
+// loudly on its own — it would skip a row whose draw might have infected.
+// The transmit phase must visit exactly the frontier's nodes, which under a
+// lockdown are strictly fewer than the at-risk susceptible ones: bit
+// identity alone cannot tell a dropped filter from a kept one.
 func TestThinningBoundDominates(t *testing.T) {
 	for _, w := range refWorlds(t) {
 		for _, st := range refStacks {
@@ -441,18 +459,45 @@ func TestThinningBoundDominates(t *testing.T) {
 					t.Fatal(err)
 				}
 				var res *Result
-				var words []uint64
+				var words, front []uint64
 				checked, slack := 0, 0.0
+				var visits, filtered, unfiltered int64
 				for day := 0; day < w.days; day++ {
 					// The words the transmit phase of `day` reads are the
 					// ones its scheduled actions leave: a seeding into an
 					// infectious state bumps neighbors. Actions run in the
 					// order they were queued, so this one runs last and
-					// copies the words transmit reads.
-					sim.Schedule(day, func(s *Sim) { words = append(words[:0], s.infNbr...) })
+					// copies the words transmit reads. The home-only bits
+					// come from effMask, the masks the upkeep phase is
+					// about to cache.
+					sim.Schedule(day, func(s *Sim) {
+						words = append(words[:0], s.infNbr...)
+						front = front[:0]
+						for wi := range s.riskBits {
+							var only uint64
+							for v := int32(wi << 6); v < int32(wi+1)<<6 && int(v) < len(s.effMaskT); v++ {
+								if s.effMask(v)&^homeOnlyMask == 0 {
+									only |= 1 << (v & 63)
+								}
+							}
+							if only != 0 && s.homeNbr == nil {
+								t.Fatalf("%s day %d: a person is confined but the home tables never started", label, day)
+							}
+							front = append(front, frontier(s.riskBits[wi], s.susBits[wi], only, s.homeRisk[wi]))
+							unfiltered += int64(bits.OnesCount64(s.riskBits[wi] & s.susBits[wi]))
+						}
+					})
 					if res, err = sim.RunSegment(res, day+1); err != nil {
 						t.Fatal(err)
 					}
+					var want int64
+					for _, fw := range front {
+						want += int64(bits.OnesCount64(fw))
+					}
+					if sim.work.atRiskVisits != want {
+						t.Fatalf("%s day %d: transmit visited %d nodes, the frontier holds %d", label, day, sim.work.atRiskVisits, want)
+					}
+					visits, filtered = visits+sim.work.atRiskVisits, filtered+want
 					ref.step(day)
 					for v, total := range ref.totals {
 						if total <= 0 {
@@ -460,6 +505,9 @@ func TestThinningBoundDominates(t *testing.T) {
 						}
 						if words[v]&nbrCountMask == 0 {
 							t.Fatalf("%s day %d: node %d has propensity %g but is not at risk", label, day, v, total)
+						}
+						if front[v>>6]>>(v&63)&1 == 0 {
+							t.Fatalf("%s day %d: node %d has propensity %g but is outside the frontier", label, day, v, total)
 						}
 						bound := ref.sigmas[v] * sim.propBound * float64(words[v]>>nbrCountBits) * quantTWUnit
 						if bound < total {
@@ -475,7 +523,11 @@ func TestThinningBoundDominates(t *testing.T) {
 				if checked < 1000 {
 					t.Fatalf("%s: only %d node-ticks checked; the case is vacuous", label, checked)
 				}
-				t.Logf("%s: %d node-ticks, mean bound/propensity %.2f", label, checked, slack/float64(checked))
+				if st.name == "lockdown" && visits >= unfiltered {
+					t.Fatalf("%s: the lockdown left %d of %d at-risk susceptible visits; the filter took none", label, visits, unfiltered)
+				}
+				t.Logf("%s: %d node-ticks, mean bound/propensity %.2f, visits %d of %d at-risk susceptible",
+					label, checked, slack/float64(checked), filtered, unfiltered)
 			}
 		}
 	}
@@ -485,13 +537,17 @@ func TestThinningBoundDominates(t *testing.T) {
 // networks: random size, random multigraph contacts with random contexts,
 // durations and weights, a random seed, a random stack and shard count, and
 // SIR in place of the waning COVID-19 model when bit 16 of shape is set.
-// Every case seeds three persons on day 0 and two more on day 3.
+// Every case seeds three persons on day 0 and two more on day 3. shape picks
+// the stack modulo len(refStacks) and the shard count from bits 2–3; the
+// seeds cover every stack, the lockdown at 4 shards and under SIR.
 func FuzzKernelMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint16(150), uint8(0))
-	f.Add(uint64(2), uint16(300), uint8(5))
-	f.Add(uint64(3), uint16(70), uint8(10))
-	f.Add(uint64(4), uint16(520), uint8(15))
+	f.Add(uint64(2), uint16(300), uint8(6))
+	f.Add(uint64(3), uint16(70), uint8(42))
+	f.Add(uint64(4), uint16(520), uint8(14))
 	f.Add(uint64(5), uint16(200), uint8(22))
+	f.Add(uint64(6), uint16(260), uint8(8))
+	f.Add(uint64(7), uint16(180), uint8(18))
 	f.Fuzz(func(t *testing.T, seed uint64, size uint16, shape uint8) {
 		n := 65 + int(size)%600
 		r := stats.NewRNG(seed)

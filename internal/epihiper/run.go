@@ -286,7 +286,7 @@ func (s *Sim) publishMetrics(phaseStart [numPhases]float64) {
 		name, help string
 		n          int64
 	}{
-		{"epi_kernel_at_risk_visits_total", "Frontier nodes (susceptible with an infectious neighbor) the transmit phase visited.", s.work.atRiskVisits},
+		{"epi_kernel_at_risk_visits_total", "Frontier nodes the transmit phase visited: susceptible with an infectious neighbor, less home-only persons with no infectious home contact.", s.work.atRiskVisits},
 		{"epi_kernel_row_scans_total", "Frontier nodes whose contact row was scanned because the thinning bound did not decide.", s.work.rowScans},
 		{"epi_kernel_edge_visits_total", "Contacts read by the kernel: row-scan steps plus neighbor updates of the mutate phase.", s.work.edgeVisits},
 		{"epi_kernel_exposures_total", "Infections decided by the transmit phase.", s.work.exposures},
@@ -343,16 +343,15 @@ func (s *Sim) transmissionPhase(p synthpop.Partition, day int, buf []exposure, s
 	attrs := &s.model.Attrs
 	propBound := s.propBound
 	var work kernelWork
-	// Iterate the frontier — at risk AND susceptible — word by word instead
-	// of testing every node: a whole zero word, 64 nodes nobody can infect
-	// today, costs two loads, and set bits enumerate in ascending node
-	// order so the exposure buffer keeps the canonical order the serial
-	// kernel produced.
-	risk, susc := s.riskBits, s.susBits
+	// Iterate the frontier word by word instead of testing every node: a
+	// whole zero word, 64 nodes nobody can infect today, costs four loads,
+	// and set bits enumerate in ascending node order so the exposure buffer
+	// keeps the canonical order the serial kernel produced.
+	risk, susc, homeOnly, homeRisk := s.riskBits, s.susBits, s.homeOnly, s.homeRisk
 	loWord := int(uint32(p.FirstNode) >> 6)
 	hiWord := int(uint32(p.LastNode) >> 6)
 	for wi := loWord; wi <= hiWord; wi++ {
-		w := risk[wi] & susc[wi]
+		w := frontier(risk[wi], susc[wi], homeOnly[wi], homeRisk[wi])
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &= w - 1
@@ -445,6 +444,13 @@ func (s *Sim) transmissionPhase(p synthpop.Partition, day int, buf []exposure, s
 	}
 	s.ownerOf(p.FirstNode).work.add(work)
 	return buf, scratch
+}
+
+// frontier is one word of the transmit frontier: at risk and susceptible,
+// less the home-only persons with no infectious home contact, whose total
+// propensity is 0 — skipping their keyed draw changes no decision.
+func frontier(risk, susc, homeOnly, homeRisk uint64) uint64 {
+	return risk & susc & (^homeOnly | homeRisk)
 }
 
 // expNeg returns e^{-x} guarding the common small-x case with the two-term

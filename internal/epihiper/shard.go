@@ -73,9 +73,11 @@ var phaseNames = [numPhases]string{"upkeep", "transmit", "mutate", "exchange"}
 
 // nbrUpdate is the typed cross-shard message: "node pid (yours) gained
 // (q > 0) or lost (q < 0) an infectious neighbor (mine) over a contact of
-// fixed-point weight |q| = synthpop.QuantTW(T·w)". It is the only state any
-// shard ever communicates to another — everything else a shard learns about
-// remote nodes it reads from the phase-frozen tables.
+// fixed-point weight |q| = synthpop.QuantTW(T·w)". Once the home tables have
+// started, pid = ^v marks a contact that is home on v's side, which moves
+// v's home count by the sign of q too. It is the only state any shard ever
+// communicates to another — everything else a shard learns about remote
+// nodes it reads from the phase-frozen tables.
 type nbrUpdate struct {
 	pid int32
 	q   int32
@@ -226,13 +228,13 @@ func (s *Sim) upkeepPhase(sh *shard, day int) {
 	if day < len(s.isolExpiry) {
 		for _, pid := range s.isolExpiry[day] {
 			if sh.owns(pid) {
-				s.effMaskT[pid] = s.effMask(pid)
+				s.setEffMask(pid, s.effMask(pid))
 			}
 		}
 	}
 	if s.maskDirtyAll {
 		for pid := sh.first; pid <= sh.last; pid++ {
-			s.effMaskT[pid] = s.effMask(pid)
+			s.setEffMask(pid, s.effMask(pid))
 		}
 	}
 }
@@ -285,6 +287,10 @@ func (s *Sim) mutatePhase(sh *shard, day int) {
 func (s *Sim) exchangePhase(sh *shard) {
 	for src := range s.shards {
 		for _, u := range s.shards[src].outbox[sh.id] {
+			if u.pid < 0 {
+				u.pid = ^u.pid
+				s.bumpHome(u.pid, u.q>>31|1)
+			}
 			s.bumpInfNbr(u.pid, u.q)
 		}
 	}

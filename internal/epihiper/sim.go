@@ -228,6 +228,14 @@ type Sim struct {
 	// word single-owner.
 	riskBits []uint64
 	susBits  []uint64
+	// homeOnly[v/64] has bit v%64 set iff effMaskT[v] enables no context
+	// but home; homeNbr[v] counts v's infectious neighbors over contacts
+	// that are home on v's side, and homeRisk has v's bit set iff that
+	// count is nonzero. homeNbr stays nil, and both bitsets zero, until
+	// trackHome: an unmitigated run never counts home contacts.
+	homeOnly []uint64
+	homeRisk []uint64
+	homeNbr  []int32
 	// isolExpiry[d] lists the persons whose isolation window ends on day
 	// d, whose cached masks must be refreshed that morning.
 	isolExpiry [][]int32
@@ -361,6 +369,8 @@ func newSim(cfg Config) (*Sim, error) {
 		effInfBits:          make([]uint64, (n+63)/64),
 		riskBits:            make([]uint64, (n+63)/64),
 		susBits:             make([]uint64, (n+63)/64),
+		homeOnly:            make([]uint64, (n+63)/64),
+		homeRisk:            make([]uint64, (n+63)/64),
 		infNbr:              make([]uint64, n),
 		isolExpiry:          make([][]int32, cfg.Days),
 		scaleHW:             1,
@@ -381,7 +391,7 @@ func newSim(cfg Config) (*Sim, error) {
 		s.infectivityScale[i] = 1
 		s.susceptibilityScale[i] = 1
 		s.ctxMask[i] = allContexts
-		s.effMaskT[i] = allContexts
+		s.setEffMask(int32(i), allContexts)
 		s.updateEffInf(int32(i))
 	}
 	s.currentByState[disease.Susceptible] = n
@@ -544,14 +554,66 @@ func (s *Sim) bumpNeighbors(sh *shard, pid, neg int32) {
 	off, end := s.csr.Offsets[pid], s.csr.Offsets[pid+1]
 	first, span := uint32(sh.first), uint32(sh.last-sh.first)
 	sh.work.edgeVisits += end - off
-	codes, qOf := s.csr.Code[off:end], s.csr.Q
-	for i, v := range s.csr.Nbr[off:end] {
+	codes, qOf, nbrs := s.csr.Code[off:end], s.csr.Q, s.csr.Nbr[off:end]
+	if s.homeNbr != nil {
+		// The same loop, also counting the contacts that are home on the
+		// neighbor's side; a remote one is sent as ^v.
+		ctxs := s.csr.Ctx[off:end]
+		for i, v := range nbrs {
+			q := (qOf[codes[i]] ^ neg) - neg
+			home := ctxs[i]>>3 == uint8(synthpop.CtxHome)
+			if uint32(v)-first <= span {
+				s.bumpInfNbr(v, q)
+				if home {
+					s.bumpHome(v, neg|1)
+				}
+			} else {
+				d := s.ownerWord[uint32(v)>>6]
+				if home {
+					v = ^v
+				}
+				sh.outbox[d] = append(sh.outbox[d], nbrUpdate{pid: v, q: q})
+			}
+		}
+		return
+	}
+	for i, v := range nbrs {
 		q := (qOf[codes[i]] ^ neg) - neg
 		if uint32(v)-first <= span {
 			s.bumpInfNbr(v, q)
 		} else {
 			d := s.ownerWord[uint32(v)>>6]
 			sh.outbox[d] = append(sh.outbox[d], nbrUpdate{pid: v, q: q})
+		}
+	}
+}
+
+// bumpHome adds d = ±1 to v's home count, flipping its home risk bit when
+// the count crosses 0↔1; as for bumpInfNbr, only v's owner calls it.
+func (s *Sim) bumpHome(v, d int32) {
+	old := s.homeNbr[v]
+	s.homeNbr[v] = old + d
+	if (old == 0) != (old+d == 0) {
+		s.homeRisk[uint32(v)>>6] ^= 1 << (uint32(v) & 63)
+	}
+}
+
+// trackHome starts the home tables on the first serial call that can confine
+// someone, before its mask write; setEffMask and bumpNeighbors keep them.
+// Every confining write calls it first, so no bit of homeOnly is due yet.
+func (s *Sim) trackHome() {
+	if s.homeNbr != nil {
+		return
+	}
+	s.homeNbr = make([]int32, len(s.health))
+	for pid, h := range s.health {
+		if !s.model.IsInfectious(h) {
+			continue
+		}
+		for k := s.csr.Offsets[pid]; k < s.csr.Offsets[pid+1]; k++ {
+			if s.csr.Ctx[k]>>3 == uint8(synthpop.CtxHome) {
+				s.bumpHome(s.csr.Nbr[k], 1)
+			}
 		}
 	}
 }
@@ -621,6 +683,19 @@ func (s *Sim) effMask(pid int32) uint8 {
 	return m
 }
 
+// setEffMask caches pid's effective mask m and, while home contacts are
+// tracked, its home-only bit: every write of effMaskT goes through it.
+func (s *Sim) setEffMask(pid int32, m uint8) {
+	s.effMaskT[pid] = m
+	if s.homeNbr != nil {
+		wi, bit := uint32(pid)>>6, uint64(1)<<(uint32(pid)&63)
+		s.homeOnly[wi] &^= bit
+		if m&^homeOnlyMask == 0 {
+			s.homeOnly[wi] |= bit
+		}
+	}
+}
+
 // Day returns the current simulation day.
 func (s *Sim) Day() int { return s.day }
 
@@ -646,9 +721,10 @@ func (s *Sim) setContextBits(pid int32, bits uint8, enabled bool) {
 	if enabled {
 		s.ctxMask[pid] |= bits
 	} else {
+		s.trackHome()
 		s.ctxMask[pid] &^= bits
 	}
-	s.effMaskT[pid] = s.effMask(pid)
+	s.setEffMask(pid, s.effMask(pid))
 }
 
 // SetContextWeight scales the effective weight of every contact whose
@@ -672,6 +748,7 @@ func (s *Sim) SetGlobalContext(ctx synthpop.Context, enabled bool) {
 	if enabled {
 		m |= bit
 	} else {
+		s.trackHome()
 		m &^= bit
 	}
 	if m == s.globalCtxMask {
@@ -685,11 +762,12 @@ func (s *Sim) SetGlobalContext(ctx synthpop.Context, enabled bool) {
 // (exclusive). Isolation state contributes to the dynamic-memory account.
 func (s *Sim) Isolate(pid int32, untilDay int) {
 	if int32(untilDay) > s.isolatedUntil[pid] {
+		s.trackHome()
 		if s.isolatedUntil[pid] <= int32(s.day) {
 			s.dynamicBytes += perScheduledChangeBytes
 		}
 		s.isolatedUntil[pid] = int32(untilDay)
-		s.effMaskT[pid] = s.effMask(pid)
+		s.setEffMask(pid, s.effMask(pid))
 		// The cached mask must be refreshed the morning the window ends.
 		if untilDay >= 0 && untilDay < len(s.isolExpiry) {
 			s.isolExpiry[untilDay] = append(s.isolExpiry[untilDay], pid)

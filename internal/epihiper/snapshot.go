@@ -469,20 +469,27 @@ func (s *Sim) applyInterventionState(name string, data []byte) {
 
 // rebuildDerived recomputes every table that is a pure function of the
 // serialized state: effective-infectivity caches and the susceptible bitset,
-// context masks, infectious-contact words with the at-risk bitset,
-// progression calendars and isolation-expiry lists.
+// context masks, infectious-contact words with the at-risk bitset, the
+// home-contact tables when a mask confines someone, progression calendars
+// and isolation-expiry lists.
 func (s *Sim) rebuildDerived() {
 	n := s.net.NumNodes()
 	clear(s.infNbr)
 	clear(s.riskBits)
-	for i := 0; i < n; i++ {
-		s.updateEffInf(int32(i))
-		s.effMaskT[i] = s.effMask(int32(i))
-	}
+	clear(s.homeOnly)
+	clear(s.homeRisk)
+	s.homeNbr = nil
 	for pid := int32(0); int(pid) < n; pid++ {
 		if s.model.IsInfectious(s.health[pid]) {
 			s.bumpNeighbors(&s.serial, pid, 0)
 		}
+	}
+	for i := 0; i < n; i++ {
+		s.updateEffInf(int32(i))
+		if s.effMask(int32(i))&^homeOnlyMask == 0 {
+			s.trackHome()
+		}
+		s.setEffMask(int32(i), s.effMask(int32(i)))
 	}
 	s.fillCalendars()
 	s.isolExpiry = make([][]int32, s.cfg.Days)

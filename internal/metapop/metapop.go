@@ -188,10 +188,10 @@ func (m *Model) integrate(p Params, days int, seeds []Seed, scenarios []Scenario
 	for c := range m.Counties {
 		s[c] = m.Counties[c].Pop
 	}
+	if err := checkSeeds(seeds, n); err != nil {
+		return nil, nil, err
+	}
 	for _, sd := range seeds {
-		if sd.CountyIndex < 0 || sd.CountyIndex >= n {
-			return nil, nil, fmt.Errorf("metapop: seed county %d out of range", sd.CountyIndex)
-		}
 		amount := math.Min(sd.Infectious, s[sd.CountyIndex])
 		s[sd.CountyIndex] -= amount
 		i[sd.CountyIndex] += amount
@@ -247,6 +247,9 @@ func (m *Model) RunStochastic(p Params, days int, seeds []Seed, scenarios []Scen
 		return nil, fmt.Errorf("metapop: bad parameters %+v", p)
 	}
 	n := len(m.Counties)
+	if err := checkSeeds(seeds, n); err != nil {
+		return nil, err
+	}
 	s := make([]int, n)
 	e := make([]int, n)
 	i := make([]int, n)
@@ -282,6 +285,16 @@ func (m *Model) RunStochastic(p Params, days int, seeds []Seed, scenarios []Scen
 		}
 	}
 	return traj, nil
+}
+
+// checkSeeds refuses a seed whose county is not one of the model's n.
+func checkSeeds(seeds []Seed, n int) error {
+	for _, sd := range seeds {
+		if sd.CountyIndex < 0 || sd.CountyIndex >= n {
+			return fmt.Errorf("metapop: seed county %d out of range", sd.CountyIndex)
+		}
+	}
+	return nil
 }
 
 // pressure is county c's infectious pressure per unit Beta, given the

@@ -178,6 +178,23 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunStochasticRejectsOutOfRangeSeed holds RunStochastic to Run's answer
+// for a seed county outside the model: the same error, not a panic.
+func TestRunStochasticRejectsOutOfRangeSeed(t *testing.T) {
+	m := testModel(t)
+	for _, c := range []int{-1, len(m.Counties), 999} {
+		seeds := []Seed{{CountyIndex: 0, Infectious: 5}, {CountyIndex: c, Infectious: 5}}
+		_, want := m.Run(defaultParams(), 10, seeds, nil)
+		if want == nil {
+			t.Fatalf("Run accepted seed county %d", c)
+		}
+		_, err := m.RunStochastic(defaultParams(), 10, seeds, nil, stats.NewRNG(1))
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("seed county %d: RunStochastic error %v, Run's %v", c, err, want)
+		}
+	}
+}
+
 func TestRunStochasticMatchesDeterministicInMean(t *testing.T) {
 	m := testModel(t)
 	p := defaultParams()
