@@ -61,12 +61,12 @@ func requireCountersExact(t *testing.T, label string, sim *Sim) {
 
 // The incremental infectious-neighbor counters must exactly match a
 // from-scratch recount after any run — the invariant the transmission
-// fast-path depends on. The isolations start the home tables mid-run; at 4
-// shards their updates also cross shard lines, and a restore (rebuildDerived)
-// or a fork at day 12 must carry them.
+// fast-path depends on. The isolations start the home tables mid-run; on
+// more than one shard their updates also cross shard lines, and a restore
+// (rebuildDerived) or a fork at day 12 must carry them.
 func TestInfectiousNeighborCountersConsistent(t *testing.T) {
 	net := testNetwork(t, 70)
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		for _, days := range []int{1, 17, 80} {
 			label := fmt.Sprintf("shards=%d/days=%d", shards, days)
 			cfg := baseConfig(net, 5000)
