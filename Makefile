@@ -1,4 +1,4 @@
-# Repeatable gates for the repo. `make tier1` is the seed gate (build +
+# Repeatable gates for the repo. `make tier1` is the seed gate (build, vet and
 # tests); `make race` runs the full suite under the race detector — the
 # fault-injection layer, the popdb/workflow concurrency paths and the
 # scenario service's front door and queue must stay race-clean. `make vet`
@@ -10,7 +10,7 @@ GO ?= go
 
 tier1:
 	$(GO) build ./...
-	$(GO) vet ./internal/obs
+	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/mcmc ./internal/calib ./internal/obs
 	$(GO) test -race ./internal/castore

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/calib"
 	"repro/internal/disease"
@@ -370,9 +369,12 @@ func (c *PredictionConfig) fillDefaults(replicates int) {
 	}
 }
 
-// Forecast is a daily series with a 95% band.
+// Forecast is a daily series with a 95% band, served as is in every
+// banded reply.
 type Forecast struct {
-	Median, Lo, Hi []float64
+	Median []float64 `json:"median"`
+	Lo     []float64 `json:"lo"`
+	Hi     []float64 `json:"hi"`
 }
 
 // PredictionOutcome carries the ensemble forecast.
@@ -439,26 +441,14 @@ func (p *Pipeline) RunPredictionWorkflowCtx(ctx context.Context, cfg PredictionC
 }
 
 // ensembleBand computes pointwise (2.5, 50, 97.5) percentiles over the
-// extracted series of every simulation, sorting one scratch column per day
-// in place.
+// extracted series of every simulation.
 func ensembleBand(sims []*SimOutput, days int, extract func(*SimOutput) []float64) Forecast {
 	series := make([][]float64, len(sims))
 	for i, s := range sims {
 		series[i] = extract(s)
 	}
-	f := Forecast{
-		Median: make([]float64, days),
-		Lo:     make([]float64, days),
-		Hi:     make([]float64, days),
-	}
-	vals := make([]float64, len(series))
-	for d := 0; d < days; d++ {
-		for i := range series {
-			vals[i] = series[i][d]
-		}
-		sort.Float64s(vals)
-		f.Lo[d], f.Median[d], f.Hi[d] = stats.SortedQuantile(vals, 0.025), stats.SortedQuantile(vals, 0.5), stats.SortedQuantile(vals, 0.975)
-	}
+	f := Forecast{Median: make([]float64, days), Lo: make([]float64, days), Hi: make([]float64, days)}
+	stats.EnsembleQuantiles(series, []float64{0.025, 0.5, 0.975}, f.Lo, f.Median, f.Hi)
 	return f
 }
 

@@ -3,7 +3,6 @@ package epihiper
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 
@@ -447,45 +446,16 @@ func ensembleQuantiles(results []*Result, st disease.State, qs ...float64) [][]f
 	if len(results) == 0 {
 		return nil
 	}
-	days := results[0].Days
 	out := make([][]float64, len(qs))
 	for i := range out {
-		out[i] = make([]float64, days)
+		out[i] = make([]float64, results[0].Days)
 	}
 	series := make([][]float64, len(results))
 	for i, r := range results {
 		series[i] = r.cumulativeInto(st)
 	}
-	vals := make([]float64, len(results))
-	for d := 0; d < days; d++ {
-		for i := range series {
-			vals[i] = series[i][d]
-		}
-		sort.Float64s(vals)
-		for qi, q := range qs {
-			out[qi][d] = sortedQuantile(vals, q)
-		}
-	}
+	stats.EnsembleQuantiles(series, qs, out...)
 	return out
-}
-
-func sortedQuantile(s []float64, q float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
 // cumulativeInto returns the cumulative daily series of entries into the

@@ -3,12 +3,12 @@ package fidelity
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/gp"
 	"repro/internal/linalg"
+	"repro/internal/stats"
 )
 
 // observation is one ABM-answered design point: the configuration and its
@@ -353,17 +353,23 @@ func (e *emulator) predictConfig(name string, th [paramDim]float64, buf *gp.Mult
 }
 
 // emulate answers a request from the fitted emulator: per-series bands
-// across the requested configurations and the worst-case uncertainty.
+// across the requested configurations and the worst-case uncertainty. The
+// mean and SD curves of every series share one slab, since band copies out
+// what it serves.
 func (e *emulator) emulate(req Request) (*Answer, float64) {
 	names := req.seriesNames()
 	buf := e.gps[names[0]].NewBuf()
 	ans := &Answer{Series: map[string]core.Forecast{}}
 	uncertainty := 0.0
+	n := len(req.Configs)
+	slab := make([]float64, 2*n*req.Days)
+	curves := make([][]float64, 2*n)
+	for c := range curves {
+		curves[c] = slab[c*req.Days : (c+1)*req.Days]
+	}
+	means, sds := curves[:n], curves[n:]
 	for _, name := range names {
-		means := make([][]float64, len(req.Configs))
-		sds := make([][]float64, len(req.Configs))
 		for c, pr := range req.Configs {
-			means[c], sds[c] = make([]float64, req.Days), make([]float64, req.Days)
 			e.predictConfig(name, theta(pr), buf, means[c], sds[c])
 			for _, sd := range sds[c] {
 				if u := 2 * sd; u > uncertainty {
@@ -384,30 +390,19 @@ func (e *emulator) emulate(req Request) (*Answer, float64) {
 func band(means, sds [][]float64) core.Forecast {
 	days := len(means[0])
 	f := core.Forecast{Median: make([]float64, days), Lo: make([]float64, days), Hi: make([]float64, days)}
-	vals := make([]float64, len(means))
+	stats.EnsembleQuantiles(means, []float64{0.5}, f.Median)
 	for d := 0; d < days; d++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for c := range means {
 			lo = math.Min(lo, expm1Clamped(means[c][d]-2*sds[c][d]))
 			hi = math.Max(hi, expm1Clamped(means[c][d]+2*sds[c][d]))
-			vals[c] = means[c][d]
 		}
-		f.Median[d], f.Lo[d], f.Hi[d] = expm1Clamped(sortedMedian(vals)), lo, hi
+		f.Median[d], f.Lo[d], f.Hi[d] = expm1Clamped(f.Median[d]), lo, hi
 		if d > 0 {
 			f.Median[d], f.Lo[d], f.Hi[d] = max(f.Median[d], f.Median[d-1]), max(lo, f.Lo[d-1]), max(hi, f.Hi[d-1])
 		}
 	}
 	return f
-}
-
-// sortedMedian returns the sample median of vals, sorting vals in place.
-func sortedMedian(vals []float64) float64 {
-	slices.Sort(vals)
-	n := len(vals)
-	if n%2 == 1 {
-		return vals[n/2]
-	}
-	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
 // uncorrectedError is the metapop tier's declared uncertainty before any

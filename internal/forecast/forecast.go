@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // Quantile pairs a probability level with its forecast value.
@@ -58,7 +60,7 @@ func FromSamples(samples []float64) (*Forecast, error) {
 	sort.Float64s(s)
 	var qs []Quantile
 	for _, p := range HubQuantileLevels() {
-		qs = append(qs, Quantile{P: p, V: sortedQuantile(s, p)})
+		qs = append(qs, Quantile{P: p, V: stats.SortedQuantile(s, p)})
 	}
 	return NewForecast(qs)
 }
@@ -69,19 +71,6 @@ func HubQuantileLevels() []float64 {
 		0.01, 0.025, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5,
 		0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.975, 0.99,
 	}
-}
-
-func sortedQuantile(s []float64, q float64) float64 {
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
 // Median returns the 0.5 quantile (interpolated when absent).

@@ -2,6 +2,7 @@ package forecast
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -36,25 +37,38 @@ func TestNewForecastValidation(t *testing.T) {
 	}
 }
 
+// TestFromSamples reads every hub level through stats.SortedQuantile, bit
+// for bit, and lands near the true quantiles of a large normal ensemble.
 func TestFromSamples(t *testing.T) {
 	r := stats.NewRNG(1)
-	samples := make([]float64, 5000)
-	for i := range samples {
-		samples[i] = r.Normal(100, 10)
-	}
-	f, err := FromSamples(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Quantiles) != 23 {
-		t.Fatalf("%d quantiles want 23 (hub standard)", len(f.Quantiles))
-	}
-	if math.Abs(f.Median()-100) > 1 {
-		t.Fatalf("median %v want ≈100", f.Median())
-	}
-	lo, hi := f.Interval(0.05)
-	if math.Abs(lo-(100-1.96*10)) > 1.5 || math.Abs(hi-(100+1.96*10)) > 1.5 {
-		t.Fatalf("95%% interval [%v, %v]", lo, hi)
+	for _, n := range []int{5000, 1, 2, 23} {
+		samples := make([]float64, n)
+		for i := range samples {
+			samples[i] = r.Normal(100, 10)
+		}
+		f, err := FromSamples(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Quantiles) != 23 {
+			t.Fatalf("%d quantiles want 23 (hub standard)", len(f.Quantiles))
+		}
+		slices.Sort(samples)
+		for i, p := range HubQuantileLevels() {
+			if q := f.Quantiles[i]; q.P != p || q.V != stats.SortedQuantile(samples, p) {
+				t.Fatalf("n=%d, level %v: %+v, want %v", n, p, q, stats.SortedQuantile(samples, p))
+			}
+		}
+		if n < 5000 {
+			continue
+		}
+		if math.Abs(f.Median()-100) > 1 {
+			t.Fatalf("median %v want ≈100", f.Median())
+		}
+		lo, hi := f.Interval(0.05)
+		if math.Abs(lo-(100-1.96*10)) > 1.5 || math.Abs(hi-(100+1.96*10)) > 1.5 {
+			t.Fatalf("95%% interval [%v, %v]", lo, hi)
+		}
 	}
 	if _, err := FromSamples(nil); err == nil {
 		t.Error("empty samples accepted")

@@ -3,7 +3,6 @@ package metapop
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/mcmc"
 	"repro/internal/stats"
@@ -218,16 +217,7 @@ func (m *Model) PredictBand(post []Params, days int, seeds []Seed, scenarios []S
 		}
 		series = append(series, cum)
 	}
-	lo = make([]float64, days)
-	med = make([]float64, days)
-	hi = make([]float64, days)
-	vals := make([]float64, len(series))
-	for d := 0; d < days; d++ {
-		for i := range series {
-			vals[i] = series[i][d]
-		}
-		slices.Sort(vals)
-		lo[d], med[d], hi[d] = stats.SortedQuantile(vals, 0.025), stats.SortedQuantile(vals, 0.5), stats.SortedQuantile(vals, 0.975)
-	}
+	lo, med, hi = make([]float64, days), make([]float64, days), make([]float64, days)
+	stats.EnsembleQuantiles(series, []float64{0.025, 0.5, 0.975}, lo, med, hi)
 	return lo, med, hi, nil
 }

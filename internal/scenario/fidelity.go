@@ -70,12 +70,12 @@ func resultFromAnswer(spec Spec, d fidelity.Decision) (*Result, error) {
 		return nil, fmt.Errorf("scenario: tier %s decision carried no answer", d.Tier)
 	}
 	var missing error // the first series the answer lacks
-	band := func(name string) Band {
+	band := func(name string) core.Forecast {
 		f, ok := ans.Series[name]
 		if !ok && missing == nil {
 			missing = fmt.Errorf("scenario: tier %s answer missing series %q", d.Tier, name)
 		}
-		return bandFrom(f)
+		return f
 	}
 	res := &Result{}
 	switch spec.Workflow {

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/core"
 )
 
 // replyWriter appends a Result's reply without reflection: byte for byte
@@ -120,7 +122,7 @@ func appendResult(b []byte, r *Result) ([]byte, error) {
 	return append(w.b, '\n'), w.err
 }
 
-func (w *replyWriter) band(k string, b *Band) {
+func (w *replyWriter) band(k string, b *core.Forecast) {
 	w.open(k, '{')
 	for _, s := range [...]struct {
 		k string

@@ -14,14 +14,16 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // replyRunner answers every spec with a prediction of the spec's horizon:
 // three banded series, as large as a real reply, with values that exercise
 // float formatting and a reason that exercises HTML escaping.
 func replyRunner(_ context.Context, spec Spec) (*Result, error) {
-	band := func(k float64) Band {
-		b := Band{}
+	band := func(k float64) core.Forecast {
+		b := core.Forecast{}
 		for d := 0; d < spec.Days; d++ {
 			v := k * float64(d*d+1) / 3
 			b.Median = append(b.Median, v)
@@ -326,7 +328,7 @@ func randomResult(r *rand.Rand, x float64, s string) *Result {
 		}
 		return v
 	}
-	band := func() Band { return Band{Median: series(), Lo: series(), Hi: series()} }
+	band := func() core.Forecast { return core.Forecast{Median: series(), Lo: series(), Hi: series()} }
 	res := &Result{Hash: str(), Workflow: str(), ElapsedSeconds: num()}
 	sp := &res.Spec
 	sp.Workflow, sp.State, sp.Fidelity = str(), str(), str()
@@ -385,7 +387,7 @@ func FuzzReplyMatchesMarshalIndent(f *testing.F) {
 
 // infRunner answers with a band JSON cannot carry.
 func infRunner(context.Context, Spec) (*Result, error) {
-	return &Result{Prediction: &PredictionResult{Confirmed: Band{Median: []float64{1, math.Inf(1)}}}}, nil
+	return &Result{Prediction: &PredictionResult{Confirmed: core.Forecast{Median: []float64{1, math.Inf(1)}}}}, nil
 }
 
 // TestUnencodableResultIs500: a result with an infinity is a 500 with reason

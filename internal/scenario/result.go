@@ -2,31 +2,20 @@ package scenario
 
 import "repro/internal/core"
 
-// Band is a daily series with its 95% uncertainty band.
-type Band struct {
-	Median []float64 `json:"median"`
-	Lo     []float64 `json:"lo"`
-	Hi     []float64 `json:"hi"`
-}
-
-func bandFrom(f core.Forecast) Band {
-	return Band{Median: f.Median, Lo: f.Lo, Hi: f.Hi}
-}
-
 // PredictionResult is the prediction workflow's product.
 type PredictionResult struct {
-	Confirmed    Band `json:"confirmed"`
-	Hospitalized Band `json:"hospitalized"`
-	Deaths       Band `json:"deaths"`
+	Confirmed    core.Forecast `json:"confirmed"`
+	Hospitalized core.Forecast `json:"hospitalized"`
+	Deaths       core.Forecast `json:"deaths"`
 	// Counties is the number of county-level forecast products.
 	Counties int `json:"counties"`
 }
 
 // ScenarioResult is one what-if scenario's forecast.
 type ScenarioResult struct {
-	Name      string `json:"name"`
-	Confirmed Band   `json:"confirmed"`
-	Deaths    Band   `json:"deaths"`
+	Name      string        `json:"name"`
+	Confirmed core.Forecast `json:"confirmed"`
+	Deaths    core.Forecast `json:"deaths"`
 }
 
 // NightResult summarizes a simulated night (the NightReport essentials).

@@ -71,9 +71,9 @@ func predictionConfig(spec Spec) core.PredictionConfig {
 
 func predictionResult(out *core.PredictionOutcome) *Result {
 	return &Result{Prediction: &PredictionResult{
-		Confirmed:    bandFrom(out.Confirmed),
-		Hospitalized: bandFrom(out.Hospitalized),
-		Deaths:       bandFrom(out.Deaths),
+		Confirmed:    out.Confirmed,
+		Hospitalized: out.Hospitalized,
+		Deaths:       out.Deaths,
 		Counties:     len(out.CountyMedian),
 	}}
 }
@@ -91,8 +91,8 @@ func whatIfResult(outs []*core.ScenarioOutcome) *Result {
 	for _, o := range outs {
 		res.Scenarios = append(res.Scenarios, ScenarioResult{
 			Name:      o.Scenario.Name,
-			Confirmed: bandFrom(o.Confirmed),
-			Deaths:    bandFrom(o.Deaths),
+			Confirmed: o.Confirmed,
+			Deaths:    o.Deaths,
 		})
 	}
 	return res

@@ -244,6 +244,24 @@ func SortedQuantile(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
+// EnsembleQuantiles writes out[k][d], the levels[k]-quantile of day d
+// across the ensemble's series, into one caller-owned slice per level, each
+// as long as the horizon. series must be non-empty and each at least that
+// long. One scratch column is sorted in place per day, so the call allocates
+// the same however long the horizon.
+func EnsembleQuantiles(series [][]float64, levels []float64, out ...[]float64) {
+	col := make([]float64, len(series))
+	for d := range out[0] {
+		for i, s := range series {
+			col[i] = s[d]
+		}
+		sort.Float64s(col)
+		for k, q := range levels {
+			out[k][d] = SortedQuantile(col, q)
+		}
+	}
+}
+
 // Median returns the 0.5 quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
