@@ -173,6 +173,21 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+func TestQuantilesMatchesQuantile(t *testing.T) {
+	r := NewRNG(104)
+	xs := make([]float64, 101)
+	for i := range xs {
+		xs[i] = r.Float64()
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	for _, q := range []float64{0, 0.025, 0.05, 0.5, 0.95, 0.975, 1} {
+		if single, multi := Quantile(xs, q), SortedQuantile(sorted, q); single != multi {
+			t.Errorf("q=%v: %v vs %v", q, single, multi)
+		}
+	}
+}
+
 func TestQuantileDoesNotMutate(t *testing.T) {
 	xs := []float64{5, 1, 3}
 	Quantile(xs, 0.5)
