@@ -195,7 +195,7 @@ func BenchmarkFig17Forecast(b *testing.B) {
 	last := 125
 	b.ReportMetric(out.Confirmed.Median[last], "median_cases")
 	b.ReportMetric(out.Confirmed.Hi[last]-out.Confirmed.Lo[last], "band_width")
-	b.ReportMetric(float64(len(out.CountyMedian)), "county_products")
+	b.ReportMetric(float64(out.Counties), "counties")
 }
 
 // BenchmarkSchedulerAblation compares FIFO, NFDT-DC and FFDT-DC on the

@@ -1,7 +1,7 @@
 // Command predict runs the prediction workflow (Figure 5): it reads (or
 // synthesizes) calibrated model configurations, simulates each with
-// replicates, and prints the state-level forecast with its 95% band plus
-// top county-level products — the Figure 17 output.
+// replicates, and prints the state-level forecast with its 95% band — the
+// Figure 17 output — and the hospital-capacity check of its upper band.
 //
 // Usage:
 //
@@ -109,7 +109,7 @@ func main() {
 	fmt.Printf("\nfinal forecasts (day %d): confirmed %.0f [%.0f, %.0f], hospitalized %.0f, deaths %.0f\n",
 		last, out.Confirmed.Median[last], out.Confirmed.Lo[last], out.Confirmed.Hi[last],
 		out.Hospitalized.Median[last], out.Deaths.Median[last])
-	fmt.Printf("county-level products: %d counties\n", len(out.CountyMedian))
+	fmt.Printf("region: %d counties\n", out.Counties)
 
 	// Capacity analysis for the hospital referral regions: compare the
 	// upper-band hospitalization path against AHA-derived capacity.

@@ -136,15 +136,12 @@ func TestRunSim(t *testing.T) {
 		State: "VA", Cell: 0, Replicate: 0,
 		Params: Params{TAU: 0.25, SYMP: 0.65, SHCompliance: 0.3, VHICompliance: 0.3},
 		Days:   40,
-	}, 15, 40, 2, false)
+	}, 15, 40, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Result.TotalInfections == 0 {
 		t.Fatal("no epidemic")
-	}
-	if out.RawBytes <= 0 {
-		t.Fatal("raw byte estimate non-positive")
 	}
 	conf := out.ConfirmedCumulative()
 	if conf[len(conf)-1] <= 0 {
@@ -152,24 +149,24 @@ func TestRunSim(t *testing.T) {
 	}
 }
 
-// TestRunSimRawBytesMatchesLog: RunSim sizes the raw output from the
-// result's transition count instead of retaining the transitions; the figure
-// must be exactly what a TransitionLog attached to the same simulation
-// reports.
-func TestRunSimRawBytesMatchesLog(t *testing.T) {
+// TestRecorderChangesNoResult: RunSim runs no recorder, and attaching a
+// TransitionLog to the same job's configuration yields the same Result, so
+// the per-line output a recorder writes is the run RunSim summarises.
+func TestRecorderChangesNoResult(t *testing.T) {
 	p := testPipeline(4)
 	job := SimJob{State: "VA", Params: Params{TAU: 0.25, SYMP: 0.65, SHCompliance: 0.3, VHICompliance: 0.3}, Days: 40}
-	out, err := p.RunSim(job, 15, 40, 2, false)
+	out, err := p.RunSim(job, 15, 40, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net, _ := p.Network(job.State)
 	db, _ := p.DB(job.State)
-	log := &output.TransitionLog{}
-	cfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, 15, 40), log, 2)
+	cfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, 15, 40), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := &output.TransitionLog{}
+	cfg.Recorder = log
 	sim, err := epihiper.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -179,13 +176,10 @@ func TestRunSimRawBytesMatchesLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, out.Result) {
-		t.Fatal("the logged simulation is not the one RunSim ran")
+		t.Fatal("attaching a recorder changed the Result")
 	}
 	if len(log.Entries) < 100 {
 		t.Fatalf("only %d transitions; the run is too quiet to test anything", len(log.Entries))
-	}
-	if want := 24 * int64(len(log.Entries)) * int64(p.Scale); out.RawBytes != want || out.RawBytes != log.RawBytes()*int64(p.Scale) {
-		t.Errorf("RawBytes %d, want 24 × %d transitions × scale %d = %d", out.RawBytes, len(log.Entries), p.Scale, want)
 	}
 }
 
@@ -226,18 +220,18 @@ func TestTopCounties(t *testing.T) {
 // no result.
 func TestPipelineRegistryCarriesKernelSeries(t *testing.T) {
 	job := SimJob{State: "VA", Params: Params{TAU: 0.25, SYMP: 0.65, SHCompliance: 0.3, VHICompliance: 0.3}, Days: 40}
-	plain, err := testPipeline(4).RunSim(job, 15, 40, 2, false)
+	plain, err := testPipeline(4).RunSim(job, 15, 40, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := testPipeline(4)
 	reg := obs.NewRegistry()
 	p.RegisterMetrics(reg)
-	out, err := p.RunSim(job, 15, 40, 2, false)
+	out, err := p.RunSim(job, 15, 40, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain.Result, out.Result) || plain.RawBytes != out.RawBytes {
+	if !reflect.DeepEqual(plain.Result, out.Result) {
 		t.Error("a pipeline with a metrics registry computes a different result")
 	}
 	var buf bytes.Buffer
@@ -269,11 +263,11 @@ func TestPipelineRegistryCarriesKernelSeries(t *testing.T) {
 func TestRunSimDeterministicPerJob(t *testing.T) {
 	p := testPipeline(5)
 	job := SimJob{State: "VA", Params: Params{TAU: 0.22, SYMP: 0.6, SHCompliance: 0.2, VHICompliance: 0.2}, Days: 30}
-	a, err := p.RunSim(job, 10, 30, 2, false)
+	a, err := p.RunSim(job, 10, 30, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.RunSim(job, 10, 30, 2, false)
+	b, err := p.RunSim(job, 10, 30, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +276,7 @@ func TestRunSimDeterministicPerJob(t *testing.T) {
 	}
 	job2 := job
 	job2.Replicate = 1
-	c, err := p.RunSim(job2, 10, 30, 2, false)
+	c, err := p.RunSim(job2, 10, 30, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func TestSurveillanceSeededSimulation(t *testing.T) {
 		t.Skip("no seeded counties materialized at this scale")
 	}
 	job := SimJob{State: "VA", Params: Params{TAU: 0.2, SYMP: 0.65}, Days: 30}
-	out, err := p.RunSim(job, 10, 30, 2, false)
+	out, err := p.RunSim(job, 10, 30, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestParamsGridMonotoneAttack(t *testing.T) {
 		for rep := 0; rep < 3; rep++ {
 			job := SimJob{State: "VA", Cell: int(tau * 100), Replicate: rep,
 				Params: Params{TAU: tau, SYMP: 0.65}, Days: 60}
-			out, err := p.RunSim(job, 60, 60, 2, false) // no interventions active
+			out, err := p.RunSim(job, 60, 60, 2) // no interventions active
 			if err != nil {
 				t.Fatal(err)
 			}

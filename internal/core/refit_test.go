@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 )
 
@@ -32,8 +33,8 @@ func TestRefitCalibrationReusesConfigurations(t *testing.T) {
 	if refit.Config.Days != 40 {
 		t.Fatalf("refit horizon %d want 40", refit.Config.Days)
 	}
-	if len(refit.ObsLog) != 40 {
-		t.Fatalf("refit observation length %d", len(refit.ObsLog))
+	if !slices.Equal(refit.ObsLog, orig.ObsLog[:40]) {
+		t.Fatalf("refit observation %v is not the first 40 days of %v", refit.ObsLog, orig.ObsLog)
 	}
 	// Prior design carried over unchanged.
 	if len(refit.Prior) != len(orig.Prior) {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/disease"
 	"repro/internal/epihiper"
 	"repro/internal/obs"
-	"repro/internal/output"
 	"repro/internal/popdb"
 	"repro/internal/synthpop"
 )
@@ -44,16 +43,11 @@ type SimJob struct {
 	SeedCounties int
 }
 
-// SimOutput couples a job with its result. Agg holds the county series of
-// a from-scratch run that asked for them (prediction's); calibration,
-// counter-factual and what-if outputs have none, and every state-level
-// curve reads Result.Daily.
+// SimOutput couples a job with its result. Every state-level curve reads
+// Result.Daily.
 type SimOutput struct {
 	Job    SimJob
 	Result *epihiper.Result
-	Agg    *output.CountyAggregator
-	// RawBytes estimates the individual-level output size at 1:1 scale.
-	RawBytes int64
 }
 
 // StateCumulative returns the region's cumulative entries into the given
@@ -113,11 +107,12 @@ func topCounties(net *synthpop.Network, n int) []int32 {
 // substrates: the model from the job's parameters, the per-job seed, day-0
 // seeding of the most populous counties (by default 5 cases in 1 county),
 // the shard count its fan-out chose (jobShards), and the pipeline's
-// database and metrics registry. The caller chooses the intervention stack
-// and the recorder, which is all that differs between a full run and a
-// what-if prefix.
+// database and metrics registry. The caller chooses the intervention stack,
+// which is all that differs between a full run and a what-if prefix. No
+// workflow records the individual transitions, so the configuration has no
+// recorder.
 func (p *Pipeline) simConfig(job SimJob, net *synthpop.Network, db *popdb.Server,
-	ivs []epihiper.Intervention, rec epihiper.Recorder, shards int) (cfg epihiper.Config, err error) {
+	ivs []epihiper.Intervention, shards int) (cfg epihiper.Config, err error) {
 	if job.Days <= 0 {
 		return cfg, fmt.Errorf("core: job %+v has no horizon", job)
 	}
@@ -146,15 +141,13 @@ func (p *Pipeline) simConfig(job SimJob, net *synthpop.Network, db *popdb.Server
 		Seeds:         seeds,
 		Interventions: ivs,
 		DB:            db,
-		Recorder:      rec,
 		Metrics:       p.metrics,
 	}, nil
 }
 
 // RunSim executes one simulation job against the pipeline's substrates on
-// the given number of shards. With counties set, a county aggregator
-// records the run into Agg; otherwise no recorder runs.
-func (p *Pipeline) RunSim(job SimJob, shStart, shEnd, shards int, counties bool) (*SimOutput, error) {
+// the given number of shards.
+func (p *Pipeline) RunSim(job SimJob, shStart, shEnd, shards int) (*SimOutput, error) {
 	net, err := p.Network(job.State)
 	if err != nil {
 		return nil, err
@@ -163,13 +156,7 @@ func (p *Pipeline) RunSim(job SimJob, shStart, shEnd, shards int, counties bool)
 	if err != nil {
 		return nil, err
 	}
-	var agg *output.CountyAggregator
-	var rec epihiper.Recorder
-	if counties {
-		agg = output.NewCountyAggregator(net, job.Days)
-		rec = agg
-	}
-	cfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, shStart, shEnd), rec, shards)
+	cfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, shStart, shEnd), shards)
 	if err != nil {
 		return nil, err
 	}
@@ -181,10 +168,7 @@ func (p *Pipeline) RunSim(job SimJob, shStart, shEnd, shards int, counties bool)
 	if err != nil {
 		return nil, err
 	}
-	return &SimOutput{
-		Job: job, Result: res, Agg: agg,
-		RawBytes: res.Transitions() * output.RawBytesPerTransition * int64(p.Scale),
-	}, nil
+	return &SimOutput{Job: job, Result: res}, nil
 }
 
 // simWorkers bounds the job-level fan-out. It bounds memory — every job in

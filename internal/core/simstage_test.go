@@ -29,7 +29,7 @@ func TestRunSimPrefixEqualsWhatIfCheckpoint(t *testing.T) {
 	}
 	const pivot = 28 // past SHStart+15, so every baseline intervention has fired
 	job := SimJob{State: cfg.State, Cell: 1, Replicate: 3, Params: cfg.Configs[1], Days: cfg.Days}
-	full, err := p.RunSim(job, cfg.SHStart, cfg.SHEnd, 2, false)
+	full, err := p.RunSim(job, cfg.SHStart, cfg.SHEnd, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

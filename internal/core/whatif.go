@@ -287,7 +287,7 @@ func (p *Pipeline) ensureCheckpoints(ctx context.Context, cfg PredictionConfig,
 			base = cp
 		}
 	}
-	simCfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, cfg.SHStart, cfg.SHEnd), nil, shards)
+	simCfg, err := p.simConfig(job, net, db, interventionsFor(job.Params, cfg.SHStart, cfg.SHEnd), shards)
 	if err != nil {
 		return nil, err
 	}

@@ -128,9 +128,9 @@ func TestRunWhatIfValidation(t *testing.T) {
 // path shortcuts. It builds each simulation with the stage's simConfig, so
 // seeds and seeding cannot drift from production, and shares nothing else
 // with RunWhatIfScenariosCtx: no checkpoint, no fork, no fan-out. Its bands
-// come from a CountyAggregator recording each run, summed over counties — an
-// independent cross-check of the production curves over Result.Daily — and
-// its SimOutputs carry no aggregator, as a branch's do not.
+// come from a CountyAggregator it attaches to each run's configuration,
+// summed over counties — an independent cross-check of the production curves
+// over Result.Daily.
 func runWhatIfUnshared(t *testing.T, p *Pipeline, cfg PredictionConfig, scenarios []WhatIf) []*ScenarioOutcome {
 	t.Helper()
 	cfg.fillDefaults(5)
@@ -151,10 +151,11 @@ func runWhatIfUnshared(t *testing.T, p *Pipeline, cfg PredictionConfig, scenario
 				scaled, ivs := sc.apply(pr, cfg.SHStart, cfg.SHEnd)
 				job := SimJob{State: cfg.State, Cell: ci, Replicate: rep, Params: scaled, Days: cfg.Days}
 				agg := output.NewCountyAggregator(net, cfg.Days)
-				simCfg, err := p.simConfig(job, net, db, interventionsFor(pr, cfg.SHStart, cfg.SHEnd), agg, p.Parallelism)
+				simCfg, err := p.simConfig(job, net, db, interventionsFor(pr, cfg.SHStart, cfg.SHEnd), p.Parallelism)
 				if err != nil {
 					t.Fatal(err)
 				}
+				simCfg.Recorder = agg
 				sim, err := epihiper.New(simCfg)
 				if err != nil {
 					t.Fatal(err)

@@ -30,11 +30,10 @@ func interventionsFor(pr Params, shStart, shEnd int) []epihiper.Intervention {
 }
 
 // runJobs executes jobs on the simulation stage and records the Table I
-// transfer accounting (configs out on the given day, summaries back). With
-// counties set every output carries its county series (Agg); the summary
-// accounting needs none. Cancelling ctx stops dispatching new jobs and
-// returns ctx.Err(), so abandoned requests stop burning CPU.
-func (p *Pipeline) runJobs(ctx context.Context, day int, label string, jobs []SimJob, shStart, shEnd int, counties bool) ([]*SimOutput, error) {
+// transfer accounting (configs out on the given day, summaries back).
+// Cancelling ctx stops dispatching new jobs and returns ctx.Err(), so
+// abandoned requests stop burning CPU.
+func (p *Pipeline) runJobs(ctx context.Context, day int, label string, jobs []SimJob, shStart, shEnd int) ([]*SimOutput, error) {
 	ctx, sp := obs.StartSpan(ctx, "sim",
 		obs.String("label", label), obs.Int("jobs", int64(len(jobs))))
 	defer sp.End()
@@ -45,7 +44,7 @@ func (p *Pipeline) runJobs(ctx context.Context, day int, label string, jobs []Si
 	}
 	outs := make([]*SimOutput, len(jobs))
 	err := p.fanOut(ctx, jobs, func(_ context.Context, i, shards int) (err error) {
-		outs[i], err = p.RunSim(jobs[i], shStart, shEnd, shards, counties)
+		outs[i], err = p.RunSim(jobs[i], shStart, shEnd, shards)
 		return err
 	})
 	if err != nil {
@@ -182,17 +181,7 @@ func (p *Pipeline) RunCalibrationWorkflowCtx(ctx context.Context, cfg Calibratio
 	ctx, sp := obs.StartSpan(ctx, "workflow.calibration",
 		obs.String("state", cfg.State), obs.Int("cells", int64(cfg.Cells)))
 	defer sp.End()
-	st, err := synthpop.StateByCode(cfg.State)
-	if err != nil {
-		return nil, err
-	}
-	// Calibration-specific ground truth: larger attack so the scaled
-	// curve is resolvable, no second wave inside the fitting window.
-	tcfg := surveillance.DefaultConfig(p.Seed)
-	tcfg.AttackRate = cfg.TruthAttack
-	tcfg.SecondWave = false
-	tcfg.Days = cfg.TruthOffset + cfg.Days
-	truth, err := surveillance.GenerateState(st, tcfg)
+	obsLog, err := p.observation(cfg, cfg.Days)
 	if err != nil {
 		return nil, err
 	}
@@ -207,14 +196,14 @@ func (p *Pipeline) RunCalibrationWorkflowCtx(ctx context.Context, cfg Calibratio
 	if err != nil {
 		return nil, err
 	}
-	out := &CalibrationOutcome{Config: cfg}
+	out := &CalibrationOutcome{Config: cfg, ObsLog: obsLog}
 	jobs := make([]SimJob, cfg.Cells)
 	for i, th := range design.Thetas {
 		pr := Params{TAU: th[0], SYMP: th[1], SHCompliance: th[2], VHICompliance: th[3]}
 		out.Prior = append(out.Prior, pr)
 		jobs[i] = SimJob{State: cfg.State, Cell: i, Replicate: 0, Params: pr, Days: cfg.Days}
 	}
-	sims, err := p.runJobs(ctx, cfg.Day, "calibration", jobs, cfg.SHStart, cfg.SHEnd, false)
+	sims, err := p.runJobs(ctx, cfg.Day, "calibration", jobs, cfg.SHStart, cfg.SHEnd)
 	if err != nil {
 		return nil, err
 	}
@@ -226,17 +215,44 @@ func (p *Pipeline) RunCalibrationWorkflowCtx(ctx context.Context, cfg Calibratio
 			design.Outputs.Set(i, d, v)
 		}
 	}
-	// Observation: state cumulative cases in the window starting at the
-	// community-spread onset, scaled to the synthetic population
-	// (1:Scale) and logged.
-	full := truth.StateCumulative()
-	obs := make([]float64, cfg.Days)
-	base := full[cfg.TruthOffset]
-	for i := range obs {
-		obs[i] = (full[cfg.TruthOffset+i] - base) / float64(p.Scale)
-	}
-	out.ObsLog = calib.Log1p(obs)
+	return p.fit(ctx, out, design, 0)
+}
 
+// observation returns the logged ground truth a calibration of cfg fits:
+// the state's cumulative cases over the first days of the window starting
+// at the community-spread onset, scaled to the synthetic population
+// (1:Scale). The truth always spans cfg.Days, so a shorter window is a
+// prefix of the full one.
+func (p *Pipeline) observation(cfg CalibrationConfig, days int) ([]float64, error) {
+	st, err := synthpop.StateByCode(cfg.State)
+	if err != nil {
+		return nil, err
+	}
+	// Calibration-specific ground truth: larger attack so the scaled
+	// curve is resolvable, no second wave inside the fitting window.
+	tcfg := surveillance.DefaultConfig(p.Seed)
+	tcfg.AttackRate = cfg.TruthAttack
+	tcfg.SecondWave = false
+	tcfg.Days = cfg.TruthOffset + cfg.Days
+	truth, err := surveillance.GenerateState(st, tcfg)
+	if err != nil {
+		return nil, err
+	}
+	full := truth.StateCumulative()
+	cases := make([]float64, days)
+	base := full[cfg.TruthOffset]
+	for i := range cases {
+		cases[i] = (full[cfg.TruthOffset+i] - base) / float64(p.Scale)
+	}
+	return calib.Log1p(cases), nil
+}
+
+// fit fits the GP emulator of the design's outputs against out.ObsLog and
+// samples the posterior into out, with the sampler seed salted by salt.
+// Cancelling ctx skips the fit. A convergence-gate failure still delivers
+// the outcome so callers can inspect the diagnostics (and, e.g., rerun with
+// more steps).
+func (p *Pipeline) fit(ctx context.Context, out *CalibrationOutcome, design *calib.Design, salt uint64) (*CalibrationOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -245,8 +261,9 @@ func (p *Pipeline) RunCalibrationWorkflowCtx(ctx context.Context, cfg Calibratio
 		return nil, err
 	}
 	out.Calibrator = cal
+	cfg := out.Config
 	post, err := cal.SampleCtx(ctx, calib.Config{
-		Steps: cfg.Steps, BurnIn: cfg.BurnIn, Seed: p.Seed ^ 0x9057E7107,
+		Steps: cfg.Steps, BurnIn: cfg.BurnIn, Seed: p.Seed ^ 0x9057E7107 ^ salt,
 		SigmaDeltaMax: cfg.SigmaDeltaMax,
 		Chains:        cfg.Chains, Parallelism: cfg.ChainParallelism,
 		RHatMax: cfg.RHatMax, MinESS: cfg.MinESS,
@@ -254,15 +271,6 @@ func (p *Pipeline) RunCalibrationWorkflowCtx(ctx context.Context, cfg Calibratio
 	if post == nil {
 		return nil, err
 	}
-	out.fillPosterior(post)
-	// A convergence-gate failure still delivers the outcome so callers can
-	// inspect the diagnostics (and, e.g., rerun with more steps).
-	return out, err
-}
-
-// fillPosterior copies the sampled posterior and its chain diagnostics
-// into the outcome.
-func (out *CalibrationOutcome) fillPosterior(post *calib.Posterior) {
 	out.AcceptRate = post.AcceptRate
 	out.RHat = post.RHat
 	out.ESS = post.ESS
@@ -274,6 +282,7 @@ func (out *CalibrationOutcome) fillPosterior(post *calib.Posterior) {
 			TAU: th[0], SYMP: th[1], SHCompliance: th[2], VHICompliance: th[3],
 		})
 	}
+	return out, err
 }
 
 // RefitCalibration re-runs the Bayesian fit of an existing calibration
@@ -289,23 +298,9 @@ func (p *Pipeline) RefitCalibration(prev *CalibrationOutcome, newDays int) (*Cal
 	if newDays <= 0 || newDays > cfg.Days {
 		newDays = cfg.Days
 	}
-	st, err := synthpop.StateByCode(cfg.State)
+	obsLog, err := p.observation(cfg, newDays)
 	if err != nil {
 		return nil, err
-	}
-	tcfg := surveillance.DefaultConfig(p.Seed)
-	tcfg.AttackRate = cfg.TruthAttack
-	tcfg.SecondWave = false
-	tcfg.Days = cfg.TruthOffset + cfg.Days
-	truth, err := surveillance.GenerateState(st, tcfg)
-	if err != nil {
-		return nil, err
-	}
-	full := truth.StateCumulative()
-	obs := make([]float64, newDays)
-	base := full[cfg.TruthOffset]
-	for i := range obs {
-		obs[i] = (full[cfg.TruthOffset+i] - base) / float64(p.Scale)
 	}
 	// Rebuild the design over the truncated horizon from the retained
 	// simulation outputs.
@@ -317,26 +312,9 @@ func (p *Pipeline) RefitCalibration(prev *CalibrationOutcome, newDays int) (*Cal
 			design.Outputs.Set(i, j, d.Outputs.At(i, j))
 		}
 	}
-	out := &CalibrationOutcome{Config: cfg, Prior: prev.Prior, Sims: prev.Sims}
 	cfg.Days = newDays
-	out.Config = cfg
-	out.ObsLog = calib.Log1p(obs)
-	cal, err := calib.Fit(design, out.ObsLog, calib.Config{NumBasis: 5})
-	if err != nil {
-		return nil, err
-	}
-	out.Calibrator = cal
-	post, err := cal.SampleCtx(context.Background(), calib.Config{
-		Steps: cfg.Steps, BurnIn: cfg.BurnIn, Seed: p.Seed ^ 0x9057E7107 ^ uint64(newDays),
-		SigmaDeltaMax: cfg.SigmaDeltaMax,
-		Chains:        cfg.Chains, Parallelism: cfg.ChainParallelism,
-		RHatMax: cfg.RHatMax, MinESS: cfg.MinESS,
-	}, cfg.PosteriorSize)
-	if post == nil {
-		return nil, err
-	}
-	out.fillPosterior(post)
-	return out, err
+	out := &CalibrationOutcome{Config: cfg, Prior: prev.Prior, Sims: prev.Sims, ObsLog: obsLog}
+	return p.fit(context.Background(), out, design, uint64(newDays))
 }
 
 // PredictionConfig parameterizes the prediction workflow (Figure 5).
@@ -385,10 +363,9 @@ type PredictionOutcome struct {
 	// Hospitalized and Deaths support the other forecasting targets.
 	Hospitalized Forecast
 	Deaths       Forecast
-	// CountyMedian maps county FIPS to its median cumulative confirmed
-	// series (the county-level forecast product).
-	CountyMedian map[int32][]float64
-	Sims         []*SimOutput
+	// Counties is the number of counties in the region.
+	Counties int
+	Sims     []*SimOutput
 }
 
 // RunPredictionWorkflowCtx executes Figure 5: simulate every calibrated
@@ -410,11 +387,15 @@ func (p *Pipeline) RunPredictionWorkflowCtx(ctx context.Context, cfg PredictionC
 			})
 		}
 	}
-	sims, err := p.runJobs(ctx, cfg.Day, "prediction", jobs, cfg.SHStart, cfg.SHEnd, true)
+	sims, err := p.runJobs(ctx, cfg.Day, "prediction", jobs, cfg.SHStart, cfg.SHEnd)
 	if err != nil {
 		return nil, err
 	}
-	out := &PredictionOutcome{Config: cfg, Sims: sims, CountyMedian: map[int32][]float64{}}
+	net, err := p.Network(cfg.State)
+	if err != nil {
+		return nil, err
+	}
+	out := &PredictionOutcome{Config: cfg, Sims: sims, Counties: len(net.Counties().FIPS)}
 	out.Confirmed = ensembleBand(sims, cfg.Days, (*SimOutput).ConfirmedCumulative)
 	out.Hospitalized = ensembleBand(sims, cfg.Days, func(s *SimOutput) []float64 {
 		return s.StateCumulative(disease.Hospitalized)
@@ -422,21 +403,6 @@ func (p *Pipeline) RunPredictionWorkflowCtx(ctx context.Context, cfg PredictionC
 	out.Deaths = ensembleBand(sims, cfg.Days, func(s *SimOutput) []float64 {
 		return s.StateCumulative(disease.Dead)
 	})
-	// County-level medians.
-	counties := sims[0].Agg.Counties()
-	for _, county := range counties {
-		c := county
-		f := ensembleBand(sims, cfg.Days, func(s *SimOutput) []float64 {
-			cum := make([]float64, cfg.Days)
-			acc := 0.0
-			for d, v := range s.Agg.ConfirmedCases(c) {
-				acc += float64(v)
-				cum[d] = acc
-			}
-			return cum
-		})
-		out.CountyMedian[c] = f.Median
-	}
 	return out, nil
 }
 
@@ -542,7 +508,7 @@ func (p *Pipeline) RunCounterfactualWorkflowCtx(ctx context.Context, cfg Counter
 			}
 		}
 		sims, err := p.runJobs(ctx, cfg.Day, fmt.Sprintf("economic-%s", cell.Name()), jobs,
-			cfg.SHStart, cfg.SHStart+cell.SHDuration, false)
+			cfg.SHStart, cfg.SHStart+cell.SHDuration)
 		if err != nil {
 			return nil, err
 		}

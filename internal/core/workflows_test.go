@@ -120,9 +120,12 @@ func TestPredictionWorkflowEndToEnd(t *testing.T) {
 	if out.Deaths.Median[59] > out.Confirmed.Median[59] {
 		t.Fatal("more deaths than confirmed cases")
 	}
-	// County products cover the state's counties.
-	if len(out.CountyMedian) < 10 {
-		t.Fatalf("only %d county forecasts", len(out.CountyMedian))
+	net, err := p.Network("VA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Counties != len(net.Counties().FIPS) {
+		t.Fatalf("outcome counts %d counties, the network holds %d", out.Counties, len(net.Counties().FIPS))
 	}
 	if _, err := p.RunPredictionWorkflowCtx(context.Background(), PredictionConfig{State: "VA"}); err == nil {
 		t.Fatal("prediction without configs accepted")

@@ -27,19 +27,6 @@ type Result struct {
 	PeakMemoryBytes int64
 }
 
-// Transitions returns the number of state transitions of the run so far —
-// the number of lines a Recorder received, for callers that need the size of
-// the raw output but not the output.
-func (r *Result) Transitions() int64 {
-	var n int64
-	for d := range r.Daily {
-		for _, c := range r.Daily[d] {
-			n += int64(c)
-		}
-	}
-	return n
-}
-
 // exposure is a pending infection computed during the transmission phase.
 type exposure struct {
 	pid      int32

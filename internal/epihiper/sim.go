@@ -35,14 +35,6 @@ type Recorder interface {
 	Record(tick int, pid int32, from, to disease.State, infector int32)
 }
 
-// RecorderFunc adapts a function to the Recorder interface.
-type RecorderFunc func(tick int, pid int32, from, to disease.State, infector int32)
-
-// Record implements Recorder.
-func (f RecorderFunc) Record(tick int, pid int32, from, to disease.State, infector int32) {
-	f(tick, pid, from, to, infector)
-}
-
 // MultiRecorder fans transitions out to several recorders.
 type MultiRecorder []Recorder
 

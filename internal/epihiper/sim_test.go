@@ -13,6 +13,14 @@ import (
 	"repro/internal/synthpop"
 )
 
+// RecorderFunc adapts a function to the Recorder interface.
+type RecorderFunc func(tick int, pid int32, from, to disease.State, infector int32)
+
+// Record implements Recorder.
+func (f RecorderFunc) Record(tick int, pid int32, from, to disease.State, infector int32) {
+	f(tick, pid, from, to, infector)
+}
+
 // testNetwork builds a small deterministic VA network (~800 persons).
 func testNetwork(t testing.TB, seed uint64) *synthpop.Network {
 	t.Helper()

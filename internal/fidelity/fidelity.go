@@ -215,9 +215,9 @@ type Answer struct {
 	// surrogate's central curve; Lo/Hi bracket its ±2 SD envelope across
 	// the requested configurations.
 	Series map[string]core.Forecast
-	// Counties reports how many county-level products the tier models:
-	// the metapop tier carries the state's county count, the emulator is
-	// state-level only (0).
+	// Counties reports how many counties the tier resolves: the metapop
+	// tier carries the state's county count, the emulator is state-level
+	// only (0).
 	Counties int
 }
 

@@ -493,12 +493,12 @@ func TestCurvesFromSims(t *testing.T) {
 	// Verified indirectly in the ladder test; here check the grouping math
 	// with a stub extractor over fake outputs is stable under cell order.
 	days := 3
-	mk := func(cell int, vals ...float64) *core.SimOutput {
-		return &core.SimOutput{Job: core.SimJob{Cell: cell}, RawBytes: int64(vals[0])}
+	mk := func(cell int, v float64) *core.SimOutput {
+		return &core.SimOutput{Job: core.SimJob{Cell: cell, Params: core.Params{TAU: v}}}
 	}
 	sims := []*core.SimOutput{mk(1, 8), mk(0, 2), mk(1, 4), mk(0, 6)}
 	cells := harvest{"x", sims, func(s *core.SimOutput) []float64 {
-		v := float64(s.RawBytes)
+		v := s.Job.Params.TAU
 		return []float64{v, v, v}
 	}}.cells(days)
 	got := cells.mean

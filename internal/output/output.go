@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -260,9 +261,11 @@ func ReadSummaryCSV(rd io.Reader, days int) (*CountyAggregator, error) {
 		if len(parts) != 4 {
 			return nil, fmt.Errorf("output: line %d: malformed summary row", line)
 		}
-		fips, err1 := strconv.Atoi(parts[0])
+		// FIPS codes and counts are held as int32: parsing at that width
+		// refuses a value that would wrap.
+		fips, err1 := strconv.ParseInt(parts[0], 10, 32)
 		day, err2 := strconv.Atoi(parts[1])
-		count, err3 := strconv.Atoi(parts[3])
+		count, err3 := strconv.ParseInt(parts[3], 10, 32)
 		for _, e := range []error{err1, err2, err3} {
 			if e != nil {
 				return nil, fmt.Errorf("output: line %d: %w", line, e)
@@ -270,6 +273,9 @@ func ReadSummaryCSV(rd io.Reader, days int) (*CountyAggregator, error) {
 		}
 		if day < 0 || day >= days {
 			return nil, fmt.Errorf("output: line %d: day %d outside horizon %d", line, day, days)
+		}
+		if count < 0 {
+			return nil, fmt.Errorf("output: line %d: negative count %d", line, count)
 		}
 		st, err := parseStateName(parts[2])
 		if err != nil {
@@ -280,6 +286,9 @@ func ReadSummaryCSV(rd io.Reader, days int) (*CountyAggregator, error) {
 		if s == nil {
 			s = make([]int32, days)
 			a.series[key] = s
+		}
+		if int64(s[day])+count > math.MaxInt32 {
+			return nil, fmt.Errorf("output: line %d: county %d %s day %d sums past int32", line, fips, st, day)
 		}
 		s[day] += int32(count)
 		if !seen[int32(fips)] {
@@ -302,20 +311,4 @@ func parseStateName(name string) (disease.State, error) {
 		}
 	}
 	return 0, fmt.Errorf("output: unknown health state %q", name)
-}
-
-// ConfirmedCases approximates the "confirmed case" forecasting target as
-// entries into any medically-attended state (Attended, Attended(H),
-// Attended(D)) — the simulated analogue of a case showing up in
-// surveillance.
-func (a *CountyAggregator) ConfirmedCases(county int32) []int32 {
-	out := make([]int32, a.days)
-	for _, st := range []disease.State{disease.Attended, disease.AttendedH, disease.AttendedD} {
-		if s := a.Daily(county, st); s != nil {
-			for d, v := range s {
-				out[d] += v
-			}
-		}
-	}
-	return out
 }

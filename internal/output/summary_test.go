@@ -2,6 +2,7 @@ package output
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -42,10 +43,12 @@ func TestSummaryCSVRoundTrip(t *testing.T) {
 			t.Fatalf("reader invented county %d", c)
 		}
 	}
-	// The confirmed path works on the read-back form.
+	// Every county's series of every state reads back exactly.
 	for _, c := range agg.Counties() {
-		if !slices.Equal(back.ConfirmedCases(c), agg.ConfirmedCases(c)) {
-			t.Fatalf("county %d: confirmed cases differ after roundtrip", c)
+		for st := disease.State(0); st < disease.NumStates; st++ {
+			if !slices.Equal(back.Daily(c, st), agg.Daily(c, st)) {
+				t.Fatalf("county %d %v: series differs after roundtrip", c, st)
+			}
 		}
 	}
 }
@@ -58,16 +61,23 @@ func TestReadSummaryCSVErrors(t *testing.T) {
 		t.Error("bad header accepted")
 	}
 	hdr := "county_fips,day,state,new_count\n"
+	// The last row is the bad one; a count or FIPS code the int32 series
+	// cannot hold is refused, not wrapped.
 	cases := map[string]string{
-		"short row":  hdr + "51001,3\n",
-		"bad county": hdr + "xx,3,Exposed,1\n",
-		"bad day":    hdr + "51001,99,Exposed,1\n",
-		"bad state":  hdr + "51001,3,Blorbo,1\n",
-		"bad count":  hdr + "51001,3,Exposed,abc\n",
+		"short row":       hdr + "51001,3\n",
+		"bad county":      hdr + "xx,3,Exposed,1\n",
+		"bad day":         hdr + "51001,99,Exposed,1\n",
+		"bad state":       hdr + "51001,3,Blorbo,1\n",
+		"bad count":       hdr + "51001,3,Exposed,abc\n",
+		"negative count":  hdr + "51001,3,Exposed,-1\n",
+		"count 2^31":      hdr + "51001,3,Exposed,2147483648\n",
+		"FIPS 2^32+1":     hdr + "4294967297,3,Exposed,1\n",
+		"sum past 2^31-1": hdr + "51001,3,Exposed,2147483647\n51001,3,Exposed,1\n",
 	}
 	for name, data := range cases {
-		if _, err := ReadSummaryCSV(strings.NewReader(data), 10); err == nil {
-			t.Errorf("%s accepted", name)
+		want := fmt.Sprintf("line %d:", strings.Count(data, "\n"))
+		if _, err := ReadSummaryCSV(strings.NewReader(data), 10); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one naming %q", name, err, want)
 		}
 	}
 	// A valid minimal file parses.

@@ -7,7 +7,9 @@ type PredictionResult struct {
 	Confirmed    core.Forecast `json:"confirmed"`
 	Hospitalized core.Forecast `json:"hospitalized"`
 	Deaths       core.Forecast `json:"deaths"`
-	// Counties is the number of county-level forecast products.
+	// Counties is the number of counties the answering tier resolves: the
+	// region's county count from the ABM and metapop tiers, 0 from the
+	// state-level emulator.
 	Counties int `json:"counties"`
 }
 

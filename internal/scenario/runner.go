@@ -74,7 +74,7 @@ func predictionResult(out *core.PredictionOutcome) *Result {
 		Confirmed:    out.Confirmed,
 		Hospitalized: out.Hospitalized,
 		Deaths:       out.Deaths,
-		Counties:     len(out.CountyMedian),
+		Counties:     out.Counties,
 	}}
 }
 

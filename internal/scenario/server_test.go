@@ -388,6 +388,13 @@ func TestServerRealPipeline(t *testing.T) {
 	if res.Prediction.Confirmed.Median[29] <= 0 {
 		t.Fatal("no predicted cases")
 	}
+	net, err := p.Network("RI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(net.Counties().FIPS); res.Prediction.Counties != n || n == 0 {
+		t.Fatalf("served counties %d, the pipeline's RI network holds %d", res.Prediction.Counties, n)
+	}
 
 	// Cached resubmit returns the identical payload.
 	resp2, payload2 := postSpec(t, ts, pred, "?wait=1")

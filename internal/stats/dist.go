@@ -14,22 +14,6 @@ type Dist interface {
 	LogPDF(x float64) float64
 }
 
-// Uniform is the continuous uniform distribution on [Lo, Hi].
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// Sample draws a uniform variate.
-func (u Uniform) Sample(r *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
-
-// LogPDF returns the log density, -Inf outside the support.
-func (u Uniform) LogPDF(x float64) float64 {
-	if x < u.Lo || x > u.Hi || u.Hi <= u.Lo {
-		return math.Inf(-1)
-	}
-	return -math.Log(u.Hi - u.Lo)
-}
-
 // Normal is the normal distribution.
 type Normal struct {
 	Mean, SD float64
