@@ -15,7 +15,7 @@ tier1:
 	$(GO) test -race ./internal/mcmc ./internal/calib ./internal/obs
 	$(GO) test -race ./internal/castore
 	$(GO) test -race ./internal/fidelity
-	$(GO) test -race ./internal/scenario ./cmd/loadgen
+	$(GO) test -race ./internal/scenario ./cmd/loadgen ./cmd/episerve
 	$(GO) test -race -run 'Reference|Snapshot|WhatIf|Shard|Determinism|Fork|FanOut|Counters|Dominates|Prediction|Refit' ./internal/epihiper ./internal/core
 	$(GO) test -race -run 'Build|Golden|Layout|DerivedColumns' ./internal/synthpop
 

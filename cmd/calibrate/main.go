@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -23,21 +24,28 @@ import (
 )
 
 func main() {
-	state := flag.String("state", "VA", "region postal code")
-	cells := flag.Int("cells", 100, "prior design size")
-	days := flag.Int("days", 70, "calibration horizon")
-	scale := flag.Int("scale", 20000, "population scale (1:N)")
-	seed := flag.Uint64("seed", 2020, "random seed")
-	steps := flag.Int("steps", 1200, "MCMC steps per chain")
-	chains := flag.Int("chains", 4, "over-dispersed MCMC chains")
-	rhatMax := flag.Float64("rhat-max", 0, "fail if any split-R̂ exceeds this (0: advisory only)")
-	minESS := flag.Float64("min-ess", 0, "fail if any pooled ESS is below this (0: advisory only)")
-	out := flag.String("out", "", "posterior CSV path (omit for stdout summary only)")
-	metricsDump := flag.String("metrics-dump", "", `dump Prometheus text metrics to FILE at the end of the run ("-" = stdout)`)
-	flag.Parse()
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("calibrate", flag.ExitOnError)
+	state := fs.String("state", "VA", "region postal code")
+	cells := fs.Int("cells", 100, "prior design size")
+	days := fs.Int("days", 70, "calibration horizon")
+	scale := fs.Int("scale", 20000, "population scale (1:N)")
+	seed := fs.Uint64("seed", 2020, "random seed")
+	steps := fs.Int("steps", 1200, "MCMC steps per chain")
+	chains := fs.Int("chains", 4, "over-dispersed MCMC chains")
+	rhatMax := fs.Float64("rhat-max", 0, "fail if any split-R̂ exceeds this (0: advisory only)")
+	minESS := fs.Float64("min-ess", 0, "fail if any pooled ESS is below this (0: advisory only)")
+	out := fs.String("out", "", "posterior CSV path (omit for stdout summary only)")
+	metricsDump := fs.String("metrics-dump", "", `dump Prometheus text metrics to FILE at the end of the run ("-" = stdout)`)
+	fs.Parse(args)
 
 	p := core.NewPipeline(*seed, core.WithScale(*scale))
-	fmt.Printf("calibration workflow: %s, %d cells, %d days, scale 1:%d\n",
+	fmt.Fprintf(stdout, "calibration workflow: %s, %d cells, %d days, scale 1:%d\n",
 		*state, *cells, *days, *scale)
 
 	// Span durations (workflow.calibration, sim, calibrate, mcmc.chain, …)
@@ -45,7 +53,7 @@ func main() {
 	// series; -metrics-dump writes all of it after the run.
 	reg := obs.NewRegistry()
 	p.RegisterMetrics(reg)
-	ctx := obs.WithTracer(context.Background(), obs.NewTracer(nil, obs.WithSpanMetrics(reg)))
+	ctx = obs.WithTracer(ctx, obs.NewTracer(nil, obs.WithSpanMetrics(reg)))
 
 	res, err := p.RunCalibrationWorkflowCtx(ctx, core.CalibrationConfig{
 		State: *state, Cells: *cells, Days: *days, Steps: *steps,
@@ -55,12 +63,12 @@ func main() {
 	if errors.As(err, &convErr) {
 		// Gate failed, but the posterior is still attached: report and
 		// keep going so the diagnostics below can be inspected.
-		fmt.Printf("WARNING: %v\n", convErr)
+		fmt.Fprintf(stdout, "WARNING: %v\n", convErr)
 	} else if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("\nsimulated %d prior cells; MCMC acceptance %.2f (%d chains)\n",
+	fmt.Fprintf(stdout, "\nsimulated %d prior cells; MCMC acceptance %.2f (%d chains)\n",
 		len(res.Sims), res.AcceptRate, *chains)
 	coords := []string{"TAU", "SYMP", "SH", "VHI", "σδ", "σε"}
 	for k := range res.RHat {
@@ -68,10 +76,10 @@ func main() {
 		if k < len(coords) {
 			name = coords[k]
 		}
-		fmt.Printf("  %-5s split-R̂ %.3f  ESS %.0f\n", name, res.RHat[k], res.ESS[k])
+		fmt.Fprintf(stdout, "  %-5s split-R̂ %.3f  ESS %.0f\n", name, res.RHat[k], res.ESS[k])
 	}
 	if !res.Converged {
-		fmt.Println("  convergence: NOT MET — consider more steps or chains")
+		fmt.Fprintln(stdout, "  convergence: NOT MET — consider more steps or chains")
 	}
 	summarize := func(name string, get func(core.Params) float64) {
 		prior := make([]float64, len(res.Prior))
@@ -82,7 +90,7 @@ func main() {
 		for i, pr := range res.Posterior {
 			post[i] = get(pr)
 		}
-		fmt.Printf("  %-5s prior mean %.3f sd %.3f → posterior mean %.3f sd %.3f\n",
+		fmt.Fprintf(stdout, "  %-5s prior mean %.3f sd %.3f → posterior mean %.3f sd %.3f\n",
 			name, stats.Mean(prior), stats.StdDev(prior), stats.Mean(post), stats.StdDev(post))
 	}
 	summarize("TAU", func(p core.Params) float64 { return p.TAU })
@@ -96,7 +104,8 @@ func main() {
 	for i, pr := range res.Posterior {
 		tau[i], symp[i] = pr.TAU, pr.SYMP
 	}
-	fmt.Printf("  posterior corr(TAU, SYMP) = %.3f (paper: negative)\n", stats.Correlation(tau, symp))
+	corr := stats.Correlation(tau, symp)
+	fmt.Fprintf(stdout, "  posterior corr(TAU, SYMP) = %.3f (%s; paper: negative)\n", corr, signOf(corr))
 
 	// Figure 16's check: ground truth inside the emulator band at the MAP.
 	if len(res.Posterior) > 0 {
@@ -104,36 +113,49 @@ func main() {
 			res.Posterior[0].TAU, res.Posterior[0].SYMP,
 			res.Posterior[0].SHCompliance, res.Posterior[0].VHICompliance,
 		})
-		fmt.Printf("  emulator 95%%-band coverage of ground truth: %.0f%%\n", 100*cov)
+		fmt.Fprintf(stdout, "  emulator 95%%-band coverage of ground truth: %.0f%%\n", 100*cov)
 	}
 
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		fmt.Fprintln(f, "tau,symp,sh_compliance,vhi_compliance")
 		for _, pr := range res.Posterior {
 			fmt.Fprintf(f, "%g,%g,%g,%g\n", pr.TAU, pr.SYMP, pr.SHCompliance, pr.VHICompliance)
 		}
-		fmt.Printf("wrote %d posterior configurations to %s\n", len(res.Posterior), *out)
+		fmt.Fprintf(stdout, "wrote %d posterior configurations to %s\n", len(res.Posterior), *out)
 	}
 	if *metricsDump != "" {
-		w := os.Stdout
+		w := stdout
 		if *metricsDump != "-" {
 			f, err := os.Create(*metricsDump)
 			if err != nil {
-				log.Fatalf("-metrics-dump: %v", err)
+				return fmt.Errorf("-metrics-dump: %w", err)
 			}
 			defer f.Close()
 			w = f
 		}
 		if err := reg.WritePrometheus(w); err != nil {
-			log.Fatalf("-metrics-dump: %v", err)
+			return fmt.Errorf("-metrics-dump: %w", err)
 		}
 	}
 	if convErr != nil {
-		os.Exit(1) // a requested convergence gate failed
+		return convErr // a requested convergence gate failed
 	}
+	return nil
+}
+
+// signOf names the sign of a correlation, so that the report states the
+// measured sign beside the paper's.
+func signOf(x float64) string {
+	switch {
+	case x < 0:
+		return "negative"
+	case x > 0:
+		return "positive"
+	}
+	return "no sign"
 }

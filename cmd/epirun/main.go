@@ -9,13 +9,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -28,185 +31,189 @@ import (
 )
 
 func main() {
-	state := flag.String("state", "VA", "region postal code")
-	days := flag.Int("days", 90, "simulation horizon in days")
-	tau := flag.Float64("tau", 0.18, "disease transmissibility (TAU)")
-	symp := flag.Float64("symp", 0.65, "symptomatic fraction (SYMP)")
-	sh := flag.Float64("sh", 0.45, "stay-at-home compliance")
-	vhi := flag.Float64("vhi", 0.5, "voluntary home isolation compliance")
-	shStart := flag.Int("sh-start", 15, "stay-at-home start day")
-	scale := flag.Int("scale", 5000, "population scale (1:N)")
-	seed := flag.Uint64("seed", 42, "random seed")
-	shards := flag.Int("shards", 4, "shard processing units, each owning a disjoint node range (0 = GOMAXPROCS)")
-	outDir := flag.String("out", "", "output directory (omit to skip files)")
-	configPath := flag.String("config", "", "JSON simulation configuration (overrides the individual flags; see internal/epihiper JSONConfig)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-	metricsDump := flag.String("metrics-dump", "", `dump Prometheus text metrics to FILE at the end of the run ("-" = stdout)`)
-	flag.Parse()
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(_ context.Context, args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("epirun", flag.ExitOnError)
+	state := fs.String("state", "VA", "region postal code")
+	days := fs.Int("days", 90, "simulation horizon in days")
+	tau := fs.Float64("tau", 0.18, "disease transmissibility (TAU)")
+	symp := fs.Float64("symp", 0.65, "symptomatic fraction (SYMP)")
+	sh := fs.Float64("sh", 0.45, "stay-at-home compliance")
+	vhi := fs.Float64("vhi", 0.5, "voluntary home isolation compliance")
+	shStart := fs.Int("sh-start", 15, "stay-at-home start day")
+	scale := fs.Int("scale", 5000, "population scale (1:N)")
+	seed := fs.Uint64("seed", 42, "random seed")
+	shards := fs.Int("shards", 4, "shard processing units, each owning a disjoint node range (0 = GOMAXPROCS)")
+	outDir := fs.String("out", "", "output directory (omit to skip files)")
+	configPath := fs.String("config", "", "JSON simulation configuration (overrides the individual flags; see internal/epihiper JSONConfig)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
+	memProfile := fs.String("memprofile", "", "write a heap profile taken after the run to this file")
+	metricsDump := fs.String("metrics-dump", "", `dump Prometheus text metrics to FILE at the end of the run ("-" = stdout)`)
+	fs.Parse(args)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
+			perr := writeFile(*memProfile, func(w io.Writer) error {
+				runtime.GC() // settle the heap so the profile shows live objects
+				return pprof.WriteHeapProfile(w)
+			})
+			if err == nil && perr != nil {
+				err = fmt.Errorf("-memprofile: %w", perr)
 			}
 		}()
 	}
 
-	var jsonCfg *epihiper.JSONConfig
+	// The flags and -config fill one JSONConfig; the simulation is built
+	// from it either way.
+	var jc *epihiper.JSONConfig
 	if *configPath != "" {
 		data, err := os.ReadFile(*configPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		jsonCfg, err = epihiper.ParseJSONConfig(data)
-		if err != nil {
-			log.Fatal(err)
-		}
-		*state = jsonCfg.Region
-		*days = jsonCfg.Days
-		if jsonCfg.Seed != 0 {
-			*seed = jsonCfg.Seed
+		if jc, err = epihiper.ParseJSONConfig(data); err != nil {
+			return err
 		}
 		// An explicit -shards beats the file; otherwise the file's "shards"
 		// beats the flag's default.
 		shardsSet := false
-		flag.Visit(func(f *flag.Flag) { shardsSet = shardsSet || f.Name == "shards" })
-		if !shardsSet && jsonCfg.Shards > 0 {
-			*shards = jsonCfg.Shards
-		}
-	}
-
-	// The shard count is the parallelism: each shard owns its node range
-	// and runs every phase of the tick. Zero means every core.
-	effShards := *shards
-	if effShards <= 0 {
-		effShards = runtime.GOMAXPROCS(0)
-	}
-
-	st, err := synthpop.StateByCode(*state)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("generating %s network at 1:%d scale...\n", st.Name, *scale)
-	cfg := synthpop.DefaultConfig(*seed)
-	cfg.Scale = *scale
-	net, err := synthpop.Generate(st, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  %d persons, %d contact edges (mean degree %.1f), %s in memory, %.1f bytes per edge\n",
-		net.NumNodes(), net.NumEdges(), net.MeanDegree(),
-		transfer.HumanBytes(net.Bytes()), float64(net.Bytes())/float64(net.NumEdges()))
-
-	pr := core.Params{TAU: *tau, SYMP: *symp, SHCompliance: *sh, VHICompliance: *vhi}
-	model, err := pr.ApplyToModel(disease.COVID19())
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	logRec := &output.TransitionLog{}
-	agg := output.NewCountyAggregator(net, *days)
-	var simCfg epihiper.Config
-	if jsonCfg != nil {
-		simCfg, err = jsonCfg.Build(net)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(simCfg.Seeds) == 0 && len(simCfg.SeedPersons) == 0 {
-			simCfg.Seeds = seeding(net)
+		fs.Visit(func(f *flag.Flag) { shardsSet = shardsSet || f.Name == "shards" })
+		if shardsSet || jc.Shards <= 0 {
+			jc.Shards = *shards
 		}
 	} else {
-		simCfg = epihiper.Config{
-			Model: model, Network: net, Days: *days,
-			Seed:  *seed,
-			Seeds: seeding(net),
-			Interventions: []epihiper.Intervention{
-				&epihiper.VoluntaryHomeIsolation{Compliance: *vhi, IsolationDays: 14},
-				&epihiper.SchoolClosure{StartDay: *shStart, EndDay: *days},
-				&epihiper.StayAtHome{StartDay: *shStart + 15, EndDay: *days, Compliance: *sh},
+		model, err := core.Params{TAU: *tau, SYMP: *symp}.ApplyToModel(disease.COVID19())
+		if err != nil {
+			return err
+		}
+		jc = &epihiper.JSONConfig{
+			Region: *state, Days: *days, Shards: *shards, Seed: *seed, Model: model,
+			Interventions: []epihiper.InterventionSpec{
+				{Type: "VHI", Compliance: *vhi, IsolationDays: 14},
+				{Type: "SC", StartDay: *shStart, EndDay: *days},
+				{Type: "SH", StartDay: *shStart + 15, EndDay: *days, Compliance: *sh},
 			},
 		}
 	}
+	// A file with seed 0 still generates its network from -seed.
+	netSeed := jc.Seed
+	if netSeed == 0 {
+		netSeed = *seed
+	}
+
+	st, err := synthpop.StateByCode(jc.Region)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "generating %s network at 1:%d scale...\n", st.Name, *scale)
+	cfg := synthpop.DefaultConfig(netSeed)
+	cfg.Scale = *scale
+	net, err := synthpop.Generate(st, cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "  %d persons, %d contact edges (mean degree %.1f), %s in memory, %.1f bytes per edge\n",
+		net.NumNodes(), net.NumEdges(), net.MeanDegree(),
+		transfer.HumanBytes(net.Bytes()), float64(net.Bytes())/float64(net.NumEdges()))
+
+	simCfg, err := jc.Build(net)
+	if err != nil {
+		return err
+	}
+	if len(simCfg.Seeds) == 0 && len(simCfg.SeedPersons) == 0 {
+		simCfg.Seeds = seeding(net)
+	}
+	// The shard count is the parallelism: each shard owns its node range
+	// and runs every phase of the tick. Zero means every core.
+	if simCfg.Parallelism <= 0 {
+		simCfg.Parallelism = runtime.GOMAXPROCS(0)
+	}
+	logRec := &output.TransitionLog{}
+	agg := output.NewCountyAggregator(net, simCfg.Days)
 	simCfg.Recorder = epihiper.MultiRecorder{logRec, agg}
-	simCfg.Parallelism = effShards
 	reg := obs.NewRegistry()
 	if *metricsDump != "" {
 		simCfg.Metrics = reg
 	}
 	sim, err := epihiper.New(simCfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	start := time.Now()
 	res, err := sim.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("\nsimulated %d days in %v (%d shards)\n", *days, elapsed, sim.ShardCount())
-	fmt.Printf("  total infections: %d (attack rate %.1f%%)\n",
+	fmt.Fprintf(stdout, "\nsimulated %d days in %v (%d shards)\n", res.Days, elapsed, sim.ShardCount())
+	fmt.Fprintf(stdout, "  total infections: %d (attack rate %.1f%%)\n",
 		res.TotalInfections, 100*epihiper.Attack(res, net.NumNodes()))
 	conf := (&core.SimOutput{Result: res}).ConfirmedCumulative()
-	fmt.Printf("  cumulative confirmed: %.0f\n", conf[len(conf)-1])
-	fmt.Printf("  deaths: %d\n", sim.CumulativeCount(disease.Dead))
-	fmt.Printf("  transitions logged: %d (raw %s at this scale, ≈%s at 1:1)\n",
+	fmt.Fprintf(stdout, "  cumulative confirmed: %.0f\n", conf[len(conf)-1])
+	fmt.Fprintf(stdout, "  deaths: %d\n", sim.CumulativeCount(disease.Dead))
+	fmt.Fprintf(stdout, "  transitions logged: %d (raw %s at this scale, ≈%s at 1:1)\n",
 		len(logRec.Entries), transfer.HumanBytes(logRec.RawBytes()),
 		transfer.HumanBytes(logRec.RawBytes()*int64(*scale)))
-	fmt.Printf("  peak modeled memory: %s\n", transfer.HumanBytes(res.PeakMemoryBytes))
+	fmt.Fprintf(stdout, "  peak modeled memory: %s\n", transfer.HumanBytes(res.PeakMemoryBytes))
 
 	dend := output.BuildDendogram(logRec, disease.Exposed)
-	fmt.Printf("  dendogram: %d trees, %d infected, depth %d\n",
+	fmt.Fprintf(stdout, "  dendogram: %d trees, %d infected, depth %d\n",
 		len(dend.Roots), dend.Size(), dend.Depth())
+
+	// The daily infectious prevalence as an ASCII epicurve, every fourth
+	// day, bars scaled to the peak.
+	prevalence := make([]int32, res.Days)
+	peak := int32(0)
+	for d := range prevalence {
+		c := res.Current[d]
+		prevalence[d] = c[disease.Symptomatic] + c[disease.Presymptomatic] + c[disease.Asymptomatic]
+		peak = max(peak, prevalence[d])
+	}
+	fmt.Fprintln(stdout, "\nday  infectious prevalence")
+	for d := 0; d < res.Days; d += 4 {
+		bar := 0
+		if peak > 0 {
+			bar = int(prevalence[d]) * 50 / int(peak)
+		}
+		fmt.Fprintf(stdout, "%3d  %4d %s\n", d, prevalence[d], strings.Repeat("█", bar))
+	}
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rawPath := filepath.Join(*outDir, "transitions.csv")
-		f, err := os.Create(rawPath)
-		if err != nil {
-			log.Fatal(err)
+		if err := writeFile(rawPath, logRec.WriteCSV); err != nil {
+			return err
 		}
-		if err := logRec.WriteCSV(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
 		sumPath := filepath.Join(*outDir, "summary.csv")
-		g, err := os.Create(sumPath)
-		if err != nil {
-			log.Fatal(err)
+		if err := writeFile(sumPath, agg.WriteSummaryCSV); err != nil {
+			return err
 		}
-		if err := agg.WriteSummaryCSV(g); err != nil {
-			log.Fatal(err)
-		}
-		g.Close()
-		fmt.Printf("  wrote %s and %s\n", rawPath, sumPath)
+		fmt.Fprintf(stdout, "  wrote %s and %s\n", rawPath, sumPath)
 	}
 
 	if *metricsDump != "" {
 		reg.Help("epi_run_seconds", "wall-clock of the simulation run")
 		reg.Gauge("epi_run_seconds").Set(elapsed.Seconds())
 		reg.Help("epi_run_days", "simulated horizon in days")
-		reg.Gauge("epi_run_days").Set(float64(*days))
+		reg.Gauge("epi_run_days").Set(float64(res.Days))
 		reg.Help("epi_run_infections_total", "total infections over the run")
 		reg.Counter("epi_run_infections_total").Add(res.TotalInfections)
 		reg.Help("epi_run_transitions_total", "state transitions logged")
@@ -215,19 +222,25 @@ func main() {
 		reg.Gauge("epi_run_raw_bytes").Set(float64(logRec.RawBytes()))
 		reg.Help("epi_run_peak_memory_bytes", "modeled peak memory of the run")
 		reg.Gauge("epi_run_peak_memory_bytes").Set(float64(res.PeakMemoryBytes))
-		w := os.Stdout
-		if *metricsDump != "-" {
-			f, err := os.Create(*metricsDump)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			w = f
+		if *metricsDump == "-" {
+			return reg.WritePrometheus(stdout)
 		}
-		if err := reg.WritePrometheus(w); err != nil {
-			log.Fatal(err)
-		}
+		return writeFile(*metricsDump, reg.WritePrometheus)
 	}
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return f.Close()
 }
 
 // seeding places the run's five initial cases in the region's most populous

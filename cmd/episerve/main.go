@@ -35,14 +35,16 @@
 // /debug/pprof/.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes, queued
-// and in-flight jobs drain (bounded by -drain-timeout), then the process
-// exits.
+// and in-flight jobs drain (bounded by -drain-timeout), the request journal
+// is closed, then the process exits 0.
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -58,34 +60,45 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 2, "workers serving the job queue")
-	queueCap := flag.Int("queue", 16, "job queue capacity (a full queue returns 429)")
-	cacheCap := flag.Int("cache", 64, "result cache capacity (LRU entries)")
-	snapCacheMB := flag.Int64("snap-cache", core.DefaultSnapshotCacheBytes>>20,
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run serves until ctx is canceled, then drains and returns nil. It logs
+// to the standard logger and writes nothing to stdout.
+func run(ctx context.Context, args []string, _ io.Writer) error {
+	fs := flag.NewFlagSet("episerve", flag.ExitOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	workers := fs.Int("workers", 2, "workers serving the job queue")
+	queueCap := fs.Int("queue", 16, "job queue capacity (a full queue returns 429)")
+	cacheCap := fs.Int("cache", 64, "result cache capacity (LRU entries)")
+	snapCacheMB := fs.Int64("snap-cache", core.DefaultSnapshotCacheBytes>>20,
 		"what-if snapshot cache budget in MB (0 disables cross-request prefix reuse)")
-	scale := flag.Int("scale", 20000, "population scale (1:N)")
-	seed := flag.Uint64("seed", 2020, "pipeline random seed")
-	shards := flag.Int("shards", 2, "the most shards one simulation runs, each owning a disjoint node range; a request fanning out k simulations gives each at most GOMAXPROCS/k; results are bit-identical at any value")
-	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful shutdown budget")
-	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	enableFidelity := flag.Bool("fidelity", true,
+	scale := fs.Int("scale", 20000, "population scale (1:N)")
+	seed := fs.Uint64("seed", 2020, "pipeline random seed")
+	shards := fs.Int("shards", 2, "the most shards one simulation runs, each owning a disjoint node range; a request fanning out k simulations gives each at most GOMAXPROCS/k; results are bit-identical at any value")
+	drainTimeout := fs.Duration("drain-timeout", 2*time.Minute, "graceful shutdown budget")
+	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+	enableFidelity := fs.Bool("fidelity", true,
 		"enable the fidelity ladder (specs with a fidelity field route through emulator/metapop/abm tiers)")
-	fidelityMinFit := flag.Int("fidelity-min-fit", 8, "ABM design points before a family's emulator fits")
-	fidelityCacheMB := flag.Int64("fidelity-cache", 64, "fidelity training-set cache budget in MB")
-	replicas := flag.Int("replicas", 1,
+	fidelityMinFit := fs.Int("fidelity-min-fit", 8, "ABM design points before a family's emulator fits")
+	fidelityCacheMB := fs.Int64("fidelity-cache", 64, "fidelity training-set cache budget in MB")
+	replicas := fs.Int("replicas", 1,
 		"multiplies -workers and -queue (kept because the benchmark in bench/ passes it)")
-	recorderCap := flag.Int("recorder", 256,
+	recorderCap := fs.Int("recorder", 256,
 		"flight-recorder capacity: last N request traces kept at /debug/requests (0 disables request tracing, RED series and /slo)")
-	sloP99 := flag.Duration("slo-p99", 0,
+	sloP99 := fs.Duration("slo-p99", 0,
 		"latency objective a good request must meet (0 = error-budget SLO only)")
-	sloObjective := flag.Float64("slo-objective", 0.99,
+	sloObjective := fs.Float64("slo-objective", 0.99,
 		"fraction of requests that must be good over -slo-window")
-	sloWindow := flag.Duration("slo-window", time.Hour,
+	sloWindow := fs.Duration("slo-window", time.Hour,
 		"long SLO burn window; burn rates also computed over window/12 and window/3")
-	requestJournal := flag.String("request-journal", "",
+	requestJournal := fs.String("request-journal", "",
 		"JSONL file receiving every request-trace span/event (flushed and closed on drain); empty disables")
-	flag.Parse()
+	fs.Parse(args)
 
 	p := core.NewPipeline(*seed, core.WithScale(*scale), core.WithParallelism(*shards),
 		core.WithSnapshotCacheBytes(*snapCacheMB<<20))
@@ -125,7 +138,7 @@ func main() {
 			var err error
 			journal, err = obs.OpenFileJournal(*requestJournal)
 			if err != nil {
-				log.Fatalf("request journal: %v", err)
+				return fmt.Errorf("request journal: %w", err)
 			}
 			obsCfg.Journal = journal
 		}
@@ -151,21 +164,20 @@ func main() {
 		errc <- srv.ListenAndServe()
 	}()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	var serveErr error
 	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case sig := <-sigc:
-		log.Printf("received %s, draining (budget %s)", sig, *drainTimeout)
+	case serveErr = <-errc:
+		// The listener failed: drain what it admitted, then report it.
+	case <-ctx.Done():
+		log.Printf("shutting down, draining (budget %s)", *drainTimeout)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainTimeout)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	if err := srv.Shutdown(dctx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
-	if err := svc.Drain(ctx); err != nil {
+	if err := svc.Drain(dctx); err != nil {
 		log.Printf("drain interrupted, in-flight jobs canceled: %v", err)
 	} else {
 		log.Printf("drained cleanly")
@@ -178,7 +190,11 @@ func main() {
 			log.Printf("request journal close: %v", err)
 		}
 	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("serve: %v", err)
+	if serveErr == nil {
+		serveErr = <-errc // http.ErrServerClosed once Shutdown has run
 	}
+	if !errors.Is(serveErr, http.ErrServerClosed) {
+		return fmt.Errorf("serve: %w", serveErr)
+	}
+	return nil
 }

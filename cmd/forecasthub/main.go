@@ -10,12 +10,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/forecast"
 	"repro/internal/metapop"
 	"repro/internal/stats"
@@ -24,22 +25,29 @@ import (
 )
 
 func main() {
-	state := flag.String("state", "VA", "region postal code")
-	weeks := flag.Int("weeks", 4, "forecast horizon in weeks")
-	trainDays := flag.Int("train", 120, "surveillance days used for calibration")
-	truthMode := flag.String("truth", "model", "model (well-specified ground truth) | synthetic (surveillance generator; exhibits structural misfit)")
-	out := flag.String("out", "", "hub-format CSV path (omit for stdout summary)")
-	seed := flag.Uint64("seed", 2020, "random seed")
-	flag.Parse()
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(_ context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("forecasthub", flag.ExitOnError)
+	state := fs.String("state", "VA", "region postal code")
+	weeks := fs.Int("weeks", 4, "forecast horizon in weeks")
+	trainDays := fs.Int("train", 120, "surveillance days used for calibration")
+	truthMode := fs.String("truth", "model", "model (well-specified ground truth) | synthetic (surveillance generator; exhibits structural misfit)")
+	out := fs.String("out", "", "hub-format CSV path (omit for stdout summary)")
+	seed := fs.Uint64("seed", 2020, "random seed")
+	fs.Parse(args)
 
 	st, err := synthpop.StateByCode(*state)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Metapopulation path: cheap enough to calibrate and forecast live.
 	model, err := metapop.NewFromState(st, 0.85)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var truth *surveillance.StateTruth
 	switch *truthMode {
@@ -48,7 +56,7 @@ func main() {
 		tcfg.SecondWave = false // the single-wave regime the SEIR can represent
 		truth, err = surveillance.GenerateState(st, tcfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	case "model":
 		// Well-specified ground truth: a hidden-parameter stochastic run
@@ -60,7 +68,7 @@ func main() {
 			[]metapop.Seed{{CountyIndex: 0, Infectious: 25}},
 			[]metapop.Scenario{metapop.MitigationScenario(75, 0.45)}, rng)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		truth = &surveillance.StateTruth{State: st.Code, Days: 210}
 		for c := range model.Counties {
@@ -70,14 +78,14 @@ func main() {
 			})
 		}
 	default:
-		log.Fatalf("unknown truth mode %q", *truthMode)
+		return fmt.Errorf("unknown truth mode %q", *truthMode)
 	}
 	// Align simulation day 0 with the observed community-spread onset,
 	// as the production calibration does.
 	onset := truth.OnsetDay(20)
 	horizon := *trainDays + 7*(*weeks)
 	if onset+horizon > truth.Days {
-		log.Fatalf("onset %d + horizon %d exceeds surveillance span %d", onset, horizon, truth.Days)
+		return fmt.Errorf("onset %d + horizon %d exceeds surveillance span %d", onset, horizon, truth.Days)
 	}
 	train := truth.Window(onset, onset+*trainDays)
 
@@ -110,9 +118,9 @@ func main() {
 		Steps: 800, BurnIn: 800, Seed: *seed,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("calibrated %s on days %d–%d: MAP beta=%.3f detect=%.3f mitigation=%.2f (R0=%.2f)\n",
+	fmt.Fprintf(stdout, "calibrated %s on days %d–%d: MAP beta=%.3f detect=%.3f mitigation=%.2f (R0=%.2f)\n",
 		st.Code, onset, onset+*trainDays, res.MAP.Beta, res.MAP.Detect, res.MAPMitigation, res.MAP.R0())
 
 	// Posterior ensemble forecasts at each weekly horizon (thin the
@@ -139,7 +147,7 @@ func main() {
 	var card forecast.Scorecard
 	var rows []string
 	noiseRNG := stats.NewRNG(*seed ^ 0xF0C4)
-	fmt.Printf("\n%-8s %10s %10s %10s %10s %6s\n", "target", "truth", "median", "2.5%", "97.5%", "WIS")
+	fmt.Fprintf(stdout, "\n%-8s %10s %10s %10s %10s %6s\n", "target", "truth", "median", "2.5%", "97.5%", "WIS")
 	for w := 1; w <= *weeks; w++ {
 		day := *trainDays + 7*w - 1
 		var samples []float64
@@ -151,7 +159,7 @@ func main() {
 			scen := []metapop.Scenario{metapop.MitigationScenario(mitStart, mit)}
 			cum, err := model.StateCurve(p, day+1, seeds, scen)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			// Predictive, not parametric: the hub target is the
 			// *observed* count, so each draw carries the observation
@@ -163,32 +171,32 @@ func main() {
 		}
 		f, err := forecast.FromSamples(samples)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		obs := truthCum[day]
 		card.Add(f, obs)
 		lo, hi := f.Interval(0.05)
-		fmt.Printf("%d wk     %10.0f %10.0f %10.0f %10.0f %6.0f\n",
+		fmt.Fprintf(stdout, "%d wk     %10.0f %10.0f %10.0f %10.0f %6.0f\n",
 			w, obs, f.Median(), lo, hi, forecast.WIS(f, obs))
 		for _, q := range f.Quantiles {
 			rows = append(rows, fmt.Sprintf("%s,%d wk ahead cum case,quantile,%g,%g",
 				st.Code, w, q.P, q.V))
 		}
 	}
-	fmt.Printf("\nscorecard over %d targets: MAE %.0f, mean WIS %.0f, 95%% coverage %.0f%%, 50%% coverage %.0f%%\n",
+	fmt.Fprintf(stdout, "\nscorecard over %d targets: MAE %.0f, mean WIS %.0f, 95%% coverage %.0f%%, 50%% coverage %.0f%%\n",
 		card.N, card.MAE(), card.MeanWIS(), 100*card.Coverage95(), 100*card.Coverage50())
 
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		fmt.Fprintln(f, "location,target,type,quantile,value")
 		for _, r := range rows {
 			fmt.Fprintln(f, r)
 		}
-		fmt.Printf("wrote %d hub rows to %s\n", len(rows), *out)
+		fmt.Fprintf(stdout, "wrote %d hub rows to %s\n", len(rows), *out)
 	}
-	_ = core.TableI // documentation anchor: the agent-based path feeds the same format
+	return nil
 }

@@ -14,9 +14,11 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -24,17 +26,24 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8080", "episerve base URL")
-	clients := flag.Int("clients", 64, "concurrent closed-loop clients")
-	requests := flag.Int("requests", 256, "total request budget across clients")
-	priority := flag.String("priority", "", "admission class: interactive | normal | batch")
-	state := flag.String("state", "VA", "spec state code")
-	days := flag.Int("days", 30, "spec forecast horizon")
-	reps := flag.Int("replicates", 2, "spec replicates per configuration")
-	fixed := flag.Bool("fixed", false, "send one identical spec (cache/dedup profile) instead of unique specs")
-	mix := flag.Bool("mix", false, "cycle priorities interactive/normal/batch across requests (overrides -priority); the report breaks p50/p99 down per class")
-	jsonOut := flag.Bool("json", false, "emit the report as JSON on stdout")
-	flag.Parse()
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(_ context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
+	addr := fs.String("addr", "http://127.0.0.1:8080", "episerve base URL")
+	clients := fs.Int("clients", 64, "concurrent closed-loop clients")
+	requests := fs.Int("requests", 256, "total request budget across clients")
+	priority := fs.String("priority", "", "admission class: interactive | normal | batch")
+	state := fs.String("state", "VA", "spec state code")
+	days := fs.Int("days", 30, "spec forecast horizon")
+	reps := fs.Int("replicates", 2, "spec replicates per configuration")
+	fixed := fs.Bool("fixed", false, "send one identical spec (cache/dedup profile) instead of unique specs")
+	mix := fs.Bool("mix", false, "cycle priorities interactive/normal/batch across requests (overrides -priority); the report breaks p50/p99 down per class")
+	jsonOut := fs.Bool("json", false, "emit the report as JSON on stdout")
+	fs.Parse(args)
 
 	specFor := func(client, seq int) scenario.Spec {
 		s := DefaultSpecFor(client, seq)
@@ -56,29 +65,27 @@ func main() {
 	}
 	rep, err := RunLoadgen(lcfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return enc.Encode(rep)
 	}
-	fmt.Printf("clients=%d requests=%d ok=%d errors=%d\n", rep.Clients, rep.Requests, rep.OK, rep.Errors)
-	fmt.Printf("p50=%s p99=%s throughput=%.1f req/s over %s\n", rep.P50, rep.P99, rep.Throughput, rep.Elapsed)
+	fmt.Fprintf(stdout, "clients=%d requests=%d ok=%d errors=%d\n", rep.Clients, rep.Requests, rep.OK, rep.Errors)
+	fmt.Fprintf(stdout, "p50=%s p99=%s throughput=%.1f req/s over %s\n", rep.P50, rep.P99, rep.Throughput, rep.Elapsed)
 	for _, pri := range []string{"interactive", "normal", "batch"} {
 		if st, ok := rep.ByPriority[pri]; ok {
-			fmt.Printf("  %-11s requests=%d ok=%d p50=%.1fms p99=%.1fms\n",
+			fmt.Fprintf(stdout, "  %-11s requests=%d ok=%d p50=%.1fms p99=%.1fms\n",
 				pri, st.Requests, st.OK, st.P50ms, st.P99ms)
 		}
 	}
 	for code, n := range rep.StatusDist {
-		fmt.Printf("  status %d: %d\n", code, n)
+		fmt.Fprintf(stdout, "  status %d: %d\n", code, n)
 	}
 	if rep.SlowestID != "" {
-		fmt.Printf("slowest request: %.1fms — inspect with GET %s/debug/requests/%s\n",
+		fmt.Fprintf(stdout, "slowest request: %.1fms — inspect with GET %s/debug/requests/%s\n",
 			rep.SlowestMS, *addr, rep.SlowestID)
 	}
+	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -61,21 +62,28 @@ func readConfigs(path string) ([]core.Params, error) {
 }
 
 func main() {
-	state := flag.String("state", "VA", "region postal code")
-	configsPath := flag.String("configs", "", "posterior CSV from the calibrate command")
-	replicates := flag.Int("replicates", 15, "replicates per configuration")
-	days := flag.Int("days", 90, "forecast horizon")
-	scale := flag.Int("scale", 20000, "population scale (1:N)")
-	seed := flag.Uint64("seed", 2020, "random seed")
-	maxConfigs := flag.Int("max-configs", 8, "cap on configurations simulated")
-	flag.Parse()
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("predict", flag.ExitOnError)
+	state := fs.String("state", "VA", "region postal code")
+	configsPath := fs.String("configs", "", "posterior CSV from the calibrate command")
+	replicates := fs.Int("replicates", 15, "replicates per configuration")
+	days := fs.Int("days", 90, "forecast horizon")
+	scale := fs.Int("scale", 20000, "population scale (1:N)")
+	seed := fs.Uint64("seed", 2020, "random seed")
+	maxConfigs := fs.Int("max-configs", 8, "cap on configurations simulated")
+	fs.Parse(args)
 
 	var configs []core.Params
 	if *configsPath != "" {
 		var err error
 		configs, err = readConfigs(*configsPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	} else {
 		// Default what-if spread around the CDC best-guess parameters.
@@ -90,32 +98,32 @@ func main() {
 		configs = configs[:*maxConfigs]
 	}
 	p := core.NewPipeline(*seed, core.WithScale(*scale))
-	fmt.Printf("prediction workflow: %s, %d configs × %d replicates, %d days\n",
+	fmt.Fprintf(stdout, "prediction workflow: %s, %d configs × %d replicates, %d days\n",
 		*state, len(configs), *replicates, *days)
-	out, err := p.RunPredictionWorkflowCtx(context.Background(), core.PredictionConfig{
+	out, err := p.RunPredictionWorkflowCtx(ctx, core.PredictionConfig{
 		State: *state, Configs: configs, Replicates: *replicates, Days: *days,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("\ncumulative confirmed cases (state level):")
-	fmt.Println("  day   2.5%     median   97.5%")
+	fmt.Fprintln(stdout, "\ncumulative confirmed cases (state level):")
+	fmt.Fprintln(stdout, "  day   2.5%     median   97.5%")
 	for d := 6; d < *days; d += 7 {
-		fmt.Printf("  %3d  %8.0f %8.0f %8.0f\n",
+		fmt.Fprintf(stdout, "  %3d  %8.0f %8.0f %8.0f\n",
 			d, out.Confirmed.Lo[d], out.Confirmed.Median[d], out.Confirmed.Hi[d])
 	}
 	last := *days - 1
-	fmt.Printf("\nfinal forecasts (day %d): confirmed %.0f [%.0f, %.0f], hospitalized %.0f, deaths %.0f\n",
+	fmt.Fprintf(stdout, "\nfinal forecasts (day %d): confirmed %.0f [%.0f, %.0f], hospitalized %.0f, deaths %.0f\n",
 		last, out.Confirmed.Median[last], out.Confirmed.Lo[last], out.Confirmed.Hi[last],
 		out.Hospitalized.Median[last], out.Deaths.Median[last])
-	fmt.Printf("region: %d counties\n", out.Counties)
+	fmt.Fprintf(stdout, "region: %d counties\n", out.Counties)
 
 	// Capacity analysis for the hospital referral regions: compare the
 	// upper-band hospitalization path against AHA-derived capacity.
 	st, err := synthpop.StateByCode(*state)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res := capacity.FromAHA(st)
 	// Occupancy approximation: cumulative admissions over a mean stay,
@@ -140,15 +148,16 @@ func main() {
 	}
 	rep, err := capacity.Analyze(res, demand, 0.4)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ncapacity check (worst-case band scaled to 1:1, %s — beds %d, vents %d available to COVID):\n",
+	fmt.Fprintf(stdout, "\ncapacity check (worst-case band scaled to 1:1, %s — beds %d, vents %d available to COVID):\n",
 		st.Code, int(float64(res.Beds)*rep.AvailableFraction), int(float64(res.Ventilators)*rep.AvailableFraction))
 	if rep.HospitalOverflowDays == 0 && rep.VentilatorOverflowDays == 0 {
-		fmt.Printf("  no overflow; peak bed utilization %.0f%% on day %d\n",
+		fmt.Fprintf(stdout, "  no overflow; peak bed utilization %.0f%% on day %d\n",
 			100*rep.HospitalUtilizationPeak, rep.PeakHospitalDay)
 	} else {
-		fmt.Printf("  OVERFLOW: %d hospital days (first day %d), %d ventilator days\n",
+		fmt.Fprintf(stdout, "  OVERFLOW: %d hospital days (first day %d), %d ventilator days\n",
 			rep.HospitalOverflowDays, rep.FirstHospitalOverflow, rep.VentilatorOverflowDays)
 	}
+	return nil
 }

@@ -9,13 +9,21 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/econ"
 )
 
 func main() {
+	if err := run(context.Background(), os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(ctx context.Context, stdout io.Writer) error {
 	p := core.NewPipeline(11, core.WithScale(20000))
 
 	cfg := core.CounterfactualConfig{
@@ -32,13 +40,13 @@ func main() {
 		SHCompliances:  []float64{0.5, 0.9},
 		SHStart:        15,
 	}
-	fmt.Printf("factorial design: %d cells × %d states × %d replicates = %d simulations\n",
+	fmt.Fprintf(stdout, "factorial design: %d cells × %d states × %d replicates = %d simulations\n",
 		len(cfg.FactorialCells()), len(cfg.States), cfg.Replicates,
 		len(cfg.FactorialCells())*len(cfg.States)*cfg.Replicates)
 
-	out, err := p.RunCounterfactualWorkflowCtx(context.Background(), cfg)
+	out, err := p.RunCounterfactualWorkflowCtx(ctx, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Aggregate each cell's health outcomes and apply the cost model.
@@ -49,19 +57,20 @@ func main() {
 		for _, s := range out.Sims[cell.Index] {
 			tt, err := econ.TallyFromSeries(s.Result.Daily, s.Result.Current)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			t.Add(tt)
 		}
 		tallies[cell.Name()] = t
 	}
-	fmt.Println("\nscenario                          attended  hosp-days  vent-days  deaths   medical cost (1:1 scale)")
+	fmt.Fprintln(stdout, "\nscenario                          attended  hosp-days  vent-days  deaths   medical cost (1:1 scale)")
 	for _, sc := range econ.CompareScenarios(costs, tallies) {
 		full := econ.PerCapita(sc.Dollars, p.Scale) / float64(cfg.Replicates) / float64(len(cfg.States))
-		fmt.Printf("%-33s %8d %10d %10d %7d   $%.1fM\n",
+		fmt.Fprintf(stdout, "%-33s %8d %10d %10d %7d   $%.1fM\n",
 			sc.Scenario, sc.Tally.AttendedCases, sc.Tally.HospitalDays,
 			sc.Tally.VentilatorDays, sc.Tally.Deaths, full/1e6)
 	}
-	fmt.Println("\n(stronger/longer NPIs reduce medical costs; the paper's companion")
-	fmt.Println(" study [9] weighs these against the GDP impact of staying closed)")
+	fmt.Fprintln(stdout, "\n(stronger/longer NPIs reduce medical costs; the paper's companion")
+	fmt.Fprintln(stdout, " study [9] weighs these against the GDP impact of staying closed)")
+	return nil
 }

@@ -8,9 +8,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 	"strings"
 
 	"repro/internal/disease"
@@ -20,15 +23,21 @@ import (
 )
 
 func main() {
+	if err := run(context.Background(), os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(_ context.Context, stdout io.Writer) error {
 	md, err := synthpop.StateByCode("MD")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg := synthpop.DefaultConfig(8)
 	cfg.Scale = 4000
 	net, err := synthpop.Generate(md, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	largest := net.Counties().Largest()
@@ -45,26 +54,26 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := sim.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("%s: %d people, %d infections over %d days\n\n",
+	fmt.Fprintf(stdout, "%s: %d people, %d infections over %d days\n\n",
 		md.Name, net.NumNodes(), res.TotalInfections, days)
 
 	d := output.BuildDendogram(logRec, disease.Exposed)
-	fmt.Printf("transmission forest: %d trees, %d infected, depth %d\n",
+	fmt.Fprintf(stdout, "transmission forest: %d trees, %d infected, depth %d\n",
 		len(d.Roots), d.Size(), d.Depth())
-	fmt.Printf("mean generation interval: %.1f days\n", d.MeanGenerationInterval())
+	fmt.Fprintf(stdout, "mean generation interval: %.1f days\n", d.MeanGenerationInterval())
 	if k := d.Dispersion(); !math.IsInf(k, 1) && !math.IsNaN(k) {
-		fmt.Printf("offspring dispersion k: %.2f (k ≪ 1 ⇒ superspreading)\n", k)
+		fmt.Fprintf(stdout, "offspring dispersion k: %.2f (k ≪ 1 ⇒ superspreading)\n", k)
 	} else {
-		fmt.Println("offspring dispersion: Poisson-like (no overdispersion)")
+		fmt.Fprintln(stdout, "offspring dispersion: Poisson-like (no overdispersion)")
 	}
 
-	fmt.Println("\nweekly effective reproduction number (SH order days 45–90):")
+	fmt.Fprintln(stdout, "\nweekly effective reproduction number (SH order days 45–90):")
 	rt := d.RtSeries(days, 7)
 	for w, v := range rt {
 		if math.IsNaN(v) || w >= len(rt)-2 { // skip empty / right-censored
@@ -75,13 +84,14 @@ func main() {
 		if w*7 <= 45 && 45 < (w+1)*7 {
 			marker = "  ← SH order starts"
 		}
-		fmt.Printf("  week %2d  Rt=%.2f %s%s\n", w+1, v, bar, marker)
+		fmt.Fprintf(stdout, "  week %2d  Rt=%.2f %s%s\n", w+1, v, bar, marker)
 	}
 
-	fmt.Println("\ntop spreaders:")
+	fmt.Fprintln(stdout, "\ntop spreaders:")
 	for _, sp := range d.TopSpreaders(5) {
 		p := net.Persons[sp.PID]
-		fmt.Printf("  person %4d (age %2d, county %d): %d secondary cases, subtree %d\n",
+		fmt.Fprintf(stdout, "  person %4d (age %2d, county %d): %d secondary cases, subtree %d\n",
 			sp.PID, p.Age, p.CountyFIPS, sp.Secondary, d.SubtreeSize(sp.PID))
 	}
+	return nil
 }

@@ -7,8 +7,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/metapop"
 	"repro/internal/surveillance"
@@ -16,22 +19,28 @@ import (
 )
 
 func main() {
+	if err := run(context.Background(), os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(_ context.Context, stdout io.Writer) error {
 	st, err := synthpop.StateByCode("VA")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	model, err := metapop.NewFromState(st, 0.85)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("metapopulation SEIR: %s, %d counties, gravity commuting coupling\n",
+	fmt.Fprintf(stdout, "metapopulation SEIR: %s, %d counties, gravity commuting coupling\n",
 		st.Name, len(model.Counties))
 
 	// Ground truth through day 80 (the calibration window).
 	truthCfg := surveillance.DefaultConfig(3)
 	truth, err := surveillance.GenerateState(st, truthCfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	train := truth.TruncateTo(80)
 
@@ -46,9 +55,9 @@ func main() {
 		Steps: 400, BurnIn: 400, Seed: 9,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("calibrated: MAP beta=%.3f detect=%.3f (R0=%.2f), acceptance %.2f, %d posterior draws\n",
+	fmt.Fprintf(stdout, "calibrated: MAP beta=%.3f detect=%.3f (R0=%.2f), acceptance %.2f, %d posterior draws\n",
 		res.MAP.Beta, res.MAP.Detect, res.MAP.R0(), res.AcceptRate, len(res.Posterior))
 
 	// The five scenarios of the case study: worst case (no distancing)
@@ -56,17 +65,15 @@ func main() {
 	// dates (April 30 ≈ day 100, June 10 ≈ day 141) × two reductions
 	// (25%, 50%).
 	horizon := 200
-	scenarios := map[string][]metapop.Scenario{
-		"worst-case (no distancing)": nil,
-		"SD to Apr 30, -25%":         {{Name: "sd", Start: 54, End: 100, Factor: 0.75}},
-		"SD to Apr 30, -50%":         {{Name: "sd", Start: 54, End: 100, Factor: 0.50}},
-		"SD to Jun 10, -25%":         {{Name: "sd", Start: 54, End: 141, Factor: 0.75}},
-		"SD to Jun 10, -50%":         {{Name: "sd", Start: 54, End: 141, Factor: 0.50}},
-	}
-	order := []string{
-		"worst-case (no distancing)",
-		"SD to Apr 30, -25%", "SD to Apr 30, -50%",
-		"SD to Jun 10, -25%", "SD to Jun 10, -50%",
+	scenarios := []struct {
+		name string
+		sd   []metapop.Scenario
+	}{
+		{"worst-case (no distancing)", nil},
+		{"SD to Apr 30, -25%", []metapop.Scenario{{Name: "sd", Start: 54, End: 100, Factor: 0.75}}},
+		{"SD to Apr 30, -50%", []metapop.Scenario{{Name: "sd", Start: 54, End: 100, Factor: 0.50}}},
+		{"SD to Jun 10, -25%", []metapop.Scenario{{Name: "sd", Start: 54, End: 141, Factor: 0.75}}},
+		{"SD to Jun 10, -50%", []metapop.Scenario{{Name: "sd", Start: 54, End: 141, Factor: 0.50}}},
 	}
 	// Thin the posterior for the ensemble runs.
 	post := res.Posterior
@@ -77,15 +84,16 @@ func main() {
 		}
 		post = thin
 	}
-	fmt.Printf("\nprojections to day %d (cumulative confirmed, median [95%% band]):\n", horizon)
-	for _, name := range order {
-		lo, med, hi, err := model.PredictBand(post, horizon, seeds, scenarios[name])
+	fmt.Fprintf(stdout, "\nprojections to day %d (cumulative confirmed, median [95%% band]):\n", horizon)
+	for _, sc := range scenarios {
+		lo, med, hi, err := model.PredictBand(post, horizon, seeds, sc.sd)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		last := horizon - 1
-		fmt.Printf("  %-28s %9.0f [%9.0f, %9.0f]\n", name, med[last], lo[last], hi[last])
+		fmt.Fprintf(stdout, "  %-28s %9.0f [%9.0f, %9.0f]\n", sc.name, med[last], lo[last], hi[last])
 	}
-	fmt.Println("\n(stronger and longer distancing lowers the final count; lifting")
-	fmt.Println(" early trades near-term relief for a larger eventual epidemic)")
+	fmt.Fprintln(stdout, "\n(stronger and longer distancing lowers the final count; lifting")
+	fmt.Fprintln(stdout, " early trades near-term relief for a larger eventual epidemic)")
+	return nil
 }
